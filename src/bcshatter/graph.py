@@ -30,6 +30,10 @@ class GraphFormatError(GraphInputError):
     """Structurally inconsistent file (e.g. METIS header vs body)."""
 
 
+# Largest vertex id the int32 neighbor arrays can hold.
+MAX_VERTEX_ID = np.iinfo(np.int32).max
+
+
 @dataclass(frozen=True)
 class NormalizationReport:
     """Counts of items dropped while normalizing raw input edges."""
@@ -169,6 +173,8 @@ def parse_edge_list(text: str, *, index_base: int = 0) -> tuple[Graph, Normaliza
         v -= index_base
         if u < 0 or v < 0:
             raise GraphRangeError(f"line {lineno}: vertex id below base {index_base}")
+        if u > MAX_VERTEX_ID or v > MAX_VERTEX_ID:
+            raise GraphRangeError(f"line {lineno}: vertex id above {MAX_VERTEX_ID + index_base}")
         raw.append((u, v))
         max_id = max(max_id, u, v)
     edges, report = normalize_edges(raw)

@@ -1,4 +1,4 @@
-"""Betweenness kernels: plain Brandes and attribute-aware variants.
+"""Betweenness kernels: Brandes' algorithm with reach and ident attributes.
 
 All kernels use the ordered-pair convention: a pair (s, t) contributes its
 dependency once per direction, so no halving happens here (that is a CLI
@@ -6,12 +6,26 @@ output option).  Shortest-path counts sigma are kept in float64 because they
 can overflow 64-bit integers on dense graphs while the dependency ratios
 stay well conditioned.
 
-Four kernels exist because attribute-free loops are measurably faster; the
-engine dispatches per component on whether any ``reach`` or ``ident`` value
-differs from 1.  The variants are written so that with all attributes equal
-to 1 they follow the exact same floating-point operations as ``bc_plain``
-(multiplying by an integer 1 is exact), which the degeneration tests assert
-bit-for-bit.
+One attribute-general algorithm exists, in two implementations that
+``brandes`` picks between by the work a component needs (n * 2m) and its
+BFS depth:
+
+* ``brandes_python`` - the single-source loop over adjacency lists.  It
+  wins on tiny components and on long cycles and paths, where numpy's fixed
+  cost per call dominates, and it is the reference the tests hold the numpy
+  routine to.
+* ``brandes_numpy`` - level-synchronous Brandes over a CSR copy for a batch
+  of sources at once.  Each BFS level costs a fixed number of array
+  operations, and the shortest-path DAG arcs of each level replace
+  predecessor lists, so the backward pass replays the levels in reverse
+  (Madduri et al., IPDPS 2009).
+
+Both follow the same floating-point operations per arc: with all attributes
+equal to 1 every attribute factor is an exact multiplication by 1, which the
+degeneration tests assert bit-for-bit.  The two implementations sum the
+same terms in different orders, so they agree to rounding, not bitwise.
+``bc_plain``, ``bc_reach``, ``bc_ident`` and ``bc_reach_ident`` name the
+attribute combinations the engine dispatches on.
 
 Attribute semantics on a reduced component:
 
@@ -28,6 +42,7 @@ scores[v] is the per-copy contribution for v (shared by all merged copies).
 
 from __future__ import annotations
 
+from itertools import chain
 from time import perf_counter
 
 import numpy as np
@@ -36,57 +51,22 @@ from .graph import Graph
 
 Adjacency = list[list[int]]
 
+# Every numpy call costs some microseconds however small its arrays, and the
+# numpy routine makes a few dozen per kernel and per BFS level of a batch.
+# It runs only on components with at least SMALL_WORK (source, arc) pairs,
+# n * 2m, whose batches average at least LEVEL_ARCS arcs per level; the
+# Python loop is faster on the rest (tiny components, and long cycles or
+# paths with hundreds of levels).
+SMALL_WORK = 1 << 10
+LEVEL_ARCS = 64
+# (source, vertex-or-arc) pairs handled per batch of sources; this keeps the
+# batch temporaries near 1 MB.
+BATCH_WORK = 1 << 15
+
 
 def bc_plain(adj: Adjacency):
     """Brandes' algorithm. Handles disconnected inputs per source."""
-    n = len(adj)
-    bc = [0.0] * n
-    dist = [-1] * n
-    sigma = [0.0] * n
-    delta = [0.0] * n
-    preds: list[list[int]] = [[] for _ in range(n)]
-    order = [0] * n  # BFS queue; dequeue order doubles as the phase-2 stack
-    t1 = 0.0
-    t2 = 0.0
-    for s in range(n):
-        tick = perf_counter()
-        order[0] = s
-        size = 1
-        head = 0
-        dist[s] = 0
-        sigma[s] = 1.0
-        while head < size:
-            v = order[head]
-            head += 1
-            dv1 = dist[v] + 1
-            sv = sigma[v]
-            for w in adj[v]:
-                dw = dist[w]
-                if dw < 0:
-                    dist[w] = dw = dv1
-                    order[size] = w
-                    size += 1
-                if dw == dv1:
-                    sigma[w] += sv
-                    preds[w].append(v)
-        now = perf_counter()
-        t1 += now - tick
-        tick = now
-        for idx in range(size - 1, 0, -1):  # order[0] is the source
-            w = order[idx]
-            dw = delta[w]
-            coef = (1.0 + dw) / sigma[w]
-            for v in preds[w]:
-                delta[v] += sigma[v] * coef
-            bc[w] += dw
-        for idx in range(size):  # reset only what this source touched
-            v = order[idx]
-            dist[v] = -1
-            sigma[v] = 0.0
-            delta[v] = 0.0
-            preds[v].clear()
-        t2 += perf_counter() - tick
-    return bc, t1, t2
+    return brandes(adj)
 
 
 def bc_reach(adj: Adjacency, reach: list[int]):
@@ -96,58 +76,7 @@ def bc_reach(adj: Adjacency, reach: list[int]):
     source counts for reach[s] original sources.  With reach = 1 everywhere
     this is exactly ``bc_plain``.
     """
-    _check_positive(reach, "reach")
-    n = len(adj)
-    bc = [0.0] * n
-    dist = [-1] * n
-    sigma = [0.0] * n
-    delta = [0.0] * n
-    preds: list[list[int]] = [[] for _ in range(n)]
-    order = [0] * n
-    t1 = 0.0
-    t2 = 0.0
-    for s in range(n):
-        tick = perf_counter()
-        order[0] = s
-        size = 1
-        head = 0
-        dist[s] = 0
-        sigma[s] = 1.0
-        delta[s] = reach[s] - 1.0
-        while head < size:
-            v = order[head]
-            head += 1
-            dv1 = dist[v] + 1
-            sv = sigma[v]
-            for w in adj[v]:
-                dw = dist[w]
-                if dw < 0:
-                    dist[w] = dw = dv1
-                    delta[w] = reach[w] - 1.0
-                    order[size] = w
-                    size += 1
-                if dw == dv1:
-                    sigma[w] += sv
-                    preds[w].append(v)
-        now = perf_counter()
-        t1 += now - tick
-        tick = now
-        rs = reach[s]
-        for idx in range(size - 1, 0, -1):
-            w = order[idx]
-            dw = delta[w]
-            coef = (1.0 + dw) / sigma[w]
-            for v in preds[w]:
-                delta[v] += sigma[v] * coef
-            bc[w] += rs * dw
-        for idx in range(size):
-            v = order[idx]
-            dist[v] = -1
-            sigma[v] = 0.0
-            delta[v] = 0.0
-            preds[v].clear()
-        t2 += perf_counter() - tick
-    return bc, t1, t2
+    return brandes(adj, reach=reach)
 
 
 def bc_ident(adj: Adjacency, ident: list[int]):
@@ -159,56 +88,7 @@ def bc_ident(adj: Adjacency, ident: list[int]):
     Paths between members of one class are NOT counted here; the merge pass
     settles those separately.
     """
-    _check_positive(ident, "ident")
-    n = len(adj)
-    bc = [0.0] * n
-    dist = [-1] * n
-    sigma = [0.0] * n
-    delta = [0.0] * n
-    preds: list[list[int]] = [[] for _ in range(n)]
-    order = [0] * n
-    t1 = 0.0
-    t2 = 0.0
-    for s in range(n):
-        tick = perf_counter()
-        order[0] = s
-        size = 1
-        head = 0
-        dist[s] = 0
-        sigma[s] = 1.0
-        while head < size:
-            v = order[head]
-            head += 1
-            dv1 = dist[v] + 1
-            sv = sigma[v] * ident[v] if v != s else sigma[v]
-            for w in adj[v]:
-                dw = dist[w]
-                if dw < 0:
-                    dist[w] = dw = dv1
-                    order[size] = w
-                    size += 1
-                if dw == dv1:
-                    sigma[w] += sv
-                    preds[w].append(v)
-        now = perf_counter()
-        t1 += now - tick
-        tick = now
-        mult_s = ident[s]
-        for idx in range(size - 1, 0, -1):
-            w = order[idx]
-            dw = delta[w]
-            coef = ident[w] * (1.0 + dw) / sigma[w]
-            for v in preds[w]:
-                delta[v] += sigma[v] * coef
-            bc[w] += mult_s * dw
-        for idx in range(size):
-            v = order[idx]
-            dist[v] = -1
-            sigma[v] = 0.0
-            delta[v] = 0.0
-            preds[v].clear()
-        t2 += perf_counter() - tick
-    return bc, t1, t2
+    return brandes(adj, ident=ident)
 
 
 def bc_reach_ident(adj: Adjacency, reach: list[int], ident: list[int]):
@@ -219,15 +99,60 @@ def bc_reach_ident(adj: Adjacency, reach: list[int], ident: list[int]):
     original sources.  Coincides with ``bc_reach`` when ident = 1 and with
     ``bc_ident`` when reach = 1, bit for bit.
     """
+    return brandes(adj, reach=reach, ident=ident)
+
+
+def brandes(adj: Adjacency, reach: list[int] | None = None, ident: list[int] | None = None):
+    """Attribute-general Brandes; missing attributes are all 1.
+
+    Runs the batched numpy routine where its per-call and per-level costs
+    pay off (see ``SMALL_WORK`` and ``LEVEL_ARCS``), the Python loop
+    otherwise.
+    """
+    n = len(adj)
+    reach = [1] * n if reach is None else reach
+    ident = [1] * n if ident is None else ident
     _check_positive(reach, "reach")
     _check_positive(ident, "ident")
+    arc_count = sum(map(len, adj))
+    if n * arc_count >= SMALL_WORK and _batch_size(n, arc_count) * arc_count >= LEVEL_ARCS * _bfs_depth(adj):
+        return brandes_numpy(adj, reach, ident)
+    return brandes_python(adj, reach, ident)
+
+
+def _batch_size(n: int, arc_count: int) -> int:
+    return max(1, min(n, BATCH_WORK // max(1, n + arc_count)))
+
+
+def _bfs_depth(adj: Adjacency) -> int:
+    """Deepest BFS level over all components, each searched from its first
+    vertex; within a factor 2 of the level count of any source's BFS."""
+    depth = [-1] * len(adj)
+    deepest = 0
+    for root in range(len(adj)):
+        if depth[root] >= 0:
+            continue
+        depth[root] = 0
+        queue = [root]
+        for v in queue:
+            below = depth[v] + 1
+            for w in adj[v]:
+                if depth[w] < 0:
+                    depth[w] = below
+                    queue.append(w)
+        deepest = max(deepest, depth[queue[-1]])
+    return deepest
+
+
+def brandes_python(adj: Adjacency, reach: list[int], ident: list[int]):
+    """Single-source Brandes loop with both attributes (the reference)."""
     n = len(adj)
     bc = [0.0] * n
     dist = [-1] * n
     sigma = [0.0] * n
     delta = [0.0] * n
     preds: list[list[int]] = [[] for _ in range(n)]
-    order = [0] * n
+    order = [0] * n  # BFS queue; dequeue order doubles as the phase-2 stack
     t1 = 0.0
     t2 = 0.0
     for s in range(n):
@@ -257,14 +182,14 @@ def bc_reach_ident(adj: Adjacency, reach: list[int], ident: list[int]):
         t1 += now - tick
         tick = now
         mult_s = reach[s] * ident[s]
-        for idx in range(size - 1, 0, -1):
+        for idx in range(size - 1, 0, -1):  # order[0] is the source
             w = order[idx]
             dw = delta[w]
             coef = ident[w] * (1.0 + dw) / sigma[w]
             for v in preds[w]:
                 delta[v] += sigma[v] * coef
             bc[w] += mult_s * dw
-        for idx in range(size):
+        for idx in range(size):  # reset only what this source touched
             v = order[idx]
             dist[v] = -1
             sigma[v] = 0.0
@@ -272,6 +197,87 @@ def bc_reach_ident(adj: Adjacency, reach: list[int], ident: list[int]):
             preds[v].clear()
         t2 += perf_counter() - tick
     return bc, t1, t2
+
+
+def brandes_numpy(adj: Adjacency, reach: list[int], ident: list[int]):
+    """Level-synchronous Brandes for batches of sources over a CSR copy.
+
+    The state of the b-th source of a batch at vertex v lives at flat index
+    b * n + v, and every per-vertex array is tiled once per batch slot so a
+    level needs no vertex ids.  The forward pass keeps, per BFS level, the
+    level's flat indices, its sigma, and its DAG arcs into the next level as
+    (position in this level, position in the next).  An arc is on the DAG
+    exactly when its head was unseen before the level.
+    """
+    n = len(adj)
+    deg = np.fromiter(map(len, adj), dtype=np.intp, count=n)
+    offsets = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(deg, out=offsets[1:])
+    arc_count = int(offsets[-1])
+    nbrs = np.fromiter(chain.from_iterable(adj), dtype=np.intp, count=arc_count)
+    reach_f = np.asarray(reach, dtype=np.float64)
+    ident_f = np.asarray(ident, dtype=np.float64)
+    source_mult = reach_f * ident_f
+    batch = _batch_size(n, arc_count)
+    slots = np.arange(batch)
+    deg_t = np.tile(deg, batch)
+    first_arc_t = (offsets[:-1] + arc_count * slots[:, None]).ravel()
+    heads_t = (nbrs + n * slots[:, None]).ravel()
+    start_delta_t = np.tile(reach_f - 1.0, batch)
+    ident_t = np.tile(ident_f, batch)
+    level_of = np.empty(batch * n, dtype=np.int32)
+    claim = np.empty(batch * n, dtype=np.intp)
+    bc = np.zeros(n)
+    t1 = 0.0
+    t2 = 0.0
+    for first in range(0, n, batch):
+        tick = perf_counter()
+        size = min(batch, n - first)
+        sources = slots[:size] * (n + 1) + first
+        level_of[: size * n] = -1
+        level_of[sources] = 0
+        flat = sources
+        sigma = np.ones(size)
+        forward = sigma  # a source forwards its sigma without the ident fan-out
+        levels = []
+        depth = 0
+        while True:
+            counts = deg_t[flat]
+            ends = np.cumsum(counts)
+            arc_src = np.repeat(np.arange(flat.size), counts)
+            arcs = np.arange(ends[-1])
+            arcs += (first_arc_t[flat] - ends + counts)[arc_src]
+            head = heads_t[arcs]
+            fresh = np.flatnonzero(level_of[head] < 0)
+            if fresh.size == 0:
+                levels.append((flat, sigma, None, None))
+                break
+            depth += 1
+            found = head[fresh]
+            dag_tail = arc_src[fresh]
+            level_of[found] = depth
+            next_flat = np.flatnonzero(level_of[: size * n] == depth)
+            claim[next_flat] = np.arange(next_flat.size)
+            dag_head = claim[found]
+            levels.append((flat, sigma, dag_tail, dag_head))
+            flat = next_flat
+            sigma = np.bincount(dag_head, weights=forward[dag_tail], minlength=flat.size)
+            forward = sigma * ident_t[flat]
+        now = perf_counter()
+        t1 += now - tick
+        tick = now
+        dep = np.zeros(size * n)
+        coef = None
+        for flat, sigma, dag_tail, dag_head in reversed(levels):
+            delta = start_delta_t[flat]
+            if dag_tail is not None:
+                delta += np.bincount(dag_tail, weights=sigma[dag_tail] * coef[dag_head], minlength=flat.size)
+            coef = ident_t[flat] * (1.0 + delta) / sigma
+            dep[flat] = delta
+        dep[sources] = 0.0  # a source is no interior vertex
+        bc += (dep.reshape(size, n) * source_mult[first : first + size, None]).sum(axis=0)
+        t2 += perf_counter() - tick
+    return bc.tolist(), t1, t2
 
 
 def side_bfs(adj, source: int, reach, ident) -> list[tuple[int, float]]:
@@ -330,50 +336,6 @@ def betweenness(g: Graph, *, unordered: bool = False):
     if unordered:
         result *= 0.5
     return result
-
-
-def sp_counts(adj, source: int, ident=None):
-    """Shortest-path counts and predecessor lists from one source.
-
-    Test/instrumentation helper; returns (dist, sigma, preds) dicts over the
-    reached vertices, with the ident fan-out applied when given.
-    """
-    dist = {source: 0}
-    sigma = {source: 1.0}
-    preds: dict[int, list[int]] = {}
-    order = [source]
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
-        dv1 = dist[v] + 1
-        mult = ident[v] if ident is not None and v != source else 1
-        sv = sigma[v] * mult
-        for w in adj[v]:
-            dw = dist.get(w)
-            if dw is None:
-                dist[w] = dw = dv1
-                sigma[w] = 0.0
-                order.append(w)
-            if dw == dv1:
-                sigma[w] += sv
-                preds.setdefault(w, []).append(v)
-    return dist, sigma, preds
-
-
-def source_dependencies(adj, source: int, reach=None, ident=None) -> dict[int, float]:
-    """Final per-vertex dependencies of one source (instrumentation helper)."""
-    dist, sigma, preds = sp_counts(adj, source, ident)
-    order = sorted(dist, key=dist.get)
-    delta = {v: (reach[v] - 1.0 if reach is not None else 0.0) for v in order}
-    for w in reversed(order):
-        if w == source:
-            continue
-        mult = ident[w] if ident is not None else 1
-        coef = mult * (1.0 + delta[w]) / sigma[w]
-        for v in preds.get(w, ()):
-            delta[v] += sigma[v] * coef
-    return delta
 
 
 def _check_positive(values, name: str) -> None:

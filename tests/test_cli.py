@@ -60,6 +60,11 @@ class TestCompute:
         bad.write_text("0 1 2 3\n")
         assert main(["compute", str(bad)]) == EXIT_IO
 
+    def test_id_beyond_int32_is_io_error(self, tmp_path):
+        big = tmp_path / "big.txt"
+        big.write_text("0 2147483648\n")
+        assert main(["compute", str(big)]) == EXIT_IO
+
     def test_metis_input(self, tmp_path):
         path = tmp_path / "p3.graph"
         path.write_text("3 2\n2\n1 3\n2\n")

@@ -57,6 +57,13 @@ class TestParseEdgeList:
         with pytest.raises(GraphRangeError):
             parse_edge_list("0 1", index_base=1)
 
+    def test_id_beyond_int32_is_range_error(self):
+        # rejected while parsing, before n = max id + 1 sizes any array
+        with pytest.raises(GraphRangeError, match="line 2"):
+            parse_edge_list("0 1\n0 2147483648")
+        with pytest.raises(GraphRangeError, match="line 1"):
+            parse_edge_list("2147483649 1", index_base=1)
+
     def test_empty_input(self):
         g, _ = parse_edge_list("")
         assert (g.n, g.m) == (0, 0)

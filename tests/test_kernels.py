@@ -2,21 +2,26 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcshatter.graph import connected_components
+from bcshatter import kernels
+from bcshatter.graph import Graph, connected_components
 from bcshatter.kernels import (
+    BATCH_WORK,
+    SMALL_WORK,
     bc_ident,
     bc_plain,
     bc_reach,
     bc_reach_ident,
     betweenness,
+    brandes_numpy,
+    brandes_python,
     side_bfs,
-    source_dependencies,
-    sp_counts,
 )
 from bcshatter.oracle import pair_distance_total
 
@@ -115,6 +120,74 @@ class TestReachIdent:
         assert bc_reach_ident(adj, [1] * 12, [1] * 12)[0] == bc_plain(adj)[0]
 
 
+def _sparse_graph(n: int, m: int, isolated: int, seed: int) -> Graph:
+    """Up to m random edges on n vertices, plus isolated vertices mixed in."""
+    rng = random.Random(seed)
+    total = n + isolated
+    labels = list(range(total))
+    rng.shuffle(labels)
+    edges = set()
+    for _ in range(m):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            a, b = labels[u], labels[v]
+            edges.add((min(a, b), max(a, b)))
+    return Graph.from_edges(total, sorted(edges))
+
+
+class TestNumpyMatchesLoop:
+    """The batched numpy routine against the Python loop, its reference.
+
+    The two sum the same terms in different orders, so they agree to
+    rounding: rtol 1e-12, atol 1e-9.
+    """
+
+    @pytest.mark.parametrize(
+        "n, m, isolated, seed",
+        [
+            (0, 0, 0, 1),
+            (1, 0, 0, 2),
+            (2, 0, 0, 3),
+            (2, 1, 0, 4),
+            (5, 6, 2, 5),  # n * 2m below SMALL_WORK
+            (12, 20, 1, 6),
+            (40, 45, 5, 7),  # several components
+            (60, 150, 0, 8),
+            (120, 200, 10, 9),
+            (300, 600, 0, 10),  # several batches at BATCH_WORK
+        ],
+    )
+    def test_random_attributes(self, n, m, isolated, seed):
+        g = _sparse_graph(n, m, isolated, seed)
+        adj = g.adjacency_lists()
+        rng = random.Random(seed)
+        reach = [rng.randint(1, 5) for _ in range(g.n)]
+        ident = [rng.randint(1, 3) for _ in range(g.n)]
+        ones = [1] * g.n
+        for r, i in ((reach, ident), (reach, ones), (ones, ident), (ones, ones)):
+            expected, _, _ = brandes_python(adj, r, i)
+            got, _, _ = brandes_numpy(adj, r, i)
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-9)
+
+    def test_cases_cover_cutoff_and_batches(self):
+        adj = _sparse_graph(5, 6, 2, 5).adjacency_lists()
+        assert len(adj) * sum(map(len, adj)) < SMALL_WORK
+        adj = _sparse_graph(300, 600, 0, 10).adjacency_lists()
+        arcs = sum(map(len, adj))
+        assert len(adj) * arcs >= SMALL_WORK
+        assert BATCH_WORK // (len(adj) + arcs) <= len(adj) // 4
+
+    def test_dispatch(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("numpy routine chosen")
+
+        monkeypatch.setattr(kernels, "brandes_numpy", refuse)
+        bc_plain(complete_graph(5).adjacency_lists())  # tiny: below SMALL_WORK
+        bc_plain(cycle_graph(1000).adjacency_lists())  # 500 levels, 40 arcs each
+        with pytest.raises(AssertionError, match="numpy routine chosen"):
+            bc_plain(random_graph(60, 0.1, seed=1).adjacency_lists())
+
+
 class TestSideBfs:
     def test_triangle_contributes_nothing(self):
         adj = [[1, 2], [0, 2], [0, 1]]
@@ -192,6 +265,50 @@ class TestInvariants:
                             continue
                         if parts[s] != -2 and parts[v] != -2 and parts[s] != parts[v]:
                             assert delta_s.get(v, 0.0) == pytest.approx(delta_u.get(v, 0.0))
+
+
+def sp_counts(adj, source: int, ident=None):
+    """Shortest-path counts and predecessor lists from one source.
+
+    Returns (dist, sigma, preds) dicts over the reached vertices, with the
+    ident fan-out applied when given.
+    """
+    dist = {source: 0}
+    sigma = {source: 1.0}
+    preds: dict[int, list[int]] = {}
+    order = [source]
+    head = 0
+    while head < len(order):
+        v = order[head]
+        head += 1
+        dv1 = dist[v] + 1
+        mult = ident[v] if ident is not None and v != source else 1
+        sv = sigma[v] * mult
+        for w in adj[v]:
+            dw = dist.get(w)
+            if dw is None:
+                dist[w] = dw = dv1
+                sigma[w] = 0.0
+                order.append(w)
+            if dw == dv1:
+                sigma[w] += sv
+                preds.setdefault(w, []).append(v)
+    return dist, sigma, preds
+
+
+def source_dependencies(adj, source: int, reach=None, ident=None) -> dict[int, float]:
+    """Final per-vertex dependencies of one source."""
+    dist, sigma, preds = sp_counts(adj, source, ident)
+    order = sorted(dist, key=dist.get)
+    delta = {v: (reach[v] - 1.0 if reach is not None else 0.0) for v in order}
+    for w in reversed(order):
+        if w == source:
+            continue
+        mult = ident[w] if ident is not None else 1
+        coef = mult * (1.0 + delta[w]) / sigma[w]
+        for v in preds.get(w, ()):
+            delta[v] += sigma[v] * coef
+    return delta
 
 
 def _labels_without(adj, n, u):
