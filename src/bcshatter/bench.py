@@ -171,11 +171,3 @@ def performance_profile(records) -> list[ProfilePoint]:
                 continue  # collapse equal ratios into one step
             points.append(ProfilePoint(combo, ratio, count / len(graphs)))
     return points
-
-
-def write_profile_csv(path, points) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["combination", "r", "p"])
-        for pt in points:
-            writer.writerow([pt.combination, f"{pt.r:.9f}", f"{pt.p:.9f}"])

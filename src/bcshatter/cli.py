@@ -19,7 +19,6 @@ from .bench import (
     performance_profile,
     read_bench_csv,
     write_bench_csv,
-    write_profile_csv,
 )
 from .engine import compute_scores
 from .graph import GraphInputError, parse_graph
@@ -195,12 +194,9 @@ def _cmd_bench(args) -> int:
 def _cmd_profile(args) -> int:
     records = read_bench_csv(args.bench_csv)
     points = performance_profile(records)
-    if args.out == "-":
-        rows = [["combination", "r", "p"]]
-        rows.extend([pt.combination, f"{pt.r:.9f}", f"{pt.p:.9f}"] for pt in points)
-        _write_rows("-", rows)
-    else:
-        write_profile_csv(args.out, points)
+    rows = [["combination", "r", "p"]]
+    rows.extend([pt.combination, f"{pt.r:.9f}", f"{pt.p:.9f}"] for pt in points)
+    _write_rows(args.out, rows)
     return EXIT_OK
 
 

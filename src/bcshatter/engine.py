@@ -87,6 +87,7 @@ def compute_scores(
         for i, v in enumerate(comp):
             if scores[i]:
                 kernel_acc[v] = kernel_acc.get(v, 0.0) + scores[i]
+    stats.component_edges = component_edges
 
     final = finalize(w, partial, kernel_acc)
     if perm is not None:

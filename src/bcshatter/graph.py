@@ -200,9 +200,12 @@ def parse_metis(text: str) -> tuple[Graph, NormalizationReport]:
         raise GraphFormatError(f"header must be 'n m' (optionally with fmt), got {header}")
     try:
         n, m = int(header[0]), int(header[1])
+        weighted = len(header) == 3 and int(header[2]) != 0
     except ValueError:
         raise GraphFormatError(f"non-integer header fields: {header}") from None
-    if len(header) == 3 and int(header[2]) != 0:
+    if n < 0 or m < 0:
+        raise GraphFormatError(f"header counts must be non-negative, got n={n} m={m}")
+    if weighted:
         raise GraphFormatError("weighted METIS formats are not supported")
 
     raw: list[tuple[int, int]] = []

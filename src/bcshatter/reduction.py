@@ -4,9 +4,11 @@ The work graph starts as a copy of the input with unit attributes and is
 shrunk by five passes:
 
 * ``d`` cascading degree-1 removal (folds leaf mass into the neighbor),
-* ``b`` bridge removal (splits components, credits both endpoints),
-* ``a`` articulation shattering (one-shot biconnected decomposition with
-  per-copy reach computed from block-cut-tree side sums),
+* ``b`` bridge removal (splits components, credits both endpoints with
+  the cut-side masses),
+* ``a`` articulation shattering (one-shot biconnected decomposition; each
+  copy's reach is the mass away from its side of the cut; ``b`` and ``a``
+  read their cut-side masses from one DFS that sums subtree masses),
 * ``s`` side-vertex removal (simplicial vertices; one compensation BFS each),
 * ``i`` identical-vertex merging (open or closed neighborhood equality).
 
@@ -86,7 +88,8 @@ class PassEvent:
 
 @dataclass
 class PassStats:
-    """Per-pass change log plus the final component edge histogram."""
+    """Per-pass change log plus the final component edge histogram (filled
+    in by :func:`engine.compute_scores`, which counts those edges anyway)."""
 
     events: list[PassEvent] = field(default_factory=list)
     iterations: int = 0
@@ -223,9 +226,6 @@ class WorkGraph:
     def component_mass_sums(self) -> list[int]:
         return [sum(self.mass(v) for v in comp) for comp in self.components()]
 
-    def component_edge_counts(self) -> list[int]:
-        return [sum(len(self.adj[v]) for v in comp) // 2 for comp in self.components()]
-
     def compact(self) -> None:
         """Drop tombstoned vertices and renumber; run between loop iterations
         so pass code never sees ids move mid-flight."""
@@ -246,62 +246,100 @@ class WorkGraph:
         self.alive = [True] * len(keep)
 
 
-def _blocks_and_cuts(adj: list[set[int]], comp: list[int]):
-    """Biconnected components (as edge lists) and articulation vertices of
-    one connected component.  Iterative Hopcroft-Tarjan with an edge stack;
-    each undirected edge lands in exactly one block."""
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
+def _blocks_and_cuts(w: WorkGraph, comp: list[int]):
+    """Biconnected components, articulation vertices and cut-side masses of
+    one connected component.
+
+    Iterative Hopcroft-Tarjan with an edge stack; each undirected edge lands
+    in exactly one block.  The DFS also sums subtree masses, which yields
+    ``far(x, k)``: the mass of the piece of ``comp - x`` that holds the other
+    vertices of block ``k``.  Block k is emitted at its top vertex ``pv``
+    through the tree edge ``(pv, v)``, so for the top that piece is v's
+    subtree.  Any other vertex x of block k reaches it through x's parent
+    edge, so the piece is everything except x's own mass and the subtrees
+    of the blocks x tops.  Masses are read once, during the DFS, so callers
+    may rewrite reach attributes before they ask for ``far``.
+
+    Returns ``(blocks, cuts, far, total)``: blocks as edge lists (the last
+    edge of each is the tree edge from its top), the set of cut vertices,
+    the ``far`` function and the component's mass.
+    """
+    adj, reach, ident = w.adj, w.reach, w.ident
+    root = comp[0]
+    disc = {root: 0}
+    low = {root: 0}
+    # sub: DFS subtree mass; near: own mass plus the subtrees of the blocks
+    # the vertex tops.
+    sub = {root: ident[root] * reach[root]}
+    near = dict(sub)
     blocks: list[list[tuple[int, int]]] = []
+    top_far: list[int] = []
     cuts: set[int] = set()
-    counter = 0
-    for root in comp:
-        if root in disc or not adj[root]:
-            continue
-        disc[root] = low[root] = counter
-        counter += 1
-        estack: list[tuple[int, int]] = []
-        root_children = 0
-        stack: list[tuple[int, int, object]] = [(root, -1, iter(sorted(adj[root])))]
-        while stack:
-            v, parent, it = stack[-1]
-            descended = False
-            for u in it:
-                if u == parent:
-                    continue
-                du = disc.get(u)
-                if du is None:
-                    estack.append((v, u))
-                    disc[u] = low[u] = counter
-                    counter += 1
-                    if v == root:
-                        root_children += 1
-                    stack.append((u, v, iter(sorted(adj[u]))))
-                    descended = True
-                    break
-                if du < disc[v]:  # back edge to an ancestor
-                    estack.append((v, u))
-                    if du < low[v]:
-                        low[v] = du
-            if not descended:
-                stack.pop()
-                if stack:
-                    pv = stack[-1][0]
-                    if low[v] < low[pv]:
-                        low[pv] = low[v]
-                    if low[v] >= disc[pv]:
-                        block = []
-                        while True:
-                            e = estack.pop()
-                            block.append(e)
-                            if e == (pv, v):
-                                break
-                        blocks.append(block)
-                        if pv != root:
-                            cuts.add(pv)
-        if root_children >= 2:
-            cuts.add(root)
-    return blocks, cuts
+    counter = 1
+    estack: list[tuple[int, int]] = []
+    root_children = 0
+    stack: list[tuple[int, int, object]] = [(root, -1, iter(sorted(adj[root])))]
+    while stack:
+        v, parent, it = stack[-1]
+        descended = False
+        for u in it:
+            if u == parent:
+                continue
+            du = disc.get(u)
+            if du is None:
+                estack.append((v, u))
+                disc[u] = low[u] = counter
+                counter += 1
+                sub[u] = near[u] = ident[u] * reach[u]
+                if v == root:
+                    root_children += 1
+                stack.append((u, v, iter(sorted(adj[u]))))
+                descended = True
+                break
+            if du < disc[v]:  # back edge to an ancestor
+                estack.append((v, u))
+                if du < low[v]:
+                    low[v] = du
+        if not descended:
+            stack.pop()
+            if stack:
+                pv = stack[-1][0]
+                sub[pv] += sub[v]
+                if low[v] < low[pv]:
+                    low[pv] = low[v]
+                if low[v] >= disc[pv]:
+                    block = []
+                    while True:
+                        e = estack.pop()
+                        block.append(e)
+                        if e == (pv, v):
+                            break
+                    blocks.append(block)
+                    top_far.append(sub[v])
+                    near[pv] += sub[v]
+                    if pv != root:
+                        cuts.add(pv)
+    if root_children >= 2:
+        cuts.add(root)
+    total = sub[root]
+
+    def far(x: int, k: int) -> int:
+        return top_far[k] if x == blocks[k][-1][0] else total - near[x]
+
+    return blocks, cuts, far, total
+
+
+def _component_masses(w: WorkGraph) -> tuple[dict[int, int], list[int]]:
+    """Component index of every live vertex, and each component's mass."""
+    comp_of: dict[int, int] = {}
+    comp_mass: list[int] = []
+    for cid, comp in enumerate(w.components()):
+        total = 0
+        for v in comp:
+            comp_of[v] = cid
+            total += w.mass(v)
+        comp_mass.append(total)
+    return comp_of, comp_mass
 
 
 def remove_degree1(w: WorkGraph, out: np.ndarray) -> int:
@@ -313,15 +351,7 @@ def remove_degree1(w: WorkGraph, out: np.ndarray) -> int:
     component at pass start (folds conserve component mass, so they stay
     valid through the cascade).
     """
-    comps = w.components()
-    comp_of: dict[int, int] = {}
-    comp_mass: list[int] = []
-    for cid, comp in enumerate(comps):
-        total = 0
-        for v in comp:
-            comp_of[v] = cid
-            total += w.mass(v)
-        comp_mass.append(total)
+    comp_of, comp_mass = _component_masses(w)
     queue = deque(v for v in w.live() if len(w.adj[v]) <= 1)
     changes = 0
     while queue:
@@ -363,72 +393,21 @@ def remove_bridges(w: WorkGraph, out: np.ndarray) -> int:
 
     A bridge is a biconnected block of one edge.  Cut-side mass sums are
     order-independent, so corrections and reciprocal reach updates use the
-    two sides of each bridge cut directly (computed on the forest obtained
-    by contracting everything except the removed bridges).
+    two sides of each bridge cut directly, as the block decomposition's DFS
+    measured them before any bridge went.
     """
     changes = 0
     for comp in w.components():
         if len(comp) < 2:
             continue
-        blocks, _ = _blocks_and_cuts(w.adj, comp)
-        bridges = []
-        for block in blocks:
-            if len(block) == 1:
-                u, v = block[0]
-                if w.ident[u] == 1 and w.ident[v] == 1:
-                    bridges.append((u, v))
-        if not bridges:
-            continue
-        skip = set()
-        for u, v in bridges:
-            skip.add((u, v))
-            skip.add((v, u))
-        parent = {v: v for v in comp}
-
-        def find(x: int) -> int:
-            root = x
-            while parent[root] != root:
-                root = parent[root]
-            while parent[x] != root:
-                parent[x], x = root, parent[x]
-            return root
-
-        for u in comp:
-            for v in w.adj[u]:
-                if u < v and (u, v) not in skip:
-                    ru, rv = find(u), find(v)
-                    if ru != rv:
-                        parent[ru] = rv
-        node_mass: dict[int, int] = {}
-        for v in comp:
-            r = find(v)
-            node_mass[r] = node_mass.get(r, 0) + w.mass(v)
-        forest: dict[int, list[int]] = {r: [] for r in node_mass}
-        for u, v in bridges:
-            forest[find(u)].append(find(v))
-            forest[find(v)].append(find(u))
-        total = sum(node_mass.values())
-        # Subtree mass sums on the bridge forest (one tree: comp is connected).
-        root = find(comp[0])
-        order = [root]
-        tree_parent = {root: None}
-        head = 0
-        while head < len(order):
-            x = order[head]
-            head += 1
-            for y in forest[x]:
-                if y not in tree_parent:
-                    tree_parent[y] = x
-                    order.append(y)
-        subtree = dict(node_mass)
-        for x in reversed(order[1:]):
-            subtree[tree_parent[x]] += subtree[x]
-        for u, v in bridges:
-            ru, rv = find(u), find(v)
-            if tree_parent[rv] == ru:
-                side_v = subtree[rv]
-            else:
-                side_v = total - subtree[ru]
+        blocks, _, far, total = _blocks_and_cuts(w, comp)
+        for k, block in enumerate(blocks):
+            if len(block) != 1:
+                continue
+            u, v = block[0]
+            if w.ident[u] != 1 or w.ident[v] != 1:
+                continue
+            side_v = far(u, k)
             side_u = total - side_v
             out[w.org[u]] += (side_u - 1) * side_v
             out[w.org[v]] += (side_v - 1) * side_u
@@ -443,16 +422,16 @@ def shatter_articulation(w: WorkGraph) -> int:
     """Split every component at its unmerged articulation vertices at once.
 
     Each cut vertex gets one local copy per biconnected group, with the
-    copy's reach set to the whole far-side mass plus the vertex's own
-    (block-cut-tree subtree sums).  No score corrections are needed; the
-    reach attributes carry everything.  Returns the number of components
-    created.
+    copy's reach set to the component's mass minus the group's side of the
+    cut (so it carries the far-side mass plus the vertex's own).  No score
+    corrections are needed; the reach attributes carry everything.  Returns
+    the number of components created.
     """
     new_components = 0
     for comp in w.components():
         if len(comp) < 3:
             continue
-        blocks, cuts = _blocks_and_cuts(w.adj, comp)
+        blocks, cuts, far, total = _blocks_and_cuts(w, comp)
         active = sorted(c for c in cuts if w.ident[c] == 1)
         if not active:
             continue
@@ -480,55 +459,20 @@ def shatter_articulation(w: WorkGraph) -> int:
                 else:
                     first_block[v] = bid
         group_of_block = [find(b) for b in range(len(blocks))]
-        group_verts: dict[int, set[int]] = {}
+        # A cut vertex has exactly one block in each group it touches: the
+        # block-cut-tree path between two of its blocks runs through it.
+        groups_of_cut: dict[int, list[tuple[int, int]]] = {c: [] for c in active}
         for bid, verts in enumerate(block_vertices):
-            group_verts.setdefault(group_of_block[bid], set()).update(verts)
-        groups = sorted(group_verts)
-        groups_of_cut: dict[int, list[int]] = {}
-        for c in active:
-            gs = sorted(g for g in groups if c in group_verts[g])
-            groups_of_cut[c] = gs
-
-        total = sum(w.mass(v) for v in comp)
-        node_mass: dict[tuple[str, int], int] = {}
-        tree: dict[tuple[str, int], list[tuple[str, int]]] = {}
-        for g in groups:
-            node = ("g", g)
-            node_mass[node] = sum(w.mass(v) for v in group_verts[g] if v not in active_set)
-            tree[node] = []
-        for c in active:
-            node = ("c", c)
-            node_mass[node] = w.mass(c)
-            tree[node] = []
-            for g in groups_of_cut[c]:
-                tree[node].append(("g", g))
-                tree[("g", g)].append(node)
-        root = ("g", groups[0])
-        order = [root]
-        tree_parent: dict[tuple[str, int], tuple[str, int] | None] = {root: None}
-        head = 0
-        while head < len(order):
-            x = order[head]
-            head += 1
-            for y in tree[x]:
-                if y not in tree_parent:
-                    tree_parent[y] = x
-                    order.append(y)
-        subtree = dict(node_mass)
-        for x in reversed(order[1:]):
-            subtree[tree_parent[x]] += subtree[x]
+            for v in verts:
+                if v in active_set:
+                    groups_of_cut[v].append((group_of_block[bid], bid))
 
         # Where each cut vertex lives per group: original id in its first
-        # group, a fresh copy elsewhere; reach = far mass + own unit.
+        # group, a fresh copy elsewhere.
         placement: dict[tuple[int, int], int] = {}
         for c in active:
-            for k, g in enumerate(groups_of_cut[c]):
-                gnode, cnode = ("g", g), ("c", c)
-                if tree_parent[gnode] == cnode:
-                    side = subtree[gnode]
-                else:
-                    side = total - subtree[cnode]
-                reach_here = total - side
+            for k, (g, bid) in enumerate(sorted(groups_of_cut[c])):
+                reach_here = total - far(c, bid)
                 if k == 0:
                     placement[(c, g)] = c
                     w.reach[c] = reach_here
@@ -543,7 +487,7 @@ def shatter_articulation(w: WorkGraph) -> int:
             g = group_of_block[bid]
             for u, x in block:
                 w.add_edge(placement.get((u, g), u), placement.get((x, g), x))
-        new_components += len(groups) - 1
+        new_components += len(set(group_of_block)) - 1
     return new_components
 
 
@@ -574,13 +518,7 @@ def remove_side_vertices(w: WorkGraph, out: np.ndarray, max_degree: int = 4) -> 
     """
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
-    comps = w.components()
-    comp_of: dict[int, int] = {}
-    comp_mass: dict[int, int] = {}
-    for cid, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = cid
-        comp_mass[cid] = sum(w.mass(v) for v in comp)
+    comp_of, comp_mass = _component_masses(w)
     candidates = [
         v for v in sorted(w.live()) if 1 <= len(w.adj[v]) <= max_degree and _expanded_clique(w, v)
     ]
@@ -726,7 +664,6 @@ def preprocess(g: Graph, combination: Combination | str, max_side_degree: int = 
                 break
             w.compact()
     stats.iterations = iteration
-    stats.component_edges = w.component_edge_counts()
     return w, out, stats
 
 

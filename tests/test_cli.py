@@ -72,6 +72,11 @@ class TestCompute:
         assert main(["compute", str(path), "--format", "metis", "--out", str(out)]) == EXIT_OK
         assert [r[1] for r in _read_csv(out)[1:]] == ["0", "2", "0"]
 
+    def test_negative_metis_header_is_io_error(self, tmp_path):
+        path = tmp_path / "neg.graph"
+        path.write_text("-5 0\n")
+        assert main(["compute", str(path), "--format", "metis"]) == EXIT_IO
+
     def test_stats_sidecar(self, p4_file, tmp_path):
         out = tmp_path / "scores.csv"
         stats = tmp_path / "stats.csv"
@@ -216,6 +221,23 @@ class TestProfile:
         rows = _read_csv(out)
         assert rows[0] == ["combination", "r", "p"]
         assert len(rows) == 3
+
+    def test_stdout_matches_out_file(self, tmp_path, capsys):
+        records = [
+            BenchRecord("g1", "fast", 0, 0, 0, 1.0, 0, 1),
+            BenchRecord("g1", "slow", 0, 0, 0, 2.0, 0, 1),
+            BenchRecord("g2", "fast", 0, 0, 0, 3.0, 0, 1),
+            BenchRecord("g2", "slow", 0, 0, 0, 1.5, 0, 1),
+        ]
+        path = tmp_path / "bench.csv"
+        write_bench_csv(path, records)
+        out = tmp_path / "profile.csv"
+        capsys.readouterr()
+        assert main(["profile", str(path)]) == EXIT_OK
+        printed = capsys.readouterr().out
+        assert main(["profile", str(path), "--out", str(out)]) == EXIT_OK
+        assert printed.count("\n") == 5
+        assert out.read_bytes().decode() == printed
 
 
 def test_usage_without_command():

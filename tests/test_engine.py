@@ -98,6 +98,16 @@ def test_result_reports_reduction_outcome():
     assert result.component_edges == []
 
 
+def test_stats_final_row_carries_component_edges():
+    g = generate(GraphSpec("bridged-blobs", 60, 0, 2))
+    result = compute_scores(g, "odb")
+    assert len(result.component_edges) == result.component_count > 1
+    assert result.stats.component_edges == result.component_edges
+    final = result.stats.csv_rows()[-1]
+    assert final[0] == "final"
+    assert final[5] == ";".join(str(x) for x in result.component_edges)
+
+
 def test_larger_max_side_degree_still_exact():
     g = random_graph(18, 0.45, seed=13)
     expected = bc_brute(g)

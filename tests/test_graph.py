@@ -95,6 +95,11 @@ class TestParseMetis:
         with pytest.raises(GraphFormatError):
             parse_metis("3 2 11\n2\n1 3\n2")
 
+    @pytest.mark.parametrize("text", ["-1 0\n", "-5 0\n", "3 -1\n\n\n\n", "3 2 x\n2\n1 3\n2"])
+    def test_bad_header_fields_rejected(self, text):
+        with pytest.raises(GraphFormatError):
+            parse_metis(text)
+
     def test_isolated_vertices_representable(self):
         g, _ = parse_metis("3 0\n\n\n\n")
         assert (g.n, g.m) == (3, 0)

@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+from time import perf_counter
+
 import numpy as np
 import pytest
 
 from bcshatter.engine import compute_scores
 from bcshatter.graph import Graph
-from bcshatter.oracle import bc_brute
+from bcshatter.oracle import GraphSpec, bc_brute, generate
 from bcshatter.reduction import (
     Combination,
     WorkGraph,
+    _blocks_and_cuts,
     finalize,
     merge_identical,
     preprocess,
@@ -69,6 +74,117 @@ class TestShatter:
         assert shatter_articulation(w) == 0
         for combo in ("oi", "oia", "odbasi"):
             assert np.allclose(compute_scores(g, combo).scores, bc_brute(g), atol=1e-9)
+
+
+def _glued_blocks(rng: random.Random, pieces: int) -> Graph:
+    """Edges, cycles and cliques glued at random existing vertices, plus an
+    occasional chord that fuses some of them."""
+    edges: set[tuple[int, int]] = set()
+    n = 1
+    for _ in range(pieces):
+        a = rng.randrange(n)
+        size = rng.choice((2, 2, 3, 4, 5))
+        verts = [a] + list(range(n, n + size - 1))
+        n += size - 1
+        if rng.random() < 0.5:
+            pairs = itertools.combinations(verts, 2)
+        else:
+            pairs = zip(verts, verts[1:] + verts[:1])
+        edges.update((min(p), max(p)) for p in pairs if p[0] != p[1])
+    if rng.random() < 0.3:
+        u, v = rng.sample(range(n), 2)
+        edges.add((min(u, v), max(u, v)))
+    return Graph.from_edges(n, sorted(edges))
+
+
+def _other(verts: list[int], x: int) -> int:
+    return verts[1] if verts[0] == x else verts[0]
+
+
+def _piece_mass(w: WorkGraph, removed: int, start: int) -> int:
+    seen = {start}
+    stack = [start]
+    total = 0
+    while stack:
+        x = stack.pop()
+        total += w.mass(x)
+        for y in w.adj[x]:
+            if y != removed and y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return total
+
+
+class TestBlockMasses:
+    def test_far_matches_brute_force(self):
+        rng = random.Random(7)
+        seen_multi_block_cut = seen_merged_cut = seen_cut_bridge = 0
+        for _ in range(120):
+            g = _glued_blocks(rng, rng.randint(1, 12))
+            w = WorkGraph.from_graph(g)
+            w.reach = [rng.randint(1, 4) for _ in range(g.n)]
+            w.ident = [rng.choice((1, 1, 2, 3)) for _ in range(g.n)]
+            comp = w.components()[0]
+            assert len(comp) == g.n
+            blocks, cuts, far, total = _blocks_and_cuts(w, comp)
+            assert total == sum(w.mass(v) for v in comp)
+            # x is a cut vertex iff the piece of comp - x around some other
+            # vertex misses part of the rest
+            assert cuts == {x for x in comp if _piece_mass(w, x, _other(comp, x)) < total - w.mass(x)}
+            expected = {}
+            blocks_of: dict[int, int] = {}
+            for k, block in enumerate(blocks):
+                verts = sorted({x for e in block for x in e})
+                for x in verts:
+                    expected[(x, k)] = _piece_mass(w, x, _other(verts, x))
+                    assert far(x, k) == expected[(x, k)], (x, k)
+                    blocks_of[x] = blocks_of.get(x, 0) + 1
+                if len(block) == 1 and set(block[0]) <= cuts:
+                    seen_cut_bridge += 1
+            seen_multi_block_cut += any(c >= 3 for c in blocks_of.values())
+            seen_merged_cut += any(w.ident[c] > 1 for c in cuts)
+            # far reads the masses the DFS captured, not the current reach
+            w.reach = [r + 5 for r in w.reach]
+            assert all(far(x, k) == m for (x, k), m in expected.items())
+        assert seen_multi_block_cut and seen_merged_cut and seen_cut_bridge
+
+
+class TestLetterOrderFuzz:
+    def test_merge_before_split_orders_match_brute(self):
+        """Seeded, time-boxed fuzz over letter orders that run ``i`` before
+        ``a`` or ``b``, so splits see merged classes."""
+        rng = random.Random(20261018)
+        families = ("gnp", "planted-identical", "bridged-blobs", "planted-side", "clique-chain", "random-tree")
+        deadline = perf_counter() + 4.0
+        cases = merged_then_split = 0
+        while cases < 1000 and perf_counter() < deadline:
+            rest = [ch for ch in "dbas" if rng.random() < 0.6]
+            if not {"a", "b"} & set(rest):
+                rest.append(rng.choice("ab"))
+            rng.shuffle(rest)
+            first_split = min(rest.index(ch) for ch in "ab" if ch in rest)
+            rest.insert(rng.randint(0, first_split), "i")
+            combo = ("o" if rng.random() < 0.5 else "") + "".join(rest)
+            if rng.random() < 0.3:
+                g = _glued_blocks(rng, rng.randint(2, 10))
+            else:
+                family = rng.choice(families)
+                p = rng.uniform(0.1, 0.4) if family == "gnp" else 0.0  # 0.0: the family default
+                g = generate(GraphSpec(family, rng.randint(6, 28), p, rng.randrange(10**6)))
+            cap = rng.choice((1, 2, 4, 50))
+            result = compute_scores(g, combo, max_side_degree=cap, order_seed=rng.randrange(10**6))
+            expected = bc_brute(g)
+            assert np.allclose(result.scores, expected, rtol=1e-9, atol=1e-9), (combo, cap, g.n, g.m)
+            merged = False
+            for e in result.stats.events:
+                if e.technique == "i" and e.changes:
+                    merged = True
+                elif merged and e.technique in "ab" and e.changes:
+                    merged_then_split += 1
+                    break
+            cases += 1
+        assert cases >= 20
+        assert merged_then_split > 0
 
 
 class TestBridges:
