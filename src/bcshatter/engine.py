@@ -33,7 +33,6 @@ def compute_scores(
     combination: Combination | str = "odbasi",
     *,
     max_side_degree: int = 4,
-    order_start: int = 0,
     order_seed: int | None = None,
     unordered: bool = False,
 ) -> ComputeResult:
@@ -50,9 +49,7 @@ def compute_scores(
     perm = None
     working = g
     if combo.uses_ordering and g.n > 0:
-        start = order_start
-        if order_seed is not None:
-            start = random.Random(order_seed).randrange(g.n)
+        start = 0 if order_seed is None else random.Random(order_seed).randrange(g.n)
         perm = bfs_order(g, start)
         working = relabel(g, perm)
     w, partial, stats = preprocess(working, combo, max_side_degree=max_side_degree)

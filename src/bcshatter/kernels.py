@@ -10,9 +10,9 @@ One attribute-general algorithm exists, in two implementations that
 ``brandes`` picks between by the work a component needs (n * 2m) and its
 BFS depth:
 
-* ``brandes_python`` - the single-source loop over adjacency lists.  It
-  wins on tiny components and on long cycles and paths, where numpy's fixed
-  cost per call dominates, and it is the reference the tests hold the numpy
+* ``brandes_python`` - one ``single_source`` run per source.  It wins on
+  tiny components and on long cycles and paths, where numpy's fixed cost
+  per call dominates, and it is the reference the tests hold the numpy
   routine to.
 * ``brandes_numpy`` - level-synchronous Brandes over a CSR copy for a batch
   of sources at once.  Each BFS level costs a fixed number of array
@@ -20,12 +20,17 @@ BFS depth:
   predecessor lists, so the backward pass replays the levels in reverse
   (Madduri et al., IPDPS 2009).
 
-Both follow the same floating-point operations per arc: with all attributes
-equal to 1 every attribute factor is an exact multiplication by 1, which the
-degeneration tests assert bit-for-bit.  The two implementations sum the
-same terms in different orders, so they agree to rounding, not bitwise.
-``bc_plain``, ``bc_reach``, ``bc_ident`` and ``bc_reach_ident`` name the
-attribute combinations the engine dispatches on.
+``single_source`` is the one Python forward BFS and backward sweep.  It
+serves ``brandes_python`` and ``side_bfs``, the compensation run of the side
+vertex pass, over per-vertex list state that the caller allocates once and
+each run leaves at rest.
+
+The two implementations follow the same floating-point operations per arc:
+with all attributes equal to 1 every attribute factor is an exact
+multiplication by 1, which the degeneration tests assert bit-for-bit.  They
+sum the same terms in different orders, so they agree to rounding, not
+bitwise.  ``bc_plain``, ``bc_reach``, ``bc_ident`` and ``bc_reach_ident``
+name the attribute combinations the engine dispatches on.
 
 Attribute semantics on a reduced component:
 
@@ -145,58 +150,78 @@ def _bfs_depth(adj: Adjacency) -> int:
 
 
 def brandes_python(adj: Adjacency, reach: list[int], ident: list[int]):
-    """Single-source Brandes loop with both attributes (the reference)."""
+    """Brandes' algorithm as one ``single_source`` run per source (the
+    reference).  Phase 1 is the forward BFS, phase 2 the backward sweep plus
+    the score accumulation."""
     n = len(adj)
     bc = [0.0] * n
-    dist = [-1] * n
-    sigma = [0.0] * n
-    delta = [0.0] * n
-    preds: list[list[int]] = [[] for _ in range(n)]
-    order = [0] * n  # BFS queue; dequeue order doubles as the phase-2 stack
+    state = source_state(n)
     t1 = 0.0
     t2 = 0.0
     for s in range(n):
         tick = perf_counter()
-        order[0] = s
-        size = 1
-        head = 0
-        dist[s] = 0
-        sigma[s] = 1.0
-        delta[s] = reach[s] - 1.0
-        while head < size:
-            v = order[head]
-            head += 1
-            dv1 = dist[v] + 1
-            sv = sigma[v] * ident[v] if v != s else sigma[v]
-            for w in adj[v]:
-                dw = dist[w]
-                if dw < 0:
-                    dist[w] = dw = dv1
-                    delta[w] = reach[w] - 1.0
-                    order[size] = w
-                    size += 1
-                if dw == dv1:
-                    sigma[w] += sv
-                    preds[w].append(v)
-        now = perf_counter()
-        t1 += now - tick
-        tick = now
+        deps, mid = single_source(adj, s, reach, ident, state)
+        t1 += mid - tick
         mult_s = reach[s] * ident[s]
-        for idx in range(size - 1, 0, -1):  # order[0] is the source
-            w = order[idx]
-            dw = delta[w]
-            coef = ident[w] * (1.0 + dw) / sigma[w]
-            for v in preds[w]:
-                delta[v] += sigma[v] * coef
+        for w, dw in deps:
             bc[w] += mult_s * dw
-        for idx in range(size):  # reset only what this source touched
-            v = order[idx]
-            dist[v] = -1
-            sigma[v] = 0.0
-            delta[v] = 0.0
-            preds[v].clear()
-        t2 += perf_counter() - tick
+        t2 += perf_counter() - mid
     return bc, t1, t2
+
+
+def source_state(n: int):
+    """Per-vertex state for ``single_source`` over vertex ids below n, at
+    rest: (dist, sigma, delta, preds)."""
+    return [-1] * n, [0.0] * n, [0.0] * n, [[] for _ in range(n)]
+
+
+def single_source(adj, s: int, reach, ident, state):
+    """Forward BFS from s, then the backward dependency sweep.
+
+    ``adj`` may be any indexable of neighbor iterables (the work graph's
+    sets included).  ``state`` comes from ``source_state`` and is left at
+    rest again, and only the vertices s reaches are touched, so a call costs
+    its component however large the state is.  Returns ``(deps, mid)``:
+    (vertex, dependency on s) for every vertex s reaches except s itself, in
+    reverse BFS order, and the ``perf_counter`` time at which the forward
+    BFS ended.
+    """
+    dist, sigma, delta, preds = state
+    order = [s]  # BFS queue; read backwards it is the sweep's stack
+    dist[s] = 0
+    sigma[s] = 1.0
+    delta[s] = reach[s] - 1.0
+    for v in order:
+        dv1 = dist[v] + 1
+        sv = sigma[v] * ident[v] if v != s else sigma[v]
+        for w in adj[v]:
+            dw = dist[w]
+            if dw < 0:
+                dist[w] = dw = dv1
+                delta[w] = reach[w] - 1.0
+                order.append(w)
+            if dw == dv1:
+                sigma[w] += sv
+                preds[w].append(v)
+    mid = perf_counter()
+    deps = []
+    for idx in range(len(order) - 1, 0, -1):  # order[0] is the source
+        w = order[idx]
+        dw = delta[w]
+        coef = ident[w] * (1.0 + dw) / sigma[w]
+        pw = preds[w]
+        for v in pw:
+            delta[v] += sigma[v] * coef
+        deps.append((w, dw))
+        # w's dependency is final and no later step reads w's state
+        dist[w] = -1
+        sigma[w] = 0.0
+        delta[w] = 0.0
+        pw.clear()
+    dist[s] = -1
+    sigma[s] = 0.0
+    delta[s] = 0.0
+    return deps, mid
 
 
 def brandes_numpy(adj: Adjacency, reach: list[int], ident: list[int]):
@@ -280,13 +305,11 @@ def brandes_numpy(adj: Adjacency, reach: list[int], ident: list[int]):
     return bc.tolist(), t1, t2
 
 
-def side_bfs(adj, source: int, reach, ident) -> list[tuple[int, float]]:
+def side_bfs(adj, source: int, reach, ident, state) -> list[tuple[int, float]]:
     """Dependency BFS from a simplicial vertex about to be removed.
 
-    ``adj`` may be any indexable of neighbor iterables (the mutable work
-    graph's sets included); state is dictionary-based so the cost is
-    proportional to the component, not the whole graph.
-
+    One ``single_source`` run from ``source`` over ``state`` (see there for
+    ``adj`` and ``state``); this only turns its dependencies into amounts.
     The returned (vertex, amount) pairs fold in both orphaned directions at
     once: ``m * delta[w]`` restores the dependencies of the sources the side
     vertex represents, and ``m * (delta[w] - (reach[w] - 1))`` the pair
@@ -294,36 +317,9 @@ def side_bfs(adj, source: int, reach, ident) -> list[tuple[int, float]]:
     The caller still owes the removed vertex itself its endpoint credit
     ``(reach[s] - 1) * (component mass outside s's class)``.
     """
-    dist: dict[int, int] = {source: 0}
-    sigma: dict[int, float] = {source: 1.0}
-    preds: dict[int, list[int]] = {}
-    order = [source]
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
-        dv1 = dist[v] + 1
-        sv = sigma[v] * ident[v] if v != source else sigma[v]
-        for w in adj[v]:
-            dw = dist.get(w)
-            if dw is None:
-                dist[w] = dw = dv1
-                sigma[w] = 0.0
-                order.append(w)
-            if dw == dv1:
-                sigma[w] += sv
-                preds.setdefault(w, []).append(v)
-    delta = {v: reach[v] - 1.0 for v in order}
-    mult_s = reach[source] * ident[source]
-    contributions: list[tuple[int, float]] = []
-    for idx in range(len(order) - 1, 0, -1):
-        w = order[idx]
-        dw = delta[w]
-        coef = ident[w] * (1.0 + dw) / sigma[w]
-        for v in preds.get(w, ()):
-            delta[v] += sigma[v] * coef
-        contributions.append((w, mult_s * dw + mult_s * (dw - (reach[w] - 1.0))))
-    return contributions
+    deps, _ = single_source(adj, source, reach, ident, state)
+    m = reach[source] * ident[source]
+    return [(w, m * dw + m * (dw - (reach[w] - 1.0))) for w, dw in deps]
 
 
 def betweenness(g: Graph, *, unordered: bool = False):

@@ -516,18 +516,17 @@ def remove_side_vertices(w: WorkGraph, out: np.ndarray, max_degree: int = 4) -> 
     vertices of degree <= max_degree; removals can expose new side vertices,
     which the next loop iteration picks up.
     """
-    if max_degree < 1:
-        raise ValueError("max_degree must be >= 1")
     comp_of, comp_mass = _component_masses(w)
     candidates = [
         v for v in sorted(w.live()) if 1 <= len(w.adj[v]) <= max_degree and _expanded_clique(w, v)
     ]
+    state = kernels.source_state(len(w.adj))
     changes = 0
     for u in candidates:
         if not w.alive[u] or not w.adj[u]:
             continue  # earlier removals in this sweep emptied its neighborhood
         cid = comp_of[u]
-        for x, amount in kernels.side_bfs(w.adj, u, w.reach, w.ident):
+        for x, amount in kernels.side_bfs(w.adj, u, w.reach, w.ident, state):
             if amount:
                 for m in w.members[x]:
                     out[m] += amount
@@ -644,8 +643,10 @@ def preprocess(g: Graph, combination: Combination | str, max_side_degree: int = 
     One iteration runs the enabled passes in the combination's letter order;
     iterations repeat while any pass reports a change (each pass can make the
     graph amenable to another).  Returns (work graph, partial score vector,
-    pass statistics).
+    pass statistics).  A side-degree cap below 1 is refused before any work.
     """
+    if max_side_degree < 1:
+        raise ValueError("max_side_degree must be >= 1")
     combo = Combination.parse(combination) if isinstance(combination, str) else combination
     w = WorkGraph.from_graph(g)
     out = np.zeros(g.n, dtype=np.float64)

@@ -77,6 +77,12 @@ class TestCompute:
         path.write_text("-5 0\n")
         assert main(["compute", str(path), "--format", "metis"]) == EXIT_IO
 
+    def test_side_degree_cap_below_one_is_usage_error(self, p4_file, tmp_path):
+        out = tmp_path / "scores.csv"
+        args = ["compute", str(p4_file), "--combo", "od", "--max-side-degree", "0", "--out", str(out)]
+        assert main(args) == EXIT_USAGE
+        assert not out.exists()
+
     def test_stats_sidecar(self, p4_file, tmp_path):
         out = tmp_path / "scores.csv"
         stats = tmp_path / "stats.csv"
@@ -103,6 +109,11 @@ class TestVerify:
 
     def test_cap_refusal(self, capsys):
         assert main(["verify", "--gen", "gnp:n=40,p=0.2,seed=1", "--cap", "10"]) == EXIT_USAGE
+
+    def test_side_degree_cap_below_one_is_refused_before_any_pass(self, capsys):
+        args = ["verify", "--gen", "gnp:n=12,p=0.4,seed=1", "--combos", "o,od,odbas", "--max-side-degree", "0"]
+        assert main(args) == EXIT_USAGE
+        assert "PASS" not in capsys.readouterr().out
 
     def test_file_input(self, tmp_path):
         path = tmp_path / "g.txt"

@@ -22,6 +22,7 @@ from bcshatter.kernels import (
     brandes_numpy,
     brandes_python,
     side_bfs,
+    source_state,
 )
 from bcshatter.oracle import pair_distance_total
 
@@ -191,21 +192,52 @@ class TestNumpyMatchesLoop:
 class TestSideBfs:
     def test_triangle_contributes_nothing(self):
         adj = [[1, 2], [0, 2], [0, 1]]
-        contributions = side_bfs(adj, 0, [1, 1, 1], [1, 1, 1])
+        contributions = side_bfs(adj, 0, [1, 1, 1], [1, 1, 1], source_state(3))
         assert all(amount == 0.0 for _, amount in contributions)
 
     def test_path_end_restores_both_directions(self):
         # removing leaf 0 of 0-1-2: vertex 1 is owed (0,2) and (2,0)
         adj = [[1], [0, 2], [1]]
-        amounts = dict(side_bfs(adj, 0, [1, 1, 1], [1, 1, 1]))
+        amounts = dict(side_bfs(adj, 0, [1, 1, 1], [1, 1, 1], source_state(3)))
         assert amounts[1] == 2.0
         assert amounts[2] == 0.0
 
     def test_scales_linearly_in_source_mass(self):
         adj = [[1], [0, 2], [1]]
-        base = dict(side_bfs(adj, 0, [1, 1, 1], [1, 1, 1]))
-        tripled = dict(side_bfs(adj, 0, [3, 1, 1], [1, 1, 1]))
+        base = dict(side_bfs(adj, 0, [1, 1, 1], [1, 1, 1], source_state(3)))
+        tripled = dict(side_bfs(adj, 0, [3, 1, 1], [1, 1, 1], source_state(3)))
         assert tripled[1] == 3 * base[1]
+
+    def test_matches_source_dependencies(self):
+        """Every amount is m * delta + m * (delta - (reach - 1)) with the
+        independent per-source dependencies, on work-graph-shaped inputs
+        (sets, dead ids mixed in), with one state reused throughout and back
+        at rest after every call."""
+        rng = random.Random(4)
+        size = 120
+        state = source_state(size)
+        calls = 0
+        for _ in range(60):
+            n = rng.randint(2, 40)
+            g = random_graph(n, rng.uniform(0.05, 0.5), rng.randrange(10**6))
+            ids = sorted(rng.sample(range(rng.randint(n, 3 * n)), n))  # the rest are dead ids
+            adj = [set() for _ in range(ids[-1] + 1)]
+            for u, v in g.edges():
+                adj[ids[u]].add(ids[v])
+                adj[ids[v]].add(ids[u])
+            reach = [rng.randint(1, 5) for _ in adj]
+            ident = [rng.randint(1, 3) for _ in adj]
+            for s in ids:
+                got = side_bfs(adj, s, reach, ident, state)
+                assert state == source_state(size), "side_bfs left state behind"
+                delta = source_dependencies(adj, s, reach, ident)
+                assert sorted(x for x, _ in got) == sorted(x for x in delta if x != s)
+                m = reach[s] * ident[s]
+                for x, amount in got:
+                    expected = m * delta[x] + m * (delta[x] - (reach[x] - 1))
+                    assert amount == pytest.approx(expected, rel=1e-9, abs=1e-9)
+                calls += 1
+        assert calls > 1000
 
 
 class TestInvariants:

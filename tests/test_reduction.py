@@ -150,21 +150,22 @@ class TestBlockMasses:
 
 
 class TestLetterOrderFuzz:
-    def test_merge_before_split_orders_match_brute(self):
-        """Seeded, time-boxed fuzz over letter orders that run ``i`` before
-        ``a`` or ``b``, so splits see merged classes."""
+    def test_letter_orders_match_brute(self):
+        """Seeded, time-boxed fuzz over every order of every non-empty subset
+        of the reduction letters, so splits see merged classes and merges
+        see split ones."""
         rng = random.Random(20261018)
         families = ("gnp", "planted-identical", "bridged-blobs", "planted-side", "clique-chain", "random-tree")
         deadline = perf_counter() + 4.0
-        cases = merged_then_split = 0
+        cases = merged_then_split = without_i = i_after_splits = 0
         while cases < 1000 and perf_counter() < deadline:
-            rest = [ch for ch in "dbas" if rng.random() < 0.6]
-            if not {"a", "b"} & set(rest):
-                rest.append(rng.choice("ab"))
-            rng.shuffle(rest)
-            first_split = min(rest.index(ch) for ch in "ab" if ch in rest)
-            rest.insert(rng.randint(0, first_split), "i")
-            combo = ("o" if rng.random() < 0.5 else "") + "".join(rest)
+            letters = [ch for ch in "dbasi" if rng.random() < 0.5] or [rng.choice("dbasi")]
+            rng.shuffle(letters)
+            combo = ("o" if rng.random() < 0.5 else "") + "".join(letters)
+            if "i" not in letters:
+                without_i += 1
+            elif {"a", "b"} & set(letters) and all(letters.index("i") > letters.index(ch) for ch in "ab" if ch in letters):
+                i_after_splits += 1
             if rng.random() < 0.3:
                 g = _glued_blocks(rng, rng.randint(2, 10))
             else:
@@ -185,6 +186,7 @@ class TestLetterOrderFuzz:
             cases += 1
         assert cases >= 20
         assert merged_then_split > 0
+        assert without_i > 0 and i_after_splits > 0
 
 
 class TestBridges:
