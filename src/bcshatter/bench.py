@@ -45,12 +45,15 @@ def bench_graph(
 
     Monotonic-clock timings come from the engine; repetitions run
     sequentially so they do not disturb each other.  Also returns the final
-    per-component edge counts per combination.
+    per-component edge counts per combination.  Fewer than one repetition
+    is a ``ValueError``.
     """
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
     records = []
     component_edges: dict[str, list[int]] = {}
     for combo in combinations:
-        runs = [compute_scores(g, combo, max_side_degree=max_side_degree) for _ in range(max(1, reps))]
+        runs = [compute_scores(g, combo, max_side_degree=max_side_degree) for _ in range(reps)]
         records.append(
             BenchRecord(
                 graph=name,

@@ -158,6 +158,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bench(args) -> int:
     combos = _parse_combos(args.combos)
+    if args.reps < 1:
+        raise ValueError(f"--reps must be >= 1, got {args.reps}")
     baseline = "o"
     if args.natural_baseline:
         baseline = ""

@@ -6,9 +6,11 @@ shrunk by five passes:
 * ``d`` cascading degree-1 removal (folds leaf mass into the neighbor),
 * ``b`` bridge removal (splits components, credits both endpoints with
   the cut-side masses),
-* ``a`` articulation shattering (one-shot biconnected decomposition; each
-  copy's reach is the mass away from its side of the cut; ``b`` and ``a``
-  read their cut-side masses from one DFS that sums subtree masses),
+* ``a`` articulation shattering (one-shot biconnected decomposition in
+  which a merged class never cuts, so the blocks that meet at it shatter as
+  one; each copy's reach is the mass away from its side of the cut; ``b``
+  and ``a`` read their blocks and cut-side masses from one DFS walk over all
+  components that sums subtree masses),
 * ``s`` side-vertex removal (simplicial vertices; one compensation BFS each),
 * ``i`` identical-vertex merging (open or closed neighborhood equality).
 
@@ -26,10 +28,12 @@ Bookkeeping invariants (asserted in tests):
 * Merging requires equal reach *and* equal already-accumulated scores, which
   keeps every merged class's members on exactly equal final scores.
 
-Vertices whose ident exceeds 1 are skipped as articulation/bridge cut points
-and guarded in the degree-1/side passes: a merged class is a bundle of
-interchangeable copies, and a single copy of it is never a cut vertex of the
-unmerged graph, so cut-based formulas do not apply to it.
+A vertex whose ident exceeds 1 is a merged class: a bundle of
+interchangeable copies, no single one of which is a cut vertex of the
+unmerged graph.  So a merged class never cuts: the block decomposition keeps
+the blocks that meet at it as one block, which ``a`` shatters as a whole and
+``b`` never takes for a bridge, and the degree-1 and side passes guard
+against it, because cut-based formulas do not apply to it.
 """
 
 from __future__ import annotations
@@ -246,26 +250,44 @@ class WorkGraph:
         self.alive = [True] * len(keep)
 
 
-def _blocks_and_cuts(w: WorkGraph, comp: list[int]):
-    """Biconnected components, articulation vertices and cut-side masses of
-    one connected component.
+def _blocks_and_cuts(w: WorkGraph):
+    """Yield :func:`_block_dfs` of every live component, rooted at its lowest
+    live id, in increasing id order.  Ids added during the walk are not
+    visited, so callers may rewrite each component they get and add copies
+    to it."""
+    seen = bytearray(len(w.adj))
+    for root in range(len(seen)):
+        if w.alive[root] and not seen[root]:
+            yield _block_dfs(w, root, seen)
 
-    Iterative Hopcroft-Tarjan with an edge stack; each undirected edge lands
-    in exactly one block.  The DFS also sums subtree masses, which yields
-    ``far(x, k)``: the mass of the piece of ``comp - x`` that holds the other
-    vertices of block ``k``.  Block k is emitted at its top vertex ``pv``
-    through the tree edge ``(pv, v)``, so for the top that piece is v's
-    subtree.  Any other vertex x of block k reaches it through x's parent
-    edge, so the piece is everything except x's own mass and the subtrees
-    of the blocks x tops.  Masses are read once, during the DFS, so callers
-    may rewrite reach attributes before they ask for ``far``.
 
-    Returns ``(blocks, cuts, far, total)``: blocks as edge lists (the last
-    edge of each is the tree edge from its top), the set of cut vertices,
-    the ``far`` function and the component's mass.
+def _block_dfs(w: WorkGraph, root: int, seen: bytearray):
+    """Blocks, cut vertices and cut-side masses of root's component.
+
+    Iterative Hopcroft-Tarjan with an edge stack; each edge lands in exactly
+    one block.  A merged class (ident > 1) never cuts: no single original
+    vertex of it separates the graph, so the blocks that meet at it stay one
+    block.  Only an unmerged top emits a block; the edges below a merged top
+    stay on the stack and join the block above, and under a merged root what
+    is left becomes one last block.  ``cuts`` holds the unmerged cut
+    vertices, which are exactly the vertices in more than one block.
+
+    The DFS also sums subtree masses, which yields ``far(x, k)`` for an
+    unmerged x in block k: the mass of the piece of the component minus x
+    that holds the block's other vertices.  Block k is emitted at its top
+    vertex ``pv`` through the tree edge ``(pv, v)``, so for the top that
+    piece is v's subtree.  Any other vertex x of block k reaches it through
+    x's parent edge, so the piece is everything except x's own mass and the
+    subtrees of the blocks x tops.  Masses are read once, during the DFS, so
+    callers may rewrite reach attributes before they ask for ``far``.
+
+    Marks the component in ``seen`` and returns ``(blocks, cuts, far,
+    total)``: blocks as edge lists (the last edge of each is the tree edge
+    from its top; an isolated vertex has none), the set of cut vertices, the
+    ``far`` function and the component's mass.
     """
     adj, reach, ident = w.adj, w.reach, w.ident
-    root = comp[0]
+    seen[root] = 1
     disc = {root: 0}
     low = {root: 0}
     # sub: DFS subtree mass; near: own mass plus the subtrees of the blocks
@@ -288,6 +310,7 @@ def _blocks_and_cuts(w: WorkGraph, comp: list[int]):
             du = disc.get(u)
             if du is None:
                 estack.append((v, u))
+                seen[u] = 1
                 disc[u] = low[u] = counter
                 counter += 1
                 sub[u] = near[u] = ident[u] * reach[u]
@@ -307,7 +330,7 @@ def _blocks_and_cuts(w: WorkGraph, comp: list[int]):
                 sub[pv] += sub[v]
                 if low[v] < low[pv]:
                     low[pv] = low[v]
-                if low[v] >= disc[pv]:
+                if low[v] >= disc[pv] and ident[pv] == 1:
                     block = []
                     while True:
                         e = estack.pop()
@@ -319,9 +342,12 @@ def _blocks_and_cuts(w: WorkGraph, comp: list[int]):
                     near[pv] += sub[v]
                     if pv != root:
                         cuts.add(pv)
-    if root_children >= 2:
-        cuts.add(root)
     total = sub[root]
+    if estack:  # the blocks below a merged root
+        blocks.append(estack[::-1])
+        top_far.append(total - near[root])
+    elif root_children >= 2:  # an unmerged root tops one block per child
+        cuts.add(root)
 
     def far(x: int, k: int) -> int:
         return top_far[k] if x == blocks[k][-1][0] else total - near[x]
@@ -394,13 +420,12 @@ def remove_bridges(w: WorkGraph, out: np.ndarray) -> int:
     A bridge is a biconnected block of one edge.  Cut-side mass sums are
     order-independent, so corrections and reciprocal reach updates use the
     two sides of each bridge cut directly, as the block decomposition's DFS
-    measured them before any bridge went.
+    measured them before any bridge went.  Both endpoints are checked: a
+    single-edge block can hang a merged class below an unmerged top, and the
+    last block under a merged root can be a single edge whose top is merged.
     """
     changes = 0
-    for comp in w.components():
-        if len(comp) < 2:
-            continue
-        blocks, _, far, total = _blocks_and_cuts(w, comp)
+    for blocks, _, far, total in _blocks_and_cuts(w):
         for k, block in enumerate(blocks):
             if len(block) != 1:
                 continue
@@ -421,73 +446,38 @@ def remove_bridges(w: WorkGraph, out: np.ndarray) -> int:
 def shatter_articulation(w: WorkGraph) -> int:
     """Split every component at its unmerged articulation vertices at once.
 
-    Each cut vertex gets one local copy per biconnected group, with the
-    copy's reach set to the component's mass minus the group's side of the
-    cut (so it carries the far-side mass plus the vertex's own).  No score
+    A merged class never cuts, so the blocks that meet at one shatter as one
+    block.  Each cut vertex keeps its id in its first block and gets a fresh
+    copy in every later one; the vertex or copy in block k gets reach
+    ``total - far(c, k)``, the component's mass minus the block's side of the
+    cut, so it carries the far-side mass plus the vertex's own.  No score
     corrections are needed; the reach attributes carry everything.  Returns
     the number of components created.
     """
     new_components = 0
-    for comp in w.components():
-        if len(comp) < 3:
+    for blocks, cuts, far, total in _blocks_and_cuts(w):
+        if not cuts:
             continue
-        blocks, cuts, far, total = _blocks_and_cuts(w, comp)
-        active = sorted(c for c in cuts if w.ident[c] == 1)
-        if not active:
-            continue
-        active_set = set(active)
-        block_vertices = [sorted({x for e in b for x in e}) for b in blocks]
-
-        # Blocks that share a merged (skipped) cut vertex stay together.
-        uf = list(range(len(blocks)))
-
-        def find(i: int) -> int:
-            root = i
-            while uf[root] != root:
-                root = uf[root]
-            while uf[i] != root:
-                uf[i], i = root, uf[i]
-            return root
-
-        first_block: dict[int, int] = {}
-        for bid, verts in enumerate(block_vertices):
-            for v in verts:
-                if v in active_set:
-                    continue
-                if v in first_block:
-                    uf[find(bid)] = find(first_block[v])
+        # The blocks partition the component's edges, which are re-added into
+        # fresh adjacency sets; each vertex keeps its own id in exactly one
+        # block, and that block replaces its set.
+        w.live_edge_count -= sum(map(len, blocks))
+        placed: set[int] = set()
+        for k, block in enumerate(blocks):
+            verts = {x for e in block for x in e}
+            copy: dict[int, int] = {}
+            for c in sorted(verts & cuts):
+                if c in placed:
+                    copy[c] = w.add_vertex(w.org[c], reach=total - far(c, k))
                 else:
-                    first_block[v] = bid
-        group_of_block = [find(b) for b in range(len(blocks))]
-        # A cut vertex has exactly one block in each group it touches: the
-        # block-cut-tree path between two of its blocks runs through it.
-        groups_of_cut: dict[int, list[tuple[int, int]]] = {c: [] for c in active}
-        for bid, verts in enumerate(block_vertices):
-            for v in verts:
-                if v in active_set:
-                    groups_of_cut[v].append((group_of_block[bid], bid))
-
-        # Where each cut vertex lives per group: original id in its first
-        # group, a fresh copy elsewhere.
-        placement: dict[tuple[int, int], int] = {}
-        for c in active:
-            for k, (g, bid) in enumerate(sorted(groups_of_cut[c])):
-                reach_here = total - far(c, bid)
-                if k == 0:
-                    placement[(c, g)] = c
-                    w.reach[c] = reach_here
-                else:
-                    placement[(c, g)] = w.add_vertex(w.org[c], reach=reach_here)
-
-        comp_edges = sum(len(w.adj[v]) for v in comp) // 2
-        w.live_edge_count -= comp_edges
-        for v in comp:
-            w.adj[v] = set()
-        for bid, block in enumerate(blocks):
-            g = group_of_block[bid]
+                    placed.add(c)
+                    w.reach[c] = total - far(c, k)
+            for x in verts:
+                if x not in copy:
+                    w.adj[x] = set()
             for u, x in block:
-                w.add_edge(placement.get((u, g), u), placement.get((x, g), x))
-        new_components += len(set(group_of_block)) - 1
+                w.add_edge(copy.get(u, u), copy.get(x, x))
+        new_components += len(blocks) - 1
     return new_components
 
 

@@ -6,8 +6,9 @@ import csv
 
 import pytest
 
-from bcshatter.bench import BenchRecord, performance_profile, write_bench_csv
+from bcshatter.bench import BenchRecord, bench_graph, performance_profile, write_bench_csv
 from bcshatter.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from bcshatter.graph import Graph
 
 
 @pytest.fixture
@@ -157,6 +158,20 @@ class TestBench:
         norm = _read_csv(tmp_path / "bench.normalized.csv")
         empties = [r for r in norm[1:] if r[1] == ""]
         assert empties and all(float(r[2]) == 1.0 for r in empties)
+
+    @pytest.mark.parametrize("reps", ["0", "-2"])
+    def test_reps_below_one_is_usage_error(self, tmp_path, p4_file, capsys, reps):
+        out = tmp_path / "bench.csv"
+        missing = tmp_path / "nope.txt"
+        code = main(["bench", str(p4_file), str(missing), "--combos", "o", "--reps", reps, "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "--reps" in err and "skipping" not in err  # refused before any graph is read
+
+    def test_bench_graph_refuses_reps_below_one(self):
+        with pytest.raises(ValueError):
+            bench_graph(Graph.from_edges(2, [(0, 1)]), "edge", ("o",), reps=0)
 
 
 class TestProfile:

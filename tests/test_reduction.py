@@ -101,7 +101,9 @@ def _other(verts: list[int], x: int) -> int:
     return verts[1] if verts[0] == x else verts[0]
 
 
-def _piece_mass(w: WorkGraph, removed: int, start: int) -> int:
+def _piece(w: WorkGraph, removed: int, start: int) -> tuple[set[int], int]:
+    """Vertices and mass of the piece of the graph minus ``removed`` that
+    holds ``start``."""
     seen = {start}
     stack = [start]
     total = 0
@@ -112,41 +114,86 @@ def _piece_mass(w: WorkGraph, removed: int, start: int) -> int:
             if y != removed and y not in seen:
                 seen.add(y)
                 stack.append(y)
-    return total
+    return seen, total
+
+
+def _random_attributes(rng: random.Random, w: WorkGraph) -> None:
+    n = len(w.adj)
+    w.reach = [rng.randint(1, 4) for _ in range(n)]
+    w.ident = [rng.choice((1, 1, 2, 3)) for _ in range(n)]
 
 
 class TestBlockMasses:
     def test_far_matches_brute_force(self):
         rng = random.Random(7)
-        seen_multi_block_cut = seen_merged_cut = seen_cut_bridge = 0
+        seen_multi_block_cut = seen_merged_cut = seen_cut_bridge = seen_merged_root = 0
         for _ in range(120):
             g = _glued_blocks(rng, rng.randint(1, 12))
             w = WorkGraph.from_graph(g)
-            w.reach = [rng.randint(1, 4) for _ in range(g.n)]
-            w.ident = [rng.choice((1, 1, 2, 3)) for _ in range(g.n)]
-            comp = w.components()[0]
-            assert len(comp) == g.n
-            blocks, cuts, far, total = _blocks_and_cuts(w, comp)
+            _random_attributes(rng, w)
+            comp = list(range(g.n))
+            ((blocks, cuts, far, total),) = _blocks_and_cuts(w)
             assert total == sum(w.mass(v) for v in comp)
             # x is a cut vertex iff the piece of comp - x around some other
-            # vertex misses part of the rest
-            assert cuts == {x for x in comp if _piece_mass(w, x, _other(comp, x)) < total - w.mass(x)}
+            # vertex misses part of the rest; a merged class never cuts
+            true_cuts = {x for x in comp if _piece(w, x, _other(comp, x))[1] < total - w.mass(x)}
+            assert cuts == {x for x in true_cuts if w.ident[x] == 1}
+            assert sorted(tuple(sorted(e)) for block in blocks for e in block) == g.edges()
             expected = {}
             blocks_of: dict[int, int] = {}
             for k, block in enumerate(blocks):
                 verts = sorted({x for e in block for x in e})
                 for x in verts:
-                    expected[(x, k)] = _piece_mass(w, x, _other(verts, x))
-                    assert far(x, k) == expected[(x, k)], (x, k)
                     blocks_of[x] = blocks_of.get(x, 0) + 1
+                    if w.ident[x] != 1:
+                        continue
+                    piece, mass = _piece(w, x, _other(verts, x))
+                    assert set(verts) - {x} <= piece, (x, k)
+                    expected[(x, k)] = mass
+                    assert far(x, k) == mass, (x, k)
                 if len(block) == 1 and set(block[0]) <= cuts:
                     seen_cut_bridge += 1
+            assert {x for x, count in blocks_of.items() if count > 1} == cuts
             seen_multi_block_cut += any(c >= 3 for c in blocks_of.values())
-            seen_merged_cut += any(w.ident[c] > 1 for c in cuts)
+            seen_merged_cut += any(w.ident[c] > 1 for c in true_cuts)
+            # the DFS starts at vertex 0; it has two or more DFS children
+            # exactly when it is a cut vertex
+            seen_merged_root += w.ident[0] > 1 and 0 in true_cuts
             # far reads the masses the DFS captured, not the current reach
             w.reach = [r + 5 for r in w.reach]
             assert all(far(x, k) == m for (x, k), m in expected.items())
-        assert seen_multi_block_cut and seen_merged_cut and seen_cut_bridge
+        assert seen_multi_block_cut and seen_merged_cut and seen_cut_bridge and seen_merged_root
+
+    def test_walk_visits_every_component_once(self):
+        rng = random.Random(11)
+        first = _glued_blocks(rng, 8)
+        second = _glued_blocks(rng, 8)
+        # ids: dead 0, first component, dead gap of 2, second component,
+        # one isolated vertex, dead last
+        a = 1
+        b = a + first.n + 2
+        n = b + second.n + 2
+        edges = [(a + u, a + v) for u, v in first.edges()] + [(b + u, b + v) for u, v in second.edges()]
+        dead = [0, b - 2, b - 1, n - 1]
+        edges += [(0, a), (b - 2, b - 1), (b - 1, b), (a + 1, n - 1)]
+        w = WorkGraph.from_graph(Graph.from_edges(n, sorted((min(e), max(e)) for e in edges)))
+        _random_attributes(rng, w)
+        for x in dead:
+            w.delete(x)
+        comps = w.components()
+        assert [c[0] for c in comps] == [a, b, n - 2]
+        walk = list(_blocks_and_cuts(w))
+        assert len(walk) == len(comps)
+        assert [total for _, _, _, total in walk] == w.component_mass_sums()
+        for comp, (blocks, cuts, _, _) in zip(comps, walk):
+            assert {x for block in blocks for e in block for x in e} == (set(comp) if len(comp) > 1 else set())
+            assert cuts <= set(comp)
+        assert walk[-1][:2] == ([], set())
+
+        mass_of_org = {w.org[v]: total for comp, total in zip(comps, w.component_mass_sums()) for v in comp}
+        assert shatter_articulation(w) > 0
+        for comp, total in zip(w.components(), w.component_mass_sums()):
+            assert {mass_of_org[w.org[v]] for v in comp} == {total}
 
 
 class TestLetterOrderFuzz:
@@ -208,6 +255,32 @@ class TestBridges:
     def test_bridgeless_cycle(self):
         w, out = _work(cycle_graph(4))
         assert remove_bridges(w, out) == 0
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            # open twins {0, 1} over {2, 3}, edge 2-3: one edge between two
+            # merged vertices, left as the last block under a merged root
+            Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+            # open twins {0, 1} over {2, 3, 4}, edge 2-3: a path whose merged
+            # root has two DFS children
+            Graph.from_edges(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3)]),
+            # open twins {0, 1} over {2}: a pendant edge under a merged root
+            Graph.from_edges(3, [(0, 2), (1, 2)]),
+            # open twins {1, 2} over {0}: a merged pendant under an unmerged root
+            Graph.from_edges(3, [(0, 1), (0, 2)]),
+        ],
+        ids=["merged-edge", "merged-root-path", "merged-root-pendant", "merged-pendant"],
+    )
+    def test_no_bridge_or_cut_at_merged_vertices(self, g):
+        w, out = _work(g)
+        assert merge_identical(w, out) > 0
+        assert w.live_edge_count > 0
+        assert remove_bridges(w, out) == 0
+        assert shatter_articulation(w) == 0
+        expected = bc_brute(g)
+        for combo in ("oib", "oiab", "oiabd"):
+            assert np.allclose(compute_scores(g, combo).scores, expected, atol=1e-9), combo
 
     def test_tree_of_bridges_matches_oracle(self):
         g = random_graph(1, 0, 0)  # placeholder, replaced below
