@@ -6,31 +6,30 @@ output option).  Shortest-path counts sigma are kept in float64 because they
 can overflow 64-bit integers on dense graphs while the dependency ratios
 stay well conditioned.
 
-One attribute-general algorithm exists, in two implementations that
-``brandes`` picks between by the work a component needs (n * 2m) and its
-BFS depth:
+One attribute-general algorithm exists, in two implementations:
 
-* ``brandes_python`` - one ``single_source`` run per source.  It wins on
-  tiny components and on long cycles and paths, where numpy's fixed cost
-  per call dominates, and it is the reference the tests hold the numpy
-  routine to.
-* ``brandes_numpy`` - level-synchronous Brandes over a CSR copy for a batch
-  of sources at once.  Each BFS level costs a fixed number of array
-  operations, and the shortest-path DAG arcs of each level replace
-  predecessor lists, so the backward pass replays the levels in reverse
-  (Madduri et al., IPDPS 2009).
+* the compiled kernel - ``_brandes.c``, all sources over one component's
+  CSR.  ``brandes`` builds it with the local C compiler on its first call,
+  into a per-user cache named by the hash of the source and the compile
+  command, loads it with ctypes and runs it from then on.  Its backward
+  sweep keeps no predecessor lists: a vertex pushes its dependency to the
+  neighbors one BFS level up (Madduri et al., IPDPS 2009).
+* ``brandes_python`` - one ``single_source`` run per source.  It is the
+  reference the tests hold the compiled kernel to, and the fallback
+  ``brandes`` runs, silently, when the kernel cannot be built or loaded.
 
 ``single_source`` is the one Python forward BFS and backward sweep.  It
 serves ``brandes_python`` and ``side_bfs``, the compensation run of the side
 vertex pass, over per-vertex list state that the caller allocates once and
 each run leaves at rest.
 
-The two implementations follow the same floating-point operations per arc:
-with all attributes equal to 1 every attribute factor is an exact
-multiplication by 1, which the degeneration tests assert bit-for-bit.  They
-sum the same terms in different orders, so they agree to rounding, not
-bitwise.  ``bc_plain``, ``bc_reach``, ``bc_ident`` and ``bc_reach_ident``
-name the attribute combinations the engine dispatches on.
+The compiled kernel evaluates the Python loop's floating-point expressions
+in the same order, with contraction into fused multiply-adds turned off, and
+both multiply by every attribute: with all attributes equal to 1 every
+attribute factor is an exact multiplication by 1, which the degeneration
+tests assert bit-for-bit on both.  ``bc_plain``, ``bc_reach``, ``bc_ident``
+and ``bc_reach_ident`` name the attribute combinations the engine dispatches
+on.
 
 Attribute semantics on a reduced component:
 
@@ -47,7 +46,12 @@ scores[v] is the per-copy contribution for v (shared by all merged copies).
 
 from __future__ import annotations
 
+import ctypes
+import os
+import tempfile
+from importlib import resources
 from itertools import chain
+from pathlib import Path
 from time import perf_counter
 
 import numpy as np
@@ -55,18 +59,6 @@ import numpy as np
 from .graph import Graph
 
 Adjacency = list[list[int]]
-
-# Every numpy call costs some microseconds however small its arrays, and the
-# numpy routine makes a few dozen per kernel and per BFS level of a batch.
-# It runs only on components with at least SMALL_WORK (source, arc) pairs,
-# n * 2m, whose batches average at least LEVEL_ARCS arcs per level; the
-# Python loop is faster on the rest (tiny components, and long cycles or
-# paths with hundreds of levels).
-SMALL_WORK = 1 << 10
-LEVEL_ARCS = 64
-# (source, vertex-or-arc) pairs handled per batch of sources; this keeps the
-# batch temporaries near 1 MB.
-BATCH_WORK = 1 << 15
 
 
 def bc_plain(adj: Adjacency):
@@ -110,43 +102,125 @@ def bc_reach_ident(adj: Adjacency, reach: list[int], ident: list[int]):
 def brandes(adj: Adjacency, reach: list[int] | None = None, ident: list[int] | None = None):
     """Attribute-general Brandes; missing attributes are all 1.
 
-    Runs the batched numpy routine where its per-call and per-level costs
-    pay off (see ``SMALL_WORK`` and ``LEVEL_ARCS``), the Python loop
-    otherwise.
+    ``adj`` must be symmetric, with every neighbor id in ``range(len(adj))``.
+    Runs the compiled kernel, or ``brandes_python`` when it cannot be built
+    or loaded.
     """
     n = len(adj)
     reach = [1] * n if reach is None else reach
     ident = [1] * n if ident is None else ident
+    if len(reach) != n or len(ident) != n:
+        raise ValueError(f"reach and ident need {n} entries, one per vertex")
     _check_positive(reach, "reach")
     _check_positive(ident, "ident")
-    arc_count = sum(map(len, adj))
-    if n * arc_count >= SMALL_WORK and _batch_size(n, arc_count) * arc_count >= LEVEL_ARCS * _bfs_depth(adj):
-        return brandes_numpy(adj, reach, ident)
-    return brandes_python(adj, reach, ident)
+    kernel = _kernel()
+    if kernel is None:
+        return brandes_python(adj, reach, ident)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, adj), dtype=np.int64, count=n), out=offsets[1:])
+    targets = np.fromiter(chain.from_iterable(adj), dtype=np.int32, count=int(offsets[-1]))
+    if targets.size and not 0 <= targets.min() <= targets.max() < n:
+        raise ValueError(f"neighbor ids must lie in [0, {n})")
+    bc = np.zeros(n)
+    seconds = np.zeros(2)
+    kernel(
+        n,
+        offsets,
+        targets,
+        np.asarray(reach, dtype=np.float64),
+        np.asarray(ident, dtype=np.float64),
+        np.empty(n, dtype=np.int32),
+        np.empty(n, dtype=np.int32),
+        np.empty(n),
+        np.empty(n),
+        bc,
+        seconds,
+    )
+    return bc.tolist(), float(seconds[0]), float(seconds[1])
 
 
-def _batch_size(n: int, arc_count: int) -> int:
-    return max(1, min(n, BATCH_WORK // max(1, n + arc_count)))
+# The compiler and flags the kernel is built with.  No -march=native or
+# -ffast-math: the kernel must round exactly as the Python loop does.
+COMPILER = "cc"
+CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+_UNTRIED = object()
+# The loaded kernel, None once building or loading it failed, _UNTRIED
+# before the first ``brandes`` call.
+_compiled = _UNTRIED
 
 
-def _bfs_depth(adj: Adjacency) -> int:
-    """Deepest BFS level over all components, each searched from its first
-    vertex; within a factor 2 of the level count of any source's BFS."""
-    depth = [-1] * len(adj)
-    deepest = 0
-    for root in range(len(adj)):
-        if depth[root] >= 0:
-            continue
-        depth[root] = 0
-        queue = [root]
-        for v in queue:
-            below = depth[v] + 1
-            for w in adj[v]:
-                if depth[w] < 0:
-                    depth[w] = below
-                    queue.append(w)
-        deepest = max(deepest, depth[queue[-1]])
-    return deepest
+def _kernel():
+    """The compiled kernel, built and loaded on the first call; None when
+    that failed, for whatever reason."""
+    global _compiled
+    if _compiled is _UNTRIED:
+        try:
+            _compiled = _build_and_load()
+        except Exception:  # whatever failed, the exact Python loop takes over
+            _compiled = None
+    return _compiled
+
+
+def _build_and_load():
+    """Load the kernel from the user's cache, compiling it there first when
+    it is missing.  The build writes to a temporary name and renames it into
+    place, so concurrent first calls never load a half-written file.  When
+    the cache cannot be written, the build goes into a fresh private
+    directory for this process only, removed once loaded, so no predictable
+    path in a shared directory is ever loaded."""
+    source = resources.files(__package__).joinpath("_brandes.c").read_bytes()
+    command = [COMPILER, *CFLAGS]
+    name = f"_brandes-{_sha256(source + ' '.join(command).encode())}.so"
+    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "bcshatter"
+    built = cache / name
+    if built.is_file():
+        return _bind(built)
+    try:
+        cache.mkdir(parents=True, exist_ok=True)
+        fd, partial = tempfile.mkstemp(prefix=name, dir=cache)
+    except OSError:
+        with tempfile.TemporaryDirectory(ignore_cleanup_errors=True) as private:
+            built = Path(private) / name
+            _compile(source, command, built)
+            return _bind(built)
+    os.close(fd)
+    try:
+        _compile(source, command, partial)
+        os.replace(partial, built)
+    finally:
+        if os.path.exists(partial):
+            os.unlink(partial)
+    return _bind(built)
+
+
+def _sha256(data: bytes) -> str:
+    """Hex sha256 of ``data``, from CPython's own sha256 module where it has
+    one: importing ``hashlib`` maps OpenSSL, about 3.6 MB of resident memory
+    for hashing one small file."""
+    try:
+        from _sha2 import sha256  # CPython 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256  # CPython 3.11
+        except ImportError:  # a build without its own hash modules
+            from hashlib import sha256
+    return sha256(data).hexdigest()
+
+
+def _compile(source: bytes, command: list[str], out) -> None:
+    import subprocess  # only a build needs it, and it costs 0.5 MB resident
+
+    subprocess.run([*command, "-x", "c", "-", "-o", str(out)], input=source, capture_output=True, check=True)
+
+
+def _bind(path: Path):
+    kernel = ctypes.CDLL(str(path)).bcs_brandes
+    int32s = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
+    doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    int64s = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    kernel.argtypes = [ctypes.c_int64, int64s, int32s, doubles, doubles, int32s, int32s, doubles, doubles, doubles, doubles]
+    kernel.restype = None
+    return kernel
 
 
 def brandes_python(adj: Adjacency, reach: list[int], ident: list[int]):
@@ -222,87 +296,6 @@ def single_source(adj, s: int, reach, ident, state):
     sigma[s] = 0.0
     delta[s] = 0.0
     return deps, mid
-
-
-def brandes_numpy(adj: Adjacency, reach: list[int], ident: list[int]):
-    """Level-synchronous Brandes for batches of sources over a CSR copy.
-
-    The state of the b-th source of a batch at vertex v lives at flat index
-    b * n + v, and every per-vertex array is tiled once per batch slot so a
-    level needs no vertex ids.  The forward pass keeps, per BFS level, the
-    level's flat indices, its sigma, and its DAG arcs into the next level as
-    (position in this level, position in the next).  An arc is on the DAG
-    exactly when its head was unseen before the level.
-    """
-    n = len(adj)
-    deg = np.fromiter(map(len, adj), dtype=np.intp, count=n)
-    offsets = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(deg, out=offsets[1:])
-    arc_count = int(offsets[-1])
-    nbrs = np.fromiter(chain.from_iterable(adj), dtype=np.intp, count=arc_count)
-    reach_f = np.asarray(reach, dtype=np.float64)
-    ident_f = np.asarray(ident, dtype=np.float64)
-    source_mult = reach_f * ident_f
-    batch = _batch_size(n, arc_count)
-    slots = np.arange(batch)
-    deg_t = np.tile(deg, batch)
-    first_arc_t = (offsets[:-1] + arc_count * slots[:, None]).ravel()
-    heads_t = (nbrs + n * slots[:, None]).ravel()
-    start_delta_t = np.tile(reach_f - 1.0, batch)
-    ident_t = np.tile(ident_f, batch)
-    level_of = np.empty(batch * n, dtype=np.int32)
-    claim = np.empty(batch * n, dtype=np.intp)
-    bc = np.zeros(n)
-    t1 = 0.0
-    t2 = 0.0
-    for first in range(0, n, batch):
-        tick = perf_counter()
-        size = min(batch, n - first)
-        sources = slots[:size] * (n + 1) + first
-        level_of[: size * n] = -1
-        level_of[sources] = 0
-        flat = sources
-        sigma = np.ones(size)
-        forward = sigma  # a source forwards its sigma without the ident fan-out
-        levels = []
-        depth = 0
-        while True:
-            counts = deg_t[flat]
-            ends = np.cumsum(counts)
-            arc_src = np.repeat(np.arange(flat.size), counts)
-            arcs = np.arange(ends[-1])
-            arcs += (first_arc_t[flat] - ends + counts)[arc_src]
-            head = heads_t[arcs]
-            fresh = np.flatnonzero(level_of[head] < 0)
-            if fresh.size == 0:
-                levels.append((flat, sigma, None, None))
-                break
-            depth += 1
-            found = head[fresh]
-            dag_tail = arc_src[fresh]
-            level_of[found] = depth
-            next_flat = np.flatnonzero(level_of[: size * n] == depth)
-            claim[next_flat] = np.arange(next_flat.size)
-            dag_head = claim[found]
-            levels.append((flat, sigma, dag_tail, dag_head))
-            flat = next_flat
-            sigma = np.bincount(dag_head, weights=forward[dag_tail], minlength=flat.size)
-            forward = sigma * ident_t[flat]
-        now = perf_counter()
-        t1 += now - tick
-        tick = now
-        dep = np.zeros(size * n)
-        coef = None
-        for flat, sigma, dag_tail, dag_head in reversed(levels):
-            delta = start_delta_t[flat]
-            if dag_tail is not None:
-                delta += np.bincount(dag_tail, weights=sigma[dag_tail] * coef[dag_head], minlength=flat.size)
-            coef = ident_t[flat] * (1.0 + delta) / sigma
-            dep[flat] = delta
-        dep[sources] = 0.0  # a source is no interior vertex
-        bc += (dep.reshape(size, n) * source_mult[first : first + size, None]).sum(axis=0)
-        t2 += perf_counter() - tick
-    return bc.tolist(), t1, t2
 
 
 def side_bfs(adj, source: int, reach, ident, state) -> list[tuple[int, float]]:

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import random
+import shutil
+import tempfile
+import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -12,14 +16,12 @@ from hypothesis import strategies as st
 from bcshatter import kernels
 from bcshatter.graph import Graph, connected_components
 from bcshatter.kernels import (
-    BATCH_WORK,
-    SMALL_WORK,
     bc_ident,
     bc_plain,
     bc_reach,
     bc_reach_ident,
     betweenness,
-    brandes_numpy,
+    brandes,
     brandes_python,
     side_bfs,
     source_state,
@@ -27,6 +29,21 @@ from bcshatter.kernels import (
 from bcshatter.oracle import pair_distance_total
 
 from conftest import complete_graph, cycle_graph, path_graph, random_graph, star_graph
+
+
+@pytest.fixture
+def compiled_kernel():
+    kernel = kernels._kernel()
+    if kernel is None:
+        pytest.skip("the compiled kernel could not be built or loaded here")
+    return kernel
+
+
+@pytest.fixture(params=["compiled", "python"])
+def kernel_path(request, monkeypatch):
+    """Runs a test on the compiled kernel and on the Python fallback."""
+    kernel = request.getfixturevalue("compiled_kernel") if request.param == "compiled" else None
+    monkeypatch.setattr(kernels, "_compiled", kernel)
 
 
 class TestPlain:
@@ -70,6 +87,7 @@ class TestReach:
         total = [left[0], left[1] + right[0], right[1]]
         assert total == [0.0, 2.0, 0.0]
 
+    @pytest.mark.usefixtures("kernel_path")
     def test_unit_reach_is_bitwise_plain(self):
         for seed in range(5):
             adj = random_graph(10, 0.4, seed).adjacency_lists()
@@ -79,8 +97,20 @@ class TestReach:
         with pytest.raises(ValueError):
             bc_reach([[1], [0]], [1, 0])
 
+    def test_rejects_length_mismatch(self):
+        # the compiled kernel would read past the end of a short array
+        with pytest.raises(ValueError):
+            bc_reach([[1], [0, 2], [1]], [1, 1])
+
+    @pytest.mark.usefixtures("compiled_kernel")
+    @pytest.mark.parametrize("neighbor", [-1, 3])
+    def test_rejects_neighbor_out_of_range(self, neighbor):
+        with pytest.raises(ValueError):
+            bc_plain([[1], [0, 2], [1, neighbor]])
+
 
 class TestIdent:
+    @pytest.mark.usefixtures("kernel_path")
     def test_unit_ident_is_bitwise_plain(self):
         for seed in range(5):
             adj = random_graph(10, 0.4, seed).adjacency_lists()
@@ -104,18 +134,21 @@ class TestIdent:
 
 
 class TestReachIdent:
+    @pytest.mark.usefixtures("kernel_path")
     def test_degenerates_to_reach(self):
         for seed in range(5):
             adj = random_graph(9, 0.45, seed).adjacency_lists()
             reach = [(seed + v) % 3 + 1 for v in range(9)]
             assert bc_reach_ident(adj, reach, [1] * 9)[0] == bc_reach(adj, reach)[0]
 
+    @pytest.mark.usefixtures("kernel_path")
     def test_degenerates_to_ident(self):
         for seed in range(5):
             adj = random_graph(9, 0.45, seed).adjacency_lists()
             ident = [(seed + v) % 2 + 1 for v in range(9)]
             assert bc_reach_ident(adj, [1] * 9, ident)[0] == bc_ident(adj, ident)[0]
 
+    @pytest.mark.usefixtures("kernel_path")
     def test_both_unit_is_bitwise_plain(self):
         adj = random_graph(12, 0.3, seed=7).adjacency_lists()
         assert bc_reach_ident(adj, [1] * 12, [1] * 12)[0] == bc_plain(adj)[0]
@@ -136,11 +169,34 @@ def _sparse_graph(n: int, m: int, isolated: int, seed: int) -> Graph:
     return Graph.from_edges(total, sorted(edges))
 
 
-class TestNumpyMatchesLoop:
-    """The batched numpy routine against the Python loop, its reference.
+def _grid_graph(rows: int, cols: int) -> Graph:
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Graph.from_edges(rows * cols, edges)
 
-    The two sum the same terms in different orders, so they agree to
-    rounding: rtol 1e-12, atol 1e-9.
+
+def _assert_matches_reference(g: Graph, seed: int) -> None:
+    """``brandes`` on the compiled kernel against ``brandes_python`` under
+    random reach and ident, reach alone, ident alone and neither."""
+    adj = g.adjacency_lists()
+    rng = random.Random(seed)
+    reach = [rng.randint(1, 5) for _ in range(g.n)]
+    ident = [rng.randint(1, 3) for _ in range(g.n)]
+    ones = [1] * g.n
+    for r, i in ((reach, ident), (reach, ones), (ones, ident), (ones, ones)):
+        expected, _, _ = brandes_python(adj, r, i)
+        got, _, _ = brandes(adj, r, i)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-9)
+
+
+@pytest.mark.usefixtures("compiled_kernel")
+class TestNumpyMatchesLoop:
+    """The compiled kernel against the Python loop, its reference.
+
+    The kernel evaluates the loop's expressions in the loop's order, so the
+    two agree at least to rounding: rtol 1e-12, atol 1e-9.  The class keeps
+    the name it had when it checked a numpy routine, so that its test ids
+    stay stable.
     """
 
     @pytest.mark.parametrize(
@@ -150,43 +206,68 @@ class TestNumpyMatchesLoop:
             (1, 0, 0, 2),
             (2, 0, 0, 3),
             (2, 1, 0, 4),
-            (5, 6, 2, 5),  # n * 2m below SMALL_WORK
+            (5, 6, 2, 5),
             (12, 20, 1, 6),
             (40, 45, 5, 7),  # several components
             (60, 150, 0, 8),
             (120, 200, 10, 9),
-            (300, 600, 0, 10),  # several batches at BATCH_WORK
+            (300, 600, 0, 10),
         ],
     )
     def test_random_attributes(self, n, m, isolated, seed):
-        g = _sparse_graph(n, m, isolated, seed)
-        adj = g.adjacency_lists()
-        rng = random.Random(seed)
-        reach = [rng.randint(1, 5) for _ in range(g.n)]
-        ident = [rng.randint(1, 3) for _ in range(g.n)]
-        ones = [1] * g.n
-        for r, i in ((reach, ident), (reach, ones), (ones, ident), (ones, ones)):
-            expected, _, _ = brandes_python(adj, r, i)
-            got, _, _ = brandes_numpy(adj, r, i)
-            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-9)
+        _assert_matches_reference(_sparse_graph(n, m, isolated, seed), seed)
 
-    def test_cases_cover_cutoff_and_batches(self):
-        adj = _sparse_graph(5, 6, 2, 5).adjacency_lists()
-        assert len(adj) * sum(map(len, adj)) < SMALL_WORK
-        adj = _sparse_graph(300, 600, 0, 10).adjacency_lists()
-        arcs = sum(map(len, adj))
-        assert len(adj) * arcs >= SMALL_WORK
-        assert BATCH_WORK // (len(adj) + arcs) <= len(adj) // 4
+    @pytest.mark.parametrize("shape", ["cycle-1000", "grid-30x30"])
+    def test_deep_components(self, shape):
+        # hundreds of BFS levels with few vertices each
+        g = cycle_graph(1000) if shape == "cycle-1000" else _grid_graph(30, 30)
+        _assert_matches_reference(g, 11)
 
-    def test_dispatch(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("numpy routine chosen")
 
-        monkeypatch.setattr(kernels, "brandes_numpy", refuse)
-        bc_plain(complete_graph(5).adjacency_lists())  # tiny: below SMALL_WORK
-        bc_plain(cycle_graph(1000).adjacency_lists())  # 500 levels, 40 arcs each
-        with pytest.raises(AssertionError, match="numpy routine chosen"):
-            bc_plain(random_graph(60, 0.1, seed=1).adjacency_lists())
+class TestBuild:
+    """Building and loading the compiled kernel, and the silent fallback."""
+
+    def test_source_ships_in_the_package(self):
+        source = resources.files("bcshatter").joinpath("_brandes.c")
+        assert source.is_file()
+        assert b"bcs_brandes" in source.read_bytes()
+
+    @pytest.mark.skipif(shutil.which(kernels.COMPILER) is None, reason="no C compiler named cc")
+    def test_compiled_kernel_loads(self):
+        # a silent fallback would make every timing measure the Python loop
+        assert kernels._kernel() is not None
+
+    def test_missing_compiler_falls_back(self, monkeypatch, tmp_path, capfd):
+        monkeypatch.setattr(kernels, "_compiled", kernels._UNTRIED)
+        monkeypatch.setattr(kernels, "COMPILER", str(tmp_path / "no-such-cc"))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        self._assert_silent_and_exact(capfd)
+        assert kernels._compiled is None
+
+    def test_unwritable_cache_builds_privately(self, monkeypatch, tmp_path, capfd):
+        monkeypatch.setattr(kernels, "_compiled", kernels._UNTRIED)
+        blocker = tmp_path / "cache"
+        blocker.write_text("")  # a file where the cache directory would go
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        private = tmp_path / "tmp"
+        private.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(private))
+        self._assert_silent_and_exact(capfd)
+        assert blocker.is_file()
+        assert list(private.iterdir()) == []  # the private build is gone
+        if shutil.which(kernels.COMPILER) is not None:
+            assert kernels._compiled is not None
+
+    @staticmethod
+    def _assert_silent_and_exact(capfd):
+        adj = random_graph(30, 0.2, seed=3).adjacency_lists()
+        reach = [v % 4 + 1 for v in range(30)]
+        ident = [v % 3 + 1 for v in range(30)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, _, _ = brandes(adj, reach, ident)
+        assert got == brandes_python(adj, reach, ident)[0]
+        assert capfd.readouterr() == ("", "")
 
 
 class TestSideBfs:
