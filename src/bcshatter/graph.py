@@ -4,12 +4,17 @@ Graphs are undirected and simple: parsing always drops self-loops, collapses
 duplicate/parallel edges, and symmetrizes the adjacency, because downstream
 reduction passes assume a loop-free simple graph.  Vertex ids are dense
 ``0..n-1`` 32-bit integers; scores elsewhere are float64.
+
+The graph stays in arrays from parse to relabel: one CSR builder, fed every
+arc in both directions, makes every ``Graph`` (from deduplicated edge rows,
+or from a permuted CSR), and one BFS gives both the BFS ordering and the
+component labels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections import deque
+from itertools import chain
 
 import numpy as np
 
@@ -32,6 +37,8 @@ class GraphFormatError(GraphInputError):
 
 # Largest vertex id the int32 neighbor arrays can hold.
 MAX_VERTEX_ID = np.iinfo(np.int32).max
+# Ids are below 2^31, so an edge packs into one int64 key lo * _WIDTH + hi.
+_WIDTH = MAX_VERTEX_ID + 1
 
 
 @dataclass(frozen=True)
@@ -84,15 +91,10 @@ class Graph:
         return [flat[offsets[v] : offsets[v + 1]] for v in range(self.n)]
 
     def edges(self) -> list[tuple[int, int]]:
-        """Undirected edge list with u < v."""
-        out = []
-        offsets = self.offsets
-        nbrs = self.neighbors
-        for u in range(self.n):
-            for v in nbrs[offsets[u] : offsets[u + 1]]:
-                if u < v:
-                    out.append((u, int(v)))
-        return out
+        """Undirected edge list with u < v, sorted."""
+        src = np.repeat(np.arange(self.n), np.diff(self.offsets))
+        upper = src < self.neighbors
+        return list(zip(src[upper].tolist(), self.neighbors[upper].tolist()))
 
     def validate(self) -> None:
         """Check the CSR invariants; raises AssertionError on violation."""
@@ -112,44 +114,45 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
-        """Build from an iterable of (u, v) pairs; assumes ids in range.
+        """Build from a sequence or array of (u, v) pairs; assumes ids in range.
 
         Self-loops and duplicates must already be removed; use
         :func:`normalize_edges` for raw input.
         """
-        pairs = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
-        m = pairs.shape[0]
-        if m == 0:
-            return cls(n, 0, np.zeros(n + 1, dtype=np.int64), np.zeros(0, dtype=np.int32))
-        src = np.concatenate([pairs[:, 0], pairs[:, 1]])
-        dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
-        order = np.lexsort((dst, src))
-        neighbors = dst[order].astype(np.int32)
-        counts = np.bincount(src, minlength=n)
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        return cls(n, m, offsets, neighbors)
+        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        return _csr(n, np.concatenate([pairs[:, 0], pairs[:, 1]]), np.concatenate([pairs[:, 1], pairs[:, 0]]))
+
+
+def _csr(n: int, src: np.ndarray, dst: np.ndarray) -> Graph:
+    """The graph whose arcs are ``src[i] -> dst[i]``, every edge given in
+    both directions; rows come out sorted."""
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+    neighbors = dst[np.lexsort((dst, src))].astype(np.int32)
+    return Graph(n, len(src) // 2, offsets, neighbors)
 
 
 def normalize_edges(raw: list[tuple[int, int]], *, listed_twice: bool = False):
     """Dedupe and drop self-loops from raw directed entries.
 
-    Returns ``(edges, report)`` where edges are unique (u, v) with u < v.
-    ``listed_twice`` adjusts the duplicate count for formats that list each
-    edge in both directions (METIS).
+    Returns ``(edges, report)`` where edges is an int64 array of the unique
+    (u, v) rows with u < v, sorted.  ``listed_twice`` adjusts the duplicate
+    count for formats that list each edge in both directions (METIS).
     """
-    loops = 0
-    unique: set[tuple[int, int]] = set()
-    kept = 0
-    for u, v in raw:
-        if u == v:
-            loops += 1
-            continue
-        kept += 1
-        unique.add((u, v) if u < v else (v, u))
+    # Every step here is chosen for the resident memory it does not add:
+    # np.unique imports numpy.ma and the default np.sort loads the SIMD
+    # sorts, while lexsort is loaded for from_edges anyway; picking rows by
+    # flatnonzero of differences skips the int64 comparison and boolean-mask
+    # loops, 0.2-0.5 MB, that nothing else on the solve path runs.
+    pairs = np.array(raw, dtype=np.int64).reshape(-1, 2)
+    u, v = pairs[np.flatnonzero(pairs[:, 0] - pairs[:, 1])].T
+    keys = np.minimum(u, v) * _WIDTH + np.maximum(u, v)
+    keys = keys[np.lexsort((keys,))]
+    # keys are >= 0, so prepending -1 keeps the first one
+    lo, hi = np.divmod(keys[np.flatnonzero(np.diff(keys, prepend=-1))], _WIDTH)
     expected = 2 if listed_twice else 1
-    dups = max(0, kept - expected * len(unique))
-    return sorted(unique), NormalizationReport(loops, dups)
+    dups = max(0, len(keys) - expected * len(lo))
+    return np.stack([lo, hi], axis=1), NormalizationReport(len(pairs) - len(keys), dups)
 
 
 def parse_edge_list(text: str, *, index_base: int = 0) -> tuple[Graph, NormalizationReport]:
@@ -270,37 +273,41 @@ class VertexPermutation:
         assert np.array_equal(self.forward[self.inverse], np.arange(n))
 
 
+def _bfs_components(g: Graph, start: int = 0) -> list[list[int]]:
+    """The components' vertices in BFS dequeue order: ``start``'s first,
+    then each unreached one from its lowest id."""
+    # Slices of one flat list, not adjacency_lists(): holding one list per
+    # row alive sets off the cyclic GC, a quarter of the BFS time at 40k rows.
+    offsets = g.offsets.tolist()
+    flat = g.neighbors.tolist()
+    seen = bytearray(g.n)
+    comps = []
+    for root in chain((start,), range(g.n)) if g.n else ():
+        if seen[root]:
+            continue
+        seen[root] = 1
+        comp = [root]
+        for v in comp:  # the list is the queue; it grows while it is read
+            for w in flat[offsets[v] : offsets[v + 1]]:
+                if not seen[w]:
+                    seen[w] = 1
+                    comp.append(w)
+        comps.append(comp)
+    return comps
+
+
 def bfs_order(g: Graph, start: int = 0) -> VertexPermutation:
     """Rank vertices by BFS dequeue order from ``start``.
 
     Unreached components are traversed from the lowest-id unvisited vertex,
     continuing the rank counter, so the result is always a full permutation.
     """
-    if g.n == 0:
-        return VertexPermutation.from_forward(np.zeros(0, dtype=np.int64))
-    if not 0 <= start < g.n:
+    if g.n and not 0 <= start < g.n:
         raise IndexError(f"start vertex {start} outside 0..{g.n - 1}")
-    forward = np.full(g.n, -1, dtype=np.int64)
-    rank = 0
-
-    def visit(root: int) -> None:
-        nonlocal rank
-        forward[root] = rank
-        rank += 1
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for w in g.neighbors_of(v).tolist():
-                if forward[w] < 0:
-                    forward[w] = rank
-                    rank += 1
-                    queue.append(w)
-
-    visit(start)
-    for v in range(g.n):
-        if forward[v] < 0:
-            visit(v)
-    return VertexPermutation.from_forward(forward)
+    inverse = np.fromiter(chain.from_iterable(_bfs_components(g, start)), dtype=np.int64, count=g.n)
+    forward = np.empty_like(inverse)
+    forward[inverse] = np.arange(g.n)
+    return VertexPermutation(forward, inverse)
 
 
 def relabel(g: Graph, perm: VertexPermutation) -> Graph:
@@ -308,24 +315,12 @@ def relabel(g: Graph, perm: VertexPermutation) -> Graph:
     if perm.forward.shape[0] != g.n:
         raise GraphInputError(f"permutation over {perm.forward.shape[0]} vertices, graph has {g.n}")
     fwd = perm.forward
-    edges = [(int(fwd[u]), int(fwd[v])) for u, v in g.edges()]
-    return Graph.from_edges(g.n, edges)
+    return _csr(g.n, np.repeat(fwd, np.diff(g.offsets)), fwd[g.neighbors])
 
 
 def connected_components(g: Graph) -> np.ndarray:
     """Component label per vertex; labels contiguous from 0 in first-seen order."""
-    labels = np.full(g.n, -1, dtype=np.int64)
-    label = 0
-    for root in range(g.n):
-        if labels[root] >= 0:
-            continue
-        labels[root] = label
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for w in g.neighbors_of(v).tolist():
-                if labels[w] < 0:
-                    labels[w] = label
-                    queue.append(w)
-        label += 1
+    labels = np.empty(g.n, dtype=np.int64)
+    for label, comp in enumerate(_bfs_components(g)):
+        labels[comp] = label
     return labels

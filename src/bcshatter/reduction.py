@@ -111,11 +111,13 @@ class PassStats:
 
 
 class WorkGraph:
-    """Mutable reduced graph with per-vertex org/reach/ident attributes."""
+    """Mutable reduced graph with per-vertex reach/ident attributes.
+
+    ``members[v]`` lists the original vertices v carries; the first is the
+    one v started as, or was copied from.
+    """
 
     __slots__ = (
-        "n_orig",
-        "org",
         "reach",
         "ident",
         "members",
@@ -128,8 +130,6 @@ class WorkGraph:
     )
 
     def __init__(self) -> None:
-        self.n_orig = 0
-        self.org: list[int] = []
         self.reach: list[int] = []
         self.ident: list[int] = []
         self.members: list[list[int]] = []
@@ -146,8 +146,6 @@ class WorkGraph:
     @classmethod
     def from_graph(cls, g: Graph) -> "WorkGraph":
         w = cls()
-        w.n_orig = g.n
-        w.org = list(range(g.n))
         w.reach = [1] * g.n
         w.ident = [1] * g.n
         w.members = [[v] for v in range(g.n)]
@@ -162,17 +160,13 @@ class WorkGraph:
         return self.ident[v] * self.reach[v]
 
     def live(self):
-        return (v for v in range(len(self.org)) if self.alive[v])
+        return (v for v in range(len(self.adj)) if self.alive[v])
 
     def live_vertex_count(self) -> int:
         return sum(self.alive)
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def add_vertex(self, org: int, reach: int = 1, ident: int = 1) -> int:
-        vid = len(self.org)
-        self.org.append(org)
+        vid = len(self.adj)
         self.reach.append(reach)
         self.ident.append(ident)
         self.members.append([org])
@@ -210,7 +204,7 @@ class WorkGraph:
         """Sorted vertex lists of the live components, in first-id order."""
         seen: set[int] = set()
         comps: list[list[int]] = []
-        for root in range(len(self.org)):
+        for root in range(len(self.adj)):
             if not self.alive[root] or root in seen:
                 continue
             comp = [root]
@@ -236,11 +230,10 @@ class WorkGraph:
         if all(self.alive):
             return
         remap: dict[int, int] = {}
-        for v in range(len(self.org)):
+        for v in range(len(self.adj)):
             if self.alive[v]:
                 remap[v] = len(remap)
         keep = list(remap)
-        self.org = [self.org[v] for v in keep]
         self.reach = [self.reach[v] for v in keep]
         self.ident = [self.ident[v] for v in keep]
         self.members = [self.members[v] for v in keep]
@@ -405,7 +398,7 @@ def remove_degree1(w: WorkGraph, out: np.ndarray) -> int:
         if credit:
             for m in w.members[u]:
                 out[m] += credit
-        out[w.org[v]] += mass_u * (rest - 1)
+        out[w.members[v][0]] += mass_u * (rest - 1)
         w.reach[v] += mass_u
         w.delete(u)
         changes += 1
@@ -434,8 +427,8 @@ def remove_bridges(w: WorkGraph, out: np.ndarray) -> int:
                 continue
             side_v = far(u, k)
             side_u = total - side_v
-            out[w.org[u]] += (side_u - 1) * side_v
-            out[w.org[v]] += (side_v - 1) * side_u
+            out[w.members[u][0]] += (side_u - 1) * side_v
+            out[w.members[v][0]] += (side_v - 1) * side_u
             w.reach[u] += side_v
             w.reach[v] += side_u
             w.remove_edge(u, v)
@@ -468,7 +461,7 @@ def shatter_articulation(w: WorkGraph) -> int:
             copy: dict[int, int] = {}
             for c in sorted(verts & cuts):
                 if c in placed:
-                    copy[c] = w.add_vertex(w.org[c], reach=total - far(c, k))
+                    copy[c] = w.add_vertex(w.members[c][0], reach=total - far(c, k))
                 else:
                     placed.add(c)
                     w.reach[c] = total - far(c, k)
@@ -502,11 +495,12 @@ def remove_side_vertices(w: WorkGraph, out: np.ndarray, max_degree: int = 4) -> 
 
     Such a vertex is never interior to a shortest path, so one compensation
     BFS (:func:`kernels.side_bfs`) plus an endpoint credit settles every pair
-    involving its mass, and the mass retires.  Detection is one sweep over
-    vertices of degree <= max_degree; removals can expose new side vertices,
-    which the next loop iteration picks up.
+    involving its mass, and the mass retires.  The BFS reaches the vertex's
+    whole component, which removing a simplicial vertex never splits, so the
+    mass the credit needs is read off the vertices it returns.  Detection is
+    one sweep over vertices of degree <= max_degree; removals can expose new
+    side vertices, which the next loop iteration picks up.
     """
-    comp_of, comp_mass = _component_masses(w)
     candidates = [
         v for v in sorted(w.live()) if 1 <= len(w.adj[v]) <= max_degree and _expanded_clique(w, v)
     ]
@@ -515,17 +509,15 @@ def remove_side_vertices(w: WorkGraph, out: np.ndarray, max_degree: int = 4) -> 
     for u in candidates:
         if not w.alive[u] or not w.adj[u]:
             continue  # earlier removals in this sweep emptied its neighborhood
-        cid = comp_of[u]
-        for x, amount in kernels.side_bfs(w.adj, u, w.reach, w.ident, state):
+        amounts = kernels.side_bfs(w.adj, u, w.reach, w.ident, state)
+        for x, amount in amounts:
             if amount:
                 for m in w.members[x]:
                     out[m] += amount
-        mass_u = w.mass(u)
-        credit = (w.reach[u] - 1) * (comp_mass[cid] - mass_u)
-        if credit:
+        if w.reach[u] > 1:
+            credit = (w.reach[u] - 1) * sum(w.ident[x] * w.reach[x] for x, _ in amounts)
             for m in w.members[u]:
                 out[m] += credit
-        comp_mass[cid] -= mass_u
         w.retire(u)
         changes += 1
     return changes
@@ -553,7 +545,7 @@ def _merge_sweep(w: WorkGraph, out: np.ndarray, closed: bool) -> int:
         if deg == 0:
             continue
         key_sum = sum(w.adj[v]) + (v if closed else 0)
-        key = (deg, key_sum, w.reach[v], float(out[w.org[v]]))
+        key = (deg, key_sum, w.reach[v], float(out[w.members[v][0]]))
         buckets.setdefault(key, []).append(v)
     changes = 0
     for key in sorted(buckets):

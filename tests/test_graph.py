@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from bcshatter.graph import (
     VertexPermutation,
     bfs_order,
     connected_components,
+    normalize_edges,
     parse_edge_list,
     parse_graph,
     parse_metis,
@@ -69,6 +72,52 @@ class TestParseEdgeList:
         assert (g.n, g.m) == (0, 0)
 
 
+def _normalize_by_set(raw, listed_twice):
+    """The tuple definition: loops counted, orientations folded in a set."""
+    loops = sum(u == v for u, v in raw)
+    unique = {(min(u, v), max(u, v)) for u, v in raw if u != v}
+    dups = max(0, len(raw) - loops - (2 if listed_twice else 1) * len(unique))
+    return sorted(unique), loops, dups
+
+
+def _raw_entries(seed: int) -> list[tuple[int, int]]:
+    """Edges with self-loops and repeats in both orientations, shuffled."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 12)
+    raw = []
+    for _ in range(rng.randint(0, 30)):
+        u, v = rng.randrange(n), rng.randrange(n)
+        raw.extend([(u, v)] * rng.randint(1, 3))
+        if rng.random() < 0.5:
+            raw.append((v, u))
+    rng.shuffle(raw)
+    return raw
+
+
+class TestNormalizeEdges:
+    @pytest.mark.parametrize("listed_twice", [False, True])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_set_counting(self, seed, listed_twice):
+        raw = _raw_entries(seed)
+        edges, report = normalize_edges(raw, listed_twice=listed_twice)
+        unique, loops, dups = _normalize_by_set(raw, listed_twice)
+        assert [tuple(e) for e in edges.tolist()] == unique
+        assert (report.self_loops, report.duplicate_edges) == (loops, dups)
+
+    @pytest.mark.parametrize("listed_twice", [False, True])
+    def test_empty(self, listed_twice):
+        edges, report = normalize_edges([], listed_twice=listed_twice)
+        assert edges.shape == (0, 2)
+        assert (report.self_loops, report.duplicate_edges) == (0, 0)
+        assert Graph.from_edges(3, edges) == Graph.from_edges(3, [])
+
+    def test_largest_ids_do_not_overflow(self):
+        top = 2**31 - 1
+        edges, report = normalize_edges([(top, top - 1), (top - 1, top), (0, top), (top, top)])
+        assert edges.tolist() == [[0, top], [top - 1, top]]
+        assert (report.self_loops, report.duplicate_edges) == (1, 1)
+
+
 class TestParseMetis:
     def test_matches_edge_list(self):
         metis, _ = parse_metis("3 2\n2\n1 3\n2")
@@ -121,6 +170,20 @@ def _render_metis(g: Graph) -> str:
     return "\n".join(lines)
 
 
+class TestEdges:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_per_vertex_loop(self, seed):
+        g = random_graph(15, 0.3, seed)
+        by_loop = [(u, v) for u in range(g.n) for v in g.neighbors_of(u).tolist() if u < v]
+        edges = g.edges()
+        assert edges == by_loop
+        assert all(type(u) is int and type(v) is int for u, v in edges)
+
+    def test_no_edges(self):
+        assert Graph.from_edges(0, []).edges() == []
+        assert Graph.from_edges(3, []).edges() == []
+
+
 class TestBfsOrder:
     def test_relabeled_path(self):
         # path labeled 2-0-1, BFS from 2 dequeues 2, 0, 1
@@ -152,6 +215,23 @@ class TestBfsOrder:
         perm.validate()
 
 
+    def test_empty_graph(self):
+        perm = bfs_order(Graph.from_edges(0, []))
+        assert perm.forward.shape == perm.inverse.shape == (0,)
+
+    def test_edgeless_starts_then_takes_lowest_ids(self):
+        perm = bfs_order(Graph.from_edges(4, []), start=2)
+        assert perm.inverse.tolist() == [2, 0, 1, 3]
+        assert perm.forward.tolist() == [1, 2, 0, 3]
+
+    def test_several_components(self):
+        # {1, 4, 6} from the start, then {0, 5} and {2, 3} from their lowest ids
+        g = Graph.from_edges(7, [(0, 5), (1, 6), (2, 3), (4, 6)])
+        perm = bfs_order(g, start=6)
+        assert perm.inverse.tolist() == [6, 1, 4, 0, 5, 2, 3]
+        perm.validate()
+
+
 class TestRelabel:
     def test_identity(self):
         g = random_graph(8, 0.4, seed=1)
@@ -173,6 +253,16 @@ class TestRelabel:
         inverse = VertexPermutation.from_forward(perm.inverse)
         assert relabel(relabel(g, perm), inverse) == g
 
+    @given(st.integers(1, 16), st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_random_permutation_matches_mapped_edges(self, n, seed):
+        g = random_graph(n, 0.3, seed)
+        forward = random.Random(seed).sample(range(n), n)
+        h = relabel(g, VertexPermutation.from_forward(np.array(forward)))
+        mapped = sorted((min(forward[u], forward[v]), max(forward[u], forward[v])) for u, v in g.edges())
+        assert h == Graph.from_edges(n, mapped)
+        h.validate()
+
     def test_size_mismatch(self):
         g, _ = parse_edge_list("0 1\n1 2")
         bad = VertexPermutation.from_forward(np.array([1, 0]))
@@ -192,6 +282,14 @@ class TestConnectedComponents:
     def test_edgeless(self):
         g, _ = parse_metis("3 0\n\n\n\n")
         assert connected_components(g).tolist() == [0, 1, 2]
+
+    def test_empty_graph(self):
+        labels = connected_components(Graph.from_edges(0, []))
+        assert labels.shape == (0,)
+
+    def test_several_components_labelled_in_first_seen_order(self):
+        g = Graph.from_edges(7, [(0, 5), (1, 6), (2, 3), (4, 6)])
+        assert connected_components(g).tolist() == [0, 1, 2, 2, 1, 0, 1]
 
 
 def test_graph_invariants_hold_after_parse():

@@ -34,7 +34,7 @@ def _work(g: Graph):
 
 
 def _reaches_of(w: WorkGraph, original: int) -> list[int]:
-    return sorted(w.reach[v] for v in w.live() if w.org[v] == original)
+    return sorted(w.reach[v] for v in w.live() if w.members[v][0] == original)
 
 
 class TestShatter:
@@ -190,10 +190,10 @@ class TestBlockMasses:
             assert cuts <= set(comp)
         assert walk[-1][:2] == ([], set())
 
-        mass_of_org = {w.org[v]: total for comp, total in zip(comps, w.component_mass_sums()) for v in comp}
+        mass_of_org = {w.members[v][0]: total for comp, total in zip(comps, w.component_mass_sums()) for v in comp}
         assert shatter_articulation(w) > 0
         for comp, total in zip(w.components(), w.component_mass_sums()):
-            assert {mass_of_org[w.org[v]] for v in comp} == {total}
+            assert {mass_of_org[w.members[v][0]] for v in comp} == {total}
 
 
 class TestLetterOrderFuzz:
@@ -317,7 +317,7 @@ class TestDegree1:
         g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
         w, out = _work(g)
         merge_identical(w, out)  # {0,1} closed twins
-        assert any(w.alive[v] and w.ident[v] == 2 for v in range(len(w.org)))
+        assert any(w.alive[v] and w.ident[v] == 2 for v in range(len(w.adj)))
         before = w.live_vertex_count()
         remove_degree1(w, out)
         assert w.live_vertex_count() == before
@@ -371,7 +371,7 @@ class TestMergeIdentical:
         w, out = _work(star_graph(3))
         w.reach[1] = 5  # pretend one leaf carries folded mass
         assert merge_identical(w, out) == 1  # only the other two leaves merge
-        assert any(w.alive[v] and w.reach[v] == 5 and w.ident[v] == 1 for v in range(len(w.org)))
+        assert any(w.alive[v] and w.reach[v] == 5 and w.ident[v] == 1 for v in range(len(w.adj)))
         # the merged pair's distance-2 paths land on the shared center
         assert out[0] == 2.0
 
