@@ -4,22 +4,11 @@ from __future__ import annotations
 
 import csv
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .engine import compute_scores
 from .graph import Graph
-from .reduction import STANDARD_COMBINATIONS
-
-BENCH_FIELDS = (
-    "graph",
-    "combination",
-    "preprocess_s",
-    "phase1_s",
-    "phase2_s",
-    "total_s",
-    "remaining_edges",
-    "components",
-)
+from .reduction import DEFAULT_MAX_SIDE_DEGREE, STANDARD_COMBINATIONS
 
 
 @dataclass
@@ -34,12 +23,15 @@ class BenchRecord:
     components: int
 
 
+BENCH_FIELDS = tuple(f.name for f in fields(BenchRecord))
+
+
 def bench_graph(
     g: Graph,
     name: str,
     combinations=STANDARD_COMBINATIONS,
     reps: int = 3,
-    max_side_degree: int = 4,
+    max_side_degree: int = DEFAULT_MAX_SIDE_DEGREE,
 ):
     """Run every combination ``reps`` times; report the median timings.
 

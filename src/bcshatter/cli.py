@@ -23,7 +23,7 @@ from .bench import (
 from .engine import compute_scores
 from .graph import GraphInputError, parse_graph
 from .oracle import DEFAULT_CAP, GraphSpec, bc_brute, generate
-from .reduction import STANDARD_COMBINATIONS, Combination
+from .reduction import DEFAULT_MAX_SIDE_DEGREE, STANDARD_COMBINATIONS, Combination
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -48,7 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(p_compute)
     p_compute.add_argument("--combo", default="odbasi", help="technique combination (subset of 'odbasi')")
     p_compute.add_argument("--seed", type=int, default=None, help="seed a random BFS ordering start vertex")
-    p_compute.add_argument("--max-side-degree", type=int, default=4, help="side-vertex clique size cap")
+    p_compute.add_argument("--max-side-degree", type=int, default=DEFAULT_MAX_SIDE_DEGREE,
+                           help="side-vertex clique size cap")
     p_compute.add_argument("--unordered", action="store_true", help="halve scores to unordered-pair convention")
     p_compute.add_argument("--out", default="-", help="output CSV path ('-' for stdout)")
     p_compute.add_argument("--stats", default=None, help="also write pass statistics CSV here")
@@ -60,16 +61,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(p_verify)
     p_verify.add_argument("--combos", default=",".join(STANDARD_COMBINATIONS), help="comma-separated combinations")
     p_verify.add_argument("--cap", type=int, default=DEFAULT_CAP, help="oracle size cap")
-    p_verify.add_argument("--max-side-degree", type=int, default=4)
+    p_verify.add_argument("--max-side-degree", type=int, default=DEFAULT_MAX_SIDE_DEGREE)
     p_verify.add_argument("--seed", type=int, default=None, help="seed a random BFS ordering start vertex")
-    p_verify.add_argument("--self-test-corrupt", action="store_true", help=argparse.SUPPRESS)
 
     p_bench = sub.add_parser("bench", help="time combinations over graphs")
     p_bench.add_argument("graphs", nargs="+", help="input graph files")
     _add_input_flags(p_bench)
     p_bench.add_argument("--combos", default=",".join(STANDARD_COMBINATIONS))
     p_bench.add_argument("--reps", type=int, default=3, help="repetitions per cell, median reported")
-    p_bench.add_argument("--max-side-degree", type=int, default=4)
+    p_bench.add_argument("--max-side-degree", type=int, default=DEFAULT_MAX_SIDE_DEGREE)
     p_bench.add_argument("--natural-baseline", action="store_true",
                          help="also run with no techniques and normalize against that instead of 'o'")
     p_bench.add_argument("--out", default="bench.csv", help="records CSV; .normalized/.components CSVs sit beside it")
@@ -137,9 +137,6 @@ def _cmd_verify(args) -> int:
     failed = False
     for combo in combos:
         scores = compute_scores(g, combo, max_side_degree=args.max_side_degree, order_seed=args.seed).scores
-        if args.self_test_corrupt and g.n:
-            scores = scores.copy()
-            scores[0] += 1.0
         diff = np.abs(scores - expected)
         max_abs = float(diff.max()) if g.n else 0.0
         rel = diff / np.maximum(np.abs(expected), 1.0)

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import kernels
 from .graph import Graph, bfs_order, relabel
-from .reduction import Combination, PassStats, finalize, preprocess
+from .reduction import DEFAULT_MAX_SIDE_DEGREE, Combination, PassStats, finalize, preprocess
 
 
 @dataclass
@@ -32,7 +32,7 @@ def compute_scores(
     g: Graph,
     combination: Combination | str = "odbasi",
     *,
-    max_side_degree: int = 4,
+    max_side_degree: int = DEFAULT_MAX_SIDE_DEGREE,
     order_seed: int | None = None,
     unordered: bool = False,
 ) -> ComputeResult:
@@ -83,7 +83,7 @@ def compute_scores(
         phase2 += b
         for i, v in enumerate(comp):
             if scores[i]:
-                kernel_acc[v] = kernel_acc.get(v, 0.0) + scores[i]
+                kernel_acc[v] = scores[i]
     stats.component_edges = component_edges
 
     final = finalize(w, partial, kernel_acc)

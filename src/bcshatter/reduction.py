@@ -51,6 +51,9 @@ TECHNIQUE_LETTERS = "odbasi"
 # The seven benchmark combinations, in increasing technique order.
 STANDARD_COMBINATIONS = ("o", "od", "odb", "odba", "odbas", "odbai", "odbasi")
 
+# The side pass examines vertices of at most this degree unless told otherwise.
+DEFAULT_MAX_SIDE_DEGREE = 4
+
 
 @dataclass(frozen=True)
 class Combination:
@@ -165,10 +168,10 @@ class WorkGraph:
     def live_vertex_count(self) -> int:
         return sum(self.alive)
 
-    def add_vertex(self, org: int, reach: int = 1, ident: int = 1) -> int:
+    def add_vertex(self, org: int, reach: int) -> int:
         vid = len(self.adj)
         self.reach.append(reach)
-        self.ident.append(ident)
+        self.ident.append(1)
         self.members.append([org])
         self.internal_edgeless.append(True)
         self.internal_clique.append(True)
@@ -348,62 +351,50 @@ def _block_dfs(w: WorkGraph, root: int, seen: bytearray):
     return blocks, cuts, far, total
 
 
-def _component_masses(w: WorkGraph) -> tuple[dict[int, int], list[int]]:
-    """Component index of every live vertex, and each component's mass."""
-    comp_of: dict[int, int] = {}
-    comp_mass: list[int] = []
-    for cid, comp in enumerate(w.components()):
-        total = 0
-        for v in comp:
-            comp_of[v] = cid
-            total += w.mass(v)
-        comp_mass.append(total)
-    return comp_of, comp_mass
-
-
 def remove_degree1(w: WorkGraph, out: np.ndarray) -> int:
-    """Cascading degree-1 removal; also retires isolated vertices.
+    """Cascading degree-1 removal per component; also retires lone vertices.
 
     Folding a leaf u into its neighbor v credits u's members with the pair
     dependencies gated behind u and v's original with the pairs gated behind
-    v from u's side; the leaf's mass then moves onto v.  Sums are over the
-    component at pass start (folds conserve component mass, so they stay
-    valid through the cascade).
+    v from u's side; the leaf's mass then moves onto v.  Sums are over u's
+    component at pass start: a fold never leaves its component and conserves
+    the component's mass, so each component folds against its own total.
     """
-    comp_of, comp_mass = _component_masses(w)
-    queue = deque(v for v in w.live() if len(w.adj[v]) <= 1)
     changes = 0
-    while queue:
-        u = queue.popleft()
-        if not w.alive[u]:
-            continue
-        deg = len(w.adj[u])
-        if deg == 0:
-            # Lone vertex: every pair involving its mass is already settled.
-            w.retire(u)
+    for comp in w.components():
+        total = sum(map(w.mass, comp))
+        queue = deque(v for v in comp if len(w.adj[v]) <= 1)
+        while queue:
+            u = queue.popleft()
+            if not w.alive[u]:
+                continue
+            deg = len(w.adj[u])
+            if deg == 0:
+                # Lone vertex: every pair involving its mass is already settled.
+                w.retire(u)
+                changes += 1
+                continue
+            if deg != 1:
+                continue
+            v = next(iter(w.adj[u]))
+            # A class bundle hanging off a merged neighbor is not a true leaf in
+            # the unmerged graph; leave those for the side pass or the kernel.
+            if w.ident[v] != 1:
+                continue
+            if w.ident[u] != 1 and not w.internal_edgeless[u]:
+                continue
+            mass_u = w.mass(u)
+            rest = total - mass_u
+            credit = (w.reach[u] - 1) * rest
+            if credit:
+                for m in w.members[u]:
+                    out[m] += credit
+            out[w.members[v][0]] += mass_u * (rest - 1)
+            w.reach[v] += mass_u
+            w.delete(u)
             changes += 1
-            continue
-        if deg != 1:
-            continue
-        v = next(iter(w.adj[u]))
-        # A class bundle hanging off a merged neighbor is not a true leaf in
-        # the unmerged graph; leave those for the side pass or the kernel.
-        if w.ident[v] != 1:
-            continue
-        if w.ident[u] != 1 and not w.internal_edgeless[u]:
-            continue
-        mass_u = w.mass(u)
-        rest = comp_mass[comp_of[u]] - mass_u
-        credit = (w.reach[u] - 1) * rest
-        if credit:
-            for m in w.members[u]:
-                out[m] += credit
-        out[w.members[v][0]] += mass_u * (rest - 1)
-        w.reach[v] += mass_u
-        w.delete(u)
-        changes += 1
-        if len(w.adj[v]) <= 1:
-            queue.append(v)
+            if len(w.adj[v]) <= 1:
+                queue.append(v)
     return changes
 
 
@@ -461,7 +452,7 @@ def shatter_articulation(w: WorkGraph) -> int:
             copy: dict[int, int] = {}
             for c in sorted(verts & cuts):
                 if c in placed:
-                    copy[c] = w.add_vertex(w.members[c][0], reach=total - far(c, k))
+                    copy[c] = w.add_vertex(w.members[c][0], total - far(c, k))
                 else:
                     placed.add(c)
                     w.reach[c] = total - far(c, k)
@@ -490,7 +481,7 @@ def _expanded_clique(w: WorkGraph, v: int) -> bool:
     return True
 
 
-def remove_side_vertices(w: WorkGraph, out: np.ndarray, max_degree: int = 4) -> int:
+def remove_side_vertices(w: WorkGraph, out: np.ndarray, max_degree: int = DEFAULT_MAX_SIDE_DEGREE) -> int:
     """Remove vertices whose unfolded neighborhood is a clique.
 
     Such a vertex is never interior to a shortest path, so one compensation
@@ -502,7 +493,7 @@ def remove_side_vertices(w: WorkGraph, out: np.ndarray, max_degree: int = 4) -> 
     side vertices, which the next loop iteration picks up.
     """
     candidates = [
-        v for v in sorted(w.live()) if 1 <= len(w.adj[v]) <= max_degree and _expanded_clique(w, v)
+        v for v in w.live() if 1 <= len(w.adj[v]) <= max_degree and _expanded_clique(w, v)
     ]
     state = kernels.source_state(len(w.adj))
     changes = 0
@@ -540,7 +531,7 @@ def merge_identical(w: WorkGraph, out: np.ndarray) -> int:
 
 def _merge_sweep(w: WorkGraph, out: np.ndarray, closed: bool) -> int:
     buckets: dict[tuple, list[int]] = {}
-    for v in sorted(w.live()):
+    for v in w.live():
         deg = len(w.adj[v])
         if deg == 0:
             continue
@@ -586,7 +577,8 @@ def _merge_class(w: WorkGraph, out: np.ndarray, verts: list[int], closed: bool) 
         cross_pairs = total_ident * total_ident - sum(i * i for i in idents)
         shared = sum(w.ident[x] for x in w.adj[rep])
         amount = cross_pairs * r * r / shared
-        for x in sorted(w.adj[rep]):
+        # One addition per member: copies of one original lie in different components.
+        for x in w.adj[rep]:
             for m in w.members[x]:
                 out[m] += amount
     merged_members: list[int] = []
@@ -605,7 +597,7 @@ def _merge_class(w: WorkGraph, out: np.ndarray, verts: list[int], closed: bool) 
     return len(verts) - 1
 
 
-def run_pass(w: WorkGraph, letter: str, out: np.ndarray, max_side_degree: int = 4) -> int:
+def run_pass(w: WorkGraph, letter: str, out: np.ndarray, max_side_degree: int = DEFAULT_MAX_SIDE_DEGREE) -> int:
     if letter == "d":
         return remove_degree1(w, out)
     if letter == "b":
@@ -619,7 +611,7 @@ def run_pass(w: WorkGraph, letter: str, out: np.ndarray, max_side_degree: int = 
     raise ValueError(f"unknown reduction pass {letter!r}")
 
 
-def preprocess(g: Graph, combination: Combination | str, max_side_degree: int = 4):
+def preprocess(g: Graph, combination: Combination | str, max_side_degree: int = DEFAULT_MAX_SIDE_DEGREE):
     """Apply the combination's passes to a fixed point.
 
     One iteration runs the enabled passes in the combination's letter order;

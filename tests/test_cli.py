@@ -6,6 +6,7 @@ import csv
 
 import pytest
 
+from bcshatter import cli
 from bcshatter.bench import BenchRecord, bench_graph, performance_profile, write_bench_csv
 from bcshatter.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from bcshatter.graph import Graph
@@ -102,8 +103,16 @@ class TestVerify:
     def test_tree_reduces_and_passes(self, capsys):
         assert main(["verify", "--gen", "random-tree:n=100,seed=3", "--combos", "od"]) == EXIT_OK
 
-    def test_corruption_hook_fails_with_vertex(self, capsys):
-        code = main(["verify", "--gen", "gnp:n=12,p=0.4,seed=1", "--combos", "o", "--self-test-corrupt"])
+    def test_corruption_hook_fails_with_vertex(self, capsys, monkeypatch):
+        real = cli.compute_scores
+
+        def corrupted(*args, **kwargs):
+            result = real(*args, **kwargs)
+            result.scores[0] += 1.0
+            return result
+
+        monkeypatch.setattr(cli, "compute_scores", corrupted)
+        code = main(["verify", "--gen", "gnp:n=12,p=0.4,seed=1", "--combos", "o"])
         assert code == EXIT_VERIFY
         out = capsys.readouterr().out
         assert "FAIL" in out and "vertex 0" in out

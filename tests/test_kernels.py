@@ -186,7 +186,7 @@ def _assert_matches_reference(g: Graph, seed: int) -> None:
     for r, i in ((reach, ident), (reach, ones), (ones, ident), (ones, ones)):
         expected, _, _ = brandes_python(adj, r, i)
         got, _, _ = brandes(adj, r, i)
-        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-9)
+        assert got == expected
 
 
 @pytest.mark.usefixtures("compiled_kernel")
@@ -194,7 +194,7 @@ class TestNumpyMatchesLoop:
     """The compiled kernel against the Python loop, its reference.
 
     The kernel evaluates the loop's expressions in the loop's order, so the
-    two agree at least to rounding: rtol 1e-12, atol 1e-9.  The class keeps
+    two agree bit for bit and are compared with ``==``.  The class keeps
     the name it had when it checked a numpy routine, so that its test ids
     stay stable.
     """

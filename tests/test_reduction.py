@@ -323,6 +323,41 @@ class TestDegree1:
         assert w.live_vertex_count() == before
         assert np.allclose(compute_scores(g, "oid").scores, bc_brute(g), atol=1e-9)
 
+    def test_components_fold_independently(self):
+        # Each component folds against its own mass: the pass on a disjoint
+        # union must leave every piece as the pass on that piece alone does.
+        rng = random.Random(5)
+        for _ in range(40):
+            pieces = []
+            for _ in range(rng.randint(2, 4)):
+                n = rng.randint(1, 12)
+                edges = [(rng.randrange(v), v) for v in range(1, n)]
+                if n >= 3 and rng.random() < 0.5:
+                    u, v = sorted(rng.sample(range(n), 2))
+                    if (u, v) not in edges:  # tree edges run (parent, child), parent < child
+                        edges.append((u, v))
+                pieces.append((n, edges, [rng.randint(1, 4) for _ in range(n)]))
+            union_edges, union_reach, offsets = [], [], []
+            for n, edges, reach in pieces:
+                offsets.append(len(union_reach))
+                union_edges += [(offsets[-1] + u, offsets[-1] + v) for u, v in edges]
+                union_reach += reach
+            w, out = _work(Graph.from_edges(len(union_reach), union_edges))
+            w.reach = union_reach
+            changes = remove_degree1(w, out)
+            alone_changes = alone_retired = 0
+            for (n, edges, reach), base in zip(pieces, offsets):
+                wp, outp = _work(Graph.from_edges(n, edges))
+                wp.reach = reach
+                alone_changes += remove_degree1(wp, outp)
+                alone_retired += wp.retired_mass
+                for v in range(n):
+                    assert out[base + v] == outp[v]
+                    assert w.reach[base + v] == wp.reach[v]
+                    assert w.alive[base + v] == wp.alive[v]
+            assert changes == alone_changes
+            assert w.retired_mass == alone_retired
+
 
 class TestSideVertices:
     def test_triangle_with_pendant_path(self):
