@@ -22,7 +22,7 @@ from .bench import (
 )
 from .engine import compute_scores
 from .graph import GraphInputError, parse_graph
-from .oracle import DEFAULT_CAP, GraphSpec, bc_brute, generate
+from .oracle import DEFAULT_CAP, GraphSpec, bc_brute, check_cap, generate
 from .reduction import DEFAULT_MAX_SIDE_DEGREE, STANDARD_COMBINATIONS, Combination
 
 EXIT_OK = 0
@@ -128,7 +128,9 @@ def _cmd_compute(args) -> int:
 def _cmd_verify(args) -> int:
     combos = _parse_combos(args.combos)
     if args.gen:
-        g = generate(GraphSpec.parse(args.gen))
+        spec = GraphSpec.parse(args.gen)
+        check_cap(spec.n, args.cap)  # before generating: gnp draws n^2 coins
+        g = generate(spec)
         label = args.gen
     else:
         g, _ = _load_graph(args.graph, args.format, args.base)

@@ -33,6 +33,13 @@ class OracleCapError(ValueError):
     """Refused: the graph is too large for cubic brute force."""
 
 
+def check_cap(n: int, cap: int = DEFAULT_CAP) -> None:
+    """Refuse an n-vertex graph for :func:`bc_brute`; callers that know n
+    before they build the graph check it first."""
+    if n > cap:
+        raise OracleCapError(f"graph has {n} vertices; brute-force cap is {cap}")
+
+
 def bc_brute(g: Graph, cap: int = DEFAULT_CAP) -> np.ndarray:
     """Betweenness by definition: sigma_st(v) / sigma_st summed over ordered
     pairs, from all-pairs BFS distance and path-count matrices.
@@ -41,8 +48,7 @@ def bc_brute(g: Graph, cap: int = DEFAULT_CAP) -> np.ndarray:
     hour-long runs.
     """
     n = g.n
-    if n > cap:
-        raise OracleCapError(f"graph has {n} vertices; brute-force cap is {cap}")
+    check_cap(n, cap)
     if n == 0:
         return np.zeros(0, dtype=np.float64)
     adj = g.adjacency_lists()

@@ -14,6 +14,9 @@ shrunk by five passes:
 * ``s`` side-vertex removal (simplicial vertices; one compensation BFS each),
 * ``i`` identical-vertex merging (open or closed neighborhood equality).
 
+A deleted vertex keeps its id until the next :meth:`WorkGraph.compact`, with
+``None`` for its adjacency set.
+
 Every pass writes its score corrections eagerly into a per-original-vertex
 accumulator, so reassembly after the kernels is just adding each surviving
 vertex's kernel total to all of its merged members.
@@ -117,7 +120,8 @@ class WorkGraph:
     """Mutable reduced graph with per-vertex reach/ident attributes.
 
     ``members[v]`` lists the original vertices v carries; the first is the
-    one v started as, or was copied from.
+    one v started as, or was copied from.  ``adj[v]`` is None once v is
+    deleted.
     """
 
     __slots__ = (
@@ -127,7 +131,6 @@ class WorkGraph:
         "internal_edgeless",
         "internal_clique",
         "adj",
-        "alive",
         "live_edge_count",
         "retired_mass",
     )
@@ -141,8 +144,7 @@ class WorkGraph:
         # Singletons are vacuously both.
         self.internal_edgeless: list[bool] = []
         self.internal_clique: list[bool] = []
-        self.adj: list[set[int]] = []
-        self.alive: list[bool] = []
+        self.adj: list[set[int] | None] = []
         self.live_edge_count = 0
         self.retired_mass = 0
 
@@ -155,7 +157,6 @@ class WorkGraph:
         w.internal_edgeless = [True] * g.n
         w.internal_clique = [True] * g.n
         w.adj = [set(g.neighbors_of(v).tolist()) for v in range(g.n)]
-        w.alive = [True] * g.n
         w.live_edge_count = g.m
         return w
 
@@ -163,10 +164,10 @@ class WorkGraph:
         return self.ident[v] * self.reach[v]
 
     def live(self):
-        return (v for v in range(len(self.adj)) if self.alive[v])
+        return (v for v, nbrs in enumerate(self.adj) if nbrs is not None)
 
     def live_vertex_count(self) -> int:
-        return sum(self.alive)
+        return len(self.adj) - self.adj.count(None)
 
     def add_vertex(self, org: int, reach: int) -> int:
         vid = len(self.adj)
@@ -176,7 +177,6 @@ class WorkGraph:
         self.internal_edgeless.append(True)
         self.internal_clique.append(True)
         self.adj.append(set())
-        self.alive.append(True)
         return vid
 
     def add_edge(self, u: int, v: int) -> None:
@@ -195,8 +195,7 @@ class WorkGraph:
         for x in self.adj[u]:
             self.adj[x].discard(u)
         self.live_edge_count -= len(self.adj[u])
-        self.adj[u] = set()
-        self.alive[u] = False
+        self.adj[u] = None
 
     def retire(self, u: int) -> None:
         """Delete a vertex whose remaining pair dependencies are all settled."""
@@ -205,20 +204,18 @@ class WorkGraph:
 
     def components(self) -> list[list[int]]:
         """Sorted vertex lists of the live components, in first-id order."""
-        seen: set[int] = set()
+        adj = self.adj
+        seen = bytearray(len(adj))
         comps: list[list[int]] = []
-        for root in range(len(self.adj)):
-            if not self.alive[root] or root in seen:
+        for root, nbrs in enumerate(adj):
+            if nbrs is None or seen[root]:
                 continue
+            seen[root] = 1
             comp = [root]
-            seen.add(root)
-            head = 0
-            while head < len(comp):
-                v = comp[head]
-                head += 1
-                for x in self.adj[v]:
-                    if x not in seen:
-                        seen.add(x)
+            for v in comp:  # the list is the queue; it grows while it is read
+                for x in adj[v]:
+                    if not seen[x]:
+                        seen[x] = 1
                         comp.append(x)
             comp.sort()
             comps.append(comp)
@@ -230,34 +227,33 @@ class WorkGraph:
     def compact(self) -> None:
         """Drop tombstoned vertices and renumber; run between loop iterations
         so pass code never sees ids move mid-flight."""
-        if all(self.alive):
+        keep = list(self.live())
+        if len(keep) == len(self.adj):
             return
-        remap: dict[int, int] = {}
-        for v in range(len(self.adj)):
-            if self.alive[v]:
-                remap[v] = len(remap)
-        keep = list(remap)
+        remap = {v: i for i, v in enumerate(keep)}
         self.reach = [self.reach[v] for v in keep]
         self.ident = [self.ident[v] for v in keep]
         self.members = [self.members[v] for v in keep]
         self.internal_edgeless = [self.internal_edgeless[v] for v in keep]
         self.internal_clique = [self.internal_clique[v] for v in keep]
         self.adj = [{remap[x] for x in self.adj[v]} for v in keep]
-        self.alive = [True] * len(keep)
 
 
 def _blocks_and_cuts(w: WorkGraph):
     """Yield :func:`_block_dfs` of every live component, rooted at its lowest
     live id, in increasing id order.  Ids added during the walk are not
     visited, so callers may rewrite each component they get and add copies
-    to it."""
-    seen = bytearray(len(w.adj))
-    for root in range(len(seen)):
-        if w.alive[root] and not seen[root]:
-            yield _block_dfs(w, root, seen)
+    to it.  One walk state serves all components."""
+    n = len(w.adj)
+    # disc[u] < 0 marks u unvisited.  sub: DFS subtree mass; near: own mass
+    # plus the subtrees of the blocks the vertex tops.
+    disc, low, sub, near = [-1] * n, [0] * n, [0] * n, [0] * n
+    for root in range(n):
+        if w.adj[root] is not None and disc[root] < 0:
+            yield _block_dfs(w, root, disc, low, sub, near)
 
 
-def _block_dfs(w: WorkGraph, root: int, seen: bytearray):
+def _block_dfs(w: WorkGraph, root: int, disc: list[int], low: list[int], sub: list[int], near: list[int]):
     """Blocks, cut vertices and cut-side masses of root's component.
 
     Iterative Hopcroft-Tarjan with an edge stack; each edge lands in exactly
@@ -277,19 +273,14 @@ def _block_dfs(w: WorkGraph, root: int, seen: bytearray):
     subtrees of the blocks x tops.  Masses are read once, during the DFS, so
     callers may rewrite reach attributes before they ask for ``far``.
 
-    Marks the component in ``seen`` and returns ``(blocks, cuts, far,
-    total)``: blocks as edge lists (the last edge of each is the tree edge
-    from its top; an isolated vertex has none), the set of cut vertices, the
-    ``far`` function and the component's mass.
+    Fills the component's entries of the walk state and returns ``(blocks,
+    cuts, far, total)``: blocks as edge lists (the last edge of each is the
+    tree edge from its top; an isolated vertex has none), the set of cut
+    vertices, the ``far`` function and the component's mass.
     """
     adj, reach, ident = w.adj, w.reach, w.ident
-    seen[root] = 1
-    disc = {root: 0}
-    low = {root: 0}
-    # sub: DFS subtree mass; near: own mass plus the subtrees of the blocks
-    # the vertex tops.
-    sub = {root: ident[root] * reach[root]}
-    near = dict(sub)
+    disc[root] = low[root] = 0
+    sub[root] = near[root] = ident[root] * reach[root]
     blocks: list[list[tuple[int, int]]] = []
     top_far: list[int] = []
     cuts: set[int] = set()
@@ -299,27 +290,24 @@ def _block_dfs(w: WorkGraph, root: int, seen: bytearray):
     stack: list[tuple[int, int, object]] = [(root, -1, iter(sorted(adj[root])))]
     while stack:
         v, parent, it = stack[-1]
-        descended = False
         for u in it:
             if u == parent:
                 continue
-            du = disc.get(u)
-            if du is None:
+            du = disc[u]
+            if du < 0:
                 estack.append((v, u))
-                seen[u] = 1
                 disc[u] = low[u] = counter
                 counter += 1
                 sub[u] = near[u] = ident[u] * reach[u]
                 if v == root:
                     root_children += 1
                 stack.append((u, v, iter(sorted(adj[u]))))
-                descended = True
                 break
             if du < disc[v]:  # back edge to an ancestor
                 estack.append((v, u))
                 if du < low[v]:
                     low[v] = du
-        if not descended:
+        else:  # v has no unvisited neighbor left
             stack.pop()
             if stack:
                 pv = stack[-1][0]
@@ -366,7 +354,7 @@ def remove_degree1(w: WorkGraph, out: np.ndarray) -> int:
         queue = deque(v for v in comp if len(w.adj[v]) <= 1)
         while queue:
             u = queue.popleft()
-            if not w.alive[u]:
+            if w.adj[u] is None:
                 continue
             deg = len(w.adj[u])
             if deg == 0:
@@ -469,16 +457,11 @@ def _expanded_clique(w: WorkGraph, v: int) -> bool:
     """Would v's neighborhood induce a clique with all classes unfolded?"""
     if not (w.internal_edgeless[v] or w.internal_clique[v]):
         return False  # mixed class: some copies see non-adjacent siblings
-    nbrs = sorted(w.adj[v])
-    for x in nbrs:
-        if w.ident[x] != 1 and not w.internal_clique[x]:
-            return False
-    for i, x in enumerate(nbrs):
-        ax = w.adj[x]
-        for y in nbrs[i + 1 :]:
-            if y not in ax:
-                return False
-    return True
+    nbrs = w.adj[v]
+    # Each neighbor unfolds into a clique and sees all the other neighbors.
+    return all(
+        (w.ident[x] == 1 or w.internal_clique[x]) and len(nbrs & w.adj[x]) == len(nbrs) - 1 for x in nbrs
+    )
 
 
 def remove_side_vertices(w: WorkGraph, out: np.ndarray, max_degree: int = DEFAULT_MAX_SIDE_DEGREE) -> int:
@@ -498,7 +481,7 @@ def remove_side_vertices(w: WorkGraph, out: np.ndarray, max_degree: int = DEFAUL
     state = kernels.source_state(len(w.adj))
     changes = 0
     for u in candidates:
-        if not w.alive[u] or not w.adj[u]:
+        if not w.adj[u]:
             continue  # earlier removals in this sweep emptied its neighborhood
         amounts = kernels.side_bfs(w.adj, u, w.reach, w.ident, state)
         for x, amount in amounts:
@@ -518,11 +501,11 @@ def merge_identical(w: WorkGraph, out: np.ndarray) -> int:
     """Fold identical vertices into one representative per class.
 
     Open-neighborhood twins first, then closed-neighborhood twins.  Vertices
-    are grouped by a neighborhood hash (sum of neighbor ids) and confirmed by
-    explicit set comparison.  Only vertices with equal reach and equal
-    already-accumulated scores merge; both restrictions only cost missed
-    compression, never correctness, and they keep all members of a class on
-    exactly equal final scores.
+    are grouped by their sorted open or closed neighborhood, reach and
+    already-accumulated score, so only vertices with equal reach and equal
+    scores merge; both restrictions only cost missed compression, never
+    correctness, and they keep all members of a class on exactly equal final
+    scores.
     """
     changes = _merge_sweep(w, out, closed=False)
     changes += _merge_sweep(w, out, closed=True)
@@ -530,31 +513,18 @@ def merge_identical(w: WorkGraph, out: np.ndarray) -> int:
 
 
 def _merge_sweep(w: WorkGraph, out: np.ndarray, closed: bool) -> int:
-    buckets: dict[tuple, list[int]] = {}
+    # Keys taken here stay valid through the sweep: a merge deletes the same
+    # vertices from every twin's neighborhood and credits twins equally.
+    classes: dict[tuple, list[int]] = {}
     for v in w.live():
-        deg = len(w.adj[v])
-        if deg == 0:
-            continue
-        key_sum = sum(w.adj[v]) + (v if closed else 0)
-        key = (deg, key_sum, w.reach[v], float(out[w.members[v][0]]))
-        buckets.setdefault(key, []).append(v)
+        nbrs = w.adj[v]
+        if nbrs:
+            key = (tuple(sorted(nbrs | {v} if closed else nbrs)), w.reach[v], float(out[w.members[v][0]]))
+            classes.setdefault(key, []).append(v)
     changes = 0
-    for key in sorted(buckets):
-        group = buckets[key]
-        if len(group) < 2:
-            continue
-        classes: list[tuple[set[int], list[int]]] = []
-        for v in group:
-            sig = w.adj[v] | {v} if closed else w.adj[v]
-            for csig, verts in classes:
-                if csig == sig:  # hash bucket confirmed by explicit comparison
-                    verts.append(v)
-                    break
-            else:
-                classes.append((sig, [v]))
-        for _, verts in classes:
-            if len(verts) >= 2:
-                changes += _merge_class(w, out, verts, closed)
+    for verts in classes.values():  # in order of lowest id
+        if len(verts) >= 2:
+            changes += _merge_class(w, out, verts, closed)
     return changes
 
 
@@ -581,17 +551,10 @@ def _merge_class(w: WorkGraph, out: np.ndarray, verts: list[int], closed: bool) 
         for x in w.adj[rep]:
             for m in w.members[x]:
                 out[m] += amount
-    merged_members: list[int] = []
-    edgeless = True
-    clique = True
-    for v in verts:
-        merged_members.extend(w.members[v])
-        edgeless = edgeless and w.internal_edgeless[v]
-        clique = clique and w.internal_clique[v]
     w.ident[rep] = total_ident
-    w.members[rep] = merged_members
-    w.internal_edgeless[rep] = edgeless and not closed
-    w.internal_clique[rep] = clique and closed
+    w.members[rep] = [m for v in verts for m in w.members[v]]
+    w.internal_edgeless[rep] = not closed and all(w.internal_edgeless[v] for v in verts)
+    w.internal_clique[rep] = closed and all(w.internal_clique[v] for v in verts)
     for v in verts[1:]:
         w.delete(v)
     return len(verts) - 1

@@ -120,6 +120,15 @@ class TestVerify:
     def test_cap_refusal(self, capsys):
         assert main(["verify", "--gen", "gnp:n=40,p=0.2,seed=1", "--cap", "10"]) == EXIT_USAGE
 
+    def test_cap_refusal_comes_before_generation(self, capsys, monkeypatch):
+        def never(spec):
+            raise AssertionError(f"generated {spec} past the oracle cap")
+
+        monkeypatch.setattr(cli, "generate", never)
+        assert main(["verify", "--gen", "gnp:n=6000,p=0.001", "--cap", "50"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "6000 vertices" in err and "cap is 50" in err
+
     def test_side_degree_cap_below_one_is_refused_before_any_pass(self, capsys):
         args = ["verify", "--gen", "gnp:n=12,p=0.4,seed=1", "--combos", "o,od,odbas", "--max-side-degree", "0"]
         assert main(args) == EXIT_USAGE

@@ -16,6 +16,8 @@ from bcshatter.reduction import (
     Combination,
     WorkGraph,
     _blocks_and_cuts,
+    _expanded_clique,
+    _merge_sweep,
     finalize,
     merge_identical,
     preprocess,
@@ -317,7 +319,7 @@ class TestDegree1:
         g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
         w, out = _work(g)
         merge_identical(w, out)  # {0,1} closed twins
-        assert any(w.alive[v] and w.ident[v] == 2 for v in range(len(w.adj)))
+        assert any(w.adj[v] is not None and w.ident[v] == 2 for v in range(len(w.adj)))
         before = w.live_vertex_count()
         remove_degree1(w, out)
         assert w.live_vertex_count() == before
@@ -354,7 +356,7 @@ class TestDegree1:
                 for v in range(n):
                     assert out[base + v] == outp[v]
                     assert w.reach[base + v] == wp.reach[v]
-                    assert w.alive[base + v] == wp.alive[v]
+                    assert (w.adj[base + v] is not None) == (wp.adj[v] is not None)
             assert changes == alone_changes
             assert w.retired_mass == alone_retired
 
@@ -382,8 +384,71 @@ class TestSideVertices:
         assert np.allclose(result.scores, bc_brute(toy_social_graph), atol=1e-9)
         assert result.stats.iterations >= 2
 
+    def test_expanded_clique_matches_unfolded_graph(self):
+        # Brute force: unfold every class into ident copies, pairwise adjacent
+        # only when the class is closed, and test one copy's neighborhood.  A
+        # mixed class (neither flag) counts as not a clique.
+        rng = random.Random(13)
+        outcomes = set()
+        for seed in range(400):
+            g = random_graph(rng.randint(2, 7), rng.choice((0.5, 0.8, 1.0)), seed)
+            w = WorkGraph.from_graph(g)
+            w.ident = [rng.randint(1, 3) for _ in range(g.n)]
+            for v in range(g.n):
+                if w.ident[v] > 1:
+                    shape = rng.choice(("open", "closed", "mixed"))
+                    w.internal_edgeless[v] = shape == "open"
+                    w.internal_clique[v] = shape == "closed"
+            copies = [(x, i) for x in range(g.n) for i in range(w.ident[x])]
+
+            def adjacent(a, b):
+                if a[0] != b[0]:
+                    return b[0] in w.adj[a[0]]
+                return a != b and w.internal_clique[a[0]]
+
+            for v in range(g.n):
+                mixed = not (w.internal_edgeless[v] or w.internal_clique[v])
+                nbhd = [c for c in copies if adjacent((v, 0), c)]
+                expected = not mixed and all(adjacent(a, b) for a, b in itertools.combinations(nbhd, 2))
+                assert _expanded_clique(w, v) == expected, (seed, v)
+                outcomes.add((expected, mixed, len(w.adj[v]) > 1))
+        assert (True, False, True) in outcomes and (False, True, True) in outcomes
+
 
 class TestMergeIdentical:
+    def test_sweep_groups_by_neighborhood(self):
+        # One sweep merges exactly the vertices with a non-empty neighborhood
+        # and equal (open or closed neighborhood, reach, score) at sweep start.
+        rng = random.Random(17)
+        merged = {False: 0, True: 0}
+        for _ in range(80):
+            n, p = rng.randint(8, 40), rng.choice((0.1, 0.5, 0.9))
+            g = generate(GraphSpec("planted-identical", n, p, rng.randrange(1000)))
+            for closed in (False, True):
+                w, out = _work(g)
+                w.reach = [rng.randint(1, 2) for _ in range(g.n)]
+                out[:] = [rng.randint(0, 1) for _ in range(g.n)]
+                classes: list[tuple[set[int], int, float, list[int]]] = []
+                singles = []
+                for v in range(g.n):
+                    nbhd = w.adj[v] | {v} if closed else set(w.adj[v])
+                    if not w.adj[v]:
+                        singles.append([v])
+                        continue
+                    for sig, reach, score, verts in classes:
+                        if sig == nbhd and reach == w.reach[v] and score == out[v]:
+                            verts.append(v)
+                            break
+                    else:
+                        classes.append((nbhd, w.reach[v], out[v], [v]))
+                expected = sorted(singles + [verts for *_, verts in classes])
+                changes = _merge_sweep(w, out, closed)
+                assert changes == sum(len(verts) - 1 for *_, verts in classes)
+                assert sorted(sorted(w.members[v]) for v in w.live()) == expected
+                assert all(w.ident[v] == len(w.members[v]) for v in w.live())
+                merged[closed] += changes
+        assert merged[False] > 50 and merged[True] > 10
+
     def test_cycle4_open_twins(self):
         w, out = _work(cycle_graph(4))
         # the two antipodal pairs fold first; the two class vertices are then
@@ -406,7 +471,7 @@ class TestMergeIdentical:
         w, out = _work(star_graph(3))
         w.reach[1] = 5  # pretend one leaf carries folded mass
         assert merge_identical(w, out) == 1  # only the other two leaves merge
-        assert any(w.alive[v] and w.reach[v] == 5 and w.ident[v] == 1 for v in range(len(w.adj)))
+        assert any(w.adj[v] is not None and w.reach[v] == 5 and w.ident[v] == 1 for v in range(len(w.adj)))
         # the merged pair's distance-2 paths land on the shared center
         assert out[0] == 2.0
 
