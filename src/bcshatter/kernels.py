@@ -8,22 +8,29 @@ stay well conditioned.
 
 One attribute-general algorithm exists, in two implementations:
 
-* the compiled kernel - ``_brandes.c``, all sources over one component's
-  CSR.  ``brandes`` builds it with the local C compiler on its first call,
-  into a per-user cache named by the hash of the source and the compile
-  command, loads it with ctypes and runs it from then on.  Its backward
-  sweep keeps no predecessor lists: a vertex pushes its dependency to the
-  neighbors one BFS level up (Madduri et al., IPDPS 2009).
-* ``brandes_python`` - one ``single_source`` run per source.  It is the
-  reference the tests hold the compiled kernel to, and the fallback
-  ``brandes`` runs, silently, when the kernel cannot be built or loaded.
+* the compiled library - ``_brandes.c``.  The first call that needs it
+  builds it with the local C compiler into a per-user cache named by the
+  hash of the source and the compile command, and loads it with ctypes.  It
+  has two entry points, both without predecessor lists in the backward
+  sweep: a vertex pushes its dependency to the neighbors one BFS level up
+  (Madduri et al., IPDPS 2009).
 
-``single_source`` is the one Python forward BFS and backward sweep.  It
-serves ``brandes_python`` and ``side_bfs``, the compensation run of the side
-vertex pass, over per-vertex list state that the caller allocates once and
-each run leaves at rest.
+  - ``bcs_brandes``, which ``brandes`` calls: all sources over one
+    component's CSR.
+  - ``bcs_side_sweep``, which ``side_sweep`` calls: a whole side-vertex
+    sweep of ``reduction.remove_side_vertices``, one run per candidate over
+    the work graph's CSR, adding the amounts straight into the score
+    accumulator.
+* the Python loop - ``single_source``, the one Python forward BFS and
+  backward sweep, over per-vertex list state that the caller allocates once
+  and each run leaves at rest.  ``brandes_python`` runs it once per source,
+  and ``side_bfs`` once per side vertex.  They are the references the tests
+  hold the compiled entry points to, and the fallback that runs, silently,
+  when the library cannot be built or loaded: ``brandes`` then calls
+  ``brandes_python``, and ``side_sweep`` returns None so that the side pass
+  runs its own loop over ``side_bfs``.
 
-The compiled kernel evaluates the Python loop's floating-point expressions
+The compiled code evaluates the Python loop's floating-point expressions
 in the same order, with contraction into fused multiply-adds turned off, and
 both multiply by every attribute: with all attributes equal to 1 every
 attribute factor is an exact multiplication by 1, which the degeneration
@@ -113,17 +120,14 @@ def brandes(adj: Adjacency, reach: list[int] | None = None, ident: list[int] | N
         raise ValueError(f"reach and ident need {n} entries, one per vertex")
     _check_positive(reach, "reach")
     _check_positive(ident, "ident")
-    kernel = _kernel()
-    if kernel is None:
+    lib = _kernel()
+    if lib is None:
         return brandes_python(adj, reach, ident)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, adj), dtype=np.int64, count=n), out=offsets[1:])
-    targets = np.fromiter(chain.from_iterable(adj), dtype=np.int32, count=int(offsets[-1]))
-    if targets.size and not 0 <= targets.min() <= targets.max() < n:
-        raise ValueError(f"neighbor ids must lie in [0, {n})")
+    offsets, targets = _csr(adj, np.int32)
+    _check_ids(targets, n, "neighbor")
     bc = np.zeros(n)
     seconds = np.zeros(2)
-    kernel(
+    lib.bcs_brandes(
         n,
         offsets,
         targets,
@@ -139,18 +143,84 @@ def brandes(adj: Adjacency, reach: list[int] | None = None, ident: list[int] | N
     return bc.tolist(), float(seconds[0]), float(seconds[1])
 
 
-# The compiler and flags the kernel is built with.  No -march=native or
-# -ffast-math: the kernel must round exactly as the Python loop does.
+def side_sweep(adj, members, reach, ident, candidates: list[int], out: np.ndarray):
+    """One compiled side-vertex sweep, or None when the compiled library
+    cannot be built or loaded.
+
+    ``adj`` and ``members`` are the work graph's (a deleted vertex's row is
+    None).  For each candidate in order whose neighborhood is not yet empty,
+    adds the amounts of :func:`side_bfs` and the endpoint credit to ``out``
+    (a float64 array) exactly as ``reduction.remove_side_vertices``' Python
+    loop does, and treats the candidate as deleted from then on.  Changes
+    nothing but ``out``; the caller retires the removed candidates.  Returns
+    ``(removed, arcs)``: the removed candidates in order, one run each, and
+    the arcs the runs scanned, counted as for ``side_bfs`` calls (the
+    source's degree plus the degrees of the vertices it reached).
+    """
+    lib = _kernel()
+    if lib is None:
+        return None
+    n = len(adj)
+    if len(members) != n or len(reach) != n or len(ident) != n:
+        raise ValueError(f"members, reach and ident need {n} entries, one per vertex")
+    offsets, targets = _csr(adj, np.int32)
+    member_offsets, flat_members = _csr(members, np.int64)
+    sources = np.asarray(candidates, dtype=np.int32)
+    _check_ids(targets, n, "neighbor")
+    _check_ids(sources, n, "candidate")
+    _check_ids(flat_members, len(out), "member")
+    removed = np.empty(len(sources), dtype=np.int32)
+    counts = np.zeros(2, dtype=np.int64)
+    lib.bcs_side_sweep(
+        n,
+        offsets,
+        targets,
+        member_offsets,
+        flat_members,
+        np.asarray(reach, dtype=np.float64),
+        np.asarray(ident, dtype=np.float64),
+        sources,
+        len(sources),
+        out,
+        np.empty(n, dtype=np.int32),
+        np.empty(n, dtype=np.int32),
+        np.empty(n),
+        np.empty(n),
+        np.empty(n, dtype=np.int64),
+        removed,
+        counts,
+    )
+    runs, arcs = counts.tolist()
+    return removed[:runs].tolist(), arcs
+
+
+def _check_ids(ids: np.ndarray, bound: int, what: str) -> None:
+    """Refuse ids outside [0, bound) before they reach the compiled code."""
+    if ids.size and not 0 <= ids.min() <= ids.max() < bound:
+        raise ValueError(f"{what} ids must lie in [0, {bound})")
+
+
+def _csr(rows, dtype):
+    """Offsets (int64) and concatenated entries of ``rows``, each a sized
+    iterable or None for an empty row, in the rows' iteration order."""
+    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter((len(r) if r else 0 for r in rows), dtype=np.int64, count=len(rows)), out=offsets[1:])
+    entries = np.fromiter(chain.from_iterable(filter(None, rows)), dtype=dtype, count=int(offsets[-1]))
+    return offsets, entries
+
+
+# The compiler and flags the library is built with.  No -march=native or
+# -ffast-math: it must round exactly as the Python loop does.
 COMPILER = "cc"
 CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 _UNTRIED = object()
-# The loaded kernel, None once building or loading it failed, _UNTRIED
-# before the first ``brandes`` call.
+# The loaded library, None once building or loading it failed, _UNTRIED
+# before the first call that needs it.
 _compiled = _UNTRIED
 
 
 def _kernel():
-    """The compiled kernel, built and loaded on the first call; None when
+    """The compiled library, built and loaded on the first call; None when
     that failed, for whatever reason."""
     global _compiled
     if _compiled is _UNTRIED:
@@ -162,7 +232,7 @@ def _kernel():
 
 
 def _build_and_load():
-    """Load the kernel from the user's cache, compiling it there first when
+    """Load the library from the user's cache, compiling it there first when
     it is missing.  The build writes to a temporary name and renames it into
     place, so concurrent first calls never load a half-written file.  When
     the cache cannot be written, the build goes into a fresh private
@@ -214,13 +284,17 @@ def _compile(source: bytes, command: list[str], out) -> None:
 
 
 def _bind(path: Path):
-    kernel = ctypes.CDLL(str(path)).bcs_brandes
+    lib = ctypes.CDLL(str(path))
     int32s = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
     doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     int64s = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-    kernel.argtypes = [ctypes.c_int64, int64s, int32s, doubles, doubles, int32s, int32s, doubles, doubles, doubles, doubles]
-    kernel.restype = None
-    return kernel
+    size = ctypes.c_int64
+    lib.bcs_brandes.argtypes = [size, int64s, int32s, doubles, doubles, int32s, int32s, doubles, doubles, doubles, doubles]
+    lib.bcs_brandes.restype = None
+    lib.bcs_side_sweep.argtypes = [size, int64s, int32s, int64s, int64s, doubles, doubles, int32s, size, doubles,
+                                   int32s, int32s, doubles, doubles, int64s, int32s, int64s]
+    lib.bcs_side_sweep.restype = None
+    return lib
 
 
 def brandes_python(adj: Adjacency, reach: list[int], ident: list[int]):

@@ -26,7 +26,8 @@ from bcshatter.kernels import (
     side_bfs,
     source_state,
 )
-from bcshatter.oracle import pair_distance_total
+from bcshatter.oracle import GraphSpec, generate, pair_distance_total
+from bcshatter.reduction import DEFAULT_MAX_SIDE_DEGREE, WorkGraph, _side_candidates, _side_loop, remove_side_vertices
 
 from conftest import complete_graph, cycle_graph, path_graph, random_graph, star_graph
 
@@ -263,10 +264,19 @@ class TestBuild:
         adj = random_graph(30, 0.2, seed=3).adjacency_lists()
         reach = [v % 4 + 1 for v in range(30)]
         ident = [v % 3 + 1 for v in range(30)]
+        # a side sweep, also the first call that needs the library when the
+        # kernel has not run yet
+        g = generate(GraphSpec("planted-side", 60, 0.0, seed=3))
+        w, out = WorkGraph.from_graph(g), np.zeros(g.n)
+        ref, ref_out = WorkGraph.from_graph(g), np.zeros(g.n)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            changes = remove_side_vertices(w, out)
             got, _, _ = brandes(adj, reach, ident)
         assert got == brandes_python(adj, reach, ident)[0]
+        assert changes > 0
+        assert changes == _side_loop(ref, ref_out, _side_candidates(ref, DEFAULT_MAX_SIDE_DEGREE))
+        assert out.tobytes() == ref_out.tobytes()
         assert capfd.readouterr() == ("", "")
 
 
@@ -321,6 +331,24 @@ class TestSideBfs:
         assert calls > 1000
 
 
+@pytest.mark.usefixtures("compiled_kernel")
+@pytest.mark.parametrize("field", ["neighbor", "candidate", "member"])
+def test_side_sweep_refuses_ids_out_of_range(field):
+    adj = [{1, 2}, {0, 2}, {0, 1}]
+    members = [[0], [1], [2]]
+    candidates = [0]
+    if field == "neighbor":
+        adj[2] = {0, 1, 3}
+    elif field == "candidate":
+        candidates = [3]
+    else:
+        members[1] = [3]
+    out = np.zeros(3)
+    with pytest.raises(ValueError, match=f"{field} ids"):
+        kernels.side_sweep(adj, members, [1, 1, 1], [1, 1, 1], candidates, out)
+    assert out.tolist() == [0.0, 0.0, 0.0]
+
+
 class TestInvariants:
     @given(st.integers(3, 20), st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
@@ -340,8 +368,6 @@ class TestInvariants:
         assert np.allclose(moved[perm.forward], base, atol=1e-9)
 
     def test_unique_path_scores_are_even_integers(self):
-        from bcshatter.oracle import GraphSpec, generate
-
         for seed in range(5):
             tree = generate(GraphSpec("random-tree", 30, seed=seed))
             for value in betweenness(tree).tolist():

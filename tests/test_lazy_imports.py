@@ -16,8 +16,10 @@ import sys
 import bcshatter
 from bcshatter import kernels
 
-# a 5-cycle with a pendant: the degree-1 pass leaves the cycle to the kernel
-g, _ = bcshatter.parse_graph("0 1\\n1 2\\n2 3\\n3 4\\n4 0\\n0 5\\n")
+# a 5-cycle with a pendant and a triangle on one cycle edge: the degree-1
+# pass folds the pendant, the side pass sweeps the triangle's apex and the
+# kernel gets the cycle, so both compiled entry points run
+g, _ = bcshatter.parse_graph("0 1\\n1 2\\n2 3\\n3 4\\n4 0\\n0 5\\n0 6\\n1 6\\n")
 bcshatter.compute_scores(g, "odbasi")
 assert kernels._compiled is not kernels._UNTRIED, "the solve never reached the kernel"
 print(" ".join(name for name in ("numpy.ma", "hashlib") if name in sys.modules))

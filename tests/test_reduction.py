@@ -9,15 +9,18 @@ from time import perf_counter
 import numpy as np
 import pytest
 
+from bcshatter import kernels
 from bcshatter.engine import compute_scores
 from bcshatter.graph import Graph
-from bcshatter.oracle import GraphSpec, bc_brute, generate
+from bcshatter.oracle import FAMILIES, GraphSpec, bc_brute, generate
 from bcshatter.reduction import (
     Combination,
     WorkGraph,
     _blocks_and_cuts,
     _expanded_clique,
     _merge_sweep,
+    _side_candidates,
+    _side_loop,
     finalize,
     merge_identical,
     preprocess,
@@ -413,6 +416,83 @@ class TestSideVertices:
                 assert _expanded_clique(w, v) == expected, (seed, v)
                 outcomes.add((expected, mixed, len(w.adj[v]) > 1))
         assert (True, False, True) in outcomes and (False, True, True) in outcomes
+
+
+def _attributed_work(g: Graph, seed: int):
+    """A work graph of g with random reach, merged classes of every shape
+    (open, closed, mixed), members shared between vertices, a few deleted
+    vertices, and a random partial score vector over twice g's ids.  The
+    same seed gives the same sets with the same iteration order."""
+    rng = random.Random(seed)
+    w = WorkGraph.from_graph(g)
+    slots = 2 * g.n
+    for v in range(g.n):
+        w.reach[v] = rng.randint(1, 5)
+        if rng.random() < 0.3:
+            w.ident[v] = rng.randint(2, 3)
+            shape = rng.choice(("open", "closed", "mixed"))
+            w.internal_edgeless[v] = shape == "open"
+            w.internal_clique[v] = shape == "closed"
+            w.members[v] += [rng.randrange(slots) for _ in range(w.ident[v] - 1)]
+        elif rng.random() < 0.2:
+            w.members[v].append(rng.randrange(slots))  # a copy's original
+    for v in rng.sample(range(g.n), g.n // 10):
+        w.delete(v)
+    out = np.array([rng.uniform(0.0, 100.0) for _ in range(slots)])
+    return w, out
+
+
+@pytest.fixture
+def compiled_library():
+    if kernels._kernel() is None:
+        pytest.skip("the compiled library could not be built or loaded here")
+
+
+@pytest.mark.usefixtures("compiled_library")
+class TestSideSweep:
+    """The compiled sweep against the Python loop, its reference.  The
+    compiled runs visit vertices and add to the scores in the loop's order,
+    so everything is compared with ``==``."""
+
+    def test_sweep_matches_python_loop(self):
+        rng = random.Random(29)
+        removed = skipped = 0
+        for case in range(180):
+            family = FAMILIES[case % len(FAMILIES)]
+            g = generate(GraphSpec(family, rng.randint(8, 60), 0.0, rng.randrange(10**6)))
+            seed = rng.randrange(10**6)
+            cap = case % 6 + 1
+            w, out = _attributed_work(g, seed)
+            ref, ref_out = _attributed_work(g, seed)
+            candidates = _side_candidates(ref, cap)
+            changes = remove_side_vertices(w, out, cap)
+            assert changes == _side_loop(ref, ref_out, candidates), (family, case)
+            assert out.tobytes() == ref_out.tobytes(), (family, case)
+            assert w.retired_mass == ref.retired_mass
+            assert w.live_edge_count == ref.live_edge_count
+            assert [a if a is None else list(a) for a in w.adj] == [a if a is None else list(a) for a in ref.adj]
+            removed += changes
+            skipped += len(candidates) - changes
+        assert removed > 300 and skipped > 0
+
+    def test_pass_events_match_python_loop(self, monkeypatch):
+        rng = random.Random(31)
+        cases = []
+        for case in range(120):
+            family = FAMILIES[case % len(FAMILIES)]
+            g = generate(GraphSpec(family, rng.randint(20, 120), 0.0, rng.randrange(10**6)))
+            letters = [ch for ch in "dbai" if rng.random() < 0.5] + ["s"]
+            rng.shuffle(letters)
+            combo = ("o" if rng.random() < 0.5 else "") + "".join(letters)
+            cases.append((g, combo, case % 6 + 1, rng.randrange(10**6)))
+        compiled = [compute_scores(g, combo, max_side_degree=cap, order_seed=seed) for g, combo, cap, seed in cases]
+        monkeypatch.setattr(kernels, "side_sweep", lambda *args: None)  # the Python loop
+        for (g, combo, cap, seed), got in zip(cases, compiled):
+            expected = compute_scores(g, combo, max_side_degree=cap, order_seed=seed)
+            assert got.scores.tobytes() == expected.scores.tobytes(), (combo, cap)
+            assert got.stats.events == expected.stats.events, (combo, cap)
+            assert got.stats.iterations == expected.stats.iterations
+        assert sum(e.changes for r in compiled for e in r.stats.events if e.technique == "s") > 500
 
 
 class TestMergeIdentical:

@@ -6,28 +6,73 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 import bcshatter
+from bcshatter import kernels
 from bcshatter.oracle import GraphSpec, generate
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPEC = GraphSpec("planted-side", 300, 0.0, seed=5)
 
 
-def test_every_hook_present_and_counted(monkeypatch):
+def _traced_python_sweep(monkeypatch):
+    """A traced ``odbasi`` solve of SPEC on the Python fallback, the only
+    path that calls the hooked ``kernels.side_bfs``: returns the tracer, the
+    result and the summed work counts."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from spans import Tracer, layer_totals
 
-    g = generate(GraphSpec("planted-side", 300, 0.0, seed=5))
+    monkeypatch.setattr(kernels, "_compiled", None)
+    g = generate(SPEC)
     tracer = Tracer()
     tracer.install()
     try:
         result = bcshatter.compute_scores(g, "odbasi")
     finally:
         tracer.restore()
+    _, counts = layer_totals(tracer.take())
+    return tracer, result, counts
+
+
+def test_every_hook_present_and_counted(monkeypatch):
+    tracer, result, counts = _traced_python_sweep(monkeypatch)
     assert tracer.absent == []
     assert tracer.uncounted == set()
-    _, counts = layer_totals(tracer.take())
     side_removals = sum(e.changes for e in result.stats.events if e.technique == "s")
     assert side_removals > 0
     assert counts["kernels.side_bfs.calls"] == side_removals
     assert counts["kernels.side_bfs.arcs"] > 0
     assert counts["reduction.pass_s.calls"] == result.stats.iterations
+
+
+def test_compiled_sweep_counts_as_the_hook(monkeypatch):
+    # the compiled sweep's own runs and arcs are what the hook counts on the
+    # Python loop, so hooking it instead would keep every count
+    lib = kernels._kernel()
+    if lib is None:
+        pytest.skip("the compiled library could not be built or loaded here")
+    _, _, counts = _traced_python_sweep(monkeypatch)
+    monkeypatch.setattr(kernels, "_compiled", lib)
+    sweeps = []
+    sweep = kernels.side_sweep
+
+    def recorded(*args):
+        sweeps.append(sweep(*args))
+        return sweeps[-1]
+
+    monkeypatch.setattr(kernels, "side_sweep", recorded)
+    bcshatter.compute_scores(generate(SPEC), "odbasi")
+    assert sweeps and None not in sweeps
+    assert sum(len(removed) for removed, _ in sweeps) == counts["kernels.side_bfs.calls"]
+    assert sum(arcs for _, arcs in sweeps) == counts["kernels.side_bfs.arcs"]
+
+
+def test_benchmark_warm_up_loads_the_library(monkeypatch):
+    # perfbench's worker warms up on this solve before it times anything;
+    # its side pass must load the compiled library, or the load (and with a
+    # cold cache, the build) lands in the first timed solve
+    monkeypatch.setattr(kernels, "_compiled", kernels._UNTRIED)
+    g, _ = bcshatter.parse_graph("0 1\n1 2\n2 0\n2 3\n")
+    bcshatter.compute_scores(g, "odbasi")
+    assert kernels._compiled is not kernels._UNTRIED
