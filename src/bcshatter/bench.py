@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import csv
 import statistics
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import astuple, dataclass
 
 from .engine import compute_scores
 from .graph import Graph
@@ -23,7 +24,10 @@ class BenchRecord:
     components: int
 
 
-BENCH_FIELDS = tuple(f.name for f in fields(BenchRecord))
+# Column name -> str, int or float, in field order; floats are written with
+# nine decimals.
+BENCH_TYPES = typing.get_type_hints(BenchRecord)
+BENCH_FIELDS = tuple(BENCH_TYPES)
 
 
 def bench_graph(
@@ -68,40 +72,17 @@ def write_bench_csv(path, records) -> None:
         writer.writerow(BENCH_FIELDS)
         for r in records:
             writer.writerow(
-                [
-                    r.graph,
-                    r.combination,
-                    f"{r.preprocess_s:.9f}",
-                    f"{r.phase1_s:.9f}",
-                    f"{r.phase2_s:.9f}",
-                    f"{r.total_s:.9f}",
-                    r.remaining_edges,
-                    r.components,
-                ]
+                f"{value:.9f}" if kind is float else value for value, kind in zip(astuple(r), BENCH_TYPES.values())
             )
 
 
 def read_bench_csv(path) -> list[BenchRecord]:
-    records = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = [f for f in BENCH_FIELDS if f not in (reader.fieldnames or ())]
         if missing:
             raise ValueError(f"bench CSV missing columns: {missing}")
-        for row in reader:
-            records.append(
-                BenchRecord(
-                    graph=row["graph"],
-                    combination=row["combination"],
-                    preprocess_s=float(row["preprocess_s"]),
-                    phase1_s=float(row["phase1_s"]),
-                    phase2_s=float(row["phase2_s"]),
-                    total_s=float(row["total_s"]),
-                    remaining_edges=int(row["remaining_edges"]),
-                    components=int(row["components"]),
-                )
-            )
-    return records
+        return [BenchRecord(**{name: kind(row[name]) for name, kind in BENCH_TYPES.items()}) for row in reader]
 
 
 def normalized_totals(records, baseline: str = "o"):

@@ -8,9 +8,10 @@ shrunk by five passes:
   the cut-side masses),
 * ``a`` articulation shattering (one-shot biconnected decomposition in
   which a merged class never cuts, so the blocks that meet at it shatter as
-  one; each copy's reach is the mass away from its side of the cut; ``b``
-  and ``a`` read their blocks and cut-side masses from one DFS walk over all
-  components that sums subtree masses),
+  one; a copy of the cut vertex takes over its edges into each later block,
+  with reach the mass away from its side of the cut; ``b`` and ``a`` read
+  their blocks, as vertex lists, and cut-side masses from one DFS walk over
+  all components that sums subtree masses),
 * ``s`` side-vertex removal (simplicial vertices; one compensation BFS each,
   all of one sweep in one call of the compiled ``kernels.side_sweep``, or in
   a Python loop over ``kernels.side_bfs`` when the compiled library cannot
@@ -245,8 +246,8 @@ class WorkGraph:
 def _blocks_and_cuts(w: WorkGraph):
     """Yield :func:`_block_dfs` of every live component, rooted at its lowest
     live id, in increasing id order.  Ids added during the walk are not
-    visited, so callers may rewrite each component they get and add copies
-    to it.  One walk state serves all components."""
+    visited, so callers may move the edges of each component they get to
+    new copies.  One walk state serves all components."""
     n = len(w.adj)
     # disc[u] < 0 marks u unvisited.  sub: DFS subtree mass; near: own mass
     # plus the subtrees of the blocks the vertex tops.
@@ -259,12 +260,14 @@ def _blocks_and_cuts(w: WorkGraph):
 def _block_dfs(w: WorkGraph, root: int, disc: list[int], low: list[int], sub: list[int], near: list[int]):
     """Blocks, cut vertices and cut-side masses of root's component.
 
-    Iterative Hopcroft-Tarjan with an edge stack; each edge lands in exactly
-    one block.  A merged class (ident > 1) never cuts: no single original
-    vertex of it separates the graph, so the blocks that meet at it stay one
-    block.  Only an unmerged top emits a block; the edges below a merged top
-    stay on the stack and join the block above, and under a merged root what
-    is left becomes one last block.  ``cuts`` holds the unmerged cut
+    Iterative Hopcroft-Tarjan with a stack of discovered vertices; a block
+    is a vertex list and holds the edges its vertices induce.  A merged
+    class (ident > 1) never cuts: no single original vertex of it separates
+    the graph, so the blocks that meet at it stay one block.  Only an
+    unmerged top emits a block; the vertices below a merged top stay on the
+    stack and join the block above, and under a merged root what is left
+    becomes one last block.  Two blocks still share at most one vertex, so
+    each edge lies in exactly one block.  ``cuts`` holds the unmerged cut
     vertices, which are exactly the vertices in more than one block.
 
     The DFS also sums subtree masses, which yields ``far(x, k)`` for an
@@ -277,39 +280,38 @@ def _block_dfs(w: WorkGraph, root: int, disc: list[int], low: list[int], sub: li
     callers may rewrite reach attributes before they ask for ``far``.
 
     Fills the component's entries of the walk state and returns ``(blocks,
-    cuts, far, total)``: blocks as edge lists (the last edge of each is the
-    tree edge from its top; an isolated vertex has none), the set of cut
-    vertices, the ``far`` function and the component's mass.
+    cuts, far, total)``: blocks as vertex lists with the top last (a bridge
+    is a block of two vertices; an isolated vertex has no block), the set of
+    cut vertices, the ``far`` function and the component's mass.
     """
     adj, reach, ident = w.adj, w.reach, w.ident
     disc[root] = low[root] = 0
     sub[root] = near[root] = ident[root] * reach[root]
-    blocks: list[list[tuple[int, int]]] = []
+    blocks: list[list[int]] = []
     top_far: list[int] = []
     cuts: set[int] = set()
     counter = 1
-    estack: list[tuple[int, int]] = []
+    vstack: list[int] = []
     root_children = 0
-    stack: list[tuple[int, int, object]] = [(root, -1, iter(sorted(adj[root])))]
+    # (vertex, neighbor iterator, the vertex's index in vstack)
+    stack: list[tuple[int, object, int]] = [(root, iter(sorted(adj[root])), 0)]
     while stack:
-        v, parent, it = stack[-1]
+        v, it, at = stack[-1]
         for u in it:
-            if u == parent:
-                continue
             du = disc[u]
             if du < 0:
-                estack.append((v, u))
+                stack.append((u, iter(sorted(adj[u])), len(vstack)))
+                vstack.append(u)
                 disc[u] = low[u] = counter
                 counter += 1
                 sub[u] = near[u] = ident[u] * reach[u]
                 if v == root:
                     root_children += 1
-                stack.append((u, v, iter(sorted(adj[u]))))
                 break
-            if du < disc[v]:  # back edge to an ancestor
-                estack.append((v, u))
-                if du < low[v]:
-                    low[v] = du
+            # The tree edge to v's parent p may lower low[v] to disc[p]; that
+            # leaves the block test low[v] >= disc[p] as it was.
+            if du < low[v]:
+                low[v] = du
         else:  # v has no unvisited neighbor left
             stack.pop()
             if stack:
@@ -318,26 +320,22 @@ def _block_dfs(w: WorkGraph, root: int, disc: list[int], low: list[int], sub: li
                 if low[v] < low[pv]:
                     low[pv] = low[v]
                 if low[v] >= disc[pv] and ident[pv] == 1:
-                    block = []
-                    while True:
-                        e = estack.pop()
-                        block.append(e)
-                        if e == (pv, v):
-                            break
-                    blocks.append(block)
+                    blocks.append(vstack[at:] + [pv])
+                    del vstack[at:]
                     top_far.append(sub[v])
                     near[pv] += sub[v]
                     if pv != root:
                         cuts.add(pv)
     total = sub[root]
-    if estack:  # the blocks below a merged root
-        blocks.append(estack[::-1])
+    if vstack:  # the blocks below a merged root
+        vstack.append(root)
+        blocks.append(vstack)
         top_far.append(total - near[root])
     elif root_children >= 2:  # an unmerged root tops one block per child
         cuts.add(root)
 
     def far(x: int, k: int) -> int:
-        return top_far[k] if x == blocks[k][-1][0] else total - near[x]
+        return top_far[k] if x == blocks[k][-1] else total - near[x]
 
     return blocks, cuts, far, total
 
@@ -392,7 +390,7 @@ def remove_degree1(w: WorkGraph, out: np.ndarray) -> int:
 def remove_bridges(w: WorkGraph, out: np.ndarray) -> int:
     """Remove every bridge between unmerged endpoints in one pass.
 
-    A bridge is a biconnected block of one edge.  Cut-side mass sums are
+    A bridge is a biconnected block of two vertices.  Cut-side mass sums are
     order-independent, so corrections and reciprocal reach updates use the
     two sides of each bridge cut directly, as the block decomposition's DFS
     measured them before any bridge went.  Both endpoints are checked: a
@@ -402,9 +400,9 @@ def remove_bridges(w: WorkGraph, out: np.ndarray) -> int:
     changes = 0
     for blocks, _, far, total in _blocks_and_cuts(w):
         for k, block in enumerate(blocks):
-            if len(block) != 1:
+            if len(block) != 2:
                 continue
-            u, v = block[0]
+            v, u = block  # u tops the block
             if w.ident[u] != 1 or w.ident[v] != 1:
                 continue
             side_v = far(u, k)
@@ -423,35 +421,33 @@ def shatter_articulation(w: WorkGraph) -> int:
 
     A merged class never cuts, so the blocks that meet at one shatter as one
     block.  Each cut vertex keeps its id in its first block and gets a fresh
-    copy in every later one; the vertex or copy in block k gets reach
-    ``total - far(c, k)``, the component's mass minus the block's side of the
-    cut, so it carries the far-side mass plus the vertex's own.  No score
-    corrections are needed; the reach attributes carry everything.  Returns
-    the number of components created.
+    copy in every later one, which takes over the vertex's edges into that
+    block (two blocks share at most one vertex); no other edge moves.  The
+    vertex or copy in block k gets reach ``total - far(c, k)``, the
+    component's mass minus the block's side of the cut, so it carries the
+    far-side mass plus the vertex's own.  No score corrections are needed;
+    the reach attributes carry everything.  Returns the number of components
+    created.
     """
     new_components = 0
     for blocks, cuts, far, total in _blocks_and_cuts(w):
         if not cuts:
             continue
-        # The blocks partition the component's edges, which are re-added into
-        # fresh adjacency sets; each vertex keeps its own id in exactly one
-        # block, and that block replaces its set.
-        w.live_edge_count -= sum(map(len, blocks))
         placed: set[int] = set()
         for k, block in enumerate(blocks):
-            verts = {x for e in block for x in e}
-            copy: dict[int, int] = {}
-            for c in sorted(verts & cuts):
-                if c in placed:
-                    copy[c] = w.add_vertex(w.members[c][0], total - far(c, k))
-                else:
+            inside = set(block)
+            for c in sorted(cuts & inside):
+                if c not in placed:
                     placed.add(c)
                     w.reach[c] = total - far(c, k)
-            for x in verts:
-                if x not in copy:
-                    w.adj[x] = set()
-            for u, x in block:
-                w.add_edge(copy.get(u, u), copy.get(x, x))
+                    continue
+                copy = w.add_vertex(w.members[c][0], total - far(c, k))
+                for x in w.adj[c] & inside:
+                    w.remove_edge(c, x)
+                    w.add_edge(copy, x)
+                inside ^= {c, copy}  # a later cut finds its edge to c at the copy
+        for c in cuts:
+            w.adj[c] = set(w.adj[c])  # a set keeps its table when it shrinks
         new_components += len(blocks) - 1
     return new_components
 
@@ -540,12 +536,14 @@ def merge_identical(w: WorkGraph, out: np.ndarray) -> int:
 
 def _merge_sweep(w: WorkGraph, out: np.ndarray, closed: bool) -> int:
     # Keys taken here stay valid through the sweep: a merge deletes the same
-    # vertices from every twin's neighborhood and credits twins equally.
+    # vertices from every twin's neighborhood and credits twins equally.  A
+    # key is one tuple, the sorted neighborhood then reach and score: built
+    # for every vertex at once, the keys can set a solve's peak memory.
     classes: dict[tuple, list[int]] = {}
     for v in w.live():
         nbrs = w.adj[v]
         if nbrs:
-            key = (tuple(sorted(nbrs | {v} if closed else nbrs)), w.reach[v], float(out[w.members[v][0]]))
+            key = (*sorted(nbrs | {v} if closed else nbrs), w.reach[v], float(out[w.members[v][0]]))
             classes.setdefault(key, []).append(v)
     changes = 0
     for verts in classes.values():  # in order of lowest id

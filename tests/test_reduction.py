@@ -128,6 +128,28 @@ def _random_attributes(rng: random.Random, w: WorkGraph) -> None:
     w.ident = [rng.choice((1, 1, 2, 3)) for _ in range(n)]
 
 
+def _is_bridge(w: WorkGraph, u: int, x: int) -> bool:
+    """Does every path between u and x use the edge u-x?"""
+    seen = {u}
+    stack = [u]
+    while stack:
+        y = stack.pop()
+        for z in w.adj[y]:
+            if z not in seen and (y, z) != (u, x):
+                seen.add(z)
+                stack.append(z)
+    return x not in seen
+
+
+def _induced_edges(w: WorkGraph, blocks: list[list[int]]) -> list[tuple[int, int]]:
+    """The edges each block's vertices induce, over all blocks, sorted."""
+    edges = []
+    for block in blocks:
+        inside = set(block)
+        edges += [(u, x) for u in block for x in w.adj[u] if u < x and x in inside]
+    return sorted(edges)
+
+
 class TestBlockMasses:
     def test_far_matches_brute_force(self):
         rng = random.Random(7)
@@ -143,21 +165,30 @@ class TestBlockMasses:
             # vertex misses part of the rest; a merged class never cuts
             true_cuts = {x for x in comp if _piece(w, x, _other(comp, x))[1] < total - w.mass(x)}
             assert cuts == {x for x in true_cuts if w.ident[x] == 1}
-            assert sorted(tuple(sorted(e)) for block in blocks for e in block) == g.edges()
+            # the blocks' induced edges cover every edge exactly once, also
+            # where merged classes glue blocks together
+            assert _induced_edges(w, blocks) == g.edges()
+            # a block of two vertices is exactly a bridge between unmerged
+            # vertices; a bridge at a merged class joins a larger block
+            pairs = {tuple(sorted(block)) for block in blocks if len(block) == 2}
+            unmerged_bridges = {
+                (u, x) for u, x in g.edges() if w.ident[u] == w.ident[x] == 1 and _is_bridge(w, u, x)
+            }
+            assert {(u, x) for u, x in pairs if w.ident[u] == w.ident[x] == 1} == unmerged_bridges
+            assert all(x in w.adj[u] and _is_bridge(w, u, x) for u, x in pairs)
+            seen_cut_bridge += any(set(pair) <= cuts for pair in pairs)
             expected = {}
             blocks_of: dict[int, int] = {}
             for k, block in enumerate(blocks):
-                verts = sorted({x for e in block for x in e})
-                for x in verts:
+                assert len(set(block)) == len(block) >= 2
+                for x in block:
                     blocks_of[x] = blocks_of.get(x, 0) + 1
                     if w.ident[x] != 1:
                         continue
-                    piece, mass = _piece(w, x, _other(verts, x))
-                    assert set(verts) - {x} <= piece, (x, k)
+                    piece, mass = _piece(w, x, _other(block, x))
+                    assert set(block) - {x} <= piece, (x, k)
                     expected[(x, k)] = mass
                     assert far(x, k) == mass, (x, k)
-                if len(block) == 1 and set(block[0]) <= cuts:
-                    seen_cut_bridge += 1
             assert {x for x, count in blocks_of.items() if count > 1} == cuts
             seen_multi_block_cut += any(c >= 3 for c in blocks_of.values())
             seen_merged_cut += any(w.ident[c] > 1 for c in true_cuts)
@@ -191,7 +222,8 @@ class TestBlockMasses:
         assert len(walk) == len(comps)
         assert [total for _, _, _, total in walk] == w.component_mass_sums()
         for comp, (blocks, cuts, _, _) in zip(comps, walk):
-            assert {x for block in blocks for e in block for x in e} == (set(comp) if len(comp) > 1 else set())
+            assert {x for block in blocks for x in block} == (set(comp) if len(comp) > 1 else set())
+            assert _induced_edges(w, blocks) == sorted((u, x) for u in comp for x in w.adj[u] if u < x)
             assert cuts <= set(comp)
         assert walk[-1][:2] == ([], set())
 
@@ -199,6 +231,39 @@ class TestBlockMasses:
         assert shatter_articulation(w) > 0
         for comp, total in zip(w.components(), w.component_mass_sums()):
             assert {mass_of_org[w.members[v][0]] for v in comp} == {total}
+
+
+def _block_masses(w: WorkGraph) -> dict[frozenset[int], tuple[int, dict[int, int]]]:
+    """Every block's vertex set, keyed to its component's mass and the far
+    values of its unmerged vertices."""
+    return {
+        frozenset(block): (total, {x: far(x, k) for x in block if w.ident[x] == 1})
+        for blocks, _, far, total in _blocks_and_cuts(w)
+        for k, block in enumerate(blocks)
+    }
+
+
+class TestBridgesKeepBlocks:
+    def test_non_bridge_blocks_keep_vertices_and_masses(self):
+        """Removing the bridges leaves every other block as ``a`` would read
+        it: same vertices, same component mass, same far values."""
+        rng = random.Random(3)
+        removed = merged = 0
+        for case in range(60):
+            spec = GraphSpec(FAMILIES[case % len(FAMILIES)], rng.randint(8, 60), 0.0, rng.randrange(10**6))
+            g = generate(spec)
+            w, out = _work(g)
+            if case % 2:
+                merged += merge_identical(w, out)
+            w.reach = [rng.randint(1, 4) for _ in w.reach]
+            before = _block_masses(w)
+            bridges = {
+                block for block in before if len(block) == 2 and all(w.ident[x] == 1 for x in block)
+            }
+            assert remove_bridges(w, out) == len(bridges)
+            removed += len(bridges)
+            assert _block_masses(w) == {block: v for block, v in before.items() if block not in bridges}
+        assert removed and merged
 
 
 class TestLetterOrderFuzz:
@@ -611,15 +676,24 @@ class TestPreprocess:
                 assert run_pass(w, letter, out) == 0
 
     def test_edges_never_increase(self):
-        for seed in range(4):
-            g = random_graph(16, 0.25, seed)
-            w = WorkGraph.from_graph(g)
-            out = np.zeros(g.n)
-            for _ in range(4):
-                for letter in "dbasi":
-                    before = w.live_edge_count
-                    run_pass(w, letter, out)
-                    assert w.live_edge_count <= before
+        graphs = [random_graph(16, 0.25, seed) for seed in range(4)]
+        # cuts and merged classes: cliques glued at vertices, blobs joined by bridges
+        for family in ("clique-chain", "bridged-blobs"):
+            graphs += [generate(GraphSpec(family, 40, 0.0, seed)) for seed in range(3)]
+        for g in graphs:
+            # "i" first as well, so that later splits meet merged classes
+            for letters in ("dbasi", "iabds"):
+                w = WorkGraph.from_graph(g)
+                out = np.zeros(g.n)
+                for _ in range(4):
+                    for letter in letters:
+                        before = w.live_edge_count
+                        run_pass(w, letter, out)
+                        assert w.live_edge_count <= before
+                        # the edge count matches the sets, and every edge is in both
+                        live = list(w.live())
+                        assert w.live_edge_count * 2 == sum(len(w.adj[v]) for v in live)
+                        assert all(v in w.adj[x] for v in live for x in w.adj[v])
 
     def test_mass_conservation_under_shattering_passes(self):
         # with only folds and splits enabled, every component must keep a
