@@ -3,8 +3,7 @@
  * - bcs_brandes, all sources over one component's CSR: the compiled form of
  *   ``kernels.brandes_python``;
  * - bcs_side_sweep, one compensation run per side vertex over the work
- *   graph: the compiled form of the loop in
- *   ``reduction.remove_side_vertices``.
+ *   graph: the compiled form of ``kernels.side_sweep_python``.
  *
  * Every floating-point expression is the one ``kernels.single_source`` and
  * ``kernels.side_bfs`` evaluate, in the same order, and every attribute
@@ -126,9 +125,9 @@ void bcs_brandes(int64_t n, const int64_t *offsets, const int32_t *targets,
  * order and skipping zero amounts; then the endpoint credit
  * (reach[s] - 1) * (mass reached), summed in integers, to each of its own
  * members.  The candidate is then taken out of the graph: later runs see
- * its rows as if it were deleted, and deleting from a set never reorders
- * the rest, so every run visits the vertices of the Python loop in its
- * order and out[] receives the same additions in the same order.
+ * its rows as if it were deleted, and deleting from a list never reorders
+ * the rest, so every run visits the vertices of ``side_sweep_python`` in
+ * its order and out[] receives the same additions in the same order.
  *
  * Writes the removed candidates, in order, to removed, and adds the runs
  * and the arcs they scanned (the live degrees of the vertices each run
@@ -181,6 +180,7 @@ void bcs_side_sweep(int64_t n, const int64_t *offsets, const int32_t *targets,
         for (int64_t a = offsets[s]; a < offsets[s + 1]; a++)
             if (dist[targets[a]] != ABSENT)
                 degree[targets[a]]--;
+        degree[s] = 0; /* so a repeated candidate is skipped */
         removed[runs++] = s;
     }
     counts[0] += runs;

@@ -7,6 +7,7 @@ All outputs are CSV with header rows.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import sys
 from pathlib import Path
@@ -82,15 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_rows(out: str, rows) -> None:
-    if out == "-":
-        writer = csv.writer(sys.stdout)
-        for row in rows:
-            writer.writerow(row)
-    else:
-        with open(out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in rows:
-                writer.writerow(row)
+    with contextlib.nullcontext(sys.stdout) if out == "-" else open(out, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
 
 
 def _load_graph(path: str, fmt: str, base: int):
@@ -164,6 +158,8 @@ def _cmd_bench(args) -> int:
         baseline = ""
         if "" not in combos:
             combos = [""] + combos
+    if baseline not in combos:  # refused before any graph is timed or any file written
+        raise ValueError(f"--combos must include the baseline combination {baseline!r} to normalize against")
     records = []
     component_rows = [["graph", "combination", "component", "edges"]]
     io_failures = 0

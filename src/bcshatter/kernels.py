@@ -6,29 +6,25 @@ output option).  Shortest-path counts sigma are kept in float64 because they
 can overflow 64-bit integers on dense graphs while the dependency ratios
 stay well conditioned.
 
-One attribute-general algorithm exists, in two implementations:
+One attribute-general algorithm exists, behind two entry points.  Each
+pairs a compiled form in ``_brandes.c`` with a Python form built on
+``single_source``, the one Python forward BFS and backward sweep:
 
-* the compiled library - ``_brandes.c``.  The first call that needs it
-  builds it with the local C compiler into a per-user cache named by the
-  hash of the source and the compile command, and loads it with ctypes.  It
-  has two entry points, both without predecessor lists in the backward
-  sweep: a vertex pushes its dependency to the neighbors one BFS level up
-  (Madduri et al., IPDPS 2009).
+* ``brandes``, all sources over one component: ``bcs_brandes`` and
+  ``brandes_python``.
+* ``side_sweep``, a whole side-vertex sweep of
+  ``reduction.remove_side_vertices``, one run per candidate over the work
+  graph, adding the amounts straight into the score accumulator:
+  ``bcs_side_sweep`` and ``side_sweep_python``, whose runs are ``side_bfs``.
 
-  - ``bcs_brandes``, which ``brandes`` calls: all sources over one
-    component's CSR.
-  - ``bcs_side_sweep``, which ``side_sweep`` calls: a whole side-vertex
-    sweep of ``reduction.remove_side_vertices``, one run per candidate over
-    the work graph's CSR, adding the amounts straight into the score
-    accumulator.
-* the Python loop - ``single_source``, the one Python forward BFS and
-  backward sweep, over per-vertex list state that the caller allocates once
-  and each run leaves at rest.  ``brandes_python`` runs it once per source,
-  and ``side_bfs`` once per side vertex.  They are the references the tests
-  hold the compiled entry points to, and the fallback that runs, silently,
-  when the library cannot be built or loaded: ``brandes`` then calls
-  ``brandes_python``, and ``side_sweep`` returns None so that the side pass
-  runs its own loop over ``side_bfs``.
+The first call that needs the library builds it with the local C compiler
+into a per-user cache named by the hash of the source and the compile
+command, and loads it with ctypes.  Its backward sweeps keep no predecessor
+lists: a vertex pushes its dependency to the neighbors one BFS level up
+(Madduri et al., IPDPS 2009).  The Python forms are the references the tests
+hold the compiled forms to, and run, silently, when the library cannot be
+built or loaded.  Each entry point checks its inputs before it picks a form,
+so both forms accept and refuse the same inputs.
 
 The compiled code evaluates the Python loop's floating-point expressions
 in the same order, with contraction into fused multiply-adds turned off, and
@@ -47,7 +43,7 @@ Attribute semantics on a reduced component:
   route, hence the sigma multiplier; as a source or endpoint it multiplies
   whole dependency trees.
 
-Each kernel returns ``(scores, phase1_seconds, phase2_seconds)`` where
+``brandes`` returns ``(scores, phase1_seconds, phase2_seconds)`` where
 scores[v] is the per-copy contribution for v (shared by all merged copies).
 """
 
@@ -120,11 +116,11 @@ def brandes(adj: Adjacency, reach: list[int] | None = None, ident: list[int] | N
         raise ValueError(f"reach and ident need {n} entries, one per vertex")
     _check_positive(reach, "reach")
     _check_positive(ident, "ident")
+    offsets, targets = _csr(adj, np.int32)
+    _check_ids(targets, n, "neighbor")
     lib = _kernel()
     if lib is None:
         return brandes_python(adj, reach, ident)
-    offsets, targets = _csr(adj, np.int32)
-    _check_ids(targets, n, "neighbor")
     bc = np.zeros(n)
     seconds = np.zeros(2)
     lib.bcs_brandes(
@@ -144,22 +140,18 @@ def brandes(adj: Adjacency, reach: list[int] | None = None, ident: list[int] | N
 
 
 def side_sweep(adj, members, reach, ident, candidates: list[int], out: np.ndarray):
-    """One compiled side-vertex sweep, or None when the compiled library
-    cannot be built or loaded.
+    """One side-vertex sweep: ``bcs_side_sweep``, or ``side_sweep_python``
+    when the compiled library cannot be built or loaded.
 
     ``adj`` and ``members`` are the work graph's (a deleted vertex's row is
     None).  For each candidate in order whose neighborhood is not yet empty,
     adds the amounts of :func:`side_bfs` and the endpoint credit to ``out``
-    (a float64 array) exactly as ``reduction.remove_side_vertices``' Python
-    loop does, and treats the candidate as deleted from then on.  Changes
-    nothing but ``out``; the caller retires the removed candidates.  Returns
-    ``(removed, arcs)``: the removed candidates in order, one run each, and
-    the arcs the runs scanned, counted as for ``side_bfs`` calls (the
-    source's degree plus the degrees of the vertices it reached).
+    (a float64 array), and treats the candidate as deleted from then on.
+    Changes nothing but ``out``; the caller retires the removed candidates.
+    Returns ``(removed, arcs)``: the removed candidates in order, one run
+    each, and the arcs the runs scanned, counted as for ``side_bfs`` calls
+    (the source's degree plus the degrees of the vertices it reached).
     """
-    lib = _kernel()
-    if lib is None:
-        return None
     n = len(adj)
     if len(members) != n or len(reach) != n or len(ident) != n:
         raise ValueError(f"members, reach and ident need {n} entries, one per vertex")
@@ -169,6 +161,9 @@ def side_sweep(adj, members, reach, ident, candidates: list[int], out: np.ndarra
     _check_ids(targets, n, "neighbor")
     _check_ids(sources, n, "candidate")
     _check_ids(flat_members, len(out), "member")
+    lib = _kernel()
+    if lib is None:
+        return side_sweep_python(adj, members, reach, ident, candidates, out)
     removed = np.empty(len(sources), dtype=np.int32)
     counts = np.zeros(2, dtype=np.int64)
     lib.bcs_side_sweep(
@@ -387,6 +382,41 @@ def side_bfs(adj, source: int, reach, ident, state) -> list[tuple[int, float]]:
     deps, _ = single_source(adj, source, reach, ident, state)
     m = reach[source] * ident[source]
     return [(w, m * dw + m * (dw - (reach[w] - 1.0))) for w, dw in deps]
+
+
+def side_sweep_python(adj, members, reach, ident, candidates: list[int], out: np.ndarray):
+    """The side sweep as one :func:`side_bfs` run per candidate (the
+    reference for ``bcs_side_sweep``); see :func:`side_sweep` for the
+    arguments and the result.
+
+    The runs go over a copy of the rows as lists in the rows' iteration
+    order, and each removed candidate is deleted from the copy before the
+    next run.  Deleting from a list, like deleting from a set, never
+    reorders the rest, so every run visits the vertices in the order of the
+    work graph with the earlier candidates deleted.
+    """
+    rows = [list(r) if r else [] for r in adj]
+    state = source_state(len(rows))
+    removed = []
+    arcs = 0
+    for u in candidates:
+        if not rows[u]:
+            continue  # removed already, or earlier removals emptied its neighborhood
+        amounts = side_bfs(rows, u, reach, ident, state)
+        for x, amount in amounts:
+            if amount:
+                for m in members[x]:
+                    out[m] += amount
+        if reach[u] > 1:
+            credit = (reach[u] - 1) * sum(ident[x] * reach[x] for x, _ in amounts)
+            for m in members[u]:
+                out[m] += credit
+        arcs += len(rows[u]) + sum(len(rows[x]) for x, _ in amounts)
+        for x in rows[u]:
+            rows[x].remove(u)
+        rows[u] = []
+        removed.append(u)
+    return removed, arcs
 
 
 def betweenness(g: Graph, *, unordered: bool = False):

@@ -13,9 +13,7 @@ shrunk by five passes:
   their blocks, as vertex lists, and cut-side masses from one DFS walk over
   all components that sums subtree masses),
 * ``s`` side-vertex removal (simplicial vertices; one compensation BFS each,
-  all of one sweep in one call of the compiled ``kernels.side_sweep``, or in
-  a Python loop over ``kernels.side_bfs`` when the compiled library cannot
-  be built or loaded),
+  all of one sweep in one call of ``kernels.side_sweep``),
 * ``i`` identical-vertex merging (open or closed neighborhood equality).
 
 A deleted vertex keeps its id until the next :meth:`WorkGraph.compact`, with
@@ -474,18 +472,13 @@ def remove_side_vertices(w: WorkGraph, out: np.ndarray, max_degree: int = DEFAUL
     one sweep over vertices of degree <= max_degree; removals can expose new
     side vertices, which the next loop iteration picks up.
 
-    The sweep runs in one compiled call (:func:`kernels.side_sweep`), and the
-    removed candidates then retire in candidate order.  When the compiled
-    library cannot be built or loaded, :func:`_side_loop`, its reference,
-    runs instead, with bit-identical results.
+    The whole sweep is one :func:`kernels.side_sweep` call, and the removed
+    candidates then retire in candidate order.
     """
     candidates = _side_candidates(w, max_degree)
     if not candidates:
         return 0
-    swept = kernels.side_sweep(w.adj, w.members, w.reach, w.ident, candidates, out)
-    if swept is None:
-        return _side_loop(w, out, candidates)
-    removed, _ = swept
+    removed, _ = kernels.side_sweep(w.adj, w.members, w.reach, w.ident, candidates, out)
     for u in removed:
         w.retire(u)
     return len(removed)
@@ -495,28 +488,6 @@ def _side_candidates(w: WorkGraph, max_degree: int) -> list[int]:
     """The live vertices of degree 1 to max_degree whose unfolded
     neighborhood is a clique, in increasing id order."""
     return [v for v in w.live() if 1 <= len(w.adj[v]) <= max_degree and _expanded_clique(w, v)]
-
-
-def _side_loop(w: WorkGraph, out: np.ndarray, candidates: list[int]) -> int:
-    """The side sweep in Python: one :func:`kernels.side_bfs` per candidate,
-    each removal taking effect before the next run."""
-    state = kernels.source_state(len(w.adj))
-    changes = 0
-    for u in candidates:
-        if not w.adj[u]:
-            continue  # earlier removals in this sweep emptied its neighborhood
-        amounts = kernels.side_bfs(w.adj, u, w.reach, w.ident, state)
-        for x, amount in amounts:
-            if amount:
-                for m in w.members[x]:
-                    out[m] += amount
-        if w.reach[u] > 1:
-            credit = (w.reach[u] - 1) * sum(w.ident[x] * w.reach[x] for x, _ in amounts)
-            for m in w.members[u]:
-                out[m] += credit
-        w.retire(u)
-        changes += 1
-    return changes
 
 
 def merge_identical(w: WorkGraph, out: np.ndarray) -> int:

@@ -187,6 +187,13 @@ class TestBench:
         err = capsys.readouterr().err
         assert "--reps" in err and "skipping" not in err  # refused before any graph is read
 
+    def test_combos_without_baseline_is_usage_error(self, tmp_path, p4_file, capsys):
+        out = tmp_path / "bench.csv"
+        code = main(["bench", str(p4_file), "--combos", "od,odb", "--reps", "1", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert not out.exists()
+        assert "baseline" in capsys.readouterr().err
+
     def test_bench_graph_refuses_reps_below_one(self):
         with pytest.raises(ValueError):
             bench_graph(Graph.from_edges(2, [(0, 1)]), "edge", ("o",), reps=0)

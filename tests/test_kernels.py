@@ -27,7 +27,7 @@ from bcshatter.kernels import (
     source_state,
 )
 from bcshatter.oracle import GraphSpec, generate, pair_distance_total
-from bcshatter.reduction import DEFAULT_MAX_SIDE_DEGREE, WorkGraph, _side_candidates, _side_loop, remove_side_vertices
+from bcshatter.reduction import DEFAULT_MAX_SIDE_DEGREE, WorkGraph, _side_candidates, remove_side_vertices
 
 from conftest import complete_graph, cycle_graph, path_graph, random_graph, star_graph
 
@@ -103,7 +103,7 @@ class TestReach:
         with pytest.raises(ValueError):
             bc_reach([[1], [0, 2], [1]], [1, 1])
 
-    @pytest.mark.usefixtures("compiled_kernel")
+    @pytest.mark.usefixtures("kernel_path")
     @pytest.mark.parametrize("neighbor", [-1, 3])
     def test_rejects_neighbor_out_of_range(self, neighbor):
         with pytest.raises(ValueError):
@@ -269,13 +269,15 @@ class TestBuild:
         g = generate(GraphSpec("planted-side", 60, 0.0, seed=3))
         w, out = WorkGraph.from_graph(g), np.zeros(g.n)
         ref, ref_out = WorkGraph.from_graph(g), np.zeros(g.n)
+        candidates = _side_candidates(ref, DEFAULT_MAX_SIDE_DEGREE)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             changes = remove_side_vertices(w, out)
             got, _, _ = brandes(adj, reach, ident)
         assert got == brandes_python(adj, reach, ident)[0]
         assert changes > 0
-        assert changes == _side_loop(ref, ref_out, _side_candidates(ref, DEFAULT_MAX_SIDE_DEGREE))
+        removed, _ = kernels.side_sweep_python(ref.adj, ref.members, ref.reach, ref.ident, candidates, ref_out)
+        assert changes == len(removed)
         assert out.tobytes() == ref_out.tobytes()
         assert capfd.readouterr() == ("", "")
 
@@ -331,7 +333,7 @@ class TestSideBfs:
         assert calls > 1000
 
 
-@pytest.mark.usefixtures("compiled_kernel")
+@pytest.mark.usefixtures("kernel_path")
 @pytest.mark.parametrize("field", ["neighbor", "candidate", "member"])
 def test_side_sweep_refuses_ids_out_of_range(field):
     adj = [{1, 2}, {0, 2}, {0, 1}]

@@ -20,7 +20,6 @@ from bcshatter.reduction import (
     _expanded_clique,
     _merge_sweep,
     _side_candidates,
-    _side_loop,
     finalize,
     merge_identical,
     preprocess,
@@ -507,19 +506,27 @@ def _attributed_work(g: Graph, seed: int):
     return w, out
 
 
+def _side_inputs(w: WorkGraph):
+    """What a side sweep must leave as it found it: the rows in their
+    iteration order, the member lists and the attributes."""
+    return [a if a is None else list(a) for a in w.adj], [list(m) for m in w.members], list(w.reach), list(w.ident)
+
+
 @pytest.fixture
 def compiled_library():
-    if kernels._kernel() is None:
+    lib = kernels._kernel()
+    if lib is None:
         pytest.skip("the compiled library could not be built or loaded here")
+    return lib
 
 
 @pytest.mark.usefixtures("compiled_library")
 class TestSideSweep:
-    """The compiled sweep against the Python loop, its reference.  The
-    compiled runs visit vertices and add to the scores in the loop's order,
-    so everything is compared with ``==``."""
+    """The compiled sweep against ``kernels.side_sweep_python``, its
+    reference.  The compiled runs visit vertices and add to the scores in
+    the reference's order, so everything is compared with ``==``."""
 
-    def test_sweep_matches_python_loop(self):
+    def test_sweep_matches_python_loop(self, compiled_library, monkeypatch):
         rng = random.Random(29)
         removed = skipped = 0
         for case in range(180):
@@ -530,8 +537,10 @@ class TestSideSweep:
             w, out = _attributed_work(g, seed)
             ref, ref_out = _attributed_work(g, seed)
             candidates = _side_candidates(ref, cap)
+            monkeypatch.setattr(kernels, "_compiled", compiled_library)
             changes = remove_side_vertices(w, out, cap)
-            assert changes == _side_loop(ref, ref_out, candidates), (family, case)
+            monkeypatch.setattr(kernels, "_compiled", None)
+            assert changes == remove_side_vertices(ref, ref_out, cap), (family, case)
             assert out.tobytes() == ref_out.tobytes(), (family, case)
             assert w.retired_mass == ref.retired_mass
             assert w.live_edge_count == ref.live_edge_count
@@ -539,6 +548,30 @@ class TestSideSweep:
             removed += changes
             skipped += len(candidates) - changes
         assert removed > 300 and skipped > 0
+
+    def test_forms_agree_and_leave_inputs_alone(self, compiled_library, monkeypatch):
+        # both forms of kernels.side_sweep on work-graph-shaped inputs: sets
+        # in their own iteration order, None rows, merged and shared members,
+        # and candidates that are dead, repeated or not simplicial
+        rng = random.Random(37)
+        removed = arcs = 0
+        for case in range(120):
+            family = FAMILIES[case % len(FAMILIES)]
+            g = generate(GraphSpec(family, rng.randint(8, 60), 0.0, rng.randrange(10**6)))
+            w, out = _attributed_work(g, rng.randrange(10**6))
+            candidates = _side_candidates(w, case % 6 + 1) + rng.choices(range(len(w.adj)), k=5)
+            rng.shuffle(candidates)
+            inputs = _side_inputs(w)
+            results = []
+            for lib in (compiled_library, None):
+                monkeypatch.setattr(kernels, "_compiled", lib)
+                got = out.copy()
+                results.append((kernels.side_sweep(w.adj, w.members, w.reach, w.ident, candidates, got), got.tobytes()))
+                assert _side_inputs(w) == inputs, (family, case, lib)
+            assert results[0] == results[1], (family, case)
+            removed += len(results[0][0][0])
+            arcs += results[0][0][1]
+        assert removed > 300 and arcs > removed
 
     def test_pass_events_match_python_loop(self, monkeypatch):
         rng = random.Random(31)
@@ -551,7 +584,7 @@ class TestSideSweep:
             combo = ("o" if rng.random() < 0.5 else "") + "".join(letters)
             cases.append((g, combo, case % 6 + 1, rng.randrange(10**6)))
         compiled = [compute_scores(g, combo, max_side_degree=cap, order_seed=seed) for g, combo, cap, seed in cases]
-        monkeypatch.setattr(kernels, "side_sweep", lambda *args: None)  # the Python loop
+        monkeypatch.setattr(kernels, "side_sweep", kernels.side_sweep_python)
         for (g, combo, cap, seed), got in zip(cases, compiled):
             expected = compute_scores(g, combo, max_side_degree=cap, order_seed=seed)
             assert got.scores.tobytes() == expected.scores.tobytes(), (combo, cap)
