@@ -7,12 +7,13 @@
  *
  * Every floating-point expression is the one ``kernels.single_source`` and
  * ``kernels.side_bfs`` evaluate, in the same order, and every attribute
- * factor is applied even when it is 1.  The backward sweep keeps no
- * predecessor lists: walking the BFS order backwards, each vertex w pushes
- * its dependency to the neighbors v with dist[v] == dist[w] - 1, which are
- * exactly its predecessors (Madduri et al., IPDPS 2009).  A vertex receives
- * its terms in the same order as from the Python predecessor lists, so the
- * scores match the Python loop's.
+ * factor is applied even when it is 1.  Like ``single_source``, the forward
+ * BFS records the predecessors of each vertex (Brandes, J. Math. Sociol.
+ * 25(2), 2001): each v with sigma[w] += sigma[v] goes into w's bucket, and
+ * the backward sweep pushes w's dependency along that bucket only.  A
+ * vertex receives its terms from its successors in reverse BFS order, as
+ * from the Python predecessor lists, so the scores match the Python loop's
+ * for any rows, symmetric or not, repeated entries included.
  *
  * Build: cc -O2 -shared -fPIC -ffp-contract=off.  Contracting a * b + c into
  * a fused multiply-add would round differently from Python.
@@ -23,9 +24,9 @@
 #include <time.h>
 
 /* dist of a vertex no run has reached, and of a vertex taken out of the
- * graph: the forward BFS neither discovers nor counts an ABSENT vertex, and
- * the backward sweep never finds it one level up, so it acts as if deleted
- * from every adjacency row. */
+ * graph: the forward BFS neither discovers nor counts an ABSENT vertex, so
+ * it is nobody's predecessor and acts as if deleted from every adjacency
+ * row. */
 #define UNSEEN (-1)
 #define ABSENT (-2)
 
@@ -36,18 +37,39 @@ static double now(void)
     return (double)ts.tv_sec + 1e-9 * (double)ts.tv_nsec;
 }
 
+/* Lays out the predecessor buckets and leaves them empty.  Bucket w is
+ * preds[starts[w] .. starts[w + 1]), one slot per occurrence of w in
+ * targets: a run records v in it once per occurrence of w in v's row at
+ * most, so whatever the rows, no write leaves the bucket.  fill[w] is one
+ * past the last predecessor recorded in it. */
+static void empty_buckets(int64_t n, const int64_t *offsets, const int32_t *targets,
+                          int64_t *starts, int64_t *fill)
+{
+    for (int64_t v = 0; v <= n; v++)
+        starts[v] = 0;
+    for (int64_t a = 0; a < offsets[n]; a++)
+        starts[targets[a] + 1]++;
+    for (int64_t v = 0; v < n; v++) {
+        starts[v + 1] += starts[v];
+        fill[v] = starts[v];
+    }
+}
+
 /* The forward BFS from s, shared by both entry points: fills order, dist,
- * sigma and delta for every vertex s reaches and returns how many that is
+ * sigma and delta for every vertex s reaches, records each vertex's
+ * predecessors in its bucket, and returns how many vertices s reaches
  * (order[0] is s).  Inlined into each caller, so the all-sources loop
  * compiles as it would without the side sweep.  The backward sweeps stay
  * two loops: what a swept vertex does with its dependency differs (one
  * score addition against amounts spread over its members plus the mass and
  * arc counts), and a shared loop would have to branch or call back per
- * vertex inside the all-sources kernel. */
+ * vertex inside the all-sources kernel.  Each reads a swept vertex's bucket
+ * and empties it again. */
 static inline __attribute__((always_inline)) int64_t
 forward(int32_t s, const int64_t *offsets, const int32_t *targets,
         const double *reach, const double *ident,
-        int32_t *dist, int32_t *order, double *sigma, double *delta)
+        int32_t *dist, int32_t *order, double *sigma, double *delta,
+        int32_t *preds, int64_t *fill)
 {
     int64_t end = 1;
     order[0] = s;
@@ -67,46 +89,49 @@ forward(int32_t s, const int64_t *offsets, const int32_t *targets,
                 delta[w] = reach[w] - 1.0;
                 order[end++] = w;
             }
-            if (dist[w] == dv1)
+            if (dist[w] == dv1) {
                 sigma[w] += sv;
+                preds[fill[w]++] = v;
+            }
         }
     }
     return end;
 }
 
 /* n vertices; the neighbors of v are targets[offsets[v] .. offsets[v + 1]),
- * every one in [0, n), and the adjacency is symmetric.  dist and order
- * (int32) and sigma and delta (double) are n-element workspaces.  Adds each
- * vertex's score to bc, and the forward and backward seconds to seconds[0]
- * and seconds[1]. */
+ * every one in [0, n); the rows need not be symmetric and may repeat an
+ * entry.  dist and order (int32) and sigma and delta (double) are n-element
+ * workspaces, preds (int32) has offsets[n] slots and starts and fill
+ * (int64) n + 1 and n.  Adds each vertex's score to bc, and the seconds of
+ * the forward BFS, predecessor recording included, and of the backward
+ * sweep to seconds[0] and seconds[1]. */
 void bcs_brandes(int64_t n, const int64_t *offsets, const int32_t *targets,
                  const double *reach, const double *ident,
                  int32_t *dist, int32_t *order, double *sigma, double *delta,
+                 int32_t *preds, int64_t *starts, int64_t *fill,
                  double *bc, double *seconds)
 {
+    empty_buckets(n, offsets, targets, starts, fill);
     for (int64_t v = 0; v < n; v++)
         dist[v] = UNSEEN;
     for (int32_t s = 0; s < n; s++) {
         double start = now();
-        int64_t end = forward(s, offsets, targets, reach, ident, dist, order, sigma, delta);
+        int64_t end = forward(s, offsets, targets, reach, ident, dist, order, sigma, delta, preds, fill);
         double mid = now();
         double mult = reach[s] * ident[s];
         for (int64_t idx = end - 1; idx > 0; idx--) { /* order[0] is s */
             int32_t w = order[idx];
             double dw = delta[w];
             double coef = ident[w] * (1.0 + dw) / sigma[w];
-            int32_t up = dist[w] - 1;
-            for (int64_t a = offsets[w]; a < offsets[w + 1]; a++) {
-                int32_t v = targets[a];
-                if (dist[v] == up)
-                    delta[v] += sigma[v] * coef;
+            for (int64_t k = starts[w]; k < fill[w]; k++) {
+                int32_t v = preds[k];
+                delta[v] += sigma[v] * coef;
             }
+            fill[w] = starts[w];
             bc[w] += mult * dw;
-            /* vertices swept so far read UNSEEN, which is no up here: every
-             * w swept lies at distance >= 1 */
             dist[w] = UNSEEN;
         }
-        dist[s] = UNSEEN;
+        dist[s] = UNSEEN; /* a source has no predecessor: its bucket stayed empty */
         seconds[0] += mid - start;
         seconds[1] += now() - mid;
     }
@@ -116,7 +141,8 @@ void bcs_brandes(int64_t n, const int64_t *offsets, const int32_t *targets,
  * with its adjacency as a CSR (offsets, targets), each row in its set's
  * iteration order, and the original vertices each id carries as a second
  * CSR (member_offsets, members).  dist, order (int32), sigma, delta (double)
- * and degree (int64) are n-element workspaces.
+ * and degree (int64) are n-element workspaces, and preds, starts and fill
+ * the predecessor buckets' as for bcs_brandes.
  *
  * For each of the ncand candidates in turn, a candidate with no neighbor
  * left is skipped.  Otherwise one run from it adds, for every vertex w it
@@ -137,8 +163,10 @@ void bcs_side_sweep(int64_t n, const int64_t *offsets, const int32_t *targets,
                     const double *reach, const double *ident,
                     const int32_t *candidates, int64_t ncand, double *out,
                     int32_t *dist, int32_t *order, double *sigma, double *delta,
+                    int32_t *preds, int64_t *starts, int64_t *fill,
                     int64_t *degree, int32_t *removed, int64_t *counts)
 {
+    empty_buckets(n, offsets, targets, starts, fill);
     for (int64_t v = 0; v < n; v++) {
         dist[v] = UNSEEN;
         degree[v] = offsets[v + 1] - offsets[v];
@@ -149,19 +177,18 @@ void bcs_side_sweep(int64_t n, const int64_t *offsets, const int32_t *targets,
         int32_t s = candidates[i];
         if (degree[s] == 0)
             continue; /* earlier removals in this sweep emptied its neighborhood */
-        int64_t end = forward(s, offsets, targets, reach, ident, dist, order, sigma, delta);
+        int64_t end = forward(s, offsets, targets, reach, ident, dist, order, sigma, delta, preds, fill);
         double m = reach[s] * ident[s];
         int64_t mass = 0;
         for (int64_t idx = end - 1; idx > 0; idx--) { /* order[0] is s */
             int32_t w = order[idx];
             double dw = delta[w];
             double coef = ident[w] * (1.0 + dw) / sigma[w];
-            int32_t up = dist[w] - 1;
-            for (int64_t a = offsets[w]; a < offsets[w + 1]; a++) {
-                int32_t v = targets[a];
-                if (dist[v] == up)
-                    delta[v] += sigma[v] * coef;
+            for (int64_t k = starts[w]; k < fill[w]; k++) {
+                int32_t v = preds[k];
+                delta[v] += sigma[v] * coef;
             }
+            fill[w] = starts[w];
             double amount = m * dw + m * (dw - (reach[w] - 1.0));
             if (amount != 0.0)
                 for (int64_t k = member_offsets[w]; k < member_offsets[w + 1]; k++)

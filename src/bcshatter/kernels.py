@@ -19,11 +19,12 @@ pairs a compiled form in ``_brandes.c`` with a Python form built on
 
 The first call that needs the library builds it with the local C compiler
 into a per-user cache named by the hash of the source and the compile
-command, and loads it with ctypes.  Its backward sweeps keep no predecessor
-lists: a vertex pushes its dependency to the neighbors one BFS level up
-(Madduri et al., IPDPS 2009).  The Python forms are the references the tests
-hold the compiled forms to, and run, silently, when the library cannot be
-built or loaded.  Each entry point checks its inputs before it picks a form,
+command, and loads it with ctypes.  Like ``single_source``, its forward BFS
+records each vertex's predecessors, in per-vertex buckets sized by the
+vertex's occurrences in the rows, and its backward sweeps push a vertex's
+dependency along its bucket only.  The Python forms are the references the
+tests hold the compiled forms to, and run, silently, when the library cannot
+be built or loaded.  Each entry point checks its inputs before it picks a form,
 so both forms accept and refuse the same inputs.
 
 The compiled code evaluates the Python loop's floating-point expressions
@@ -45,6 +46,8 @@ Attribute semantics on a reduced component:
 
 ``brandes`` returns ``(scores, phase1_seconds, phase2_seconds)`` where
 scores[v] is the per-copy contribution for v (shared by all merged copies).
+Phase 1 is the forward BFS, recording the predecessors included, and phase 2
+the backward sweep.
 """
 
 from __future__ import annotations
@@ -105,7 +108,10 @@ def bc_reach_ident(adj: Adjacency, reach: list[int], ident: list[int]):
 def brandes(adj: Adjacency, reach: list[int] | None = None, ident: list[int] | None = None):
     """Attribute-general Brandes; missing attributes are all 1.
 
-    ``adj`` must be symmetric, with every neighbor id in ``range(len(adj))``.
+    Every neighbor id must lie in ``range(len(adj))``.  The rows need not be
+    symmetric and may repeat an id: both forms take v as a predecessor of w
+    once per occurrence of w in v's row, as ``single_source`` does, and give
+    the same scores.
     Runs the compiled kernel, or ``brandes_python`` when it cannot be built
     or loaded.
     """
@@ -133,6 +139,7 @@ def brandes(adj: Adjacency, reach: list[int] | None = None, ident: list[int] | N
         np.empty(n, dtype=np.int32),
         np.empty(n),
         np.empty(n),
+        *_bucket_workspaces(n, targets),
         bc,
         seconds,
     )
@@ -181,12 +188,19 @@ def side_sweep(adj, members, reach, ident, candidates: list[int], out: np.ndarra
         np.empty(n, dtype=np.int32),
         np.empty(n),
         np.empty(n),
+        *_bucket_workspaces(n, targets),
         np.empty(n, dtype=np.int64),
         removed,
         counts,
     )
     runs, arcs = counts.tolist()
     return removed[:runs].tolist(), arcs
+
+
+def _bucket_workspaces(n: int, targets: np.ndarray):
+    """The predecessor buckets' workspaces: one int32 slot per arc, and n + 1
+    int64 bucket starts and n int64 fill marks, which the kernel sets."""
+    return np.empty(len(targets), dtype=np.int32), np.empty(n + 1, dtype=np.int64), np.empty(n, dtype=np.int64)
 
 
 def _check_ids(ids: np.ndarray, bound: int, what: str) -> None:
@@ -284,10 +298,12 @@ def _bind(path: Path):
     doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     int64s = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
     size = ctypes.c_int64
-    lib.bcs_brandes.argtypes = [size, int64s, int32s, doubles, doubles, int32s, int32s, doubles, doubles, doubles, doubles]
+    buckets = [int32s, int64s, int64s]
+    lib.bcs_brandes.argtypes = [size, int64s, int32s, doubles, doubles, int32s, int32s, doubles, doubles, *buckets,
+                                doubles, doubles]
     lib.bcs_brandes.restype = None
     lib.bcs_side_sweep.argtypes = [size, int64s, int32s, int64s, int64s, doubles, doubles, int32s, size, doubles,
-                                   int32s, int32s, doubles, doubles, int64s, int32s, int64s]
+                                   int32s, int32s, doubles, doubles, *buckets, int64s, int32s, int64s]
     lib.bcs_side_sweep.restype = None
     return lib
 

@@ -57,6 +57,11 @@ def star_graph(leaves: int) -> Graph:
     return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
+def complete_bipartite_graph(a: int, b: int) -> Graph:
+    """K_{a,b}: vertices 0 .. a - 1 on one side, a .. a + b - 1 on the other."""
+    return Graph.from_edges(a + b, [(u, v) for u in range(a) for v in range(a, a + b)])
+
+
 @pytest.fixture
 def toy_social_graph() -> Graph:
     """Hand-built 11-vertex graph mixing a hub cut vertex, two leaves, two

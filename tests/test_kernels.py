@@ -29,7 +29,7 @@ from bcshatter.kernels import (
 from bcshatter.oracle import GraphSpec, generate, pair_distance_total
 from bcshatter.reduction import DEFAULT_MAX_SIDE_DEGREE, WorkGraph, _side_candidates, remove_side_vertices
 
-from conftest import complete_graph, cycle_graph, path_graph, random_graph, star_graph
+from conftest import complete_bipartite_graph, complete_graph, cycle_graph, path_graph, random_graph, star_graph
 
 
 @pytest.fixture
@@ -176,14 +176,35 @@ def _grid_graph(rows: int, cols: int) -> Graph:
     return Graph.from_edges(rows * cols, edges)
 
 
-def _assert_matches_reference(g: Graph, seed: int) -> None:
+def _random_rows(n: int, seed: int) -> list[list[int]]:
+    """Rows with every id in range that need not be symmetric and may repeat
+    an id or name their own vertex."""
+    rng = random.Random(seed)
+    return [[rng.randrange(n) for _ in range(rng.randint(0, 4))] for _ in range(n)]
+
+
+# Shapes for TestNumpyMatchesLoop.test_deep_components.
+_SHAPES = {
+    # hundreds of BFS levels with few vertices each
+    "cycle-1000": lambda: cycle_graph(1000),
+    "grid-30x30": lambda: _grid_graph(30, 30),
+    # runs in which every neighbor of a vertex is its predecessor, so its
+    # predecessor bucket fills up to the next bucket's start
+    "bipartite-6x9": lambda: complete_bipartite_graph(6, 9),
+    "star-30": lambda: star_graph(30),
+    # the longest rows, all read each run
+    "complete-12": lambda: complete_graph(12),
+}
+
+
+def _assert_matches_reference(adj, seed: int) -> None:
     """``brandes`` on the compiled kernel against ``brandes_python`` under
     random reach and ident, reach alone, ident alone and neither."""
-    adj = g.adjacency_lists()
+    n = len(adj)
     rng = random.Random(seed)
-    reach = [rng.randint(1, 5) for _ in range(g.n)]
-    ident = [rng.randint(1, 3) for _ in range(g.n)]
-    ones = [1] * g.n
+    reach = [rng.randint(1, 5) for _ in range(n)]
+    ident = [rng.randint(1, 3) for _ in range(n)]
+    ones = [1] * n
     for r, i in ((reach, ident), (reach, ones), (ones, ident), (ones, ones)):
         expected, _, _ = brandes_python(adj, r, i)
         got, _, _ = brandes(adj, r, i)
@@ -216,13 +237,25 @@ class TestNumpyMatchesLoop:
         ],
     )
     def test_random_attributes(self, n, m, isolated, seed):
-        _assert_matches_reference(_sparse_graph(n, m, isolated, seed), seed)
+        _assert_matches_reference(_sparse_graph(n, m, isolated, seed).adjacency_lists(), seed)
 
-    @pytest.mark.parametrize("shape", ["cycle-1000", "grid-30x30"])
+    @pytest.mark.parametrize("shape", list(_SHAPES))
     def test_deep_components(self, shape):
-        # hundreds of BFS levels with few vertices each
-        g = cycle_graph(1000) if shape == "cycle-1000" else _grid_graph(30, 30)
-        _assert_matches_reference(g, 11)
+        _assert_matches_reference(_SHAPES[shape]().adjacency_lists(), 11)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1, 2, 3], [0], [0, 3], []],
+            [[1, 1], [0, 2], [1]],
+            *(_random_rows(n, seed) for n, seed in ((6, 1), (12, 2), (30, 3), (80, 4))),
+        ],
+        ids=["asymmetric", "repeated", "random-6", "random-12", "random-30", "random-80"],
+    )
+    def test_any_rows_in_range(self, rows):
+        # v is w's predecessor once per occurrence of w in v's row, in both
+        # forms, whatever the other rows hold
+        _assert_matches_reference(rows, len(rows))
 
 
 class TestBuild:

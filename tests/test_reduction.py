@@ -30,7 +30,7 @@ from bcshatter.reduction import (
     shatter_articulation,
 )
 
-from conftest import complete_graph, cycle_graph, path_graph, random_graph, star_graph
+from conftest import complete_bipartite_graph, complete_graph, cycle_graph, path_graph, random_graph, star_graph
 
 
 def _work(g: Graph):
@@ -554,10 +554,16 @@ class TestSideSweep:
         # in their own iteration order, None rows, merged and shared members,
         # and candidates that are dead, repeated or not simplicial
         rng = random.Random(37)
+
+        def corpus():
+            for case in range(120):
+                family = FAMILIES[case % len(FAMILIES)]
+                yield case, family, generate(GraphSpec(family, rng.randint(8, 60), 0.0, rng.randrange(10**6)))
+            # runs from either side fill the far side's predecessor buckets
+            yield 120, "bipartite-6x9", complete_bipartite_graph(6, 9)
+
         removed = arcs = 0
-        for case in range(120):
-            family = FAMILIES[case % len(FAMILIES)]
-            g = generate(GraphSpec(family, rng.randint(8, 60), 0.0, rng.randrange(10**6)))
+        for case, family, g in corpus():
             w, out = _attributed_work(g, rng.randrange(10**6))
             candidates = _side_candidates(w, case % 6 + 1) + rng.choices(range(len(w.adj)), k=5)
             rng.shuffle(candidates)
