@@ -81,9 +81,6 @@ class Graph:
     def neighbors_of(self, v: int) -> np.ndarray:
         return self.neighbors[self.offsets[v] : self.offsets[v + 1]]
 
-    def degree(self, v: int) -> int:
-        return int(self.offsets[v + 1] - self.offsets[v])
-
     def adjacency_lists(self) -> list[list[int]]:
         """Adjacency as plain Python lists (fast to traverse in kernels)."""
         offsets = self.offsets.tolist()
@@ -258,14 +255,6 @@ class VertexPermutation:
 
     forward: np.ndarray
     inverse: np.ndarray
-
-    @classmethod
-    def from_forward(cls, forward: np.ndarray) -> "VertexPermutation":
-        forward = np.asarray(forward, dtype=np.int64)
-        n = forward.shape[0]
-        inverse = np.empty(n, dtype=np.int64)
-        inverse[forward] = np.arange(n)
-        return cls(forward, inverse)
 
     def validate(self) -> None:
         n = self.forward.shape[0]

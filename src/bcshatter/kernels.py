@@ -135,11 +135,7 @@ def brandes(adj: Adjacency, reach: list[int] | None = None, ident: list[int] | N
         targets,
         np.asarray(reach, dtype=np.float64),
         np.asarray(ident, dtype=np.float64),
-        np.empty(n, dtype=np.int32),
-        np.empty(n, dtype=np.int32),
-        np.empty(n),
-        np.empty(n),
-        *_bucket_workspaces(n, targets),
+        *_workspaces(n, targets),
         bc,
         seconds,
     )
@@ -184,11 +180,7 @@ def side_sweep(adj, members, reach, ident, candidates: list[int], out: np.ndarra
         sources,
         len(sources),
         out,
-        np.empty(n, dtype=np.int32),
-        np.empty(n, dtype=np.int32),
-        np.empty(n),
-        np.empty(n),
-        *_bucket_workspaces(n, targets),
+        *_workspaces(n, targets),
         np.empty(n, dtype=np.int64),
         removed,
         counts,
@@ -197,10 +189,20 @@ def side_sweep(adj, members, reach, ident, candidates: list[int], out: np.ndarra
     return removed[:runs].tolist(), arcs
 
 
-def _bucket_workspaces(n: int, targets: np.ndarray):
-    """The predecessor buckets' workspaces: one int32 slot per arc, and n + 1
-    int64 bucket starts and n int64 fill marks, which the kernel sets."""
-    return np.empty(len(targets), dtype=np.int32), np.empty(n + 1, dtype=np.int64), np.empty(n, dtype=np.int64)
+def _workspaces(n: int, targets: np.ndarray):
+    """The seven workspaces both compiled entry points index, in their
+    argument order, all set by the kernel: dist and order (int32, n each),
+    sigma and delta (float64, n each), the predecessor buckets' slots (int32,
+    one per arc), their starts (int64, n + 1) and fill marks (int64, n)."""
+    return (
+        np.empty(n, dtype=np.int32),
+        np.empty(n, dtype=np.int32),
+        np.empty(n),
+        np.empty(n),
+        np.empty(len(targets), dtype=np.int32),
+        np.empty(n + 1, dtype=np.int64),
+        np.empty(n, dtype=np.int64),
+    )
 
 
 def _check_ids(ids: np.ndarray, bound: int, what: str) -> None:
@@ -298,12 +300,11 @@ def _bind(path: Path):
     doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     int64s = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
     size = ctypes.c_int64
-    buckets = [int32s, int64s, int64s]
-    lib.bcs_brandes.argtypes = [size, int64s, int32s, doubles, doubles, int32s, int32s, doubles, doubles, *buckets,
-                                doubles, doubles]
+    workspaces = [int32s, int32s, doubles, doubles, int32s, int64s, int64s]  # as _workspaces returns them
+    lib.bcs_brandes.argtypes = [size, int64s, int32s, doubles, doubles, *workspaces, doubles, doubles]
     lib.bcs_brandes.restype = None
     lib.bcs_side_sweep.argtypes = [size, int64s, int32s, int64s, int64s, doubles, doubles, int32s, size, doubles,
-                                   int32s, int32s, doubles, doubles, *buckets, int64s, int32s, int64s]
+                                   *workspaces, int64s, int32s, int64s]
     lib.bcs_side_sweep.restype = None
     return lib
 

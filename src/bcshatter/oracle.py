@@ -145,7 +145,7 @@ class GraphSpec:
             key = key.strip()
             if key == "n":
                 n = int(value)
-            elif key in ("p", "param", "block", "size"):
+            elif key in ("p", "param", "block"):
                 param = float(value)
             elif key == "seed":
                 seed = int(value)

@@ -6,12 +6,9 @@ shrunk by five passes:
 * ``d`` cascading degree-1 removal (folds leaf mass into the neighbor),
 * ``b`` bridge removal (splits components, credits both endpoints with
   the cut-side masses),
-* ``a`` articulation shattering (one-shot biconnected decomposition in
-  which a merged class never cuts, so the blocks that meet at it shatter as
-  one; a copy of the cut vertex takes over its edges into each later block,
-  with reach the mass away from its side of the cut; ``b`` and ``a`` read
-  their blocks, as vertex lists, and cut-side masses from one DFS walk over
-  all components that sums subtree masses),
+* ``a`` articulation shattering (one-shot biconnected decomposition; a
+  copy of the cut vertex takes over its edges into each later block, with
+  reach the mass away from its side of the cut),
 * ``s`` side-vertex removal (simplicial vertices; one compensation BFS each,
   all of one sweep in one call of ``kernels.side_sweep``),
 * ``i`` identical-vertex merging (open or closed neighborhood equality).
@@ -35,16 +32,21 @@ Bookkeeping invariants (asserted in tests):
 
 A vertex whose ident exceeds 1 is a merged class: a bundle of
 interchangeable copies, no single one of which is a cut vertex of the
-unmerged graph.  So a merged class never cuts: the block decomposition keeps
-the blocks that meet at it as one block, which ``a`` shatters as a whole and
-``b`` never takes for a bridge, and the degree-1 and side passes guard
-against it, because cut-based formulas do not apply to it.
+unmerged graph.  So a merged class never cuts, and the degree-1 and side
+passes guard against it, because cut-based formulas do not apply to it.
+
+``b`` and ``a`` read one DFS walk over all components, which yields each
+component's blocks and cut-side masses.  Its contract: blocks are vertex
+lists; a bridge is a block of two vertices; a vertex in two or more blocks
+is a cut vertex; a merged class lies in one block, so the blocks that meet
+at it stay one block, which ``a`` shatters as a whole.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -121,9 +123,10 @@ class PassStats:
 class WorkGraph:
     """Mutable reduced graph with per-vertex reach/ident attributes.
 
-    ``members[v]`` lists the original vertices v carries; the first is the
-    one v started as, or was copied from.  ``adj[v]`` is None once v is
-    deleted.
+    ``members[v]`` is a tuple of the original vertices v carries; the first
+    is the one v started as, or was copied from.  A merge replaces the
+    class's tuple, and nothing grows one in place.  ``adj[v]`` is None once
+    v is deleted.
     """
 
     __slots__ = (
@@ -140,7 +143,7 @@ class WorkGraph:
     def __init__(self) -> None:
         self.reach: list[int] = []
         self.ident: list[int] = []
-        self.members: list[list[int]] = []
+        self.members: list[tuple[int, ...]] = []
         # Internal structure of a merged class: are its copies pairwise
         # adjacent (closed-neighborhood twins) or pairwise non-adjacent?
         # Singletons are vacuously both.
@@ -155,7 +158,7 @@ class WorkGraph:
         w = cls()
         w.reach = [1] * g.n
         w.ident = [1] * g.n
-        w.members = [[v] for v in range(g.n)]
+        w.members = [(v,) for v in range(g.n)]
         w.internal_edgeless = [True] * g.n
         w.internal_clique = [True] * g.n
         w.adj = [set(g.neighbors_of(v).tolist()) for v in range(g.n)]
@@ -175,7 +178,7 @@ class WorkGraph:
         vid = len(self.adj)
         self.reach.append(reach)
         self.ident.append(1)
-        self.members.append([org])
+        self.members.append((org,))
         self.internal_edgeless.append(True)
         self.internal_clique.append(True)
         self.adj.append(set())
@@ -241,7 +244,7 @@ class WorkGraph:
         self.adj = [{remap[x] for x in self.adj[v]} for v in keep]
 
 
-def _blocks_and_cuts(w: WorkGraph):
+def _blocks_and_masses(w: WorkGraph):
     """Yield :func:`_block_dfs` of every live component, rooted at its lowest
     live id, in increasing id order.  Ids added during the walk are not
     visited, so callers may move the edges of each component they get to
@@ -256,17 +259,18 @@ def _blocks_and_cuts(w: WorkGraph):
 
 
 def _block_dfs(w: WorkGraph, root: int, disc: list[int], low: list[int], sub: list[int], near: list[int]):
-    """Blocks, cut vertices and cut-side masses of root's component.
+    """Blocks and cut-side masses of root's component.
 
-    Iterative Hopcroft-Tarjan with a stack of discovered vertices; a block
-    is a vertex list and holds the edges its vertices induce.  A merged
-    class (ident > 1) never cuts: no single original vertex of it separates
-    the graph, so the blocks that meet at it stay one block.  Only an
-    unmerged top emits a block; the vertices below a merged top stay on the
-    stack and join the block above, and under a merged root what is left
-    becomes one last block.  Two blocks still share at most one vertex, so
-    each edge lies in exactly one block.  ``cuts`` holds the unmerged cut
-    vertices, which are exactly the vertices in more than one block.
+    Iterative Hopcroft-Tarjan with a stack of discovered vertices, over each
+    row in its set's iteration order; a block is a vertex list and holds the
+    edges its vertices induce.  A merged class (ident > 1) never cuts: no
+    single original vertex of it separates the graph, so the blocks that
+    meet at it stay one block.  Only an unmerged top emits a block; the
+    vertices below a merged top stay on the stack and join the block above,
+    and under a merged root what is left becomes one last block.  Two blocks
+    still share at most one vertex, so each edge lies in exactly one block,
+    and the cut vertices are the vertices in two or more blocks, all of
+    them unmerged.
 
     The DFS also sums subtree masses, which yields ``far(x, k)`` for an
     unmerged x in block k: the mass of the piece of the component minus x
@@ -278,33 +282,29 @@ def _block_dfs(w: WorkGraph, root: int, disc: list[int], low: list[int], sub: li
     callers may rewrite reach attributes before they ask for ``far``.
 
     Fills the component's entries of the walk state and returns ``(blocks,
-    cuts, far, total)``: blocks as vertex lists with the top last (a bridge
-    is a block of two vertices; an isolated vertex has no block), the set of
-    cut vertices, the ``far`` function and the component's mass.
+    far, total)``: blocks as vertex lists with the top last (a bridge is a
+    block of two vertices; an isolated vertex has no block), the ``far``
+    function and the component's mass.
     """
     adj, reach, ident = w.adj, w.reach, w.ident
     disc[root] = low[root] = 0
     sub[root] = near[root] = ident[root] * reach[root]
     blocks: list[list[int]] = []
     top_far: list[int] = []
-    cuts: set[int] = set()
     counter = 1
     vstack: list[int] = []
-    root_children = 0
     # (vertex, neighbor iterator, the vertex's index in vstack)
-    stack: list[tuple[int, object, int]] = [(root, iter(sorted(adj[root])), 0)]
+    stack: list[tuple[int, object, int]] = [(root, iter(adj[root]), 0)]
     while stack:
         v, it, at = stack[-1]
         for u in it:
             du = disc[u]
             if du < 0:
-                stack.append((u, iter(sorted(adj[u])), len(vstack)))
+                stack.append((u, iter(adj[u]), len(vstack)))
                 vstack.append(u)
                 disc[u] = low[u] = counter
                 counter += 1
                 sub[u] = near[u] = ident[u] * reach[u]
-                if v == root:
-                    root_children += 1
                 break
             # The tree edge to v's parent p may lower low[v] to disc[p]; that
             # leaves the block test low[v] >= disc[p] as it was.
@@ -322,20 +322,16 @@ def _block_dfs(w: WorkGraph, root: int, disc: list[int], low: list[int], sub: li
                     del vstack[at:]
                     top_far.append(sub[v])
                     near[pv] += sub[v]
-                    if pv != root:
-                        cuts.add(pv)
     total = sub[root]
     if vstack:  # the blocks below a merged root
         vstack.append(root)
         blocks.append(vstack)
         top_far.append(total - near[root])
-    elif root_children >= 2:  # an unmerged root tops one block per child
-        cuts.add(root)
 
     def far(x: int, k: int) -> int:
         return top_far[k] if x == blocks[k][-1] else total - near[x]
 
-    return blocks, cuts, far, total
+    return blocks, far, total
 
 
 def remove_degree1(w: WorkGraph, out: np.ndarray) -> int:
@@ -396,7 +392,7 @@ def remove_bridges(w: WorkGraph, out: np.ndarray) -> int:
     last block under a merged root can be a single edge whose top is merged.
     """
     changes = 0
-    for blocks, _, far, total in _blocks_and_cuts(w):
+    for blocks, far, total in _blocks_and_masses(w):
         for k, block in enumerate(blocks):
             if len(block) != 2:
                 continue
@@ -418,23 +414,24 @@ def shatter_articulation(w: WorkGraph) -> int:
     """Split every component at its unmerged articulation vertices at once.
 
     A merged class never cuts, so the blocks that meet at one shatter as one
-    block.  Each cut vertex keeps its id in its first block and gets a fresh
-    copy in every later one, which takes over the vertex's edges into that
-    block (two blocks share at most one vertex); no other edge moves.  The
-    vertex or copy in block k gets reach ``total - far(c, k)``, the
-    component's mass minus the block's side of the cut, so it carries the
-    far-side mass plus the vertex's own.  No score corrections are needed;
-    the reach attributes carry everything.  Returns the number of components
-    created.
+    block.  The cut vertices are the vertices in two or more blocks.  Each
+    keeps its id in its first block and gets a fresh copy in every later
+    one, which takes over the vertex's edges into that block (two blocks
+    share at most one vertex); no other edge moves.  The vertex or copy in
+    block k gets reach ``total - far(c, k)``, the component's mass minus the
+    block's side of the cut, so it carries the far-side mass plus the
+    vertex's own.  No score corrections are needed; the reach attributes
+    carry everything.  Returns the number of components created.
     """
     new_components = 0
-    for blocks, cuts, far, total in _blocks_and_cuts(w):
-        if not cuts:
+    for blocks, far, total in _blocks_and_masses(w):
+        if len(blocks) < 2:
             continue
+        count = Counter(chain.from_iterable(blocks))
         placed: set[int] = set()
         for k, block in enumerate(blocks):
             inside = set(block)
-            for c in sorted(cuts & inside):
+            for c in sorted(x for x in block if count[x] > 1):
                 if c not in placed:
                     placed.add(c)
                     w.reach[c] = total - far(c, k)
@@ -444,7 +441,7 @@ def shatter_articulation(w: WorkGraph) -> int:
                     w.remove_edge(c, x)
                     w.add_edge(copy, x)
                 inside ^= {c, copy}  # a later cut finds its edge to c at the copy
-        for c in cuts:
+        for c in placed:  # every cut vertex
             w.adj[c] = set(w.adj[c])  # a set keeps its table when it shrinks
         new_components += len(blocks) - 1
     return new_components
@@ -547,7 +544,7 @@ def _merge_class(w: WorkGraph, out: np.ndarray, verts: list[int], closed: bool) 
             for m in w.members[x]:
                 out[m] += amount
     w.ident[rep] = total_ident
-    w.members[rep] = [m for v in verts for m in w.members[v]]
+    w.members[rep] = tuple(m for v in verts for m in w.members[v])
     w.internal_edgeless[rep] = not closed and all(w.internal_edgeless[v] for v in verts)
     w.internal_clique[rep] = closed and all(w.internal_clique[v] for v in verts)
     for v in verts[1:]:

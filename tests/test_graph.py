@@ -232,25 +232,30 @@ class TestBfsOrder:
         perm.validate()
 
 
+def _permutation(forward) -> VertexPermutation:
+    forward = np.asarray(forward, dtype=np.int64)
+    return VertexPermutation(forward, np.argsort(forward))
+
+
 class TestRelabel:
     def test_identity(self):
         g = random_graph(8, 0.4, seed=1)
-        ident = VertexPermutation.from_forward(np.arange(8))
+        ident = _permutation(np.arange(8))
         assert relabel(g, ident) == g
 
     def test_reverse_path(self):
         g, _ = parse_edge_list("0 1\n1 2")
-        rev = VertexPermutation.from_forward(np.array([2, 1, 0]))
+        rev = _permutation(np.array([2, 1, 0]))
         h = relabel(g, rev)
         assert h.neighbors_of(1).tolist() == [0, 2]
-        assert sorted(h.degree(v) for v in range(3)) == sorted(g.degree(v) for v in range(3))
+        assert sorted(np.diff(h.offsets).tolist()) == sorted(np.diff(g.offsets).tolist())
 
     @given(st.integers(2, 14), st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_round_trip(self, n, seed):
         g = random_graph(n, 0.35, seed)
         perm = bfs_order(g, start=seed % n)
-        inverse = VertexPermutation.from_forward(perm.inverse)
+        inverse = _permutation(perm.inverse)
         assert relabel(relabel(g, perm), inverse) == g
 
     @given(st.integers(1, 16), st.integers(0, 10_000))
@@ -258,14 +263,14 @@ class TestRelabel:
     def test_random_permutation_matches_mapped_edges(self, n, seed):
         g = random_graph(n, 0.3, seed)
         forward = random.Random(seed).sample(range(n), n)
-        h = relabel(g, VertexPermutation.from_forward(np.array(forward)))
+        h = relabel(g, _permutation(np.array(forward)))
         mapped = sorted((min(forward[u], forward[v]), max(forward[u], forward[v])) for u, v in g.edges())
         assert h == Graph.from_edges(n, mapped)
         h.validate()
 
     def test_size_mismatch(self):
         g, _ = parse_edge_list("0 1\n1 2")
-        bad = VertexPermutation.from_forward(np.array([1, 0]))
+        bad = _permutation(np.array([1, 0]))
         with pytest.raises(Exception):
             relabel(g, bad)
 

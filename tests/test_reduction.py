@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from time import perf_counter
 
 import numpy as np
@@ -16,7 +17,7 @@ from bcshatter.oracle import FAMILIES, GraphSpec, bc_brute, generate
 from bcshatter.reduction import (
     Combination,
     WorkGraph,
-    _blocks_and_cuts,
+    _blocks_and_masses,
     _expanded_clique,
     _merge_sweep,
     _side_candidates,
@@ -158,8 +159,11 @@ class TestBlockMasses:
             w = WorkGraph.from_graph(g)
             _random_attributes(rng, w)
             comp = list(range(g.n))
-            ((blocks, cuts, far, total),) = _blocks_and_cuts(w)
+            ((blocks, far, total),) = _blocks_and_masses(w)
             assert total == sum(w.mass(v) for v in comp)
+            # the cut vertices are the vertices in two or more blocks
+            blocks_of = Counter(x for block in blocks for x in block)
+            cuts = {x for x, count in blocks_of.items() if count > 1}
             # x is a cut vertex iff the piece of comp - x around some other
             # vertex misses part of the rest; a merged class never cuts
             true_cuts = {x for x in comp if _piece(w, x, _other(comp, x))[1] < total - w.mass(x)}
@@ -177,26 +181,29 @@ class TestBlockMasses:
             assert all(x in w.adj[u] and _is_bridge(w, u, x) for u, x in pairs)
             seen_cut_bridge += any(set(pair) <= cuts for pair in pairs)
             expected = {}
-            blocks_of: dict[int, int] = {}
             for k, block in enumerate(blocks):
                 assert len(set(block)) == len(block) >= 2
                 for x in block:
-                    blocks_of[x] = blocks_of.get(x, 0) + 1
                     if w.ident[x] != 1:
                         continue
                     piece, mass = _piece(w, x, _other(block, x))
                     assert set(block) - {x} <= piece, (x, k)
                     expected[(x, k)] = mass
                     assert far(x, k) == mass, (x, k)
-            assert {x for x, count in blocks_of.items() if count > 1} == cuts
             seen_multi_block_cut += any(c >= 3 for c in blocks_of.values())
             seen_merged_cut += any(w.ident[c] > 1 for c in true_cuts)
-            # the DFS starts at vertex 0; it has two or more DFS children
-            # exactly when it is a cut vertex
+            # the walk is rooted at vertex 0; a merged root that separates
+            # the graph leaves the blocks below it to the walk's last block
             seen_merged_root += w.ident[0] > 1 and 0 in true_cuts
             # far reads the masses the DFS captured, not the current reach
             w.reach = [r + 5 for r in w.reach]
             assert all(far(x, k) == m for (x, k), m in expected.items())
+            # a adds one copy per component it creates: each cut vertex gets
+            # one in every block after its first, and each block ends alone
+            n_before = len(w.adj)
+            created = shatter_articulation(w)
+            assert created == len(w.adj) - n_before == len(blocks) - 1
+            assert len(w.components()) == len(blocks)
         assert seen_multi_block_cut and seen_merged_cut and seen_cut_bridge and seen_merged_root
 
     def test_walk_visits_every_component_once(self):
@@ -217,14 +224,13 @@ class TestBlockMasses:
             w.delete(x)
         comps = w.components()
         assert [c[0] for c in comps] == [a, b, n - 2]
-        walk = list(_blocks_and_cuts(w))
+        walk = list(_blocks_and_masses(w))
         assert len(walk) == len(comps)
-        assert [total for _, _, _, total in walk] == w.component_mass_sums()
-        for comp, (blocks, cuts, _, _) in zip(comps, walk):
+        assert [total for _, _, total in walk] == w.component_mass_sums()
+        for comp, (blocks, _, _) in zip(comps, walk):
             assert {x for block in blocks for x in block} == (set(comp) if len(comp) > 1 else set())
             assert _induced_edges(w, blocks) == sorted((u, x) for u in comp for x in w.adj[u] if u < x)
-            assert cuts <= set(comp)
-        assert walk[-1][:2] == ([], set())
+        assert walk[-1][0] == []
 
         mass_of_org = {w.members[v][0]: total for comp, total in zip(comps, w.component_mass_sums()) for v in comp}
         assert shatter_articulation(w) > 0
@@ -237,7 +243,7 @@ def _block_masses(w: WorkGraph) -> dict[frozenset[int], tuple[int, dict[int, int
     values of its unmerged vertices."""
     return {
         frozenset(block): (total, {x: far(x, k) for x in block if w.ident[x] == 1})
-        for blocks, _, far, total in _blocks_and_cuts(w)
+        for blocks, far, total in _blocks_and_masses(w)
         for k, block in enumerate(blocks)
     }
 
@@ -497,9 +503,9 @@ def _attributed_work(g: Graph, seed: int):
             shape = rng.choice(("open", "closed", "mixed"))
             w.internal_edgeless[v] = shape == "open"
             w.internal_clique[v] = shape == "closed"
-            w.members[v] += [rng.randrange(slots) for _ in range(w.ident[v] - 1)]
+            w.members[v] += tuple(rng.randrange(slots) for _ in range(w.ident[v] - 1))
         elif rng.random() < 0.2:
-            w.members[v].append(rng.randrange(slots))  # a copy's original
+            w.members[v] += (rng.randrange(slots),)  # a copy's original
     for v in rng.sample(range(g.n), g.n // 10):
         w.delete(v)
     out = np.array([rng.uniform(0.0, 100.0) for _ in range(slots)])
