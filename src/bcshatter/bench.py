@@ -85,15 +85,21 @@ def read_bench_csv(path) -> list[BenchRecord]:
         return [BenchRecord(**{name: kind(row[name]) for name, kind in BENCH_TYPES.items()}) for row in reader]
 
 
+def _totals(records) -> dict[str, dict[str, float]]:
+    """graph -> combination -> total_s; a later record of a cell wins."""
+    table: dict[str, dict[str, float]] = {}
+    for r in records:
+        table.setdefault(r.graph, {})[r.combination] = r.total_s
+    return table
+
+
 def normalized_totals(records, baseline: str = "o"):
     """Per graph, each combination's total divided by the baseline's.
 
     The baseline defaults to the ordering-only combination; a natural-order
     baseline ("" combination) reproduces the plain-versus-ordered comparison.
     """
-    by_graph: dict[str, dict[str, float]] = {}
-    for r in records:
-        by_graph.setdefault(r.graph, {})[r.combination] = r.total_s
+    by_graph = _totals(records)
     rows = []
     for graph in sorted(by_graph):
         combos = by_graph[graph]
@@ -118,11 +124,8 @@ def performance_profile(records) -> list[ProfilePoint]:
 
     Requires a full graph x combination matrix; any hole is an error.
     """
-    table: dict[str, dict[str, float]] = {}
-    combos: set[str] = set()
-    for r in records:
-        table.setdefault(r.graph, {})[r.combination] = r.total_s
-        combos.add(r.combination)
+    table = _totals(records)
+    combos = {combo for row in table.values() for combo in row}
     if len(combos) < 2:
         raise ValueError("performance profile needs at least two combinations")
     holes = [

@@ -84,6 +84,7 @@ def compute_scores(
         for i, v in enumerate(comp):
             if scores[i]:
                 kernel_acc[v] = scores[i]
+    component_edges.sort(reverse=True)  # largest first, whatever ids the copies got
     stats.component_edges = component_edges
 
     final = finalize(w, partial, kernel_acc)

@@ -11,7 +11,7 @@ shrunk by five passes:
   reach the mass away from its side of the cut),
 * ``s`` side-vertex removal (simplicial vertices; one compensation BFS each,
   all of one sweep in one call of ``kernels.side_sweep``),
-* ``i`` identical-vertex merging (open or closed neighborhood equality).
+* ``i`` identical-vertex merging (equal open or closed neighborhood, reach).
 
 A deleted vertex keeps its id until the next :meth:`WorkGraph.compact`, with
 ``None`` for its adjacency set.
@@ -27,8 +27,8 @@ Bookkeeping invariants (asserted in tests):
 * After any sequence of a/b/d passes on a connected input, every component's
   mass sums to n.  Side removals and isolated-vertex retirement move mass to
   ``retired_mass`` instead, so live mass + retired mass == n always.
-* Merging requires equal reach *and* equal already-accumulated scores, which
-  keeps every merged class's members on exactly equal final scores.
+* Merging requires equal reach, and no pass reads the scores it adds to:
+  every later addition reaches all members of a merged class alike.
 
 A vertex whose ident exceeds 1 is a merged class: a bundle of
 interchangeable copies, no single one of which is a cut vertex of the
@@ -161,7 +161,8 @@ class WorkGraph:
         w.members = [(v,) for v in range(g.n)]
         w.internal_edgeless = [True] * g.n
         w.internal_clique = [True] * g.n
-        w.adj = [set(g.neighbors_of(v).tolist()) for v in range(g.n)]
+        flat, offsets = g.neighbors.tolist(), g.offsets.tolist()  # no array view per row
+        w.adj = [set(flat[a:b]) for a, b in zip(offsets, offsets[1:])]
         w.live_edge_count = g.m
         return w
 
@@ -491,11 +492,10 @@ def merge_identical(w: WorkGraph, out: np.ndarray) -> int:
     """Fold identical vertices into one representative per class.
 
     Open-neighborhood twins first, then closed-neighborhood twins.  Vertices
-    are grouped by their sorted open or closed neighborhood, reach and
-    already-accumulated score, so only vertices with equal reach and equal
-    scores merge; both restrictions only cost missed compression, never
-    correctness, and they keep all members of a class on exactly equal final
-    scores.
+    are grouped by their sorted open or closed neighborhood and reach, so
+    only vertices with equal reach merge; that restriction only costs missed
+    compression, never correctness.  The members' partial scores may differ:
+    each keeps its own, and every later addition reaches all of them alike.
     """
     changes = _merge_sweep(w, out, closed=False)
     changes += _merge_sweep(w, out, closed=True)
@@ -504,14 +504,13 @@ def merge_identical(w: WorkGraph, out: np.ndarray) -> int:
 
 def _merge_sweep(w: WorkGraph, out: np.ndarray, closed: bool) -> int:
     # Keys taken here stay valid through the sweep: a merge deletes the same
-    # vertices from every twin's neighborhood and credits twins equally.  A
-    # key is one tuple, the sorted neighborhood then reach and score: built
-    # for every vertex at once, the keys can set a solve's peak memory.
+    # vertices from every twin's neighborhood.  A key is one tuple: built for
+    # every vertex at once, the keys can set a solve's peak memory.
     classes: dict[tuple, list[int]] = {}
     for v in w.live():
         nbrs = w.adj[v]
         if nbrs:
-            key = (*sorted(nbrs | {v} if closed else nbrs), w.reach[v], float(out[w.members[v][0]]))
+            key = (*sorted(nbrs | {v} if closed else nbrs), w.reach[v])
             classes.setdefault(key, []).append(v)
     changes = 0
     for verts in classes.values():  # in order of lowest id

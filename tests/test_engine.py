@@ -108,6 +108,16 @@ def test_stats_final_row_carries_component_edges():
     assert final[5] == ";".join(str(x) for x in result.component_edges)
 
 
+def test_component_edges_largest_first():
+    # An edge at ids 0-1 and a triangle after it: listed by lowest id, the
+    # edge would come first.
+    g = Graph.from_edges(5, [(0, 1), (2, 3), (2, 4), (3, 4)])
+    assert compute_scores(g, "").component_edges == [3, 1]
+    g = generate(GraphSpec("bridged-blobs", 60, 0, 2))
+    edges = compute_scores(g, "odba").component_edges
+    assert len(edges) > 1 and edges == sorted(edges, reverse=True)
+
+
 def test_larger_max_side_degree_still_exact():
     g = random_graph(18, 0.45, seed=13)
     expected = bc_brute(g)

@@ -331,24 +331,29 @@ class TestBridges:
         w, out = _work(cycle_graph(4))
         assert remove_bridges(w, out) == 0
 
+    # The reach overrides keep the twins' neighbors out of their class:
+    # with unit reach they would be closed twins of it.
     @pytest.mark.parametrize(
-        "g",
+        "g, reach",
         [
-            # open twins {0, 1} over {2, 3}, edge 2-3: one edge between two
-            # merged vertices, left as the last block under a merged root
-            Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+            # open twins {0, 1} over {2, 3}, closed twins {2, 3}: one edge
+            # between two merged vertices, left as the last block under a
+            # merged root
+            (Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]), {2: 2, 3: 2}),
             # open twins {0, 1} over {2, 3, 4}, edge 2-3: a path whose merged
             # root has two DFS children
-            Graph.from_edges(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3)]),
+            (Graph.from_edges(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3)]), {}),
             # open twins {0, 1} over {2}: a pendant edge under a merged root
-            Graph.from_edges(3, [(0, 2), (1, 2)]),
+            (Graph.from_edges(3, [(0, 2), (1, 2)]), {2: 2}),
             # open twins {1, 2} over {0}: a merged pendant under an unmerged root
-            Graph.from_edges(3, [(0, 1), (0, 2)]),
+            (Graph.from_edges(3, [(0, 1), (0, 2)]), {0: 2}),
         ],
         ids=["merged-edge", "merged-root-path", "merged-root-pendant", "merged-pendant"],
     )
-    def test_no_bridge_or_cut_at_merged_vertices(self, g):
+    def test_no_bridge_or_cut_at_merged_vertices(self, g, reach):
         w, out = _work(g)
+        for v, r in reach.items():
+            w.reach[v] = r
         assert merge_identical(w, out) > 0
         assert w.live_edge_count > 0
         assert remove_bridges(w, out) == 0
@@ -391,7 +396,8 @@ class TestDegree1:
         # is not a true leaf of the unmerged graph (it has two neighbors)
         g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
         w, out = _work(g)
-        merge_identical(w, out)  # {0,1} closed twins
+        w.reach[2] = w.reach[3] = 2  # keeps the open twins {2,3} out of {0,1}'s class
+        merge_identical(w, out)  # {2,3} open twins, {0,1} closed twins
         assert any(w.adj[v] is not None and w.ident[v] == 2 for v in range(len(w.adj)))
         before = w.live_vertex_count()
         remove_degree1(w, out)
@@ -608,7 +614,8 @@ class TestSideSweep:
 class TestMergeIdentical:
     def test_sweep_groups_by_neighborhood(self):
         # One sweep merges exactly the vertices with a non-empty neighborhood
-        # and equal (open or closed neighborhood, reach, score) at sweep start.
+        # and equal (open or closed neighborhood, reach) at sweep start,
+        # whatever their partial scores.
         rng = random.Random(17)
         merged = {False: 0, True: 0}
         for _ in range(80):
@@ -618,19 +625,19 @@ class TestMergeIdentical:
                 w, out = _work(g)
                 w.reach = [rng.randint(1, 2) for _ in range(g.n)]
                 out[:] = [rng.randint(0, 1) for _ in range(g.n)]
-                classes: list[tuple[set[int], int, float, list[int]]] = []
+                classes: list[tuple[set[int], int, list[int]]] = []
                 singles = []
                 for v in range(g.n):
                     nbhd = w.adj[v] | {v} if closed else set(w.adj[v])
                     if not w.adj[v]:
                         singles.append([v])
                         continue
-                    for sig, reach, score, verts in classes:
-                        if sig == nbhd and reach == w.reach[v] and score == out[v]:
+                    for sig, reach, verts in classes:
+                        if sig == nbhd and reach == w.reach[v]:
                             verts.append(v)
                             break
                     else:
-                        classes.append((nbhd, w.reach[v], out[v], [v]))
+                        classes.append((nbhd, w.reach[v], [v]))
                 expected = sorted(singles + [verts for *_, verts in classes])
                 changes = _merge_sweep(w, out, closed)
                 assert changes == sum(len(verts) - 1 for *_, verts in classes)
@@ -665,10 +672,11 @@ class TestMergeIdentical:
         # the merged pair's distance-2 paths land on the shared center
         assert out[0] == 2.0
 
-    def test_unequal_partials_never_merge(self):
+    def test_unequal_partials_merge(self):
         # two reach-3 twins over the same core with different histories: one
-        # folded a 2-leaf star (its own within-mass pairs), one a path; their
-        # true scores differ, so they must not be merged.
+        # folded a 2-leaf star (its own within-mass pairs), one a path.  Their
+        # partial and true scores differ, yet they are symmetric in the work
+        # graph, so they merge and each keeps its own partial.
         core = [(0, 1), (0, 2), (1, 2)]
         g = Graph.from_edges(
             9,
@@ -679,6 +687,11 @@ class TestMergeIdentical:
         )
         expected = bc_brute(g)
         assert expected[3] != expected[4]
+        w, out = _work(g)
+        remove_degree1(w, out)
+        assert w.reach[3] == w.reach[4] == 3 and out[3] != out[4]
+        merge_identical(w, out)
+        assert any({3, 4} <= set(w.members[v]) for v in w.live())
         for combo in ("odi", "odbasi"):
             result = compute_scores(g, combo)
             assert np.allclose(result.scores, expected, atol=1e-9)
