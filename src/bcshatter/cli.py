@@ -160,17 +160,21 @@ def _cmd_bench(args) -> int:
             combos = [""] + combos
     if baseline not in combos:  # refused before any graph is timed or any file written
         raise ValueError(f"--combos must include the baseline combination {baseline!r} to normalize against")
+    # the CSVs name each graph by its file name, so two inputs must not share one
+    names = [Path(path).name for path in args.graphs]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"graphs must have distinct file names; repeated: {', '.join(repeated)}")
     records = []
     component_rows = [["graph", "combination", "component", "edges"]]
     io_failures = 0
-    for path in args.graphs:
+    for path, name in zip(args.graphs, names):
         try:
             g, _ = _load_graph(path, args.format, args.base)
         except (OSError, GraphInputError) as exc:
             print(f"bench: skipping {path}: {exc}", file=sys.stderr)
             io_failures += 1
             continue
-        name = Path(path).name
         recs, comp_edges = bench_graph(g, name, combos, reps=args.reps, max_side_degree=args.max_side_degree)
         records.extend(recs)
         for combo, counts in comp_edges.items():

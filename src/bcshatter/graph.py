@@ -6,9 +6,9 @@ reduction passes assume a loop-free simple graph.  Vertex ids are dense
 ``0..n-1`` 32-bit integers; scores elsewhere are float64.
 
 The graph stays in arrays from parse to relabel: one CSR builder, fed every
-arc in both directions, makes every ``Graph`` (from deduplicated edge rows,
-or from a permuted CSR), and one BFS gives both the BFS ordering and the
-component labels.
+arc in both directions as one packed int64 key, makes every ``Graph`` (from
+deduplicated edge rows, or from a permuted CSR), and one BFS gives both the
+BFS ordering and the component labels.
 """
 
 from __future__ import annotations
@@ -39,6 +39,11 @@ class GraphFormatError(GraphInputError):
 MAX_VERTEX_ID = np.iinfo(np.int32).max
 # Ids are below 2^31, so an edge packs into one int64 key lo * _WIDTH + hi.
 _WIDTH = MAX_VERTEX_ID + 1
+# Edge-list parsing sets n = max id + 1, so one stray id would size every
+# per-vertex array by it; ids at or past this ceiling are refused instead.
+# 2^26 vertices already put 512 MB in the CSR offsets alone.  It must not
+# pass _WIDTH: the ceiling is also what keeps ids within int32.
+MAX_VERTICES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -116,17 +121,18 @@ class Graph:
         Self-loops and duplicates must already be removed; use
         :func:`normalize_edges` for raw input.
         """
-        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        return _csr(n, np.concatenate([pairs[:, 0], pairs[:, 1]]), np.concatenate([pairs[:, 1], pairs[:, 0]]))
+        u, v = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+        return _csr(n, np.concatenate([u * _WIDTH + v, v * _WIDTH + u]))
 
 
-def _csr(n: int, src: np.ndarray, dst: np.ndarray) -> Graph:
-    """The graph whose arcs are ``src[i] -> dst[i]``, every edge given in
-    both directions; rows come out sorted."""
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
-    neighbors = dst[np.lexsort((dst, src))].astype(np.int32)
-    return Graph(n, len(src) // 2, offsets, neighbors)
+def _csr(n: int, keys: np.ndarray) -> Graph:
+    """The graph whose arcs are the packed keys ``src * _WIDTH + dst``, every
+    edge given in both directions.  Sorting the keys sorts the arcs by
+    ``(src, dst)``; ``keys`` is sorted in place and reused."""
+    keys.sort(kind="stable")
+    offsets = np.searchsorted(keys, np.arange(n + 1) * _WIDTH)
+    keys %= _WIDTH  # dst; unlike &, % runs a ufunc loop the solve has paged in already
+    return Graph(n, len(keys) // 2, offsets, keys.astype(np.int32))
 
 
 def normalize_edges(raw: list[tuple[int, int]], *, listed_twice: bool = False):
@@ -138,13 +144,14 @@ def normalize_edges(raw: list[tuple[int, int]], *, listed_twice: bool = False):
     """
     # Every step here is chosen for the resident memory it does not add:
     # np.unique imports numpy.ma and the default np.sort loads the SIMD
-    # sorts, while lexsort is loaded for from_edges anyway; picking rows by
-    # flatnonzero of differences skips the int64 comparison and boolean-mask
-    # loops, 0.2-0.5 MB, that nothing else on the solve path runs.
-    pairs = np.array(raw, dtype=np.int64).reshape(-1, 2)
+    # sorts, while the stable sort is loaded for the CSR builder anyway;
+    # picking rows by flatnonzero of differences skips the int64 comparison
+    # and boolean-mask loops, 0.2-0.5 MB, that nothing else on the solve
+    # path runs.
+    pairs = np.asarray(raw, dtype=np.int64).reshape(-1, 2)
     u, v = pairs[np.flatnonzero(pairs[:, 0] - pairs[:, 1])].T
     keys = np.minimum(u, v) * _WIDTH + np.maximum(u, v)
-    keys = keys[np.lexsort((keys,))]
+    keys.sort(kind="stable")
     # keys are >= 0, so prepending -1 keeps the first one
     lo, hi = np.divmod(keys[np.flatnonzero(np.diff(keys, prepend=-1))], _WIDTH)
     expected = 2 if listed_twice else 1
@@ -152,10 +159,64 @@ def normalize_edges(raw: list[tuple[int, int]], *, listed_twice: bool = False):
     return np.stack([lo, hi], axis=1), NormalizationReport(len(pairs) - len(keys), dups)
 
 
+def _plain_pairs(text: str) -> bool:
+    """Whether ``text`` holds only ASCII digits, spaces, tabs, line feeds and
+    carriage returns, and exactly two ids on each non-blank line."""
+    # The masks hold a byte per character and the index arrays an int64 per
+    # token or line, and all are freed before the ids are read.  Wider or
+    # longer-lived temporaries leave glibc's heap and mmap threshold larger
+    # through the solve, and peak RSS with them.
+    if not text.isascii():
+        return False
+    buf = np.frombuffer(text.encode("ascii"), np.uint8)
+    digit = (buf >= 48) & (buf <= 57)
+    brk = (buf == 10) | (buf == 13)  # str.splitlines breaks on both
+    if not (digit | brk | (buf == 32) | (buf == 9)).all():
+        return False
+    first = digit.copy()
+    first[1:] &= ~digit[:-1]
+    starts = np.flatnonzero(first)
+    # the tokens before each break, differenced: the tokens on each line
+    per_line = np.diff(np.searchsorted(starts, np.flatnonzero(brk)), prepend=0, append=len(starts))
+    return len(starts) > 0 and bool(((per_line == 0) | (per_line == 2)).all())
+
+
+def _parse_plain_edge_list(text: str, index_base: int):
+    """The array path of :func:`parse_edge_list`, or None to leave the text
+    to the line parser.
+
+    It takes only texts that pass :func:`_plain_pairs`, with all ids in
+    range.  ``str.split`` reads those texts as the line loop does, so the
+    result is the line parser's.  It raises nothing: a text it refuses goes
+    to the line parser, which reports what is wrong with it.
+    """
+    if not _plain_pairs(text):
+        return None
+    try:
+        ids = np.array(text.split(), dtype=np.int64)
+    except (OverflowError, ValueError):
+        return None
+    ids -= index_base
+    top = int(ids.max())
+    # a negative id or one past the ceiling is the line parser's to report
+    if ids.min() < 0 or top >= MAX_VERTICES:
+        return None
+    edges, report = normalize_edges(ids.reshape(-1, 2))
+    return Graph.from_edges(top + 1, edges), report
+
+
 def parse_edge_list(text: str, *, index_base: int = 0) -> tuple[Graph, NormalizationReport]:
-    """Parse whitespace-separated "u v" lines; '#' starts a comment."""
+    """Parse whitespace-separated "u v" lines; '#' starts a comment.
+
+    Plain text (digits and blanks, two ids a line) takes an array path; any
+    other text, and every error, goes through the line loop, which gives
+    the same graph and report.
+    """
     if index_base not in (0, 1):
         raise GraphInputError(f"index_base must be 0 or 1, got {index_base}")
+    parsed = _parse_plain_edge_list(text, index_base)
+    if parsed is not None:
+        return parsed
     raw: list[tuple[int, int]] = []
     max_id = -1
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -173,8 +234,10 @@ def parse_edge_list(text: str, *, index_base: int = 0) -> tuple[Graph, Normaliza
         v -= index_base
         if u < 0 or v < 0:
             raise GraphRangeError(f"line {lineno}: vertex id below base {index_base}")
-        if u > MAX_VERTEX_ID or v > MAX_VERTEX_ID:
-            raise GraphRangeError(f"line {lineno}: vertex id above {MAX_VERTEX_ID + index_base}")
+        if u >= MAX_VERTICES or v >= MAX_VERTICES:
+            raise GraphRangeError(
+                f"line {lineno}: vertex id above {MAX_VERTICES - 1 + index_base}, the vertex-count ceiling"
+            )
         raw.append((u, v))
         max_id = max(max_id, u, v)
     edges, report = normalize_edges(raw)
@@ -304,7 +367,9 @@ def relabel(g: Graph, perm: VertexPermutation) -> Graph:
     if perm.forward.shape[0] != g.n:
         raise GraphInputError(f"permutation over {perm.forward.shape[0]} vertices, graph has {g.n}")
     fwd = perm.forward
-    return _csr(g.n, np.repeat(fwd, np.diff(g.offsets)), fwd[g.neighbors])
+    keys = np.repeat(fwd * _WIDTH, np.diff(g.offsets))
+    keys += fwd[g.neighbors]
+    return _csr(g.n, keys)
 
 
 def connected_components(g: Graph) -> np.ndarray:

@@ -6,7 +6,7 @@ import csv
 
 import pytest
 
-from bcshatter import cli
+from bcshatter import cli, graph
 from bcshatter.bench import BenchRecord, bench_graph, performance_profile, write_bench_csv
 from bcshatter.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from bcshatter.graph import Graph
@@ -66,6 +66,13 @@ class TestCompute:
         big = tmp_path / "big.txt"
         big.write_text("0 2147483648\n")
         assert main(["compute", str(big)]) == EXIT_IO
+
+    def test_id_at_vertex_ceiling_is_io_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(graph, "MAX_VERTICES", 4)
+        path = tmp_path / "wide.txt"
+        path.write_text("0 1\n1 4\n")
+        assert main(["compute", str(path)]) == EXIT_IO
+        assert "line 2" in capsys.readouterr().err
 
     def test_metis_input(self, tmp_path):
         path = tmp_path / "p3.graph"
@@ -193,6 +200,17 @@ class TestBench:
         assert code == EXIT_USAGE
         assert not out.exists()
         assert "baseline" in capsys.readouterr().err
+
+    def test_inputs_sharing_a_file_name_are_usage_error(self, tmp_path, capsys):
+        for sub, text in (("a", "0 1\n1 2\n"), ("b", "0 1\n0 2\n0 3\n")):
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / "g.txt").write_text(text)
+        out = tmp_path / "bench.csv"
+        code = main(["bench", str(tmp_path / "a" / "g.txt"), str(tmp_path / "b" / "g.txt"),
+                     "--combos", "o,od", "--reps", "1", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert not out.exists()  # refused before any graph is timed or any file written
+        assert "g.txt" in capsys.readouterr().err
 
     def test_bench_graph_refuses_reps_below_one(self):
         with pytest.raises(ValueError):

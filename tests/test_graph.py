@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bcshatter import graph
 from bcshatter.graph import (
     Graph,
     GraphFormatError,
+    GraphInputError,
     GraphParseError,
     GraphRangeError,
     VertexPermutation,
@@ -70,6 +72,99 @@ class TestParseEdgeList:
     def test_empty_input(self):
         g, _ = parse_edge_list("")
         assert (g.n, g.m) == (0, 0)
+
+    @pytest.mark.parametrize(
+        "text, index_base, line",
+        [("0 1\n2 8\n", 0, 2), ("0 1\n# comment\n2 8\n", 0, 3), ("1 2\n9 3\n", 1, 2)],
+    )
+    def test_id_at_vertex_ceiling_is_range_error(self, monkeypatch, text, index_base, line):
+        # a small ceiling stands in for the real one, so no test sizes a giant array
+        monkeypatch.setattr(graph, "MAX_VERTICES", 8)
+        with pytest.raises(GraphRangeError, match=f"line {line}: .*ceiling"):
+            parse_edge_list(text, index_base=index_base)
+
+    @pytest.mark.parametrize("text, index_base", [("0 1\n2 7\n", 0), ("0 1\n# c\n2 7\n", 0), ("1 8\n", 1)])
+    def test_ids_below_vertex_ceiling_parse(self, monkeypatch, text, index_base):
+        monkeypatch.setattr(graph, "MAX_VERTICES", 8)
+        assert parse_edge_list(text, index_base=index_base)[0].n == 8
+
+
+def _line_parser(text: str, index_base: int):
+    """What parse_edge_list gives, or the exception it raises, with the
+    array path turned off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_parse_plain_edge_list", lambda text, index_base: None)
+        try:
+            return parse_edge_list(text, index_base=index_base)
+        except GraphInputError as exc:
+            return exc
+
+
+# Pieces that keep a text on the array path, and pieces that each send it
+# to the line parser: comments, signs, other whitespace and line breaks
+# (\x0b, \x0c and \x1c break lines for str.splitlines), non-ASCII digits.
+_PLAIN_SEPS = [" ", "\t", "  ", " \t"]
+_PLAIN_ENDS = ["\n", "\r\n", "\r", " \n", "\t\r\n", "\n\n", "\n \n"]
+_ODD_SEPS = ["\x0b", "\x0c", "\x1c", "\u00a0"]
+_ODD_ENDS = ["\x0b", "\x0c", "\x1c", " # note\n", "# a\u2028b\n", "#\n"]
+
+
+def _random_text(rng: random.Random) -> str:
+    odd_counts = rng.random() < 0.25
+    odd_chars = rng.random() < 0.3
+    seps = _PLAIN_SEPS + (_ODD_SEPS if odd_chars else [])
+    ends = _PLAIN_ENDS + (_ODD_ENDS if odd_chars else [])
+    lines = []
+    for _ in range(rng.randint(0, 8)):
+        ids = []
+        for _ in range(rng.choice([1, 2, 3, 4]) if odd_counts else 2):
+            tok = str(rng.randrange(10 ** rng.randint(1, 4)))
+            if rng.random() < 0.1:
+                tok = "0" * rng.randint(1, 3) + tok
+            if odd_chars and rng.random() < 0.1:
+                tok = rng.choice("+-") + tok
+            if odd_chars and rng.random() < 0.05:
+                tok = tok.replace("1", "\u0661")  # ARABIC-INDIC DIGIT ONE: int() reads it
+            ids.append(tok)
+        lines.append(rng.choice(["", " ", "\t"]) + rng.choice(seps).join(ids) + rng.choice(ends))
+    return "".join(lines)
+
+
+class TestArrayPath:
+    """The array path gives the line parser's graph and report, or declines."""
+
+    @pytest.mark.parametrize("index_base", [0, 1])
+    def test_matches_line_parser_or_declines(self, index_base):
+        rng = random.Random(2024 + index_base)
+        fixed = ["", "\n", "0\n1\n", "0 1 2\n", "0 1 2 3\n", "0 1\r2 3", "0 1\x0b2 3\n", "0 1 # c\n", "\u0661 2\n",
+                 "007 08\n", "1 1\n1 2\n2 1\n", "0 1\n\n\n1 2 \n"]
+        taken = 0
+        for text in fixed + [_random_text(rng) for _ in range(400)]:
+            got = graph._parse_plain_edge_list(text, index_base)
+            if got is None:
+                continue
+            taken += 1
+            expected = _line_parser(text, index_base)
+            assert not isinstance(expected, Exception), (text, expected)
+            assert got == expected, text
+        assert taken > 100  # the random plain texts do reach the array path
+
+    @pytest.mark.parametrize(
+        "text",
+        ["0 1\n", "0 1\r\n1 2\r\n", "0\t1\r2 3", "\n  0 01 \n\n1 2\n", "5 5\n3 4\n4 3\n"],
+    )
+    def test_plain_text_takes_array_path(self, text):
+        got = graph._parse_plain_edge_list(text, 0)
+        assert got is not None
+        assert got == _line_parser(text, 0)
+
+    @pytest.mark.parametrize(
+        "text, index_base",
+        [("0 1\n2\n", 0), ("0 1 2\n", 0), ("0 1\n# c\n", 0), ("-1 2\n", 0), ("+1 2\n", 0), ("0\x0c1\n", 0),
+         ("\u0661 2\n", 0), ("\n \n", 0), ("0 99999999999999999999\n", 0), ("1 2\n0 1\n", 1)],
+    )
+    def test_other_text_is_declined(self, text, index_base):
+        assert graph._parse_plain_edge_list(text, index_base) is None
 
 
 def _normalize_by_set(raw, listed_twice):
