@@ -7,8 +7,8 @@ shrunk by five passes:
 * ``b`` bridge removal (splits components, credits both endpoints with
   the cut-side masses),
 * ``a`` articulation shattering (one-shot biconnected decomposition; a
-  copy of the cut vertex takes over its edges into each later block, with
-  reach the mass away from its side of the cut),
+  copy of each block's top takes over the top's edges into the block, with
+  reach the mass away from the block's side of the cut),
 * ``s`` side-vertex removal (simplicial vertices; one compensation BFS each,
   all of one sweep in one call of ``kernels.side_sweep``),
 * ``i`` identical-vertex merging (equal open or closed neighborhood, reach).
@@ -44,9 +44,8 @@ at it stay one block, which ``a`` shatters as a whole.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -251,47 +250,35 @@ def _blocks_and_masses(w: WorkGraph):
     visited, so callers may move the edges of each component they get to
     new copies.  One walk state serves all components."""
     n = len(w.adj)
-    # disc[u] < 0 marks u unvisited.  sub: DFS subtree mass; near: own mass
-    # plus the subtrees of the blocks the vertex tops.
-    disc, low, sub, near = [-1] * n, [0] * n, [0] * n, [0] * n
+    # disc[u] < 0 marks u unvisited; sub is the DFS subtree mass.
+    disc, low, sub = [-1] * n, [0] * n, [0] * n
     for root in range(n):
         if w.adj[root] is not None and disc[root] < 0:
-            yield _block_dfs(w, root, disc, low, sub, near)
+            yield _block_dfs(w, root, disc, low, sub)
 
 
-def _block_dfs(w: WorkGraph, root: int, disc: list[int], low: list[int], sub: list[int], near: list[int]):
+def _block_dfs(w: WorkGraph, root: int, disc: list[int], low: list[int], sub: list[int]):
     """Blocks and cut-side masses of root's component.
 
-    Iterative Hopcroft-Tarjan with a stack of discovered vertices, over each
-    row in its set's iteration order; a block is a vertex list and holds the
-    edges its vertices induce.  A merged class (ident > 1) never cuts: no
-    single original vertex of it separates the graph, so the blocks that
-    meet at it stay one block.  Only an unmerged top emits a block; the
-    vertices below a merged top stay on the stack and join the block above,
-    and under a merged root what is left becomes one last block.  Two blocks
-    still share at most one vertex, so each edge lies in exactly one block,
-    and the cut vertices are the vertices in two or more blocks, all of
-    them unmerged.
+    Iterative Hopcroft-Tarjan over each row in its set's iteration order,
+    with a stack of discovered vertices.  Only an unmerged top emits a
+    block, so a merged class never cuts: the vertices below a merged top
+    join the block above, and under a merged root what is left becomes one
+    last block.  Block k is emitted at its top ``pv`` through the tree edge
+    ``(pv, v)``, so ``below[k]``, v's subtree mass, weighs the piece of the
+    component minus the top that holds the block's other vertices.  A
+    vertex's child blocks come before its parent block (the last block for
+    the root), the one block where it is not the top.
 
-    The DFS also sums subtree masses, which yields ``far(x, k)`` for an
-    unmerged x in block k: the mass of the piece of the component minus x
-    that holds the block's other vertices.  Block k is emitted at its top
-    vertex ``pv`` through the tree edge ``(pv, v)``, so for the top that
-    piece is v's subtree.  Any other vertex x of block k reaches it through
-    x's parent edge, so the piece is everything except x's own mass and the
-    subtrees of the blocks x tops.  Masses are read once, during the DFS, so
-    callers may rewrite reach attributes before they ask for ``far``.
-
-    Fills the component's entries of the walk state and returns ``(blocks,
-    far, total)``: blocks as vertex lists with the top last (a bridge is a
-    block of two vertices; an isolated vertex has no block), the ``far``
-    function and the component's mass.
+    Returns ``(blocks, below, total)``: vertex lists with the top last, any
+    two sharing at most one vertex (an isolated vertex has none), the mass
+    below each top, and the component's mass.
     """
     adj, reach, ident = w.adj, w.reach, w.ident
     disc[root] = low[root] = 0
-    sub[root] = near[root] = ident[root] * reach[root]
+    sub[root] = ident[root] * reach[root]
     blocks: list[list[int]] = []
-    top_far: list[int] = []
+    below: list[int] = []
     counter = 1
     vstack: list[int] = []
     # (vertex, neighbor iterator, the vertex's index in vstack)
@@ -305,7 +292,7 @@ def _block_dfs(w: WorkGraph, root: int, disc: list[int], low: list[int], sub: li
                 vstack.append(u)
                 disc[u] = low[u] = counter
                 counter += 1
-                sub[u] = near[u] = ident[u] * reach[u]
+                sub[u] = ident[u] * reach[u]
                 break
             # The tree edge to v's parent p may lower low[v] to disc[p]; that
             # leaves the block test low[v] >= disc[p] as it was.
@@ -321,18 +308,13 @@ def _block_dfs(w: WorkGraph, root: int, disc: list[int], low: list[int], sub: li
                 if low[v] >= disc[pv] and ident[pv] == 1:
                     blocks.append(vstack[at:] + [pv])
                     del vstack[at:]
-                    top_far.append(sub[v])
-                    near[pv] += sub[v]
+                    below.append(sub[v])
     total = sub[root]
-    if vstack:  # the blocks below a merged root
+    if vstack:  # the blocks below a merged root, which tops no other block
         vstack.append(root)
         blocks.append(vstack)
-        top_far.append(total - near[root])
-
-    def far(x: int, k: int) -> int:
-        return top_far[k] if x == blocks[k][-1] else total - near[x]
-
-    return blocks, far, total
+        below.append(total - ident[root] * reach[root])
+    return blocks, below, total
 
 
 def remove_degree1(w: WorkGraph, out: np.ndarray) -> int:
@@ -393,14 +375,13 @@ def remove_bridges(w: WorkGraph, out: np.ndarray) -> int:
     last block under a merged root can be a single edge whose top is merged.
     """
     changes = 0
-    for blocks, far, total in _blocks_and_masses(w):
-        for k, block in enumerate(blocks):
+    for blocks, below, total in _blocks_and_masses(w):
+        for block, side_v in zip(blocks, below):
             if len(block) != 2:
                 continue
             v, u = block  # u tops the block
             if w.ident[u] != 1 or w.ident[v] != 1:
                 continue
-            side_v = far(u, k)
             side_u = total - side_v
             out[w.members[u][0]] += (side_u - 1) * side_v
             out[w.members[v][0]] += (side_v - 1) * side_u
@@ -415,36 +396,25 @@ def shatter_articulation(w: WorkGraph) -> int:
     """Split every component at its unmerged articulation vertices at once.
 
     A merged class never cuts, so the blocks that meet at one shatter as one
-    block.  The cut vertices are the vertices in two or more blocks.  Each
-    keeps its id in its first block and gets a fresh copy in every later
-    one, which takes over the vertex's edges into that block (two blocks
-    share at most one vertex); no other edge moves.  The vertex or copy in
-    block k gets reach ``total - far(c, k)``, the component's mass minus the
-    block's side of the cut, so it carries the far-side mass plus the
-    vertex's own.  No score corrections are needed; the reach attributes
-    carry everything.  Returns the number of components created.
+    block.  Every block but the walk's last gets a fresh copy of its top,
+    with reach ``total - below[k]``, which takes over the top's edges into
+    the block.  The top keeps its id in the one block where it is not the
+    top and gains the mass below each block it tops, so every instance
+    carries the mass beyond its block's side of the cut plus its own, and
+    no score corrections are needed.  Returns how many components it made.
     """
     new_components = 0
-    for blocks, far, total in _blocks_and_masses(w):
-        if len(blocks) < 2:
-            continue
-        count = Counter(chain.from_iterable(blocks))
-        placed: set[int] = set()
-        for k, block in enumerate(blocks):
-            inside = set(block)
-            for c in sorted(x for x in block if count[x] > 1):
-                if c not in placed:
-                    placed.add(c)
-                    w.reach[c] = total - far(c, k)
-                    continue
-                copy = w.add_vertex(w.members[c][0], total - far(c, k))
-                for x in w.adj[c] & inside:
-                    w.remove_edge(c, x)
-                    w.add_edge(copy, x)
-                inside ^= {c, copy}  # a later cut finds its edge to c at the copy
-        for c in placed:  # every cut vertex
-            w.adj[c] = set(w.adj[c])  # a set keeps its table when it shrinks
-        new_components += len(blocks) - 1
+    for blocks, below, total in _blocks_and_masses(w):
+        for block, side in zip(blocks[:-1], below):
+            top = block[-1]
+            copy = w.add_vertex(w.members[top][0], total - side)
+            for x in w.adj[top].intersection(block):
+                w.remove_edge(top, x)
+                w.add_edge(copy, x)
+            w.reach[top] += side
+            new_components += 1
+        for top in {block[-1] for block in blocks[:-1]}:
+            w.adj[top] = set(w.adj[top])  # a set keeps its table when it shrinks
     return new_components
 
 

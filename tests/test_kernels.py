@@ -82,7 +82,7 @@ class TestReach:
         assert scores == [0.0, 1.0]
 
     def test_split_path_reassembles(self):
-        # path 0-1-2 cut at 1: both halves with the far mass on the copy
+        # path 0-1-2 cut at 1: in each half, vertex 1 also carries the other half
         left, _, _ = bc_reach([[1], [0]], [1, 2])
         right, _, _ = bc_reach([[1], [0]], [2, 1])
         total = [left[0], left[1] + right[0], right[1]]

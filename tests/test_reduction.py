@@ -141,6 +141,16 @@ def _is_bridge(w: WorkGraph, u: int, x: int) -> bool:
     return x not in seen
 
 
+def _far(w: WorkGraph, x: int, block: list[int]) -> int:
+    """Mass of the pieces of the graph minus ``x`` that hold the block's
+    other vertices: one piece for an unmerged x."""
+    pieces: set[int] = set()
+    for y in block:
+        if y != x and y not in pieces:
+            pieces |= _piece(w, x, y)[0]
+    return sum(map(w.mass, pieces))
+
+
 def _induced_edges(w: WorkGraph, blocks: list[list[int]]) -> list[tuple[int, int]]:
     """The edges each block's vertices induce, over all blocks, sorted."""
     edges = []
@@ -159,8 +169,9 @@ class TestBlockMasses:
             w = WorkGraph.from_graph(g)
             _random_attributes(rng, w)
             comp = list(range(g.n))
-            ((blocks, far, total),) = _blocks_and_masses(w)
+            ((blocks, below, total),) = _blocks_and_masses(w)
             assert total == sum(w.mass(v) for v in comp)
+            assert len(below) == len(blocks)
             # the cut vertices are the vertices in two or more blocks
             blocks_of = Counter(x for block in blocks for x in block)
             cuts = {x for x, count in blocks_of.items() if count > 1}
@@ -180,30 +191,37 @@ class TestBlockMasses:
             assert {(u, x) for u, x in pairs if w.ident[u] == w.ident[x] == 1} == unmerged_bridges
             assert all(x in w.adj[u] and _is_bridge(w, u, x) for u, x in pairs)
             seen_cut_bridge += any(set(pair) <= cuts for pair in pairs)
-            expected = {}
+            # far[(x, k)]: for an unmerged x of block k, the mass of the one
+            # piece of comp - x that holds the block's other vertices
+            far = {}
             for k, block in enumerate(blocks):
                 assert len(set(block)) == len(block) >= 2
                 for x in block:
-                    if w.ident[x] != 1:
-                        continue
-                    piece, mass = _piece(w, x, _other(block, x))
-                    assert set(block) - {x} <= piece, (x, k)
-                    expected[(x, k)] = mass
-                    assert far(x, k) == mass, (x, k)
+                    if w.ident[x] == 1:
+                        piece, far[(x, k)] = _piece(w, x, _other(block, x))
+                        assert set(block) - {x} <= piece, (x, k)
+                # below[k] is the far mass of the block's top; below a merged
+                # root, which never cuts, it is all the rest of the component
+                assert below[k] == _far(w, block[-1], block), k
             seen_multi_block_cut += any(c >= 3 for c in blocks_of.values())
             seen_merged_cut += any(w.ident[c] > 1 for c in true_cuts)
             # the walk is rooted at vertex 0; a merged root that separates
             # the graph leaves the blocks below it to the walk's last block
             seen_merged_root += w.ident[0] > 1 and 0 in true_cuts
-            # far reads the masses the DFS captured, not the current reach
-            w.reach = [r + 5 for r in w.reach]
-            assert all(far(x, k) == m for (x, k), m in expected.items())
-            # a adds one copy per component it creates: each cut vertex gets
-            # one in every block after its first, and each block ends alone
+            # a adds one copy per component it creates, and each block ends
+            # alone; every instance of an unmerged vertex in block k carries
+            # the mass beyond the block's side of the cut: total - far
+            reach = list(w.reach)
             n_before = len(w.adj)
             created = shatter_articulation(w)
             assert created == len(w.adj) - n_before == len(blocks) - 1
-            assert len(w.components()) == len(blocks)
+            comps = w.components()
+            assert len(comps) == len(blocks)
+            for comp_after in comps:
+                instance = {w.members[v][0]: v for v in comp_after}
+                k = next(k for k, block in enumerate(blocks) if set(block) == set(instance))
+                for x, v in instance.items():
+                    assert w.reach[v] == (total - far[(x, k)] if w.ident[x] == 1 else reach[x]), (x, k)
         assert seen_multi_block_cut and seen_merged_cut and seen_cut_bridge and seen_merged_root
 
     def test_walk_visits_every_component_once(self):
@@ -233,27 +251,20 @@ class TestBlockMasses:
         assert walk[-1][0] == []
 
         mass_of_org = {w.members[v][0]: total for comp, total in zip(comps, w.component_mass_sums()) for v in comp}
-        assert shatter_articulation(w) > 0
+        # the isolated vertex has no block and creates no component
+        assert shatter_articulation(w) == len(w.components()) - len(comps) > 0
         for comp, total in zip(w.components(), w.component_mass_sums()):
             assert {mass_of_org[w.members[v][0]] for v in comp} == {total}
-
-
-def _block_masses(w: WorkGraph) -> dict[frozenset[int], tuple[int, dict[int, int]]]:
-    """Every block's vertex set, keyed to its component's mass and the far
-    values of its unmerged vertices."""
-    return {
-        frozenset(block): (total, {x: far(x, k) for x in block if w.ident[x] == 1})
-        for blocks, far, total in _blocks_and_masses(w)
-        for k, block in enumerate(blocks)
-    }
 
 
 class TestBridgesKeepBlocks:
     def test_non_bridge_blocks_keep_vertices_and_masses(self):
         """Removing the bridges leaves every other block as ``a`` would read
-        it: same vertices, same component mass, same far values."""
+        it: same vertices, same component mass, same far masses, and the mass
+        below its top still the far mass measured before any bridge went.  A
+        bridge's going can hand a block another top."""
         rng = random.Random(3)
-        removed = merged = 0
+        removed = merged = retopped = 0
         for case in range(60):
             spec = GraphSpec(FAMILIES[case % len(FAMILIES)], rng.randint(8, 60), 0.0, rng.randrange(10**6))
             g = generate(spec)
@@ -261,14 +272,30 @@ class TestBridgesKeepBlocks:
             if case % 2:
                 merged += merge_identical(w, out)
             w.reach = [rng.randint(1, 4) for _ in w.reach]
-            before = _block_masses(w)
+            # every block's component mass, top, and far mass of each vertex
+            before = {
+                frozenset(block): (total, block[-1], {x: _far(w, x, block) for x in block})
+                for blocks, _, total in _blocks_and_masses(w)
+                for block in blocks
+            }
             bridges = {
                 block for block in before if len(block) == 2 and all(w.ident[x] == 1 for x in block)
             }
             assert remove_bridges(w, out) == len(bridges)
             removed += len(bridges)
-            assert _block_masses(w) == {block: v for block, v in before.items() if block not in bridges}
-        assert removed and merged
+            after = [
+                (block, side, total)
+                for blocks, below, total in _blocks_and_masses(w)
+                for block, side in zip(blocks, below)
+            ]
+            assert {frozenset(block) for block, _, _ in after} == set(before) - bridges
+            for block, side, total in after:
+                total_before, top_before, far = before[frozenset(block)]
+                assert total == total_before
+                assert side == far[block[-1]]
+                assert {x: _far(w, x, block) for x in block} == far
+                retopped += block[-1] != top_before
+        assert removed and merged and retopped
 
 
 class TestLetterOrderFuzz:

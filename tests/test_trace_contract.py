@@ -10,21 +10,33 @@ import pytest
 
 import bcshatter
 from bcshatter import kernels
+from bcshatter.graph import Graph
 from bcshatter.oracle import GraphSpec, generate
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SPEC = GraphSpec("planted-side", 300, 0.0, seed=5)
 
 
-def _traced_python_sweep(monkeypatch):
-    """A traced ``odbasi`` solve of SPEC on the Python fallback, the only
-    path that calls the hooked ``kernels.side_bfs``: returns the tracer, the
+def _every_pass_graph() -> Graph:
+    """SPEC's graph beside a small bridged-blobs graph and a bowtie, so that
+    every pass letter changes something under ``odbasi``."""
+    parts = [generate(SPEC), generate(GraphSpec("bridged-blobs", 60, 0.0, seed=1))]
+    parts.append(Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)]))
+    edges, n = [], 0
+    for part in parts:
+        edges += [(u + n, v + n) for u, v in part.edges()]
+        n += part.n
+    return Graph.from_edges(n, edges)
+
+
+def _traced_python_sweep(monkeypatch, g: Graph):
+    """A traced ``odbasi`` solve of g on the Python fallback, the only path
+    that calls the hooked ``kernels.side_bfs``: returns the tracer, the
     result and the summed work counts."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from spans import Tracer, layer_totals
 
     monkeypatch.setattr(kernels, "_compiled", None)
-    g = generate(SPEC)
     tracer = Tracer()
     tracer.install()
     try:
@@ -36,14 +48,18 @@ def _traced_python_sweep(monkeypatch):
 
 
 def test_every_hook_present_and_counted(monkeypatch):
-    tracer, result, counts = _traced_python_sweep(monkeypatch)
+    tracer, result, counts = _traced_python_sweep(monkeypatch, _every_pass_graph())
     assert tracer.absent == []
     assert tracer.uncounted == set()
     side_removals = sum(e.changes for e in result.stats.events if e.technique == "s")
     assert side_removals > 0
     assert counts["kernels.side_bfs.calls"] == side_removals
     assert counts["kernels.side_bfs.arcs"] > 0
-    assert counts["reduction.pass_s.calls"] == result.stats.iterations
+    # every pass letter's counters read what its PassEvents record
+    for letter in "dbasi":
+        events = [e for e in result.stats.events if e.technique == letter]
+        assert counts[f"reduction.pass_{letter}.calls"] == len(events) == result.stats.iterations
+        assert counts[f"reduction.pass_{letter}.changes"] == sum(e.changes for e in events) > 0, letter
 
 
 def test_compiled_sweep_counts_as_the_hook(monkeypatch):
@@ -52,7 +68,7 @@ def test_compiled_sweep_counts_as_the_hook(monkeypatch):
     lib = kernels._kernel()
     if lib is None:
         pytest.skip("the compiled library could not be built or loaded here")
-    _, _, counts = _traced_python_sweep(monkeypatch)
+    _, _, counts = _traced_python_sweep(monkeypatch, generate(SPEC))
     monkeypatch.setattr(kernels, "_compiled", lib)
     sweeps = []
     sweep = kernels.side_sweep
