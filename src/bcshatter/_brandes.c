@@ -1,9 +1,18 @@
-/* Compiled Brandes runs with reach and ident attributes, two entry points:
+/* The compiled forms of bcshatter's hot loops, five entry points:
  *
  * - bcs_brandes, all sources over one component's CSR: the compiled form of
  *   ``kernels.brandes_python``;
  * - bcs_side_sweep, one compensation run per side vertex over the work
- *   graph: the compiled form of ``kernels.side_sweep_python``.
+ *   graph: the compiled form of ``kernels.side_sweep_python``;
+ * - bcs_blocks, the blocks and cut-side masses of every component of the
+ *   work graph: the compiled form of ``kernels.block_walk_python``;
+ * - bcs_side_candidates, the side pass's candidate test: the compiled form
+ *   of ``kernels.side_candidates_python``;
+ * - bcs_twin_classes, the twin grouping of the merge pass: the compiled
+ *   form of ``kernels.twin_classes_python``.
+ *
+ * The last three are scans: they compute no score, and return what their
+ * Python forms return, in the same order.
  *
  * Every floating-point expression is the one ``kernels.single_source`` and
  * ``kernels.side_bfs`` evaluate, in the same order, and every attribute
@@ -21,6 +30,7 @@
 #define _POSIX_C_SOURCE 199309L
 
 #include <stdint.h>
+#include <stdlib.h>
 #include <time.h>
 
 /* dist of a vertex no run has reached, and of a vertex taken out of the
@@ -212,4 +222,259 @@ void bcs_side_sweep(int64_t n, const int64_t *offsets, const int32_t *targets,
     }
     counts[0] += runs;
     counts[1] += arcs;
+}
+
+/* Blocks and cut-side masses of every live component, the compiled form of
+ * ``kernels._block_dfs``: the same iterative Hopcroft-Tarjan walk (CACM
+ * 16(6), 1973), rooted at each component's lowest live id in increasing id
+ * order, reading each row in CSR order, which is its set's iteration order.
+ * mass[v] is ident[v] * reach[v]; merged[v] is set for a merged class,
+ * which never tops a block; live[v] is clear for a deleted vertex, whose
+ * row is empty.
+ *
+ * disc, low, path, at and vstack (int32) and sub and next (int64) are
+ * n-element workspaces.  Block k is flat[block_ends[k] .. block_ends[k + 1]),
+ * its top last, with below[k] the mass below its top; component c holds
+ * blocks comp_ends[c] .. comp_ends[c + 1] - 1 and has mass totals[c].  flat
+ * needs 2n slots, block_ends and comp_ends n + 1 and below and totals n:
+ * every vertex leaves vstack once, into one block beside that block's top.
+ * Writes the numbers of blocks and of components to counts[0] and
+ * counts[1]. */
+void bcs_blocks(int64_t n, const int64_t *offsets, const int32_t *targets,
+                const int64_t *mass, const uint8_t *merged, const uint8_t *live,
+                int32_t *disc, int32_t *low, int64_t *sub, int32_t *path, int64_t *next,
+                int32_t *at, int32_t *vstack,
+                int32_t *flat, int32_t *block_ends, int64_t *below,
+                int32_t *comp_ends, int64_t *totals, int64_t *counts)
+{
+    int32_t nblocks = 0, ncomps = 0, fill = 0;
+    for (int64_t v = 0; v < n; v++)
+        disc[v] = -1;
+    block_ends[0] = comp_ends[0] = 0;
+    for (int32_t root = 0; root < n; root++) {
+        if (!live[root] || disc[root] >= 0)
+            continue;
+        int32_t counter = 1, depth = 0, top = 0; /* top: vstack's size */
+        disc[root] = low[root] = 0;
+        sub[root] = mass[root];
+        path[0] = root;
+        next[0] = offsets[root];
+        while (depth >= 0) {
+            int32_t v = path[depth];
+            int descended = 0;
+            while (next[depth] < offsets[v + 1]) {
+                int32_t u = targets[next[depth]++];
+                int32_t du = disc[u];
+                if (du < 0) {
+                    depth++;
+                    path[depth] = u;
+                    next[depth] = offsets[u];
+                    at[depth] = top;
+                    vstack[top++] = u;
+                    disc[u] = low[u] = counter++;
+                    sub[u] = mass[u];
+                    descended = 1;
+                    break;
+                }
+                /* the tree edge to v's parent p may lower low[v] to disc[p];
+                 * that leaves the block test low[v] >= disc[p] as it was */
+                if (du < low[v])
+                    low[v] = du;
+            }
+            if (descended)
+                continue;
+            if (--depth < 0)
+                break;
+            int32_t pv = path[depth];
+            sub[pv] += sub[v];
+            if (low[v] < low[pv])
+                low[pv] = low[v];
+            if (low[v] >= disc[pv] && !merged[pv]) {
+                for (int32_t k = at[depth + 1]; k < top; k++)
+                    flat[fill++] = vstack[k];
+                flat[fill++] = pv;
+                top = at[depth + 1];
+                below[nblocks] = sub[v];
+                block_ends[++nblocks] = fill;
+            }
+        }
+        if (top > 0) { /* the blocks below a merged root, which tops no other block */
+            for (int32_t k = 0; k < top; k++)
+                flat[fill++] = vstack[k];
+            flat[fill++] = root;
+            below[nblocks] = sub[root] - mass[root];
+            block_ends[++nblocks] = fill;
+        }
+        totals[ncomps] = sub[root];
+        comp_ends[++ncomps] = nblocks;
+    }
+    counts[0] = nblocks;
+    counts[1] = ncomps;
+}
+
+static int ascending(const void *a, const void *b)
+{
+    int32_t x = *(const int32_t *)a, y = *(const int32_t *)b;
+    return (x > y) - (x < y);
+}
+
+/* Sorts ids[0 .. len) ascending: insertion sort for the short rows most
+ * vertices have, qsort for the rest. */
+static void sort_ids(int32_t *ids, int64_t len)
+{
+    if (len > 16) {
+        qsort(ids, (size_t)len, sizeof *ids, ascending);
+        return;
+    }
+    for (int64_t i = 1; i < len; i++) {
+        int32_t x = ids[i];
+        int64_t j = i;
+        for (; j > 0 && ids[j - 1] > x; j--)
+            ids[j] = ids[j - 1];
+        ids[j] = x;
+    }
+}
+
+/* Is x among the ascending ids[0 .. len)? */
+static int contains(const int32_t *ids, int64_t len, int32_t x)
+{
+    int64_t lo = 0, hi = len;
+    while (lo < hi) {
+        int64_t mid = lo + (hi - lo) / 2;
+        if (ids[mid] < x)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo < len && ids[lo] == x;
+}
+
+/* The side pass's candidates, the compiled form of
+ * ``kernels.side_candidates_python``: in increasing id order, every v of
+ * degree 1 to max_degree with unfolds[v] set (v's class is not mixed) whose
+ * every neighbor x has cliquish[x] set (x unfolds into a clique) and shares
+ * with v all of v's neighbors but itself: of the ids in v's row, exactly
+ * degree - 1 lie in x's row.  sorted is a copy of targets with each row
+ * sorted, in which those ids are looked up by binary search, so a vertex
+ * costs O(d^2 log D) however large its neighbors' rows are.  Writes the
+ * candidates to candidates and returns how many there are. */
+int64_t bcs_side_candidates(int64_t n, const int64_t *offsets, const int32_t *targets,
+                            const uint8_t *unfolds, const uint8_t *cliquish, int64_t max_degree,
+                            int32_t *sorted, int32_t *candidates)
+{
+    for (int64_t a = 0; a < offsets[n]; a++)
+        sorted[a] = targets[a];
+    for (int64_t v = 0; v < n; v++)
+        sort_ids(sorted + offsets[v], offsets[v + 1] - offsets[v]);
+    int64_t count = 0;
+    for (int32_t v = 0; v < n; v++) {
+        int64_t degree = offsets[v + 1] - offsets[v];
+        if (degree < 1 || degree > max_degree || !unfolds[v])
+            continue;
+        int clique = 1;
+        for (int64_t a = offsets[v]; clique && a < offsets[v + 1]; a++) {
+            int32_t x = targets[a];
+            int64_t shared = 0;
+            for (int64_t b = offsets[v]; b < offsets[v + 1]; b++)
+                shared += contains(sorted + offsets[x], offsets[x + 1] - offsets[x], targets[b]);
+            clique = cliquish[x] && shared == degree - 1;
+        }
+        if (clique)
+            candidates[count++] = v;
+    }
+    return count;
+}
+
+/* Orders two twin keys: by length, then reach, then ids; 0 when equal. */
+static int key_order(int32_t a, int32_t b, const int64_t *key_offsets, const int32_t *keys,
+                     const int64_t *reach)
+{
+    int64_t la = key_offsets[a + 1] - key_offsets[a], lb = key_offsets[b + 1] - key_offsets[b];
+    if (la != lb)
+        return la < lb ? -1 : 1;
+    if (reach[a] != reach[b])
+        return reach[a] < reach[b] ? -1 : 1;
+    const int32_t *ka = keys + key_offsets[a], *kb = keys + key_offsets[b];
+    for (int64_t i = 0; i < la; i++)
+        if (ka[i] != kb[i])
+            return ka[i] < kb[i] ? -1 : 1;
+    return 0;
+}
+
+/* The twin classes of one merge sweep, the compiled form of
+ * ``kernels.twin_classes_python``.  Every vertex with a non-empty row gets
+ * the key (its row sorted, with v itself inserted when closed and not in
+ * the row already; its reach), written to keys[key_offsets[v] ..
+ * key_offsets[v + 1]), so keys needs offsets[n] + n slots and key_offsets
+ * n + 1.  A stable merge sort of those vertices by key, with order and
+ * spare as its n-element buffers, puts equal keys next to each other with
+ * their ids ascending; keys are compared in full, so no two different
+ * keys ever group.  lead (n elements) marks the lowest member of each
+ * class of two or more.  The classes go out in order of lowest member,
+ * members ascending: class k is members[class_ends[k] .. class_ends[k + 1]),
+ * with n slots in members and n + 1 in class_ends.  Returns how many
+ * classes there are. */
+int64_t bcs_twin_classes(int64_t n, const int64_t *offsets, const int32_t *targets, const int64_t *reach,
+                         int64_t closed, int64_t *key_offsets, int32_t *keys,
+                         int32_t *order, int32_t *spare, int32_t *lead,
+                         int32_t *members, int32_t *class_ends)
+{
+    int64_t fill = 0, count = 0;
+    for (int32_t v = 0; v < n; v++) {
+        key_offsets[v] = fill;
+        int64_t start = fill;
+        for (int64_t a = offsets[v]; a < offsets[v + 1]; a++)
+            keys[fill++] = targets[a];
+        if (fill == start)
+            continue; /* a deleted or isolated vertex has no twin */
+        if (closed) {
+            int mine = 0;
+            for (int64_t k = start; k < fill; k++)
+                mine |= keys[k] == v;
+            if (!mine)
+                keys[fill++] = v;
+        }
+        sort_ids(keys + start, fill - start);
+        order[count++] = v;
+    }
+    key_offsets[n] = fill;
+    /* bottom-up merge sort of order[0 .. count), taking the left run's
+     * element on ties, so equal keys keep their ascending ids */
+    for (int64_t width = 1; width < count; width *= 2) {
+        for (int64_t lo = 0; lo < count; lo += 2 * width) {
+            int64_t mid = lo + width < count ? lo + width : count;
+            int64_t hi = lo + 2 * width < count ? lo + 2 * width : count;
+            int64_t i = lo, j = mid, k = lo;
+            while (i < mid && j < hi)
+                spare[k++] = key_order(order[j], order[i], key_offsets, keys, reach) < 0 ? order[j++] : order[i++];
+            while (i < mid)
+                spare[k++] = order[i++];
+            while (j < hi)
+                spare[k++] = order[j++];
+        }
+        int32_t *swap = order;
+        order = spare;
+        spare = swap;
+    }
+    /* runs of equal keys; spare[i] is the end of the run starting at i */
+    for (int64_t v = 0; v < n; v++)
+        lead[v] = -1;
+    for (int64_t i = 0, j; i < count; i = j) {
+        for (j = i + 1; j < count && key_order(order[i], order[j], key_offsets, keys, reach) == 0; j++)
+            ;
+        if (j - i >= 2) {
+            lead[order[i]] = (int32_t)i;
+            spare[i] = (int32_t)j;
+        }
+    }
+    int64_t classes = 0, out = 0;
+    class_ends[0] = 0;
+    for (int64_t v = 0; v < n; v++) {
+        if (lead[v] < 0)
+            continue;
+        for (int32_t i = lead[v]; i < spare[lead[v]]; i++)
+            members[out++] = order[i];
+        class_ends[++classes] = (int32_t)out;
+    }
+    return classes;
 }

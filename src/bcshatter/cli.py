@@ -53,11 +53,13 @@ def build_parser() -> argparse.ArgumentParser:
                            help="side-vertex clique size cap")
     p_compute.add_argument("--unordered", action="store_true", help="halve scores to unordered-pair convention")
     p_compute.add_argument("--out", default="-", help="output CSV path ('-' for stdout)")
-    p_compute.add_argument("--stats", default=None, help="also write pass statistics CSV here")
+    p_compute.add_argument("--stats", default=None,
+                           help="also write pass statistics CSV here (one row per pass per iteration, with seconds)")
 
     p_verify = sub.add_parser("verify", help="check combinations against the brute-force oracle")
     src = p_verify.add_mutually_exclusive_group(required=True)
-    src.add_argument("--gen", help="generator spec, e.g. 'gnp:n=30,p=0.2,seed=7'")
+    src.add_argument("--gen", help="generator spec, e.g. 'gnp:n=30,p=0.2,seed=7'; a family's p left out or 0 "
+                     "takes its default (gnp: mean degree 3)")
     src.add_argument("--graph", help="input graph file")
     _add_input_flags(p_verify)
     p_verify.add_argument("--combos", default=",".join(STANDARD_COMBINATIONS), help="comma-separated combinations")

@@ -1,4 +1,4 @@
-"""Betweenness kernels: Brandes' algorithm with reach and ident attributes.
+"""Betweenness kernels, and the reduction's scans, each compiled and in Python.
 
 All kernels use the ordered-pair convention: a pair (s, t) contributes its
 dependency once per direction, so no halving happens here (that is a CLI
@@ -6,8 +6,8 @@ output option).  Shortest-path counts sigma are kept in float64 because they
 can overflow 64-bit integers on dense graphs while the dependency ratios
 stay well conditioned.
 
-One attribute-general algorithm exists, behind two entry points.  Each
-pairs a compiled form in ``_brandes.c`` with a Python form built on
+Five entry points each pair a compiled form in ``_brandes.c`` with a Python
+form.  Two run the one attribute-general Brandes algorithm, built on
 ``single_source``, the one Python forward BFS and backward sweep:
 
 * ``brandes``, all sources over one component: ``bcs_brandes`` and
@@ -16,6 +16,20 @@ pairs a compiled form in ``_brandes.c`` with a Python form built on
   ``reduction.remove_side_vertices``, one run per candidate over the work
   graph, adding the amounts straight into the score accumulator:
   ``bcs_side_sweep`` and ``side_sweep_python``, whose runs are ``side_bfs``.
+
+Three are scans of the work graph for the reduction passes, which compute
+no score and return exactly what their Python forms return, in order:
+
+* ``block_walk``, the blocks and cut-side masses of every component, read
+  by the bridge and articulation passes: ``bcs_blocks`` and
+  ``block_walk_python``, whose walks are ``_block_dfs``.
+* ``side_candidates``, the side pass's candidate test: ``bcs_side_candidates``
+  and ``side_candidates_python``, whose test is ``expanded_clique``.
+* ``twin_classes``, the grouping of one identical-vertex sweep:
+  ``bcs_twin_classes`` and ``twin_classes_python``.
+
+Every compiled form reads the rows as one CSR, ``export_rows``, in each
+row's iteration order; the side pass exports once for its two calls.
 
 The first call that needs the library builds it with the local C compiler
 into a per-user cache named by the hash of the source and the compile
@@ -56,7 +70,8 @@ import ctypes
 import os
 import tempfile
 from importlib import resources
-from itertools import chain
+from itertools import chain, repeat
+from operator import is_not, length_hint
 from pathlib import Path
 from time import perf_counter
 
@@ -122,7 +137,7 @@ def brandes(adj: Adjacency, reach: list[int] | None = None, ident: list[int] | N
         raise ValueError(f"reach and ident need {n} entries, one per vertex")
     _check_positive(reach, "reach")
     _check_positive(ident, "ident")
-    offsets, targets = _csr(adj, np.int32)
+    offsets, targets = export_rows(adj)
     _check_ids(targets, n, "neighbor")
     lib = _kernel()
     if lib is None:
@@ -142,23 +157,25 @@ def brandes(adj: Adjacency, reach: list[int] | None = None, ident: list[int] | N
     return bc.tolist(), float(seconds[0]), float(seconds[1])
 
 
-def side_sweep(adj, members, reach, ident, candidates: list[int], out: np.ndarray):
+def side_sweep(adj, members, reach, ident, candidates: list[int], out: np.ndarray, rows=None):
     """One side-vertex sweep: ``bcs_side_sweep``, or ``side_sweep_python``
     when the compiled library cannot be built or loaded.
 
     ``adj`` and ``members`` are the work graph's (a deleted vertex's row is
-    None).  For each candidate in order whose neighborhood is not yet empty,
-    adds the amounts of :func:`side_bfs` and the endpoint credit to ``out``
-    (a float64 array), and treats the candidate as deleted from then on.
-    Changes nothing but ``out``; the caller retires the removed candidates.
-    Returns ``(removed, arcs)``: the removed candidates in order, one run
-    each, and the arcs the runs scanned, counted as for ``side_bfs`` calls
-    (the source's degree plus the degrees of the vertices it reached).
+    None), and ``rows`` is ``export_rows(adj)`` when the caller has it
+    already.  For each candidate in order whose neighborhood is not yet
+    empty, adds the amounts of :func:`side_bfs` and the endpoint credit to
+    ``out`` (a float64 array), and treats the candidate as deleted from then
+    on.  Changes nothing but ``out``; the caller retires the removed
+    candidates.  Returns ``(removed, arcs)``: the removed candidates in
+    order, one run each, and the arcs the runs scanned, counted as for
+    ``side_bfs`` calls (the source's degree plus the degrees of the
+    vertices it reached).
     """
     n = len(adj)
     if len(members) != n or len(reach) != n or len(ident) != n:
         raise ValueError(f"members, reach and ident need {n} entries, one per vertex")
-    offsets, targets = _csr(adj, np.int32)
+    offsets, targets = _rows_of(adj, rows)
     member_offsets, flat_members = _csr(members, np.int64)
     sources = np.asarray(candidates, dtype=np.int32)
     _check_ids(targets, n, "neighbor")
@@ -189,6 +206,157 @@ def side_sweep(adj, members, reach, ident, candidates: list[int], out: np.ndarra
     return removed[:runs].tolist(), arcs
 
 
+def export_rows(adj):
+    """The rows of ``adj`` as a CSR, the form every compiled entry point
+    reads: offsets (int64) and neighbor ids (int32), each row in its
+    iteration order (a set's, for the work graph), a None row empty."""
+    return _csr(adj, np.int32)
+
+
+def block_walk(adj, reach, ident):
+    """Blocks and cut-side masses of every live component: ``bcs_blocks``,
+    or ``block_walk_python`` when the compiled library cannot be built or
+    loaded.
+
+    ``adj`` is the work graph's (a deleted vertex's row is None, and no row
+    may name one).  Returns an iterator of :func:`_block_dfs` results, one
+    per live component, rooted at its lowest id, in increasing id order.
+    The compiled form walks every component before it returns, and the
+    Python form each as it is asked for; a caller may change a component it
+    got, but no other, before it asks for the next.
+    """
+    n = len(adj)
+    if len(reach) != n or len(ident) != n:
+        raise ValueError(f"reach and ident need {n} entries, one per vertex")
+    offsets, targets = export_rows(adj)
+    _check_ids(targets, n, "neighbor")
+    live = _live_rows(adj, targets)
+    idents = np.array(ident, dtype=np.int64)
+    mass = idents * np.array(reach, dtype=np.int64)
+    lib = _kernel()
+    if lib is None:
+        return block_walk_python(adj, reach, ident)
+    flat = np.empty(2 * n, dtype=np.int32)
+    block_ends = np.empty(n + 1, dtype=np.int32)
+    below = np.empty(n, dtype=np.int64)
+    comp_ends = np.empty(n + 1, dtype=np.int32)
+    totals = np.empty(n, dtype=np.int64)
+    counts = np.zeros(2, dtype=np.int64)
+    lib.bcs_blocks(
+        n,
+        offsets,
+        targets,
+        mass,
+        (idents != 1).view(np.uint8),
+        live,
+        np.empty(n, dtype=np.int32),
+        np.empty(n, dtype=np.int32),
+        np.empty(n, dtype=np.int64),
+        np.empty(n, dtype=np.int32),
+        np.empty(n, dtype=np.int64),
+        np.empty(n, dtype=np.int32),
+        np.empty(n, dtype=np.int32),
+        flat,
+        block_ends,
+        below,
+        comp_ends,
+        totals,
+        counts,
+    )
+    blocks, comps = counts.tolist()
+    return _walked(flat, block_ends[: blocks + 1].tolist(), below[:blocks].tolist(),
+                   comp_ends[: comps + 1].tolist(), totals[:comps].tolist())
+
+
+def _walked(flat: np.ndarray, block_ends: list[int], below: list[int], comp_ends: list[int], totals: list[int]):
+    """Yield ``bcs_blocks``' output as ``(blocks, below, total)`` per
+    component, making one component's vertex lists at a time."""
+    for c, total in enumerate(totals):
+        first, last = comp_ends[c], comp_ends[c + 1]
+        base = block_ends[first]
+        vertices = flat[base : block_ends[last]].tolist()
+        blocks = [vertices[block_ends[k] - base : block_ends[k + 1] - base] for k in range(first, last)]
+        yield blocks, below[first:last], total
+
+
+def side_candidates(adj, ident, internal_edgeless, internal_clique, max_degree: int, rows=None) -> list[int]:
+    """The side pass's candidates: ``bcs_side_candidates``, or
+    ``side_candidates_python`` when the compiled library cannot be built or
+    loaded.
+
+    The live vertices of degree 1 to ``max_degree`` whose neighborhood,
+    with every merged class unfolded, is a clique (:func:`expanded_clique`),
+    in increasing id order.  ``adj`` is the work graph's (a deleted vertex's
+    row is None, and no row may name one), the flags are its per-class
+    ones, and ``rows`` is ``export_rows(adj)`` when the caller has it
+    already.
+    """
+    n = len(adj)
+    if len(ident) != n or len(internal_edgeless) != n or len(internal_clique) != n:
+        raise ValueError(f"ident and the class flags need {n} entries, one per vertex")
+    offsets, targets = _rows_of(adj, rows)
+    _check_ids(targets, n, "neighbor")
+    _live_rows(adj, targets)
+    clique = np.array(internal_clique, dtype=np.uint8)
+    unfolds = np.array(internal_edgeless, dtype=np.uint8) | clique
+    cliquish = (np.array(ident, dtype=np.int64) == 1).view(np.uint8) | clique
+    lib = _kernel()
+    if lib is None:
+        return side_candidates_python(adj, ident, internal_edgeless, internal_clique, max_degree)
+    candidates = np.empty(n, dtype=np.int32)
+    count = lib.bcs_side_candidates(
+        n,
+        offsets,
+        targets,
+        unfolds,
+        cliquish,
+        max(0, min(max_degree, len(targets))),  # no degree exceeds the arc count
+        np.empty(len(targets), dtype=np.int32),
+        candidates,
+    )
+    return candidates[:count].tolist()
+
+
+def twin_classes(adj, reach, closed: bool) -> list[list[int]]:
+    """The classes one merge sweep folds: ``bcs_twin_classes``, or
+    ``twin_classes_python`` when the compiled library cannot be built or
+    loaded.
+
+    Groups the vertices with a non-empty row by their open or (``closed``)
+    closed neighborhood and their reach, and returns every group of two or
+    more, in order of lowest member, members ascending.  ``adj`` is the
+    work graph's (a deleted vertex's row is None).
+    """
+    n = len(adj)
+    if len(reach) != n:
+        raise ValueError(f"reach needs {n} entries, one per vertex")
+    offsets, targets = export_rows(adj)
+    _check_ids(targets, n, "neighbor")
+    reaches = np.array(reach, dtype=np.int64)
+    lib = _kernel()
+    if lib is None:
+        return twin_classes_python(adj, reach, closed)
+    members = np.empty(n, dtype=np.int32)
+    class_ends = np.empty(n + 1, dtype=np.int32)
+    count = lib.bcs_twin_classes(
+        n,
+        offsets,
+        targets,
+        reaches,
+        int(closed),
+        np.empty(n + 1, dtype=np.int64),
+        np.empty(len(targets) + n, dtype=np.int32),
+        np.empty(n, dtype=np.int32),
+        np.empty(n, dtype=np.int32),
+        np.empty(n, dtype=np.int32),
+        members,
+        class_ends,
+    )
+    ends = class_ends[: count + 1].tolist()
+    flat = members[: ends[-1]].tolist()
+    return [flat[a:b] for a, b in zip(ends, ends[1:])]
+
+
 def _workspaces(n: int, targets: np.ndarray):
     """The seven workspaces both compiled entry points index, in their
     argument order, all set by the kernel: dist and order (int32, n each),
@@ -211,11 +379,39 @@ def _check_ids(ids: np.ndarray, bound: int, what: str) -> None:
         raise ValueError(f"{what} ids must lie in [0, {bound})")
 
 
+def _rows_of(adj, rows):
+    """``rows`` when given, refused unless it is a CSR of adj's shape as
+    ``export_rows`` makes it; else ``export_rows(adj)``."""
+    if rows is None:
+        return export_rows(adj)
+    offsets, targets = rows
+    if (
+        offsets.dtype != np.int64
+        or targets.dtype != np.int32
+        or len(offsets) != len(adj) + 1
+        or offsets[0] != 0
+        or offsets[-1] != len(targets)
+        or (np.diff(offsets) < 0).any()
+    ):
+        raise ValueError(f"rows must be a CSR of {len(adj)} rows, as export_rows makes it")
+    return offsets, targets
+
+
+def _live_rows(adj, targets: np.ndarray) -> np.ndarray:
+    """The live mask of ``adj`` (uint8: 0 for a None row), refusing rows
+    that name a deleted vertex before they reach either form."""
+    live = np.fromiter(map(is_not, adj, repeat(None)), dtype=np.uint8, count=len(adj))
+    if targets.size and not live[targets].all():
+        raise ValueError("rows must not name a deleted vertex")
+    return live
+
+
 def _csr(rows, dtype):
     """Offsets (int64) and concatenated entries of ``rows``, each a sized
     iterable or None for an empty row, in the rows' iteration order."""
     offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(np.fromiter((len(r) if r else 0 for r in rows), dtype=np.int64, count=len(rows)), out=offsets[1:])
+    # length_hint(None) is 0: the lengths come from one map over the rows
+    np.cumsum(np.fromiter(map(length_hint, rows), dtype=np.int64, count=len(rows)), out=offsets[1:])
     entries = np.fromiter(chain.from_iterable(filter(None, rows)), dtype=dtype, count=int(offsets[-1]))
     return offsets, entries
 
@@ -306,6 +502,15 @@ def _bind(path: Path):
     lib.bcs_side_sweep.argtypes = [size, int64s, int32s, int64s, int64s, doubles, doubles, int32s, size, doubles,
                                    *workspaces, int64s, int32s, int64s]
     lib.bcs_side_sweep.restype = None
+    flags = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
+    lib.bcs_blocks.argtypes = [size, int64s, int32s, int64s, flags, flags, int32s, int32s, int64s, int32s, int64s,
+                               int32s, int32s, int32s, int32s, int64s, int32s, int64s, int64s]
+    lib.bcs_blocks.restype = None
+    lib.bcs_side_candidates.argtypes = [size, int64s, int32s, flags, flags, size, int32s, int32s]
+    lib.bcs_side_candidates.restype = size
+    lib.bcs_twin_classes.argtypes = [size, int64s, int32s, int64s, size, int64s, int32s, int32s, int32s, int32s,
+                                     int32s, int32s]
+    lib.bcs_twin_classes.restype = size
     return lib
 
 
@@ -401,10 +606,10 @@ def side_bfs(adj, source: int, reach, ident, state) -> list[tuple[int, float]]:
     return [(w, m * dw + m * (dw - (reach[w] - 1.0))) for w, dw in deps]
 
 
-def side_sweep_python(adj, members, reach, ident, candidates: list[int], out: np.ndarray):
+def side_sweep_python(adj, members, reach, ident, candidates: list[int], out: np.ndarray, rows=None):
     """The side sweep as one :func:`side_bfs` run per candidate (the
     reference for ``bcs_side_sweep``); see :func:`side_sweep` for the
-    arguments and the result.
+    arguments and the result.  It reads ``adj`` and ignores ``rows``.
 
     The runs go over a copy of the rows as lists in the rows' iteration
     order, and each removed candidate is deleted from the copy before the
@@ -434,6 +639,111 @@ def side_sweep_python(adj, members, reach, ident, candidates: list[int], out: np
         rows[u] = []
         removed.append(u)
     return removed, arcs
+
+
+def block_walk_python(adj, reach, ident):
+    """Yield :func:`_block_dfs` of every live component, rooted at its
+    lowest live id, in increasing id order (the reference for
+    ``bcs_blocks``).  Ids added during the walk are not visited, so callers
+    may move the edges of each component they get to new copies.  One walk
+    state serves all components."""
+    n = len(adj)
+    # disc[u] < 0 marks u unvisited; sub is the DFS subtree mass.
+    disc, low, sub = [-1] * n, [0] * n, [0] * n
+    for root in range(n):
+        if adj[root] is not None and disc[root] < 0:
+            yield _block_dfs(adj, reach, ident, root, disc, low, sub)
+
+
+def _block_dfs(adj, reach, ident, root: int, disc: list[int], low: list[int], sub: list[int]):
+    """Blocks and cut-side masses of root's component.
+
+    Iterative Hopcroft-Tarjan over each row in its set's iteration order,
+    with a stack of discovered vertices.  Only an unmerged top emits a
+    block, so a merged class never cuts: the vertices below a merged top
+    join the block above, and under a merged root what is left becomes one
+    last block.  Block k is emitted at its top ``pv`` through the tree edge
+    ``(pv, v)``, so ``below[k]``, v's subtree mass, weighs the piece of the
+    component minus the top that holds the block's other vertices.  A
+    vertex's child blocks come before its parent block (the last block for
+    the root), the one block where it is not the top.
+
+    Returns ``(blocks, below, total)``: vertex lists with the top last, any
+    two sharing at most one vertex (an isolated vertex has none), the mass
+    below each top, and the component's mass.
+    """
+    disc[root] = low[root] = 0
+    sub[root] = ident[root] * reach[root]
+    blocks: list[list[int]] = []
+    below: list[int] = []
+    counter = 1
+    vstack: list[int] = []
+    # (vertex, neighbor iterator, the vertex's index in vstack)
+    stack: list[tuple[int, object, int]] = [(root, iter(adj[root]), 0)]
+    while stack:
+        v, it, at = stack[-1]
+        for u in it:
+            du = disc[u]
+            if du < 0:
+                stack.append((u, iter(adj[u]), len(vstack)))
+                vstack.append(u)
+                disc[u] = low[u] = counter
+                counter += 1
+                sub[u] = ident[u] * reach[u]
+                break
+            # The tree edge to v's parent p may lower low[v] to disc[p]; that
+            # leaves the block test low[v] >= disc[p] as it was.
+            if du < low[v]:
+                low[v] = du
+        else:  # v has no unvisited neighbor left
+            stack.pop()
+            if stack:
+                pv = stack[-1][0]
+                sub[pv] += sub[v]
+                if low[v] < low[pv]:
+                    low[pv] = low[v]
+                if low[v] >= disc[pv] and ident[pv] == 1:
+                    blocks.append(vstack[at:] + [pv])
+                    del vstack[at:]
+                    below.append(sub[v])
+    total = sub[root]
+    if vstack:  # the blocks below a merged root, which tops no other block
+        vstack.append(root)
+        blocks.append(vstack)
+        below.append(total - ident[root] * reach[root])
+    return blocks, below, total
+
+
+def side_candidates_python(adj, ident, internal_edgeless, internal_clique, max_degree: int) -> list[int]:
+    """The side pass's candidates, one :func:`expanded_clique` test per
+    vertex of degree 1 to ``max_degree`` (the reference for
+    ``bcs_side_candidates``); see :func:`side_candidates`."""
+    return [
+        v
+        for v, nbrs in enumerate(adj)
+        if nbrs and len(nbrs) <= max_degree and expanded_clique(adj, ident, internal_edgeless, internal_clique, v)
+    ]
+
+
+def expanded_clique(adj, ident, internal_edgeless, internal_clique, v: int) -> bool:
+    """Would v's neighborhood induce a clique with all classes unfolded?"""
+    if not (internal_edgeless[v] or internal_clique[v]):
+        return False  # mixed class: some copies see non-adjacent siblings
+    nbrs = adj[v]
+    # Each neighbor unfolds into a clique and sees all the other neighbors.
+    return all((ident[x] == 1 or internal_clique[x]) and len(nbrs & adj[x]) == len(nbrs) - 1 for x in nbrs)
+
+
+def twin_classes_python(adj, reach, closed: bool) -> list[list[int]]:
+    """The twin classes as a dict keyed by the sorted neighborhood and the
+    reach (the reference for ``bcs_twin_classes``); see
+    :func:`twin_classes`."""
+    classes: dict[tuple, list[int]] = {}
+    for v, nbrs in enumerate(adj):
+        if nbrs:
+            key = (*sorted(nbrs | {v} if closed else nbrs), reach[v])
+            classes.setdefault(key, []).append(v)
+    return [verts for verts in classes.values() if len(verts) >= 2]  # in order of lowest member
 
 
 def betweenness(g: Graph, *, unordered: bool = False):

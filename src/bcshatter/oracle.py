@@ -28,6 +28,9 @@ FAMILIES = (
 
 DEFAULT_CAP = 512
 
+# gnp's edge probability when its spec gives none: this mean degree.
+GNP_DEFAULT_DEGREE = 3.0
+
 
 class OracleCapError(ValueError):
     """Refused: the graph is too large for cubic brute force."""
@@ -123,7 +126,14 @@ def bc_tree(g: Graph) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GraphSpec:
-    """Deterministic generator request: same spec, same graph."""
+    """Deterministic generator request: same spec, same graph.
+
+    ``param`` is the family's knob, and 0 picks its default: the edge
+    probability for ``gnp`` (default 3 / (n - 1), a mean degree of 3), the
+    blob or clique size for ``bridged-blobs`` (4) and ``clique-chain`` (4),
+    and the base graph's edge probability for ``planted-identical`` and
+    ``planted-side`` (0.25).  ``random-tree`` has none.
+    """
 
     family: str
     n: int
@@ -162,7 +172,7 @@ def generate(spec: GraphSpec) -> Graph:
         raise ValueError("n must be non-negative")
     rng = random.Random(spec.seed)
     if spec.family == "gnp":
-        return _gnp(spec.n, spec.param, rng)
+        return _gnp(spec.n, spec.param or min(1.0, GNP_DEFAULT_DEGREE / max(spec.n - 1, 1)), rng)
     if spec.family == "random-tree":
         return _random_tree(spec.n, rng)
     if spec.family == "bridged-blobs":

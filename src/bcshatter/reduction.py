@@ -13,6 +13,12 @@ shrunk by five passes:
   all of one sweep in one call of ``kernels.side_sweep``),
 * ``i`` identical-vertex merging (equal open or closed neighborhood, reach).
 
+The per-vertex scans the passes make run through ``kernels``, compiled
+where the library loads: the block walk of ``b`` and ``a``
+(``kernels.block_walk``), the side candidates (``kernels.side_candidates``)
+and the twin classes of each ``i`` sweep (``kernels.twin_classes``).  The
+passes act on what those return, in Python.
+
 A deleted vertex keeps its id until the next :meth:`WorkGraph.compact`, with
 ``None`` for its adjacency set.
 
@@ -35,17 +41,18 @@ interchangeable copies, no single one of which is a cut vertex of the
 unmerged graph.  So a merged class never cuts, and the degree-1 and side
 passes guard against it, because cut-based formulas do not apply to it.
 
-``b`` and ``a`` read one DFS walk over all components, which yields each
-component's blocks and cut-side masses.  Its contract: blocks are vertex
-lists; a bridge is a block of two vertices; a vertex in two or more blocks
-is a cut vertex; a merged class lies in one block, so the blocks that meet
-at it stay one block, which ``a`` shatters as a whole.
+``b`` and ``a`` each read one DFS walk over all components, which yields
+each component's blocks and cut-side masses.  Its contract: blocks are
+vertex lists; a bridge is a block of two vertices; a vertex in two or more
+blocks is a cut vertex; a merged class lies in one block, so the blocks that
+meet at it stay one block, which ``a`` shatters as a whole.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 
@@ -97,6 +104,8 @@ class PassEvent:
     changes: int
     live_vertices: int
     live_edges: int
+    # wall time of the pass, left out of comparisons: equal solves have equal events
+    seconds: float = field(default=0.0, compare=False)
 
 
 @dataclass
@@ -108,14 +117,17 @@ class PassStats:
     iterations: int = 0
     component_edges: list[int] = field(default_factory=list)
 
-    def record(self, iteration: int, technique: str, changes: int, vertices: int, edges: int) -> None:
-        self.events.append(PassEvent(iteration, technique, changes, vertices, edges))
+    def record(self, iteration: int, technique: str, changes: int, vertices: int, edges: int, seconds: float) -> None:
+        self.events.append(PassEvent(iteration, technique, changes, vertices, edges, seconds))
 
     def csv_rows(self) -> list[list[str]]:
-        rows = [["pass", "iteration", "removals", "remaining_vertices", "remaining_edges", "component_edges"]]
+        rows = [["pass", "iteration", "removals", "remaining_vertices", "remaining_edges", "component_edges", "seconds"]]
         for e in self.events:
-            rows.append([e.technique, str(e.iteration), str(e.changes), str(e.live_vertices), str(e.live_edges), ""])
-        rows.append(["final", str(self.iterations), "", "", "", ";".join(str(x) for x in self.component_edges)])
+            rows.append([e.technique, str(e.iteration), str(e.changes), str(e.live_vertices), str(e.live_edges), "",
+                         f"{e.seconds:.6f}"])
+        total = sum(e.seconds for e in self.events)
+        rows.append(["final", str(self.iterations), "", "", "", ";".join(str(x) for x in self.component_edges),
+                     f"{total:.6f}"])
         return rows
 
 
@@ -245,76 +257,9 @@ class WorkGraph:
 
 
 def _blocks_and_masses(w: WorkGraph):
-    """Yield :func:`_block_dfs` of every live component, rooted at its lowest
-    live id, in increasing id order.  Ids added during the walk are not
-    visited, so callers may move the edges of each component they get to
-    new copies.  One walk state serves all components."""
-    n = len(w.adj)
-    # disc[u] < 0 marks u unvisited; sub is the DFS subtree mass.
-    disc, low, sub = [-1] * n, [0] * n, [0] * n
-    for root in range(n):
-        if w.adj[root] is not None and disc[root] < 0:
-            yield _block_dfs(w, root, disc, low, sub)
-
-
-def _block_dfs(w: WorkGraph, root: int, disc: list[int], low: list[int], sub: list[int]):
-    """Blocks and cut-side masses of root's component.
-
-    Iterative Hopcroft-Tarjan over each row in its set's iteration order,
-    with a stack of discovered vertices.  Only an unmerged top emits a
-    block, so a merged class never cuts: the vertices below a merged top
-    join the block above, and under a merged root what is left becomes one
-    last block.  Block k is emitted at its top ``pv`` through the tree edge
-    ``(pv, v)``, so ``below[k]``, v's subtree mass, weighs the piece of the
-    component minus the top that holds the block's other vertices.  A
-    vertex's child blocks come before its parent block (the last block for
-    the root), the one block where it is not the top.
-
-    Returns ``(blocks, below, total)``: vertex lists with the top last, any
-    two sharing at most one vertex (an isolated vertex has none), the mass
-    below each top, and the component's mass.
-    """
-    adj, reach, ident = w.adj, w.reach, w.ident
-    disc[root] = low[root] = 0
-    sub[root] = ident[root] * reach[root]
-    blocks: list[list[int]] = []
-    below: list[int] = []
-    counter = 1
-    vstack: list[int] = []
-    # (vertex, neighbor iterator, the vertex's index in vstack)
-    stack: list[tuple[int, object, int]] = [(root, iter(adj[root]), 0)]
-    while stack:
-        v, it, at = stack[-1]
-        for u in it:
-            du = disc[u]
-            if du < 0:
-                stack.append((u, iter(adj[u]), len(vstack)))
-                vstack.append(u)
-                disc[u] = low[u] = counter
-                counter += 1
-                sub[u] = ident[u] * reach[u]
-                break
-            # The tree edge to v's parent p may lower low[v] to disc[p]; that
-            # leaves the block test low[v] >= disc[p] as it was.
-            if du < low[v]:
-                low[v] = du
-        else:  # v has no unvisited neighbor left
-            stack.pop()
-            if stack:
-                pv = stack[-1][0]
-                sub[pv] += sub[v]
-                if low[v] < low[pv]:
-                    low[pv] = low[v]
-                if low[v] >= disc[pv] and ident[pv] == 1:
-                    blocks.append(vstack[at:] + [pv])
-                    del vstack[at:]
-                    below.append(sub[v])
-    total = sub[root]
-    if vstack:  # the blocks below a merged root, which tops no other block
-        vstack.append(root)
-        blocks.append(vstack)
-        below.append(total - ident[root] * reach[root])
-    return blocks, below, total
+    """The block walk of every live component of w, as
+    :func:`kernels.block_walk` yields it: ``(blocks, below, total)`` each."""
+    return kernels.block_walk(w.adj, w.reach, w.ident)
 
 
 def remove_degree1(w: WorkGraph, out: np.ndarray) -> int:
@@ -418,17 +363,6 @@ def shatter_articulation(w: WorkGraph) -> int:
     return new_components
 
 
-def _expanded_clique(w: WorkGraph, v: int) -> bool:
-    """Would v's neighborhood induce a clique with all classes unfolded?"""
-    if not (w.internal_edgeless[v] or w.internal_clique[v]):
-        return False  # mixed class: some copies see non-adjacent siblings
-    nbrs = w.adj[v]
-    # Each neighbor unfolds into a clique and sees all the other neighbors.
-    return all(
-        (w.ident[x] == 1 or w.internal_clique[x]) and len(nbrs & w.adj[x]) == len(nbrs) - 1 for x in nbrs
-    )
-
-
 def remove_side_vertices(w: WorkGraph, out: np.ndarray, max_degree: int = DEFAULT_MAX_SIDE_DEGREE) -> int:
     """Remove vertices whose unfolded neighborhood is a clique.
 
@@ -440,22 +374,25 @@ def remove_side_vertices(w: WorkGraph, out: np.ndarray, max_degree: int = DEFAUL
     one sweep over vertices of degree <= max_degree; removals can expose new
     side vertices, which the next loop iteration picks up.
 
-    The whole sweep is one :func:`kernels.side_sweep` call, and the removed
-    candidates then retire in candidate order.
+    The candidate test and the whole sweep are one call each, of
+    :func:`kernels.side_candidates` and :func:`kernels.side_sweep`, over one
+    export of the rows; the removed candidates then retire in candidate
+    order.
     """
-    candidates = _side_candidates(w, max_degree)
+    rows = kernels.export_rows(w.adj)
+    candidates = _side_candidates(w, max_degree, rows)
     if not candidates:
         return 0
-    removed, _ = kernels.side_sweep(w.adj, w.members, w.reach, w.ident, candidates, out)
+    removed, _ = kernels.side_sweep(w.adj, w.members, w.reach, w.ident, candidates, out, rows)
     for u in removed:
         w.retire(u)
     return len(removed)
 
 
-def _side_candidates(w: WorkGraph, max_degree: int) -> list[int]:
+def _side_candidates(w: WorkGraph, max_degree: int, rows=None) -> list[int]:
     """The live vertices of degree 1 to max_degree whose unfolded
     neighborhood is a clique, in increasing id order."""
-    return [v for v in w.live() if 1 <= len(w.adj[v]) <= max_degree and _expanded_clique(w, v)]
+    return kernels.side_candidates(w.adj, w.ident, w.internal_edgeless, w.internal_clique, max_degree, rows)
 
 
 def merge_identical(w: WorkGraph, out: np.ndarray) -> int:
@@ -473,20 +410,9 @@ def merge_identical(w: WorkGraph, out: np.ndarray) -> int:
 
 
 def _merge_sweep(w: WorkGraph, out: np.ndarray, closed: bool) -> int:
-    # Keys taken here stay valid through the sweep: a merge deletes the same
-    # vertices from every twin's neighborhood.  A key is one tuple: built for
-    # every vertex at once, the keys can set a solve's peak memory.
-    classes: dict[tuple, list[int]] = {}
-    for v in w.live():
-        nbrs = w.adj[v]
-        if nbrs:
-            key = (*sorted(nbrs | {v} if closed else nbrs), w.reach[v])
-            classes.setdefault(key, []).append(v)
-    changes = 0
-    for verts in classes.values():  # in order of lowest id
-        if len(verts) >= 2:
-            changes += _merge_class(w, out, verts, closed)
-    return changes
+    # Classes taken here stay valid through the sweep: a merge deletes the
+    # same vertices from every twin's neighborhood.
+    return sum(_merge_class(w, out, verts, closed) for verts in kernels.twin_classes(w.adj, w.reach, closed))
 
 
 def _merge_class(w: WorkGraph, out: np.ndarray, verts: list[int], closed: bool) -> int:
@@ -556,8 +482,10 @@ def preprocess(g: Graph, combination: Combination | str, max_side_degree: int = 
             iteration += 1
             any_change = False
             for letter in passes:
+                start = perf_counter()
                 changes = run_pass(w, letter, out, max_side_degree)
-                stats.record(iteration, letter, changes, w.live_vertex_count(), w.live_edge_count)
+                seconds = perf_counter() - start
+                stats.record(iteration, letter, changes, w.live_vertex_count(), w.live_edge_count, seconds)
                 any_change = any_change or changes > 0
             if not any_change:
                 break

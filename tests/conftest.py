@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from bcshatter import kernels
 from bcshatter.graph import Graph
 
 
@@ -79,3 +80,11 @@ def toy_social_graph() -> Graph:
         (8, 9), (8, 10),
     ]
     return Graph.from_edges(11, edges)
+
+
+@pytest.fixture
+def compiled_library():
+    lib = kernels._kernel()
+    if lib is None:
+        pytest.skip("the compiled library could not be built or loaded here")
+    return lib

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -18,7 +19,6 @@ from bcshatter.reduction import (
     Combination,
     WorkGraph,
     _blocks_and_masses,
-    _expanded_clique,
     _merge_sweep,
     _side_candidates,
     finalize,
@@ -224,37 +224,40 @@ class TestBlockMasses:
                     assert w.reach[v] == (total - far[(x, k)] if w.ident[x] == 1 else reach[x]), (x, k)
         assert seen_multi_block_cut and seen_merged_cut and seen_cut_bridge and seen_merged_root
 
-    def test_walk_visits_every_component_once(self):
-        rng = random.Random(11)
-        first = _glued_blocks(rng, 8)
-        second = _glued_blocks(rng, 8)
-        # ids: dead 0, first component, dead gap of 2, second component,
-        # one isolated vertex, dead last
-        a = 1
-        b = a + first.n + 2
-        n = b + second.n + 2
-        edges = [(a + u, a + v) for u, v in first.edges()] + [(b + u, b + v) for u, v in second.edges()]
-        dead = [0, b - 2, b - 1, n - 1]
-        edges += [(0, a), (b - 2, b - 1), (b - 1, b), (a + 1, n - 1)]
-        w = WorkGraph.from_graph(Graph.from_edges(n, sorted((min(e), max(e)) for e in edges)))
-        _random_attributes(rng, w)
-        for x in dead:
-            w.delete(x)
-        comps = w.components()
-        assert [c[0] for c in comps] == [a, b, n - 2]
-        walk = list(_blocks_and_masses(w))
-        assert len(walk) == len(comps)
-        assert [total for _, _, total in walk] == w.component_mass_sums()
-        for comp, (blocks, _, _) in zip(comps, walk):
-            assert {x for block in blocks for x in block} == (set(comp) if len(comp) > 1 else set())
-            assert _induced_edges(w, blocks) == sorted((u, x) for u in comp for x in w.adj[u] if u < x)
-        assert walk[-1][0] == []
+    def test_walk_visits_every_component_once(self, monkeypatch):
+        # on the compiled walk and on its Python form
+        for lib in (kernels._kernel(), None):
+            monkeypatch.setattr(kernels, "_compiled", lib)
+            rng = random.Random(11)
+            first = _glued_blocks(rng, 8)
+            second = _glued_blocks(rng, 8)
+            # ids: dead 0, first component, dead gap of 2, second component,
+            # one isolated vertex, dead last
+            a = 1
+            b = a + first.n + 2
+            n = b + second.n + 2
+            edges = [(a + u, a + v) for u, v in first.edges()] + [(b + u, b + v) for u, v in second.edges()]
+            dead = [0, b - 2, b - 1, n - 1]
+            edges += [(0, a), (b - 2, b - 1), (b - 1, b), (a + 1, n - 1)]
+            w = WorkGraph.from_graph(Graph.from_edges(n, sorted((min(e), max(e)) for e in edges)))
+            _random_attributes(rng, w)
+            for x in dead:
+                w.delete(x)
+            comps = w.components()
+            assert [c[0] for c in comps] == [a, b, n - 2]
+            walk = list(_blocks_and_masses(w))
+            assert len(walk) == len(comps)
+            assert [total for _, _, total in walk] == w.component_mass_sums()
+            for comp, (blocks, _, _) in zip(comps, walk):
+                assert {x for block in blocks for x in block} == (set(comp) if len(comp) > 1 else set())
+                assert _induced_edges(w, blocks) == sorted((u, x) for u in comp for x in w.adj[u] if u < x)
+            assert walk[-1][0] == []
 
-        mass_of_org = {w.members[v][0]: total for comp, total in zip(comps, w.component_mass_sums()) for v in comp}
-        # the isolated vertex has no block and creates no component
-        assert shatter_articulation(w) == len(w.components()) - len(comps) > 0
-        for comp, total in zip(w.components(), w.component_mass_sums()):
-            assert {mass_of_org[w.members[v][0]] for v in comp} == {total}
+            mass_of_org = {w.members[v][0]: total for comp, total in zip(comps, w.component_mass_sums()) for v in comp}
+            # the isolated vertex has no block and creates no component
+            assert shatter_articulation(w) == len(w.components()) - len(comps) > 0
+            for comp, total in zip(w.components(), w.component_mass_sums()):
+                assert {mass_of_org[w.members[v][0]] for v in comp} == {total}
 
 
 class TestBridgesKeepBlocks:
@@ -516,7 +519,8 @@ class TestSideVertices:
                 mixed = not (w.internal_edgeless[v] or w.internal_clique[v])
                 nbhd = [c for c in copies if adjacent((v, 0), c)]
                 expected = not mixed and all(adjacent(a, b) for a, b in itertools.combinations(nbhd, 2))
-                assert _expanded_clique(w, v) == expected, (seed, v)
+                got = kernels.expanded_clique(w.adj, w.ident, w.internal_edgeless, w.internal_clique, v)
+                assert got == expected, (seed, v)
                 outcomes.add((expected, mixed, len(w.adj[v]) > 1))
         assert (True, False, True) in outcomes and (False, True, True) in outcomes
 
@@ -549,14 +553,6 @@ def _side_inputs(w: WorkGraph):
     """What a side sweep must leave as it found it: the rows in their
     iteration order, the member lists and the attributes."""
     return [a if a is None else list(a) for a in w.adj], [list(m) for m in w.members], list(w.reach), list(w.ident)
-
-
-@pytest.fixture
-def compiled_library():
-    lib = kernels._kernel()
-    if lib is None:
-        pytest.skip("the compiled library could not be built or loaded here")
-    return lib
 
 
 @pytest.mark.usefixtures("compiled_library")
@@ -814,6 +810,18 @@ class TestPreprocess:
         rows = stats.csv_rows()
         assert rows[0][0] == "pass"
         assert rows[-1][0] == "final"
+
+    def test_pass_seconds_are_timed_but_not_compared(self):
+        g = generate(GraphSpec("clique-chain", 60, 0.0, seed=2))
+        first = preprocess(g, "odbasi")[2]
+        second = preprocess(g, "odbasi")[2]
+        assert first.events == second.events
+        assert all(e.seconds > 0.0 for e in first.events)
+        assert all(dataclasses.replace(e, seconds=e.seconds + 1.0) == e for e in first.events)
+        rows = first.csv_rows()
+        assert rows[0][-1] == "seconds"
+        assert [float(r[-1]) for r in rows[1:-1]] == pytest.approx([e.seconds for e in first.events], abs=1e-6)
+        assert float(rows[-1][-1]) == pytest.approx(sum(e.seconds for e in first.events), abs=1e-5)
 
 
 class TestFinalize:
