@@ -2,17 +2,17 @@
  *
  * - bcs_brandes, all sources over one component's CSR: the compiled form of
  *   ``kernels.brandes_python``;
- * - bcs_side_sweep, one compensation run per side vertex over the work
- *   graph: the compiled form of ``kernels.side_sweep_python``;
+ * - bcs_side_candidates and then bcs_side_sweep, the side pass's candidate
+ *   test and one compensation run per candidate over the work graph, both
+ *   called by ``kernels.side_sweep`` only, on one CSR: together the
+ *   compiled form of ``kernels.side_sweep_python``;
  * - bcs_blocks, the blocks and cut-side masses of every component of the
  *   work graph: the compiled form of ``kernels.block_walk_python``;
- * - bcs_side_candidates, the side pass's candidate test: the compiled form
- *   of ``kernels.side_candidates_python``;
  * - bcs_twin_classes, the twin grouping of the merge pass: the compiled
  *   form of ``kernels.twin_classes_python``.
  *
- * The last three are scans: they compute no score, and return what their
- * Python forms return, in the same order.
+ * bcs_side_candidates, bcs_blocks and bcs_twin_classes are scans: they
+ * compute no score, and return what the Python code returns, in order.
  *
  * Every floating-point expression is the one ``kernels.single_source`` and
  * ``kernels.side_bfs`` evaluate, in the same order, and every attribute
@@ -349,8 +349,8 @@ static int contains(const int32_t *ids, int64_t len, int32_t x)
     return lo < len && ids[lo] == x;
 }
 
-/* The side pass's candidates, the compiled form of
- * ``kernels.side_candidates_python``: in increasing id order, every v of
+/* The side pass's candidates, the compiled form of the candidate test of
+ * ``kernels.side_sweep_python``: in increasing id order, every v of
  * degree 1 to max_degree with unfolds[v] set (v's class is not mixed) whose
  * every neighbor x has cliquish[x] set (x unfolds into a clique) and shares
  * with v all of v's neighbors but itself: of the ids in v's row, exactly

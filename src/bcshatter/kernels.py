@@ -6,30 +6,31 @@ output option).  Shortest-path counts sigma are kept in float64 because they
 can overflow 64-bit integers on dense graphs while the dependency ratios
 stay well conditioned.
 
-Five entry points each pair a compiled form in ``_brandes.c`` with a Python
+Four entry points each pair compiled code in ``_brandes.c`` with a Python
 form.  Two run the one attribute-general Brandes algorithm, built on
 ``single_source``, the one Python forward BFS and backward sweep:
 
 * ``brandes``, all sources over one component: ``bcs_brandes`` and
   ``brandes_python``.
-* ``side_sweep``, a whole side-vertex sweep of
-  ``reduction.remove_side_vertices``, one run per candidate over the work
-  graph, adding the amounts straight into the score accumulator:
-  ``bcs_side_sweep`` and ``side_sweep_python``, whose runs are ``side_bfs``.
+* ``side_sweep``, a whole side-vertex pass of
+  ``reduction.remove_side_vertices``: the candidate test, then one run per
+  candidate over the work graph, adding the amounts straight into the score
+  accumulator.  Its compiled form is two foreign calls on one export of the
+  rows, ``bcs_side_candidates`` and ``bcs_side_sweep``; its Python form is
+  ``side_sweep_python``, whose test is ``expanded_clique`` and whose runs
+  are ``side_bfs``.
 
-Three are scans of the work graph for the reduction passes, which compute
+Two are scans of the work graph for the reduction passes, which compute
 no score and return exactly what their Python forms return, in order:
 
 * ``block_walk``, the blocks and cut-side masses of every component, read
   by the bridge and articulation passes: ``bcs_blocks`` and
   ``block_walk_python``, whose walks are ``_block_dfs``.
-* ``side_candidates``, the side pass's candidate test: ``bcs_side_candidates``
-  and ``side_candidates_python``, whose test is ``expanded_clique``.
 * ``twin_classes``, the grouping of one identical-vertex sweep:
   ``bcs_twin_classes`` and ``twin_classes_python``.
 
 Every compiled form reads the rows as one CSR, ``export_rows``, in each
-row's iteration order; the side pass exports once for its two calls.
+row's iteration order.
 
 The first call that needs the library builds it with the local C compiler
 into a per-user cache named by the hash of the source and the compile
@@ -137,6 +138,8 @@ def brandes(adj: Adjacency, reach: list[int] | None = None, ident: list[int] | N
         raise ValueError(f"reach and ident need {n} entries, one per vertex")
     _check_positive(reach, "reach")
     _check_positive(ident, "ident")
+    if not all(map(is_not, adj, repeat(None))):
+        raise ValueError("rows must not be None")  # the Python form cannot iterate one
     offsets, targets = export_rows(adj)
     _check_ids(targets, n, "neighbor")
     lib = _kernel()
@@ -157,34 +160,52 @@ def brandes(adj: Adjacency, reach: list[int] | None = None, ident: list[int] | N
     return bc.tolist(), float(seconds[0]), float(seconds[1])
 
 
-def side_sweep(adj, members, reach, ident, candidates: list[int], out: np.ndarray, rows=None):
-    """One side-vertex sweep: ``bcs_side_sweep``, or ``side_sweep_python``
+def side_sweep(adj, members, reach, ident, internal_edgeless, internal_clique, max_degree: int, out: np.ndarray):
+    """One side-vertex pass: ``bcs_side_candidates`` and then
+    ``bcs_side_sweep`` on one export of the rows, or ``side_sweep_python``
     when the compiled library cannot be built or loaded.
 
     ``adj`` and ``members`` are the work graph's (a deleted vertex's row is
-    None), and ``rows`` is ``export_rows(adj)`` when the caller has it
-    already.  For each candidate in order whose neighborhood is not yet
-    empty, adds the amounts of :func:`side_bfs` and the endpoint credit to
-    ``out`` (a float64 array), and treats the candidate as deleted from then
-    on.  Changes nothing but ``out``; the caller retires the removed
-    candidates.  Returns ``(removed, arcs)``: the removed candidates in
-    order, one run each, and the arcs the runs scanned, counted as for
-    ``side_bfs`` calls (the source's degree plus the degrees of the
-    vertices it reached).
+    None, and no row may name one), and the flags are its per-class ones.
+    The candidates are the live vertices of degree 1 to ``max_degree``
+    whose neighborhood, with every merged class unfolded, is a clique
+    (:func:`expanded_clique`), in increasing id order.  For each candidate
+    in order whose neighborhood is not yet empty, adds the amounts of
+    :func:`side_bfs` and the endpoint credit to ``out`` (a float64 array),
+    and treats the candidate as deleted from then on.  Changes nothing but
+    ``out``; the caller retires the removed candidates.  Returns
+    ``(removed, arcs)``: the removed candidates in order, one run each, and
+    the arcs the runs scanned, counted as for ``side_bfs`` calls (the
+    source's degree plus the degrees of the vertices it reached).
     """
     n = len(adj)
-    if len(members) != n or len(reach) != n or len(ident) != n:
-        raise ValueError(f"members, reach and ident need {n} entries, one per vertex")
-    offsets, targets = _rows_of(adj, rows)
+    if any(len(values) != n for values in (members, reach, ident, internal_edgeless, internal_clique)):
+        raise ValueError(f"members, reach, ident and the class flags need {n} entries, one per vertex")
+    offsets, targets = export_rows(adj)
     member_offsets, flat_members = _csr(members, np.int64)
-    sources = np.asarray(candidates, dtype=np.int32)
     _check_ids(targets, n, "neighbor")
-    _check_ids(sources, n, "candidate")
     _check_ids(flat_members, len(out), "member")
+    _live_rows(adj, targets)
+    clique = np.array(internal_clique, dtype=np.uint8)
+    unfolds = np.array(internal_edgeless, dtype=np.uint8) | clique
+    cliquish = (np.array(ident, dtype=np.int64) == 1).view(np.uint8) | clique
     lib = _kernel()
     if lib is None:
-        return side_sweep_python(adj, members, reach, ident, candidates, out)
-    removed = np.empty(len(sources), dtype=np.int32)
+        return side_sweep_python(adj, members, reach, ident, internal_edgeless, internal_clique, max_degree, out)
+    candidates = np.empty(n, dtype=np.int32)
+    count = lib.bcs_side_candidates(
+        n,
+        offsets,
+        targets,
+        unfolds,
+        cliquish,
+        max(0, min(max_degree, len(targets))),  # no degree exceeds the arc count
+        np.empty(len(targets), dtype=np.int32),
+        candidates,
+    )
+    if not count:
+        return [], 0
+    removed = np.empty(count, dtype=np.int32)
     counts = np.zeros(2, dtype=np.int64)
     lib.bcs_side_sweep(
         n,
@@ -194,8 +215,8 @@ def side_sweep(adj, members, reach, ident, candidates: list[int], out: np.ndarra
         flat_members,
         np.asarray(reach, dtype=np.float64),
         np.asarray(ident, dtype=np.float64),
-        sources,
-        len(sources),
+        candidates,
+        count,
         out,
         *_workspaces(n, targets),
         np.empty(n, dtype=np.int64),
@@ -279,44 +300,6 @@ def _walked(flat: np.ndarray, block_ends: list[int], below: list[int], comp_ends
         yield blocks, below[first:last], total
 
 
-def side_candidates(adj, ident, internal_edgeless, internal_clique, max_degree: int, rows=None) -> list[int]:
-    """The side pass's candidates: ``bcs_side_candidates``, or
-    ``side_candidates_python`` when the compiled library cannot be built or
-    loaded.
-
-    The live vertices of degree 1 to ``max_degree`` whose neighborhood,
-    with every merged class unfolded, is a clique (:func:`expanded_clique`),
-    in increasing id order.  ``adj`` is the work graph's (a deleted vertex's
-    row is None, and no row may name one), the flags are its per-class
-    ones, and ``rows`` is ``export_rows(adj)`` when the caller has it
-    already.
-    """
-    n = len(adj)
-    if len(ident) != n or len(internal_edgeless) != n or len(internal_clique) != n:
-        raise ValueError(f"ident and the class flags need {n} entries, one per vertex")
-    offsets, targets = _rows_of(adj, rows)
-    _check_ids(targets, n, "neighbor")
-    _live_rows(adj, targets)
-    clique = np.array(internal_clique, dtype=np.uint8)
-    unfolds = np.array(internal_edgeless, dtype=np.uint8) | clique
-    cliquish = (np.array(ident, dtype=np.int64) == 1).view(np.uint8) | clique
-    lib = _kernel()
-    if lib is None:
-        return side_candidates_python(adj, ident, internal_edgeless, internal_clique, max_degree)
-    candidates = np.empty(n, dtype=np.int32)
-    count = lib.bcs_side_candidates(
-        n,
-        offsets,
-        targets,
-        unfolds,
-        cliquish,
-        max(0, min(max_degree, len(targets))),  # no degree exceeds the arc count
-        np.empty(len(targets), dtype=np.int32),
-        candidates,
-    )
-    return candidates[:count].tolist()
-
-
 def twin_classes(adj, reach, closed: bool) -> list[list[int]]:
     """The classes one merge sweep folds: ``bcs_twin_classes``, or
     ``twin_classes_python`` when the compiled library cannot be built or
@@ -377,24 +360,6 @@ def _check_ids(ids: np.ndarray, bound: int, what: str) -> None:
     """Refuse ids outside [0, bound) before they reach the compiled code."""
     if ids.size and not 0 <= ids.min() <= ids.max() < bound:
         raise ValueError(f"{what} ids must lie in [0, {bound})")
-
-
-def _rows_of(adj, rows):
-    """``rows`` when given, refused unless it is a CSR of adj's shape as
-    ``export_rows`` makes it; else ``export_rows(adj)``."""
-    if rows is None:
-        return export_rows(adj)
-    offsets, targets = rows
-    if (
-        offsets.dtype != np.int64
-        or targets.dtype != np.int32
-        or len(offsets) != len(adj) + 1
-        or offsets[0] != 0
-        or offsets[-1] != len(targets)
-        or (np.diff(offsets) < 0).any()
-    ):
-        raise ValueError(f"rows must be a CSR of {len(adj)} rows, as export_rows makes it")
-    return offsets, targets
 
 
 def _live_rows(adj, targets: np.ndarray) -> np.ndarray:
@@ -606,10 +571,13 @@ def side_bfs(adj, source: int, reach, ident, state) -> list[tuple[int, float]]:
     return [(w, m * dw + m * (dw - (reach[w] - 1.0))) for w, dw in deps]
 
 
-def side_sweep_python(adj, members, reach, ident, candidates: list[int], out: np.ndarray, rows=None):
-    """The side sweep as one :func:`side_bfs` run per candidate (the
-    reference for ``bcs_side_sweep``); see :func:`side_sweep` for the
-    arguments and the result.  It reads ``adj`` and ignores ``rows``.
+def side_sweep_python(adj, members, reach, ident, internal_edgeless, internal_clique, max_degree: int,
+                      out: np.ndarray):
+    """The side pass as one :func:`expanded_clique` test per vertex of
+    degree 1 to ``max_degree`` and then one :func:`side_bfs` run per
+    candidate (the reference for ``bcs_side_candidates`` and
+    ``bcs_side_sweep``); see :func:`side_sweep` for the arguments and the
+    result.
 
     The runs go over a copy of the rows as lists in the rows' iteration
     order, and each removed candidate is deleted from the copy before the
@@ -617,13 +585,18 @@ def side_sweep_python(adj, members, reach, ident, candidates: list[int], out: np
     reorders the rest, so every run visits the vertices in the order of the
     work graph with the earlier candidates deleted.
     """
+    candidates = [
+        v
+        for v, nbrs in enumerate(adj)
+        if nbrs and len(nbrs) <= max_degree and expanded_clique(adj, ident, internal_edgeless, internal_clique, v)
+    ]
     rows = [list(r) if r else [] for r in adj]
     state = source_state(len(rows))
     removed = []
     arcs = 0
     for u in candidates:
         if not rows[u]:
-            continue  # removed already, or earlier removals emptied its neighborhood
+            continue  # earlier removals emptied its neighborhood
         amounts = side_bfs(rows, u, reach, ident, state)
         for x, amount in amounts:
             if amount:
@@ -712,17 +685,6 @@ def _block_dfs(adj, reach, ident, root: int, disc: list[int], low: list[int], su
         blocks.append(vstack)
         below.append(total - ident[root] * reach[root])
     return blocks, below, total
-
-
-def side_candidates_python(adj, ident, internal_edgeless, internal_clique, max_degree: int) -> list[int]:
-    """The side pass's candidates, one :func:`expanded_clique` test per
-    vertex of degree 1 to ``max_degree`` (the reference for
-    ``bcs_side_candidates``); see :func:`side_candidates`."""
-    return [
-        v
-        for v, nbrs in enumerate(adj)
-        if nbrs and len(nbrs) <= max_degree and expanded_clique(adj, ident, internal_edgeless, internal_clique, v)
-    ]
 
 
 def expanded_clique(adj, ident, internal_edgeless, internal_clique, v: int) -> bool:

@@ -10,14 +10,15 @@ shrunk by five passes:
   copy of each block's top takes over the top's edges into the block, with
   reach the mass away from the block's side of the cut),
 * ``s`` side-vertex removal (simplicial vertices; one compensation BFS each,
-  all of one sweep in one call of ``kernels.side_sweep``),
+  the candidate test and all of one sweep in one call of
+  ``kernels.side_sweep``),
 * ``i`` identical-vertex merging (equal open or closed neighborhood, reach).
 
 The per-vertex scans the passes make run through ``kernels``, compiled
 where the library loads: the block walk of ``b`` and ``a``
-(``kernels.block_walk``), the side candidates (``kernels.side_candidates``)
-and the twin classes of each ``i`` sweep (``kernels.twin_classes``).  The
-passes act on what those return, in Python.
+(``kernels.block_walk``), the side candidates (inside
+``kernels.side_sweep``) and the twin classes of each ``i`` sweep
+(``kernels.twin_classes``).  The passes act on what those return, in Python.
 
 A deleted vertex keeps its id until the next :meth:`WorkGraph.compact`, with
 ``None`` for its adjacency set.
@@ -256,12 +257,6 @@ class WorkGraph:
         self.adj = [{remap[x] for x in self.adj[v]} for v in keep]
 
 
-def _blocks_and_masses(w: WorkGraph):
-    """The block walk of every live component of w, as
-    :func:`kernels.block_walk` yields it: ``(blocks, below, total)`` each."""
-    return kernels.block_walk(w.adj, w.reach, w.ident)
-
-
 def remove_degree1(w: WorkGraph, out: np.ndarray) -> int:
     """Cascading degree-1 removal per component; also retires lone vertices.
 
@@ -320,7 +315,7 @@ def remove_bridges(w: WorkGraph, out: np.ndarray) -> int:
     last block under a merged root can be a single edge whose top is merged.
     """
     changes = 0
-    for blocks, below, total in _blocks_and_masses(w):
+    for blocks, below, total in kernels.block_walk(w.adj, w.reach, w.ident):
         for block, side_v in zip(blocks, below):
             if len(block) != 2:
                 continue
@@ -349,7 +344,7 @@ def shatter_articulation(w: WorkGraph) -> int:
     no score corrections are needed.  Returns how many components it made.
     """
     new_components = 0
-    for blocks, below, total in _blocks_and_masses(w):
+    for blocks, below, total in kernels.block_walk(w.adj, w.reach, w.ident):
         for block, side in zip(blocks[:-1], below):
             top = block[-1]
             copy = w.add_vertex(w.members[top][0], total - side)
@@ -374,25 +369,15 @@ def remove_side_vertices(w: WorkGraph, out: np.ndarray, max_degree: int = DEFAUL
     one sweep over vertices of degree <= max_degree; removals can expose new
     side vertices, which the next loop iteration picks up.
 
-    The candidate test and the whole sweep are one call each, of
-    :func:`kernels.side_candidates` and :func:`kernels.side_sweep`, over one
-    export of the rows; the removed candidates then retire in candidate
-    order.
+    The candidate test and the whole sweep are one call of
+    :func:`kernels.side_sweep`; the removed candidates then retire in
+    candidate order.
     """
-    rows = kernels.export_rows(w.adj)
-    candidates = _side_candidates(w, max_degree, rows)
-    if not candidates:
-        return 0
-    removed, _ = kernels.side_sweep(w.adj, w.members, w.reach, w.ident, candidates, out, rows)
+    removed, _ = kernels.side_sweep(w.adj, w.members, w.reach, w.ident, w.internal_edgeless, w.internal_clique,
+                                    max_degree, out)
     for u in removed:
         w.retire(u)
     return len(removed)
-
-
-def _side_candidates(w: WorkGraph, max_degree: int, rows=None) -> list[int]:
-    """The live vertices of degree 1 to max_degree whose unfolded
-    neighborhood is a clique, in increasing id order."""
-    return kernels.side_candidates(w.adj, w.ident, w.internal_edgeless, w.internal_clique, max_degree, rows)
 
 
 def merge_identical(w: WorkGraph, out: np.ndarray) -> int:

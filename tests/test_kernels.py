@@ -27,7 +27,7 @@ from bcshatter.kernels import (
     source_state,
 )
 from bcshatter.oracle import GraphSpec, generate, pair_distance_total
-from bcshatter.reduction import DEFAULT_MAX_SIDE_DEGREE, WorkGraph, _side_candidates, remove_side_vertices
+from bcshatter.reduction import DEFAULT_MAX_SIDE_DEGREE, WorkGraph, remove_side_vertices
 
 from conftest import complete_bipartite_graph, complete_graph, cycle_graph, path_graph, random_graph, star_graph
 
@@ -108,6 +108,13 @@ class TestReach:
     def test_rejects_neighbor_out_of_range(self, neighbor):
         with pytest.raises(ValueError):
             bc_plain([[1], [0, 2], [1, neighbor]])
+
+    @pytest.mark.usefixtures("kernel_path")
+    def test_rejects_none_row(self):
+        # the CSR export would read a None row as empty; the Python form
+        # cannot iterate it, so both refuse it alike
+        with pytest.raises(ValueError, match="None"):
+            brandes([[1], [0], None])
 
 
 class TestIdent:
@@ -302,14 +309,14 @@ class TestBuild:
         g = generate(GraphSpec("planted-side", 60, 0.0, seed=3))
         w, out = WorkGraph.from_graph(g), np.zeros(g.n)
         ref, ref_out = WorkGraph.from_graph(g), np.zeros(g.n)
-        candidates = _side_candidates(ref, DEFAULT_MAX_SIDE_DEGREE)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             changes = remove_side_vertices(w, out)
             got, _, _ = brandes(adj, reach, ident)
         assert got == brandes_python(adj, reach, ident)[0]
         assert changes > 0
-        removed, _ = kernels.side_sweep_python(ref.adj, ref.members, ref.reach, ref.ident, candidates, ref_out)
+        removed, _ = kernels.side_sweep_python(ref.adj, ref.members, ref.reach, ref.ident, ref.internal_edgeless,
+                                               ref.internal_clique, DEFAULT_MAX_SIDE_DEGREE, ref_out)
         assert changes == len(removed)
         assert out.tobytes() == ref_out.tobytes()
         assert capfd.readouterr() == ("", "")
@@ -367,20 +374,17 @@ class TestSideBfs:
 
 
 @pytest.mark.usefixtures("kernel_path")
-@pytest.mark.parametrize("field", ["neighbor", "candidate", "member"])
+@pytest.mark.parametrize("field", ["neighbor", "member"])
 def test_side_sweep_refuses_ids_out_of_range(field):
     adj = [{1, 2}, {0, 2}, {0, 1}]
     members = [[0], [1], [2]]
-    candidates = [0]
     if field == "neighbor":
         adj[2] = {0, 1, 3}
-    elif field == "candidate":
-        candidates = [3]
     else:
         members[1] = [3]
     out = np.zeros(3)
     with pytest.raises(ValueError, match=f"{field} ids"):
-        kernels.side_sweep(adj, members, [1, 1, 1], [1, 1, 1], candidates, out)
+        kernels.side_sweep(adj, members, [1, 1, 1], [1, 1, 1], [True] * 3, [True] * 3, 4, out)
     assert out.tolist() == [0.0, 0.0, 0.0]
 
 

@@ -18,9 +18,7 @@ from bcshatter.oracle import FAMILIES, GraphSpec, bc_brute, generate
 from bcshatter.reduction import (
     Combination,
     WorkGraph,
-    _blocks_and_masses,
     _merge_sweep,
-    _side_candidates,
     finalize,
     merge_identical,
     preprocess,
@@ -169,7 +167,7 @@ class TestBlockMasses:
             w = WorkGraph.from_graph(g)
             _random_attributes(rng, w)
             comp = list(range(g.n))
-            ((blocks, below, total),) = _blocks_and_masses(w)
+            ((blocks, below, total),) = kernels.block_walk(w.adj, w.reach, w.ident)
             assert total == sum(w.mass(v) for v in comp)
             assert len(below) == len(blocks)
             # the cut vertices are the vertices in two or more blocks
@@ -245,7 +243,7 @@ class TestBlockMasses:
                 w.delete(x)
             comps = w.components()
             assert [c[0] for c in comps] == [a, b, n - 2]
-            walk = list(_blocks_and_masses(w))
+            walk = list(kernels.block_walk(w.adj, w.reach, w.ident))
             assert len(walk) == len(comps)
             assert [total for _, _, total in walk] == w.component_mass_sums()
             for comp, (blocks, _, _) in zip(comps, walk):
@@ -278,7 +276,7 @@ class TestBridgesKeepBlocks:
             # every block's component mass, top, and far mass of each vertex
             before = {
                 frozenset(block): (total, block[-1], {x: _far(w, x, block) for x in block})
-                for blocks, _, total in _blocks_and_masses(w)
+                for blocks, _, total in kernels.block_walk(w.adj, w.reach, w.ident)
                 for block in blocks
             }
             bridges = {
@@ -288,7 +286,7 @@ class TestBridgesKeepBlocks:
             removed += len(bridges)
             after = [
                 (block, side, total)
-                for blocks, below, total in _blocks_and_masses(w)
+                for blocks, below, total in kernels.block_walk(w.adj, w.reach, w.ident)
                 for block, side in zip(blocks, below)
             ]
             assert {frozenset(block) for block, _, _ in after} == set(before) - bridges
@@ -551,8 +549,16 @@ def _attributed_work(g: Graph, seed: int):
 
 def _side_inputs(w: WorkGraph):
     """What a side sweep must leave as it found it: the rows in their
-    iteration order, the member lists and the attributes."""
-    return [a if a is None else list(a) for a in w.adj], [list(m) for m in w.members], list(w.reach), list(w.ident)
+    iteration order, the member lists, the attributes and the class flags."""
+    rows = [a if a is None else list(a) for a in w.adj]
+    return rows, [list(m) for m in w.members], w.reach[:], w.ident[:], w.internal_edgeless[:], w.internal_clique[:]
+
+
+def _side_candidates(w: WorkGraph, cap: int) -> list[int]:
+    """The side pass's candidates by their definition: the live vertices of
+    degree 1 to cap whose unfolded neighborhood is a clique."""
+    flags = (w.ident, w.internal_edgeless, w.internal_clique)
+    return [v for v, nbrs in enumerate(w.adj) if nbrs and len(nbrs) <= cap and kernels.expanded_clique(w.adj, *flags, v)]
 
 
 @pytest.mark.usefixtures("compiled_library")
@@ -586,8 +592,8 @@ class TestSideSweep:
 
     def test_forms_agree_and_leave_inputs_alone(self, compiled_library, monkeypatch):
         # both forms of kernels.side_sweep on work-graph-shaped inputs: sets
-        # in their own iteration order, None rows, merged and shared members,
-        # and candidates that are dead, repeated or not simplicial
+        # in their own iteration order, None rows, merged classes of every
+        # shape and shared members
         rng = random.Random(37)
 
         def corpus():
@@ -600,14 +606,15 @@ class TestSideSweep:
         removed = arcs = 0
         for case, family, g in corpus():
             w, out = _attributed_work(g, rng.randrange(10**6))
-            candidates = _side_candidates(w, case % 6 + 1) + rng.choices(range(len(w.adj)), k=5)
-            rng.shuffle(candidates)
+            cap = case % 6 + 1
             inputs = _side_inputs(w)
             results = []
             for lib in (compiled_library, None):
                 monkeypatch.setattr(kernels, "_compiled", lib)
                 got = out.copy()
-                results.append((kernels.side_sweep(w.adj, w.members, w.reach, w.ident, candidates, got), got.tobytes()))
+                swept = kernels.side_sweep(w.adj, w.members, w.reach, w.ident, w.internal_edgeless, w.internal_clique,
+                                           cap, got)
+                results.append((swept, got.tobytes()))
                 assert _side_inputs(w) == inputs, (family, case, lib)
             assert results[0] == results[1], (family, case)
             removed += len(results[0][0][0])

@@ -1,7 +1,8 @@
 """The reduction's scans, compiled against Python: the block walk, the side
 pass's candidate test and the twin grouping each have a compiled form in
 ``_brandes.c`` and a Python form in ``kernels.py``, which must return the
-same values in the same order on every work graph."""
+same values in the same order on every work graph.  The candidate test runs
+inside ``kernels.side_sweep``, so it is tested through the sweep."""
 
 from __future__ import annotations
 
@@ -95,24 +96,31 @@ def _book(pages: int) -> Graph:
     return Graph.from_edges(g.n, [(0, 1), *g.edges()])
 
 
+def _side_pass(w: WorkGraph, cap: int, slots: int):
+    """``kernels.side_sweep`` over w with cap, into fresh scores over
+    ``slots`` originals: the removed candidates, the arcs and the scores."""
+    out = np.zeros(slots)
+    removed, arcs = kernels.side_sweep(w.adj, w.members, w.reach, w.ident, w.internal_edgeless, w.internal_clique,
+                                       cap, out)
+    return removed, arcs, out.tobytes()
+
+
 class TestSideCandidates:
     def test_forms_agree(self, compiled_library, monkeypatch):
         found = 0
-        for case, family, w, _ in _work_graphs(43, 180):
+        for case, family, w, n in _work_graphs(43, 180):
             for cap in (1, 2, 4, 6, 1000):
-                candidates = _both_forms(
-                    monkeypatch,
-                    compiled_library,
-                    lambda: kernels.side_candidates(w.adj, w.ident, w.internal_edgeless, w.internal_clique, cap),
-                )
-                assert candidates == sorted(candidates), (family, case)
-                found += len(candidates)
+                removed, _, _ = _both_forms(monkeypatch, compiled_library, lambda: _side_pass(w, cap, n))
+                assert removed == sorted(removed), (family, case)
+                found += len(removed)
         assert found > 1000
 
     @pytest.mark.parametrize("pages", [2, 3, 40])
     def test_hubs_and_pages(self, scan_form, pages):
         # K_{2,D}: no vertex's neighbors are pairwise adjacent.  A book: every
-        # page is simplicial, a hub is not.  A star: every leaf is.
+        # page is simplicial, a hub is not.  A star: every leaf is.  No
+        # removal empties another candidate's neighborhood, so every
+        # candidate is removed.
         everything = 10**30  # past every degree, and past what a C integer holds
         for g, expected in (
             (complete_bipartite_graph(2, pages), []),
@@ -120,40 +128,36 @@ class TestSideCandidates:
             (star_graph(pages), list(range(1, pages + 1))),
         ):
             w = WorkGraph.from_graph(g)
-            assert kernels.side_candidates(w.adj, w.ident, w.internal_edgeless, w.internal_clique, everything) == expected
+            assert _side_pass(w, everything, g.n)[0] == expected
             # a merged page unfolds into an edgeless class: a book's hubs then
             # see non-adjacent copies, which only matters to the hubs
             w.ident[2] = 2
             w.internal_clique[2] = False
-            got = kernels.side_candidates(w.adj, w.ident, w.internal_edgeless, w.internal_clique, everything)
-            assert got == expected
+            assert _side_pass(w, everything, g.n)[0] == expected
+            # a merged hub or star center: as an edgeless class its copies
+            # are not adjacent, so no page or leaf sees a clique; as a closed
+            # class they are
+            w.ident[0] = 2
+            w.internal_clique[0] = False
+            assert _side_pass(w, everything, g.n)[0] == []
+            w.internal_edgeless[0], w.internal_clique[0] = False, True
+            assert _side_pass(w, everything, g.n)[0] == expected
 
-    def test_shared_rows_match(self, compiled_library, monkeypatch):
-        # the side pass hands both calls one export of the rows
-        for _, _, w, _ in _work_graphs(47, 30):
-            rows = kernels.export_rows(w.adj)
-            flags = (w.ident, w.internal_edgeless, w.internal_clique, 4)
-            expected = _both_forms(monkeypatch, compiled_library, lambda: kernels.side_candidates(w.adj, *flags))
-            assert _both_forms(monkeypatch, compiled_library, lambda: kernels.side_candidates(w.adj, *flags, rows)) == expected
+    def test_cap_at_and_below_the_degree(self, scan_form):
+        # a book's pages have degree 2, its hubs more
+        g = _book(5)
+        w = WorkGraph.from_graph(g)
+        assert _side_pass(w, 2, g.n)[0] == [2, 3, 4, 5, 6]
+        assert _side_pass(w, 1, g.n)[0] == []
+        # a star's leaves have degree 1
+        g = star_graph(5)
+        assert _side_pass(WorkGraph.from_graph(g), 1, g.n)[0] == [1, 2, 3, 4, 5]
 
     def test_refuses_rows_naming_a_deleted_vertex(self, scan_form):
+        out = np.zeros(3)
         with pytest.raises(ValueError, match="deleted vertex"):
-            kernels.side_candidates([{1}, {0, 2}, None], [1] * 3, [True] * 3, [True] * 3, 4)
-
-    def test_refuses_rows_of_another_shape(self, scan_form):
-        # rows handed in must be a CSR of these rows; neither form reads others
-        adj = [{1, 2}, {0, 2}, {0, 1}]
-        offsets, targets = kernels.export_rows(adj)
-        for rows in (
-            kernels.export_rows(adj[:2]),
-            (offsets, targets[:-1]),
-            (offsets, targets.astype(np.int64)),
-            (offsets[::-1].copy(), targets),
-        ):
-            with pytest.raises(ValueError, match="rows must be a CSR"):
-                kernels.side_candidates(adj, [1] * 3, [True] * 3, [True] * 3, 4, rows)
-            with pytest.raises(ValueError, match="rows must be a CSR"):
-                kernels.side_sweep(adj, [[0], [1], [2]], [1] * 3, [1] * 3, [0], np.zeros(3), rows)
+            kernels.side_sweep([{1}, {0, 2}, None], [[0], [1], [2]], [1] * 3, [1] * 3, [True] * 3, [True] * 3, 4, out)
+        assert out.tolist() == [0.0] * 3
 
 
 class TestTwinClasses:
