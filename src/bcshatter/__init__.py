@@ -7,7 +7,7 @@ the plain algorithm's output.  A benchmark harness times the technique
 combinations and emits performance-profile data.
 """
 
-from .engine import ComputeResult, compute_scores
+from .engine import ComputeResult, NonFiniteScoresError, compute_scores
 from .graph import (
     Graph,
     GraphFormatError,
@@ -39,6 +39,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ComputeResult",
+    "NonFiniteScoresError",
     "compute_scores",
     "Graph",
     "GraphFormatError",

@@ -1,18 +1,27 @@
-/* The compiled forms of bcshatter's hot loops, five entry points:
+/* The compiled forms of bcshatter's hot loops, six entry points:
  *
  * - bcs_brandes, all sources over one component's CSR: the compiled form of
  *   ``kernels.brandes_python``;
  * - bcs_side_candidates and then bcs_side_sweep, the side pass's candidate
  *   test and one compensation run per candidate over the work graph, both
- *   called by ``kernels.side_sweep`` only, on one CSR: together the
- *   compiled form of ``kernels.side_sweep_python``;
+ *   called by ``kernels.side_sweep`` only: together the compiled form of
+ *   ``kernels.side_sweep_python``;
  * - bcs_blocks, the blocks and cut-side masses of every component of the
  *   work graph: the compiled form of ``kernels.block_walk_python``;
  * - bcs_twin_classes, the twin grouping of the merge pass: the compiled
- *   form of ``kernels.twin_classes_python``.
+ *   form of ``kernels.twin_classes_python``;
+ * - bcs_components, the live components of the work graph: the compiled
+ *   form of ``kernels.components_python``.
  *
- * bcs_side_candidates, bcs_blocks and bcs_twin_classes are scans: they
- * compute no score, and return what the Python code returns, in order.
+ * bcs_side_candidates, bcs_blocks, bcs_twin_classes and bcs_components are
+ * scans: they compute no score, and return what the Python code returns, in
+ * order.
+ *
+ * The work graph is read in place: its rows are one CSR (offsets, targets)
+ * in which a removed edge's two arcs carry DEAD, and live[v] is clear for a
+ * deleted vertex.  Every function but bcs_brandes skips dead arcs, arcs
+ * into a vertex that is not live and the rows of such vertices, so it reads
+ * the graph ``WorkGraph.rows`` lists for the Python forms.
  *
  * Every floating-point expression is the one ``kernels.single_source`` and
  * ``kernels.side_bfs`` evaluate, in the same order, and every attribute
@@ -40,6 +49,24 @@
 #define UNSEEN (-1)
 #define ABSENT (-2)
 
+/* the target of a removed arc in the work graph's rows */
+#define DEAD (-1)
+
+/* Does the arc to t lead to a live vertex? */
+static inline int live_arc(int32_t t, const uint8_t *live)
+{
+    return t != DEAD && live[t];
+}
+
+/* The number of live arcs in v's row. */
+static int64_t live_degree(int32_t v, const int64_t *offsets, const int32_t *targets, const uint8_t *live)
+{
+    int64_t degree = 0;
+    for (int64_t a = offsets[v]; a < offsets[v + 1]; a++)
+        degree += live_arc(targets[a], live);
+    return degree;
+}
+
 static double now(void)
 {
     struct timespec ts;
@@ -58,7 +85,8 @@ static void empty_buckets(int64_t n, const int64_t *offsets, const int32_t *targ
     for (int64_t v = 0; v <= n; v++)
         starts[v] = 0;
     for (int64_t a = 0; a < offsets[n]; a++)
-        starts[targets[a] + 1]++;
+        if (targets[a] != DEAD)
+            starts[targets[a] + 1]++;
     for (int64_t v = 0; v < n; v++) {
         starts[v + 1] += starts[v];
         fill[v] = starts[v];
@@ -68,15 +96,16 @@ static void empty_buckets(int64_t n, const int64_t *offsets, const int32_t *targ
 /* The forward BFS from s, shared by both entry points: fills order, dist,
  * sigma and delta for every vertex s reaches, records each vertex's
  * predecessors in its bucket, and returns how many vertices s reaches
- * (order[0] is s).  Inlined into each caller, so the all-sources loop
- * compiles as it would without the side sweep.  The backward sweeps stay
+ * (order[0] is s).  With dead_arcs set it skips DEAD arcs.  Inlined into
+ * each caller with dead_arcs a constant, so the all-sources loop compiles
+ * as it would without the side sweep.  The backward sweeps stay
  * two loops: what a swept vertex does with its dependency differs (one
  * score addition against amounts spread over its members plus the mass and
  * arc counts), and a shared loop would have to branch or call back per
  * vertex inside the all-sources kernel.  Each reads a swept vertex's bucket
  * and empties it again. */
 static inline __attribute__((always_inline)) int64_t
-forward(int32_t s, const int64_t *offsets, const int32_t *targets,
+forward(int32_t s, const int64_t *offsets, const int32_t *targets, int dead_arcs,
         const double *reach, const double *ident,
         int32_t *dist, int32_t *order, double *sigma, double *delta,
         int32_t *preds, int64_t *fill)
@@ -93,6 +122,8 @@ forward(int32_t s, const int64_t *offsets, const int32_t *targets,
         double sv = v != s ? sigma[v] * ident[v] : sigma[v];
         for (int64_t a = offsets[v]; a < offsets[v + 1]; a++) {
             int32_t w = targets[a];
+            if (dead_arcs && w == DEAD)
+                continue;
             if (dist[w] == UNSEEN) {
                 dist[w] = dv1;
                 sigma[w] = 0.0;
@@ -126,7 +157,7 @@ void bcs_brandes(int64_t n, const int64_t *offsets, const int32_t *targets,
         dist[v] = UNSEEN;
     for (int32_t s = 0; s < n; s++) {
         double start = now();
-        int64_t end = forward(s, offsets, targets, reach, ident, dist, order, sigma, delta, preds, fill);
+        int64_t end = forward(s, offsets, targets, 0, reach, ident, dist, order, sigma, delta, preds, fill);
         double mid = now();
         double mult = reach[s] * ident[s];
         for (int64_t idx = end - 1; idx > 0; idx--) { /* order[0] is s */
@@ -148,11 +179,10 @@ void bcs_brandes(int64_t n, const int64_t *offsets, const int32_t *targets,
 }
 
 /* One side-vertex sweep.  The work graph at sweep start has n vertex ids
- * with its adjacency as a CSR (offsets, targets), each row in its set's
- * iteration order, and the original vertices each id carries as a second
- * CSR (member_offsets, members).  dist, order (int32), sigma, delta (double)
- * and degree (int64) are n-element workspaces, and preds, starts and fill
- * the predecessor buckets' as for bcs_brandes.
+ * with its rows (offsets, targets, live) and the original vertices each id
+ * carries as a second CSR (member_offsets, members).  dist, order (int32),
+ * sigma, delta (double) and degree (int64) are n-element workspaces, and
+ * preds, starts and fill the predecessor buckets' as for bcs_brandes.
  *
  * For each of the ncand candidates in turn, a candidate with no neighbor
  * left is skipped.  Otherwise one run from it adds, for every vertex w it
@@ -163,12 +193,13 @@ void bcs_brandes(int64_t n, const int64_t *offsets, const int32_t *targets,
  * members.  The candidate is then taken out of the graph: later runs see
  * its rows as if it were deleted, and deleting from a list never reorders
  * the rest, so every run visits the vertices of ``side_sweep_python`` in
- * its order and out[] receives the same additions in the same order.
+ * its order and out[] receives the same additions in the same order.  A
+ * vertex that is not live starts out of the graph.
  *
  * Writes the removed candidates, in order, to removed, and adds the runs
  * and the arcs they scanned (the live degrees of the vertices each run
  * reached) to counts[0] and counts[1]. */
-void bcs_side_sweep(int64_t n, const int64_t *offsets, const int32_t *targets,
+void bcs_side_sweep(int64_t n, const int64_t *offsets, const int32_t *targets, const uint8_t *live,
                     const int64_t *member_offsets, const int64_t *members,
                     const double *reach, const double *ident,
                     const int32_t *candidates, int64_t ncand, double *out,
@@ -177,9 +208,9 @@ void bcs_side_sweep(int64_t n, const int64_t *offsets, const int32_t *targets,
                     int64_t *degree, int32_t *removed, int64_t *counts)
 {
     empty_buckets(n, offsets, targets, starts, fill);
-    for (int64_t v = 0; v < n; v++) {
-        dist[v] = UNSEEN;
-        degree[v] = offsets[v + 1] - offsets[v];
+    for (int32_t v = 0; v < n; v++) {
+        dist[v] = live[v] ? UNSEEN : ABSENT;
+        degree[v] = live[v] ? live_degree(v, offsets, targets, live) : 0;
     }
     int64_t runs = 0;
     int64_t arcs = 0;
@@ -187,7 +218,7 @@ void bcs_side_sweep(int64_t n, const int64_t *offsets, const int32_t *targets,
         int32_t s = candidates[i];
         if (degree[s] == 0)
             continue; /* earlier removals in this sweep emptied its neighborhood */
-        int64_t end = forward(s, offsets, targets, reach, ident, dist, order, sigma, delta, preds, fill);
+        int64_t end = forward(s, offsets, targets, 1, reach, ident, dist, order, sigma, delta, preds, fill);
         double m = reach[s] * ident[s];
         int64_t mass = 0;
         for (int64_t idx = end - 1; idx > 0; idx--) { /* order[0] is s */
@@ -215,7 +246,7 @@ void bcs_side_sweep(int64_t n, const int64_t *offsets, const int32_t *targets,
         arcs += degree[s];
         dist[s] = ABSENT;
         for (int64_t a = offsets[s]; a < offsets[s + 1]; a++)
-            if (dist[targets[a]] != ABSENT)
+            if (targets[a] != DEAD && dist[targets[a]] != ABSENT)
                 degree[targets[a]]--;
         degree[s] = 0; /* so a repeated candidate is skipped */
         removed[runs++] = s;
@@ -227,10 +258,9 @@ void bcs_side_sweep(int64_t n, const int64_t *offsets, const int32_t *targets,
 /* Blocks and cut-side masses of every live component, the compiled form of
  * ``kernels._block_dfs``: the same iterative Hopcroft-Tarjan walk (CACM
  * 16(6), 1973), rooted at each component's lowest live id in increasing id
- * order, reading each row in CSR order, which is its set's iteration order.
- * mass[v] is ident[v] * reach[v]; merged[v] is set for a merged class,
- * which never tops a block; live[v] is clear for a deleted vertex, whose
- * row is empty.
+ * order, reading each row's live arcs in CSR order.  mass[v] is
+ * ident[v] * reach[v]; merged[v] is set for a merged class, which never
+ * tops a block.
  *
  * disc, low, path, at and vstack (int32) and sub and next (int64) are
  * n-element workspaces.  Block k is flat[block_ends[k] .. block_ends[k + 1]),
@@ -240,8 +270,8 @@ void bcs_side_sweep(int64_t n, const int64_t *offsets, const int32_t *targets,
  * every vertex leaves vstack once, into one block beside that block's top.
  * Writes the numbers of blocks and of components to counts[0] and
  * counts[1]. */
-void bcs_blocks(int64_t n, const int64_t *offsets, const int32_t *targets,
-                const int64_t *mass, const uint8_t *merged, const uint8_t *live,
+void bcs_blocks(int64_t n, const int64_t *offsets, const int32_t *targets, const uint8_t *live,
+                const int64_t *mass, const uint8_t *merged,
                 int32_t *disc, int32_t *low, int64_t *sub, int32_t *path, int64_t *next,
                 int32_t *at, int32_t *vstack,
                 int32_t *flat, int32_t *block_ends, int64_t *below,
@@ -264,6 +294,8 @@ void bcs_blocks(int64_t n, const int64_t *offsets, const int32_t *targets,
             int descended = 0;
             while (next[depth] < offsets[v + 1]) {
                 int32_t u = targets[next[depth]++];
+                if (!live_arc(u, live))
+                    continue;
                 int32_t du = disc[u];
                 if (du < 0) {
                     depth++;
@@ -350,33 +382,39 @@ static int contains(const int32_t *ids, int64_t len, int32_t x)
 }
 
 /* The side pass's candidates, the compiled form of the candidate test of
- * ``kernels.side_sweep_python``: in increasing id order, every v of
+ * ``kernels.side_sweep_python``: in increasing id order, every live v of
  * degree 1 to max_degree with unfolds[v] set (v's class is not mixed) whose
  * every neighbor x has cliquish[x] set (x unfolds into a clique) and shares
  * with v all of v's neighbors but itself: of the ids in v's row, exactly
  * degree - 1 lie in x's row.  sorted is a copy of targets with each row
- * sorted, in which those ids are looked up by binary search, so a vertex
- * costs O(d^2 log D) however large its neighbors' rows are.  Writes the
- * candidates to candidates and returns how many there are. */
-int64_t bcs_side_candidates(int64_t n, const int64_t *offsets, const int32_t *targets,
+ * sorted and every arc that is not live set to DEAD, in which those ids
+ * are looked up by binary search, so a vertex costs O(d^2 log D) however
+ * large its neighbors' rows are.  Writes the candidates to candidates and
+ * returns how many there are. */
+int64_t bcs_side_candidates(int64_t n, const int64_t *offsets, const int32_t *targets, const uint8_t *live,
                             const uint8_t *unfolds, const uint8_t *cliquish, int64_t max_degree,
                             int32_t *sorted, int32_t *candidates)
 {
     for (int64_t a = 0; a < offsets[n]; a++)
-        sorted[a] = targets[a];
+        sorted[a] = live_arc(targets[a], live) ? targets[a] : DEAD;
     for (int64_t v = 0; v < n; v++)
         sort_ids(sorted + offsets[v], offsets[v + 1] - offsets[v]);
     int64_t count = 0;
     for (int32_t v = 0; v < n; v++) {
-        int64_t degree = offsets[v + 1] - offsets[v];
-        if (degree < 1 || degree > max_degree || !unfolds[v])
+        if (!live[v] || !unfolds[v])
+            continue;
+        int64_t degree = live_degree(v, offsets, targets, live);
+        if (degree < 1 || degree > max_degree)
             continue;
         int clique = 1;
         for (int64_t a = offsets[v]; clique && a < offsets[v + 1]; a++) {
             int32_t x = targets[a];
+            if (!live_arc(x, live))
+                continue;
             int64_t shared = 0;
             for (int64_t b = offsets[v]; b < offsets[v + 1]; b++)
-                shared += contains(sorted + offsets[x], offsets[x + 1] - offsets[x], targets[b]);
+                if (live_arc(targets[b], live))
+                    shared += contains(sorted + offsets[x], offsets[x + 1] - offsets[x], targets[b]);
             clique = cliquish[x] && shared == degree - 1;
         }
         if (clique)
@@ -402,9 +440,9 @@ static int key_order(int32_t a, int32_t b, const int64_t *key_offsets, const int
 }
 
 /* The twin classes of one merge sweep, the compiled form of
- * ``kernels.twin_classes_python``.  Every vertex with a non-empty row gets
- * the key (its row sorted, with v itself inserted when closed and not in
- * the row already; its reach), written to keys[key_offsets[v] ..
+ * ``kernels.twin_classes_python``.  Every live vertex with a live arc gets
+ * the key (its live arcs sorted, with v itself inserted when closed and not
+ * among them already; its reach), written to keys[key_offsets[v] ..
  * key_offsets[v + 1]), so keys needs offsets[n] + n slots and key_offsets
  * n + 1.  A stable merge sort of those vertices by key, with order and
  * spare as its n-element buffers, puts equal keys next to each other with
@@ -414,8 +452,8 @@ static int key_order(int32_t a, int32_t b, const int64_t *key_offsets, const int
  * members ascending: class k is members[class_ends[k] .. class_ends[k + 1]),
  * with n slots in members and n + 1 in class_ends.  Returns how many
  * classes there are. */
-int64_t bcs_twin_classes(int64_t n, const int64_t *offsets, const int32_t *targets, const int64_t *reach,
-                         int64_t closed, int64_t *key_offsets, int32_t *keys,
+int64_t bcs_twin_classes(int64_t n, const int64_t *offsets, const int32_t *targets, const uint8_t *live,
+                         const int64_t *reach, int64_t closed, int64_t *key_offsets, int32_t *keys,
                          int32_t *order, int32_t *spare, int32_t *lead,
                          int32_t *members, int32_t *class_ends)
 {
@@ -423,8 +461,10 @@ int64_t bcs_twin_classes(int64_t n, const int64_t *offsets, const int32_t *targe
     for (int32_t v = 0; v < n; v++) {
         key_offsets[v] = fill;
         int64_t start = fill;
-        for (int64_t a = offsets[v]; a < offsets[v + 1]; a++)
-            keys[fill++] = targets[a];
+        if (live[v])
+            for (int64_t a = offsets[v]; a < offsets[v + 1]; a++)
+                if (live_arc(targets[a], live))
+                    keys[fill++] = targets[a];
         if (fill == start)
             continue; /* a deleted or isolated vertex has no twin */
         if (closed) {
@@ -477,4 +517,41 @@ int64_t bcs_twin_classes(int64_t n, const int64_t *offsets, const int32_t *targe
         class_ends[++classes] = (int32_t)out;
     }
     return classes;
+}
+
+/* The live components, the compiled form of ``kernels.components_python``:
+ * a BFS from each live vertex no earlier BFS reached, in increasing id
+ * order, over live arcs.  Component c is flat[ends[c] .. ends[c + 1]), its
+ * vertices ascending, and the components come in order of lowest vertex.
+ * label (int32, n elements) is a workspace; flat needs n slots and ends
+ * n + 1.  Returns how many components there are. */
+int64_t bcs_components(int64_t n, const int64_t *offsets, const int32_t *targets, const uint8_t *live,
+                       int32_t *label, int32_t *flat, int32_t *ends)
+{
+    int32_t count = 0;
+    for (int64_t v = 0; v < n; v++)
+        label[v] = -1;
+    /* flat is the BFS queue first; each component's slice is then sorted */
+    int64_t end = 0;
+    ends[0] = 0;
+    for (int32_t root = 0; root < n; root++) {
+        if (!live[root] || label[root] >= 0)
+            continue;
+        int64_t head = end;
+        label[root] = count;
+        flat[end++] = root;
+        for (; head < end; head++) {
+            int32_t v = flat[head];
+            for (int64_t a = offsets[v]; a < offsets[v + 1]; a++) {
+                int32_t x = targets[a];
+                if (live_arc(x, live) && label[x] < 0) {
+                    label[x] = count;
+                    flat[end++] = x;
+                }
+            }
+        }
+        sort_ids(flat + ends[count], end - ends[count]);
+        ends[++count] = (int32_t)end;
+    }
+    return count;
 }

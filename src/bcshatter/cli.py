@@ -1,6 +1,7 @@
 """Command-line front end: compute, verify, bench, profile.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error,
+4 non-finite scores (shortest-path counts overflowed).
 All outputs are CSV with header rows.
 """
 
@@ -21,7 +22,7 @@ from .bench import (
     read_bench_csv,
     write_bench_csv,
 )
-from .engine import compute_scores
+from .engine import NonFiniteScoresError, compute_scores
 from .graph import GraphInputError, parse_graph
 from .oracle import DEFAULT_CAP, GraphSpec, bc_brute, check_cap, generate
 from .reduction import DEFAULT_MAX_SIDE_DEGREE, STANDARD_COMBINATIONS, Combination
@@ -30,6 +31,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_NON_FINITE = 4
 
 REL_TOL = 1e-6
 ABS_TOL = 1e-9
@@ -131,10 +133,13 @@ def _cmd_verify(args) -> int:
     else:
         g, _ = _load_graph(args.graph, args.format, args.base)
         label = args.graph
+    check_cap(g.n, args.cap)
+    # every combination runs before the O(n^3) oracle, so a refused result stops the run first
+    results = [(combo, compute_scores(g, combo, max_side_degree=args.max_side_degree, order_seed=args.seed).scores)
+               for combo in combos]
     expected = bc_brute(g, cap=args.cap)
     failed = False
-    for combo in combos:
-        scores = compute_scores(g, combo, max_side_degree=args.max_side_degree, order_seed=args.seed).scores
+    for combo, scores in results:
         diff = np.abs(scores - expected)
         max_abs = float(diff.max()) if g.n else 0.0
         rel = diff / np.maximum(np.abs(expected), 1.0)
@@ -222,6 +227,9 @@ def main(argv=None) -> int:
     except (OSError, GraphInputError) as exc:
         print(f"bcshatter: {exc}", file=sys.stderr)
         return EXIT_IO
+    except NonFiniteScoresError as exc:
+        print(f"bcshatter: {exc}", file=sys.stderr)
+        return EXIT_NON_FINITE
     except ValueError as exc:
         print(f"bcshatter: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -13,6 +13,14 @@ from .graph import Graph, bfs_order, relabel
 from .reduction import DEFAULT_MAX_SIDE_DEGREE, Combination, PassStats, finalize, preprocess
 
 
+class NonFiniteScoresError(ArithmeticError):
+    """Some score came out NaN or infinite.  Shortest-path counts are
+    float64, so they overflow past about 2^1024 shortest paths between one
+    pair, and the dependencies built on them turn into NaN; a few thousand
+    vertices in long chains of parallel routes get there.
+    :func:`compute_scores` refuses such a result instead of returning it."""
+
+
 @dataclass
 class ComputeResult:
     scores: np.ndarray
@@ -42,7 +50,8 @@ def compute_scores(
     step and are identical (within float tolerance) for every combination;
     the combinations only trade preprocessing work against kernel work.
     ``order_seed`` picks a random BFS start vertex reproducibly; the default
-    start is vertex 0.
+    start is vertex 0.  Raises :class:`NonFiniteScoresError` when any score
+    is NaN or infinite.
     """
     combo = Combination.parse(combination) if isinstance(combination, str) else combination
     t0 = perf_counter()
@@ -59,16 +68,17 @@ def compute_scores(
     phase2 = 0.0
     kernel_acc: dict[int, float] = {}
     comps = w.components()
+    rows, reach, ident = w.rows(), w.reach.tolist(), w.ident.tolist()
     component_edges = []
     for comp in comps:
-        edge_count = sum(len(w.adj[v]) for v in comp) // 2
+        edge_count = sum(len(rows[v]) for v in comp) // 2
         component_edges.append(edge_count)
         if len(comp) < 2:
             continue
         index = {v: i for i, v in enumerate(comp)}
-        adj_local = [sorted(index[x] for x in w.adj[v]) for v in comp]
-        reach_local = [w.reach[v] for v in comp]
-        ident_local = [w.ident[v] for v in comp]
+        adj_local = [sorted(index[x] for x in rows[v]) for v in comp]
+        reach_local = [reach[v] for v in comp]
+        ident_local = [ident[v] for v in comp]
         use_reach = any(r != 1 for r in reach_local)
         use_ident = any(i != 1 for i in ident_local)
         if use_reach and use_ident:
@@ -88,6 +98,11 @@ def compute_scores(
     stats.component_edges = component_edges
 
     final = finalize(w, partial, kernel_acc)
+    non_finite = int(np.count_nonzero(~np.isfinite(final)))
+    if non_finite:
+        raise NonFiniteScoresError(
+            f"{non_finite} of {g.n} scores are not finite: shortest-path counts overflowed float64"
+        )
     if perm is not None:
         final = final[perm.forward]
     if unordered:

@@ -6,7 +6,7 @@ output option).  Shortest-path counts sigma are kept in float64 because they
 can overflow 64-bit integers on dense graphs while the dependency ratios
 stay well conditioned.
 
-Four entry points each pair compiled code in ``_brandes.c`` with a Python
+Five entry points each pair compiled code in ``_brandes.c`` with a Python
 form.  Two run the one attribute-general Brandes algorithm, built on
 ``single_source``, the one Python forward BFS and backward sweep:
 
@@ -15,12 +15,12 @@ form.  Two run the one attribute-general Brandes algorithm, built on
 * ``side_sweep``, a whole side-vertex pass of
   ``reduction.remove_side_vertices``: the candidate test, then one run per
   candidate over the work graph, adding the amounts straight into the score
-  accumulator.  Its compiled form is two foreign calls on one export of the
-  rows, ``bcs_side_candidates`` and ``bcs_side_sweep``; its Python form is
+  accumulator.  Its compiled form is two foreign calls,
+  ``bcs_side_candidates`` and ``bcs_side_sweep``; its Python form is
   ``side_sweep_python``, whose test is ``expanded_clique`` and whose runs
   are ``side_bfs``.
 
-Two are scans of the work graph for the reduction passes, which compute
+Three are scans of the work graph for the reduction passes, which compute
 no score and return exactly what their Python forms return, in order:
 
 * ``block_walk``, the blocks and cut-side masses of every component, read
@@ -28,9 +28,14 @@ no score and return exactly what their Python forms return, in order:
   ``block_walk_python``, whose walks are ``_block_dfs``.
 * ``twin_classes``, the grouping of one identical-vertex sweep:
   ``bcs_twin_classes`` and ``twin_classes_python``.
+* ``components``, the live components, read by the degree-1 pass and the
+  engine: ``bcs_components`` and ``components_python``.
 
-Every compiled form reads the rows as one CSR, ``export_rows``, in each
-row's iteration order.
+The compiled forms of ``side_sweep`` and the scans read the work graph's
+own arrays in place, skipping removed arcs (marked -1) and arcs into
+vertices that are not live; the Python forms read the same arcs in the same
+order as lists, ``WorkGraph.rows``.  Only the kernel's input is a CSR made
+from lists, ``export_rows``.
 
 The first call that needs the library builds it with the local C compiler
 into a per-user cache named by the hash of the source and the compile
@@ -141,203 +146,126 @@ def brandes(adj: Adjacency, reach: list[int] | None = None, ident: list[int] | N
     if not all(map(is_not, adj, repeat(None))):
         raise ValueError("rows must not be None")  # the Python form cannot iterate one
     offsets, targets = export_rows(adj)
-    _check_ids(targets, n, "neighbor")
+    _check_ids(targets, 0, n, "neighbor")
     lib = _kernel()
     if lib is None:
         return brandes_python(adj, reach, ident)
     bc = np.zeros(n)
     seconds = np.zeros(2)
-    lib.bcs_brandes(
-        n,
-        offsets,
-        targets,
-        np.asarray(reach, dtype=np.float64),
-        np.asarray(ident, dtype=np.float64),
-        *_workspaces(n, targets),
-        bc,
-        seconds,
-    )
+    lib.bcs_brandes(n, offsets, targets, np.asarray(reach, dtype=np.float64), np.asarray(ident, dtype=np.float64),
+                    *_workspaces(n, targets), bc, seconds)
     return bc.tolist(), float(seconds[0]), float(seconds[1])
 
 
-def side_sweep(adj, members, reach, ident, internal_edgeless, internal_clique, max_degree: int, out: np.ndarray):
-    """One side-vertex pass: ``bcs_side_candidates`` and then
-    ``bcs_side_sweep`` on one export of the rows, or ``side_sweep_python``
-    when the compiled library cannot be built or loaded.
+def side_sweep(w, max_degree: int, out: np.ndarray):
+    """One side-vertex pass over the work graph ``w``: ``bcs_side_candidates``
+    and then ``bcs_side_sweep`` on its arrays, or ``side_sweep_python`` on
+    its rows when the compiled library cannot be built or loaded.
 
-    ``adj`` and ``members`` are the work graph's (a deleted vertex's row is
-    None, and no row may name one), and the flags are its per-class ones.
     The candidates are the live vertices of degree 1 to ``max_degree``
     whose neighborhood, with every merged class unfolded, is a clique
     (:func:`expanded_clique`), in increasing id order.  For each candidate
     in order whose neighborhood is not yet empty, adds the amounts of
-    :func:`side_bfs` and the endpoint credit to ``out`` (a float64 array),
-    and treats the candidate as deleted from then on.  Changes nothing but
-    ``out``; the caller retires the removed candidates.  Returns
-    ``(removed, arcs)``: the removed candidates in order, one run each, and
-    the arcs the runs scanned, counted as for ``side_bfs`` calls (the
-    source's degree plus the degrees of the vertices it reached).
+    :func:`side_bfs` and the endpoint credit to ``out`` (float64, one slot
+    per original vertex), and treats the candidate as deleted from then on;
+    nothing else changes.  Returns ``(removed, arcs)``: the removed
+    candidates in order, and the arcs their runs scanned, counted as for
+    ``side_bfs`` calls (the source's degree plus the degrees it reached).
     """
-    n = len(adj)
-    if any(len(values) != n for values in (members, reach, ident, internal_edgeless, internal_clique)):
-        raise ValueError(f"members, reach, ident and the class flags need {n} entries, one per vertex")
-    offsets, targets = export_rows(adj)
-    member_offsets, flat_members = _csr(members, np.int64)
-    _check_ids(targets, n, "neighbor")
-    _check_ids(flat_members, len(out), "member")
-    _live_rows(adj, targets)
-    clique = np.array(internal_clique, dtype=np.uint8)
-    unfolds = np.array(internal_edgeless, dtype=np.uint8) | clique
-    cliquish = (np.array(ident, dtype=np.int64) == 1).view(np.uint8) | clique
+    n = _check_work_graph(w)
+    _check_ids(w.member_ids, 0, len(out), "member")
     lib = _kernel()
     if lib is None:
-        return side_sweep_python(adj, members, reach, ident, internal_edgeless, internal_clique, max_degree, out)
+        return side_sweep_python(w.rows(), w.member_lists(), w.reach.tolist(), w.ident.tolist(),
+                                 w.internal_edgeless.tolist(), w.internal_clique.tolist(), max_degree, out)
+    clique = w.internal_clique.view(np.uint8)
+    unfolds, cliquish = w.internal_edgeless.view(np.uint8) | clique, (w.ident == 1).view(np.uint8) | clique
     candidates = np.empty(n, dtype=np.int32)
-    count = lib.bcs_side_candidates(
-        n,
-        offsets,
-        targets,
-        unfolds,
-        cliquish,
-        max(0, min(max_degree, len(targets))),  # no degree exceeds the arc count
-        np.empty(len(targets), dtype=np.int32),
-        candidates,
-    )
+    # no degree exceeds the arc count
+    count = lib.bcs_side_candidates(n, w.offsets, w.targets, w.live, unfolds, cliquish,
+                                    max(0, min(max_degree, len(w.targets))), *_empty(len(w.targets), np.int32),
+                                    candidates)
     if not count:
         return [], 0
     removed = np.empty(count, dtype=np.int32)
     counts = np.zeros(2, dtype=np.int64)
-    lib.bcs_side_sweep(
-        n,
-        offsets,
-        targets,
-        member_offsets,
-        flat_members,
-        np.asarray(reach, dtype=np.float64),
-        np.asarray(ident, dtype=np.float64),
-        candidates,
-        count,
-        out,
-        *_workspaces(n, targets),
-        np.empty(n, dtype=np.int64),
-        removed,
-        counts,
-    )
+    lib.bcs_side_sweep(n, w.offsets, w.targets, w.live, w.member_offsets, w.member_ids, w.reach.astype(np.float64),
+                       w.ident.astype(np.float64), candidates, count, out, *_workspaces(n, w.targets),
+                       *_empty(n, np.int64), removed, counts)
     runs, arcs = counts.tolist()
     return removed[:runs].tolist(), arcs
 
 
 def export_rows(adj):
-    """The rows of ``adj`` as a CSR, the form every compiled entry point
-    reads: offsets (int64) and neighbor ids (int32), each row in its
-    iteration order (a set's, for the work graph), a None row empty."""
-    return _csr(adj, np.int32)
+    """The rows of ``adj`` (lists, a None row empty) as one CSR, the
+    kernel's input: offsets (int64) and neighbor ids (int32)."""
+    offsets = np.zeros(len(adj) + 1, dtype=np.int64)
+    # length_hint(None) is 0: the lengths come from one map over the rows
+    np.cumsum(np.fromiter(map(length_hint, adj), dtype=np.int64, count=len(adj)), out=offsets[1:])
+    return offsets, np.fromiter(chain.from_iterable(filter(None, adj)), dtype=np.int32, count=int(offsets[-1]))
 
 
-def block_walk(adj, reach, ident):
-    """Blocks and cut-side masses of every live component: ``bcs_blocks``,
-    or ``block_walk_python`` when the compiled library cannot be built or
-    loaded.
+def block_walk(w):
+    """Blocks and cut-side masses of every live component of the work graph
+    ``w``: ``bcs_blocks`` on its arrays, or ``block_walk_python`` on its
+    rows when the compiled library cannot be built or loaded.
 
-    ``adj`` is the work graph's (a deleted vertex's row is None, and no row
-    may name one).  Returns an iterator of :func:`_block_dfs` results, one
-    per live component, rooted at its lowest id, in increasing id order.
-    The compiled form walks every component before it returns, and the
-    Python form each as it is asked for; a caller may change a component it
-    got, but no other, before it asks for the next.
+    Returns ``(flat, block_ends, below, comp_ends, totals)``: block k is
+    ``flat[block_ends[k]:block_ends[k + 1]]``, its top last, with
+    ``below[k]`` the mass below its top; component c holds blocks
+    ``comp_ends[c]`` to ``comp_ends[c + 1] - 1`` and has mass ``totals[c]``.
+    Components come rooted at their lowest id, in increasing id order.
     """
-    n = len(adj)
-    if len(reach) != n or len(ident) != n:
-        raise ValueError(f"reach and ident need {n} entries, one per vertex")
-    offsets, targets = export_rows(adj)
-    _check_ids(targets, n, "neighbor")
-    live = _live_rows(adj, targets)
-    idents = np.array(ident, dtype=np.int64)
-    mass = idents * np.array(reach, dtype=np.int64)
+    n = _check_work_graph(w)
     lib = _kernel()
     if lib is None:
-        return block_walk_python(adj, reach, ident)
+        return block_walk_python(w.rows(), w.reach.tolist(), w.ident.tolist())
     flat = np.empty(2 * n, dtype=np.int32)
-    block_ends = np.empty(n + 1, dtype=np.int32)
-    below = np.empty(n, dtype=np.int64)
-    comp_ends = np.empty(n + 1, dtype=np.int32)
-    totals = np.empty(n, dtype=np.int64)
+    block_ends, below, comp_ends, totals = _empty(n + 1, np.int32, np.int64, np.int32, np.int64)
     counts = np.zeros(2, dtype=np.int64)
-    lib.bcs_blocks(
-        n,
-        offsets,
-        targets,
-        mass,
-        (idents != 1).view(np.uint8),
-        live,
-        np.empty(n, dtype=np.int32),
-        np.empty(n, dtype=np.int32),
-        np.empty(n, dtype=np.int64),
-        np.empty(n, dtype=np.int32),
-        np.empty(n, dtype=np.int64),
-        np.empty(n, dtype=np.int32),
-        np.empty(n, dtype=np.int32),
-        flat,
-        block_ends,
-        below,
-        comp_ends,
-        totals,
-        counts,
-    )
+    lib.bcs_blocks(n, w.offsets, w.targets, w.live, w.ident * w.reach, (w.ident != 1).view(np.uint8),
+                   *_empty(n, np.int32, np.int32, np.int64, np.int32, np.int64, np.int32, np.int32),
+                   flat, block_ends, below, comp_ends, totals, counts)
     blocks, comps = counts.tolist()
-    return _walked(flat, block_ends[: blocks + 1].tolist(), below[:blocks].tolist(),
-                   comp_ends[: comps + 1].tolist(), totals[:comps].tolist())
+    return flat[: block_ends[blocks]], block_ends[: blocks + 1], below[:blocks], comp_ends[: comps + 1], totals[:comps]
 
 
-def _walked(flat: np.ndarray, block_ends: list[int], below: list[int], comp_ends: list[int], totals: list[int]):
-    """Yield ``bcs_blocks``' output as ``(blocks, below, total)`` per
-    component, making one component's vertex lists at a time."""
-    for c, total in enumerate(totals):
-        first, last = comp_ends[c], comp_ends[c + 1]
-        base = block_ends[first]
-        vertices = flat[base : block_ends[last]].tolist()
-        blocks = [vertices[block_ends[k] - base : block_ends[k + 1] - base] for k in range(first, last)]
-        yield blocks, below[first:last], total
+def twin_classes(w, closed: bool) -> list[list[int]]:
+    """The classes one merge sweep folds: ``bcs_twin_classes`` on the work
+    graph ``w``'s arrays, or ``twin_classes_python`` on its rows when the
+    compiled library cannot be built or loaded.
 
-
-def twin_classes(adj, reach, closed: bool) -> list[list[int]]:
-    """The classes one merge sweep folds: ``bcs_twin_classes``, or
-    ``twin_classes_python`` when the compiled library cannot be built or
-    loaded.
-
-    Groups the vertices with a non-empty row by their open or (``closed``)
-    closed neighborhood and their reach, and returns every group of two or
-    more, in order of lowest member, members ascending.  ``adj`` is the
-    work graph's (a deleted vertex's row is None).
+    Groups the live vertices with a live neighbor by their open or
+    (``closed``) closed neighborhood and their reach, and returns every
+    group of two or more, in order of lowest member, members ascending.
     """
-    n = len(adj)
-    if len(reach) != n:
-        raise ValueError(f"reach needs {n} entries, one per vertex")
-    offsets, targets = export_rows(adj)
-    _check_ids(targets, n, "neighbor")
-    reaches = np.array(reach, dtype=np.int64)
+    n = _check_work_graph(w)
     lib = _kernel()
     if lib is None:
-        return twin_classes_python(adj, reach, closed)
-    members = np.empty(n, dtype=np.int32)
-    class_ends = np.empty(n + 1, dtype=np.int32)
-    count = lib.bcs_twin_classes(
-        n,
-        offsets,
-        targets,
-        reaches,
-        int(closed),
-        np.empty(n + 1, dtype=np.int64),
-        np.empty(len(targets) + n, dtype=np.int32),
-        np.empty(n, dtype=np.int32),
-        np.empty(n, dtype=np.int32),
-        np.empty(n, dtype=np.int32),
-        members,
-        class_ends,
-    )
+        return twin_classes_python(w.rows(), w.reach.tolist(), closed)
+    members, class_ends = np.empty(n, dtype=np.int32), np.empty(n + 1, dtype=np.int32)
+    count = lib.bcs_twin_classes(n, w.offsets, w.targets, w.live, w.reach, int(closed), *_empty(n + 1, np.int64),
+                                 *_empty(len(w.targets) + n, np.int32), *_empty(n, np.int32, np.int32, np.int32),
+                                 members, class_ends)
     ends = class_ends[: count + 1].tolist()
     flat = members[: ends[-1]].tolist()
     return [flat[a:b] for a, b in zip(ends, ends[1:])]
+
+
+def components(w) -> tuple[np.ndarray, np.ndarray]:
+    """The live components of the work graph ``w``: ``bcs_components`` on
+    its arrays, or ``components_python`` on its rows when the compiled
+    library cannot be built or loaded.  Returns ``(flat, ends)`` (int32):
+    component c is ``flat[ends[c]:ends[c + 1]]``, ascending, and the
+    components come in order of lowest vertex."""
+    n = _check_work_graph(w)
+    lib = _kernel()
+    if lib is None:
+        comps = components_python(w.rows())
+        return np.array([v for comp in comps for v in comp], dtype=np.int32), np.cumsum([0, *map(len, comps)])
+    flat, ends = np.empty(n, dtype=np.int32), np.empty(n + 1, dtype=np.int32)
+    count = lib.bcs_components(n, w.offsets, w.targets, w.live, *_empty(n, np.int32), flat, ends)
+    return flat[: ends[count]], ends[: count + 1]
 
 
 def _workspaces(n: int, targets: np.ndarray):
@@ -345,40 +273,32 @@ def _workspaces(n: int, targets: np.ndarray):
     argument order, all set by the kernel: dist and order (int32, n each),
     sigma and delta (float64, n each), the predecessor buckets' slots (int32,
     one per arc), their starts (int64, n + 1) and fill marks (int64, n)."""
-    return (
-        np.empty(n, dtype=np.int32),
-        np.empty(n, dtype=np.int32),
-        np.empty(n),
-        np.empty(n),
-        np.empty(len(targets), dtype=np.int32),
-        np.empty(n + 1, dtype=np.int64),
-        np.empty(n, dtype=np.int64),
-    )
+    return (*_empty(n, np.int32, np.int32, np.float64, np.float64), np.empty(len(targets), dtype=np.int32),
+            np.empty(n + 1, dtype=np.int64), np.empty(n, dtype=np.int64))
 
 
-def _check_ids(ids: np.ndarray, bound: int, what: str) -> None:
-    """Refuse ids outside [0, bound) before they reach the compiled code."""
-    if ids.size and not 0 <= ids.min() <= ids.max() < bound:
-        raise ValueError(f"{what} ids must lie in [0, {bound})")
+def _empty(size: int, *dtypes) -> list[np.ndarray]:
+    """Uninitialized arrays of ``size`` elements, one per dtype."""
+    return [np.empty(size, dtype=dtype) for dtype in dtypes]
 
 
-def _live_rows(adj, targets: np.ndarray) -> np.ndarray:
-    """The live mask of ``adj`` (uint8: 0 for a None row), refusing rows
-    that name a deleted vertex before they reach either form."""
-    live = np.fromiter(map(is_not, adj, repeat(None)), dtype=np.uint8, count=len(adj))
-    if targets.size and not live[targets].all():
-        raise ValueError("rows must not name a deleted vertex")
-    return live
+def _check_ids(ids: np.ndarray, low: int, bound: int, what: str) -> None:
+    """Refuse ids outside [low, bound) before they reach the compiled code."""
+    if ids.size and not low <= ids.min() <= ids.max() < bound:
+        raise ValueError(f"{what} ids must lie in [{low}, {bound})")
 
 
-def _csr(rows, dtype):
-    """Offsets (int64) and concatenated entries of ``rows``, each a sized
-    iterable or None for an empty row, in the rows' iteration order."""
-    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-    # length_hint(None) is 0: the lengths come from one map over the rows
-    np.cumsum(np.fromiter(map(length_hint, rows), dtype=np.int64, count=len(rows)), out=offsets[1:])
-    entries = np.fromiter(chain.from_iterable(filter(None, rows)), dtype=dtype, count=int(offsets[-1]))
-    return offsets, entries
+def _check_work_graph(w) -> int:
+    """The number of vertex ids of the work graph ``w``, refusing arrays that
+    do not cover them, or arcs naming no vertex, before they reach either
+    form."""
+    n = len(w.live)
+    ends = {len(w.offsets), len(w.member_offsets)} | {len(a) + 1 for a in (w.reach, w.ident, w.internal_edgeless,
+                                                                             w.internal_clique)}
+    if ends != {n + 1} or w.offsets[-1] != len(w.targets) or w.member_offsets[-1] != len(w.member_ids):
+        raise ValueError(f"the work graph's arrays must cover its {n} vertices")
+    _check_ids(w.targets, -1, n, "neighbor")  # -1: a removed arc
+    return n
 
 
 # The compiler and flags the library is built with.  No -march=native or
@@ -464,18 +384,20 @@ def _bind(path: Path):
     workspaces = [int32s, int32s, doubles, doubles, int32s, int64s, int64s]  # as _workspaces returns them
     lib.bcs_brandes.argtypes = [size, int64s, int32s, doubles, doubles, *workspaces, doubles, doubles]
     lib.bcs_brandes.restype = None
-    lib.bcs_side_sweep.argtypes = [size, int64s, int32s, int64s, int64s, doubles, doubles, int32s, size, doubles,
-                                   *workspaces, int64s, int32s, int64s]
-    lib.bcs_side_sweep.restype = None
     flags = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
-    lib.bcs_blocks.argtypes = [size, int64s, int32s, int64s, flags, flags, int32s, int32s, int64s, int32s, int64s,
-                               int32s, int32s, int32s, int32s, int64s, int32s, int64s, int64s]
+    rows = [size, int64s, int32s, flags]  # a work graph's: n, offsets, targets, live
+    lib.bcs_side_sweep.argtypes = [*rows, int64s, int64s, doubles, doubles, int32s, size, doubles, *workspaces,
+                                   int64s, int32s, int64s]
+    lib.bcs_side_sweep.restype = None
+    lib.bcs_blocks.argtypes = [*rows, int64s, flags, int32s, int32s, int64s, int32s, int64s, int32s, int32s, int32s,
+                               int32s, int64s, int32s, int64s, int64s]
     lib.bcs_blocks.restype = None
-    lib.bcs_side_candidates.argtypes = [size, int64s, int32s, flags, flags, size, int32s, int32s]
+    lib.bcs_side_candidates.argtypes = [*rows, flags, flags, size, int32s, int32s]
     lib.bcs_side_candidates.restype = size
-    lib.bcs_twin_classes.argtypes = [size, int64s, int32s, int64s, size, int64s, int32s, int32s, int32s, int32s,
-                                     int32s, int32s]
+    lib.bcs_twin_classes.argtypes = [*rows, int64s, size, int64s, int32s, int32s, int32s, int32s, int32s, int32s]
     lib.bcs_twin_classes.restype = size
+    lib.bcs_components.argtypes = [*rows, int32s, int32s, int32s]
+    lib.bcs_components.restype = size
     return lib
 
 
@@ -508,10 +430,10 @@ def source_state(n: int):
 def single_source(adj, s: int, reach, ident, state):
     """Forward BFS from s, then the backward dependency sweep.
 
-    ``adj`` may be any indexable of neighbor iterables (the work graph's
-    sets included).  ``state`` comes from ``source_state`` and is left at
-    rest again, and only the vertices s reaches are touched, so a call costs
-    its component however large the state is.  Returns ``(deps, mid)``:
+    ``adj`` may be any indexable of neighbor iterables.  ``state`` comes
+    from ``source_state`` and is left at rest again, and only the vertices s
+    reaches are touched, so a call costs its component however large the
+    state is.  Returns ``(deps, mid)``:
     (vertex, dependency on s) for every vertex s reaches except s itself, in
     reverse BFS order, and the ``perf_counter`` time at which the forward
     BFS ended.
@@ -576,19 +498,21 @@ def side_sweep_python(adj, members, reach, ident, internal_edgeless, internal_cl
     """The side pass as one :func:`expanded_clique` test per vertex of
     degree 1 to ``max_degree`` and then one :func:`side_bfs` run per
     candidate (the reference for ``bcs_side_candidates`` and
-    ``bcs_side_sweep``); see :func:`side_sweep` for the arguments and the
-    result.
+    ``bcs_side_sweep``); see :func:`side_sweep` for the result.  ``adj``
+    and ``members`` are lists as ``WorkGraph.rows`` and
+    ``WorkGraph.member_lists`` give them, the rest lists of the work
+    graph's attributes.
 
-    The runs go over a copy of the rows as lists in the rows' iteration
-    order, and each removed candidate is deleted from the copy before the
-    next run.  Deleting from a list, like deleting from a set, never
+    The runs go over a copy of the rows, and each removed candidate is
+    deleted from the copy before the next run.  Deleting from a list never
     reorders the rest, so every run visits the vertices in the order of the
     work graph with the earlier candidates deleted.
     """
+    sets = [None if r is None else set(r) for r in adj]
     candidates = [
         v
         for v, nbrs in enumerate(adj)
-        if nbrs and len(nbrs) <= max_degree and expanded_clique(adj, ident, internal_edgeless, internal_clique, v)
+        if nbrs and len(nbrs) <= max_degree and expanded_clique(sets, ident, internal_edgeless, internal_clique, v)
     ]
     rows = [list(r) if r else [] for r in adj]
     state = source_state(len(rows))
@@ -615,24 +539,28 @@ def side_sweep_python(adj, members, reach, ident, internal_edgeless, internal_cl
 
 
 def block_walk_python(adj, reach, ident):
-    """Yield :func:`_block_dfs` of every live component, rooted at its
-    lowest live id, in increasing id order (the reference for
-    ``bcs_blocks``).  Ids added during the walk are not visited, so callers
-    may move the edges of each component they get to new copies.  One walk
-    state serves all components."""
+    """:func:`_block_dfs` of every live component (a None row is a deleted
+    vertex), rooted at its lowest live id, in increasing id order, laid out
+    as :func:`block_walk` returns it (the reference for ``bcs_blocks``).
+    One walk state serves all components."""
     n = len(adj)
     # disc[u] < 0 marks u unvisited; sub is the DFS subtree mass.
     disc, low, sub = [-1] * n, [0] * n, [0] * n
-    for root in range(n):
-        if adj[root] is not None and disc[root] < 0:
-            yield _block_dfs(adj, reach, ident, root, disc, low, sub)
+    walks = [_block_dfs(adj, reach, ident, root, disc, low, sub)
+             for root in range(n) if adj[root] is not None and disc[root] < 0]
+    blocks = [block for comp_blocks, _, _ in walks for block in comp_blocks]
+    below = [mass for _, masses, _ in walks for mass in masses]
+    return (np.array(list(chain.from_iterable(blocks)), dtype=np.int32),
+            np.cumsum([0, *map(len, blocks)], dtype=np.int32), np.array(below, dtype=np.int64),
+            np.cumsum([0, *(len(walk[0]) for walk in walks)], dtype=np.int32),
+            np.array([walk[2] for walk in walks], dtype=np.int64))
 
 
 def _block_dfs(adj, reach, ident, root: int, disc: list[int], low: list[int], sub: list[int]):
     """Blocks and cut-side masses of root's component.
 
-    Iterative Hopcroft-Tarjan over each row in its set's iteration order,
-    with a stack of discovered vertices.  Only an unmerged top emits a
+    Iterative Hopcroft-Tarjan over each row in its order, with a stack of
+    discovered vertices.  Only an unmerged top emits a
     block, so a merged class never cuts: the vertices below a merged top
     join the block above, and under a merged root what is left becomes one
     last block.  Block k is emitted at its top ``pv`` through the tree edge
@@ -688,7 +616,8 @@ def _block_dfs(adj, reach, ident, root: int, disc: list[int], low: list[int], su
 
 
 def expanded_clique(adj, ident, internal_edgeless, internal_clique, v: int) -> bool:
-    """Would v's neighborhood induce a clique with all classes unfolded?"""
+    """Would v's neighborhood induce a clique with all classes unfolded?
+    ``adj`` holds each row as a set."""
     if not (internal_edgeless[v] or internal_clique[v]):
         return False  # mixed class: some copies see non-adjacent siblings
     nbrs = adj[v]
@@ -699,13 +628,33 @@ def expanded_clique(adj, ident, internal_edgeless, internal_clique, v: int) -> b
 def twin_classes_python(adj, reach, closed: bool) -> list[list[int]]:
     """The twin classes as a dict keyed by the sorted neighborhood and the
     reach (the reference for ``bcs_twin_classes``); see
-    :func:`twin_classes`."""
+    :func:`twin_classes`.  ``adj`` is as ``WorkGraph.rows`` gives it."""
     classes: dict[tuple, list[int]] = {}
     for v, nbrs in enumerate(adj):
         if nbrs:
-            key = (*sorted(nbrs | {v} if closed else nbrs), reach[v])
+            key = (*sorted({*nbrs, v} if closed else nbrs), reach[v])
             classes.setdefault(key, []).append(v)
     return [verts for verts in classes.values() if len(verts) >= 2]  # in order of lowest member
+
+
+def components_python(adj) -> list[list[int]]:
+    """Sorted vertex lists of the live components (a None row is a deleted
+    vertex), in first-id order (the reference for ``bcs_components``)."""
+    seen = bytearray(len(adj))
+    comps: list[list[int]] = []
+    for root, nbrs in enumerate(adj):
+        if nbrs is None or seen[root]:
+            continue
+        seen[root] = 1
+        comp = [root]
+        for v in comp:  # the list is the queue; it grows while it is read
+            for x in adj[v]:
+                if not seen[x]:
+                    seen[x] = 1
+                    comp.append(x)
+        comp.sort()
+        comps.append(comp)
+    return comps
 
 
 def betweenness(g: Graph, *, unordered: bool = False):

@@ -15,13 +15,12 @@ shrunk by five passes:
 * ``i`` identical-vertex merging (equal open or closed neighborhood, reach).
 
 The per-vertex scans the passes make run through ``kernels``, compiled
-where the library loads: the block walk of ``b`` and ``a``
-(``kernels.block_walk``), the side candidates (inside
-``kernels.side_sweep``) and the twin classes of each ``i`` sweep
-(``kernels.twin_classes``).  The passes act on what those return, in Python.
-
-A deleted vertex keeps its id until the next :meth:`WorkGraph.compact`, with
-``None`` for its adjacency set.
+where the library loads, on the work graph's own arrays: the block walk of
+``b`` and ``a`` (``kernels.block_walk``), the side candidates (inside
+``kernels.side_sweep``), the twin classes of each ``i`` sweep
+(``kernels.twin_classes``) and the components ``d`` folds in
+(``kernels.components``).  The passes then edit the arrays in batches (see
+:class:`WorkGraph`): no pass walks the arcs in Python.
 
 Every pass writes its score corrections eagerly into a per-original-vertex
 accumulator, so reassembly after the kernels is just adding each surviving
@@ -33,7 +32,8 @@ Bookkeeping invariants (asserted in tests):
   for ``ident[v] * reach[v]`` original vertices ("mass").
 * After any sequence of a/b/d passes on a connected input, every component's
   mass sums to n.  Side removals and isolated-vertex retirement move mass to
-  ``retired_mass`` instead, so live mass + retired mass == n always.
+  ``retired_mass`` instead, so live mass + retired mass == n until a split
+  (``b`` or ``a``) gives each side the mass of the whole.
 * Merging requires equal reach, and no pass reads the scores it adds to:
   every later addition reaches all members of a merged class alike.
 
@@ -53,6 +53,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain, groupby
+from operator import itemgetter
 from time import perf_counter
 
 import numpy as np
@@ -132,129 +134,130 @@ class PassStats:
         return rows
 
 
-class WorkGraph:
-    """Mutable reduced graph with per-vertex reach/ident attributes.
+# The target of a removed arc.
+DEAD_ARC = -1
 
-    ``members[v]`` is a tuple of the original vertices v carries; the first
-    is the one v started as, or was copied from.  A merge replaces the
-    class's tuple, and nothing grows one in place.  ``adj[v]`` is None once
-    v is deleted.
+
+class WorkGraph:
+    """Mutable reduced graph with per-vertex reach/ident attributes, all
+    held in numpy arrays.
+
+    The rows are one CSR, as ``Graph`` holds them: v's arcs are
+    ``targets[offsets[v]:offsets[v + 1]]`` (int64 offsets, int32 targets).
+    A removed edge's two arcs stay where they were, marked ``DEAD_ARC``.
+    ``live`` (uint8) is clear for a deleted vertex; its arcs and the arcs
+    into it are dead.  Vertices that ``a`` adds get their rows appended, so
+    ids and rows only grow until :meth:`compact` drops what is dead.
+    ``reach`` and ``ident`` are int64, the class flags bool.  The original
+    vertices v carries are ``member_ids[member_offsets[v]:member_offsets[v +
+    1]]``; the first is the one v started as, or was copied from.
     """
 
-    __slots__ = (
-        "reach",
-        "ident",
-        "members",
-        "internal_edgeless",
-        "internal_clique",
-        "adj",
-        "live_edge_count",
-        "retired_mass",
-    )
-
-    def __init__(self) -> None:
-        self.reach: list[int] = []
-        self.ident: list[int] = []
-        self.members: list[tuple[int, ...]] = []
-        # Internal structure of a merged class: are its copies pairwise
-        # adjacent (closed-neighborhood twins) or pairwise non-adjacent?
-        # Singletons are vacuously both.
-        self.internal_edgeless: list[bool] = []
-        self.internal_clique: list[bool] = []
-        self.adj: list[set[int] | None] = []
-        self.live_edge_count = 0
-        self.retired_mass = 0
+    # internal_edgeless and internal_clique: are the copies of a merged class
+    # pairwise non-adjacent (open twins) or pairwise adjacent (closed twins)?
+    # Singletons are vacuously both.
+    __slots__ = ("offsets", "targets", "live", "reach", "ident", "internal_edgeless", "internal_clique",
+                 "member_offsets", "member_ids", "live_edge_count", "retired_mass")
 
     @classmethod
     def from_graph(cls, g: Graph) -> "WorkGraph":
         w = cls()
-        w.reach = [1] * g.n
-        w.ident = [1] * g.n
-        w.members = [(v,) for v in range(g.n)]
-        w.internal_edgeless = [True] * g.n
-        w.internal_clique = [True] * g.n
-        flat, offsets = g.neighbors.tolist(), g.offsets.tolist()  # no array view per row
-        w.adj = [set(flat[a:b]) for a, b in zip(offsets, offsets[1:])]
-        w.live_edge_count = g.m
+        w.offsets, w.targets, w.live = g.offsets.copy(), g.neighbors.copy(), np.ones(g.n, dtype=np.uint8)
+        w.reach, w.ident = np.ones(g.n, dtype=np.int64), np.ones(g.n, dtype=np.int64)
+        w.internal_edgeless, w.internal_clique = np.ones(g.n, dtype=bool), np.ones(g.n, dtype=bool)
+        w.member_offsets, w.member_ids = np.arange(g.n + 1, dtype=np.int64), np.arange(g.n, dtype=np.int64)
+        w.live_edge_count, w.retired_mass = g.m, 0
         return w
 
-    def mass(self, v: int) -> int:
-        return self.ident[v] * self.reach[v]
-
-    def live(self):
-        return (v for v, nbrs in enumerate(self.adj) if nbrs is not None)
-
     def live_vertex_count(self) -> int:
-        return len(self.adj) - self.adj.count(None)
+        return int(np.count_nonzero(self.live))
 
-    def add_vertex(self, org: int, reach: int) -> int:
-        vid = len(self.adj)
-        self.reach.append(reach)
-        self.ident.append(1)
-        self.members.append((org,))
-        self.internal_edgeless.append(True)
-        self.internal_clique.append(True)
-        self.adj.append(set())
-        return vid
+    def _sources(self) -> np.ndarray:
+        """The row each arc lies in."""
+        return np.repeat(np.arange(len(self.live), dtype=np.int32), np.diff(self.offsets))
 
-    def add_edge(self, u: int, v: int) -> None:
-        if v not in self.adj[u]:
-            self.adj[u].add(v)
-            self.adj[v].add(u)
-            self.live_edge_count += 1
+    def _slots(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The arc indices of the rows of ``vertices``, row after row, and
+        for each the position in ``vertices`` of its row."""
+        starts = self.offsets[vertices]
+        lengths = self.offsets[vertices + 1] - starts
+        which = np.repeat(np.arange(len(vertices)), lengths)
+        return np.arange(len(which)) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths), which
 
-    def remove_edge(self, u: int, v: int) -> None:
-        self.adj[u].discard(v)
-        self.adj[v].discard(u)
-        self.live_edge_count -= 1
+    def rows(self, vertices: np.ndarray | None = None) -> list[list[int] | None]:
+        """The live neighbors of every vertex (or of ``vertices``) as lists
+        in CSR order, None for a deleted vertex: what the Python forms of
+        the scans read."""
+        vertices = np.arange(len(self.live)) if vertices is None else vertices
+        slots, which = self._slots(vertices)
+        targets = self.targets[slots]
+        arcs = (targets != DEAD_ARC) & (self.live[targets] != 0)
+        flat = targets[arcs].tolist()
+        ends = np.cumsum(np.bincount(which[arcs], minlength=len(vertices))).tolist()
+        return [flat[a:b] if alive else None for a, b, alive in zip([0, *ends], ends, self.live[vertices].tolist())]
 
-    def delete(self, u: int) -> None:
-        """Unlink and tombstone; the vertex's mass must already be accounted."""
-        for x in self.adj[u]:
-            self.adj[x].discard(u)
-        self.live_edge_count -= len(self.adj[u])
-        self.adj[u] = None
+    def member_lists(self) -> list[list[int]]:
+        flat, ends = self.member_ids.tolist(), self.member_offsets.tolist()
+        return [flat[a:b] for a, b in zip(ends, ends[1:])]
 
-    def retire(self, u: int) -> None:
-        """Delete a vertex whose remaining pair dependencies are all settled."""
-        self.retired_mass += self.mass(u)
-        self.delete(u)
+    def append(self, reach, first, counts, targets) -> None:
+        """Add vertices of unit ident, each carrying one original vertex
+        (``first``), with ``counts[k]`` arcs to ``targets``, row after row.
+        The arcs back to them must be in place already."""
+        k = len(reach)
+        tails = {"offsets": self.offsets[-1] + np.cumsum(counts), "targets": targets, "live": 1, "reach": reach,
+                 "ident": 1, "internal_edgeless": True, "internal_clique": True,
+                 "member_offsets": self.member_offsets[-1] + np.arange(1, k + 1), "member_ids": first}
+        for name, tail in tails.items():
+            head = getattr(self, name)
+            tail = np.full(k, tail, dtype=head.dtype) if np.isscalar(tail) else np.asarray(tail, dtype=head.dtype)
+            setattr(self, name, np.concatenate([head, tail]))
+
+    def remove_edges(self, us: np.ndarray, vs: np.ndarray) -> None:
+        """Kill both arcs of every edge (us[k], vs[k])."""
+        for a, b in ((us, vs), (vs, us)):
+            slots, which = self._slots(a)
+            self.targets[slots[self.targets[slots] == b[which]]] = DEAD_ARC
+        self.live_edge_count -= len(us)
+
+    def delete(self, vertices) -> None:
+        """Delete a vertex or a batch of them: clear them in ``live`` and
+        kill their arcs and the arcs into them.  Their mass must already be
+        accounted."""
+        self.live[vertices] = 0
+        targets = self.targets
+        dead = (targets != DEAD_ARC) & ((self.live[targets] == 0) | (np.repeat(self.live, np.diff(self.offsets)) == 0))
+        targets[dead] = DEAD_ARC
+        self.live_edge_count -= int(np.count_nonzero(dead)) // 2
+
+    def retire(self, vertices) -> None:
+        """Delete vertices whose remaining pair dependencies are all settled."""
+        self.retired_mass += int((self.ident[vertices] * self.reach[vertices]).sum())
+        self.delete(vertices)
 
     def components(self) -> list[list[int]]:
         """Sorted vertex lists of the live components, in first-id order."""
-        adj = self.adj
-        seen = bytearray(len(adj))
-        comps: list[list[int]] = []
-        for root, nbrs in enumerate(adj):
-            if nbrs is None or seen[root]:
-                continue
-            seen[root] = 1
-            comp = [root]
-            for v in comp:  # the list is the queue; it grows while it is read
-                for x in adj[v]:
-                    if not seen[x]:
-                        seen[x] = 1
-                        comp.append(x)
-            comp.sort()
-            comps.append(comp)
-        return comps
-
-    def component_mass_sums(self) -> list[int]:
-        return [sum(self.mass(v) for v in comp) for comp in self.components()]
+        flat, ends = kernels.components(self)
+        flat, ends = flat.tolist(), ends.tolist()
+        return [flat[a:b] for a, b in zip(ends, ends[1:])]
 
     def compact(self) -> None:
-        """Drop tombstoned vertices and renumber; run between loop iterations
-        so pass code never sees ids move mid-flight."""
-        keep = list(self.live())
-        if len(keep) == len(self.adj):
+        """Drop deleted vertices and dead arcs and renumber; run between loop
+        iterations so pass code never sees ids move mid-flight."""
+        keep = np.flatnonzero(self.live)
+        n = len(self.live)
+        if len(keep) == n and len(self.targets) == 2 * self.live_edge_count:
             return
-        remap = {v: i for i, v in enumerate(keep)}
-        self.reach = [self.reach[v] for v in keep]
-        self.ident = [self.ident[v] for v in keep]
-        self.members = [self.members[v] for v in keep]
-        self.internal_edgeless = [self.internal_edgeless[v] for v in keep]
-        self.internal_clique = [self.internal_clique[v] for v in keep]
-        self.adj = [{remap[x] for x in self.adj[v]} for v in keep]
+        remap = np.cumsum(self.live, dtype=np.int32) - 1  # a live vertex's new id
+        arcs = self.targets != DEAD_ARC
+        degrees = np.bincount(self._sources()[arcs], minlength=n)[keep]
+        self.offsets = np.concatenate([[0], np.cumsum(degrees)])
+        self.targets = remap[self.targets[arcs]]
+        counts = np.diff(self.member_offsets)
+        self.member_ids = self.member_ids[np.repeat(self.live != 0, counts)]
+        self.member_offsets = np.concatenate([[0], np.cumsum(counts[keep])])
+        for name in ("live", "reach", "ident", "internal_edgeless", "internal_clique"):
+            setattr(self, name, getattr(self, name)[keep])
 
 
 def remove_degree1(w: WorkGraph, out: np.ndarray) -> int:
@@ -265,43 +268,58 @@ def remove_degree1(w: WorkGraph, out: np.ndarray) -> int:
     v from u's side; the leaf's mass then moves onto v.  Sums are over u's
     component at pass start: a fold never leaves its component and conserves
     the component's mass, so each component folds against its own total.
+    The cascades run over lists taken once per pass, one component after
+    another, and what they fold or retire is deleted together at the end.
     """
-    changes = 0
-    for comp in w.components():
-        total = sum(map(w.mass, comp))
-        queue = deque(v for v in comp if len(w.adj[v]) <= 1)
+    flat, ends = kernels.components(w)
+    degree = np.bincount(w._sources()[w.targets != DEAD_ARC], minlength=len(w.live))
+    seeds = np.flatnonzero(degree[flat] <= 1)  # positions in flat
+    if not seeds.size:
+        return 0
+    totals = np.add.reduceat((w.ident * w.reach)[flat], ends[:-1]).tolist()
+    comp_of = (np.searchsorted(ends, seeds, side="right") - 1).tolist()
+    degree, reach, ident = degree.tolist(), w.reach.tolist(), w.ident.tolist()
+    edgeless, alive = w.internal_edgeless.tolist(), w.live.tolist()
+    offsets, targets = w.offsets.tolist(), w.targets.tolist()
+    member_offsets, members = w.member_offsets.tolist(), w.member_ids.tolist()
+    gone = []
+    for c, group in groupby(zip(comp_of, flat[seeds].tolist()), key=itemgetter(0)):
+        total = totals[c]
+        queue = deque(v for _, v in group)
         while queue:
             u = queue.popleft()
-            if w.adj[u] is None:
+            if not alive[u]:
                 continue
-            deg = len(w.adj[u])
-            if deg == 0:
+            if degree[u] == 0:
                 # Lone vertex: every pair involving its mass is already settled.
-                w.retire(u)
-                changes += 1
+                w.retired_mass += ident[u] * reach[u]
+                alive[u] = 0
+                gone.append(u)
                 continue
-            if deg != 1:
+            if degree[u] != 1:
                 continue
-            v = next(iter(w.adj[u]))
+            v = next(x for x in targets[offsets[u] : offsets[u + 1]] if x != DEAD_ARC and alive[x])
             # A class bundle hanging off a merged neighbor is not a true leaf in
             # the unmerged graph; leave those for the side pass or the kernel.
-            if w.ident[v] != 1:
+            if ident[v] != 1 or ident[u] != 1 and not edgeless[u]:
                 continue
-            if w.ident[u] != 1 and not w.internal_edgeless[u]:
-                continue
-            mass_u = w.mass(u)
+            mass_u = ident[u] * reach[u]
             rest = total - mass_u
-            credit = (w.reach[u] - 1) * rest
+            credit = (reach[u] - 1) * rest
             if credit:
-                for m in w.members[u]:
+                for m in members[member_offsets[u] : member_offsets[u + 1]]:
                     out[m] += credit
-            out[w.members[v][0]] += mass_u * (rest - 1)
-            w.reach[v] += mass_u
-            w.delete(u)
-            changes += 1
-            if len(w.adj[v]) <= 1:
+            out[members[member_offsets[v]]] += mass_u * (rest - 1)
+            reach[v] += mass_u
+            alive[u] = 0
+            gone.append(u)
+            degree[v] -= 1
+            if degree[v] <= 1:
                 queue.append(v)
-    return changes
+    if gone:
+        w.reach = np.array(reach, dtype=np.int64)
+        w.delete(gone)
+    return len(gone)
 
 
 def remove_bridges(w: WorkGraph, out: np.ndarray) -> int:
@@ -314,22 +332,21 @@ def remove_bridges(w: WorkGraph, out: np.ndarray) -> int:
     single-edge block can hang a merged class below an unmerged top, and the
     last block under a merged root can be a single edge whose top is merged.
     """
-    changes = 0
-    for blocks, below, total in kernels.block_walk(w.adj, w.reach, w.ident):
-        for block, side_v in zip(blocks, below):
-            if len(block) != 2:
-                continue
-            v, u = block  # u tops the block
-            if w.ident[u] != 1 or w.ident[v] != 1:
-                continue
-            side_u = total - side_v
-            out[w.members[u][0]] += (side_u - 1) * side_v
-            out[w.members[v][0]] += (side_v - 1) * side_u
-            w.reach[u] += side_v
-            w.reach[v] += side_u
-            w.remove_edge(u, v)
-            changes += 1
-    return changes
+    flat, ends, below, comp_ends, totals = kernels.block_walk(w)
+    bridges = np.flatnonzero(np.diff(ends) == 2)
+    v, u = flat[ends[bridges]], flat[ends[bridges] + 1]  # u tops the block
+    unmerged = (w.ident[u] == 1) & (w.ident[v] == 1)
+    bridges, u, v = bridges[unmerged], u[unmerged], v[unmerged]
+    side_v = below[bridges]
+    side_u = totals[np.searchsorted(comp_ends, bridges, side="right") - 1] - side_v
+    first_u, first_v = w.member_ids[w.member_offsets[u]], w.member_ids[w.member_offsets[v]]
+    for fu, fv, su, sv in zip(first_u.tolist(), first_v.tolist(), side_u.tolist(), side_v.tolist()):
+        out[fu] += (su - 1) * sv
+        out[fv] += (sv - 1) * su
+    np.add.at(w.reach, u, side_v)
+    np.add.at(w.reach, v, side_u)
+    w.remove_edges(u, v)
+    return len(bridges)
 
 
 def shatter_articulation(w: WorkGraph) -> int:
@@ -342,20 +359,39 @@ def shatter_articulation(w: WorkGraph) -> int:
     top and gains the mass below each block it tops, so every instance
     carries the mass beyond its block's side of the cut plus its own, and
     no score corrections are needed.  Returns how many components it made.
+
+    Every vertex but a component's root is a non-top vertex of one block,
+    its home.  An edge between x and the top of x's home block lies in that
+    block, so the arc from x is rewritten in place to the block's copy, and
+    the arc from the top moves to the copy's row, appended at the end.
     """
-    new_components = 0
-    for blocks, below, total in kernels.block_walk(w.adj, w.reach, w.ident):
-        for block, side in zip(blocks[:-1], below):
-            top = block[-1]
-            copy = w.add_vertex(w.members[top][0], total - side)
-            for x in w.adj[top].intersection(block):
-                w.remove_edge(top, x)
-                w.add_edge(copy, x)
-            w.reach[top] += side
-            new_components += 1
-        for top in {block[-1] for block in blocks[:-1]}:
-            w.adj[top] = set(w.adj[top])  # a set keeps its table when it shrinks
-    return new_components
+    flat, ends, below, comp_ends, totals = kernels.block_walk(w)
+    nblocks = len(ends) - 1
+    # index nblocks is "no block": the home of a root, and of index n below
+    copied = np.append(np.ones(nblocks, dtype=bool), False)
+    copied[comp_ends[1:] - 1] = False  # each component's last block, or "no block"
+    blocks = np.flatnonzero(copied)
+    if not blocks.size:
+        return 0
+    n = len(w.live)
+    top = np.append(flat[ends[1:] - 1], -2)
+    copy = np.zeros(nblocks + 1, dtype=np.int32)
+    copy[blocks] = np.arange(n, n + len(blocks), dtype=np.int32)
+    home = np.full(n + 1, nblocks)  # a dead arc's target, -1, reads home[n]
+    home[np.delete(flat, ends[1:] - 1)] = np.repeat(np.arange(nblocks), np.diff(ends) - 1)
+    sources, targets = w._sources(), w.targets
+    into = copied[home[sources]] & (top[home[sources]] == targets)
+    moved = np.flatnonzero(copied[home[targets]] & (top[home[targets]] == sources))
+    owner = copy[home[targets[moved]]]
+    order = np.argsort(owner, kind="stable")
+    row_targets = targets[moved][order]
+    targets[into] = copy[home[sources[into]]]
+    targets[moved] = DEAD_ARC
+    below, tops, totals = below[blocks], top[blocks], np.repeat(totals, np.diff(comp_ends))[blocks]
+    np.add.at(w.reach, tops, below)
+    w.append(totals - below, w.member_ids[w.member_offsets[tops]], np.bincount(owner - n, minlength=len(blocks)),
+             row_targets)
+    return len(blocks)
 
 
 def remove_side_vertices(w: WorkGraph, out: np.ndarray, max_degree: int = DEFAULT_MAX_SIDE_DEGREE) -> int:
@@ -370,13 +406,11 @@ def remove_side_vertices(w: WorkGraph, out: np.ndarray, max_degree: int = DEFAUL
     side vertices, which the next loop iteration picks up.
 
     The candidate test and the whole sweep are one call of
-    :func:`kernels.side_sweep`; the removed candidates then retire in
-    candidate order.
+    :func:`kernels.side_sweep`; the removed candidates then retire together.
     """
-    removed, _ = kernels.side_sweep(w.adj, w.members, w.reach, w.ident, w.internal_edgeless, w.internal_clique,
-                                    max_degree, out)
-    for u in removed:
-        w.retire(u)
+    removed, _ = kernels.side_sweep(w, max_degree, out)
+    if removed:
+        w.retire(removed)
     return len(removed)
 
 
@@ -395,41 +429,55 @@ def merge_identical(w: WorkGraph, out: np.ndarray) -> int:
 
 
 def _merge_sweep(w: WorkGraph, out: np.ndarray, closed: bool) -> int:
-    # Classes taken here stay valid through the sweep: a merge deletes the
-    # same vertices from every twin's neighborhood.
-    return sum(_merge_class(w, out, verts, closed) for verts in kernels.twin_classes(w.adj, w.reach, closed))
+    """One sweep: every class the sweep finds folds into its lowest vertex.
 
-
-def _merge_class(w: WorkGraph, out: np.ndarray, verts: list[int], closed: bool) -> int:
-    rep = verts[0]
-    r = w.reach[rep]
-    idents = [w.ident[v] for v in verts]
-    total_ident = sum(idents)
-    # Interior credit: each copy gates the reach mass of its new siblings'
-    # copies.  (Pairs inside an already-merged class were settled when that
-    # class formed, hence "new siblings" only.)
-    if r > 1:
-        for v, iv in zip(verts, idents):
-            amount = (total_ident - iv) * r * (r - 1)
-            for m in w.members[v]:
-                out[m] += amount
-    if not closed:
-        # Open twins sit at distance 2; their cross pairs run through the
-        # shared neighborhood and split evenly over its unfolded size.
-        cross_pairs = total_ident * total_ident - sum(i * i for i in idents)
-        shared = sum(w.ident[x] for x in w.adj[rep])
-        amount = cross_pairs * r * r / shared
-        # One addition per member: copies of one original lie in different components.
-        for x in w.adj[rep]:
-            for m in w.members[x]:
-                out[m] += amount
-    w.ident[rep] = total_ident
-    w.members[rep] = tuple(m for v in verts for m in w.members[v])
-    w.internal_edgeless[rep] = not closed and all(w.internal_edgeless[v] for v in verts)
-    w.internal_clique[rep] = closed and all(w.internal_clique[v] for v in verts)
-    for v in verts[1:]:
-        w.delete(v)
-    return len(verts) - 1
+    The classes are disjoint, and a class whose member neighbors a vertex
+    neighbors it with all of its members.  So the credits of every class
+    can be read off the graph as the sweep found it: a neighbor that an
+    earlier class absorbed stands, with its absorbed siblings, for the same
+    members and the same ident in sum.  The merges then apply together.
+    """
+    classes = kernels.twin_classes(w, closed)
+    if not classes:
+        return 0
+    reps = np.array([verts[0] for verts in classes])
+    ident, reach = w.ident.tolist(), w.reach[reps].tolist()
+    edgeless, clique = w.internal_edgeless.tolist(), w.internal_clique.tolist()
+    member_offsets, members = w.member_offsets.tolist(), w.member_ids.tolist()
+    shared_rows = None if closed else w.rows(reps)
+    merged = []
+    for k, verts in enumerate(classes):
+        r = reach[k]
+        idents = [ident[v] for v in verts]
+        total_ident = sum(idents)
+        # Interior credit: each copy gates the reach mass of its new siblings'
+        # copies.  (Pairs inside an already-merged class were settled when that
+        # class formed, hence "new siblings" only.)
+        if r > 1:
+            for v, iv in zip(verts, idents):
+                amount = (total_ident - iv) * r * (r - 1)
+                for m in members[member_offsets[v] : member_offsets[v + 1]]:
+                    out[m] += amount
+        if not closed:
+            # Open twins sit at distance 2; their cross pairs run through the
+            # shared neighborhood and split evenly over its unfolded size.
+            cross_pairs = total_ident * total_ident - sum(i * i for i in idents)
+            amount = cross_pairs * r * r / sum(ident[x] for x in shared_rows[k])
+            # One addition per member: copies of one original lie in different components.
+            for x in shared_rows[k]:
+                for m in members[member_offsets[x] : member_offsets[x + 1]]:
+                    out[m] += amount
+        merged.append((total_ident, not closed and all(edgeless[v] for v in verts),
+                       closed and all(clique[v] for v in verts)))
+    w.ident[reps], w.internal_edgeless[reps], w.internal_clique[reps] = zip(*merged)
+    # every member moves to its class's lowest vertex, the classes' in class order
+    owner = np.arange(len(w.live))
+    owner[list(chain.from_iterable(classes))] = np.repeat(reps, list(map(len, classes)))
+    slot_owner = np.repeat(owner, np.diff(w.member_offsets))
+    w.member_ids = w.member_ids[np.argsort(slot_owner, kind="stable")]
+    np.cumsum(np.bincount(slot_owner, minlength=len(w.live)), out=w.member_offsets[1:])
+    w.delete([v for verts in classes for v in verts[1:]])
+    return sum(map(len, classes)) - len(classes)
 
 
 def run_pass(w: WorkGraph, letter: str, out: np.ndarray, max_side_degree: int = DEFAULT_MAX_SIDE_DEGREE) -> int:
@@ -484,8 +532,9 @@ def finalize(w: WorkGraph, partial: np.ndarray, kernel_scores: dict[int, float])
     corrections plus the kernel totals of all surviving vertices that carry
     it (copies and merged members alike share one accumulator slot)."""
     final = np.array(partial, dtype=np.float64, copy=True)
+    member_offsets, members = w.member_offsets.tolist(), w.member_ids.tolist()
     for v, amount in kernel_scores.items():
         if amount:
-            for m in w.members[v]:
+            for m in members[member_offsets[v] : member_offsets[v + 1]]:
                 final[m] += amount
     return final

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from bcshatter import kernels
@@ -54,6 +55,14 @@ def complete_graph(n: int) -> Graph:
     return Graph.from_edges(n, list(itertools.combinations(range(n), 2)))
 
 
+def layered_graph(layers: int) -> Graph:
+    """Layers of three vertices, each joined to two of the next layer's: the
+    shortest paths between the end layers double with every layer, so past
+    about 1,024 layers their count overflows float64."""
+    edges = [(3 * i + j, 3 * i + 3 + k) for i in range(layers - 1) for j in range(3) for k in (j, (j + 1) % 3)]
+    return Graph.from_edges(3 * layers, edges)
+
+
 def star_graph(leaves: int) -> Graph:
     return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
@@ -61,6 +70,28 @@ def star_graph(leaves: int) -> Graph:
 def complete_bipartite_graph(a: int, b: int) -> Graph:
     """K_{a,b}: vertices 0 .. a - 1 on one side, a .. a + b - 1 on the other."""
     return Graph.from_edges(a + b, [(u, v) for u in range(a) for v in range(a, a + b)])
+
+
+def live_ids(w) -> list[int]:
+    """The live vertices of a work graph, ascending."""
+    return np.flatnonzero(w.live).tolist()
+
+
+def component_mass_sums(w) -> list[int]:
+    """The mass of each live component of a work graph, in first-id order."""
+    mass = (w.ident * w.reach).tolist()
+    return [sum(mass[v] for v in comp) for comp in w.components()]
+
+
+def per_component(walk) -> list[tuple[list[list[int]], list[int], int]]:
+    """A block walk (``kernels.block_walk``) as lists, one (blocks, below,
+    total) triple per component."""
+    flat, ends, below, comp_ends, totals = (a.tolist() for a in walk)
+    return [
+        ([flat[ends[k] : ends[k + 1]] for k in range(comp_ends[c], comp_ends[c + 1])],
+         below[comp_ends[c] : comp_ends[c + 1]], total)
+        for c, total in enumerate(totals)
+    ]
 
 
 @pytest.fixture

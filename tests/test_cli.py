@@ -8,8 +8,10 @@ import pytest
 
 from bcshatter import cli, graph
 from bcshatter.bench import BenchRecord, bench_graph, performance_profile, write_bench_csv
-from bcshatter.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from bcshatter.cli import EXIT_IO, EXIT_NON_FINITE, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from bcshatter.graph import Graph
+
+from conftest import layered_graph
 
 
 @pytest.fixture
@@ -311,3 +313,34 @@ class TestProfile:
 
 def test_usage_without_command():
     assert main([]) == EXIT_USAGE
+
+
+class TestNonFiniteScores:
+    """A graph whose shortest-path counts overflow float64 exits 4 and writes
+    no scores, under every command that computes them."""
+
+    @pytest.fixture
+    def layered_file(self, tmp_path):
+        path = tmp_path / "layered.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v in layered_graph(1100).edges()))
+        return path
+
+    @pytest.mark.parametrize("combo", ["o", "odbasi"])
+    def test_compute(self, layered_file, tmp_path, capsys, combo):
+        out = tmp_path / "scores.csv"
+        assert main(["compute", str(layered_file), "--combo", combo, "--out", str(out)]) == EXIT_NON_FINITE
+        assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bench(self, layered_file, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        assert main(["bench", str(layered_file), "--combos", "o", "--reps", "1", "--out", str(out)]) == EXIT_NON_FINITE
+        assert not out.exists()
+
+    def test_verify_refuses_before_the_oracle(self, layered_file, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the oracle ran on a refused result")
+
+        monkeypatch.setattr(cli, "bc_brute", never)
+        args = ["verify", "--graph", str(layered_file), "--combos", "odbasi", "--cap", "4000"]
+        assert main(args) == EXIT_NON_FINITE

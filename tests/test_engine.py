@@ -3,16 +3,17 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcshatter.engine import compute_scores
+from bcshatter.engine import NonFiniteScoresError, compute_scores
 from bcshatter.graph import Graph
 from bcshatter.kernels import betweenness
 from bcshatter.oracle import GraphSpec, bc_brute, generate
 from bcshatter.reduction import STANDARD_COMBINATIONS
 
-from conftest import random_graph
+from conftest import layered_graph, random_graph
 
 
 @given(st.integers(2, 16), st.integers(0, 10_000))
@@ -124,3 +125,12 @@ def test_larger_max_side_degree_still_exact():
     for cap in (1, 2, 6, 17):
         got = compute_scores(g, "odbas", max_side_degree=cap).scores
         assert np.allclose(got, expected, atol=1e-9)
+
+
+@pytest.mark.parametrize("combo", ["o", "odbasi"])
+def test_overflowing_path_counts_are_refused(combo):
+    # 1,100 layers: 3,300 vertices and 6,594 edges, and nothing reduces
+    g = layered_graph(1100)
+    assert (g.n, g.m) == (3300, 6594)
+    with pytest.raises(NonFiniteScoresError, match="3294 of 3300 scores are not finite"):
+        compute_scores(g, combo)

@@ -315,8 +315,9 @@ class TestBuild:
             got, _, _ = brandes(adj, reach, ident)
         assert got == brandes_python(adj, reach, ident)[0]
         assert changes > 0
-        removed, _ = kernels.side_sweep_python(ref.adj, ref.members, ref.reach, ref.ident, ref.internal_edgeless,
-                                               ref.internal_clique, DEFAULT_MAX_SIDE_DEGREE, ref_out)
+        removed, _ = kernels.side_sweep_python(ref.rows(), ref.member_lists(), ref.reach.tolist(), ref.ident.tolist(),
+                                               ref.internal_edgeless.tolist(), ref.internal_clique.tolist(),
+                                               DEFAULT_MAX_SIDE_DEGREE, ref_out)
         assert changes == len(removed)
         assert out.tobytes() == ref_out.tobytes()
         assert capfd.readouterr() == ("", "")
@@ -376,15 +377,14 @@ class TestSideBfs:
 @pytest.mark.usefixtures("kernel_path")
 @pytest.mark.parametrize("field", ["neighbor", "member"])
 def test_side_sweep_refuses_ids_out_of_range(field):
-    adj = [{1, 2}, {0, 2}, {0, 1}]
-    members = [[0], [1], [2]]
+    w = WorkGraph.from_graph(Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)]))
     if field == "neighbor":
-        adj[2] = {0, 1, 3}
+        w.targets[-1] = 3
     else:
-        members[1] = [3]
+        w.member_ids[1] = 3
     out = np.zeros(3)
     with pytest.raises(ValueError, match=f"{field} ids"):
-        kernels.side_sweep(adj, members, [1, 1, 1], [1, 1, 1], [True] * 3, [True] * 3, 4, out)
+        kernels.side_sweep(w, 4, out)
     assert out.tolist() == [0.0, 0.0, 0.0]
 
 

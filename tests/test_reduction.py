@@ -11,11 +11,12 @@ from time import perf_counter
 import numpy as np
 import pytest
 
-from bcshatter import kernels
+from bcshatter import kernels, reduction
 from bcshatter.engine import compute_scores
 from bcshatter.graph import Graph
 from bcshatter.oracle import FAMILIES, GraphSpec, bc_brute, generate
 from bcshatter.reduction import (
+    DEAD_ARC,
     Combination,
     WorkGraph,
     _merge_sweep,
@@ -29,7 +30,17 @@ from bcshatter.reduction import (
     shatter_articulation,
 )
 
-from conftest import complete_bipartite_graph, complete_graph, cycle_graph, path_graph, random_graph, star_graph
+from conftest import (
+    complete_bipartite_graph,
+    complete_graph,
+    component_mass_sums,
+    cycle_graph,
+    live_ids,
+    path_graph,
+    per_component,
+    random_graph,
+    star_graph,
+)
 
 
 def _work(g: Graph):
@@ -37,7 +48,30 @@ def _work(g: Graph):
 
 
 def _reaches_of(w: WorkGraph, original: int) -> list[int]:
-    return sorted(w.reach[v] for v in w.live() if w.members[v][0] == original)
+    members = w.member_lists()
+    return sorted(int(w.reach[v]) for v in live_ids(w) if members[v][0] == original)
+
+
+def _mass(w: WorkGraph, v: int) -> int:
+    return int(w.ident[v] * w.reach[v])
+
+
+def _assert_work_graph(w: WorkGraph, n: int | None = None, split: bool = False) -> None:
+    """The work graph's bookkeeping: its live arcs (those not marked dead)
+    pair up into edges, none names a deleted vertex, and ``live_edge_count``
+    is half of them.  Given the input's n: live plus retired mass is n until
+    a split (a bridge or cut removed), which gives each side the mass of the
+    whole; after one, no component carries more than n."""
+    sources = np.repeat(np.arange(len(w.live)), np.diff(w.offsets))
+    arcs = w.targets != DEAD_ARC
+    u, v = sources[arcs], w.targets[arcs].astype(np.int64)
+    assert w.live[u].all() and w.live[v].all()
+    assert np.array_equal(np.sort(u * len(w.live) + v), np.sort(v * len(w.live) + u))
+    assert w.live_edge_count * 2 == len(u)
+    if n is not None and split:
+        assert max(component_mass_sums(w), default=0) <= n
+    elif n is not None:
+        assert int((w.ident * w.reach)[w.live != 0].sum()) + w.retired_mass == n
 
 
 class TestShatter:
@@ -47,7 +81,7 @@ class TestShatter:
         assert created == 1
         assert len(w.components()) == 2
         assert _reaches_of(w, 1) == [2, 2]
-        assert w.component_mass_sums() == [3, 3]
+        assert component_mass_sums(w) == [3, 3]
 
     def test_clique_untouched(self):
         w, _ = _work(complete_graph(4))
@@ -61,7 +95,7 @@ class TestShatter:
         # represents the other 5 vertices plus the hub itself
         assert _reaches_of(w, 0) == [6, 7, 10]
         assert _reaches_of(w, 1) == [2, 10]
-        assert all(s == 11 for s in w.component_mass_sums())
+        assert all(s == 11 for s in component_mass_sums(w))
 
     def test_merged_cut_vertex_is_skipped(self):
         # open twins {0, 1} over {2, 3} and {4, 5}; merging makes the
@@ -73,7 +107,7 @@ class TestShatter:
         w, out = _work(g)
         # {0,1} merge as open twins; {2,3} and {4,5} as closed twins
         assert merge_identical(w, out) == 3
-        assert sorted(w.ident[v] for v in w.live()) == [2, 2, 2]
+        assert sorted(w.ident[v] for v in live_ids(w)) == [2, 2, 2]
         assert shatter_articulation(w) == 0
         for combo in ("oi", "oia", "odbasi"):
             assert np.allclose(compute_scores(g, combo).scores, bc_brute(g), atol=1e-9)
@@ -107,13 +141,14 @@ def _other(verts: list[int], x: int) -> int:
 def _piece(w: WorkGraph, removed: int, start: int) -> tuple[set[int], int]:
     """Vertices and mass of the piece of the graph minus ``removed`` that
     holds ``start``."""
+    adj = w.rows()
     seen = {start}
     stack = [start]
     total = 0
     while stack:
         x = stack.pop()
-        total += w.mass(x)
-        for y in w.adj[x]:
+        total += _mass(w, x)
+        for y in adj[x]:
             if y != removed and y not in seen:
                 seen.add(y)
                 stack.append(y)
@@ -121,18 +156,19 @@ def _piece(w: WorkGraph, removed: int, start: int) -> tuple[set[int], int]:
 
 
 def _random_attributes(rng: random.Random, w: WorkGraph) -> None:
-    n = len(w.adj)
-    w.reach = [rng.randint(1, 4) for _ in range(n)]
-    w.ident = [rng.choice((1, 1, 2, 3)) for _ in range(n)]
+    n = len(w.live)
+    w.reach[:] = [rng.randint(1, 4) for _ in range(n)]
+    w.ident[:] = [rng.choice((1, 1, 2, 3)) for _ in range(n)]
 
 
 def _is_bridge(w: WorkGraph, u: int, x: int) -> bool:
     """Does every path between u and x use the edge u-x?"""
+    adj = w.rows()
     seen = {u}
     stack = [u]
     while stack:
         y = stack.pop()
-        for z in w.adj[y]:
+        for z in adj[y]:
             if z not in seen and (y, z) != (u, x):
                 seen.add(z)
                 stack.append(z)
@@ -146,15 +182,16 @@ def _far(w: WorkGraph, x: int, block: list[int]) -> int:
     for y in block:
         if y != x and y not in pieces:
             pieces |= _piece(w, x, y)[0]
-    return sum(map(w.mass, pieces))
+    return sum(_mass(w, y) for y in pieces)
 
 
 def _induced_edges(w: WorkGraph, blocks: list[list[int]]) -> list[tuple[int, int]]:
     """The edges each block's vertices induce, over all blocks, sorted."""
+    adj = w.rows()
     edges = []
     for block in blocks:
         inside = set(block)
-        edges += [(u, x) for u in block for x in w.adj[u] if u < x and x in inside]
+        edges += [(u, x) for u in block for x in adj[u] if u < x and x in inside]
     return sorted(edges)
 
 
@@ -167,15 +204,15 @@ class TestBlockMasses:
             w = WorkGraph.from_graph(g)
             _random_attributes(rng, w)
             comp = list(range(g.n))
-            ((blocks, below, total),) = kernels.block_walk(w.adj, w.reach, w.ident)
-            assert total == sum(w.mass(v) for v in comp)
+            ((blocks, below, total),) = per_component(kernels.block_walk(w))
+            assert total == sum(_mass(w, v) for v in comp)
             assert len(below) == len(blocks)
             # the cut vertices are the vertices in two or more blocks
             blocks_of = Counter(x for block in blocks for x in block)
             cuts = {x for x, count in blocks_of.items() if count > 1}
             # x is a cut vertex iff the piece of comp - x around some other
             # vertex misses part of the rest; a merged class never cuts
-            true_cuts = {x for x in comp if _piece(w, x, _other(comp, x))[1] < total - w.mass(x)}
+            true_cuts = {x for x in comp if _piece(w, x, _other(comp, x))[1] < total - _mass(w, x)}
             assert cuts == {x for x in true_cuts if w.ident[x] == 1}
             # the blocks' induced edges cover every edge exactly once, also
             # where merged classes glue blocks together
@@ -187,7 +224,7 @@ class TestBlockMasses:
                 (u, x) for u, x in g.edges() if w.ident[u] == w.ident[x] == 1 and _is_bridge(w, u, x)
             }
             assert {(u, x) for u, x in pairs if w.ident[u] == w.ident[x] == 1} == unmerged_bridges
-            assert all(x in w.adj[u] and _is_bridge(w, u, x) for u, x in pairs)
+            assert all(x in w.rows()[u] and _is_bridge(w, u, x) for u, x in pairs)
             seen_cut_bridge += any(set(pair) <= cuts for pair in pairs)
             # far[(x, k)]: for an unmerged x of block k, the mass of the one
             # piece of comp - x that holds the block's other vertices
@@ -209,14 +246,16 @@ class TestBlockMasses:
             # a adds one copy per component it creates, and each block ends
             # alone; every instance of an unmerged vertex in block k carries
             # the mass beyond the block's side of the cut: total - far
-            reach = list(w.reach)
-            n_before = len(w.adj)
+            reach = w.reach.tolist()
+            n_before = len(w.live)
             created = shatter_articulation(w)
-            assert created == len(w.adj) - n_before == len(blocks) - 1
+            assert created == len(w.live) - n_before == len(blocks) - 1
+            _assert_work_graph(w)
             comps = w.components()
             assert len(comps) == len(blocks)
+            members = w.member_lists()
             for comp_after in comps:
-                instance = {w.members[v][0]: v for v in comp_after}
+                instance = {members[v][0]: v for v in comp_after}
                 k = next(k for k, block in enumerate(blocks) if set(block) == set(instance))
                 for x, v in instance.items():
                     assert w.reach[v] == (total - far[(x, k)] if w.ident[x] == 1 else reach[x]), (x, k)
@@ -243,19 +282,21 @@ class TestBlockMasses:
                 w.delete(x)
             comps = w.components()
             assert [c[0] for c in comps] == [a, b, n - 2]
-            walk = list(kernels.block_walk(w.adj, w.reach, w.ident))
+            walk = per_component(kernels.block_walk(w))
             assert len(walk) == len(comps)
-            assert [total for _, _, total in walk] == w.component_mass_sums()
+            assert [total for _, _, total in walk] == component_mass_sums(w)
             for comp, (blocks, _, _) in zip(comps, walk):
                 assert {x for block in blocks for x in block} == (set(comp) if len(comp) > 1 else set())
-                assert _induced_edges(w, blocks) == sorted((u, x) for u in comp for x in w.adj[u] if u < x)
+                assert _induced_edges(w, blocks) == sorted((u, x) for u in comp for x in w.rows()[u] if u < x)
             assert walk[-1][0] == []
 
-            mass_of_org = {w.members[v][0]: total for comp, total in zip(comps, w.component_mass_sums()) for v in comp}
+            members = w.member_lists()
+            mass_of_org = {members[v][0]: total for comp, total in zip(comps, component_mass_sums(w)) for v in comp}
             # the isolated vertex has no block and creates no component
             assert shatter_articulation(w) == len(w.components()) - len(comps) > 0
-            for comp, total in zip(w.components(), w.component_mass_sums()):
-                assert {mass_of_org[w.members[v][0]] for v in comp} == {total}
+            members = w.member_lists()
+            for comp, total in zip(w.components(), component_mass_sums(w)):
+                assert {mass_of_org[members[v][0]] for v in comp} == {total}
 
 
 class TestBridgesKeepBlocks:
@@ -272,11 +313,11 @@ class TestBridgesKeepBlocks:
             w, out = _work(g)
             if case % 2:
                 merged += merge_identical(w, out)
-            w.reach = [rng.randint(1, 4) for _ in w.reach]
+            w.reach[:] = [rng.randint(1, 4) for _ in w.reach]
             # every block's component mass, top, and far mass of each vertex
             before = {
                 frozenset(block): (total, block[-1], {x: _far(w, x, block) for x in block})
-                for blocks, _, total in kernels.block_walk(w.adj, w.reach, w.ident)
+                for blocks, _, total in per_component(kernels.block_walk(w))
                 for block in blocks
             }
             bridges = {
@@ -286,7 +327,7 @@ class TestBridgesKeepBlocks:
             removed += len(bridges)
             after = [
                 (block, side, total)
-                for blocks, below, total in kernels.block_walk(w.adj, w.reach, w.ident)
+                for blocks, below, total in per_component(kernels.block_walk(w))
                 for block, side in zip(blocks, below)
             ]
             assert {frozenset(block) for block, _, _ in after} == set(before) - bridges
@@ -300,10 +341,23 @@ class TestBridgesKeepBlocks:
 
 
 class TestLetterOrderFuzz:
-    def test_letter_orders_match_brute(self):
+    def test_letter_orders_match_brute(self, monkeypatch):
         """Seeded, time-boxed fuzz over every order of every non-empty subset
         of the reduction letters, so splits see merged classes and merges
-        see split ones."""
+        see split ones.  The work graph's bookkeeping is checked after every
+        pass."""
+        run_pass = reduction.run_pass
+        solve = {"out": None, "split": False}  # each solve has its own score vector
+
+        def checked_pass(w, letter, out, *args):
+            changes = run_pass(w, letter, out, *args)
+            if out is not solve["out"]:
+                solve.update(out=out, split=False)
+            solve["split"] |= letter in "ab" and changes > 0
+            _assert_work_graph(w, len(out), solve["split"])
+            return changes
+
+        monkeypatch.setattr(reduction, "run_pass", checked_pass)
         rng = random.Random(20261018)
         families = ("gnp", "planted-identical", "bridged-blobs", "planted-side", "clique-chain", "random-tree")
         deadline = perf_counter() + 4.0
@@ -344,7 +398,7 @@ class TestBridges:
         w, out = _work(Graph.from_edges(2, [(0, 1)]))
         assert remove_bridges(w, out) == 1
         assert out.tolist() == [0.0, 0.0]
-        assert w.reach == [2, 2]
+        assert w.reach.tolist() == [2, 2]
         assert w.live_edge_count == 0
 
     def test_barbell(self):
@@ -353,7 +407,7 @@ class TestBridges:
         assert remove_bridges(w, out) == 1
         assert out[2] == 6.0 and out[3] == 6.0
         assert w.reach[2] == 4 and w.reach[3] == 4
-        assert w.component_mass_sums() == [6, 6]
+        assert component_mass_sums(w) == [6, 6]
 
     def test_bridgeless_cycle(self):
         w, out = _work(cycle_graph(4))
@@ -426,7 +480,7 @@ class TestDegree1:
         w, out = _work(g)
         w.reach[2] = w.reach[3] = 2  # keeps the open twins {2,3} out of {0,1}'s class
         merge_identical(w, out)  # {2,3} open twins, {0,1} closed twins
-        assert any(w.adj[v] is not None and w.ident[v] == 2 for v in range(len(w.adj)))
+        assert any(w.ident[v] == 2 for v in live_ids(w))
         before = w.live_vertex_count()
         remove_degree1(w, out)
         assert w.live_vertex_count() == before
@@ -452,18 +506,18 @@ class TestDegree1:
                 union_edges += [(offsets[-1] + u, offsets[-1] + v) for u, v in edges]
                 union_reach += reach
             w, out = _work(Graph.from_edges(len(union_reach), union_edges))
-            w.reach = union_reach
+            w.reach[:] = union_reach
             changes = remove_degree1(w, out)
             alone_changes = alone_retired = 0
             for (n, edges, reach), base in zip(pieces, offsets):
                 wp, outp = _work(Graph.from_edges(n, edges))
-                wp.reach = reach
+                wp.reach[:] = reach
                 alone_changes += remove_degree1(wp, outp)
                 alone_retired += wp.retired_mass
                 for v in range(n):
                     assert out[base + v] == outp[v]
                     assert w.reach[base + v] == wp.reach[v]
-                    assert (w.adj[base + v] is not None) == (wp.adj[v] is not None)
+                    assert w.live[base + v] == wp.live[v]
             assert changes == alone_changes
             assert w.retired_mass == alone_retired
 
@@ -500,26 +554,27 @@ class TestSideVertices:
         for seed in range(400):
             g = random_graph(rng.randint(2, 7), rng.choice((0.5, 0.8, 1.0)), seed)
             w = WorkGraph.from_graph(g)
-            w.ident = [rng.randint(1, 3) for _ in range(g.n)]
+            w.ident[:] = [rng.randint(1, 3) for _ in range(g.n)]
             for v in range(g.n):
                 if w.ident[v] > 1:
                     shape = rng.choice(("open", "closed", "mixed"))
                     w.internal_edgeless[v] = shape == "open"
                     w.internal_clique[v] = shape == "closed"
             copies = [(x, i) for x in range(g.n) for i in range(w.ident[x])]
+            adj = [set(row) for row in w.rows()]
 
             def adjacent(a, b):
                 if a[0] != b[0]:
-                    return b[0] in w.adj[a[0]]
+                    return b[0] in adj[a[0]]
                 return a != b and w.internal_clique[a[0]]
 
             for v in range(g.n):
                 mixed = not (w.internal_edgeless[v] or w.internal_clique[v])
                 nbhd = [c for c in copies if adjacent((v, 0), c)]
                 expected = not mixed and all(adjacent(a, b) for a, b in itertools.combinations(nbhd, 2))
-                got = kernels.expanded_clique(w.adj, w.ident, w.internal_edgeless, w.internal_clique, v)
+                got = kernels.expanded_clique(adj, w.ident, w.internal_edgeless, w.internal_clique, v)
                 assert got == expected, (seed, v)
-                outcomes.add((expected, mixed, len(w.adj[v]) > 1))
+                outcomes.add((expected, mixed, len(adj[v]) > 1))
         assert (True, False, True) in outcomes and (False, True, True) in outcomes
 
 
@@ -527,10 +582,11 @@ def _attributed_work(g: Graph, seed: int):
     """A work graph of g with random reach, merged classes of every shape
     (open, closed, mixed), members shared between vertices, a few deleted
     vertices, and a random partial score vector over twice g's ids.  The
-    same seed gives the same sets with the same iteration order."""
+    same seed gives the same work graph."""
     rng = random.Random(seed)
     w = WorkGraph.from_graph(g)
     slots = 2 * g.n
+    members = w.member_lists()
     for v in range(g.n):
         w.reach[v] = rng.randint(1, 5)
         if rng.random() < 0.3:
@@ -538,9 +594,11 @@ def _attributed_work(g: Graph, seed: int):
             shape = rng.choice(("open", "closed", "mixed"))
             w.internal_edgeless[v] = shape == "open"
             w.internal_clique[v] = shape == "closed"
-            w.members[v] += tuple(rng.randrange(slots) for _ in range(w.ident[v] - 1))
+            members[v] += [rng.randrange(slots) for _ in range(w.ident[v] - 1)]
         elif rng.random() < 0.2:
-            w.members[v] += (rng.randrange(slots),)  # a copy's original
+            members[v].append(rng.randrange(slots))  # a copy's original
+    np.cumsum([len(m) for m in members], out=w.member_offsets[1:])
+    w.member_ids = np.array([m for ms in members for m in ms], dtype=np.int64)
     for v in rng.sample(range(g.n), g.n // 10):
         w.delete(v)
     out = np.array([rng.uniform(0.0, 100.0) for _ in range(slots)])
@@ -548,17 +606,18 @@ def _attributed_work(g: Graph, seed: int):
 
 
 def _side_inputs(w: WorkGraph):
-    """What a side sweep must leave as it found it: the rows in their
-    iteration order, the member lists, the attributes and the class flags."""
-    rows = [a if a is None else list(a) for a in w.adj]
-    return rows, [list(m) for m in w.members], w.reach[:], w.ident[:], w.internal_edgeless[:], w.internal_clique[:]
+    """What a side sweep must leave as it found it: the arrays of the work
+    graph."""
+    return [a.tobytes() for a in (w.offsets, w.targets, w.live, w.reach, w.ident, w.internal_edgeless,
+                                  w.internal_clique, w.member_offsets, w.member_ids)]
 
 
 def _side_candidates(w: WorkGraph, cap: int) -> list[int]:
     """The side pass's candidates by their definition: the live vertices of
     degree 1 to cap whose unfolded neighborhood is a clique."""
     flags = (w.ident, w.internal_edgeless, w.internal_clique)
-    return [v for v, nbrs in enumerate(w.adj) if nbrs and len(nbrs) <= cap and kernels.expanded_clique(w.adj, *flags, v)]
+    adj = [row and set(row) for row in w.rows()]
+    return [v for v, nbrs in enumerate(adj) if nbrs and len(nbrs) <= cap and kernels.expanded_clique(adj, *flags, v)]
 
 
 @pytest.mark.usefixtures("compiled_library")
@@ -585,15 +644,14 @@ class TestSideSweep:
             assert out.tobytes() == ref_out.tobytes(), (family, case)
             assert w.retired_mass == ref.retired_mass
             assert w.live_edge_count == ref.live_edge_count
-            assert [a if a is None else list(a) for a in w.adj] == [a if a is None else list(a) for a in ref.adj]
+            assert w.rows() == ref.rows()
             removed += changes
             skipped += len(candidates) - changes
         assert removed > 300 and skipped > 0
 
     def test_forms_agree_and_leave_inputs_alone(self, compiled_library, monkeypatch):
-        # both forms of kernels.side_sweep on work-graph-shaped inputs: sets
-        # in their own iteration order, None rows, merged classes of every
-        # shape and shared members
+        # both forms of kernels.side_sweep on work graphs with deleted
+        # vertices, merged classes of every shape and shared members
         rng = random.Random(37)
 
         def corpus():
@@ -612,8 +670,7 @@ class TestSideSweep:
             for lib in (compiled_library, None):
                 monkeypatch.setattr(kernels, "_compiled", lib)
                 got = out.copy()
-                swept = kernels.side_sweep(w.adj, w.members, w.reach, w.ident, w.internal_edgeless, w.internal_clique,
-                                           cap, got)
+                swept = kernels.side_sweep(w, cap, got)
                 results.append((swept, got.tobytes()))
                 assert _side_inputs(w) == inputs, (family, case, lib)
             assert results[0] == results[1], (family, case)
@@ -632,7 +689,12 @@ class TestSideSweep:
             combo = ("o" if rng.random() < 0.5 else "") + "".join(letters)
             cases.append((g, combo, case % 6 + 1, rng.randrange(10**6)))
         compiled = [compute_scores(g, combo, max_side_degree=cap, order_seed=seed) for g, combo, cap, seed in cases]
-        monkeypatch.setattr(kernels, "side_sweep", kernels.side_sweep_python)
+
+        def python_sweep(w, max_degree, out):
+            return kernels.side_sweep_python(w.rows(), w.member_lists(), w.reach.tolist(), w.ident.tolist(),
+                                             w.internal_edgeless.tolist(), w.internal_clique.tolist(), max_degree, out)
+
+        monkeypatch.setattr(kernels, "side_sweep", python_sweep)
         for (g, combo, cap, seed), got in zip(cases, compiled):
             expected = compute_scores(g, combo, max_side_degree=cap, order_seed=seed)
             assert got.scores.tobytes() == expected.scores.tobytes(), (combo, cap)
@@ -653,13 +715,13 @@ class TestMergeIdentical:
             g = generate(GraphSpec("planted-identical", n, p, rng.randrange(1000)))
             for closed in (False, True):
                 w, out = _work(g)
-                w.reach = [rng.randint(1, 2) for _ in range(g.n)]
+                w.reach[:] = [rng.randint(1, 2) for _ in range(g.n)]
                 out[:] = [rng.randint(0, 1) for _ in range(g.n)]
                 classes: list[tuple[set[int], int, list[int]]] = []
                 singles = []
-                for v in range(g.n):
-                    nbhd = w.adj[v] | {v} if closed else set(w.adj[v])
-                    if not w.adj[v]:
+                for v, row in enumerate(w.rows()):
+                    nbhd = {*row, v} if closed else set(row)
+                    if not row:
                         singles.append([v])
                         continue
                     for sig, reach, verts in classes:
@@ -671,8 +733,9 @@ class TestMergeIdentical:
                 expected = sorted(singles + [verts for *_, verts in classes])
                 changes = _merge_sweep(w, out, closed)
                 assert changes == sum(len(verts) - 1 for *_, verts in classes)
-                assert sorted(sorted(w.members[v]) for v in w.live()) == expected
-                assert all(w.ident[v] == len(w.members[v]) for v in w.live())
+                members = w.member_lists()
+                assert sorted(sorted(members[v]) for v in live_ids(w)) == expected
+                assert all(w.ident[v] == len(members[v]) for v in live_ids(w))
                 merged[closed] += changes
         assert merged[False] > 50 and merged[True] > 10
 
@@ -681,7 +744,7 @@ class TestMergeIdentical:
         # the two antipodal pairs fold first; the two class vertices are then
         # closed twins of each other and fold once more
         assert merge_identical(w, out) == 3
-        live = sorted(w.live())
+        live = live_ids(w)
         assert len(live) == 1
         assert w.ident[live[0]] == 4
         # each vertex is owed its two distance-2 pairs, settled at merge time
@@ -690,7 +753,7 @@ class TestMergeIdentical:
     def test_triangle_closed_twins_collapse(self):
         w, out = _work(complete_graph(3))
         assert merge_identical(w, out) == 2
-        live = sorted(w.live())
+        live = live_ids(w)
         assert len(live) == 1
         assert w.ident[live[0]] == 3
 
@@ -698,7 +761,7 @@ class TestMergeIdentical:
         w, out = _work(star_graph(3))
         w.reach[1] = 5  # pretend one leaf carries folded mass
         assert merge_identical(w, out) == 1  # only the other two leaves merge
-        assert any(w.adj[v] is not None and w.reach[v] == 5 and w.ident[v] == 1 for v in range(len(w.adj)))
+        assert any(w.reach[v] == 5 and w.ident[v] == 1 for v in live_ids(w))
         # the merged pair's distance-2 paths land on the shared center
         assert out[0] == 2.0
 
@@ -721,7 +784,8 @@ class TestMergeIdentical:
         remove_degree1(w, out)
         assert w.reach[3] == w.reach[4] == 3 and out[3] != out[4]
         merge_identical(w, out)
-        assert any({3, 4} <= set(w.members[v]) for v in w.live())
+        members = w.member_lists()
+        assert any({3, 4} <= set(members[v]) for v in live_ids(w))
         for combo in ("odi", "odbasi"):
             result = compute_scores(g, combo)
             assert np.allclose(result.scores, expected, atol=1e-9)
@@ -773,15 +837,13 @@ class TestPreprocess:
             for letters in ("dbasi", "iabds"):
                 w = WorkGraph.from_graph(g)
                 out = np.zeros(g.n)
+                split = False
                 for _ in range(4):
                     for letter in letters:
                         before = w.live_edge_count
-                        run_pass(w, letter, out)
+                        split |= letter in "ab" and run_pass(w, letter, out) > 0
                         assert w.live_edge_count <= before
-                        # the edge count matches the sets, and every edge is in both
-                        live = list(w.live())
-                        assert w.live_edge_count * 2 == sum(len(w.adj[v]) for v in live)
-                        assert all(v in w.adj[x] for v in live for x in w.adj[v])
+                        _assert_work_graph(w, g.n, split)
 
     def test_mass_conservation_under_shattering_passes(self):
         # with only folds and splits enabled, every component must keep a
@@ -797,7 +859,7 @@ class TestPreprocess:
             for _ in range(3):
                 for letter in "dba":
                     run_pass(w, letter, out)
-                    for total in w.component_mass_sums():
+                    for total in component_mass_sums(w):
                         assert total == g.n
 
     def test_mass_accounting_with_all_passes(self):
@@ -805,11 +867,11 @@ class TestPreprocess:
             g = random_graph(15, 0.3, seed)
             w = WorkGraph.from_graph(g)
             out = np.zeros(g.n)
+            split = False
             for _ in range(3):
                 for letter in "dbasi":
-                    run_pass(w, letter, out)
-                    live = sum(w.mass(v) for v in w.live())
-                    assert live + w.retired_mass == g.n
+                    split |= letter in "ab" and run_pass(w, letter, out) > 0
+                    _assert_work_graph(w, g.n, split)
 
     def test_stats_csv_shape(self):
         g = path_graph(6)

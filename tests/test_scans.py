@@ -1,8 +1,10 @@
 """The reduction's scans, compiled against Python: the block walk, the side
-pass's candidate test and the twin grouping each have a compiled form in
-``_brandes.c`` and a Python form in ``kernels.py``, which must return the
-same values in the same order on every work graph.  The candidate test runs
-inside ``kernels.side_sweep``, so it is tested through the sweep."""
+pass's candidate test, the twin grouping and the components each have a
+compiled form in ``_brandes.c``, which reads the work graph's arrays, and a
+Python form in ``kernels.py``, which reads ``WorkGraph.rows``; the two must
+return the same values in the same order on every work graph.  The
+candidate test runs inside ``kernels.side_sweep``, so it is tested through
+the sweep."""
 
 from __future__ import annotations
 
@@ -14,9 +16,9 @@ import pytest
 from bcshatter import kernels
 from bcshatter.graph import Graph
 from bcshatter.oracle import FAMILIES, GraphSpec, generate
-from bcshatter.reduction import WorkGraph, run_pass
+from bcshatter.reduction import DEAD_ARC, WorkGraph, preprocess, run_pass
 
-from conftest import complete_bipartite_graph, complete_graph, star_graph
+from conftest import complete_bipartite_graph, complete_graph, live_ids, per_component, star_graph
 
 
 @pytest.fixture(params=["compiled", "python"])
@@ -39,9 +41,11 @@ def _both_forms(monkeypatch, lib, call):
 
 def _work_graphs(seed: int, count: int):
     """Seeded work graphs of all six families as passes leave them: merged
-    classes of every shape, copies made by ``a``, tombstoned rows, isolated
-    vertices and random reach.  Yields (case, family, work graph, number of
-    vertices of the input graph)."""
+    classes of every shape, copies made by ``a``, dead arcs, deleted
+    vertices, isolated vertices and random reach, and a few vertices
+    cleared in ``live`` with their arcs and the arcs into them left in
+    place.  Yields (case, family, work graph, number of vertices of the
+    input graph)."""
     rng = random.Random(seed)
     for case in range(count):
         family = FAMILIES[case % len(FAMILIES)]
@@ -50,28 +54,31 @@ def _work_graphs(seed: int, count: int):
         out = np.zeros(g.n)
         for letter in rng.sample("iadbs", rng.randint(0, 3)):
             run_pass(w, letter, out, rng.randint(1, 6))
-        w.reach = [rng.randint(1, 4) for _ in w.reach]
-        for v in range(len(w.adj)):
+        w.reach[:] = [rng.randint(1, 4) for _ in w.reach]
+        for v in range(len(w.live)):
             if w.ident[v] > 1 and rng.random() < 0.3:  # a mixed class
                 w.internal_edgeless[v] = w.internal_clique[v] = False
-        live = list(w.live())
+        live = live_ids(w)
         for v in rng.sample(live, len(live) // 10):
             w.delete(v)
         for _ in range(rng.randint(0, 2)):
-            w.add_vertex(0, rng.randint(1, 3))
+            w.append([rng.randint(1, 3)], [0], [0], [])
+        live = live_ids(w)
+        w.live[rng.sample(live, len(live) // 20)] = 0
         yield case, family, w, g.n
 
 
 class TestBlockWalk:
     def test_forms_agree(self, compiled_library, monkeypatch):
-        seen = {"merged": 0, "tombstone": 0, "isolated": 0, "copy": 0, "merged root block": 0}
+        seen = {"merged": 0, "dead arc": 0, "deleted": 0, "isolated": 0, "copy": 0, "merged root block": 0}
         for case, family, w, n in _work_graphs(41, 180):
-            walk = _both_forms(monkeypatch, compiled_library, lambda: list(kernels.block_walk(w.adj, w.reach, w.ident)))
+            walk = _both_forms(monkeypatch, compiled_library, lambda: per_component(kernels.block_walk(w)))
             assert len(walk) == len(w.components()), (family, case)
             seen["merged"] += any(i > 1 for i in w.ident)
-            seen["tombstone"] += None in w.adj
+            seen["dead arc"] += DEAD_ARC in w.targets
+            seen["deleted"] += not w.live.all()
             seen["isolated"] += any(blocks == [] for blocks, _, _ in walk)
-            seen["copy"] += len(w.adj) > n
+            seen["copy"] += len(w.live) > n
             seen["merged root block"] += any(blocks and w.ident[blocks[-1][-1]] > 1 for blocks, _, _ in walk)
         assert all(seen.values()), seen
 
@@ -80,14 +87,16 @@ class TestBlockWalk:
         w.reach[0] = 3
         w.ident[4] = 2
         w.delete(2)
-        assert list(kernels.block_walk(w.adj, w.reach, w.ident)) == [([], [], 3), ([[3, 1]], [1], 2), ([], [], 2)]
+        assert per_component(kernels.block_walk(w)) == [([], [], 3), ([[3, 1]], [1], 2), ([], [], 2)]
 
-    def test_refuses_rows_naming_a_deleted_vertex(self, scan_form):
-        adj = [{1}, {0, 2}, None]
-        with pytest.raises(ValueError, match="deleted vertex"):
-            kernels.block_walk(adj, [1, 1, 1], [1, 1, 1])
+    def test_skips_arcs_into_a_deleted_vertex(self, scan_form):
+        # the path 0-1-2 with 2 cleared in live and its arcs left in place
+        w = WorkGraph.from_graph(Graph.from_edges(3, [(0, 1), (1, 2)]))
+        w.live[2] = 0
+        assert per_component(kernels.block_walk(w)) == [([[1, 0]], [1], 2)]
+        w.targets[w.offsets[1]] = 3
         with pytest.raises(ValueError, match="neighbor ids"):
-            kernels.block_walk([{1}, {0, 3}, set()], [1, 1, 1], [1, 1, 1])
+            kernels.block_walk(w)
 
 
 def _book(pages: int) -> Graph:
@@ -100,8 +109,7 @@ def _side_pass(w: WorkGraph, cap: int, slots: int):
     """``kernels.side_sweep`` over w with cap, into fresh scores over
     ``slots`` originals: the removed candidates, the arcs and the scores."""
     out = np.zeros(slots)
-    removed, arcs = kernels.side_sweep(w.adj, w.members, w.reach, w.ident, w.internal_edgeless, w.internal_clique,
-                                       cap, out)
+    removed, arcs = kernels.side_sweep(w, cap, out)
     return removed, arcs, out.tobytes()
 
 
@@ -153,11 +161,12 @@ class TestSideCandidates:
         g = star_graph(5)
         assert _side_pass(WorkGraph.from_graph(g), 1, g.n)[0] == [1, 2, 3, 4, 5]
 
-    def test_refuses_rows_naming_a_deleted_vertex(self, scan_form):
-        out = np.zeros(3)
-        with pytest.raises(ValueError, match="deleted vertex"):
-            kernels.side_sweep([{1}, {0, 2}, None], [[0], [1], [2]], [1] * 3, [1] * 3, [True] * 3, [True] * 3, 4, out)
-        assert out.tolist() == [0.0] * 3
+    def test_skips_arcs_into_a_deleted_vertex(self, scan_form):
+        # the path 0-1-2 with 2 cleared in live and its arcs left in place: 0
+        # and 1 are each other's one neighbor, and removing 0 empties 1
+        w = WorkGraph.from_graph(Graph.from_edges(3, [(0, 1), (1, 2)]))
+        w.live[2] = 0
+        assert _side_pass(w, 4, 3)[:2] == ([0], 2)
 
 
 class TestTwinClasses:
@@ -165,7 +174,7 @@ class TestTwinClasses:
         sizes = []
         for case, family, w, _ in _work_graphs(53, 180):
             for closed in (False, True):
-                classes = _both_forms(monkeypatch, compiled_library, lambda: kernels.twin_classes(w.adj, w.reach, closed))
+                classes = _both_forms(monkeypatch, compiled_library, lambda: kernels.twin_classes(w, closed))
                 assert all(verts == sorted(verts) and len(verts) >= 2 for verts in classes), (family, case)
                 assert [verts[0] for verts in classes] == sorted(verts[0] for verts in classes)
                 sizes += [len(verts) for verts in classes]
@@ -175,24 +184,66 @@ class TestTwinClasses:
         # pages of reach 1 and 2 alternate; only equal reach groups
         pages = 7
         w = WorkGraph.from_graph(_book(pages))
-        w.reach = [1, 1] + [1 + p % 2 for p in range(pages)]
-        assert kernels.twin_classes(w.adj, w.reach, False) == [[2, 4, 6, 8], [3, 5, 7]]
-        assert kernels.twin_classes(w.adj, w.reach, True) == [[0, 1]]
+        w.reach[:] = [1, 1] + [1 + p % 2 for p in range(pages)]
+        assert kernels.twin_classes(w, False) == [[2, 4, 6, 8], [3, 5, 7]]
+        assert kernels.twin_classes(w, True) == [[0, 1]]
         w.reach[1] = 5
-        assert kernels.twin_classes(w.adj, w.reach, True) == []
+        assert kernels.twin_classes(w, True) == []
         # K_{2,D}: the hubs are open twins, and so are the pages
         w = WorkGraph.from_graph(complete_bipartite_graph(2, pages))
-        w.reach = [3, 3] + [1 + p % 2 for p in range(pages)]
-        assert kernels.twin_classes(w.adj, w.reach, False) == [[0, 1], [2, 4, 6, 8], [3, 5, 7]]
-        assert kernels.twin_classes(w.adj, w.reach, True) == []
+        w.reach[:] = [3, 3] + [1 + p % 2 for p in range(pages)]
+        assert kernels.twin_classes(w, False) == [[0, 1], [2, 4, 6, 8], [3, 5, 7]]
+        assert kernels.twin_classes(w, True) == []
         # a clique with a deleted vertex and an isolated one: closed twins only
         w = WorkGraph.from_graph(Graph.from_edges(6, [(u, v) for u in range(5) for v in range(u + 1, 5)]))
         w.delete(2)
-        w.reach = [2, 1, 1, 2, 1, 1]
-        assert kernels.twin_classes(w.adj, w.reach, False) == []
-        assert kernels.twin_classes(w.adj, w.reach, True) == [[0, 3], [1, 4]]
+        w.reach[:] = [2, 1, 1, 2, 1, 1]
+        assert kernels.twin_classes(w, False) == []
+        assert kernels.twin_classes(w, True) == [[0, 3], [1, 4]]
 
     def test_clique_is_one_closed_class(self, scan_form):
         w = WorkGraph.from_graph(complete_graph(6))
-        assert kernels.twin_classes(w.adj, w.reach, True) == [list(range(6))]
-        assert kernels.twin_classes(w.adj, w.reach, False) == []
+        assert kernels.twin_classes(w, True) == [list(range(6))]
+        assert kernels.twin_classes(w, False) == []
+
+
+class TestComponents:
+    def test_forms_agree(self, compiled_library, monkeypatch):
+        sizes = []
+        for case, family, w, _ in _work_graphs(59, 180):
+            comps = _both_forms(monkeypatch, compiled_library, w.components)
+            assert sorted(v for comp in comps for v in comp) == live_ids(w), (family, case)
+            assert all(comp == sorted(comp) for comp in comps)
+            assert [comp[0] for comp in comps] == sorted(comp[0] for comp in comps)
+            sizes += [len(comp) for comp in comps]
+        assert sizes.count(1) > 50 and max(sizes) > 20
+
+    def test_dead_arcs_split(self, scan_form):
+        # the path 0-1-2-3-4 without the edge 1-2 and with 4 deleted
+        w = WorkGraph.from_graph(Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4)]))
+        w.remove_edges(np.array([2]), np.array([1]))
+        w.delete(4)
+        assert w.components() == [[0, 1], [2, 3], [5]]
+        flat, ends = kernels.components(w)
+        assert flat.tolist() == [0, 1, 2, 3, 5] and ends.tolist() == [0, 2, 4, 5]
+
+
+def test_compiled_reduction_exports_nothing(compiled_library, monkeypatch):
+    # the scans read the work graph's arrays in place: with the library
+    # loaded, no pass makes a CSR out of lists
+    parts = [generate(GraphSpec(family, 400, 0.0, seed)) for family in ("clique-chain", "bridged-blobs",
+                                                                         "planted-side", "planted-identical")
+             for seed in (1, 2)]
+    parts += [Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])] * 3  # bowties: cut vertices
+    edges, n = [], 0
+    for part in parts:
+        edges += [(u + n, v + n) for u, v in part.edges()]
+        n += part.n
+    monkeypatch.setattr(kernels, "_compiled", compiled_library)
+
+    def refuse(adj):
+        raise AssertionError("a pass exported rows")
+
+    monkeypatch.setattr(kernels, "export_rows", refuse)
+    _, _, stats = preprocess(Graph.from_edges(n, edges), "odbasi")
+    assert {e.technique for e in stats.events if e.changes} == set("dbasi")
