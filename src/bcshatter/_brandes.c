@@ -1,4 +1,4 @@
-/* The compiled forms of bcshatter's hot loops, six entry points:
+/* The compiled forms of bcshatter's hot loops, eleven entry points:
  *
  * - bcs_brandes, all sources over one component's CSR: the compiled form of
  *   ``kernels.brandes_python``;
@@ -11,17 +11,28 @@
  * - bcs_twin_classes, the twin grouping of the merge pass: the compiled
  *   form of ``kernels.twin_classes_python``;
  * - bcs_components, the live components of the work graph: the compiled
- *   form of ``kernels.components_python``.
+ *   form of ``kernels.components_python``;
+ * - bcs_parse_count, bcs_parse_ids and then bcs_edge_csr, the two passes
+ *   over a plain edge list's bytes and the CSR builder, all called by
+ *   ``graph._parse_plain_edge_list`` only: together the compiled form of
+ *   ``graph.parse_edge_list``'s line loop, on the texts they take;
+ * - bcs_bfs, the BFS of ``graph.bfs_order`` and
+ *   ``graph.connected_components``: the compiled form of
+ *   ``graph._bfs_components``;
+ * - bcs_relabel, the renamed CSR of ``graph.relabel``: the compiled form of
+ *   its numpy form.
  *
  * bcs_side_candidates, bcs_blocks, bcs_twin_classes and bcs_components are
  * scans: they compute no score, and return what the Python code returns, in
- * order.
+ * order.  The graph-layer functions read a ``Graph``'s CSR, whose rows are
+ * symmetric, ascending and free of self-loops, and build such CSRs.
  *
  * The work graph is read in place: its rows are one CSR (offsets, targets)
  * in which a removed edge's two arcs carry DEAD, and live[v] is clear for a
- * deleted vertex.  Every function but bcs_brandes skips dead arcs, arcs
- * into a vertex that is not live and the rows of such vertices, so it reads
- * the graph ``WorkGraph.rows`` lists for the Python forms.
+ * deleted vertex.  Every function but bcs_brandes and the graph-layer ones
+ * skips dead arcs, arcs into a vertex that is not live and the rows of such
+ * vertices, so it reads the graph ``WorkGraph.rows`` lists for the Python
+ * forms.
  *
  * Every floating-point expression is the one ``kernels.single_source`` and
  * ``kernels.side_bfs`` evaluate, in the same order, and every attribute
@@ -554,4 +565,168 @@ int64_t bcs_components(int64_t n, const int64_t *offsets, const int32_t *targets
         ends[++count] = (int32_t)end;
     }
     return count;
+}
+
+static inline int is_digit(uint8_t c)
+{
+    return c >= '0' && c <= '9';
+}
+
+/* The first pass of the plain edge-list parse.  text[0 .. len) is plain
+ * when it holds only ASCII digits, spaces, tabs, line feeds and carriage
+ * returns, and 0 or 2 ids (runs of digits) on each line; either break ends
+ * a line, as for str.splitlines.  Returns the number of ids of a plain
+ * text, or -1 for any other. */
+int64_t bcs_parse_count(const uint8_t *text, int64_t len)
+{
+    int64_t ids = 0, on_line = 0;
+    for (int64_t i = 0; i < len; i++) {
+        uint8_t c = text[i];
+        if (is_digit(c)) {
+            if (i == 0 || !is_digit(text[i - 1]))
+                if (++on_line > 2)
+                    return -1;
+        } else if (c == '\n' || c == '\r') {
+            if (on_line == 1)
+                return -1;
+            ids += on_line;
+            on_line = 0;
+        } else if (c != ' ' && c != '\t') {
+            return -1;
+        }
+    }
+    return on_line == 1 ? -1 : ids + on_line;
+}
+
+/* The second pass, over a text bcs_parse_count found plain: writes each id
+ * less base to ids, in text order.  Returns the largest, or -1 when one is
+ * below 0 or not below ceiling; ceiling is at most 2^31, so a digit run of
+ * any length is read without overflow and every id written fits int32. */
+int64_t bcs_parse_ids(const uint8_t *text, int64_t len, int64_t base, int64_t ceiling, int32_t *ids)
+{
+    int64_t count = 0, top = -1;
+    for (int64_t i = 0; i < len;) {
+        if (!is_digit(text[i])) {
+            i++;
+            continue;
+        }
+        int64_t id = 0;
+        for (; i < len && is_digit(text[i]); i++)
+            if (id <= ceiling + base) /* past it, the id is refused whatever digits follow */
+                id = id * 10 + (text[i] - '0');
+        id -= base;
+        if (id < 0 || id >= ceiling)
+            return -1;
+        ids[count++] = (int32_t)id;
+        if (id > top)
+            top = id;
+    }
+    return top;
+}
+
+/* The simple graph on n vertices whose edges are the npairs pairs
+ * (ids[2k], ids[2k + 1]), every id in [0, n), as a ``Graph``'s CSR: the
+ * compiled form of ``graph.normalize_edges`` and then
+ * ``Graph.from_edges``.  Each pair but a self-loop goes into both its
+ * vertices' rows, each row is sorted, and repeats, of either orientation,
+ * are dropped.  offsets (n + 1 slots) receives the rows' bounds and
+ * arcs (2 * npairs slots) the rows, packed at its front; fill is an
+ * n-element workspace.  Writes the numbers of self-loops and of repeated
+ * pairs to counts[0] and counts[1] and returns the number of edges. */
+int64_t bcs_edge_csr(int64_t n, int64_t npairs, const int32_t *ids, int64_t *offsets, int32_t *arcs,
+                     int64_t *fill, int64_t *counts)
+{
+    int64_t loops = 0;
+    for (int64_t v = 0; v <= n; v++)
+        offsets[v] = 0;
+    for (int64_t k = 0; k < npairs; k++) {
+        int32_t u = ids[2 * k], v = ids[2 * k + 1];
+        if (u == v) {
+            loops++;
+            continue;
+        }
+        offsets[u + 1]++;
+        offsets[v + 1]++;
+    }
+    for (int64_t v = 0; v < n; v++) {
+        offsets[v + 1] += offsets[v];
+        fill[v] = offsets[v];
+    }
+    for (int64_t k = 0; k < npairs; k++) {
+        int32_t u = ids[2 * k], v = ids[2 * k + 1];
+        if (u != v) {
+            arcs[fill[u]++] = v;
+            arcs[fill[v]++] = u;
+        }
+    }
+    /* sort each row, then pack its distinct ids to the front, row by row */
+    int64_t out = 0, start = 0;
+    for (int64_t v = 0; v < n; v++) {
+        int64_t end = offsets[v + 1];
+        sort_ids(arcs + start, end - start);
+        offsets[v] = out;
+        for (int64_t a = start; a < end; a++)
+            if (a == start || arcs[a] != arcs[a - 1])
+                arcs[out++] = arcs[a];
+        start = end;
+    }
+    offsets[n] = out;
+    counts[0] = loops;
+    counts[1] = npairs - loops - out / 2;
+    return out / 2;
+}
+
+/* The vertices of the CSR (offsets, neighbors) on n vertices in BFS
+ * dequeue order: from start, then from each vertex no earlier BFS reached,
+ * lowest id first.  The compiled form of ``graph._bfs_components``:
+ * component c is order[ends[c] .. ends[c + 1]).  seen (n bytes) is a
+ * workspace; order needs n slots and ends n + 1.  Returns the number of
+ * components. */
+int64_t bcs_bfs(int64_t n, const int64_t *offsets, const int32_t *neighbors, int64_t start,
+                uint8_t *seen, int64_t *order, int64_t *ends)
+{
+    int64_t count = 0, end = 0;
+    ends[0] = 0;
+    if (n == 0)
+        return 0; /* no start vertex either */
+    for (int64_t v = 0; v < n; v++)
+        seen[v] = 0;
+    for (int64_t i = -1; i < n; i++) {
+        int64_t root = i < 0 ? start : i;
+        if (seen[root])
+            continue;
+        seen[root] = 1;
+        order[end++] = root;
+        for (int64_t head = ends[count]; head < end; head++) {
+            int64_t v = order[head];
+            for (int64_t a = offsets[v]; a < offsets[v + 1]; a++) {
+                int32_t w = neighbors[a];
+                if (!seen[w]) {
+                    seen[w] = 1;
+                    order[end++] = w;
+                }
+            }
+        }
+        ends[++count] = end;
+    }
+    return count;
+}
+
+/* The CSR (offsets, neighbors) on n vertices with every vertex v renamed
+ * forward[v], inverse the inverse permutation: new row i is old row
+ * inverse[i] renamed, then sorted.  new_offsets needs n + 1 slots and
+ * new_neighbors offsets[n]. */
+void bcs_relabel(int64_t n, const int64_t *offsets, const int32_t *neighbors, const int64_t *forward,
+                 const int64_t *inverse, int64_t *new_offsets, int32_t *new_neighbors)
+{
+    int64_t out = 0;
+    new_offsets[0] = 0;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t v = inverse[i];
+        int64_t start = out;
+        for (int64_t a = offsets[v]; a < offsets[v + 1]; a++)
+            new_neighbors[out++] = (int32_t)forward[neighbors[a]];
+        sort_ids(new_neighbors + start, out - start);
+        new_offsets[i + 1] = out;
+    }
 }

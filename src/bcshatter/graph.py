@@ -5,10 +5,15 @@ duplicate/parallel edges, and symmetrizes the adjacency, because downstream
 reduction passes assume a loop-free simple graph.  Vertex ids are dense
 ``0..n-1`` 32-bit integers; scores elsewhere are float64.
 
-The graph stays in arrays from parse to relabel: one CSR builder, fed every
-arc in both directions as one packed int64 key, makes every ``Graph`` (from
-deduplicated edge rows, or from a permuted CSR), and one BFS gives both the
-BFS ordering and the component labels.
+The graph stays in arrays from parse to relabel, and one BFS gives both the
+BFS ordering and the component labels.  Three steps run compiled, in
+``_brandes.c`` through :mod:`bcshatter.kernels`, with a Python form each
+that is their reference and runs when the library cannot be built or
+loaded: the parse of a plain edge list (the line loop of
+:func:`parse_edge_list`), the BFS (:func:`_bfs_components`) and
+:func:`relabel` (its numpy form).  The Python forms build every ``Graph``
+with one CSR builder, fed every arc in both directions as one packed int64
+key.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
+
+from . import kernels
 
 
 class GraphInputError(ValueError):
@@ -159,58 +166,44 @@ def normalize_edges(raw: list[tuple[int, int]], *, listed_twice: bool = False):
     return np.stack([lo, hi], axis=1), NormalizationReport(len(pairs) - len(keys), dups)
 
 
-def _plain_pairs(text: str) -> bool:
-    """Whether ``text`` holds only ASCII digits, spaces, tabs, line feeds and
-    carriage returns, and exactly two ids on each non-blank line."""
-    # The masks hold a byte per character and the index arrays an int64 per
-    # token or line, and all are freed before the ids are read.  Wider or
-    # longer-lived temporaries leave glibc's heap and mmap threshold larger
-    # through the solve, and peak RSS with them.
-    if not text.isascii():
-        return False
-    buf = np.frombuffer(text.encode("ascii"), np.uint8)
-    digit = (buf >= 48) & (buf <= 57)
-    brk = (buf == 10) | (buf == 13)  # str.splitlines breaks on both
-    if not (digit | brk | (buf == 32) | (buf == 9)).all():
-        return False
-    first = digit.copy()
-    first[1:] &= ~digit[:-1]
-    starts = np.flatnonzero(first)
-    # the tokens before each break, differenced: the tokens on each line
-    per_line = np.diff(np.searchsorted(starts, np.flatnonzero(brk)), prepend=0, append=len(starts))
-    return len(starts) > 0 and bool(((per_line == 0) | (per_line == 2)).all())
-
-
 def _parse_plain_edge_list(text: str, index_base: int):
-    """The array path of :func:`parse_edge_list`, or None to leave the text
-    to the line parser.
+    """The compiled path of :func:`parse_edge_list`, or None to leave the
+    text to the line parser.
 
-    It takes only texts that pass :func:`_plain_pairs`, with all ids in
-    range.  ``str.split`` reads those texts as the line loop does, so the
-    result is the line parser's.  It raises nothing: a text it refuses goes
-    to the line parser, which reports what is wrong with it.
+    It takes only plain text, with at least one id: ASCII digits, spaces,
+    tabs, line feeds and carriage returns, two ids on each non-blank line,
+    and every id in range once shifted by ``index_base``.  The line loop
+    reads such a text the same way, so the result is the line parser's
+    graph and report.  It raises nothing: a text it declines, and every
+    text when the compiled library cannot be built or loaded, goes to the
+    line parser, which reports what is wrong with it.
     """
-    if not _plain_pairs(text):
+    lib = kernels._kernel()
+    if lib is None or not text.isascii():
         return None
-    try:
-        ids = np.array(text.split(), dtype=np.int64)
-    except (OverflowError, ValueError):
+    buf = text.encode("ascii")
+    count = lib.bcs_parse_count(buf, len(buf))
+    if count <= 0:
         return None
-    ids -= index_base
-    top = int(ids.max())
-    # a negative id or one past the ceiling is the line parser's to report
-    if ids.min() < 0 or top >= MAX_VERTICES:
+    ids = np.empty(count, dtype=np.int32)
+    # the compiled reader keeps ids within int32 only under a ceiling of at most _WIDTH
+    top = lib.bcs_parse_ids(buf, len(buf), index_base, min(MAX_VERTICES, _WIDTH), ids)
+    if top < 0:
         return None
-    edges, report = normalize_edges(ids.reshape(-1, 2))
-    return Graph.from_edges(top + 1, edges), report
+    n = top + 1
+    offsets, arcs = np.empty(n + 1, dtype=np.int64), np.empty(count, dtype=np.int32)
+    counts = np.empty(2, dtype=np.int64)
+    m = lib.bcs_edge_csr(n, count // 2, ids, offsets, arcs, np.empty(n, dtype=np.int64), counts)
+    return Graph(n, m, offsets, arcs[: 2 * m].copy()), NormalizationReport(*counts.tolist())
 
 
 def parse_edge_list(text: str, *, index_base: int = 0) -> tuple[Graph, NormalizationReport]:
     """Parse whitespace-separated "u v" lines; '#' starts a comment.
 
-    Plain text (digits and blanks, two ids a line) takes an array path; any
-    other text, and every error, goes through the line loop, which gives
-    the same graph and report.
+    Plain text (digits and blanks, two ids a line) is parsed compiled by
+    :func:`_parse_plain_edge_list`.  Any other text, every error, and every
+    text when the compiled library cannot be built or loaded go through the
+    line loop, the reference, which gives the same graph and report.
     """
     if index_base not in (0, 1):
         raise GraphInputError(f"index_base must be 0 or 1, got {index_base}")
@@ -348,6 +341,32 @@ def _bfs_components(g: Graph, start: int = 0) -> list[list[int]]:
     return comps
 
 
+def _bfs(g: Graph, start: int) -> tuple[np.ndarray, np.ndarray]:
+    """The vertices of :func:`_bfs_components` flat, and the bounds of each
+    component among them (int64): ``bcs_bfs``, or :func:`_bfs_components`
+    when the compiled library cannot be built or loaded."""
+    offsets, neighbors = _checked_csr(g)
+    lib = kernels._kernel()
+    if lib is None:
+        comps = _bfs_components(g, start)
+        return np.fromiter(chain.from_iterable(comps), dtype=np.int64, count=g.n), np.cumsum([0, *map(len, comps)])
+    order, ends = np.empty(g.n, dtype=np.int64), np.empty(g.n + 1, dtype=np.int64)
+    count = lib.bcs_bfs(g.n, offsets, neighbors, start, np.empty(g.n, dtype=np.uint8), order, ends)
+    return order, ends[: count + 1]
+
+
+def _checked_csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """``g``'s offsets (int64) and neighbors (int32), refused unless every
+    row lies within the neighbors and names vertices of ``g``: the compiled
+    code indexes with both."""
+    offsets, neighbors = g.offsets, g.neighbors
+    if (offsets.shape != (g.n + 1,) or offsets[0] != 0 or offsets[-1] != len(neighbors)
+            or np.diff(offsets).min(initial=0) < 0
+            or (len(neighbors) and not 0 <= neighbors.min() <= neighbors.max() < g.n)):
+        raise GraphInputError(f"the graph's arrays are not a CSR over its {g.n} vertices")
+    return np.ascontiguousarray(offsets, dtype=np.int64), np.ascontiguousarray(neighbors, dtype=np.int32)
+
+
 def bfs_order(g: Graph, start: int = 0) -> VertexPermutation:
     """Rank vertices by BFS dequeue order from ``start``.
 
@@ -356,25 +375,39 @@ def bfs_order(g: Graph, start: int = 0) -> VertexPermutation:
     """
     if g.n and not 0 <= start < g.n:
         raise IndexError(f"start vertex {start} outside 0..{g.n - 1}")
-    inverse = np.fromiter(chain.from_iterable(_bfs_components(g, start)), dtype=np.int64, count=g.n)
+    inverse, _ = _bfs(g, start)
     forward = np.empty_like(inverse)
     forward[inverse] = np.arange(g.n)
     return VertexPermutation(forward, inverse)
 
 
 def relabel(g: Graph, perm: VertexPermutation) -> Graph:
-    """Isomorphic copy of ``g`` with vertex v renamed to ``perm.forward[v]``."""
-    if perm.forward.shape[0] != g.n:
-        raise GraphInputError(f"permutation over {perm.forward.shape[0]} vertices, graph has {g.n}")
-    fwd = perm.forward
-    keys = np.repeat(fwd * _WIDTH, np.diff(g.offsets))
-    keys += fwd[g.neighbors]
-    return _csr(g.n, keys)
+    """Isomorphic copy of ``g`` with vertex v renamed to ``perm.forward[v]``:
+    ``bcs_relabel``, or a numpy form when the compiled library cannot be
+    built or loaded.  Refuses a ``perm`` whose ``forward`` and ``inverse``
+    are not inverse permutations of ``range(g.n)``."""
+    fwd, inv = np.asarray(perm.forward), np.asarray(perm.inverse)
+    if fwd.shape != (g.n,) or inv.shape != (g.n,):
+        raise GraphInputError(f"permutation over {fwd.shape[0]} vertices, graph has {g.n}")
+    # inverse within range(n) and forward[inverse] the identity make both permutations
+    if g.n and not (fwd.dtype.kind in "iu" and inv.dtype.kind in "iu" and 0 <= inv.min() <= inv.max() < g.n
+                    and np.array_equal(fwd[inv], np.arange(g.n))):
+        raise GraphInputError("forward and inverse are not inverse permutations of the vertices")
+    offsets, neighbors = _checked_csr(g)
+    fwd, inv = np.ascontiguousarray(fwd, dtype=np.int64), np.ascontiguousarray(inv, dtype=np.int64)
+    lib = kernels._kernel()
+    if lib is None:
+        keys = np.repeat(fwd * _WIDTH, np.diff(offsets))
+        keys += fwd[neighbors]
+        return _csr(g.n, keys)
+    new_offsets, new_neighbors = np.empty(g.n + 1, dtype=np.int64), np.empty(len(neighbors), dtype=np.int32)
+    lib.bcs_relabel(g.n, offsets, neighbors, fwd, inv, new_offsets, new_neighbors)
+    return Graph(g.n, g.m, new_offsets, new_neighbors)
 
 
 def connected_components(g: Graph) -> np.ndarray:
     """Component label per vertex; labels contiguous from 0 in first-seen order."""
+    order, ends = _bfs(g, 0)
     labels = np.empty(g.n, dtype=np.int64)
-    for label, comp in enumerate(_bfs_components(g)):
-        labels[comp] = label
+    labels[order] = np.repeat(np.arange(len(ends) - 1), np.diff(ends))
     return labels

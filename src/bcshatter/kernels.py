@@ -37,6 +37,17 @@ vertices that are not live; the Python forms read the same arcs in the same
 order as lists, ``WorkGraph.rows``.  Only the kernel's input is a CSR made
 from lists, ``export_rows``.
 
+The library also holds the graph layer's compiled steps, bound here and
+called from ``graph.py``, whose Python code is their reference:
+
+* ``bcs_parse_count``, ``bcs_parse_ids`` and ``bcs_edge_csr``, the two
+  passes over a plain edge list's bytes and the CSR builder, called by
+  ``graph._parse_plain_edge_list``; the line loop of
+  ``graph.parse_edge_list`` is the reference.
+* ``bcs_bfs``, the BFS of ``graph.bfs_order`` and
+  ``graph.connected_components``: ``graph._bfs_components``.
+* ``bcs_relabel``, ``graph.relabel``: its numpy form.
+
 The first call that needs the library builds it with the local C compiler
 into a per-user cache named by the hash of the source and the compile
 command, and loads it with ctypes.  Like ``single_source``, its forward BFS
@@ -80,10 +91,12 @@ from itertools import chain, repeat
 from operator import is_not, length_hint
 from pathlib import Path
 from time import perf_counter
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .graph import Graph
+if TYPE_CHECKING:  # graph.py calls the library through this module
+    from .graph import Graph
 
 Adjacency = list[list[int]]
 
@@ -398,6 +411,18 @@ def _bind(path: Path):
     lib.bcs_twin_classes.restype = size
     lib.bcs_components.argtypes = [*rows, int32s, int32s, int32s]
     lib.bcs_components.restype = size
+    text = ctypes.c_char_p
+    lib.bcs_parse_count.argtypes = [text, size]
+    lib.bcs_parse_count.restype = size
+    lib.bcs_parse_ids.argtypes = [text, size, size, size, int32s]
+    lib.bcs_parse_ids.restype = size
+    lib.bcs_edge_csr.argtypes = [size, size, int32s, int64s, int32s, int64s, int64s]
+    lib.bcs_edge_csr.restype = size
+    csr = [size, int64s, int32s]  # a Graph's: n, offsets, neighbors
+    lib.bcs_bfs.argtypes = [*csr, size, flags, int64s, int64s]
+    lib.bcs_bfs.restype = size
+    lib.bcs_relabel.argtypes = [*csr, int64s, int64s, int64s, int32s]
+    lib.bcs_relabel.restype = None
     return lib
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcshatter import graph
+from bcshatter import graph, kernels
 from bcshatter.graph import (
     Graph,
     GraphFormatError,
@@ -26,8 +26,16 @@ from bcshatter.graph import (
     relabel,
     to_edge_list,
 )
+from bcshatter.oracle import FAMILIES, GraphSpec, generate
 
 from conftest import random_graph
+
+
+@pytest.fixture(params=["compiled", "python"])
+def graph_form(request, monkeypatch):
+    """Runs a test on the compiled graph layer and on its Python forms."""
+    lib = request.getfixturevalue("compiled_library") if request.param == "compiled" else None
+    monkeypatch.setattr(kernels, "_compiled", lib)
 
 
 class TestParseEdgeList:
@@ -130,8 +138,9 @@ def _random_text(rng: random.Random) -> str:
     return "".join(lines)
 
 
+@pytest.mark.usefixtures("compiled_library")
 class TestArrayPath:
-    """The array path gives the line parser's graph and report, or declines."""
+    """The compiled path gives the line parser's graph and report, or declines."""
 
     @pytest.mark.parametrize("index_base", [0, 1])
     def test_matches_line_parser_or_declines(self, index_base):
@@ -151,17 +160,36 @@ class TestArrayPath:
 
     @pytest.mark.parametrize(
         "text",
-        ["0 1\n", "0 1\r\n1 2\r\n", "0\t1\r2 3", "\n  0 01 \n\n1 2\n", "5 5\n3 4\n4 3\n"],
+        ["0 1\n", "0 1\r\n1 2\r\n", "0\t1\r2 3", "\n  0 01 \n\n1 2\n", "5 5\n3 4\n4 3\n", "0 1\n1 2",
+         "0 " + "0" * 25 + "7\n"],
     )
     def test_plain_text_takes_array_path(self, text):
         got = graph._parse_plain_edge_list(text, 0)
         assert got is not None
         assert got == _line_parser(text, 0)
 
+    def test_self_loops_and_duplicates_are_counted(self):
+        text = "0 1\n1 0\n0 1\n2 2\n2 2\n1 2\n2 1\n3 3\n"
+        g, report = graph._parse_plain_edge_list(text, 0)
+        assert (report.self_loops, report.duplicate_edges) == (3, 3)
+        assert (g, report) == _line_parser(text, 0)
+        g.validate()
+
+    @pytest.mark.parametrize("index_base", [0, 1])
+    def test_ids_at_the_ceiling(self, monkeypatch, index_base):
+        # the ceiling is read at call time, so the small one applies
+        monkeypatch.setattr(graph, "MAX_VERTICES", 8)
+        below = f"{index_base} {7 + index_base}\n"
+        got = graph._parse_plain_edge_list(below, index_base)
+        assert got is not None and got[0].n == 8
+        assert got == _line_parser(below, index_base)
+        assert graph._parse_plain_edge_list(f"{index_base} {8 + index_base}\n", index_base) is None
+
     @pytest.mark.parametrize(
         "text, index_base",
         [("0 1\n2\n", 0), ("0 1 2\n", 0), ("0 1\n# c\n", 0), ("-1 2\n", 0), ("+1 2\n", 0), ("0\x0c1\n", 0),
-         ("\u0661 2\n", 0), ("\n \n", 0), ("0 99999999999999999999\n", 0), ("1 2\n0 1\n", 1)],
+         ("\u0661 2\n", 0), ("\n \n", 0), ("0 99999999999999999999\n", 0), ("1 2\n0 1\n", 1), ("0 3", 1),
+         (" \t \r\n  \n\t", 0), ("0 1\n" + "1" * 40 + " 2\n", 0), ("0 18446744073709551617\n", 0)],
     )
     def test_other_text_is_declined(self, text, index_base):
         assert graph._parse_plain_edge_list(text, index_base) is None
@@ -327,6 +355,42 @@ class TestBfsOrder:
         perm.validate()
 
 
+def _oracle_union(case: int) -> Graph:
+    """Two oracle graphs of neighboring families and up to three isolated
+    vertices, under shuffled ids, so components interleave in id order."""
+    rng = random.Random(case)
+    parts = [generate(GraphSpec(FAMILIES[(case + k) % len(FAMILIES)], rng.randint(4, 12), 0.0, case)) for k in (0, 1)]
+    n = sum(p.n for p in parts) + rng.randint(0, 3)
+    ids = rng.sample(range(n), n)
+    edges = [(ids[u + parts[0].n * k], ids[v + parts[0].n * k]) for k, p in enumerate(parts) for u, v in p.edges()]
+    return Graph.from_edges(n, sorted((min(e), max(e)) for e in edges))
+
+
+@pytest.mark.usefixtures("graph_form")
+class TestBfsForms:
+    @pytest.mark.parametrize("case", range(30))
+    def test_matches_bfs_components_from_every_start(self, case):
+        g = _oracle_union(case)
+        for start in range(g.n):
+            perm = bfs_order(g, start)
+            assert perm.inverse.tolist() == [v for comp in graph._bfs_components(g, start) for v in comp]
+            perm.validate()
+        labels = [0] * g.n
+        for label, comp in enumerate(graph._bfs_components(g)):
+            for v in comp:
+                labels[v] = label
+        assert connected_components(g).tolist() == labels
+
+    def test_refuses_arrays_that_are_not_a_csr(self):
+        bad = [Graph(3, 1, np.array([0, 1, 2, 2]), np.array([1, 3], dtype=np.int32)),
+               Graph(3, 1, np.array([0, 2, 1, 2]), np.array([1, 0], dtype=np.int32)),
+               Graph(3, 1, np.array([0, 1, 2, 3]), np.array([1, 0], dtype=np.int32))]
+        for g in bad:
+            for call in (bfs_order, connected_components, lambda g: relabel(g, _permutation(range(3)))):
+                with pytest.raises(GraphInputError):
+                    call(g)
+
+
 def _permutation(forward) -> VertexPermutation:
     forward = np.asarray(forward, dtype=np.int64)
     return VertexPermutation(forward, np.argsort(forward))
@@ -362,6 +426,29 @@ class TestRelabel:
         mapped = sorted((min(forward[u], forward[v]), max(forward[u], forward[v])) for u, v in g.edges())
         assert h == Graph.from_edges(n, mapped)
         h.validate()
+
+    @pytest.mark.parametrize("case", range(30))
+    def test_forms_give_the_same_arrays(self, case, compiled_library, monkeypatch):
+        g = _oracle_union(case)
+        perm = _permutation(random.Random(case).sample(range(g.n), g.n))
+        got = []
+        for lib in (compiled_library, None):
+            monkeypatch.setattr(kernels, "_compiled", lib)
+            got.append(relabel(g, perm))
+        assert (got[0].n, got[0].m) == (got[1].n, got[1].m) == (g.n, g.m)
+        for ours, numpy_form in ((got[0].offsets, got[1].offsets), (got[0].neighbors, got[1].neighbors)):
+            assert ours.dtype == numpy_form.dtype and np.array_equal(ours, numpy_form)
+
+    @pytest.mark.usefixtures("graph_form")
+    @pytest.mark.parametrize(
+        "forward, inverse",
+        [([0, 0, 2], [0, 1, 2]), ([1, 2, 0], [1, 2, 0]), ([0, 1, 3], [0, 1, 2]), ([0, 1, 2], [0, 1, -1]),
+         ([0.0, 1.0, 2.0], [0, 1, 2])],
+    )
+    def test_refuses_a_bad_permutation(self, forward, inverse):
+        g, _ = parse_edge_list("0 1\n1 2")
+        with pytest.raises(GraphInputError):
+            relabel(g, VertexPermutation(np.array(forward), np.array(inverse)))
 
     def test_size_mismatch(self):
         g, _ = parse_edge_list("0 1\n1 2")
