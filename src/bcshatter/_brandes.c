@@ -1,4 +1,4 @@
-/* The compiled forms of bcshatter's hot loops, eleven entry points:
+/* The compiled forms of bcshatter's hot loops, thirteen entry points:
  *
  * - bcs_brandes, all sources over one component's CSR: the compiled form of
  *   ``kernels.brandes_python``;
@@ -6,10 +6,13 @@
  *   test and one compensation run per candidate over the work graph, both
  *   called by ``kernels.side_sweep`` only: together the compiled form of
  *   ``kernels.side_sweep_python``;
+ * - bcs_degree1, the degree-1 pass's cascade over the work graph: the
+ *   compiled form of ``kernels.degree1_python``;
+ * - bcs_twin_classes and then bcs_twin_credits, the twin grouping of one
+ *   merge sweep and its credits, both called by ``kernels.twin_sweep``
+ *   only: together the compiled form of ``kernels.twin_sweep_python``;
  * - bcs_blocks, the blocks and cut-side masses of every component of the
  *   work graph: the compiled form of ``kernels.block_walk_python``;
- * - bcs_twin_classes, the twin grouping of the merge pass: the compiled
- *   form of ``kernels.twin_classes_python``;
  * - bcs_components, the live components of the work graph: the compiled
  *   form of ``kernels.components_python``;
  * - bcs_parse_count, bcs_parse_ids and then bcs_edge_csr, the two passes
@@ -24,8 +27,13 @@
  *
  * bcs_side_candidates, bcs_blocks, bcs_twin_classes and bcs_components are
  * scans: they compute no score, and return what the Python code returns, in
- * order.  The graph-layer functions read a ``Graph``'s CSR, whose rows are
- * symmetric, ascending and free of self-loops, and build such CSRs.
+ * order.  bcs_degree1 and bcs_twin_credits add a pass's credits to the
+ * scores: each credit is an integer product below 2^53, computed in int64
+ * and converted to double exactly, and the one division is of two such
+ * doubles, so each rounds as the Python loop's int arithmetic and true
+ * division do.  The graph-layer functions read a ``Graph``'s CSR, whose
+ * rows are symmetric, ascending and free of self-loops, and build such
+ * CSRs.
  *
  * The work graph is read in place: its rows are one CSR (offsets, targets)
  * in which a removed edge's two arcs carry DEAD, and live[v] is clear for a
@@ -450,8 +458,8 @@ static int key_order(int32_t a, int32_t b, const int64_t *key_offsets, const int
     return 0;
 }
 
-/* The twin classes of one merge sweep, the compiled form of
- * ``kernels.twin_classes_python``.  Every live vertex with a live arc gets
+/* The twin classes of one merge sweep, the compiled form of the grouping
+ * of ``kernels.twin_sweep_python``.  Every live vertex with a live arc gets
  * the key (its live arcs sorted, with v itself inserted when closed and not
  * among them already; its reach), written to keys[key_offsets[v] ..
  * key_offsets[v + 1]), so keys needs offsets[n] + n slots and key_offsets
@@ -530,6 +538,51 @@ int64_t bcs_twin_classes(int64_t n, const int64_t *offsets, const int32_t *targe
     return classes;
 }
 
+/* The twin credits of one merge sweep, the compiled form of the credit loop
+ * of ``kernels.twin_sweep_python``, over the ncls classes bcs_twin_classes
+ * wrote: class k is classes[class_ends[k] .. class_ends[k + 1]), lowest
+ * member first.  With r the class's reach and t the sum of its idents,
+ * each vertex v of a class of reach above 1 adds (t - ident[v]) * r * (r - 1)
+ * to each of its members (the interior credit); in an open sweep each live
+ * neighbor x of the lowest member then adds (t^2 - the sum of the squared
+ * idents) * r^2 / (the sum of ident over those neighbors) to each of its
+ * members (the cross credit).  out[] receives the Python loop's additions
+ * in its order. */
+void bcs_twin_credits(const int64_t *offsets, const int32_t *targets, const uint8_t *live,
+                      const int64_t *member_offsets, const int64_t *members,
+                      const int64_t *reach, const int64_t *ident, int64_t closed,
+                      const int32_t *classes, const int32_t *class_ends, int64_t ncls, double *out)
+{
+    for (int64_t k = 0; k < ncls; k++) {
+        const int32_t *verts = classes + class_ends[k];
+        int64_t size = class_ends[k + 1] - class_ends[k];
+        int64_t r = reach[verts[0]], total = 0, squares = 0;
+        for (int64_t i = 0; i < size; i++) {
+            total += ident[verts[i]];
+            squares += ident[verts[i]] * ident[verts[i]];
+        }
+        /* each copy gates the reach mass of its new siblings' copies */
+        if (r > 1)
+            for (int64_t i = 0; i < size; i++) {
+                double amount = (double)((total - ident[verts[i]]) * r * (r - 1));
+                for (int64_t m = member_offsets[verts[i]]; m < member_offsets[verts[i] + 1]; m++)
+                    out[members[m]] += amount;
+            }
+        if (closed)
+            continue;
+        /* open twins' cross pairs split evenly over the shared neighborhood */
+        int64_t shared = 0;
+        for (int64_t a = offsets[verts[0]]; a < offsets[verts[0] + 1]; a++)
+            if (live_arc(targets[a], live))
+                shared += ident[targets[a]];
+        double amount = (double)((total * total - squares) * r * r) / (double)shared;
+        for (int64_t a = offsets[verts[0]]; a < offsets[verts[0] + 1]; a++)
+            if (live_arc(targets[a], live))
+                for (int64_t m = member_offsets[targets[a]]; m < member_offsets[targets[a] + 1]; m++)
+                    out[members[m]] += amount;
+    }
+}
+
 /* The live components, the compiled form of ``kernels.components_python``:
  * a BFS from each live vertex no earlier BFS reached, in increasing id
  * order, over live arcs.  Component c is flat[ends[c] .. ends[c + 1]), its
@@ -563,6 +616,80 @@ int64_t bcs_components(int64_t n, const int64_t *offsets, const int32_t *targets
         }
         sort_ids(flat + ends[count], end - ends[count]);
         ends[++count] = (int32_t)end;
+    }
+    return count;
+}
+
+/* The degree-1 cascade, the compiled form of ``kernels.degree1_python``.
+ * The work graph is as for bcs_side_sweep, with ident and reach its
+ * attributes and edgeless[v] set when v's copies are pairwise non-adjacent.
+ * Per live component, in order of lowest vertex, a FIFO queue starts with
+ * its vertices of live degree 0 or 1, ascending, and the cascade runs: a
+ * lone vertex retires; a leaf u whose one neighbor v is unmerged, and that
+ * is unmerged or an edgeless class itself, folds into v, crediting u's
+ * members with (reach[u] - 1) * rest when that is not 0 and v's first
+ * member with mass[u] * (rest - 1), where mass is ident * reach and rest
+ * the component's mass at pass start less mass[u]; v gains mass[u] in
+ * reach and is queued again when its degree falls to 1 or 0.  out[]
+ * receives the Python loop's additions in its order.
+ *
+ * label, flat (int32) and degree (int64) are n-element workspaces, ends
+ * (int32) n + 1, alive (bytes) n and queue (int32) 2n: a component queues
+ * each of its vertices at most once as a seed, and one vertex per fold.
+ * Changes reach and out only; writes the folded and retired vertices, in
+ * order, to gone (n slots) and their retired mass to retired[0], and
+ * returns how many there are. */
+int64_t bcs_degree1(int64_t n, const int64_t *offsets, const int32_t *targets, const uint8_t *live,
+                    const int64_t *member_offsets, const int64_t *members,
+                    const int64_t *ident, const uint8_t *edgeless, int64_t *reach, double *out,
+                    int32_t *label, int32_t *flat, int32_t *ends, int64_t *degree, uint8_t *alive,
+                    int32_t *queue, int32_t *gone, int64_t *retired)
+{
+    int64_t ncomps = bcs_components(n, offsets, targets, live, label, flat, ends);
+    for (int32_t v = 0; v < n; v++) {
+        alive[v] = live[v] != 0;
+        degree[v] = live[v] ? live_degree(v, offsets, targets, live) : 0;
+    }
+    int64_t count = 0;
+    retired[0] = 0;
+    for (int64_t c = 0; c < ncomps; c++) {
+        int64_t total = 0, head = 0, tail = 0;
+        for (int32_t i = ends[c]; i < ends[c + 1]; i++) {
+            total += ident[flat[i]] * reach[flat[i]];
+            if (degree[flat[i]] <= 1)
+                queue[tail++] = flat[i];
+        }
+        while (head < tail) {
+            int32_t u = queue[head++];
+            if (!alive[u])
+                continue;
+            if (degree[u] == 0) { /* lone vertex: every pair involving its mass is settled */
+                retired[0] += ident[u] * reach[u];
+                alive[u] = 0;
+                gone[count++] = u;
+                continue;
+            }
+            if (degree[u] != 1)
+                continue;
+            int64_t a = offsets[u];
+            while (targets[a] == DEAD || !alive[targets[a]])
+                a++;
+            int32_t v = targets[a];
+            if (ident[v] != 1 || (ident[u] != 1 && !edgeless[u]))
+                continue;
+            int64_t mass = ident[u] * reach[u];
+            int64_t rest = total - mass;
+            int64_t credit = (reach[u] - 1) * rest;
+            if (credit)
+                for (int64_t k = member_offsets[u]; k < member_offsets[u + 1]; k++)
+                    out[members[k]] += (double)credit;
+            out[members[member_offsets[v]]] += (double)(mass * (rest - 1));
+            reach[v] += mass;
+            alive[u] = 0;
+            gone[count++] = u;
+            if (--degree[v] <= 1)
+                queue[tail++] = v;
+        }
     }
     return count;
 }
@@ -628,12 +755,13 @@ int64_t bcs_parse_ids(const uint8_t *text, int64_t len, int64_t base, int64_t ce
  * (ids[2k], ids[2k + 1]), every id in [0, n), as a ``Graph``'s CSR: the
  * compiled form of ``graph.normalize_edges`` and then
  * ``Graph.from_edges``.  Each pair but a self-loop goes into both its
- * vertices' rows, each row is sorted, and repeats, of either orientation,
+ * vertices' rows, each row ascending, and repeats, of either orientation,
  * are dropped.  offsets (n + 1 slots) receives the rows' bounds and
  * arcs (2 * npairs slots) the rows, packed at its front; fill is an
- * n-element workspace.  Writes the numbers of self-loops and of repeated
- * pairs to counts[0] and counts[1] and returns the number of edges. */
-int64_t bcs_edge_csr(int64_t n, int64_t npairs, const int32_t *ids, int64_t *offsets, int32_t *arcs,
+ * n-element workspace, and ids is overwritten.  Writes the numbers of
+ * self-loops and of repeated pairs to counts[0] and counts[1] and returns
+ * the number of edges. */
+int64_t bcs_edge_csr(int64_t n, int64_t npairs, int32_t *ids, int64_t *offsets, int32_t *arcs,
                      int64_t *fill, int64_t *counts)
 {
     int64_t loops = 0;
@@ -652,6 +780,8 @@ int64_t bcs_edge_csr(int64_t n, int64_t npairs, const int32_t *ids, int64_t *off
         offsets[v + 1] += offsets[v];
         fill[v] = offsets[v];
     }
+    /* the arcs into each vertex, by their source: as the arcs come in both
+     * directions, the buckets have the rows' bounds */
     for (int64_t k = 0; k < npairs; k++) {
         int32_t u = ids[2 * k], v = ids[2 * k + 1];
         if (u != v) {
@@ -659,15 +789,21 @@ int64_t bcs_edge_csr(int64_t n, int64_t npairs, const int32_t *ids, int64_t *off
             arcs[fill[v]++] = u;
         }
     }
-    /* sort each row, then pack its distinct ids to the front, row by row */
+    /* transposed into ids, each row receives its targets in increasing
+     * order, with no comparison */
+    for (int64_t v = 0; v < n; v++)
+        fill[v] = offsets[v];
+    for (int32_t t = 0; t < n; t++)
+        for (int64_t a = offsets[t]; a < offsets[t + 1]; a++)
+            ids[fill[arcs[a]]++] = t;
+    /* pack each row's distinct ids to the front of arcs, row by row */
     int64_t out = 0, start = 0;
     for (int64_t v = 0; v < n; v++) {
         int64_t end = offsets[v + 1];
-        sort_ids(arcs + start, end - start);
         offsets[v] = out;
         for (int64_t a = start; a < end; a++)
-            if (a == start || arcs[a] != arcs[a - 1])
-                arcs[out++] = arcs[a];
+            if (a == start || ids[a] != ids[a - 1])
+                arcs[out++] = ids[a];
         start = end;
     }
     offsets[n] = out;

@@ -1,4 +1,5 @@
-"""Betweenness kernels, and the reduction's scans, each compiled and in Python.
+"""Betweenness kernels, and the reduction's scans and loops, each compiled
+and in Python.
 
 All kernels use the ordered-pair convention: a pair (s, t) contributes its
 dependency once per direction, so no halving happens here (that is a CLI
@@ -6,7 +7,7 @@ output option).  Shortest-path counts sigma are kept in float64 because they
 can overflow 64-bit integers on dense graphs while the dependency ratios
 stay well conditioned.
 
-Five entry points each pair compiled code in ``_brandes.c`` with a Python
+Seven entry points each pair compiled code in ``_brandes.c`` with a Python
 form.  Two run the one attribute-general Brandes algorithm, built on
 ``single_source``, the one Python forward BFS and backward sweep:
 
@@ -20,22 +21,30 @@ form.  Two run the one attribute-general Brandes algorithm, built on
   ``side_sweep_python``, whose test is ``expanded_clique`` and whose runs
   are ``side_bfs``.
 
-Three are scans of the work graph for the reduction passes, which compute
-no score and return exactly what their Python forms return, in order:
+Two run a whole pass's loop over the work graph, adding its credits to the
+score accumulator in the Python form's order, integer products converted
+exactly:
+
+* ``degree1``, the cascade of ``reduction.remove_degree1``:
+  ``bcs_degree1`` and ``degree1_python``.
+* ``twin_sweep``, the grouping and credits of one identical-vertex sweep of
+  ``reduction.merge_identical``: ``bcs_twin_classes`` and then
+  ``bcs_twin_credits``, and ``twin_sweep_python``.
+
+Two are scans of the work graph for the reduction passes, which compute no
+score and return exactly what their Python forms return, in order:
 
 * ``block_walk``, the blocks and cut-side masses of every component, read
   by the bridge and articulation passes: ``bcs_blocks`` and
   ``block_walk_python``, whose walks are ``_block_dfs``.
-* ``twin_classes``, the grouping of one identical-vertex sweep:
-  ``bcs_twin_classes`` and ``twin_classes_python``.
-* ``components``, the live components, read by the degree-1 pass and the
-  engine: ``bcs_components`` and ``components_python``.
+* ``components``, the live components, read by the engine:
+  ``bcs_components`` and ``components_python``.
 
-The compiled forms of ``side_sweep`` and the scans read the work graph's
-own arrays in place, skipping removed arcs (marked -1) and arcs into
-vertices that are not live; the Python forms read the same arcs in the same
-order as lists, ``WorkGraph.rows``.  Only the kernel's input is a CSR made
-from lists, ``export_rows``.
+The compiled forms of all but ``brandes`` read the work graph's own arrays
+in place, skipping removed arcs (marked -1) and arcs into vertices that are
+not live; the Python forms read the same arcs in the same order as lists,
+``WorkGraph.rows``.  Only the kernel's input is a CSR made from lists,
+``export_rows``.
 
 The library also holds the graph layer's compiled steps, bound here and
 called from ``graph.py``, whose Python code is their reference:
@@ -86,6 +95,7 @@ from __future__ import annotations
 import ctypes
 import os
 import tempfile
+from collections import deque
 from importlib import resources
 from itertools import chain, repeat
 from operator import is_not, length_hint
@@ -243,26 +253,63 @@ def block_walk(w):
     return flat[: block_ends[blocks]], block_ends[: blocks + 1], below[:blocks], comp_ends[: comps + 1], totals[:comps]
 
 
-def twin_classes(w, closed: bool) -> list[list[int]]:
-    """The classes one merge sweep folds: ``bcs_twin_classes`` on the work
-    graph ``w``'s arrays, or ``twin_classes_python`` on its rows when the
-    compiled library cannot be built or loaded.
+def twin_sweep(w, closed: bool, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The classes one merge sweep folds, and their credits:
+    ``bcs_twin_classes`` and then ``bcs_twin_credits`` on the work graph
+    ``w``'s arrays, or ``twin_sweep_python`` on its rows when the compiled
+    library cannot be built or loaded.
 
     Groups the live vertices with a live neighbor by their open or
-    (``closed``) closed neighborhood and their reach, and returns every
-    group of two or more, in order of lowest member, members ascending.
+    (``closed``) closed neighborhood and their reach; every group of two or
+    more is a class.  Adds the classes' interior credits and, in an open
+    sweep, their cross credits to ``out`` (float64, one slot per original
+    vertex); nothing else changes.  Returns ``(members, class_ends)``
+    (int32): class k is ``members[class_ends[k]:class_ends[k + 1]]``,
+    ascending, and the classes come in order of lowest member.
     """
     n = _check_work_graph(w)
+    _check_ids(w.member_ids, 0, len(out), "member")
     lib = _kernel()
     if lib is None:
-        return twin_classes_python(w.rows(), w.reach.tolist(), closed)
+        classes = twin_sweep_python(w.rows(), w.member_lists(), w.reach.tolist(), w.ident.tolist(), closed, out)
+        return (np.fromiter(chain.from_iterable(classes), dtype=np.int32),
+                np.cumsum([0, *map(len, classes)], dtype=np.int32))
     members, class_ends = np.empty(n, dtype=np.int32), np.empty(n + 1, dtype=np.int32)
     count = lib.bcs_twin_classes(n, w.offsets, w.targets, w.live, w.reach, int(closed), *_empty(n + 1, np.int64),
                                  *_empty(len(w.targets) + n, np.int32), *_empty(n, np.int32, np.int32, np.int32),
                                  members, class_ends)
-    ends = class_ends[: count + 1].tolist()
-    flat = members[: ends[-1]].tolist()
-    return [flat[a:b] for a, b in zip(ends, ends[1:])]
+    members, class_ends = members[: class_ends[count]], class_ends[: count + 1]
+    if count:
+        lib.bcs_twin_credits(w.offsets, w.targets, w.live, w.member_offsets, w.member_ids, w.reach, w.ident,
+                             int(closed), members, class_ends, count, out)
+    return members, class_ends
+
+
+def degree1(w, out: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """One degree-1 pass over the work graph ``w``: ``bcs_degree1`` on its
+    arrays, or ``degree1_python`` on its rows when the compiled library
+    cannot be built or loaded.
+
+    Per live component, in order of lowest vertex, runs the cascade of
+    :func:`degree1_python` from the vertices of degree 0 or 1, adding the
+    fold credits to ``out`` (float64, one slot per original vertex); nothing
+    else changes.  Returns ``(gone, reach, retired)``: the folded and
+    retired vertices in order (int32), the reach every vertex has after the
+    folds (int64), and the mass of the retired vertices.
+    """
+    n = _check_work_graph(w)
+    _check_ids(w.member_ids, 0, len(out), "member")
+    lib = _kernel()
+    if lib is None:
+        gone, reach, retired = degree1_python(w.rows(), w.member_lists(), w.reach.tolist(), w.ident.tolist(),
+                                              w.internal_edgeless.tolist(), out)
+        return np.array(gone, dtype=np.int32), np.array(reach, dtype=np.int64), retired
+    reach, gone, retired = w.reach.copy(), np.empty(n, dtype=np.int32), np.empty(1, dtype=np.int64)
+    count = lib.bcs_degree1(n, w.offsets, w.targets, w.live, w.member_offsets, w.member_ids, w.ident,
+                            w.internal_edgeless.view(np.uint8), reach, out, *_empty(n, np.int32, np.int32),
+                            np.empty(n + 1, dtype=np.int32), np.empty(n, dtype=np.int64),
+                            np.empty(n, dtype=np.uint8), np.empty(2 * n, dtype=np.int32), gone, retired)
+    return gone[:count], reach, int(retired[0])
 
 
 def components(w) -> tuple[np.ndarray, np.ndarray]:
@@ -409,8 +456,14 @@ def _bind(path: Path):
     lib.bcs_side_candidates.restype = size
     lib.bcs_twin_classes.argtypes = [*rows, int64s, size, int64s, int32s, int32s, int32s, int32s, int32s, int32s]
     lib.bcs_twin_classes.restype = size
+    lib.bcs_twin_credits.argtypes = [int64s, int32s, flags, int64s, int64s, int64s, int64s, size, int32s, int32s,
+                                     size, doubles]
+    lib.bcs_twin_credits.restype = None
     lib.bcs_components.argtypes = [*rows, int32s, int32s, int32s]
     lib.bcs_components.restype = size
+    lib.bcs_degree1.argtypes = [*rows, int64s, int64s, int64s, flags, int64s, doubles, int32s, int32s, int32s,
+                                int64s, flags, int32s, int32s, int64s]
+    lib.bcs_degree1.restype = size
     text = ctypes.c_char_p
     lib.bcs_parse_count.argtypes = [text, size]
     lib.bcs_parse_count.restype = size
@@ -650,16 +703,102 @@ def expanded_clique(adj, ident, internal_edgeless, internal_clique, v: int) -> b
     return all((ident[x] == 1 or internal_clique[x]) and len(nbrs & adj[x]) == len(nbrs) - 1 for x in nbrs)
 
 
-def twin_classes_python(adj, reach, closed: bool) -> list[list[int]]:
+def twin_sweep_python(adj, members, reach, ident, closed: bool, out: np.ndarray) -> list[list[int]]:
     """The twin classes as a dict keyed by the sorted neighborhood and the
-    reach (the reference for ``bcs_twin_classes``); see
-    :func:`twin_classes`.  ``adj`` is as ``WorkGraph.rows`` gives it."""
-    classes: dict[tuple, list[int]] = {}
+    reach, and then their credits class by class (the reference for
+    ``bcs_twin_classes`` and ``bcs_twin_credits``); see :func:`twin_sweep`.
+    ``adj`` and ``members`` are lists as ``WorkGraph.rows`` and
+    ``WorkGraph.member_lists`` give them, ``reach`` and ``ident`` lists of
+    the attributes.  Returns the classes, in order of lowest member.
+
+    The classes are disjoint, and a class whose member neighbors a vertex
+    neighbors it with all of its members.  So the credits of every class
+    can be read off the graph as the sweep found it: a neighbor that an
+    earlier class absorbs stands, with its absorbed siblings, for the same
+    members and the same ident in sum.
+    """
+    groups: dict[tuple, list[int]] = {}
     for v, nbrs in enumerate(adj):
         if nbrs:
             key = (*sorted({*nbrs, v} if closed else nbrs), reach[v])
-            classes.setdefault(key, []).append(v)
-    return [verts for verts in classes.values() if len(verts) >= 2]  # in order of lowest member
+            groups.setdefault(key, []).append(v)
+    classes = [verts for verts in groups.values() if len(verts) >= 2]  # in order of lowest member
+    for verts in classes:
+        r = reach[verts[0]]
+        idents = [ident[v] for v in verts]
+        total_ident = sum(idents)
+        # Interior credit: each copy gates the reach mass of its new siblings'
+        # copies.  (Pairs inside an already-merged class were settled when that
+        # class formed, hence "new siblings" only.)
+        if r > 1:
+            for v, iv in zip(verts, idents):
+                amount = (total_ident - iv) * r * (r - 1)
+                for m in members[v]:
+                    out[m] += amount
+        if not closed:
+            # Open twins sit at distance 2; their cross pairs run through the
+            # shared neighborhood and split evenly over its unfolded size.
+            shared = adj[verts[0]]
+            cross_pairs = total_ident * total_ident - sum(i * i for i in idents)
+            amount = cross_pairs * r * r / sum(ident[x] for x in shared)
+            # One addition per member: copies of one original lie in different components.
+            for x in shared:
+                for m in members[x]:
+                    out[m] += amount
+    return classes
+
+
+def degree1_python(adj, members, reach, ident, edgeless, out: np.ndarray):
+    """The degree-1 cascade over lists (the reference for ``bcs_degree1``);
+    see :func:`degree1` for the result.  ``adj`` and ``members`` are lists
+    as ``WorkGraph.rows`` and ``WorkGraph.member_lists`` give them, the rest
+    lists of the attributes.
+
+    Folding a leaf u into its neighbor v credits u's members with the pair
+    dependencies gated behind u and v's original with the pairs gated behind
+    v from u's side; the leaf's mass then moves onto v.  Sums are over u's
+    component at pass start: a fold never leaves its component and conserves
+    the component's mass, so each component folds against its own total.
+    """
+    alive = [nbrs is not None for nbrs in adj]
+    degree = [len(nbrs) if nbrs else 0 for nbrs in adj]
+    reach = list(reach)
+    gone = []
+    retired = 0
+    for comp in components_python(adj):
+        total = sum(ident[v] * reach[v] for v in comp)
+        queue = deque(v for v in comp if degree[v] <= 1)
+        while queue:
+            u = queue.popleft()
+            if not alive[u]:
+                continue
+            if degree[u] == 0:
+                # Lone vertex: every pair involving its mass is already settled.
+                retired += ident[u] * reach[u]
+                alive[u] = False
+                gone.append(u)
+                continue
+            if degree[u] != 1:
+                continue
+            v = next(x for x in adj[u] if alive[x])
+            # A class bundle hanging off a merged neighbor is not a true leaf in
+            # the unmerged graph; leave those for the side pass or the kernel.
+            if ident[v] != 1 or ident[u] != 1 and not edgeless[u]:
+                continue
+            mass_u = ident[u] * reach[u]
+            rest = total - mass_u
+            credit = (reach[u] - 1) * rest
+            if credit:
+                for m in members[u]:
+                    out[m] += credit
+            out[members[v][0]] += mass_u * (rest - 1)
+            reach[v] += mass_u
+            alive[u] = False
+            gone.append(u)
+            degree[v] -= 1
+            if degree[v] <= 1:
+                queue.append(v)
+    return gone, reach, retired
 
 
 def components_python(adj) -> list[list[int]]:

@@ -14,12 +14,12 @@ shrunk by five passes:
   ``kernels.side_sweep``),
 * ``i`` identical-vertex merging (equal open or closed neighborhood, reach).
 
-The per-vertex scans the passes make run through ``kernels``, compiled
-where the library loads, on the work graph's own arrays: the block walk of
-``b`` and ``a`` (``kernels.block_walk``), the side candidates (inside
-``kernels.side_sweep``), the twin classes of each ``i`` sweep
-(``kernels.twin_classes``) and the components ``d`` folds in
-(``kernels.components``).  The passes then edit the arrays in batches (see
+The per-vertex scans and loops of the passes run through ``kernels``,
+compiled where the library loads, on the work graph's own arrays: the
+cascade of ``d`` (``kernels.degree1``), the block walk of ``b`` and ``a``
+(``kernels.block_walk``), the side candidates (inside
+``kernels.side_sweep``) and the classes and credits of each ``i`` sweep
+(``kernels.twin_sweep``).  The passes then edit the arrays in batches (see
 :class:`WorkGraph`): no pass walks the arcs in Python.
 
 Every pass writes its score corrections eagerly into a per-original-vertex
@@ -51,10 +51,7 @@ meet at it stay one block, which ``a`` shatters as a whole.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain, groupby
-from operator import itemgetter
 from time import perf_counter
 
 import numpy as np
@@ -184,17 +181,15 @@ class WorkGraph:
         which = np.repeat(np.arange(len(vertices)), lengths)
         return np.arange(len(which)) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths), which
 
-    def rows(self, vertices: np.ndarray | None = None) -> list[list[int] | None]:
-        """The live neighbors of every vertex (or of ``vertices``) as lists
-        in CSR order, None for a deleted vertex: what the Python forms of
-        the scans read."""
-        vertices = np.arange(len(self.live)) if vertices is None else vertices
-        slots, which = self._slots(vertices)
-        targets = self.targets[slots]
+    def rows(self) -> list[list[int] | None]:
+        """The live neighbors of every vertex as lists in CSR order, None
+        for a deleted vertex: what the Python forms of the scans and loops
+        read."""
+        targets = self.targets
         arcs = (targets != DEAD_ARC) & (self.live[targets] != 0)
         flat = targets[arcs].tolist()
-        ends = np.cumsum(np.bincount(which[arcs], minlength=len(vertices))).tolist()
-        return [flat[a:b] if alive else None for a, b, alive in zip([0, *ends], ends, self.live[vertices].tolist())]
+        ends = np.cumsum(np.bincount(self._sources()[arcs], minlength=len(self.live))).tolist()
+        return [flat[a:b] if alive else None for a, b, alive in zip([0, *ends], ends, self.live.tolist())]
 
     def member_lists(self) -> list[list[int]]:
         flat, ends = self.member_ids.tolist(), self.member_offsets.tolist()
@@ -265,59 +260,15 @@ def remove_degree1(w: WorkGraph, out: np.ndarray) -> int:
 
     Folding a leaf u into its neighbor v credits u's members with the pair
     dependencies gated behind u and v's original with the pairs gated behind
-    v from u's side; the leaf's mass then moves onto v.  Sums are over u's
-    component at pass start: a fold never leaves its component and conserves
-    the component's mass, so each component folds against its own total.
-    The cascades run over lists taken once per pass, one component after
-    another, and what they fold or retire is deleted together at the end.
+    v from u's side; the leaf's mass then moves onto v.  Each component
+    folds against its own mass at pass start.  The whole cascade is one call
+    of :func:`kernels.degree1`; what it folds or retires is then deleted
+    together.
     """
-    flat, ends = kernels.components(w)
-    degree = np.bincount(w._sources()[w.targets != DEAD_ARC], minlength=len(w.live))
-    seeds = np.flatnonzero(degree[flat] <= 1)  # positions in flat
-    if not seeds.size:
-        return 0
-    totals = np.add.reduceat((w.ident * w.reach)[flat], ends[:-1]).tolist()
-    comp_of = (np.searchsorted(ends, seeds, side="right") - 1).tolist()
-    degree, reach, ident = degree.tolist(), w.reach.tolist(), w.ident.tolist()
-    edgeless, alive = w.internal_edgeless.tolist(), w.live.tolist()
-    offsets, targets = w.offsets.tolist(), w.targets.tolist()
-    member_offsets, members = w.member_offsets.tolist(), w.member_ids.tolist()
-    gone = []
-    for c, group in groupby(zip(comp_of, flat[seeds].tolist()), key=itemgetter(0)):
-        total = totals[c]
-        queue = deque(v for _, v in group)
-        while queue:
-            u = queue.popleft()
-            if not alive[u]:
-                continue
-            if degree[u] == 0:
-                # Lone vertex: every pair involving its mass is already settled.
-                w.retired_mass += ident[u] * reach[u]
-                alive[u] = 0
-                gone.append(u)
-                continue
-            if degree[u] != 1:
-                continue
-            v = next(x for x in targets[offsets[u] : offsets[u + 1]] if x != DEAD_ARC and alive[x])
-            # A class bundle hanging off a merged neighbor is not a true leaf in
-            # the unmerged graph; leave those for the side pass or the kernel.
-            if ident[v] != 1 or ident[u] != 1 and not edgeless[u]:
-                continue
-            mass_u = ident[u] * reach[u]
-            rest = total - mass_u
-            credit = (reach[u] - 1) * rest
-            if credit:
-                for m in members[member_offsets[u] : member_offsets[u + 1]]:
-                    out[m] += credit
-            out[members[member_offsets[v]]] += mass_u * (rest - 1)
-            reach[v] += mass_u
-            alive[u] = 0
-            gone.append(u)
-            degree[v] -= 1
-            if degree[v] <= 1:
-                queue.append(v)
-    if gone:
-        w.reach = np.array(reach, dtype=np.int64)
+    gone, reach, retired = kernels.degree1(w, out)
+    if len(gone):
+        w.reach = reach
+        w.retired_mass += retired
         w.delete(gone)
     return len(gone)
 
@@ -431,53 +382,27 @@ def merge_identical(w: WorkGraph, out: np.ndarray) -> int:
 def _merge_sweep(w: WorkGraph, out: np.ndarray, closed: bool) -> int:
     """One sweep: every class the sweep finds folds into its lowest vertex.
 
-    The classes are disjoint, and a class whose member neighbors a vertex
-    neighbors it with all of its members.  So the credits of every class
-    can be read off the graph as the sweep found it: a neighbor that an
-    earlier class absorbed stands, with its absorbed siblings, for the same
-    members and the same ident in sum.  The merges then apply together.
+    :func:`kernels.twin_sweep` finds the classes and adds their credits, all
+    read off the graph as the sweep found it.  The merges then apply
+    together, class by class in numpy: the lowest vertex takes the class's
+    ident sum, its flags and all of its members, and the rest are deleted.
     """
-    classes = kernels.twin_classes(w, closed)
-    if not classes:
+    members, class_ends = kernels.twin_sweep(w, closed, out)
+    if not len(members):
         return 0
-    reps = np.array([verts[0] for verts in classes])
-    ident, reach = w.ident.tolist(), w.reach[reps].tolist()
-    edgeless, clique = w.internal_edgeless.tolist(), w.internal_clique.tolist()
-    member_offsets, members = w.member_offsets.tolist(), w.member_ids.tolist()
-    shared_rows = None if closed else w.rows(reps)
-    merged = []
-    for k, verts in enumerate(classes):
-        r = reach[k]
-        idents = [ident[v] for v in verts]
-        total_ident = sum(idents)
-        # Interior credit: each copy gates the reach mass of its new siblings'
-        # copies.  (Pairs inside an already-merged class were settled when that
-        # class formed, hence "new siblings" only.)
-        if r > 1:
-            for v, iv in zip(verts, idents):
-                amount = (total_ident - iv) * r * (r - 1)
-                for m in members[member_offsets[v] : member_offsets[v + 1]]:
-                    out[m] += amount
-        if not closed:
-            # Open twins sit at distance 2; their cross pairs run through the
-            # shared neighborhood and split evenly over its unfolded size.
-            cross_pairs = total_ident * total_ident - sum(i * i for i in idents)
-            amount = cross_pairs * r * r / sum(ident[x] for x in shared_rows[k])
-            # One addition per member: copies of one original lie in different components.
-            for x in shared_rows[k]:
-                for m in members[member_offsets[x] : member_offsets[x + 1]]:
-                    out[m] += amount
-        merged.append((total_ident, not closed and all(edgeless[v] for v in verts),
-                       closed and all(clique[v] for v in verts)))
-    w.ident[reps], w.internal_edgeless[reps], w.internal_clique[reps] = zip(*merged)
+    starts, sizes = class_ends[:-1], np.diff(class_ends)
+    reps = members[starts]
+    w.ident[reps] = np.add.reduceat(w.ident[members], starts)
+    w.internal_edgeless[reps] = np.logical_and.reduceat(w.internal_edgeless[members], starts) & (not closed)
+    w.internal_clique[reps] = np.logical_and.reduceat(w.internal_clique[members], starts) & closed
     # every member moves to its class's lowest vertex, the classes' in class order
     owner = np.arange(len(w.live))
-    owner[list(chain.from_iterable(classes))] = np.repeat(reps, list(map(len, classes)))
+    owner[members] = np.repeat(reps, sizes)
     slot_owner = np.repeat(owner, np.diff(w.member_offsets))
     w.member_ids = w.member_ids[np.argsort(slot_owner, kind="stable")]
     np.cumsum(np.bincount(slot_owner, minlength=len(w.live)), out=w.member_offsets[1:])
-    w.delete([v for verts in classes for v in verts[1:]])
-    return sum(map(len, classes)) - len(classes)
+    w.delete(np.delete(members, starts))
+    return len(members) - len(reps)
 
 
 def run_pass(w: WorkGraph, letter: str, out: np.ndarray, max_side_degree: int = DEFAULT_MAX_SIDE_DEGREE) -> int:

@@ -1,10 +1,11 @@
-"""The reduction's scans, compiled against Python: the block walk, the side
-pass's candidate test, the twin grouping and the components each have a
-compiled form in ``_brandes.c``, which reads the work graph's arrays, and a
-Python form in ``kernels.py``, which reads ``WorkGraph.rows``; the two must
-return the same values in the same order on every work graph.  The
-candidate test runs inside ``kernels.side_sweep``, so it is tested through
-the sweep."""
+"""The reduction's scans and loops, compiled against Python: the block walk,
+the side pass's candidate test, the twin grouping and credits, the
+degree-1 cascade and the components each have a compiled form in
+``_brandes.c``, which reads the work graph's arrays, and a Python form in
+``kernels.py``, which reads ``WorkGraph.rows``; the two must return the
+same values in the same order on every work graph, and add the same
+amounts to the scores in the same order.  The candidate test runs inside
+``kernels.side_sweep``, so it is tested through the sweep."""
 
 from __future__ import annotations
 
@@ -169,12 +170,19 @@ class TestSideCandidates:
         assert _side_pass(w, 4, 3)[:2] == ([0], 2)
 
 
+def _twin_classes(w: WorkGraph, closed: bool) -> list[list[int]]:
+    """The classes of ``kernels.twin_sweep`` over w, as lists."""
+    members, ends = kernels.twin_sweep(w, closed, np.zeros(int(w.member_ids.max()) + 1))
+    members, ends = members.tolist(), ends.tolist()
+    return [members[a:b] for a, b in zip(ends, ends[1:])]
+
+
 class TestTwinClasses:
     def test_forms_agree(self, compiled_library, monkeypatch):
         sizes = []
         for case, family, w, _ in _work_graphs(53, 180):
             for closed in (False, True):
-                classes = _both_forms(monkeypatch, compiled_library, lambda: kernels.twin_classes(w, closed))
+                classes = _both_forms(monkeypatch, compiled_library, lambda: _twin_classes(w, closed))
                 assert all(verts == sorted(verts) and len(verts) >= 2 for verts in classes), (family, case)
                 assert [verts[0] for verts in classes] == sorted(verts[0] for verts in classes)
                 sizes += [len(verts) for verts in classes]
@@ -185,26 +193,135 @@ class TestTwinClasses:
         pages = 7
         w = WorkGraph.from_graph(_book(pages))
         w.reach[:] = [1, 1] + [1 + p % 2 for p in range(pages)]
-        assert kernels.twin_classes(w, False) == [[2, 4, 6, 8], [3, 5, 7]]
-        assert kernels.twin_classes(w, True) == [[0, 1]]
+        assert _twin_classes(w, False) == [[2, 4, 6, 8], [3, 5, 7]]
+        assert _twin_classes(w, True) == [[0, 1]]
         w.reach[1] = 5
-        assert kernels.twin_classes(w, True) == []
+        assert _twin_classes(w, True) == []
         # K_{2,D}: the hubs are open twins, and so are the pages
         w = WorkGraph.from_graph(complete_bipartite_graph(2, pages))
         w.reach[:] = [3, 3] + [1 + p % 2 for p in range(pages)]
-        assert kernels.twin_classes(w, False) == [[0, 1], [2, 4, 6, 8], [3, 5, 7]]
-        assert kernels.twin_classes(w, True) == []
+        assert _twin_classes(w, False) == [[0, 1], [2, 4, 6, 8], [3, 5, 7]]
+        assert _twin_classes(w, True) == []
         # a clique with a deleted vertex and an isolated one: closed twins only
         w = WorkGraph.from_graph(Graph.from_edges(6, [(u, v) for u in range(5) for v in range(u + 1, 5)]))
         w.delete(2)
         w.reach[:] = [2, 1, 1, 2, 1, 1]
-        assert kernels.twin_classes(w, False) == []
-        assert kernels.twin_classes(w, True) == [[0, 3], [1, 4]]
+        assert _twin_classes(w, False) == []
+        assert _twin_classes(w, True) == [[0, 3], [1, 4]]
 
     def test_clique_is_one_closed_class(self, scan_form):
         w = WorkGraph.from_graph(complete_graph(6))
-        assert kernels.twin_classes(w, True) == [list(range(6))]
-        assert kernels.twin_classes(w, False) == []
+        assert _twin_classes(w, True) == [list(range(6))]
+        assert _twin_classes(w, False) == []
+
+
+def _start_scores(w: WorkGraph, seed: int) -> np.ndarray:
+    """Random partial scores over w's original vertices, so that the order
+    of later additions shows in their last bits."""
+    return np.random.default_rng(seed).random(int(w.member_ids.max()) + 1) * 1e3
+
+
+def _merge_some(w: WorkGraph, seed: int) -> None:
+    """Give about a tenth of w's vertices ident 2 or 3, so that merged
+    neighbors and merged leaves are common; the members stay as they are,
+    which both forms read alike."""
+    rng = random.Random(seed)
+    for v in rng.sample(range(len(w.live)), len(w.live) // 10):
+        w.ident[v] = rng.randint(2, 3)
+
+
+def _twin_pass(w: WorkGraph, closed: bool, out: np.ndarray):
+    """``kernels.twin_sweep`` over w into a copy of ``out``: the classes'
+    members and ends, and the scores' bytes."""
+    out = out.copy()
+    members, ends = kernels.twin_sweep(w, closed, out)
+    return members.tolist(), ends.tolist(), out.tobytes()
+
+
+def _degree1_pass(w: WorkGraph, out: np.ndarray):
+    """``kernels.degree1`` over w into a copy of ``out``: the vertices gone,
+    the new reach, the retired mass and the scores' bytes."""
+    out = out.copy()
+    gone, reach, retired = kernels.degree1(w, out)
+    return gone.tolist(), reach.tolist(), retired, out.tobytes()
+
+
+class TestTwinSweep:
+    def test_forms_agree(self, compiled_library, monkeypatch):
+        seen = {"interior": 0, "interior at reach 2": 0, "cross": 0, "merged shared neighbor": 0}
+        for case, family, w, _ in _work_graphs(61, 180):
+            _merge_some(w, case)
+            start = _start_scores(w, case)
+            rows = w.rows()
+            for closed in (False, True):
+                members, ends, _ = _both_forms(monkeypatch, compiled_library, lambda: _twin_pass(w, closed, start))
+                reps = [members[a] for a in ends[:-1]]
+                seen["interior"] += sum(w.reach[v] > 1 for v in reps)
+                seen["interior at reach 2"] += sum(w.reach[v] == 2 for v in reps)
+                if not closed:
+                    seen["cross"] += len(reps)
+                    seen["merged shared neighbor"] += sum(any(w.ident[x] > 1 for x in rows[v]) for v in reps)
+        assert all(count > 10 for count in seen.values()), seen
+
+    def test_open_class_over_a_merged_neighbor(self, scan_form):
+        # pages 2-4 of K_{2,3} are open twins over the hubs 0 and 1, of which
+        # 0 stands for two copies: the cross credit splits over 3 copies
+        w = WorkGraph.from_graph(complete_bipartite_graph(2, 3))
+        w.ident[0] = w.reach[0] = 2  # and no twin of 1
+        out = np.zeros(5)
+        members, ends = kernels.twin_sweep(w, False, out)
+        assert members.tolist() == [2, 3, 4] and ends.tolist() == [0, 3]
+        assert out.tolist() == [2.0, 2.0, 0.0, 0.0, 0.0]  # 6 cross pairs over 3 copies
+
+    def test_credits_past_int32(self, scan_form):
+        # two leaves of reach 2^20 on one center: open twins whose interior
+        # credit is r(r - 1) and whose cross credit is 2r^2, both past 2^31
+        r = 2**20
+        w = WorkGraph.from_graph(star_graph(2))
+        w.reach[1:] = r
+        out = np.zeros(3)
+        kernels.twin_sweep(w, False, out)
+        assert out.tolist() == [float(2 * r * r), float(r * (r - 1)), float(r * (r - 1))]
+
+
+class TestDegree1Cascade:
+    def test_forms_agree(self, compiled_library, monkeypatch):
+        seen = {"fold": 0, "retired": 0, "merged leaf fold": 0, "skipped leaf": 0}
+        for case, family, w, _ in _work_graphs(67, 180):
+            _merge_some(w, case)
+            start = _start_scores(w, case)
+            gone, reach, retired, _ = _both_forms(monkeypatch, compiled_library, lambda: _degree1_pass(w, start))
+            assert len(set(gone)) == len(gone) and set(gone) <= set(live_ids(w)), (family, case)
+            degree = [len(row) if row else 0 for row in w.rows()]
+            seen["fold"] += sum(reach) > int(w.reach.sum())
+            seen["retired"] += retired > 0
+            seen["merged leaf fold"] += any(w.ident[v] > 1 and degree[v] == 1 for v in gone)
+            seen["skipped leaf"] += any(degree[v] == 1 and w.live[v] and v not in gone for v in range(len(degree)))
+        assert all(count > 10 for count in seen.values()), seen
+
+    def test_fold_order(self, scan_form):
+        # the path 0-1-2-3 with reach 1, 2, 3, 4: the FIFO cascade folds 0
+        # into 1 and 3 into 2, then 1 into 2, and retires 2
+        w = WorkGraph.from_graph(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]))
+        w.reach[:] = [1, 2, 3, 4]
+        out = np.zeros(4)
+        gone, reach, retired = kernels.degree1(w, out)
+        assert gone.tolist() == [0, 3, 1, 2] and retired == 10
+        assert reach.tolist() == [1, 3, 10, 4] and w.reach.tolist() == [1, 2, 3, 4]
+        # 0 -> 1: rest 9, 1 gets 1 * 8; 3 -> 2: rest 6, 3 gets 3 * 6 and 2 gets 4 * 5;
+        # 1 -> 2: rest 7, 1 gets 2 * 7 and 2 gets 3 * 6
+        assert out.tolist() == [0.0, 22.0, 38.0, 18.0]
+
+    def test_credits_past_int32(self, scan_form):
+        # a leaf and a center of reach 2^20 each, and one more leaf: the
+        # first fold's credits are about 2^40
+        r = 2**20
+        w = WorkGraph.from_graph(star_graph(2))
+        w.reach[:2] = r
+        out = np.zeros(3)
+        gone, reach, retired = kernels.degree1(w, out)
+        assert gone.tolist() == [1, 2, 0] and retired == 2 * r + 1
+        assert out[1] == float((r - 1) * (r + 1)) and out[0] == float(r * r + 2 * r - 1)
 
 
 class TestComponents:
@@ -229,8 +346,9 @@ class TestComponents:
 
 
 def test_compiled_reduction_exports_nothing(compiled_library, monkeypatch):
-    # the scans read the work graph's arrays in place: with the library
-    # loaded, no pass makes a CSR out of lists
+    # the scans and loops read the work graph's arrays in place: with the
+    # library loaded, no pass makes a CSR or rows out of lists, and no
+    # Python form runs
     parts = [generate(GraphSpec(family, 400, 0.0, seed)) for family in ("clique-chain", "bridged-blobs",
                                                                          "planted-side", "planted-identical")
              for seed in (1, 2)]
@@ -241,9 +359,11 @@ def test_compiled_reduction_exports_nothing(compiled_library, monkeypatch):
         n += part.n
     monkeypatch.setattr(kernels, "_compiled", compiled_library)
 
-    def refuse(adj):
-        raise AssertionError("a pass exported rows")
+    def refuse(*args):
+        raise AssertionError("a pass exported rows or ran a Python form")
 
-    monkeypatch.setattr(kernels, "export_rows", refuse)
+    for owner, name in ((kernels, "export_rows"), (WorkGraph, "rows"), (WorkGraph, "member_lists"),
+                        (kernels, "degree1_python"), (kernels, "twin_sweep_python")):
+        monkeypatch.setattr(owner, name, refuse)
     _, _, stats = preprocess(Graph.from_edges(n, edges), "odbasi")
     assert {e.technique for e in stats.events if e.changes} == set("dbasi")
