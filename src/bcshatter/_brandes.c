@@ -1,4 +1,4 @@
-/* The compiled forms of bcshatter's hot loops, thirteen entry points:
+/* The compiled forms of bcshatter's hot loops, twelve entry points:
  *
  * - bcs_brandes, all sources over one component's CSR: the compiled form of
  *   ``kernels.brandes_python``;
@@ -13,20 +13,19 @@
  *   only: together the compiled form of ``kernels.twin_sweep_python``;
  * - bcs_blocks, the blocks and cut-side masses of every component of the
  *   work graph: the compiled form of ``kernels.block_walk_python``;
- * - bcs_components, the live components of the work graph: the compiled
- *   form of ``kernels.components_python``;
+ * - bcs_bfs, the one BFS, over a ``Graph``'s CSR for ``graph.bfs_order``
+ *   and ``graph.connected_components``, and over the work graph for
+ *   ``kernels.components`` and bcs_degree1: the compiled form of
+ *   ``kernels.bfs_python``;
  * - bcs_parse_count, bcs_parse_ids and then bcs_edge_csr, the two passes
  *   over a plain edge list's bytes and the CSR builder, all called by
  *   ``graph._parse_plain_edge_list`` only: together the compiled form of
  *   ``graph.parse_edge_list``'s line loop, on the texts they take;
- * - bcs_bfs, the BFS of ``graph.bfs_order`` and
- *   ``graph.connected_components``: the compiled form of
- *   ``graph._bfs_components``;
  * - bcs_relabel, the renamed CSR of ``graph.relabel``: the compiled form of
  *   its numpy form.
  *
- * bcs_side_candidates, bcs_blocks, bcs_twin_classes and bcs_components are
- * scans: they compute no score, and return what the Python code returns, in
+ * bcs_side_candidates, bcs_blocks, bcs_twin_classes and bcs_bfs are scans:
+ * they compute no score, and return what the Python code returns, in
  * order.  bcs_degree1 and bcs_twin_credits add a pass's credits to the
  * scores: each credit is an integer product below 2^53, computed in int64
  * and converted to double exactly, and the one division is of two such
@@ -40,7 +39,8 @@
  * deleted vertex.  Every function but bcs_brandes and the graph-layer ones
  * skips dead arcs, arcs into a vertex that is not live and the rows of such
  * vertices, so it reads the graph ``WorkGraph.rows`` lists for the Python
- * forms.
+ * forms; bcs_bfs does so when its caller marks the vertices that are not
+ * live as seen.
  *
  * Every floating-point expression is the one ``kernels.single_source`` and
  * ``kernels.side_bfs`` evaluate, in the same order, and every attribute
@@ -583,39 +583,37 @@ void bcs_twin_credits(const int64_t *offsets, const int32_t *targets, const uint
     }
 }
 
-/* The live components, the compiled form of ``kernels.components_python``:
- * a BFS from each live vertex no earlier BFS reached, in increasing id
- * order, over live arcs.  Component c is flat[ends[c] .. ends[c + 1]), its
- * vertices ascending, and the components come in order of lowest vertex.
- * label (int32, n elements) is a workspace; flat needs n slots and ends
- * n + 1.  Returns how many components there are. */
-int64_t bcs_components(int64_t n, const int64_t *offsets, const int32_t *targets, const uint8_t *live,
-                       int32_t *label, int32_t *flat, int32_t *ends)
+/* The one BFS, the compiled form of ``kernels.bfs_python``: the vertices
+ * of the CSR (offsets, targets) on n vertices in BFS dequeue order, from
+ * start, then from each vertex no earlier BFS reached, lowest id first.  It
+ * skips DEAD arcs and every vertex marked in seen (n bytes) on entry, and
+ * marks each vertex it reaches there.  Component c is
+ * order[ends[c] .. ends[c + 1]); order needs n slots and ends n + 1.
+ * Returns the number of components. */
+int64_t bcs_bfs(int64_t n, const int64_t *offsets, const int32_t *targets, int64_t start,
+                uint8_t *seen, int32_t *order, int64_t *ends)
 {
-    int32_t count = 0;
-    for (int64_t v = 0; v < n; v++)
-        label[v] = -1;
-    /* flat is the BFS queue first; each component's slice is then sorted */
-    int64_t end = 0;
+    int64_t count = 0, end = 0;
     ends[0] = 0;
-    for (int32_t root = 0; root < n; root++) {
-        if (!live[root] || label[root] >= 0)
+    if (n == 0)
+        return 0; /* no start vertex either */
+    for (int64_t i = -1; i < n; i++) {
+        int32_t root = (int32_t)(i < 0 ? start : i);
+        if (seen[root])
             continue;
-        int64_t head = end;
-        label[root] = count;
-        flat[end++] = root;
-        for (; head < end; head++) {
-            int32_t v = flat[head];
+        seen[root] = 1;
+        order[end++] = root;
+        for (int64_t head = ends[count]; head < end; head++) {
+            int32_t v = order[head];
             for (int64_t a = offsets[v]; a < offsets[v + 1]; a++) {
-                int32_t x = targets[a];
-                if (live_arc(x, live) && label[x] < 0) {
-                    label[x] = count;
-                    flat[end++] = x;
+                int32_t w = targets[a];
+                if (w != DEAD && !seen[w]) {
+                    seen[w] = 1;
+                    order[end++] = w;
                 }
             }
         }
-        sort_ids(flat + ends[count], end - ends[count]);
-        ends[++count] = (int32_t)end;
+        ends[++count] = end;
     }
     return count;
 }
@@ -633,19 +631,24 @@ int64_t bcs_components(int64_t n, const int64_t *offsets, const int32_t *targets
  * reach and is queued again when its degree falls to 1 or 0.  out[]
  * receives the Python loop's additions in its order.
  *
- * label, flat (int32) and degree (int64) are n-element workspaces, ends
- * (int32) n + 1, alive (bytes) n and queue (int32) 2n: a component queues
- * each of its vertices at most once as a seed, and one vertex per fold.
+ * The components are bcs_bfs's from vertex 0, each sorted.  flat (int32)
+ * and degree (int64) are n-element workspaces, ends (int64) n + 1, alive
+ * (bytes) n and queue (int32) 2n: a component queues each of its vertices
+ * at most once as a seed, and one vertex per fold.
  * Changes reach and out only; writes the folded and retired vertices, in
  * order, to gone (n slots) and their retired mass to retired[0], and
  * returns how many there are. */
 int64_t bcs_degree1(int64_t n, const int64_t *offsets, const int32_t *targets, const uint8_t *live,
                     const int64_t *member_offsets, const int64_t *members,
                     const int64_t *ident, const uint8_t *edgeless, int64_t *reach, double *out,
-                    int32_t *label, int32_t *flat, int32_t *ends, int64_t *degree, uint8_t *alive,
+                    int32_t *flat, int64_t *ends, int64_t *degree, uint8_t *alive,
                     int32_t *queue, int32_t *gone, int64_t *retired)
 {
-    int64_t ncomps = bcs_components(n, offsets, targets, live, label, flat, ends);
+    for (int64_t v = 0; v < n; v++)
+        alive[v] = !live[v]; /* the vertices the BFS skips */
+    int64_t ncomps = bcs_bfs(n, offsets, targets, 0, alive, flat, ends);
+    for (int64_t c = 0; c < ncomps; c++)
+        sort_ids(flat + ends[c], ends[c + 1] - ends[c]);
     for (int32_t v = 0; v < n; v++) {
         alive[v] = live[v] != 0;
         degree[v] = live[v] ? live_degree(v, offsets, targets, live) : 0;
@@ -654,7 +657,7 @@ int64_t bcs_degree1(int64_t n, const int64_t *offsets, const int32_t *targets, c
     retired[0] = 0;
     for (int64_t c = 0; c < ncomps; c++) {
         int64_t total = 0, head = 0, tail = 0;
-        for (int32_t i = ends[c]; i < ends[c + 1]; i++) {
+        for (int64_t i = ends[c]; i < ends[c + 1]; i++) {
             total += ident[flat[i]] * reach[flat[i]];
             if (degree[flat[i]] <= 1)
                 queue[tail++] = flat[i];
@@ -810,42 +813,6 @@ int64_t bcs_edge_csr(int64_t n, int64_t npairs, int32_t *ids, int64_t *offsets, 
     counts[0] = loops;
     counts[1] = npairs - loops - out / 2;
     return out / 2;
-}
-
-/* The vertices of the CSR (offsets, neighbors) on n vertices in BFS
- * dequeue order: from start, then from each vertex no earlier BFS reached,
- * lowest id first.  The compiled form of ``graph._bfs_components``:
- * component c is order[ends[c] .. ends[c + 1]).  seen (n bytes) is a
- * workspace; order needs n slots and ends n + 1.  Returns the number of
- * components. */
-int64_t bcs_bfs(int64_t n, const int64_t *offsets, const int32_t *neighbors, int64_t start,
-                uint8_t *seen, int64_t *order, int64_t *ends)
-{
-    int64_t count = 0, end = 0;
-    ends[0] = 0;
-    if (n == 0)
-        return 0; /* no start vertex either */
-    for (int64_t v = 0; v < n; v++)
-        seen[v] = 0;
-    for (int64_t i = -1; i < n; i++) {
-        int64_t root = i < 0 ? start : i;
-        if (seen[root])
-            continue;
-        seen[root] = 1;
-        order[end++] = root;
-        for (int64_t head = ends[count]; head < end; head++) {
-            int64_t v = order[head];
-            for (int64_t a = offsets[v]; a < offsets[v + 1]; a++) {
-                int32_t w = neighbors[a];
-                if (!seen[w]) {
-                    seen[w] = 1;
-                    order[end++] = w;
-                }
-            }
-        }
-        ends[++count] = end;
-    }
-    return count;
 }
 
 /* The CSR (offsets, neighbors) on n vertices with every vertex v renamed

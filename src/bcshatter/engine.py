@@ -10,15 +10,8 @@ import numpy as np
 
 from . import kernels
 from .graph import Graph, bfs_order, relabel
+from .kernels import NonFiniteScoresError  # what compute_scores raises, importable from here
 from .reduction import DEFAULT_MAX_SIDE_DEGREE, Combination, PassStats, finalize, preprocess
-
-
-class NonFiniteScoresError(ArithmeticError):
-    """Some score came out NaN or infinite.  Shortest-path counts are
-    float64, so they overflow past about 2^1024 shortest paths between one
-    pair, and the dependencies built on them turn into NaN; a few thousand
-    vertices in long chains of parallel routes get there.
-    :func:`compute_scores` refuses such a result instead of returning it."""
 
 
 @dataclass
@@ -98,11 +91,7 @@ def compute_scores(
     stats.component_edges = component_edges
 
     final = finalize(w, partial, kernel_acc)
-    non_finite = int(np.count_nonzero(~np.isfinite(final)))
-    if non_finite:
-        raise NonFiniteScoresError(
-            f"{non_finite} of {g.n} scores are not finite: shortest-path counts overflowed float64"
-        )
+    kernels.check_finite(final)
     if perm is not None:
         final = final[perm.forward]
     if unordered:

@@ -6,11 +6,13 @@ reduction passes assume a loop-free simple graph.  Vertex ids are dense
 ``0..n-1`` 32-bit integers; scores elsewhere are float64.
 
 The graph stays in arrays from parse to relabel, and one BFS gives both the
-BFS ordering and the component labels.  Three steps run compiled, in
+BFS ordering and the component labels: :func:`kernels.bfs`, the BFS the
+work graph's components use too, after :func:`kernels._check_csr`, the CSR
+check the work graph's arrays pass too.  Three steps run compiled, in
 ``_brandes.c`` through :mod:`bcshatter.kernels`, with a Python form each
 that is their reference and runs when the library cannot be built or
 loaded: the parse of a plain edge list (the line loop of
-:func:`parse_edge_list`), the BFS (:func:`_bfs_components`) and
+:func:`parse_edge_list`), the BFS (:func:`kernels.bfs_python`) and
 :func:`relabel` (its numpy form).  The Python forms build every ``Graph``
 with one CSR builder, fed every arc in both directions as one packed int64
 key.
@@ -19,7 +21,6 @@ key.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -318,53 +319,21 @@ class VertexPermutation:
         assert np.array_equal(self.forward[self.inverse], np.arange(n))
 
 
-def _bfs_components(g: Graph, start: int = 0) -> list[list[int]]:
-    """The components' vertices in BFS dequeue order: ``start``'s first,
-    then each unreached one from its lowest id."""
-    # Slices of one flat list, not adjacency_lists(): holding one list per
-    # row alive sets off the cyclic GC, a quarter of the BFS time at 40k rows.
-    offsets = g.offsets.tolist()
-    flat = g.neighbors.tolist()
-    seen = bytearray(g.n)
-    comps = []
-    for root in chain((start,), range(g.n)) if g.n else ():
-        if seen[root]:
-            continue
-        seen[root] = 1
-        comp = [root]
-        for v in comp:  # the list is the queue; it grows while it is read
-            for w in flat[offsets[v] : offsets[v + 1]]:
-                if not seen[w]:
-                    seen[w] = 1
-                    comp.append(w)
-        comps.append(comp)
-    return comps
+def _checked_csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """``g``'s offsets (int64) and neighbors (int32), refused unless they
+    pass :func:`kernels._check_csr`: the compiled code indexes with both."""
+    try:
+        kernels._check_csr(g.offsets, g.neighbors, g.n, 0, g.n, "neighbor")
+    except ValueError as exc:
+        raise GraphInputError(f"the graph's arrays are not a CSR over its {g.n} vertices") from exc
+    return np.ascontiguousarray(g.offsets, dtype=np.int64), np.ascontiguousarray(g.neighbors, dtype=np.int32)
 
 
 def _bfs(g: Graph, start: int) -> tuple[np.ndarray, np.ndarray]:
-    """The vertices of :func:`_bfs_components` flat, and the bounds of each
-    component among them (int64): ``bcs_bfs``, or :func:`_bfs_components`
-    when the compiled library cannot be built or loaded."""
+    """:func:`kernels.bfs` over ``g`` from ``start``: its vertices in BFS
+    dequeue order and the bounds of each component among them."""
     offsets, neighbors = _checked_csr(g)
-    lib = kernels._kernel()
-    if lib is None:
-        comps = _bfs_components(g, start)
-        return np.fromiter(chain.from_iterable(comps), dtype=np.int64, count=g.n), np.cumsum([0, *map(len, comps)])
-    order, ends = np.empty(g.n, dtype=np.int64), np.empty(g.n + 1, dtype=np.int64)
-    count = lib.bcs_bfs(g.n, offsets, neighbors, start, np.empty(g.n, dtype=np.uint8), order, ends)
-    return order, ends[: count + 1]
-
-
-def _checked_csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """``g``'s offsets (int64) and neighbors (int32), refused unless every
-    row lies within the neighbors and names vertices of ``g``: the compiled
-    code indexes with both."""
-    offsets, neighbors = g.offsets, g.neighbors
-    if (offsets.shape != (g.n + 1,) or offsets[0] != 0 or offsets[-1] != len(neighbors)
-            or np.diff(offsets).min(initial=0) < 0
-            or (len(neighbors) and not 0 <= neighbors.min() <= neighbors.max() < g.n)):
-        raise GraphInputError(f"the graph's arrays are not a CSR over its {g.n} vertices")
-    return np.ascontiguousarray(offsets, dtype=np.int64), np.ascontiguousarray(neighbors, dtype=np.int32)
+    return kernels.bfs(offsets, neighbors, start, np.zeros(g.n, dtype=np.uint8), g.adjacency_lists)
 
 
 def bfs_order(g: Graph, start: int = 0) -> VertexPermutation:
@@ -375,7 +344,8 @@ def bfs_order(g: Graph, start: int = 0) -> VertexPermutation:
     """
     if g.n and not 0 <= start < g.n:
         raise IndexError(f"start vertex {start} outside 0..{g.n - 1}")
-    inverse, _ = _bfs(g, start)
+    order, _ = _bfs(g, start)
+    inverse = order.astype(np.int64)
     forward = np.empty_like(inverse)
     forward[inverse] = np.arange(g.n)
     return VertexPermutation(forward, inverse)

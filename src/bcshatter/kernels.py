@@ -7,8 +7,8 @@ output option).  Shortest-path counts sigma are kept in float64 because they
 can overflow 64-bit integers on dense graphs while the dependency ratios
 stay well conditioned.
 
-Seven entry points each pair compiled code in ``_brandes.c`` with a Python
-form.  Two run the one attribute-general Brandes algorithm, built on
+Six entry points each pair compiled code in ``_brandes.c`` with a Python
+form, and a seventh, ``components``, is built on one of them.  Two run the one attribute-general Brandes algorithm, built on
 ``single_source``, the one Python forward BFS and backward sweep:
 
 * ``brandes``, all sources over one component: ``bcs_brandes`` and
@@ -31,14 +31,17 @@ exactly:
   ``reduction.merge_identical``: ``bcs_twin_classes`` and then
   ``bcs_twin_credits``, and ``twin_sweep_python``.
 
-Two are scans of the work graph for the reduction passes, which compute no
-score and return exactly what their Python forms return, in order:
+Two are scans, which compute no score and return exactly what their
+Python forms return, in order:
 
-* ``block_walk``, the blocks and cut-side masses of every component, read
-  by the bridge and articulation passes: ``bcs_blocks`` and
-  ``block_walk_python``, whose walks are ``_block_dfs``.
-* ``components``, the live components, read by the engine:
-  ``bcs_components`` and ``components_python``.
+* ``block_walk``, the blocks and cut-side masses of every component of the
+  work graph, read by the bridge and articulation passes: ``bcs_blocks``
+  and ``block_walk_python``, whose walks are ``_block_dfs``.
+* ``bfs``, the one BFS, over a ``Graph``'s CSR for ``graph.bfs_order`` and
+  ``graph.connected_components``, or over the work graph's, skipping the
+  vertices its caller marks: ``bcs_bfs`` and ``bfs_python``.  It gives
+  ``components``, the live components, which ``WorkGraph.components``
+  sorts for the engine, and starts the degree-1 cascade in both forms.
 
 The compiled forms of all but ``brandes`` read the work graph's own arrays
 in place, skipping removed arcs (marked -1) and arcs into vertices that are
@@ -46,15 +49,16 @@ not live; the Python forms read the same arcs in the same order as lists,
 ``WorkGraph.rows``.  Only the kernel's input is a CSR made from lists,
 ``export_rows``.
 
-The library also holds the graph layer's compiled steps, bound here and
-called from ``graph.py``, whose Python code is their reference:
+``_check_csr`` is the one CSR check, for a ``Graph`` and for the work
+graph's rows and members.
+
+The library also holds the graph layer's other compiled steps, bound here
+and called from ``graph.py``, whose Python code is their reference:
 
 * ``bcs_parse_count``, ``bcs_parse_ids`` and ``bcs_edge_csr``, the two
   passes over a plain edge list's bytes and the CSR builder, called by
   ``graph._parse_plain_edge_list``; the line loop of
   ``graph.parse_edge_list`` is the reference.
-* ``bcs_bfs``, the BFS of ``graph.bfs_order`` and
-  ``graph.connected_components``: ``graph._bfs_components``.
 * ``bcs_relabel``, ``graph.relabel``: its numpy form.
 
 The first call that needs the library builds it with the local C compiler
@@ -64,8 +68,9 @@ records each vertex's predecessors, in per-vertex buckets sized by the
 vertex's occurrences in the rows, and its backward sweeps push a vertex's
 dependency along its bucket only.  The Python forms are the references the
 tests hold the compiled forms to, and run, silently, when the library cannot
-be built or loaded.  Each entry point checks its inputs before it picks a form,
-so both forms accept and refuse the same inputs.
+be built or loaded.  Each entry point checks its inputs, their dtypes
+included, before it picks a form, so both forms accept and refuse the same
+inputs.
 
 The compiled code evaluates the Python loop's floating-point expressions
 in the same order, with contraction into fused multiply-adds turned off, and
@@ -109,6 +114,25 @@ if TYPE_CHECKING:  # graph.py calls the library through this module
     from .graph import Graph
 
 Adjacency = list[list[int]]
+
+
+class NonFiniteScoresError(ArithmeticError):
+    """Some score came out NaN or infinite.  Shortest-path counts are
+    float64, so they overflow past about 2^1024 shortest paths between one
+    pair, and the dependencies built on them turn into NaN; a few thousand
+    vertices in long chains of parallel routes get there.
+    :func:`betweenness` and :func:`engine.compute_scores` refuse such a
+    result instead of returning it."""
+
+
+def check_finite(scores: np.ndarray) -> None:
+    """Raise :class:`NonFiniteScoresError` when any score is NaN or
+    infinite."""
+    non_finite = int(np.count_nonzero(~np.isfinite(scores)))
+    if non_finite:
+        raise NonFiniteScoresError(
+            f"{non_finite} of {len(scores)} scores are not finite: shortest-path counts overflowed float64"
+        )
 
 
 def bc_plain(adj: Adjacency):
@@ -195,8 +219,7 @@ def side_sweep(w, max_degree: int, out: np.ndarray):
     candidates in order, and the arcs their runs scanned, counted as for
     ``side_bfs`` calls (the source's degree plus the degrees it reached).
     """
-    n = _check_work_graph(w)
-    _check_ids(w.member_ids, 0, len(out), "member")
+    n = _check_work_graph(w, out)
     lib = _kernel()
     if lib is None:
         return side_sweep_python(w.rows(), w.member_lists(), w.reach.tolist(), w.ident.tolist(),
@@ -267,8 +290,7 @@ def twin_sweep(w, closed: bool, out: np.ndarray) -> tuple[np.ndarray, np.ndarray
     (int32): class k is ``members[class_ends[k]:class_ends[k + 1]]``,
     ascending, and the classes come in order of lowest member.
     """
-    n = _check_work_graph(w)
-    _check_ids(w.member_ids, 0, len(out), "member")
+    n = _check_work_graph(w, out)
     lib = _kernel()
     if lib is None:
         classes = twin_sweep_python(w.rows(), w.member_lists(), w.reach.tolist(), w.ident.tolist(), closed, out)
@@ -297,8 +319,7 @@ def degree1(w, out: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     retired vertices in order (int32), the reach every vertex has after the
     folds (int64), and the mass of the retired vertices.
     """
-    n = _check_work_graph(w)
-    _check_ids(w.member_ids, 0, len(out), "member")
+    n = _check_work_graph(w, out)
     lib = _kernel()
     if lib is None:
         gone, reach, retired = degree1_python(w.rows(), w.member_lists(), w.reach.tolist(), w.ident.tolist(),
@@ -306,26 +327,37 @@ def degree1(w, out: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         return np.array(gone, dtype=np.int32), np.array(reach, dtype=np.int64), retired
     reach, gone, retired = w.reach.copy(), np.empty(n, dtype=np.int32), np.empty(1, dtype=np.int64)
     count = lib.bcs_degree1(n, w.offsets, w.targets, w.live, w.member_offsets, w.member_ids, w.ident,
-                            w.internal_edgeless.view(np.uint8), reach, out, *_empty(n, np.int32, np.int32),
-                            np.empty(n + 1, dtype=np.int32), np.empty(n, dtype=np.int64),
-                            np.empty(n, dtype=np.uint8), np.empty(2 * n, dtype=np.int32), gone, retired)
+                            w.internal_edgeless.view(np.uint8), reach, out, np.empty(n, dtype=np.int32),
+                            *_empty(n + 1, np.int64), *_empty(n, np.int64, np.uint8),
+                            np.empty(2 * n, dtype=np.int32), gone, retired)
     return gone[:count], reach, int(retired[0])
 
 
 def components(w) -> tuple[np.ndarray, np.ndarray]:
-    """The live components of the work graph ``w``: ``bcs_components`` on
-    its arrays, or ``components_python`` on its rows when the compiled
-    library cannot be built or loaded.  Returns ``(flat, ends)`` (int32):
-    component c is ``flat[ends[c]:ends[c + 1]]``, ascending, and the
-    components come in order of lowest vertex."""
-    n = _check_work_graph(w)
+    """The live components of the work graph ``w``: :func:`bfs` from vertex
+    0, skipping the vertices that are not live.  Returns ``(flat, ends)``:
+    component c is ``flat[ends[c]:ends[c + 1]]`` (int32) in BFS order, and
+    the components come in order of lowest vertex."""
+    _check_work_graph(w)
+    return bfs(w.offsets, w.targets, 0, (w.live == 0).view(np.uint8), w.rows)
+
+
+def bfs(offsets: np.ndarray, targets: np.ndarray, start: int, seen: np.ndarray, rows):
+    """The one BFS: ``bcs_bfs``, or :func:`bfs_python` on ``rows()`` when
+    the compiled library cannot be built or loaded.  ``(offsets, targets)``
+    is a checked CSR; the BFS skips removed arcs and the vertices marked in
+    ``seen`` (uint8, overwritten), whose rows are None in ``rows()``.
+    Returns ``(order, ends)``: component c is ``order[ends[c]:ends[c + 1]]``
+    (int32, bounds int64), in dequeue order from ``start``, then from each
+    vertex no earlier BFS reached, lowest id first."""
     lib = _kernel()
     if lib is None:
-        comps = components_python(w.rows())
-        return np.array([v for comp in comps for v in comp], dtype=np.int32), np.cumsum([0, *map(len, comps)])
-    flat, ends = np.empty(n, dtype=np.int32), np.empty(n + 1, dtype=np.int32)
-    count = lib.bcs_components(n, w.offsets, w.targets, w.live, *_empty(n, np.int32), flat, ends)
-    return flat[: ends[count]], ends[: count + 1]
+        comps = bfs_python(rows(), start)
+        return np.fromiter(chain.from_iterable(comps), dtype=np.int32), np.cumsum([0, *map(len, comps)])
+    n = len(seen)
+    order, ends = np.empty(n, dtype=np.int32), np.empty(n + 1, dtype=np.int64)
+    count = lib.bcs_bfs(n, offsets, targets, start, seen, order, ends)
+    return order[: ends[count]], ends[: count + 1]
 
 
 def _workspaces(n: int, targets: np.ndarray):
@@ -348,16 +380,42 @@ def _check_ids(ids: np.ndarray, low: int, bound: int, what: str) -> None:
         raise ValueError(f"{what} ids must lie in [{low}, {bound})")
 
 
-def _check_work_graph(w) -> int:
-    """The number of vertex ids of the work graph ``w``, refusing arrays that
-    do not cover them, or arcs naming no vertex, before they reach either
-    form."""
+def _check_csr(offsets: np.ndarray, ids: np.ndarray, rows: int, low: int, bound: int, what: str) -> None:
+    """The one CSR check: refuse offsets that do not run over ``rows`` rows
+    from 0 to ``len(ids)`` without falling, and ids outside [low, bound),
+    before the compiled code indexes with both."""
+    # np.diff, not an int64 comparison: that ufunc loop would add about 0.4 MB
+    # resident to a solve that runs no other
+    if (offsets.shape != (rows + 1,) or offsets[0] != 0 or offsets[-1] != len(ids)
+            or np.diff(offsets).min(initial=0) < 0):
+        raise ValueError(f"the {what} offsets must run from 0 to {len(ids)} over {rows} rows without falling")
+    _check_ids(ids, low, bound, what)
+
+
+# The dtype of each array of a work graph, as the compiled code reads it.
+_WORK_DTYPES = {name: np.dtype(t) for name, t in (
+    ("offsets", np.int64), ("targets", np.int32), ("live", np.uint8), ("reach", np.int64), ("ident", np.int64),
+    ("internal_edgeless", np.bool_), ("internal_clique", np.bool_), ("member_offsets", np.int64),
+    ("member_ids", np.int64))}
+
+
+def _check_work_graph(w, out: np.ndarray | None = None) -> int:
+    """The number of vertex ids of the work graph ``w``, refusing arrays of
+    another dtype or layout or that do not cover its vertices, rows that are
+    not a CSR or arcs naming no vertex and, given the score accumulator
+    ``out`` of an entry point that reads the members, an ``out`` that is
+    not float64 and members that are not a CSR or have no slot in it,
+    before they reach either form."""
+    arrays = [(name, getattr(w, name), dtype) for name, dtype in _WORK_DTYPES.items()]
+    for name, a, dtype in arrays if out is None else [*arrays, ("out", out, np.dtype(np.float64))]:
+        if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.ndim == 1 and a.flags.c_contiguous):
+            raise ValueError(f"{name} must be a contiguous 1-D {dtype} array")
     n = len(w.live)
-    ends = {len(w.offsets), len(w.member_offsets)} | {len(a) + 1 for a in (w.reach, w.ident, w.internal_edgeless,
-                                                                             w.internal_clique)}
-    if ends != {n + 1} or w.offsets[-1] != len(w.targets) or w.member_offsets[-1] != len(w.member_ids):
+    if {len(a) for a in (w.reach, w.ident, w.internal_edgeless, w.internal_clique)} != {n}:
         raise ValueError(f"the work graph's arrays must cover its {n} vertices")
-    _check_ids(w.targets, -1, n, "neighbor")  # -1: a removed arc
+    _check_csr(w.offsets, w.targets, n, -1, n, "neighbor")  # -1: a removed arc
+    if out is not None:
+        _check_csr(w.member_offsets, w.member_ids, n, 0, len(out), "member")
     return n
 
 
@@ -459,10 +517,8 @@ def _bind(path: Path):
     lib.bcs_twin_credits.argtypes = [int64s, int32s, flags, int64s, int64s, int64s, int64s, size, int32s, int32s,
                                      size, doubles]
     lib.bcs_twin_credits.restype = None
-    lib.bcs_components.argtypes = [*rows, int32s, int32s, int32s]
-    lib.bcs_components.restype = size
-    lib.bcs_degree1.argtypes = [*rows, int64s, int64s, int64s, flags, int64s, doubles, int32s, int32s, int32s,
-                                int64s, flags, int32s, int32s, int64s]
+    lib.bcs_degree1.argtypes = [*rows, int64s, int64s, int64s, flags, int64s, doubles, int32s, int64s, int64s,
+                                flags, int32s, int32s, int64s]
     lib.bcs_degree1.restype = size
     text = ctypes.c_char_p
     lib.bcs_parse_count.argtypes = [text, size]
@@ -471,8 +527,8 @@ def _bind(path: Path):
     lib.bcs_parse_ids.restype = size
     lib.bcs_edge_csr.argtypes = [size, size, int32s, int64s, int32s, int64s, int64s]
     lib.bcs_edge_csr.restype = size
-    csr = [size, int64s, int32s]  # a Graph's: n, offsets, neighbors
-    lib.bcs_bfs.argtypes = [*csr, size, flags, int64s, int64s]
+    csr = [size, int64s, int32s]  # n, offsets, targets
+    lib.bcs_bfs.argtypes = [*csr, size, flags, int32s, int64s]
     lib.bcs_bfs.restype = size
     lib.bcs_relabel.argtypes = [*csr, int64s, int64s, int64s, int32s]
     lib.bcs_relabel.restype = None
@@ -765,7 +821,7 @@ def degree1_python(adj, members, reach, ident, edgeless, out: np.ndarray):
     reach = list(reach)
     gone = []
     retired = 0
-    for comp in components_python(adj):
+    for comp in map(sorted, bfs_python(adj, 0)):
         total = sum(ident[v] * reach[v] for v in comp)
         queue = deque(v for v in comp if degree[v] <= 1)
         while queue:
@@ -801,22 +857,23 @@ def degree1_python(adj, members, reach, ident, edgeless, out: np.ndarray):
     return gone, reach, retired
 
 
-def components_python(adj) -> list[list[int]]:
-    """Sorted vertex lists of the live components (a None row is a deleted
-    vertex), in first-id order (the reference for ``bcs_components``)."""
-    seen = bytearray(len(adj))
-    comps: list[list[int]] = []
-    for root, nbrs in enumerate(adj):
-        if nbrs is None or seen[root]:
+def bfs_python(rows, start: int) -> list[list[int]]:
+    """The components of ``rows`` (a None row is a deleted vertex), each in
+    BFS dequeue order: from ``start`` unless it is deleted, then from each
+    vertex no earlier BFS reached, lowest id first (the reference for
+    ``bcs_bfs``)."""
+    seen = bytearray(nbrs is None for nbrs in rows)
+    comps = []
+    for root in chain((start,), range(len(rows))) if rows else ():
+        if seen[root]:
             continue
         seen[root] = 1
         comp = [root]
         for v in comp:  # the list is the queue; it grows while it is read
-            for x in adj[v]:
+            for x in rows[v]:
                 if not seen[x]:
                     seen[x] = 1
                     comp.append(x)
-        comp.sort()
         comps.append(comp)
     return comps
 
@@ -825,9 +882,11 @@ def betweenness(g: Graph, *, unordered: bool = False):
     """Exact betweenness of every vertex of ``g`` (plain Brandes).
 
     Ordered-pair convention by default; ``unordered=True`` halves the scores.
+    Raises :class:`NonFiniteScoresError` when any score is NaN or infinite.
     """
     scores, _, _ = bc_plain(g.adjacency_lists())
     result = np.asarray(scores, dtype=np.float64)
+    check_finite(result)
     if unordered:
         result *= 0.5
     return result

@@ -231,10 +231,12 @@ class WorkGraph:
         self.delete(vertices)
 
     def components(self) -> list[list[int]]:
-        """Sorted vertex lists of the live components, in first-id order."""
+        """Sorted vertex lists of the live components, in first-id order.
+        Sorted as lists: a numpy sort would page in sort code that nothing
+        else on a solve without merges runs, about 0.13 MB resident."""
         flat, ends = kernels.components(self)
         flat, ends = flat.tolist(), ends.tolist()
-        return [flat[a:b] for a, b in zip(ends, ends[1:])]
+        return [sorted(flat[a:b]) for a, b in zip(ends, ends[1:])]
 
     def compact(self) -> None:
         """Drop deleted vertices and dead arcs and renumber; run between loop

@@ -373,18 +373,32 @@ class TestBfsForms:
         g = _oracle_union(case)
         for start in range(g.n):
             perm = bfs_order(g, start)
-            assert perm.inverse.tolist() == [v for comp in graph._bfs_components(g, start) for v in comp]
+            assert perm.inverse.tolist() == [v for comp in kernels.bfs_python(g.adjacency_lists(), start) for v in comp]
             perm.validate()
         labels = [0] * g.n
-        for label, comp in enumerate(graph._bfs_components(g)):
+        for label, comp in enumerate(kernels.bfs_python(g.adjacency_lists(), 0)):
             for v in comp:
                 labels[v] = label
         assert connected_components(g).tolist() == labels
 
+    @pytest.mark.parametrize("n, edges, start, inverse", [
+        (0, [], 0, []),
+        (1, [], 0, [0]),
+        (5, [(0, 1), (2, 3), (3, 4)], 4, [4, 3, 2, 0, 1]),  # a start in a later component
+        (6, [(0, 5), (1, 2), (2, 3)], 3, [3, 2, 1, 0, 5, 4]),
+    ])
+    def test_edge_cases(self, n, edges, start, inverse):
+        g = Graph.from_edges(n, edges)
+        assert [v for comp in kernels.bfs_python(g.adjacency_lists(), start) for v in comp] == inverse
+        perm = bfs_order(g, start)
+        assert perm.inverse.tolist() == inverse and perm.inverse.dtype == perm.forward.dtype == np.int64
+        perm.validate()
+
     def test_refuses_arrays_that_are_not_a_csr(self):
         bad = [Graph(3, 1, np.array([0, 1, 2, 2]), np.array([1, 3], dtype=np.int32)),
                Graph(3, 1, np.array([0, 2, 1, 2]), np.array([1, 0], dtype=np.int32)),
-               Graph(3, 1, np.array([0, 1, 2, 3]), np.array([1, 0], dtype=np.int32))]
+               Graph(3, 1, np.array([0, 1, 2, 3]), np.array([1, 0], dtype=np.int32)),
+               Graph(3, 1, np.array([1, 1, 2, 2]), np.array([1, 0], dtype=np.int32))]
         for g in bad:
             for call in (bfs_order, connected_components, lambda g: relabel(g, _permutation(range(3)))):
                 with pytest.raises(GraphInputError):

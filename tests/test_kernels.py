@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import ctypes
 import random
+import re
 import shutil
 import tempfile
+import types
 import warnings
 from importlib import resources
 
@@ -13,9 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcshatter import kernels
+import bcshatter
+from bcshatter import engine, kernels
 from bcshatter.graph import Graph, connected_components
 from bcshatter.kernels import (
+    NonFiniteScoresError,
     bc_ident,
     bc_plain,
     bc_reach,
@@ -29,7 +34,15 @@ from bcshatter.kernels import (
 from bcshatter.oracle import GraphSpec, generate, pair_distance_total
 from bcshatter.reduction import DEFAULT_MAX_SIDE_DEGREE, WorkGraph, remove_side_vertices
 
-from conftest import complete_bipartite_graph, complete_graph, cycle_graph, path_graph, random_graph, star_graph
+from conftest import (
+    complete_bipartite_graph,
+    complete_graph,
+    cycle_graph,
+    layered_graph,
+    path_graph,
+    random_graph,
+    star_graph,
+)
 
 
 @pytest.fixture
@@ -73,6 +86,12 @@ class TestPlain:
 
         g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
         assert betweenness(g).tolist() == [0.0, 2.0, 0.0, 0.0, 2.0, 0.0]
+
+    def test_overflowing_path_counts_are_refused(self, compiled_kernel):
+        # as compute_scores refuses them; 3,300 vertices, so the compiled kernel only
+        with pytest.raises(NonFiniteScoresError, match="3294 of 3300 scores are not finite"):
+            betweenness(layered_graph(1100))
+        assert bcshatter.NonFiniteScoresError is engine.NonFiniteScoresError is NonFiniteScoresError
 
 
 class TestReach:
@@ -298,6 +317,29 @@ class TestBuild:
         assert list(private.iterdir()) == []  # the private build is gone
         if shutil.which(kernels.COMPILER) is not None:
             assert kernels._compiled is not None
+
+    def test_bind_matches_the_source(self, monkeypatch):
+        # every exported bcs_* function of the source gets argtypes of its
+        # arity and its restype, and _bind names no other function
+        source = resources.files("bcshatter").joinpath("_brandes.c").read_text()
+        exported = {name: (ret, len(params.split(",")))
+                    for ret, name, params in re.findall(r"^(void|int64_t) (bcs_\w+)\(([^)]*)\)", source, re.M)}
+        assert len(exported) == 12
+        bound: dict[str, types.SimpleNamespace] = {}
+
+        class Library:  # stands in for the loaded library, recording what _bind sets
+            def __init__(self, path):
+                pass
+
+            def __getattr__(self, name):
+                return bound.setdefault(name, types.SimpleNamespace())
+
+        monkeypatch.setattr(kernels.ctypes, "CDLL", Library)
+        kernels._bind("unused.so")
+        assert bound.keys() == exported.keys()
+        for name, (ret, arity) in exported.items():
+            assert len(getattr(bound[name], "argtypes", ())) == arity, name
+            assert getattr(bound[name], "restype", "unset") is (None if ret == "void" else ctypes.c_int64), name
 
     @staticmethod
     def _assert_silent_and_exact(capfd):

@@ -1,6 +1,6 @@
 """The reduction's scans and loops, compiled against Python: the block walk,
 the side pass's candidate test, the twin grouping and credits, the
-degree-1 cascade and the components each have a compiled form in
+degree-1 cascade and the components' BFS each have a compiled form in
 ``_brandes.c``, which reads the work graph's arrays, and a Python form in
 ``kernels.py``, which reads ``WorkGraph.rows``; the two must return the
 same values in the same order on every work graph, and add the same
@@ -343,6 +343,96 @@ class TestComponents:
         assert w.components() == [[0, 1], [2, 3], [5]]
         flat, ends = kernels.components(w)
         assert flat.tolist() == [0, 1, 2, 3, 5] and ends.tolist() == [0, 2, 4, 5]
+
+    @pytest.mark.parametrize("n, edges, deleted, comps", [
+        (0, [], [], []),
+        (3, [(0, 1), (1, 2)], [0, 1, 2], []),  # no live vertex
+        (5, [(0, 1), (1, 2), (3, 4)], [0], [[1, 2], [3, 4]]),
+        (6, [(0, 5), (1, 5), (2, 4), (3, 4)], [0, 4], [[1, 5], [2], [3]]),
+    ])
+    def test_edge_cases(self, scan_form, n, edges, deleted, comps):
+        w = WorkGraph.from_graph(Graph.from_edges(n, edges))
+        w.delete(deleted)
+        assert w.components() == comps
+        assert [sorted(comp) for comp in kernels.bfs_python(w.rows(), 0)] == comps
+
+    def test_bfs_from_a_start_in_a_later_component(self, scan_form):
+        # 0 deleted, the edge 2-3 dead: from 4, then from 1 and from 2
+        w = WorkGraph.from_graph(Graph.from_edges(6, [(0, 1), (1, 5), (2, 3), (3, 4), (4, 5)]))
+        w.delete(0)
+        w.remove_edges(np.array([2]), np.array([3]))
+        order, ends = kernels.bfs(w.offsets, w.targets, 4, (w.live == 0).view(np.uint8), w.rows)
+        assert order.tolist() == [4, 3, 5, 1, 2] and ends.tolist() == [0, 4, 5]
+        assert kernels.bfs_python(w.rows(), 4) == [[4, 3, 5, 1], [2]]
+
+
+def _path_work_graph():
+    """The work graph of the path 0-1-2: offsets [0, 1, 3, 4], members one each."""
+    return WorkGraph.from_graph(Graph.from_edges(3, [(0, 1), (1, 2)]))
+
+
+# Each entry point of the work graph's scans and loops, called on w with a
+# score accumulator; the last three take it and read the members.
+_ENTRY_POINTS = {
+    "block_walk": lambda w, out: kernels.block_walk(w),
+    "components": lambda w, out: w.components(),
+    "side_sweep": lambda w, out: kernels.side_sweep(w, 4, out),
+    "twin_sweep": lambda w, out: kernels.twin_sweep(w, False, out),
+    "degree1": lambda w, out: kernels.degree1(w, out),
+}
+
+
+class TestRefusals:
+    """Both forms refuse a work graph whose arrays the compiled code would
+    index out of bounds, or read as another dtype, with ValueError."""
+
+    @pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+    @pytest.mark.parametrize("offsets", [[0, 1000000, 3, 4], [-1000000, 1, 3, 4]])  # falling; not from 0
+    def test_rows_that_are_not_a_csr(self, scan_form, entry, offsets):
+        w = _path_work_graph()
+        w.offsets = np.array(offsets, dtype=np.int64)
+        out = np.zeros(3)
+        with pytest.raises(ValueError, match="neighbor offsets"):
+            _ENTRY_POINTS[entry](w, out)
+        assert out.tolist() == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("entry", ["side_sweep", "twin_sweep", "degree1"])  # the ones that read members
+    @pytest.mark.parametrize("offsets", [[0, 5000000, 2, 3], [-5000000, 1, 2, 3]])
+    def test_members_that_are_not_a_csr(self, scan_form, entry, offsets):
+        w = _path_work_graph()
+        w.member_offsets = np.array(offsets, dtype=np.int64)
+        out = np.zeros(3)
+        with pytest.raises(ValueError, match="member offsets"):
+            _ENTRY_POINTS[entry](w, out)
+        assert out.tolist() == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+    @pytest.mark.parametrize("field, dtype", [("targets", np.int64), ("offsets", np.int32), ("live", bool),
+                                              ("reach", np.int32), ("internal_edgeless", np.uint8),
+                                              ("member_ids", np.int32)])
+    def test_arrays_of_another_dtype(self, scan_form, entry, field, dtype):
+        w = _path_work_graph()
+        setattr(w, field, getattr(w, field).astype(dtype))
+        out = np.zeros(3)
+        with pytest.raises(ValueError, match=field):
+            _ENTRY_POINTS[entry](w, out)
+        assert out.tolist() == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("entry", ["side_sweep", "twin_sweep", "degree1"])
+    def test_accumulator_of_another_dtype(self, scan_form, entry):
+        w = _path_work_graph()
+        w.reach[:] = 2  # so every entry point would add a credit
+        out = np.zeros(3, dtype=np.int64)
+        with pytest.raises(ValueError, match="out"):
+            _ENTRY_POINTS[entry](w, out)
+        assert out.tolist() == [0, 0, 0]
+
+    @pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+    def test_strided_arrays(self, scan_form, entry):
+        w = _path_work_graph()
+        w.targets = np.repeat(w.targets, 2)[::2]  # equal values, not contiguous
+        with pytest.raises(ValueError, match="targets"):
+            _ENTRY_POINTS[entry](w, np.zeros(3))
 
 
 def test_compiled_reduction_exports_nothing(compiled_library, monkeypatch):
