@@ -15,7 +15,7 @@
  *   work graph: the compiled form of ``kernels.block_walk_python``;
  * - bcs_bfs, the one BFS, over a ``Graph``'s CSR for ``graph.bfs_order``
  *   and ``graph.connected_components``, and over the work graph for
- *   ``kernels.components`` and bcs_degree1: the compiled form of
+ *   ``WorkGraph.components`` and bcs_degree1: the compiled form of
  *   ``kernels.bfs_python``;
  * - bcs_parse_count, bcs_parse_ids and then bcs_edge_csr, the two passes
  *   over a plain edge list's bytes and the CSR builder, all called by
@@ -34,13 +34,10 @@
  * rows are symmetric, ascending and free of self-loops, and build such
  * CSRs.
  *
- * The work graph is read in place: its rows are one CSR (offsets, targets)
- * in which a removed edge's two arcs carry DEAD, and live[v] is clear for a
- * deleted vertex.  Every function but bcs_brandes and the graph-layer ones
- * skips dead arcs, arcs into a vertex that is not live and the rows of such
- * vertices, so it reads the graph ``WorkGraph.rows`` lists for the Python
- * forms; bcs_bfs does so when its caller marks the vertices that are not
- * live as seen.
+ * The work graph is read in place: its rows are one plain CSR (offsets,
+ * targets), every target a vertex, as ``WorkGraph.compact`` leaves it after
+ * every edit, so the scans and loops read every arc of every row, in the
+ * order of the lists ``WorkGraph.rows`` gives the Python forms.
  *
  * Every floating-point expression is the one ``kernels.single_source`` and
  * ``kernels.side_bfs`` evaluate, in the same order, and every attribute
@@ -68,24 +65,6 @@
 #define UNSEEN (-1)
 #define ABSENT (-2)
 
-/* the target of a removed arc in the work graph's rows */
-#define DEAD (-1)
-
-/* Does the arc to t lead to a live vertex? */
-static inline int live_arc(int32_t t, const uint8_t *live)
-{
-    return t != DEAD && live[t];
-}
-
-/* The number of live arcs in v's row. */
-static int64_t live_degree(int32_t v, const int64_t *offsets, const int32_t *targets, const uint8_t *live)
-{
-    int64_t degree = 0;
-    for (int64_t a = offsets[v]; a < offsets[v + 1]; a++)
-        degree += live_arc(targets[a], live);
-    return degree;
-}
-
 static double now(void)
 {
     struct timespec ts;
@@ -104,8 +83,7 @@ static void empty_buckets(int64_t n, const int64_t *offsets, const int32_t *targ
     for (int64_t v = 0; v <= n; v++)
         starts[v] = 0;
     for (int64_t a = 0; a < offsets[n]; a++)
-        if (targets[a] != DEAD)
-            starts[targets[a] + 1]++;
+        starts[targets[a] + 1]++;
     for (int64_t v = 0; v < n; v++) {
         starts[v + 1] += starts[v];
         fill[v] = starts[v];
@@ -115,16 +93,15 @@ static void empty_buckets(int64_t n, const int64_t *offsets, const int32_t *targ
 /* The forward BFS from s, shared by both entry points: fills order, dist,
  * sigma and delta for every vertex s reaches, records each vertex's
  * predecessors in its bucket, and returns how many vertices s reaches
- * (order[0] is s).  With dead_arcs set it skips DEAD arcs.  Inlined into
- * each caller with dead_arcs a constant, so the all-sources loop compiles
- * as it would without the side sweep.  The backward sweeps stay
- * two loops: what a swept vertex does with its dependency differs (one
+ * (order[0] is s); it never discovers an ABSENT vertex.  Inlined into
+ * each caller, so the all-sources loop compiles as it would without the
+ * side sweep.  The backward sweeps stay two loops: what a swept vertex does with its dependency differs (one
  * score addition against amounts spread over its members plus the mass and
  * arc counts), and a shared loop would have to branch or call back per
  * vertex inside the all-sources kernel.  Each reads a swept vertex's bucket
  * and empties it again. */
 static inline __attribute__((always_inline)) int64_t
-forward(int32_t s, const int64_t *offsets, const int32_t *targets, int dead_arcs,
+forward(int32_t s, const int64_t *offsets, const int32_t *targets,
         const double *reach, const double *ident,
         int32_t *dist, int32_t *order, double *sigma, double *delta,
         int32_t *preds, int64_t *fill)
@@ -141,8 +118,6 @@ forward(int32_t s, const int64_t *offsets, const int32_t *targets, int dead_arcs
         double sv = v != s ? sigma[v] * ident[v] : sigma[v];
         for (int64_t a = offsets[v]; a < offsets[v + 1]; a++) {
             int32_t w = targets[a];
-            if (dead_arcs && w == DEAD)
-                continue;
             if (dist[w] == UNSEEN) {
                 dist[w] = dv1;
                 sigma[w] = 0.0;
@@ -176,7 +151,7 @@ void bcs_brandes(int64_t n, const int64_t *offsets, const int32_t *targets,
         dist[v] = UNSEEN;
     for (int32_t s = 0; s < n; s++) {
         double start = now();
-        int64_t end = forward(s, offsets, targets, 0, reach, ident, dist, order, sigma, delta, preds, fill);
+        int64_t end = forward(s, offsets, targets, reach, ident, dist, order, sigma, delta, preds, fill);
         double mid = now();
         double mult = reach[s] * ident[s];
         for (int64_t idx = end - 1; idx > 0; idx--) { /* order[0] is s */
@@ -197,8 +172,8 @@ void bcs_brandes(int64_t n, const int64_t *offsets, const int32_t *targets,
     }
 }
 
-/* One side-vertex sweep.  The work graph at sweep start has n vertex ids
- * with its rows (offsets, targets, live) and the original vertices each id
+/* One side-vertex sweep.  The work graph at sweep start has n vertices
+ * with its rows (offsets, targets) and the original vertices each id
  * carries as a second CSR (member_offsets, members).  dist, order (int32),
  * sigma, delta (double) and degree (int64) are n-element workspaces, and
  * preds, starts and fill the predecessor buckets' as for bcs_brandes.
@@ -212,13 +187,13 @@ void bcs_brandes(int64_t n, const int64_t *offsets, const int32_t *targets,
  * members.  The candidate is then taken out of the graph: later runs see
  * its rows as if it were deleted, and deleting from a list never reorders
  * the rest, so every run visits the vertices of ``side_sweep_python`` in
- * its order and out[] receives the same additions in the same order.  A
- * vertex that is not live starts out of the graph.
+ * its order and out[] receives the same additions in the same order.
  *
  * Writes the removed candidates, in order, to removed, and adds the runs
- * and the arcs they scanned (the live degrees of the vertices each run
- * reached) to counts[0] and counts[1]. */
-void bcs_side_sweep(int64_t n, const int64_t *offsets, const int32_t *targets, const uint8_t *live,
+ * and the arcs they scanned (the degrees, less the arcs to earlier removed
+ * candidates, of the vertices each run reached) to counts[0] and
+ * counts[1]. */
+void bcs_side_sweep(int64_t n, const int64_t *offsets, const int32_t *targets,
                     const int64_t *member_offsets, const int64_t *members,
                     const double *reach, const double *ident,
                     const int32_t *candidates, int64_t ncand, double *out,
@@ -228,8 +203,8 @@ void bcs_side_sweep(int64_t n, const int64_t *offsets, const int32_t *targets, c
 {
     empty_buckets(n, offsets, targets, starts, fill);
     for (int32_t v = 0; v < n; v++) {
-        dist[v] = live[v] ? UNSEEN : ABSENT;
-        degree[v] = live[v] ? live_degree(v, offsets, targets, live) : 0;
+        dist[v] = UNSEEN;
+        degree[v] = offsets[v + 1] - offsets[v];
     }
     int64_t runs = 0;
     int64_t arcs = 0;
@@ -237,7 +212,7 @@ void bcs_side_sweep(int64_t n, const int64_t *offsets, const int32_t *targets, c
         int32_t s = candidates[i];
         if (degree[s] == 0)
             continue; /* earlier removals in this sweep emptied its neighborhood */
-        int64_t end = forward(s, offsets, targets, 1, reach, ident, dist, order, sigma, delta, preds, fill);
+        int64_t end = forward(s, offsets, targets, reach, ident, dist, order, sigma, delta, preds, fill);
         double m = reach[s] * ident[s];
         int64_t mass = 0;
         for (int64_t idx = end - 1; idx > 0; idx--) { /* order[0] is s */
@@ -265,7 +240,7 @@ void bcs_side_sweep(int64_t n, const int64_t *offsets, const int32_t *targets, c
         arcs += degree[s];
         dist[s] = ABSENT;
         for (int64_t a = offsets[s]; a < offsets[s + 1]; a++)
-            if (targets[a] != DEAD && dist[targets[a]] != ABSENT)
+            if (dist[targets[a]] != ABSENT)
                 degree[targets[a]]--;
         degree[s] = 0; /* so a repeated candidate is skipped */
         removed[runs++] = s;
@@ -274,10 +249,10 @@ void bcs_side_sweep(int64_t n, const int64_t *offsets, const int32_t *targets, c
     counts[1] += arcs;
 }
 
-/* Blocks and cut-side masses of every live component, the compiled form of
+/* Blocks and cut-side masses of every component, the compiled form of
  * ``kernels._block_dfs``: the same iterative Hopcroft-Tarjan walk (CACM
- * 16(6), 1973), rooted at each component's lowest live id in increasing id
- * order, reading each row's live arcs in CSR order.  mass[v] is
+ * 16(6), 1973), rooted at each component's lowest id in increasing id
+ * order, reading each row in CSR order.  mass[v] is
  * ident[v] * reach[v]; merged[v] is set for a merged class, which never
  * tops a block.
  *
@@ -289,7 +264,7 @@ void bcs_side_sweep(int64_t n, const int64_t *offsets, const int32_t *targets, c
  * every vertex leaves vstack once, into one block beside that block's top.
  * Writes the numbers of blocks and of components to counts[0] and
  * counts[1]. */
-void bcs_blocks(int64_t n, const int64_t *offsets, const int32_t *targets, const uint8_t *live,
+void bcs_blocks(int64_t n, const int64_t *offsets, const int32_t *targets,
                 const int64_t *mass, const uint8_t *merged,
                 int32_t *disc, int32_t *low, int64_t *sub, int32_t *path, int64_t *next,
                 int32_t *at, int32_t *vstack,
@@ -301,7 +276,7 @@ void bcs_blocks(int64_t n, const int64_t *offsets, const int32_t *targets, const
         disc[v] = -1;
     block_ends[0] = comp_ends[0] = 0;
     for (int32_t root = 0; root < n; root++) {
-        if (!live[root] || disc[root] >= 0)
+        if (disc[root] >= 0)
             continue;
         int32_t counter = 1, depth = 0, top = 0; /* top: vstack's size */
         disc[root] = low[root] = 0;
@@ -313,8 +288,6 @@ void bcs_blocks(int64_t n, const int64_t *offsets, const int32_t *targets, const
             int descended = 0;
             while (next[depth] < offsets[v + 1]) {
                 int32_t u = targets[next[depth]++];
-                if (!live_arc(u, live))
-                    continue;
                 int32_t du = disc[u];
                 if (du < 0) {
                     depth++;
@@ -401,39 +374,33 @@ static int contains(const int32_t *ids, int64_t len, int32_t x)
 }
 
 /* The side pass's candidates, the compiled form of the candidate test of
- * ``kernels.side_sweep_python``: in increasing id order, every live v of
+ * ``kernels.side_sweep_python``: in increasing id order, every v of
  * degree 1 to max_degree with unfolds[v] set (v's class is not mixed) whose
  * every neighbor x has cliquish[x] set (x unfolds into a clique) and shares
  * with v all of v's neighbors but itself: of the ids in v's row, exactly
  * degree - 1 lie in x's row.  sorted is a copy of targets with each row
- * sorted and every arc that is not live set to DEAD, in which those ids
- * are looked up by binary search, so a vertex costs O(d^2 log D) however
+ * sorted, in which those ids are looked up by binary search, so a vertex costs O(d^2 log D) however
  * large its neighbors' rows are.  Writes the candidates to candidates and
  * returns how many there are. */
-int64_t bcs_side_candidates(int64_t n, const int64_t *offsets, const int32_t *targets, const uint8_t *live,
+int64_t bcs_side_candidates(int64_t n, const int64_t *offsets, const int32_t *targets,
                             const uint8_t *unfolds, const uint8_t *cliquish, int64_t max_degree,
                             int32_t *sorted, int32_t *candidates)
 {
     for (int64_t a = 0; a < offsets[n]; a++)
-        sorted[a] = live_arc(targets[a], live) ? targets[a] : DEAD;
+        sorted[a] = targets[a];
     for (int64_t v = 0; v < n; v++)
         sort_ids(sorted + offsets[v], offsets[v + 1] - offsets[v]);
     int64_t count = 0;
     for (int32_t v = 0; v < n; v++) {
-        if (!live[v] || !unfolds[v])
-            continue;
-        int64_t degree = live_degree(v, offsets, targets, live);
-        if (degree < 1 || degree > max_degree)
+        int64_t degree = offsets[v + 1] - offsets[v];
+        if (!unfolds[v] || degree < 1 || degree > max_degree)
             continue;
         int clique = 1;
         for (int64_t a = offsets[v]; clique && a < offsets[v + 1]; a++) {
             int32_t x = targets[a];
-            if (!live_arc(x, live))
-                continue;
             int64_t shared = 0;
             for (int64_t b = offsets[v]; b < offsets[v + 1]; b++)
-                if (live_arc(targets[b], live))
-                    shared += contains(sorted + offsets[x], offsets[x + 1] - offsets[x], targets[b]);
+                shared += contains(sorted + offsets[x], offsets[x + 1] - offsets[x], targets[b]);
             clique = cliquish[x] && shared == degree - 1;
         }
         if (clique)
@@ -459,8 +426,8 @@ static int key_order(int32_t a, int32_t b, const int64_t *key_offsets, const int
 }
 
 /* The twin classes of one merge sweep, the compiled form of the grouping
- * of ``kernels.twin_sweep_python``.  Every live vertex with a live arc gets
- * the key (its live arcs sorted, with v itself inserted when closed and not
+ * of ``kernels.twin_sweep_python``.  Every vertex with an arc gets
+ * the key (its row sorted, with v itself inserted when closed and not
  * among them already; its reach), written to keys[key_offsets[v] ..
  * key_offsets[v + 1]), so keys needs offsets[n] + n slots and key_offsets
  * n + 1.  A stable merge sort of those vertices by key, with order and
@@ -471,7 +438,7 @@ static int key_order(int32_t a, int32_t b, const int64_t *key_offsets, const int
  * members ascending: class k is members[class_ends[k] .. class_ends[k + 1]),
  * with n slots in members and n + 1 in class_ends.  Returns how many
  * classes there are. */
-int64_t bcs_twin_classes(int64_t n, const int64_t *offsets, const int32_t *targets, const uint8_t *live,
+int64_t bcs_twin_classes(int64_t n, const int64_t *offsets, const int32_t *targets,
                          const int64_t *reach, int64_t closed, int64_t *key_offsets, int32_t *keys,
                          int32_t *order, int32_t *spare, int32_t *lead,
                          int32_t *members, int32_t *class_ends)
@@ -480,12 +447,10 @@ int64_t bcs_twin_classes(int64_t n, const int64_t *offsets, const int32_t *targe
     for (int32_t v = 0; v < n; v++) {
         key_offsets[v] = fill;
         int64_t start = fill;
-        if (live[v])
-            for (int64_t a = offsets[v]; a < offsets[v + 1]; a++)
-                if (live_arc(targets[a], live))
-                    keys[fill++] = targets[a];
+        for (int64_t a = offsets[v]; a < offsets[v + 1]; a++)
+            keys[fill++] = targets[a];
         if (fill == start)
-            continue; /* a deleted or isolated vertex has no twin */
+            continue; /* an isolated vertex has no twin */
         if (closed) {
             int mine = 0;
             for (int64_t k = start; k < fill; k++)
@@ -543,12 +508,12 @@ int64_t bcs_twin_classes(int64_t n, const int64_t *offsets, const int32_t *targe
  * wrote: class k is classes[class_ends[k] .. class_ends[k + 1]), lowest
  * member first.  With r the class's reach and t the sum of its idents,
  * each vertex v of a class of reach above 1 adds (t - ident[v]) * r * (r - 1)
- * to each of its members (the interior credit); in an open sweep each live
+ * to each of its members (the interior credit); in an open sweep each
  * neighbor x of the lowest member then adds (t^2 - the sum of the squared
  * idents) * r^2 / (the sum of ident over those neighbors) to each of its
  * members (the cross credit).  out[] receives the Python loop's additions
  * in its order. */
-void bcs_twin_credits(const int64_t *offsets, const int32_t *targets, const uint8_t *live,
+void bcs_twin_credits(const int64_t *offsets, const int32_t *targets,
                       const int64_t *member_offsets, const int64_t *members,
                       const int64_t *reach, const int64_t *ident, int64_t closed,
                       const int32_t *classes, const int32_t *class_ends, int64_t ncls, double *out)
@@ -573,23 +538,20 @@ void bcs_twin_credits(const int64_t *offsets, const int32_t *targets, const uint
         /* open twins' cross pairs split evenly over the shared neighborhood */
         int64_t shared = 0;
         for (int64_t a = offsets[verts[0]]; a < offsets[verts[0] + 1]; a++)
-            if (live_arc(targets[a], live))
-                shared += ident[targets[a]];
+            shared += ident[targets[a]];
         double amount = (double)((total * total - squares) * r * r) / (double)shared;
         for (int64_t a = offsets[verts[0]]; a < offsets[verts[0] + 1]; a++)
-            if (live_arc(targets[a], live))
-                for (int64_t m = member_offsets[targets[a]]; m < member_offsets[targets[a] + 1]; m++)
-                    out[members[m]] += amount;
+            for (int64_t m = member_offsets[targets[a]]; m < member_offsets[targets[a] + 1]; m++)
+                out[members[m]] += amount;
     }
 }
 
 /* The one BFS, the compiled form of ``kernels.bfs_python``: the vertices
  * of the CSR (offsets, targets) on n vertices in BFS dequeue order, from
- * start, then from each vertex no earlier BFS reached, lowest id first.  It
- * skips DEAD arcs and every vertex marked in seen (n bytes) on entry, and
- * marks each vertex it reaches there.  Component c is
- * order[ends[c] .. ends[c + 1]); order needs n slots and ends n + 1.
- * Returns the number of components. */
+ * start, then from each vertex no earlier BFS reached, lowest id first.
+ * seen is an n-byte workspace, in which every vertex is marked on return.
+ * Component c is order[ends[c] .. ends[c + 1]); order needs n slots and
+ * ends n + 1.  Returns the number of components. */
 int64_t bcs_bfs(int64_t n, const int64_t *offsets, const int32_t *targets, int64_t start,
                 uint8_t *seen, int32_t *order, int64_t *ends)
 {
@@ -597,6 +559,8 @@ int64_t bcs_bfs(int64_t n, const int64_t *offsets, const int32_t *targets, int64
     ends[0] = 0;
     if (n == 0)
         return 0; /* no start vertex either */
+    for (int64_t v = 0; v < n; v++)
+        seen[v] = 0;
     for (int64_t i = -1; i < n; i++) {
         int32_t root = (int32_t)(i < 0 ? start : i);
         if (seen[root])
@@ -607,7 +571,7 @@ int64_t bcs_bfs(int64_t n, const int64_t *offsets, const int32_t *targets, int64
             int32_t v = order[head];
             for (int64_t a = offsets[v]; a < offsets[v + 1]; a++) {
                 int32_t w = targets[a];
-                if (w != DEAD && !seen[w]) {
+                if (!seen[w]) {
                     seen[w] = 1;
                     order[end++] = w;
                 }
@@ -621,8 +585,8 @@ int64_t bcs_bfs(int64_t n, const int64_t *offsets, const int32_t *targets, int64
 /* The degree-1 cascade, the compiled form of ``kernels.degree1_python``.
  * The work graph is as for bcs_side_sweep, with ident and reach its
  * attributes and edgeless[v] set when v's copies are pairwise non-adjacent.
- * Per live component, in order of lowest vertex, a FIFO queue starts with
- * its vertices of live degree 0 or 1, ascending, and the cascade runs: a
+ * Per component, in order of lowest vertex, a FIFO queue starts with
+ * its vertices of degree 0 or 1, ascending, and the cascade runs: a
  * lone vertex retires; a leaf u whose one neighbor v is unmerged, and that
  * is unmerged or an edgeless class itself, folds into v, crediting u's
  * members with (reach[u] - 1) * rest when that is not 0 and v's first
@@ -638,21 +602,18 @@ int64_t bcs_bfs(int64_t n, const int64_t *offsets, const int32_t *targets, int64
  * Changes reach and out only; writes the folded and retired vertices, in
  * order, to gone (n slots) and their retired mass to retired[0], and
  * returns how many there are. */
-int64_t bcs_degree1(int64_t n, const int64_t *offsets, const int32_t *targets, const uint8_t *live,
+int64_t bcs_degree1(int64_t n, const int64_t *offsets, const int32_t *targets,
                     const int64_t *member_offsets, const int64_t *members,
                     const int64_t *ident, const uint8_t *edgeless, int64_t *reach, double *out,
                     int32_t *flat, int64_t *ends, int64_t *degree, uint8_t *alive,
                     int32_t *queue, int32_t *gone, int64_t *retired)
 {
-    for (int64_t v = 0; v < n; v++)
-        alive[v] = !live[v]; /* the vertices the BFS skips */
+    /* the BFS marks every vertex in alive */
     int64_t ncomps = bcs_bfs(n, offsets, targets, 0, alive, flat, ends);
     for (int64_t c = 0; c < ncomps; c++)
         sort_ids(flat + ends[c], ends[c + 1] - ends[c]);
-    for (int32_t v = 0; v < n; v++) {
-        alive[v] = live[v] != 0;
-        degree[v] = live[v] ? live_degree(v, offsets, targets, live) : 0;
-    }
+    for (int64_t v = 0; v < n; v++)
+        degree[v] = offsets[v + 1] - offsets[v];
     int64_t count = 0;
     retired[0] = 0;
     for (int64_t c = 0; c < ncomps; c++) {
@@ -675,7 +636,7 @@ int64_t bcs_degree1(int64_t n, const int64_t *offsets, const int32_t *targets, c
             if (degree[u] != 1)
                 continue;
             int64_t a = offsets[u];
-            while (targets[a] == DEAD || !alive[targets[a]])
+            while (!alive[targets[a]])
                 a++;
             int32_t v = targets[a];
             if (ident[v] != 1 || (ident[u] != 1 && !edgeless[u]))

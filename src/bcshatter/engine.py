@@ -104,8 +104,8 @@ def compute_scores(
         phase1_seconds=phase1,
         phase2_seconds=phase2,
         total_seconds=total_seconds,
-        remaining_vertices=w.live_vertex_count(),
-        remaining_edges=w.live_edge_count,
+        remaining_vertices=w.n,
+        remaining_edges=w.m,
         component_count=len(comps),
         component_edges=component_edges,
         stats=stats,

@@ -333,7 +333,7 @@ def _bfs(g: Graph, start: int) -> tuple[np.ndarray, np.ndarray]:
     """:func:`kernels.bfs` over ``g`` from ``start``: its vertices in BFS
     dequeue order and the bounds of each component among them."""
     offsets, neighbors = _checked_csr(g)
-    return kernels.bfs(offsets, neighbors, start, np.zeros(g.n, dtype=np.uint8), g.adjacency_lists)
+    return kernels.bfs(offsets, neighbors, start, g.adjacency_lists)
 
 
 def bfs_order(g: Graph, start: int = 0) -> VertexPermutation:

@@ -8,7 +8,7 @@ can overflow 64-bit integers on dense graphs while the dependency ratios
 stay well conditioned.
 
 Six entry points each pair compiled code in ``_brandes.c`` with a Python
-form, and a seventh, ``components``, is built on one of them.  Two run the one attribute-general Brandes algorithm, built on
+form.  Two run the one attribute-general Brandes algorithm, built on
 ``single_source``, the one Python forward BFS and backward sweep:
 
 * ``brandes``, all sources over one component: ``bcs_brandes`` and
@@ -38,14 +38,13 @@ Python forms return, in order:
   work graph, read by the bridge and articulation passes: ``bcs_blocks``
   and ``block_walk_python``, whose walks are ``_block_dfs``.
 * ``bfs``, the one BFS, over a ``Graph``'s CSR for ``graph.bfs_order`` and
-  ``graph.connected_components``, or over the work graph's, skipping the
-  vertices its caller marks: ``bcs_bfs`` and ``bfs_python``.  It gives
-  ``components``, the live components, which ``WorkGraph.components``
-  sorts for the engine, and starts the degree-1 cascade in both forms.
+  ``graph.connected_components``, or over the work graph's for
+  ``WorkGraph.components``: ``bcs_bfs`` and ``bfs_python``.  It also starts
+  the degree-1 cascade in both forms.
 
 The compiled forms of all but ``brandes`` read the work graph's own arrays
-in place, skipping removed arcs (marked -1) and arcs into vertices that are
-not live; the Python forms read the same arcs in the same order as lists,
+in place: every edit leaves its rows a plain CSR, so they read every arc.
+The Python forms read the same arcs in the same order as lists,
 ``WorkGraph.rows``.  Only the kernel's input is a CSR made from lists,
 ``export_rows``.
 
@@ -103,7 +102,7 @@ import tempfile
 from collections import deque
 from importlib import resources
 from itertools import chain, repeat
-from operator import is_not, length_hint
+from operator import is_not
 from pathlib import Path
 from time import perf_counter
 from typing import TYPE_CHECKING
@@ -209,7 +208,7 @@ def side_sweep(w, max_degree: int, out: np.ndarray):
     and then ``bcs_side_sweep`` on its arrays, or ``side_sweep_python`` on
     its rows when the compiled library cannot be built or loaded.
 
-    The candidates are the live vertices of degree 1 to ``max_degree``
+    The candidates are the vertices of degree 1 to ``max_degree``
     whose neighborhood, with every merged class unfolded, is a clique
     (:func:`expanded_clique`), in increasing id order.  For each candidate
     in order whose neighborhood is not yet empty, adds the amounts of
@@ -228,14 +227,14 @@ def side_sweep(w, max_degree: int, out: np.ndarray):
     unfolds, cliquish = w.internal_edgeless.view(np.uint8) | clique, (w.ident == 1).view(np.uint8) | clique
     candidates = np.empty(n, dtype=np.int32)
     # no degree exceeds the arc count
-    count = lib.bcs_side_candidates(n, w.offsets, w.targets, w.live, unfolds, cliquish,
+    count = lib.bcs_side_candidates(n, w.offsets, w.targets, unfolds, cliquish,
                                     max(0, min(max_degree, len(w.targets))), *_empty(len(w.targets), np.int32),
                                     candidates)
     if not count:
         return [], 0
     removed = np.empty(count, dtype=np.int32)
     counts = np.zeros(2, dtype=np.int64)
-    lib.bcs_side_sweep(n, w.offsets, w.targets, w.live, w.member_offsets, w.member_ids, w.reach.astype(np.float64),
+    lib.bcs_side_sweep(n, w.offsets, w.targets, w.member_offsets, w.member_ids, w.reach.astype(np.float64),
                        w.ident.astype(np.float64), candidates, count, out, *_workspaces(n, w.targets),
                        *_empty(n, np.int64), removed, counts)
     runs, arcs = counts.tolist()
@@ -243,16 +242,15 @@ def side_sweep(w, max_degree: int, out: np.ndarray):
 
 
 def export_rows(adj):
-    """The rows of ``adj`` (lists, a None row empty) as one CSR, the
-    kernel's input: offsets (int64) and neighbor ids (int32)."""
+    """The rows of ``adj`` (lists) as one CSR, the kernel's input: offsets
+    (int64) and neighbor ids (int32)."""
     offsets = np.zeros(len(adj) + 1, dtype=np.int64)
-    # length_hint(None) is 0: the lengths come from one map over the rows
-    np.cumsum(np.fromiter(map(length_hint, adj), dtype=np.int64, count=len(adj)), out=offsets[1:])
-    return offsets, np.fromiter(chain.from_iterable(filter(None, adj)), dtype=np.int32, count=int(offsets[-1]))
+    np.cumsum(np.fromiter(map(len, adj), dtype=np.int64, count=len(adj)), out=offsets[1:])
+    return offsets, np.fromiter(chain.from_iterable(adj), dtype=np.int32, count=int(offsets[-1]))
 
 
 def block_walk(w):
-    """Blocks and cut-side masses of every live component of the work graph
+    """Blocks and cut-side masses of every component of the work graph
     ``w``: ``bcs_blocks`` on its arrays, or ``block_walk_python`` on its
     rows when the compiled library cannot be built or loaded.
 
@@ -269,7 +267,7 @@ def block_walk(w):
     flat = np.empty(2 * n, dtype=np.int32)
     block_ends, below, comp_ends, totals = _empty(n + 1, np.int32, np.int64, np.int32, np.int64)
     counts = np.zeros(2, dtype=np.int64)
-    lib.bcs_blocks(n, w.offsets, w.targets, w.live, w.ident * w.reach, (w.ident != 1).view(np.uint8),
+    lib.bcs_blocks(n, w.offsets, w.targets, w.ident * w.reach, (w.ident != 1).view(np.uint8),
                    *_empty(n, np.int32, np.int32, np.int64, np.int32, np.int64, np.int32, np.int32),
                    flat, block_ends, below, comp_ends, totals, counts)
     blocks, comps = counts.tolist()
@@ -282,7 +280,7 @@ def twin_sweep(w, closed: bool, out: np.ndarray) -> tuple[np.ndarray, np.ndarray
     ``w``'s arrays, or ``twin_sweep_python`` on its rows when the compiled
     library cannot be built or loaded.
 
-    Groups the live vertices with a live neighbor by their open or
+    Groups the vertices with a neighbor by their open or
     (``closed``) closed neighborhood and their reach; every group of two or
     more is a class.  Adds the classes' interior credits and, in an open
     sweep, their cross credits to ``out`` (float64, one slot per original
@@ -297,12 +295,12 @@ def twin_sweep(w, closed: bool, out: np.ndarray) -> tuple[np.ndarray, np.ndarray
         return (np.fromiter(chain.from_iterable(classes), dtype=np.int32),
                 np.cumsum([0, *map(len, classes)], dtype=np.int32))
     members, class_ends = np.empty(n, dtype=np.int32), np.empty(n + 1, dtype=np.int32)
-    count = lib.bcs_twin_classes(n, w.offsets, w.targets, w.live, w.reach, int(closed), *_empty(n + 1, np.int64),
+    count = lib.bcs_twin_classes(n, w.offsets, w.targets, w.reach, int(closed), *_empty(n + 1, np.int64),
                                  *_empty(len(w.targets) + n, np.int32), *_empty(n, np.int32, np.int32, np.int32),
                                  members, class_ends)
     members, class_ends = members[: class_ends[count]], class_ends[: count + 1]
     if count:
-        lib.bcs_twin_credits(w.offsets, w.targets, w.live, w.member_offsets, w.member_ids, w.reach, w.ident,
+        lib.bcs_twin_credits(w.offsets, w.targets, w.member_offsets, w.member_ids, w.reach, w.ident,
                              int(closed), members, class_ends, count, out)
     return members, class_ends
 
@@ -312,7 +310,7 @@ def degree1(w, out: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     arrays, or ``degree1_python`` on its rows when the compiled library
     cannot be built or loaded.
 
-    Per live component, in order of lowest vertex, runs the cascade of
+    Per component, in order of lowest vertex, runs the cascade of
     :func:`degree1_python` from the vertices of degree 0 or 1, adding the
     fold credits to ``out`` (float64, one slot per original vertex); nothing
     else changes.  Returns ``(gone, reach, retired)``: the folded and
@@ -326,37 +324,27 @@ def degree1(w, out: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
                                               w.internal_edgeless.tolist(), out)
         return np.array(gone, dtype=np.int32), np.array(reach, dtype=np.int64), retired
     reach, gone, retired = w.reach.copy(), np.empty(n, dtype=np.int32), np.empty(1, dtype=np.int64)
-    count = lib.bcs_degree1(n, w.offsets, w.targets, w.live, w.member_offsets, w.member_ids, w.ident,
+    count = lib.bcs_degree1(n, w.offsets, w.targets, w.member_offsets, w.member_ids, w.ident,
                             w.internal_edgeless.view(np.uint8), reach, out, np.empty(n, dtype=np.int32),
                             *_empty(n + 1, np.int64), *_empty(n, np.int64, np.uint8),
                             np.empty(2 * n, dtype=np.int32), gone, retired)
     return gone[:count], reach, int(retired[0])
 
 
-def components(w) -> tuple[np.ndarray, np.ndarray]:
-    """The live components of the work graph ``w``: :func:`bfs` from vertex
-    0, skipping the vertices that are not live.  Returns ``(flat, ends)``:
-    component c is ``flat[ends[c]:ends[c + 1]]`` (int32) in BFS order, and
-    the components come in order of lowest vertex."""
-    _check_work_graph(w)
-    return bfs(w.offsets, w.targets, 0, (w.live == 0).view(np.uint8), w.rows)
-
-
-def bfs(offsets: np.ndarray, targets: np.ndarray, start: int, seen: np.ndarray, rows):
+def bfs(offsets: np.ndarray, targets: np.ndarray, start: int, rows):
     """The one BFS: ``bcs_bfs``, or :func:`bfs_python` on ``rows()`` when
     the compiled library cannot be built or loaded.  ``(offsets, targets)``
-    is a checked CSR; the BFS skips removed arcs and the vertices marked in
-    ``seen`` (uint8, overwritten), whose rows are None in ``rows()``.
-    Returns ``(order, ends)``: component c is ``order[ends[c]:ends[c + 1]]``
-    (int32, bounds int64), in dequeue order from ``start``, then from each
-    vertex no earlier BFS reached, lowest id first."""
+    is a checked CSR, whose rows ``rows()`` gives as lists.  Returns
+    ``(order, ends)``: component c is ``order[ends[c]:ends[c + 1]]`` (int32,
+    bounds int64), in dequeue order from ``start``, then from each vertex no
+    earlier BFS reached, lowest id first."""
     lib = _kernel()
     if lib is None:
         comps = bfs_python(rows(), start)
         return np.fromiter(chain.from_iterable(comps), dtype=np.int32), np.cumsum([0, *map(len, comps)])
-    n = len(seen)
+    n = len(offsets) - 1
     order, ends = np.empty(n, dtype=np.int32), np.empty(n + 1, dtype=np.int64)
-    count = lib.bcs_bfs(n, offsets, targets, start, seen, order, ends)
+    count = lib.bcs_bfs(n, offsets, targets, start, np.empty(n, dtype=np.uint8), order, ends)
     return order[: ends[count]], ends[: count + 1]
 
 
@@ -394,7 +382,7 @@ def _check_csr(offsets: np.ndarray, ids: np.ndarray, rows: int, low: int, bound:
 
 # The dtype of each array of a work graph, as the compiled code reads it.
 _WORK_DTYPES = {name: np.dtype(t) for name, t in (
-    ("offsets", np.int64), ("targets", np.int32), ("live", np.uint8), ("reach", np.int64), ("ident", np.int64),
+    ("offsets", np.int64), ("targets", np.int32), ("reach", np.int64), ("ident", np.int64),
     ("internal_edgeless", np.bool_), ("internal_clique", np.bool_), ("member_offsets", np.int64),
     ("member_ids", np.int64))}
 
@@ -410,10 +398,10 @@ def _check_work_graph(w, out: np.ndarray | None = None) -> int:
     for name, a, dtype in arrays if out is None else [*arrays, ("out", out, np.dtype(np.float64))]:
         if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.ndim == 1 and a.flags.c_contiguous):
             raise ValueError(f"{name} must be a contiguous 1-D {dtype} array")
-    n = len(w.live)
-    if {len(a) for a in (w.reach, w.ident, w.internal_edgeless, w.internal_clique)} != {n}:
+    n = len(w.reach)
+    if {len(a) for a in (w.ident, w.internal_edgeless, w.internal_clique)} != {n}:
         raise ValueError(f"the work graph's arrays must cover its {n} vertices")
-    _check_csr(w.offsets, w.targets, n, -1, n, "neighbor")  # -1: a removed arc
+    _check_csr(w.offsets, w.targets, n, 0, n, "neighbor")
     if out is not None:
         _check_csr(w.member_offsets, w.member_ids, n, 0, len(out), "member")
     return n
@@ -503,21 +491,21 @@ def _bind(path: Path):
     lib.bcs_brandes.argtypes = [size, int64s, int32s, doubles, doubles, *workspaces, doubles, doubles]
     lib.bcs_brandes.restype = None
     flags = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
-    rows = [size, int64s, int32s, flags]  # a work graph's: n, offsets, targets, live
-    lib.bcs_side_sweep.argtypes = [*rows, int64s, int64s, doubles, doubles, int32s, size, doubles, *workspaces,
+    csr = [size, int64s, int32s]  # n, offsets, targets: a work graph's or a Graph's
+    lib.bcs_side_sweep.argtypes = [*csr, int64s, int64s, doubles, doubles, int32s, size, doubles, *workspaces,
                                    int64s, int32s, int64s]
     lib.bcs_side_sweep.restype = None
-    lib.bcs_blocks.argtypes = [*rows, int64s, flags, int32s, int32s, int64s, int32s, int64s, int32s, int32s, int32s,
+    lib.bcs_blocks.argtypes = [*csr, int64s, flags, int32s, int32s, int64s, int32s, int64s, int32s, int32s, int32s,
                                int32s, int64s, int32s, int64s, int64s]
     lib.bcs_blocks.restype = None
-    lib.bcs_side_candidates.argtypes = [*rows, flags, flags, size, int32s, int32s]
+    lib.bcs_side_candidates.argtypes = [*csr, flags, flags, size, int32s, int32s]
     lib.bcs_side_candidates.restype = size
-    lib.bcs_twin_classes.argtypes = [*rows, int64s, size, int64s, int32s, int32s, int32s, int32s, int32s, int32s]
+    lib.bcs_twin_classes.argtypes = [*csr, int64s, size, int64s, int32s, int32s, int32s, int32s, int32s, int32s]
     lib.bcs_twin_classes.restype = size
-    lib.bcs_twin_credits.argtypes = [int64s, int32s, flags, int64s, int64s, int64s, int64s, size, int32s, int32s,
-                                     size, doubles]
+    lib.bcs_twin_credits.argtypes = [int64s, int32s, int64s, int64s, int64s, int64s, size, int32s, int32s, size,
+                                     doubles]
     lib.bcs_twin_credits.restype = None
-    lib.bcs_degree1.argtypes = [*rows, int64s, int64s, int64s, flags, int64s, doubles, int32s, int64s, int64s,
+    lib.bcs_degree1.argtypes = [*csr, int64s, int64s, int64s, flags, int64s, doubles, int32s, int64s, int64s,
                                 flags, int32s, int32s, int64s]
     lib.bcs_degree1.restype = size
     text = ctypes.c_char_p
@@ -527,7 +515,6 @@ def _bind(path: Path):
     lib.bcs_parse_ids.restype = size
     lib.bcs_edge_csr.argtypes = [size, size, int32s, int64s, int32s, int64s, int64s]
     lib.bcs_edge_csr.restype = size
-    csr = [size, int64s, int32s]  # n, offsets, targets
     lib.bcs_bfs.argtypes = [*csr, size, flags, int32s, int64s]
     lib.bcs_bfs.restype = size
     lib.bcs_relabel.argtypes = [*csr, int64s, int64s, int64s, int32s]
@@ -642,13 +629,13 @@ def side_sweep_python(adj, members, reach, ident, internal_edgeless, internal_cl
     reorders the rest, so every run visits the vertices in the order of the
     work graph with the earlier candidates deleted.
     """
-    sets = [None if r is None else set(r) for r in adj]
+    sets = [set(r) for r in adj]
     candidates = [
         v
         for v, nbrs in enumerate(adj)
         if nbrs and len(nbrs) <= max_degree and expanded_clique(sets, ident, internal_edgeless, internal_clique, v)
     ]
-    rows = [list(r) if r else [] for r in adj]
+    rows = [list(r) for r in adj]
     state = source_state(len(rows))
     removed = []
     arcs = 0
@@ -673,15 +660,14 @@ def side_sweep_python(adj, members, reach, ident, internal_edgeless, internal_cl
 
 
 def block_walk_python(adj, reach, ident):
-    """:func:`_block_dfs` of every live component (a None row is a deleted
-    vertex), rooted at its lowest live id, in increasing id order, laid out
-    as :func:`block_walk` returns it (the reference for ``bcs_blocks``).
-    One walk state serves all components."""
+    """:func:`_block_dfs` of every component, rooted at its lowest id, in
+    increasing id order, laid out as :func:`block_walk` returns it (the
+    reference for ``bcs_blocks``).  One walk state serves all components."""
     n = len(adj)
     # disc[u] < 0 marks u unvisited; sub is the DFS subtree mass.
     disc, low, sub = [-1] * n, [0] * n, [0] * n
     walks = [_block_dfs(adj, reach, ident, root, disc, low, sub)
-             for root in range(n) if adj[root] is not None and disc[root] < 0]
+             for root in range(n) if disc[root] < 0]
     blocks = [block for comp_blocks, _, _ in walks for block in comp_blocks]
     below = [mass for _, masses, _ in walks for mass in masses]
     return (np.array(list(chain.from_iterable(blocks)), dtype=np.int32),
@@ -816,8 +802,8 @@ def degree1_python(adj, members, reach, ident, edgeless, out: np.ndarray):
     component at pass start: a fold never leaves its component and conserves
     the component's mass, so each component folds against its own total.
     """
-    alive = [nbrs is not None for nbrs in adj]
-    degree = [len(nbrs) if nbrs else 0 for nbrs in adj]
+    alive = [True] * len(adj)
+    degree = list(map(len, adj))
     reach = list(reach)
     gone = []
     retired = 0
@@ -858,11 +844,10 @@ def degree1_python(adj, members, reach, ident, edgeless, out: np.ndarray):
 
 
 def bfs_python(rows, start: int) -> list[list[int]]:
-    """The components of ``rows`` (a None row is a deleted vertex), each in
-    BFS dequeue order: from ``start`` unless it is deleted, then from each
-    vertex no earlier BFS reached, lowest id first (the reference for
-    ``bcs_bfs``)."""
-    seen = bytearray(nbrs is None for nbrs in rows)
+    """The components of ``rows``, each in BFS dequeue order: from
+    ``start``, then from each vertex no earlier BFS reached, lowest id first
+    (the reference for ``bcs_bfs``)."""
+    seen = bytearray(len(rows))
     comps = []
     for root in chain((start,), range(len(rows))) if rows else ():
         if seen[root]:

@@ -19,8 +19,10 @@ compiled where the library loads, on the work graph's own arrays: the
 cascade of ``d`` (``kernels.degree1``), the block walk of ``b`` and ``a``
 (``kernels.block_walk``), the side candidates (inside
 ``kernels.side_sweep``) and the classes and credits of each ``i`` sweep
-(``kernels.twin_sweep``).  The passes then edit the arrays in batches (see
-:class:`WorkGraph`): no pass walks the arcs in Python.
+(``kernels.twin_sweep``).  The passes then edit the arrays in batches, each
+edit ending in one rebuild, :meth:`WorkGraph.compact`, that leaves a plain
+CSR: no pass walks the arcs in Python, and no scan meets a removed vertex
+or arc.
 
 Every pass writes its score corrections eagerly into a per-original-vertex
 accumulator, so reassembly after the kernels is just adding each surviving
@@ -28,11 +30,11 @@ vertex's kernel total to all of its merged members.
 
 Bookkeeping invariants (asserted in tests):
 
-* ``reach[v] >= 1``, ``ident[v] >= 1`` for live vertices; a vertex stands
+* ``reach[v] >= 1``, ``ident[v] >= 1`` for every vertex; a vertex stands
   for ``ident[v] * reach[v]`` original vertices ("mass").
 * After any sequence of a/b/d passes on a connected input, every component's
   mass sums to n.  Side removals and isolated-vertex retirement move mass to
-  ``retired_mass`` instead, so live mass + retired mass == n until a split
+  ``retired_mass`` instead, so remaining mass + retired mass == n until a split
   (``b`` or ``a``) gives each side the mass of the whole.
 * Merging requires equal reach, and no pass reads the scores it adds to:
   every later addition reaches all members of a merged class alike.
@@ -131,47 +133,49 @@ class PassStats:
         return rows
 
 
-# The target of a removed arc.
-DEAD_ARC = -1
-
-
 class WorkGraph:
     """Mutable reduced graph with per-vertex reach/ident attributes, all
     held in numpy arrays.
 
-    The rows are one CSR, as ``Graph`` holds them: v's arcs are
-    ``targets[offsets[v]:offsets[v + 1]]`` (int64 offsets, int32 targets).
-    A removed edge's two arcs stay where they were, marked ``DEAD_ARC``.
-    ``live`` (uint8) is clear for a deleted vertex; its arcs and the arcs
-    into it are dead.  Vertices that ``a`` adds get their rows appended, so
-    ids and rows only grow until :meth:`compact` drops what is dead.
-    ``reach`` and ``ident`` are int64, the class flags bool.  The original
-    vertices v carries are ``member_ids[member_offsets[v]:member_offsets[v +
-    1]]``; the first is the one v started as, or was copied from.
+    The rows are one plain CSR, as ``Graph`` holds them: v's arcs are
+    ``targets[offsets[v]:offsets[v + 1]]`` (int64 offsets, int32 targets),
+    every target one of the ``n`` vertices.  Every edit, :meth:`delete`,
+    :meth:`remove_edges` and the copies of ``a``, ends in one
+    :meth:`compact`, so no vertex or arc is ever dead.  ``reach`` and
+    ``ident`` are int64, the class flags bool.  The original vertices v
+    carries are ``member_ids[member_offsets[v]:member_offsets[v + 1]]``; the
+    first is the one v started as, or was copied from.
     """
 
     # internal_edgeless and internal_clique: are the copies of a merged class
     # pairwise non-adjacent (open twins) or pairwise adjacent (closed twins)?
     # Singletons are vacuously both.
-    __slots__ = ("offsets", "targets", "live", "reach", "ident", "internal_edgeless", "internal_clique",
-                 "member_offsets", "member_ids", "live_edge_count", "retired_mass")
+    __slots__ = ("offsets", "targets", "reach", "ident", "internal_edgeless", "internal_clique",
+                 "member_offsets", "member_ids", "retired_mass")
 
     @classmethod
     def from_graph(cls, g: Graph) -> "WorkGraph":
         w = cls()
-        w.offsets, w.targets, w.live = g.offsets.copy(), g.neighbors.copy(), np.ones(g.n, dtype=np.uint8)
+        w.offsets, w.targets = g.offsets.copy(), g.neighbors.copy()
         w.reach, w.ident = np.ones(g.n, dtype=np.int64), np.ones(g.n, dtype=np.int64)
         w.internal_edgeless, w.internal_clique = np.ones(g.n, dtype=bool), np.ones(g.n, dtype=bool)
         w.member_offsets, w.member_ids = np.arange(g.n + 1, dtype=np.int64), np.arange(g.n, dtype=np.int64)
-        w.live_edge_count, w.retired_mass = g.m, 0
+        w.retired_mass = 0
         return w
 
-    def live_vertex_count(self) -> int:
-        return int(np.count_nonzero(self.live))
+    @property
+    def n(self) -> int:
+        """The number of vertices."""
+        return len(self.reach)
+
+    @property
+    def m(self) -> int:
+        """The number of edges."""
+        return len(self.targets) // 2
 
     def _sources(self) -> np.ndarray:
         """The row each arc lies in."""
-        return np.repeat(np.arange(len(self.live), dtype=np.int32), np.diff(self.offsets))
+        return np.repeat(np.arange(self.n, dtype=np.int32), np.diff(self.offsets))
 
     def _slots(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The arc indices of the rows of ``vertices``, row after row, and
@@ -181,15 +185,11 @@ class WorkGraph:
         which = np.repeat(np.arange(len(vertices)), lengths)
         return np.arange(len(which)) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths), which
 
-    def rows(self) -> list[list[int] | None]:
-        """The live neighbors of every vertex as lists in CSR order, None
-        for a deleted vertex: what the Python forms of the scans and loops
-        read."""
-        targets = self.targets
-        arcs = (targets != DEAD_ARC) & (self.live[targets] != 0)
-        flat = targets[arcs].tolist()
-        ends = np.cumsum(np.bincount(self._sources()[arcs], minlength=len(self.live))).tolist()
-        return [flat[a:b] if alive else None for a, b, alive in zip([0, *ends], ends, self.live.tolist())]
+    def rows(self) -> list[list[int]]:
+        """The neighbors of every vertex as lists in CSR order: what the
+        Python forms of the scans and loops read."""
+        flat, ends = self.targets.tolist(), self.offsets.tolist()
+        return [flat[a:b] for a, b in zip(ends, ends[1:])]
 
     def member_lists(self) -> list[list[int]]:
         flat, ends = self.member_ids.tolist(), self.member_offsets.tolist()
@@ -200,8 +200,8 @@ class WorkGraph:
         (``first``), with ``counts[k]`` arcs to ``targets``, row after row.
         The arcs back to them must be in place already."""
         k = len(reach)
-        tails = {"offsets": self.offsets[-1] + np.cumsum(counts), "targets": targets, "live": 1, "reach": reach,
-                 "ident": 1, "internal_edgeless": True, "internal_clique": True,
+        tails = {"offsets": self.offsets[-1] + np.cumsum(counts), "targets": targets, "reach": reach, "ident": 1,
+                 "internal_edgeless": True, "internal_clique": True,
                  "member_offsets": self.member_offsets[-1] + np.arange(1, k + 1), "member_ids": first}
         for name, tail in tails.items():
             head = getattr(self, name)
@@ -209,21 +209,19 @@ class WorkGraph:
             setattr(self, name, np.concatenate([head, tail]))
 
     def remove_edges(self, us: np.ndarray, vs: np.ndarray) -> None:
-        """Kill both arcs of every edge (us[k], vs[k])."""
+        """Remove both arcs of every edge (us[k], vs[k])."""
+        keep = np.ones(len(self.targets), dtype=bool)
         for a, b in ((us, vs), (vs, us)):
             slots, which = self._slots(a)
-            self.targets[slots[self.targets[slots] == b[which]]] = DEAD_ARC
-        self.live_edge_count -= len(us)
+            keep[slots[self.targets[slots] == b[which]]] = False
+        self.compact(None, keep)
 
     def delete(self, vertices) -> None:
-        """Delete a vertex or a batch of them: clear them in ``live`` and
-        kill their arcs and the arcs into them.  Their mass must already be
-        accounted."""
-        self.live[vertices] = 0
-        targets = self.targets
-        dead = (targets != DEAD_ARC) & ((self.live[targets] == 0) | (np.repeat(self.live, np.diff(self.offsets)) == 0))
-        targets[dead] = DEAD_ARC
-        self.live_edge_count -= int(np.count_nonzero(dead)) // 2
+        """Delete a vertex or a batch of them, with their arcs and the arcs
+        into them.  Their mass must already be accounted."""
+        keep = np.ones(self.n, dtype=bool)
+        keep[vertices] = False
+        self.compact(keep, None)
 
     def retire(self, vertices) -> None:
         """Delete vertices whose remaining pair dependencies are all settled."""
@@ -231,30 +229,40 @@ class WorkGraph:
         self.delete(vertices)
 
     def components(self) -> list[list[int]]:
-        """Sorted vertex lists of the live components, in first-id order.
-        Sorted as lists: a numpy sort would page in sort code that nothing
-        else on a solve without merges runs, about 0.13 MB resident."""
-        flat, ends = kernels.components(self)
+        """Sorted vertex lists of the components, in first-id order:
+        :func:`kernels.bfs` from vertex 0.  Sorted as lists: a numpy sort
+        would page in sort code that nothing else on a solve without merges
+        runs, about 0.13 MB resident."""
+        kernels._check_work_graph(self)
+        flat, ends = kernels.bfs(self.offsets, self.targets, 0, self.rows)
         flat, ends = flat.tolist(), ends.tolist()
         return [sorted(flat[a:b]) for a, b in zip(ends, ends[1:])]
 
-    def compact(self) -> None:
-        """Drop deleted vertices and dead arcs and renumber; run between loop
-        iterations so pass code never sees ids move mid-flight."""
-        keep = np.flatnonzero(self.live)
-        n = len(self.live)
-        if len(keep) == n and len(self.targets) == 2 * self.live_edge_count:
-            return
-        remap = np.cumsum(self.live, dtype=np.int32) - 1  # a live vertex's new id
-        arcs = self.targets != DEAD_ARC
-        degrees = np.bincount(self._sources()[arcs], minlength=n)[keep]
-        self.offsets = np.concatenate([[0], np.cumsum(degrees)])
-        self.targets = remap[self.targets[arcs]]
-        counts = np.diff(self.member_offsets)
-        self.member_ids = self.member_ids[np.repeat(self.live != 0, counts)]
-        self.member_offsets = np.concatenate([[0], np.cumsum(counts[keep])])
-        for name in ("live", "reach", "ident", "internal_edgeless", "internal_clique"):
-            setattr(self, name, getattr(self, name)[keep])
+    def compact(self, keep_vertices: np.ndarray | None, keep_arcs: np.ndarray | None) -> None:
+        """The one rebuild: drop the vertices ``keep_vertices`` clears, with
+        their arcs and the arcs into them, and the arcs ``keep_arcs`` clears
+        (bool masks; None keeps them all).  The survivors are renumbered in
+        increasing order and every row keeps its arcs in their order, so
+        each scan visits them in the order it did before the edit."""
+        targets = self.targets
+        if keep_vertices is not None:
+            kept = keep_vertices[targets]
+            kept &= np.repeat(keep_vertices, np.diff(self.offsets))
+            keep_arcs = kept if keep_arcs is None else kept & keep_arcs
+        # the arcs kept before each arc; int32 while that cannot wrap
+        running = np.zeros(len(targets) + 1, dtype=np.int32 if len(targets) < 2**31 else np.int64)
+        np.cumsum(keep_arcs, dtype=running.dtype, out=running[1:])
+        offsets, targets = running[self.offsets], targets[keep_arcs]
+        del running
+        if keep_vertices is not None:
+            offsets = offsets[np.append(keep_vertices, True)]
+            targets = (np.cumsum(keep_vertices, dtype=np.int32) - 1)[targets]  # the new ids
+            counts = np.diff(self.member_offsets)
+            self.member_ids = self.member_ids[np.repeat(keep_vertices, counts)]
+            self.member_offsets = np.concatenate([[0], np.cumsum(counts[keep_vertices])])
+            for name in ("reach", "ident", "internal_edgeless", "internal_clique"):
+                setattr(self, name, getattr(self, name)[keep_vertices])
+        self.offsets, self.targets = offsets.astype(np.int64), targets
 
 
 def remove_degree1(w: WorkGraph, out: np.ndarray) -> int:
@@ -290,6 +298,8 @@ def remove_bridges(w: WorkGraph, out: np.ndarray) -> int:
     v, u = flat[ends[bridges]], flat[ends[bridges] + 1]  # u tops the block
     unmerged = (w.ident[u] == 1) & (w.ident[v] == 1)
     bridges, u, v = bridges[unmerged], u[unmerged], v[unmerged]
+    if not len(bridges):
+        return 0
     side_v = below[bridges]
     side_u = totals[np.searchsorted(comp_ends, bridges, side="right") - 1] - side_v
     first_u, first_v = w.member_ids[w.member_offsets[u]], w.member_ids[w.member_offsets[v]]
@@ -316,30 +326,33 @@ def shatter_articulation(w: WorkGraph) -> int:
     Every vertex but a component's root is a non-top vertex of one block,
     its home.  An edge between x and the top of x's home block lies in that
     block, so the arc from x is rewritten in place to the block's copy, and
-    the arc from the top moves to the copy's row, appended at the end.
+    the arc from the top moves to the copy's row: it is dropped from the
+    top's row, and the copies' rows are appended after the rebuild.
     """
     flat, ends, below, comp_ends, totals = kernels.block_walk(w)
     nblocks = len(ends) - 1
-    # index nblocks is "no block": the home of a root, and of index n below
+    # index nblocks is "no block": the home of a root
     copied = np.append(np.ones(nblocks, dtype=bool), False)
     copied[comp_ends[1:] - 1] = False  # each component's last block, or "no block"
     blocks = np.flatnonzero(copied)
     if not blocks.size:
         return 0
-    n = len(w.live)
+    n = w.n
     top = np.append(flat[ends[1:] - 1], -2)
     copy = np.zeros(nblocks + 1, dtype=np.int32)
     copy[blocks] = np.arange(n, n + len(blocks), dtype=np.int32)
-    home = np.full(n + 1, nblocks)  # a dead arc's target, -1, reads home[n]
-    home[np.delete(flat, ends[1:] - 1)] = np.repeat(np.arange(nblocks), np.diff(ends) - 1)
+    home = np.full(n, nblocks, dtype=np.int32)
+    home[np.delete(flat, ends[1:] - 1)] = np.repeat(np.arange(nblocks, dtype=np.int32), np.diff(ends) - 1)
     sources, targets = w._sources(), w.targets
     into = copied[home[sources]] & (top[home[sources]] == targets)
     moved = np.flatnonzero(copied[home[targets]] & (top[home[targets]] == sources))
     owner = copy[home[targets[moved]]]
-    order = np.argsort(owner, kind="stable")
-    row_targets = targets[moved][order]
+    row_targets = targets[moved][np.argsort(owner, kind="stable")]
     targets[into] = copy[home[sources[into]]]
-    targets[moved] = DEAD_ARC
+    del sources, into  # the per-arc temporaries go before the rebuild
+    keep = np.ones(len(targets), dtype=bool)
+    keep[moved] = False
+    w.compact(None, keep)
     below, tops, totals = below[blocks], top[blocks], np.repeat(totals, np.diff(comp_ends))[blocks]
     np.add.at(w.reach, tops, below)
     w.append(totals - below, w.member_ids[w.member_offsets[tops]], np.bincount(owner - n, minlength=len(blocks)),
@@ -398,11 +411,11 @@ def _merge_sweep(w: WorkGraph, out: np.ndarray, closed: bool) -> int:
     w.internal_edgeless[reps] = np.logical_and.reduceat(w.internal_edgeless[members], starts) & (not closed)
     w.internal_clique[reps] = np.logical_and.reduceat(w.internal_clique[members], starts) & closed
     # every member moves to its class's lowest vertex, the classes' in class order
-    owner = np.arange(len(w.live))
+    owner = np.arange(w.n)
     owner[members] = np.repeat(reps, sizes)
     slot_owner = np.repeat(owner, np.diff(w.member_offsets))
     w.member_ids = w.member_ids[np.argsort(slot_owner, kind="stable")]
-    np.cumsum(np.bincount(slot_owner, minlength=len(w.live)), out=w.member_offsets[1:])
+    np.cumsum(np.bincount(slot_owner, minlength=w.n), out=w.member_offsets[1:])
     w.delete(np.delete(members, starts))
     return len(members) - len(reps)
 
@@ -445,11 +458,10 @@ def preprocess(g: Graph, combination: Combination | str, max_side_degree: int = 
                 start = perf_counter()
                 changes = run_pass(w, letter, out, max_side_degree)
                 seconds = perf_counter() - start
-                stats.record(iteration, letter, changes, w.live_vertex_count(), w.live_edge_count, seconds)
+                stats.record(iteration, letter, changes, w.n, w.m, seconds)
                 any_change = any_change or changes > 0
             if not any_change:
                 break
-            w.compact()
     stats.iterations = iteration
     return w, out, stats
 

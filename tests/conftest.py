@@ -72,13 +72,8 @@ def complete_bipartite_graph(a: int, b: int) -> Graph:
     return Graph.from_edges(a + b, [(u, v) for u in range(a) for v in range(a, a + b)])
 
 
-def live_ids(w) -> list[int]:
-    """The live vertices of a work graph, ascending."""
-    return np.flatnonzero(w.live).tolist()
-
-
 def component_mass_sums(w) -> list[int]:
-    """The mass of each live component of a work graph, in first-id order."""
+    """The mass of each component of a work graph, in first-id order."""
     mass = (w.ident * w.reach).tolist()
     return [sum(mass[v] for v in comp) for comp in w.components()]
 

@@ -16,7 +16,6 @@ from bcshatter.engine import compute_scores
 from bcshatter.graph import Graph
 from bcshatter.oracle import FAMILIES, GraphSpec, bc_brute, generate
 from bcshatter.reduction import (
-    DEAD_ARC,
     Combination,
     WorkGraph,
     _merge_sweep,
@@ -35,7 +34,6 @@ from conftest import (
     complete_graph,
     component_mass_sums,
     cycle_graph,
-    live_ids,
     path_graph,
     per_component,
     random_graph,
@@ -49,29 +47,34 @@ def _work(g: Graph):
 
 def _reaches_of(w: WorkGraph, original: int) -> list[int]:
     members = w.member_lists()
-    return sorted(int(w.reach[v]) for v in live_ids(w) if members[v][0] == original)
+    return sorted(int(w.reach[v]) for v in range(w.n) if members[v][0] == original)
 
 
 def _mass(w: WorkGraph, v: int) -> int:
     return int(w.ident[v] * w.reach[v])
 
 
+def _reach_by_original(w: WorkGraph) -> dict[int, int]:
+    """The reach of every vertex, keyed by the original vertex it started as."""
+    return {members[0]: r for members, r in zip(w.member_lists(), w.reach.tolist())}
+
+
 def _assert_work_graph(w: WorkGraph, n: int | None = None, split: bool = False) -> None:
-    """The work graph's bookkeeping: its live arcs (those not marked dead)
-    pair up into edges, none names a deleted vertex, and ``live_edge_count``
-    is half of them.  Given the input's n: live plus retired mass is n until
-    a split (a bridge or cut removed), which gives each side the mass of the
-    whole; after one, no component carries more than n."""
-    sources = np.repeat(np.arange(len(w.live)), np.diff(w.offsets))
-    arcs = w.targets != DEAD_ARC
-    u, v = sources[arcs], w.targets[arcs].astype(np.int64)
-    assert w.live[u].all() and w.live[v].all()
-    assert np.array_equal(np.sort(u * len(w.live) + v), np.sort(v * len(w.live) + u))
-    assert w.live_edge_count * 2 == len(u)
+    """The work graph's bookkeeping: its rows are a plain CSR over its
+    vertices, every arc naming a vertex, they are symmetric, and their arcs
+    are twice its edges, none a self-loop.  Given the input's n: remaining
+    plus retired mass is n until a split (a bridge or cut removed), which
+    gives each side the mass of the whole; after one, no component carries
+    more than n."""
+    kernels._check_csr(w.offsets, w.targets, w.n, 0, w.n, "neighbor")
+    u = np.repeat(np.arange(w.n, dtype=np.int64), np.diff(w.offsets))
+    v = w.targets.astype(np.int64)
+    assert np.array_equal(np.sort(u * w.n + v), np.sort(v * w.n + u))
+    assert len(w.targets) == 2 * w.m == 2 * np.count_nonzero(u < v)
     if n is not None and split:
         assert max(component_mass_sums(w), default=0) <= n
     elif n is not None:
-        assert int((w.ident * w.reach)[w.live != 0].sum()) + w.retired_mass == n
+        assert int((w.ident * w.reach).sum()) + w.retired_mass == n
 
 
 class TestShatter:
@@ -107,7 +110,7 @@ class TestShatter:
         w, out = _work(g)
         # {0,1} merge as open twins; {2,3} and {4,5} as closed twins
         assert merge_identical(w, out) == 3
-        assert sorted(w.ident[v] for v in live_ids(w)) == [2, 2, 2]
+        assert sorted(w.ident.tolist()) == [2, 2, 2]
         assert shatter_articulation(w) == 0
         for combo in ("oi", "oia", "odbasi"):
             assert np.allclose(compute_scores(g, combo).scores, bc_brute(g), atol=1e-9)
@@ -156,7 +159,7 @@ def _piece(w: WorkGraph, removed: int, start: int) -> tuple[set[int], int]:
 
 
 def _random_attributes(rng: random.Random, w: WorkGraph) -> None:
-    n = len(w.live)
+    n = w.n
     w.reach[:] = [rng.randint(1, 4) for _ in range(n)]
     w.ident[:] = [rng.choice((1, 1, 2, 3)) for _ in range(n)]
 
@@ -247,9 +250,9 @@ class TestBlockMasses:
             # alone; every instance of an unmerged vertex in block k carries
             # the mass beyond the block's side of the cut: total - far
             reach = w.reach.tolist()
-            n_before = len(w.live)
+            n_before = w.n
             created = shatter_articulation(w)
-            assert created == len(w.live) - n_before == len(blocks) - 1
+            assert created == w.n - n_before == len(blocks) - 1
             _assert_work_graph(w)
             comps = w.components()
             assert len(comps) == len(blocks)
@@ -268,8 +271,8 @@ class TestBlockMasses:
             rng = random.Random(11)
             first = _glued_blocks(rng, 8)
             second = _glued_blocks(rng, 8)
-            # ids: dead 0, first component, dead gap of 2, second component,
-            # one isolated vertex, dead last
+            # ids: deleted 0, first component, deleted gap of 2, second
+            # component, one isolated vertex, deleted last
             a = 1
             b = a + first.n + 2
             n = b + second.n + 2
@@ -278,10 +281,10 @@ class TestBlockMasses:
             edges += [(0, a), (b - 2, b - 1), (b - 1, b), (a + 1, n - 1)]
             w = WorkGraph.from_graph(Graph.from_edges(n, sorted((min(e), max(e)) for e in edges)))
             _random_attributes(rng, w)
-            for x in dead:
-                w.delete(x)
+            w.delete(dead)
             comps = w.components()
-            assert [c[0] for c in comps] == [a, b, n - 2]
+            # the survivors keep their order: a, b and n - 2 lose 1, 3 and 3 deleted ids below them
+            assert [c[0] for c in comps] == [a - 1, b - 3, n - 5]
             walk = per_component(kernels.block_walk(w))
             assert len(walk) == len(comps)
             assert [total for _, _, total in walk] == component_mass_sums(w)
@@ -338,6 +341,54 @@ class TestBridgesKeepBlocks:
                 assert {x: _far(w, x, block) for x in block} == far
                 retopped += block[-1] != top_before
         assert removed and merged and retopped
+
+
+class TestCompact:
+    def test_matches_the_kept_subgraph(self):
+        """``compact`` drops what its masks clear and renumbers the rest in
+        order: its rows are those of ``WorkGraph.from_graph`` of the kept
+        subgraph, each keeping its surviving arcs in their old order, and
+        each kept vertex carries its attributes and members over."""
+        rng = random.Random(23)
+        seen = {"vertex mask": 0, "arc mask": 0, "both": 0, "row out of order": 0, "merged members": 0}
+        for case in range(150):
+            family = FAMILIES[case % len(FAMILIES)]
+            g = generate(GraphSpec(family, rng.randint(8, 60), 0.0, rng.randrange(10**6)))
+            w = WorkGraph.from_graph(g)
+            for letter in rng.sample("ia", rng.randint(0, 2)):  # merged members; copies, whose rows fall out of order
+                run_pass(w, letter, np.zeros(g.n))
+            n = w.n
+            w.reach[:] = [rng.randint(1, 4) for _ in range(n)]
+            w.ident[:] = [rng.choice((1, 1, 2, 3)) for _ in range(n)]
+            w.internal_edgeless[:] = [rng.random() < 0.5 for _ in range(n)]
+            w.internal_clique[:] = [rng.random() < 0.5 for _ in range(n)]
+            rows, members = w.rows(), w.member_lists()
+            attributes = [a.tolist() for a in (w.reach, w.ident, w.internal_edgeless, w.internal_clique)]
+            edges = [(v, x) for v in range(n) for x in rows[v] if v < x]
+            masks = rng.choice(("vertices", "arcs", "both"))
+            keep_vertices = [masks == "arcs" or rng.random() < 0.8 for _ in range(n)]
+            removed = set() if masks == "vertices" else set(rng.sample(edges, len(edges) // 5))
+            keep_arcs = [(min(v, x), max(v, x)) not in removed for v in range(n) for x in rows[v]]
+            w.compact(None if masks == "arcs" else np.array(keep_vertices, dtype=bool),
+                      None if masks == "vertices" else np.array(keep_arcs, dtype=bool))
+
+            kept = [v for v in range(n) if keep_vertices[v]]
+            new = {v: i for i, v in enumerate(kept)}
+            survives = [(v, x) for v, x in edges if v in new and x in new and (v, x) not in removed]
+            sub = WorkGraph.from_graph(Graph.from_edges(len(kept), [(new[v], new[x]) for v, x in survives]))
+            assert w.offsets.tolist() == sub.offsets.tolist(), (family, case)
+            assert [sorted(row) for row in w.rows()] == sub.rows()
+            assert w.rows() == [[new[x] for x in rows[v] if x in new and (min(v, x), max(v, x)) not in removed]
+                                for v in kept]
+            assert [a.tolist() for a in (w.reach, w.ident, w.internal_edgeless, w.internal_clique)] == [
+                [a[v] for v in kept] for a in attributes]
+            assert w.member_lists() == [members[v] for v in kept]
+            kernels._check_work_graph(w, np.zeros(g.n))  # every array keeps its dtype
+            _assert_work_graph(w)
+            seen["vertex mask" if masks == "vertices" else "arc mask" if masks == "arcs" else "both"] += 1
+            seen["row out of order"] += any(row != sorted(row) for row in rows)
+            seen["merged members"] += any(len(m) > 1 for m in members)
+        assert all(count > 10 for count in seen.values()), seen
 
 
 class TestLetterOrderFuzz:
@@ -399,7 +450,7 @@ class TestBridges:
         assert remove_bridges(w, out) == 1
         assert out.tolist() == [0.0, 0.0]
         assert w.reach.tolist() == [2, 2]
-        assert w.live_edge_count == 0
+        assert w.m == 0
 
     def test_barbell(self):
         g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)])
@@ -437,7 +488,7 @@ class TestBridges:
         for v, r in reach.items():
             w.reach[v] = r
         assert merge_identical(w, out) > 0
-        assert w.live_edge_count > 0
+        assert w.m > 0
         assert remove_bridges(w, out) == 0
         assert shatter_articulation(w) == 0
         expected = bc_brute(g)
@@ -458,7 +509,7 @@ class TestDegree1:
         changes = remove_degree1(w, out)
         assert changes == 3  # two folds plus the final lone-vertex retirement
         assert out.tolist() == [0.0, 2.0, 0.0]
-        assert w.live_vertex_count() == 0
+        assert w.n == 0
         assert w.retired_mass == 3
 
     def test_isolated_edge(self):
@@ -480,10 +531,10 @@ class TestDegree1:
         w, out = _work(g)
         w.reach[2] = w.reach[3] = 2  # keeps the open twins {2,3} out of {0,1}'s class
         merge_identical(w, out)  # {2,3} open twins, {0,1} closed twins
-        assert any(w.ident[v] == 2 for v in live_ids(w))
-        before = w.live_vertex_count()
+        assert any(w.ident[v] == 2 for v in range(w.n))
+        before = w.n
         remove_degree1(w, out)
-        assert w.live_vertex_count() == before
+        assert w.n == before
         assert np.allclose(compute_scores(g, "oid").scores, bc_brute(g), atol=1e-9)
 
     def test_components_fold_independently(self):
@@ -509,6 +560,7 @@ class TestDegree1:
             w.reach[:] = union_reach
             changes = remove_degree1(w, out)
             alone_changes = alone_retired = 0
+            alone_reach = {}
             for (n, edges, reach), base in zip(pieces, offsets):
                 wp, outp = _work(Graph.from_edges(n, edges))
                 wp.reach[:] = reach
@@ -516,8 +568,9 @@ class TestDegree1:
                 alone_retired += wp.retired_mass
                 for v in range(n):
                     assert out[base + v] == outp[v]
-                    assert w.reach[base + v] == wp.reach[v]
-                    assert w.live[base + v] == wp.live[v]
+                alone_reach.update((base + v, r) for v, r in _reach_by_original(wp).items())
+            # the same vertices are left, with the same reach
+            assert _reach_by_original(w) == alone_reach
             assert changes == alone_changes
             assert w.retired_mass == alone_retired
 
@@ -599,8 +652,7 @@ def _attributed_work(g: Graph, seed: int):
             members[v].append(rng.randrange(slots))  # a copy's original
     np.cumsum([len(m) for m in members], out=w.member_offsets[1:])
     w.member_ids = np.array([m for ms in members for m in ms], dtype=np.int64)
-    for v in rng.sample(range(g.n), g.n // 10):
-        w.delete(v)
+    w.delete(rng.sample(range(g.n), g.n // 10))
     out = np.array([rng.uniform(0.0, 100.0) for _ in range(slots)])
     return w, out
 
@@ -608,15 +660,15 @@ def _attributed_work(g: Graph, seed: int):
 def _side_inputs(w: WorkGraph):
     """What a side sweep must leave as it found it: the arrays of the work
     graph."""
-    return [a.tobytes() for a in (w.offsets, w.targets, w.live, w.reach, w.ident, w.internal_edgeless,
-                                  w.internal_clique, w.member_offsets, w.member_ids)]
+    return [a.tobytes() for a in (w.offsets, w.targets, w.reach, w.ident, w.internal_edgeless, w.internal_clique,
+                                  w.member_offsets, w.member_ids)]
 
 
 def _side_candidates(w: WorkGraph, cap: int) -> list[int]:
-    """The side pass's candidates by their definition: the live vertices of
+    """The side pass's candidates by their definition: the vertices of
     degree 1 to cap whose unfolded neighborhood is a clique."""
     flags = (w.ident, w.internal_edgeless, w.internal_clique)
-    adj = [row and set(row) for row in w.rows()]
+    adj = [set(row) for row in w.rows()]
     return [v for v, nbrs in enumerate(adj) if nbrs and len(nbrs) <= cap and kernels.expanded_clique(adj, *flags, v)]
 
 
@@ -643,7 +695,7 @@ class TestSideSweep:
             assert changes == remove_side_vertices(ref, ref_out, cap), (family, case)
             assert out.tobytes() == ref_out.tobytes(), (family, case)
             assert w.retired_mass == ref.retired_mass
-            assert w.live_edge_count == ref.live_edge_count
+            assert w.m == ref.m
             assert w.rows() == ref.rows()
             removed += changes
             skipped += len(candidates) - changes
@@ -734,8 +786,8 @@ class TestMergeIdentical:
                 changes = _merge_sweep(w, out, closed)
                 assert changes == sum(len(verts) - 1 for *_, verts in classes)
                 members = w.member_lists()
-                assert sorted(sorted(members[v]) for v in live_ids(w)) == expected
-                assert all(w.ident[v] == len(members[v]) for v in live_ids(w))
+                assert sorted(map(sorted, members)) == expected
+                assert w.ident.tolist() == list(map(len, members))
                 merged[closed] += changes
         assert merged[False] > 50 and merged[True] > 10
 
@@ -744,24 +796,20 @@ class TestMergeIdentical:
         # the two antipodal pairs fold first; the two class vertices are then
         # closed twins of each other and fold once more
         assert merge_identical(w, out) == 3
-        live = live_ids(w)
-        assert len(live) == 1
-        assert w.ident[live[0]] == 4
+        assert w.ident.tolist() == [4]
         # each vertex is owed its two distance-2 pairs, settled at merge time
         assert out.tolist() == [1.0, 1.0, 1.0, 1.0]
 
     def test_triangle_closed_twins_collapse(self):
         w, out = _work(complete_graph(3))
         assert merge_identical(w, out) == 2
-        live = live_ids(w)
-        assert len(live) == 1
-        assert w.ident[live[0]] == 3
+        assert w.ident.tolist() == [3]
 
     def test_unequal_reach_never_merges(self):
         w, out = _work(star_graph(3))
         w.reach[1] = 5  # pretend one leaf carries folded mass
         assert merge_identical(w, out) == 1  # only the other two leaves merge
-        assert any(w.reach[v] == 5 and w.ident[v] == 1 for v in live_ids(w))
+        assert any(w.reach[v] == 5 and w.ident[v] == 1 for v in range(w.n))
         # the merged pair's distance-2 paths land on the shared center
         assert out[0] == 2.0
 
@@ -785,7 +833,7 @@ class TestMergeIdentical:
         assert w.reach[3] == w.reach[4] == 3 and out[3] != out[4]
         merge_identical(w, out)
         members = w.member_lists()
-        assert any({3, 4} <= set(members[v]) for v in live_ids(w))
+        assert any({3, 4} <= set(m) for m in members)
         for combo in ("odi", "odbasi"):
             result = compute_scores(g, combo)
             assert np.allclose(result.scores, expected, atol=1e-9)
@@ -804,20 +852,20 @@ class TestMergeIdentical:
 class TestPreprocess:
     def test_path3_degree_only_empties(self):
         w, partial, stats = preprocess(path_graph(3), Combination.parse("od"))
-        assert w.live_vertex_count() == 0
+        assert w.n == 0
         assert partial.tolist() == [0.0, 2.0, 0.0]
 
     def test_clique_fixed_point(self):
         w, partial, stats = preprocess(complete_graph(4), Combination.parse("odba"))
-        assert w.live_vertex_count() == 4
-        assert w.live_edge_count == 6
+        assert w.n == 4
+        assert w.m == 6
         assert partial.tolist() == [0.0] * 4
 
     def test_ordering_only_is_identity_workgraph(self):
         g = random_graph(10, 0.3, seed=2)
         w, partial, stats = preprocess(g, Combination.parse("o"))
-        assert w.live_vertex_count() == g.n
-        assert w.live_edge_count == g.m
+        assert w.n == g.n
+        assert w.m == g.m
         assert stats.iterations == 0
 
     def test_pass_idempotence_at_fixed_point(self):
@@ -840,9 +888,9 @@ class TestPreprocess:
                 split = False
                 for _ in range(4):
                     for letter in letters:
-                        before = w.live_edge_count
+                        before = w.m
                         split |= letter in "ab" and run_pass(w, letter, out) > 0
-                        assert w.live_edge_count <= before
+                        assert w.m <= before
                         _assert_work_graph(w, g.n, split)
 
     def test_mass_conservation_under_shattering_passes(self):

@@ -17,9 +17,9 @@ import pytest
 from bcshatter import kernels
 from bcshatter.graph import Graph
 from bcshatter.oracle import FAMILIES, GraphSpec, generate
-from bcshatter.reduction import DEAD_ARC, WorkGraph, preprocess, run_pass
+from bcshatter.reduction import WorkGraph, preprocess, run_pass
 
-from conftest import complete_bipartite_graph, complete_graph, live_ids, per_component, star_graph
+from conftest import complete_bipartite_graph, complete_graph, per_component, star_graph
 
 
 @pytest.fixture(params=["compiled", "python"])
@@ -42,10 +42,9 @@ def _both_forms(monkeypatch, lib, call):
 
 def _work_graphs(seed: int, count: int):
     """Seeded work graphs of all six families as passes leave them: merged
-    classes of every shape, copies made by ``a``, dead arcs, deleted
-    vertices, isolated vertices and random reach, and a few vertices
-    cleared in ``live`` with their arcs and the arcs into them left in
-    place.  Yields (case, family, work graph, number of vertices of the
+    classes of every shape, copies made by ``a``, removed edges, isolated
+    vertices and random reach, and two batches of deleted vertices, with
+    their arcs and the arcs into them.  Yields (case, family, work graph,
     input graph)."""
     rng = random.Random(seed)
     for case in range(count):
@@ -56,30 +55,28 @@ def _work_graphs(seed: int, count: int):
         for letter in rng.sample("iadbs", rng.randint(0, 3)):
             run_pass(w, letter, out, rng.randint(1, 6))
         w.reach[:] = [rng.randint(1, 4) for _ in w.reach]
-        for v in range(len(w.live)):
+        for v in range(w.n):
             if w.ident[v] > 1 and rng.random() < 0.3:  # a mixed class
                 w.internal_edgeless[v] = w.internal_clique[v] = False
-        live = live_ids(w)
-        for v in rng.sample(live, len(live) // 10):
-            w.delete(v)
+        w.delete(rng.sample(range(w.n), w.n // 10))
         for _ in range(rng.randint(0, 2)):
             w.append([rng.randint(1, 3)], [0], [0], [])
-        live = live_ids(w)
-        w.live[rng.sample(live, len(live) // 20)] = 0
-        yield case, family, w, g.n
+        w.delete(rng.sample(range(w.n), w.n // 20))
+        yield case, family, w, g
 
 
 class TestBlockWalk:
     def test_forms_agree(self, compiled_library, monkeypatch):
-        seen = {"merged": 0, "dead arc": 0, "deleted": 0, "isolated": 0, "copy": 0, "merged root block": 0}
-        for case, family, w, n in _work_graphs(41, 180):
+        seen = {"merged": 0, "removed arc": 0, "deleted": 0, "isolated": 0, "copy": 0, "merged root block": 0}
+        for case, family, w, g in _work_graphs(41, 180):
             walk = _both_forms(monkeypatch, compiled_library, lambda: per_component(kernels.block_walk(w)))
             assert len(walk) == len(w.components()), (family, case)
             seen["merged"] += any(i > 1 for i in w.ident)
-            seen["dead arc"] += DEAD_ARC in w.targets
-            seen["deleted"] += not w.live.all()
+            seen["removed arc"] += w.m < g.m
+            seen["deleted"] += w.n < g.n
             seen["isolated"] += any(blocks == [] for blocks, _, _ in walk)
-            seen["copy"] += len(w.live) > n
+            # a copy starts with its original's first member, as the appended vertices do
+            seen["copy"] += len(set(w.member_ids[w.member_offsets[:-1]].tolist())) < w.n
             seen["merged root block"] += any(blocks and w.ident[blocks[-1][-1]] > 1 for blocks, _, _ in walk)
         assert all(seen.values()), seen
 
@@ -87,13 +84,13 @@ class TestBlockWalk:
         w = WorkGraph.from_graph(Graph.from_edges(5, [(1, 2), (2, 3), (3, 1)]))
         w.reach[0] = 3
         w.ident[4] = 2
-        w.delete(2)
-        assert per_component(kernels.block_walk(w)) == [([], [], 3), ([[3, 1]], [1], 2), ([], [], 2)]
+        w.delete(2)  # 3 and 4 become 2 and 3
+        assert per_component(kernels.block_walk(w)) == [([], [], 3), ([[2, 1]], [1], 2), ([], [], 2)]
 
     def test_skips_arcs_into_a_deleted_vertex(self, scan_form):
-        # the path 0-1-2 with 2 cleared in live and its arcs left in place
+        # the path 0-1-2 with 2 deleted: its arcs and the arcs into it go too
         w = WorkGraph.from_graph(Graph.from_edges(3, [(0, 1), (1, 2)]))
-        w.live[2] = 0
+        w.delete(2)
         assert per_component(kernels.block_walk(w)) == [([[1, 0]], [1], 2)]
         w.targets[w.offsets[1]] = 3
         with pytest.raises(ValueError, match="neighbor ids"):
@@ -117,9 +114,9 @@ def _side_pass(w: WorkGraph, cap: int, slots: int):
 class TestSideCandidates:
     def test_forms_agree(self, compiled_library, monkeypatch):
         found = 0
-        for case, family, w, n in _work_graphs(43, 180):
+        for case, family, w, g in _work_graphs(43, 180):
             for cap in (1, 2, 4, 6, 1000):
-                removed, _, _ = _both_forms(monkeypatch, compiled_library, lambda: _side_pass(w, cap, n))
+                removed, _, _ = _both_forms(monkeypatch, compiled_library, lambda: _side_pass(w, cap, g.n))
                 assert removed == sorted(removed), (family, case)
                 found += len(removed)
         assert found > 1000
@@ -163,16 +160,16 @@ class TestSideCandidates:
         assert _side_pass(WorkGraph.from_graph(g), 1, g.n)[0] == [1, 2, 3, 4, 5]
 
     def test_skips_arcs_into_a_deleted_vertex(self, scan_form):
-        # the path 0-1-2 with 2 cleared in live and its arcs left in place: 0
-        # and 1 are each other's one neighbor, and removing 0 empties 1
+        # the path 0-1-2 with 2 deleted, its arcs with it: 0 and 1 are each
+        # other's one neighbor, and removing 0 empties 1
         w = WorkGraph.from_graph(Graph.from_edges(3, [(0, 1), (1, 2)]))
-        w.live[2] = 0
+        w.delete(2)
         assert _side_pass(w, 4, 3)[:2] == ([0], 2)
 
 
 def _twin_classes(w: WorkGraph, closed: bool) -> list[list[int]]:
     """The classes of ``kernels.twin_sweep`` over w, as lists."""
-    members, ends = kernels.twin_sweep(w, closed, np.zeros(int(w.member_ids.max()) + 1))
+    members, ends = kernels.twin_sweep(w, closed, np.zeros(int(w.member_ids.max(initial=0)) + 1))
     members, ends = members.tolist(), ends.tolist()
     return [members[a:b] for a, b in zip(ends, ends[1:])]
 
@@ -204,10 +201,10 @@ class TestTwinClasses:
         assert _twin_classes(w, True) == []
         # a clique with a deleted vertex and an isolated one: closed twins only
         w = WorkGraph.from_graph(Graph.from_edges(6, [(u, v) for u in range(5) for v in range(u + 1, 5)]))
-        w.delete(2)
-        w.reach[:] = [2, 1, 1, 2, 1, 1]
+        w.delete(2)  # 3, 4 and 5 become 2, 3 and 4
+        w.reach[:] = [2, 1, 2, 1, 1]
         assert _twin_classes(w, False) == []
-        assert _twin_classes(w, True) == [[0, 3], [1, 4]]
+        assert _twin_classes(w, True) == [[0, 2], [1, 3]]
 
     def test_clique_is_one_closed_class(self, scan_form):
         w = WorkGraph.from_graph(complete_graph(6))
@@ -218,7 +215,7 @@ class TestTwinClasses:
 def _start_scores(w: WorkGraph, seed: int) -> np.ndarray:
     """Random partial scores over w's original vertices, so that the order
     of later additions shows in their last bits."""
-    return np.random.default_rng(seed).random(int(w.member_ids.max()) + 1) * 1e3
+    return np.random.default_rng(seed).random(int(w.member_ids.max(initial=0)) + 1) * 1e3
 
 
 def _merge_some(w: WorkGraph, seed: int) -> None:
@@ -226,7 +223,7 @@ def _merge_some(w: WorkGraph, seed: int) -> None:
     neighbors and merged leaves are common; the members stay as they are,
     which both forms read alike."""
     rng = random.Random(seed)
-    for v in rng.sample(range(len(w.live)), len(w.live) // 10):
+    for v in rng.sample(range(w.n), w.n // 10):
         w.ident[v] = rng.randint(2, 3)
 
 
@@ -291,12 +288,12 @@ class TestDegree1Cascade:
             _merge_some(w, case)
             start = _start_scores(w, case)
             gone, reach, retired, _ = _both_forms(monkeypatch, compiled_library, lambda: _degree1_pass(w, start))
-            assert len(set(gone)) == len(gone) and set(gone) <= set(live_ids(w)), (family, case)
-            degree = [len(row) if row else 0 for row in w.rows()]
+            assert len(set(gone)) == len(gone) and set(gone) <= set(range(w.n)), (family, case)
+            degree = list(map(len, w.rows()))
             seen["fold"] += sum(reach) > int(w.reach.sum())
             seen["retired"] += retired > 0
             seen["merged leaf fold"] += any(w.ident[v] > 1 and degree[v] == 1 for v in gone)
-            seen["skipped leaf"] += any(degree[v] == 1 and w.live[v] and v not in gone for v in range(len(degree)))
+            seen["skipped leaf"] += any(degree[v] == 1 and v not in gone for v in range(len(degree)))
         assert all(count > 10 for count in seen.values()), seen
 
     def test_fold_order(self, scan_form):
@@ -329,26 +326,27 @@ class TestComponents:
         sizes = []
         for case, family, w, _ in _work_graphs(59, 180):
             comps = _both_forms(monkeypatch, compiled_library, w.components)
-            assert sorted(v for comp in comps for v in comp) == live_ids(w), (family, case)
+            assert sorted(v for comp in comps for v in comp) == list(range(w.n)), (family, case)
             assert all(comp == sorted(comp) for comp in comps)
             assert [comp[0] for comp in comps] == sorted(comp[0] for comp in comps)
             sizes += [len(comp) for comp in comps]
         assert sizes.count(1) > 50 and max(sizes) > 20
 
     def test_dead_arcs_split(self, scan_form):
-        # the path 0-1-2-3-4 without the edge 1-2 and with 4 deleted
+        # the path 0-1-2-3-4 without the edge 1-2 and with 4 deleted: the
+        # removed edge splits the path, and 5, alone, becomes 4
         w = WorkGraph.from_graph(Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4)]))
         w.remove_edges(np.array([2]), np.array([1]))
         w.delete(4)
-        assert w.components() == [[0, 1], [2, 3], [5]]
-        flat, ends = kernels.components(w)
-        assert flat.tolist() == [0, 1, 2, 3, 5] and ends.tolist() == [0, 2, 4, 5]
+        assert w.components() == [[0, 1], [2, 3], [4]]
+        flat, ends = kernels.bfs(w.offsets, w.targets, 0, w.rows)
+        assert flat.tolist() == [0, 1, 2, 3, 4] and ends.tolist() == [0, 2, 4, 5]
 
-    @pytest.mark.parametrize("n, edges, deleted, comps", [
+    @pytest.mark.parametrize("n, edges, deleted, comps", [  # comps in the ids left after the deletions
         (0, [], [], []),
-        (3, [(0, 1), (1, 2)], [0, 1, 2], []),  # no live vertex
-        (5, [(0, 1), (1, 2), (3, 4)], [0], [[1, 2], [3, 4]]),
-        (6, [(0, 5), (1, 5), (2, 4), (3, 4)], [0, 4], [[1, 5], [2], [3]]),
+        (3, [(0, 1), (1, 2)], [0, 1, 2], []),  # no vertex left
+        (5, [(0, 1), (1, 2), (3, 4)], [0], [[0, 1], [2, 3]]),
+        (6, [(0, 5), (1, 5), (2, 4), (3, 4)], [0, 4], [[0, 3], [1], [2]]),
     ])
     def test_edge_cases(self, scan_form, n, edges, deleted, comps):
         w = WorkGraph.from_graph(Graph.from_edges(n, edges))
@@ -357,13 +355,14 @@ class TestComponents:
         assert [sorted(comp) for comp in kernels.bfs_python(w.rows(), 0)] == comps
 
     def test_bfs_from_a_start_in_a_later_component(self, scan_form):
-        # 0 deleted, the edge 2-3 dead: from 4, then from 1 and from 2
+        # the edge 2-3 removed, 0 deleted and every id above it one lower:
+        # from 4 (now 3), then from 1 and from 2 (now 0 and 1)
         w = WorkGraph.from_graph(Graph.from_edges(6, [(0, 1), (1, 5), (2, 3), (3, 4), (4, 5)]))
-        w.delete(0)
         w.remove_edges(np.array([2]), np.array([3]))
-        order, ends = kernels.bfs(w.offsets, w.targets, 4, (w.live == 0).view(np.uint8), w.rows)
-        assert order.tolist() == [4, 3, 5, 1, 2] and ends.tolist() == [0, 4, 5]
-        assert kernels.bfs_python(w.rows(), 4) == [[4, 3, 5, 1], [2]]
+        w.delete(0)
+        order, ends = kernels.bfs(w.offsets, w.targets, 3, w.rows)
+        assert order.tolist() == [3, 2, 4, 0, 1] and ends.tolist() == [0, 4, 5]
+        assert kernels.bfs_python(w.rows(), 3) == [[3, 2, 4, 0], [1]]
 
 
 def _path_work_graph():
@@ -407,7 +406,7 @@ class TestRefusals:
         assert out.tolist() == [0.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
-    @pytest.mark.parametrize("field, dtype", [("targets", np.int64), ("offsets", np.int32), ("live", bool),
+    @pytest.mark.parametrize("field, dtype", [("targets", np.int64), ("offsets", np.int32), ("ident", np.int32),
                                               ("reach", np.int32), ("internal_edgeless", np.uint8),
                                               ("member_ids", np.int32)])
     def test_arrays_of_another_dtype(self, scan_form, entry, field, dtype):
