@@ -1,16 +1,14 @@
-/* The compiled forms of bcshatter's hot loops, twelve entry points:
+/* The compiled forms of bcshatter's hot loops, ten entry points:
  *
  * - bcs_brandes, all sources over one component's CSR: the compiled form of
  *   ``kernels.brandes_python``;
- * - bcs_side_candidates and then bcs_side_sweep, the side pass's candidate
- *   test and one compensation run per candidate over the work graph, both
- *   called by ``kernels.side_sweep`` only: together the compiled form of
+ * - bcs_side_sweep, the side pass's candidate test and one compensation run
+ *   per candidate over the work graph: the compiled form of
  *   ``kernels.side_sweep_python``;
  * - bcs_degree1, the degree-1 pass's cascade over the work graph: the
  *   compiled form of ``kernels.degree1_python``;
- * - bcs_twin_classes and then bcs_twin_credits, the twin grouping of one
- *   merge sweep and its credits, both called by ``kernels.twin_sweep``
- *   only: together the compiled form of ``kernels.twin_sweep_python``;
+ * - bcs_twin_sweep, the twin grouping of one merge sweep and its credits:
+ *   the compiled form of ``kernels.twin_sweep_python``;
  * - bcs_blocks, the blocks and cut-side masses of every component of the
  *   work graph: the compiled form of ``kernels.block_walk_python``;
  * - bcs_bfs, the one BFS, over a ``Graph``'s CSR for ``graph.bfs_order``
@@ -24,15 +22,20 @@
  * - bcs_relabel, the renamed CSR of ``graph.relabel``: the compiled form of
  *   its numpy form.
  *
- * bcs_side_candidates, bcs_blocks, bcs_twin_classes and bcs_bfs are scans:
- * they compute no score, and return what the Python code returns, in
- * order.  bcs_degree1 and bcs_twin_credits add a pass's credits to the
- * scores: each credit is an integer product below 2^53, computed in int64
- * and converted to double exactly, and the one division is of two such
- * doubles, so each rounds as the Python loop's int arithmetic and true
- * division do.  The graph-layer functions read a ``Graph``'s CSR, whose
- * rows are symmetric, ascending and free of self-loops, and build such
- * CSRs.
+ * bcs_blocks and bcs_bfs are scans, as are the candidate test of
+ * bcs_side_sweep and the grouping of bcs_twin_sweep: they compute no score,
+ * and return what the Python code returns, in order.  bcs_degree1 and
+ * bcs_twin_sweep add a pass's credits to the scores: each credit is an
+ * integer product below 2^53, computed in int64 and converted to double
+ * exactly, and the one division is of two such doubles, so each rounds as
+ * the Python loop's int arithmetic and true division do.  The graph-layer
+ * functions read a ``Graph``'s CSR, whose rows are symmetric, ascending and
+ * free of self-loops, and build such CSRs.
+ *
+ * An entry point takes only its inputs and the results its caller reads:
+ * take() sizes its scratch from its arguments, and release() frees it on
+ * every return.  When an allocation fails it returns -1 before it writes
+ * anything, and ``kernels`` raises MemoryError.
  *
  * The work graph is read in place: its rows are one plain CSR (offsets,
  * targets), every target a vertex, as ``WorkGraph.compact`` leaves it after
@@ -72,6 +75,31 @@ static double now(void)
     return (double)ts.tv_sec + 1e-9 * (double)ts.tv_nsec;
 }
 
+/* A function's scratch arrays, each its own malloc as numpy's were: glibc
+ * serves each from the free memory its heap holds already, where one block
+ * of their total size would be mapped afresh, raising the resident set. */
+struct scratch {
+    void *arrays[10]; /* more than any function takes */
+    int count, failed;
+};
+
+/* An array of count elements of size bytes for release() to free; marks s
+ * failed when malloc, asked one byte more lest it return NULL for 0, fails. */
+static void *take(struct scratch *s, int64_t count, size_t size)
+{
+    void *array = malloc((size_t)count * size + 1);
+    s->failed |= array == NULL;
+    return s->arrays[s->count++] = array;
+}
+
+/* Frees what s took, and returns -1 for an allocation that failed. */
+static int64_t release(struct scratch *s)
+{
+    while (s->count > 0)
+        free(s->arrays[--s->count]);
+    return -1;
+}
+
 /* Lays out the predecessor buckets and leaves them empty.  Bucket w is
  * preds[starts[w] .. starts[w + 1]), one slot per occurrence of w in
  * targets: a run records v in it once per occurrence of w in v's row at
@@ -95,11 +123,11 @@ static void empty_buckets(int64_t n, const int64_t *offsets, const int32_t *targ
  * predecessors in its bucket, and returns how many vertices s reaches
  * (order[0] is s); it never discovers an ABSENT vertex.  Inlined into
  * each caller, so the all-sources loop compiles as it would without the
- * side sweep.  The backward sweeps stay two loops: what a swept vertex does with its dependency differs (one
- * score addition against amounts spread over its members plus the mass and
- * arc counts), and a shared loop would have to branch or call back per
- * vertex inside the all-sources kernel.  Each reads a swept vertex's bucket
- * and empties it again. */
+ * side sweep.  The backward sweeps stay two loops: what a swept vertex does
+ * with its dependency differs (one score addition against amounts spread
+ * over its members plus the mass and arc counts), and a shared loop would
+ * have to branch or call back per vertex inside the all-sources kernel.
+ * Each reads a swept vertex's bucket and empties it again. */
 static inline __attribute__((always_inline)) int64_t
 forward(int32_t s, const int64_t *offsets, const int32_t *targets,
         const double *reach, const double *ident,
@@ -135,17 +163,18 @@ forward(int32_t s, const int64_t *offsets, const int32_t *targets,
 
 /* n vertices; the neighbors of v are targets[offsets[v] .. offsets[v + 1]),
  * every one in [0, n); the rows need not be symmetric and may repeat an
- * entry.  dist and order (int32) and sigma and delta (double) are n-element
- * workspaces, preds (int32) has offsets[n] slots and starts and fill
- * (int64) n + 1 and n.  Adds each vertex's score to bc, and the seconds of
- * the forward BFS, predecessor recording included, and of the backward
- * sweep to seconds[0] and seconds[1]. */
-void bcs_brandes(int64_t n, const int64_t *offsets, const int32_t *targets,
-                 const double *reach, const double *ident,
-                 int32_t *dist, int32_t *order, double *sigma, double *delta,
-                 int32_t *preds, int64_t *starts, int64_t *fill,
-                 double *bc, double *seconds)
+ * entry.  Adds each vertex's score to bc, and the seconds of the forward
+ * BFS, predecessor recording included, and of the backward sweep to
+ * seconds[0] and seconds[1].  Returns 0. */
+int64_t bcs_brandes(int64_t n, const int64_t *offsets, const int32_t *targets,
+                    const double *reach, const double *ident, double *bc, double *seconds)
 {
+    struct scratch s = {0};
+    double *sigma = take(&s, n, 8), *delta = take(&s, n, 8);
+    int64_t *starts = take(&s, n + 1, 8), *fill = take(&s, n, 8);
+    int32_t *dist = take(&s, n, 4), *order = take(&s, n, 4), *preds = take(&s, offsets[n], 4);
+    if (s.failed)
+        return release(&s);
     empty_buckets(n, offsets, targets, starts, fill);
     for (int64_t v = 0; v < n; v++)
         dist[v] = UNSEEN;
@@ -170,44 +199,116 @@ void bcs_brandes(int64_t n, const int64_t *offsets, const int32_t *targets,
         seconds[0] += mid - start;
         seconds[1] += now() - mid;
     }
+    release(&s);
+    return 0;
 }
 
-/* One side-vertex sweep.  The work graph at sweep start has n vertices
- * with its rows (offsets, targets) and the original vertices each id
- * carries as a second CSR (member_offsets, members).  dist, order (int32),
- * sigma, delta (double) and degree (int64) are n-element workspaces, and
- * preds, starts and fill the predecessor buckets' as for bcs_brandes.
+static int ascending(const void *a, const void *b)
+{
+    int32_t x = *(const int32_t *)a, y = *(const int32_t *)b;
+    return (x > y) - (x < y);
+}
+
+/* Sorts ids[0 .. len) ascending: insertion sort for the short rows most
+ * vertices have, qsort for the rest. */
+static void sort_ids(int32_t *ids, int64_t len)
+{
+    if (len > 16) {
+        qsort(ids, (size_t)len, sizeof *ids, ascending);
+        return;
+    }
+    for (int64_t i = 1; i < len; i++) {
+        int32_t x = ids[i];
+        int64_t j = i;
+        for (; j > 0 && ids[j - 1] > x; j--)
+            ids[j] = ids[j - 1];
+        ids[j] = x;
+    }
+}
+
+/* Is x among the ascending ids[0 .. len)? */
+static int contains(const int32_t *ids, int64_t len, int32_t x)
+{
+    int64_t lo = 0, hi = len;
+    while (lo < hi) {
+        int64_t mid = lo + (hi - lo) / 2;
+        if (ids[mid] < x)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo < len && ids[lo] == x;
+}
+
+/* One side-vertex pass.  The work graph at pass start has n vertices with
+ * its rows (offsets, targets) and the original vertices each id carries as
+ * a second CSR (member_offsets, members).
  *
- * For each of the ncand candidates in turn, a candidate with no neighbor
- * left is skipped.  Otherwise one run from it adds, for every vertex w it
- * reaches, m * delta[w] + m * (delta[w] - (reach[w] - 1)) with
- * m = reach[s] * ident[s] to out[] of each of w's members, in reverse BFS
- * order and skipping zero amounts; then the endpoint credit
- * (reach[s] - 1) * (mass reached), summed in integers, to each of its own
- * members.  The candidate is then taken out of the graph: later runs see
+ * The candidates, the compiled form of the candidate test of
+ * ``kernels.side_sweep_python``, are in increasing id order every v of
+ * degree 1 to max_degree with edgeless[v] or clique[v] set (v's class is
+ * not mixed) whose every neighbor x has ident[x] 1 or clique[x] set (x
+ * unfolds into a clique) and shares with v all of v's neighbors but itself:
+ * of the ids in v's row, exactly degree - 1 lie in x's row.  They are looked up by binary search in a copy
+ * of the rows with each row sorted, so a vertex costs O(d^2 log D) however
+ * large its neighbors' rows are.
+ *
+ * For each candidate in turn, one with no neighbor left is skipped.
+ * Otherwise one run from it adds, for every vertex w it reaches,
+ * m * delta[w] + m * (delta[w] - (reach[w] - 1)) with m = reach[s] *
+ * ident[s] to out[] of each of w's members, in reverse BFS order and
+ * skipping zero amounts; then the endpoint credit (reach[s] - 1) * (mass
+ * reached), summed in integers, to each of its own members.  The candidate is then taken out of the graph: later runs see
  * its rows as if it were deleted, and deleting from a list never reorders
  * the rest, so every run visits the vertices of ``side_sweep_python`` in
  * its order and out[] receives the same additions in the same order.
  *
- * Writes the removed candidates, in order, to removed, and adds the runs
- * and the arcs they scanned (the degrees, less the arcs to earlier removed
- * candidates, of the vertices each run reached) to counts[0] and
- * counts[1]. */
-void bcs_side_sweep(int64_t n, const int64_t *offsets, const int32_t *targets,
-                    const int64_t *member_offsets, const int64_t *members,
-                    const double *reach, const double *ident,
-                    const int32_t *candidates, int64_t ncand, double *out,
-                    int32_t *dist, int32_t *order, double *sigma, double *delta,
-                    int32_t *preds, int64_t *starts, int64_t *fill,
-                    int64_t *degree, int32_t *removed, int64_t *counts)
+ * Writes the removed candidates, in order, to removed (n slots) and the
+ * arcs their runs scanned (the degrees, less the arcs to earlier removed
+ * candidates, of the vertices each run reached) to arcs[0], and returns how
+ * many it removed. */
+int64_t bcs_side_sweep(int64_t n, const int64_t *offsets, const int32_t *targets,
+                       const int64_t *member_offsets, const int64_t *members,
+                       const double *reach, const double *ident,
+                       const uint8_t *edgeless, const uint8_t *clique, int64_t max_degree,
+                       double *out, int32_t *removed, int64_t *arcs)
 {
+    struct scratch s = {0}, test = {0}; /* test: the sorted rows, freed before the runs */
+    int32_t *sorted = take(&test, offsets[n], 4), *candidates = take(&s, n, 4);
+    if (s.failed || test.failed)
+        return release(&test), release(&s);
+    for (int64_t a = 0; a < offsets[n]; a++)
+        sorted[a] = targets[a];
+    for (int64_t v = 0; v < n; v++)
+        sort_ids(sorted + offsets[v], offsets[v + 1] - offsets[v]);
+    int64_t ncand = 0;
+    for (int32_t v = 0; v < n; v++) {
+        int64_t d = offsets[v + 1] - offsets[v];
+        if (!(edgeless[v] || clique[v]) || d < 1 || d > max_degree)
+            continue;
+        int simplicial = 1;
+        for (int64_t a = offsets[v]; simplicial && a < offsets[v + 1]; a++) {
+            int32_t x = targets[a];
+            int64_t shared = 0;
+            for (int64_t b = offsets[v]; b < offsets[v + 1]; b++)
+                shared += contains(sorted + offsets[x], offsets[x + 1] - offsets[x], targets[b]);
+            simplicial = (ident[x] == 1.0 || clique[x]) && shared == d - 1;
+        }
+        if (simplicial)
+            candidates[ncand++] = v;
+    }
+    release(&test);
+    double *sigma = take(&s, n, 8), *delta = take(&s, n, 8);
+    int64_t *starts = take(&s, n + 1, 8), *fill = take(&s, n, 8), *degree = take(&s, n, 8);
+    int32_t *dist = take(&s, n, 4), *order = take(&s, n, 4), *preds = take(&s, offsets[n], 4);
+    if (s.failed)
+        return release(&s);
     empty_buckets(n, offsets, targets, starts, fill);
     for (int32_t v = 0; v < n; v++) {
         dist[v] = UNSEEN;
         degree[v] = offsets[v + 1] - offsets[v];
     }
-    int64_t runs = 0;
-    int64_t arcs = 0;
+    int64_t runs = 0, scanned = 0;
     for (int64_t i = 0; i < ncand; i++) {
         int32_t s = candidates[i];
         if (degree[s] == 0)
@@ -229,7 +330,7 @@ void bcs_side_sweep(int64_t n, const int64_t *offsets, const int32_t *targets,
                 for (int64_t k = member_offsets[w]; k < member_offsets[w + 1]; k++)
                     out[members[k]] += amount;
             mass += (int64_t)ident[w] * (int64_t)reach[w];
-            arcs += degree[w];
+            scanned += degree[w];
             dist[w] = UNSEEN;
         }
         if (reach[s] > 1.0) {
@@ -237,7 +338,7 @@ void bcs_side_sweep(int64_t n, const int64_t *offsets, const int32_t *targets,
             for (int64_t k = member_offsets[s]; k < member_offsets[s + 1]; k++)
                 out[members[k]] += credit;
         }
-        arcs += degree[s];
+        scanned += degree[s];
         dist[s] = ABSENT;
         for (int64_t a = offsets[s]; a < offsets[s + 1]; a++)
             if (dist[targets[a]] != ABSENT)
@@ -245,8 +346,9 @@ void bcs_side_sweep(int64_t n, const int64_t *offsets, const int32_t *targets,
         degree[s] = 0; /* so a repeated candidate is skipped */
         removed[runs++] = s;
     }
-    counts[0] += runs;
-    counts[1] += arcs;
+    release(&s);
+    arcs[0] = scanned;
+    return runs;
 }
 
 /* Blocks and cut-side masses of every component, the compiled form of
@@ -256,21 +358,24 @@ void bcs_side_sweep(int64_t n, const int64_t *offsets, const int32_t *targets,
  * ident[v] * reach[v]; merged[v] is set for a merged class, which never
  * tops a block.
  *
- * disc, low, path, at and vstack (int32) and sub and next (int64) are
- * n-element workspaces.  Block k is flat[block_ends[k] .. block_ends[k + 1]),
- * its top last, with below[k] the mass below its top; component c holds
- * blocks comp_ends[c] .. comp_ends[c + 1] - 1 and has mass totals[c].  flat
- * needs 2n slots, block_ends and comp_ends n + 1 and below and totals n:
- * every vertex leaves vstack once, into one block beside that block's top.
+ * Block k is flat[block_ends[k] .. block_ends[k + 1]), its top last, with
+ * below[k] the mass below its top; component c holds blocks comp_ends[c] ..
+ * comp_ends[c + 1] - 1 and has mass totals[c].  flat needs 2n slots,
+ * block_ends and comp_ends n + 1 and below and totals n: every vertex
+ * leaves vstack once, into one block beside that block's top.
  * Writes the numbers of blocks and of components to counts[0] and
- * counts[1]. */
-void bcs_blocks(int64_t n, const int64_t *offsets, const int32_t *targets,
-                const int64_t *mass, const uint8_t *merged,
-                int32_t *disc, int32_t *low, int64_t *sub, int32_t *path, int64_t *next,
-                int32_t *at, int32_t *vstack,
-                int32_t *flat, int32_t *block_ends, int64_t *below,
-                int32_t *comp_ends, int64_t *totals, int64_t *counts)
+ * counts[1], and returns 0. */
+int64_t bcs_blocks(int64_t n, const int64_t *offsets, const int32_t *targets,
+                   const int64_t *mass, const uint8_t *merged,
+                   int32_t *flat, int32_t *block_ends, int64_t *below,
+                   int32_t *comp_ends, int64_t *totals, int64_t *counts)
 {
+    struct scratch s = {0};
+    int64_t *sub = take(&s, n, 8), *next = take(&s, n, 8);
+    int32_t *disc = take(&s, n, 4), *low = take(&s, n, 4), *path = take(&s, n, 4);
+    int32_t *at = take(&s, n, 4), *vstack = take(&s, n, 4);
+    if (s.failed)
+        return release(&s);
     int32_t nblocks = 0, ncomps = 0, fill = 0;
     for (int64_t v = 0; v < n; v++)
         disc[v] = -1;
@@ -332,81 +437,10 @@ void bcs_blocks(int64_t n, const int64_t *offsets, const int32_t *targets,
         totals[ncomps] = sub[root];
         comp_ends[++ncomps] = nblocks;
     }
+    release(&s);
     counts[0] = nblocks;
     counts[1] = ncomps;
-}
-
-static int ascending(const void *a, const void *b)
-{
-    int32_t x = *(const int32_t *)a, y = *(const int32_t *)b;
-    return (x > y) - (x < y);
-}
-
-/* Sorts ids[0 .. len) ascending: insertion sort for the short rows most
- * vertices have, qsort for the rest. */
-static void sort_ids(int32_t *ids, int64_t len)
-{
-    if (len > 16) {
-        qsort(ids, (size_t)len, sizeof *ids, ascending);
-        return;
-    }
-    for (int64_t i = 1; i < len; i++) {
-        int32_t x = ids[i];
-        int64_t j = i;
-        for (; j > 0 && ids[j - 1] > x; j--)
-            ids[j] = ids[j - 1];
-        ids[j] = x;
-    }
-}
-
-/* Is x among the ascending ids[0 .. len)? */
-static int contains(const int32_t *ids, int64_t len, int32_t x)
-{
-    int64_t lo = 0, hi = len;
-    while (lo < hi) {
-        int64_t mid = lo + (hi - lo) / 2;
-        if (ids[mid] < x)
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    return lo < len && ids[lo] == x;
-}
-
-/* The side pass's candidates, the compiled form of the candidate test of
- * ``kernels.side_sweep_python``: in increasing id order, every v of
- * degree 1 to max_degree with unfolds[v] set (v's class is not mixed) whose
- * every neighbor x has cliquish[x] set (x unfolds into a clique) and shares
- * with v all of v's neighbors but itself: of the ids in v's row, exactly
- * degree - 1 lie in x's row.  sorted is a copy of targets with each row
- * sorted, in which those ids are looked up by binary search, so a vertex costs O(d^2 log D) however
- * large its neighbors' rows are.  Writes the candidates to candidates and
- * returns how many there are. */
-int64_t bcs_side_candidates(int64_t n, const int64_t *offsets, const int32_t *targets,
-                            const uint8_t *unfolds, const uint8_t *cliquish, int64_t max_degree,
-                            int32_t *sorted, int32_t *candidates)
-{
-    for (int64_t a = 0; a < offsets[n]; a++)
-        sorted[a] = targets[a];
-    for (int64_t v = 0; v < n; v++)
-        sort_ids(sorted + offsets[v], offsets[v + 1] - offsets[v]);
-    int64_t count = 0;
-    for (int32_t v = 0; v < n; v++) {
-        int64_t degree = offsets[v + 1] - offsets[v];
-        if (!unfolds[v] || degree < 1 || degree > max_degree)
-            continue;
-        int clique = 1;
-        for (int64_t a = offsets[v]; clique && a < offsets[v + 1]; a++) {
-            int32_t x = targets[a];
-            int64_t shared = 0;
-            for (int64_t b = offsets[v]; b < offsets[v + 1]; b++)
-                shared += contains(sorted + offsets[x], offsets[x + 1] - offsets[x], targets[b]);
-            clique = cliquish[x] && shared == degree - 1;
-        }
-        if (clique)
-            candidates[count++] = v;
-    }
-    return count;
+    return 0;
 }
 
 /* Orders two twin keys: by length, then reach, then ids; 0 when equal. */
@@ -425,24 +459,37 @@ static int key_order(int32_t a, int32_t b, const int64_t *key_offsets, const int
     return 0;
 }
 
-/* The twin classes of one merge sweep, the compiled form of the grouping
- * of ``kernels.twin_sweep_python``.  Every vertex with an arc gets
- * the key (its row sorted, with v itself inserted when closed and not
- * among them already; its reach), written to keys[key_offsets[v] ..
- * key_offsets[v + 1]), so keys needs offsets[n] + n slots and key_offsets
- * n + 1.  A stable merge sort of those vertices by key, with order and
- * spare as its n-element buffers, puts equal keys next to each other with
- * their ids ascending; keys are compared in full, so no two different
- * keys ever group.  lead (n elements) marks the lowest member of each
- * class of two or more.  The classes go out in order of lowest member,
- * members ascending: class k is members[class_ends[k] .. class_ends[k + 1]),
- * with n slots in members and n + 1 in class_ends.  Returns how many
- * classes there are. */
-int64_t bcs_twin_classes(int64_t n, const int64_t *offsets, const int32_t *targets,
-                         const int64_t *reach, int64_t closed, int64_t *key_offsets, int32_t *keys,
-                         int32_t *order, int32_t *spare, int32_t *lead,
-                         int32_t *members, int32_t *class_ends)
+/* One merge sweep, the compiled form of ``kernels.twin_sweep_python``: the
+ * twin classes, then their credits.
+ *
+ * Every vertex with an arc gets the key (its row sorted, with v itself
+ * inserted when closed and not among them already; its reach), written to
+ * keys[key_offsets[v] .. key_offsets[v + 1]).  A stable merge sort of those
+ * vertices by key, with order and spare as its buffers, puts equal keys
+ * next to each other with their ids ascending; keys are compared in full,
+ * so no two different keys ever group.  lead marks the lowest member of
+ * each class of two or more.  The classes go out in order of lowest
+ * member, members ascending: class k is classes[class_ends[k] ..
+ * class_ends[k + 1]), with n slots in classes and n + 1 in class_ends.
+ *
+ * With r a class's reach and t the sum of its idents, each vertex v of a
+ * class of reach above 1 adds (t - ident[v]) * r * (r - 1) to each of its
+ * members (the interior credit); in an open sweep each neighbor x of the
+ * lowest member then adds (t^2 - the sum of the squared idents) * r^2 /
+ * (the sum of ident over those neighbors) to each of its members (the
+ * cross credit).  out[] receives the Python loop's additions in its order.
+ * Returns how many classes there are. */
+int64_t bcs_twin_sweep(int64_t n, const int64_t *offsets, const int32_t *targets,
+                       const int64_t *member_offsets, const int64_t *members,
+                       const int64_t *reach, const int64_t *ident, int64_t closed, double *out,
+                       int32_t *classes, int32_t *class_ends)
 {
+    struct scratch s = {0};
+    int64_t *key_offsets = take(&s, n + 1, 8);
+    int32_t *keys = take(&s, offsets[n] + n, 4), *order = take(&s, n, 4);
+    int32_t *spare = take(&s, n, 4), *lead = take(&s, n, 4);
+    if (s.failed)
+        return release(&s);
     int64_t fill = 0, count = 0;
     for (int32_t v = 0; v < n; v++) {
         key_offsets[v] = fill;
@@ -491,33 +538,16 @@ int64_t bcs_twin_classes(int64_t n, const int64_t *offsets, const int32_t *targe
             spare[i] = (int32_t)j;
         }
     }
-    int64_t classes = 0, out = 0;
+    int64_t ncls = 0, placed = 0;
     class_ends[0] = 0;
     for (int64_t v = 0; v < n; v++) {
         if (lead[v] < 0)
             continue;
         for (int32_t i = lead[v]; i < spare[lead[v]]; i++)
-            members[out++] = order[i];
-        class_ends[++classes] = (int32_t)out;
+            classes[placed++] = order[i];
+        class_ends[++ncls] = (int32_t)placed;
     }
-    return classes;
-}
-
-/* The twin credits of one merge sweep, the compiled form of the credit loop
- * of ``kernels.twin_sweep_python``, over the ncls classes bcs_twin_classes
- * wrote: class k is classes[class_ends[k] .. class_ends[k + 1]), lowest
- * member first.  With r the class's reach and t the sum of its idents,
- * each vertex v of a class of reach above 1 adds (t - ident[v]) * r * (r - 1)
- * to each of its members (the interior credit); in an open sweep each
- * neighbor x of the lowest member then adds (t^2 - the sum of the squared
- * idents) * r^2 / (the sum of ident over those neighbors) to each of its
- * members (the cross credit).  out[] receives the Python loop's additions
- * in its order. */
-void bcs_twin_credits(const int64_t *offsets, const int32_t *targets,
-                      const int64_t *member_offsets, const int64_t *members,
-                      const int64_t *reach, const int64_t *ident, int64_t closed,
-                      const int32_t *classes, const int32_t *class_ends, int64_t ncls, double *out)
-{
+    release(&s); /* the credits read only the classes */
     for (int64_t k = 0; k < ncls; k++) {
         const int32_t *verts = classes + class_ends[k];
         int64_t size = class_ends[k + 1] - class_ends[k];
@@ -544,24 +574,26 @@ void bcs_twin_credits(const int64_t *offsets, const int32_t *targets,
             for (int64_t m = member_offsets[targets[a]]; m < member_offsets[targets[a] + 1]; m++)
                 out[members[m]] += amount;
     }
+    return ncls;
 }
 
 /* The one BFS, the compiled form of ``kernels.bfs_python``: the vertices
  * of the CSR (offsets, targets) on n vertices in BFS dequeue order, from
  * start, then from each vertex no earlier BFS reached, lowest id first.
- * seen is an n-byte workspace, in which every vertex is marked on return.
  * Component c is order[ends[c] .. ends[c + 1]); order needs n slots and
  * ends n + 1.  Returns the number of components. */
 int64_t bcs_bfs(int64_t n, const int64_t *offsets, const int32_t *targets, int64_t start,
-                uint8_t *seen, int32_t *order, int64_t *ends)
+                int32_t *order, int64_t *ends)
 {
+    struct scratch s = {0};
+    uint8_t *seen = take(&s, n, 1);
+    if (s.failed)
+        return release(&s);
     int64_t count = 0, end = 0;
     ends[0] = 0;
-    if (n == 0)
-        return 0; /* no start vertex either */
     for (int64_t v = 0; v < n; v++)
         seen[v] = 0;
-    for (int64_t i = -1; i < n; i++) {
+    for (int64_t i = n ? -1 : 0; i < n; i++) { /* with no vertex, no start vertex either */
         int32_t root = (int32_t)(i < 0 ? start : i);
         if (seen[root])
             continue;
@@ -579,6 +611,7 @@ int64_t bcs_bfs(int64_t n, const int64_t *offsets, const int32_t *targets, int64
         }
         ends[++count] = end;
     }
+    release(&s);
     return count;
 }
 
@@ -595,25 +628,29 @@ int64_t bcs_bfs(int64_t n, const int64_t *offsets, const int32_t *targets, int64
  * reach and is queued again when its degree falls to 1 or 0.  out[]
  * receives the Python loop's additions in its order.
  *
- * The components are bcs_bfs's from vertex 0, each sorted.  flat (int32)
- * and degree (int64) are n-element workspaces, ends (int64) n + 1, alive
- * (bytes) n and queue (int32) 2n: a component queues each of its vertices
- * at most once as a seed, and one vertex per fold.
- * Changes reach and out only; writes the folded and retired vertices, in
- * order, to gone (n slots) and their retired mass to retired[0], and
- * returns how many there are. */
+ * The components are bcs_bfs's from vertex 0, each sorted.  The queue has
+ * 2n slots: a component queues each of its vertices at most once as a
+ * seed, and one vertex per fold.  Changes reach and out only; writes the
+ * folded and retired vertices, in order, to gone (n slots) and their
+ * retired mass to retired[0], and returns how many there are. */
 int64_t bcs_degree1(int64_t n, const int64_t *offsets, const int32_t *targets,
                     const int64_t *member_offsets, const int64_t *members,
                     const int64_t *ident, const uint8_t *edgeless, int64_t *reach, double *out,
-                    int32_t *flat, int64_t *ends, int64_t *degree, uint8_t *alive,
-                    int32_t *queue, int32_t *gone, int64_t *retired)
+                    int32_t *gone, int64_t *retired)
 {
-    /* the BFS marks every vertex in alive */
-    int64_t ncomps = bcs_bfs(n, offsets, targets, 0, alive, flat, ends);
+    struct scratch s = {0};
+    int64_t *ends = take(&s, n + 1, 8), *degree = take(&s, n, 8);
+    int32_t *flat = take(&s, n, 4), *queue = take(&s, 2 * n, 4);
+    uint8_t *alive = take(&s, n, 1);
+    int64_t ncomps = s.failed ? -1 : bcs_bfs(n, offsets, targets, 0, flat, ends);
+    if (ncomps < 0)
+        return release(&s);
     for (int64_t c = 0; c < ncomps; c++)
         sort_ids(flat + ends[c], ends[c + 1] - ends[c]);
-    for (int64_t v = 0; v < n; v++)
+    for (int64_t v = 0; v < n; v++) {
         degree[v] = offsets[v + 1] - offsets[v];
+        alive[v] = 1;
+    }
     int64_t count = 0;
     retired[0] = 0;
     for (int64_t c = 0; c < ncomps; c++) {
@@ -655,6 +692,7 @@ int64_t bcs_degree1(int64_t n, const int64_t *offsets, const int32_t *targets,
                 queue[tail++] = v;
         }
     }
+    release(&s);
     return count;
 }
 
@@ -721,13 +759,15 @@ int64_t bcs_parse_ids(const uint8_t *text, int64_t len, int64_t base, int64_t ce
  * ``Graph.from_edges``.  Each pair but a self-loop goes into both its
  * vertices' rows, each row ascending, and repeats, of either orientation,
  * are dropped.  offsets (n + 1 slots) receives the rows' bounds and
- * arcs (2 * npairs slots) the rows, packed at its front; fill is an
- * n-element workspace, and ids is overwritten.  Writes the numbers of
- * self-loops and of repeated pairs to counts[0] and counts[1] and returns
- * the number of edges. */
-int64_t bcs_edge_csr(int64_t n, int64_t npairs, int32_t *ids, int64_t *offsets, int32_t *arcs,
-                     int64_t *fill, int64_t *counts)
+ * arcs (2 * npairs slots) the rows, packed at its front, and ids is
+ * overwritten.  Writes the numbers of self-loops and of repeated pairs to
+ * counts[0] and counts[1] and returns the number of edges. */
+int64_t bcs_edge_csr(int64_t n, int64_t npairs, int32_t *ids, int64_t *offsets, int32_t *arcs, int64_t *counts)
 {
+    struct scratch s = {0};
+    int64_t *fill = take(&s, n, 8);
+    if (s.failed)
+        return release(&s);
     int64_t loops = 0;
     for (int64_t v = 0; v <= n; v++)
         offsets[v] = 0;
@@ -771,6 +811,7 @@ int64_t bcs_edge_csr(int64_t n, int64_t npairs, int32_t *ids, int64_t *offsets, 
         start = end;
     }
     offsets[n] = out;
+    release(&s);
     counts[0] = loops;
     counts[1] = npairs - loops - out / 2;
     return out / 2;

@@ -175,9 +175,9 @@ def _parse_plain_edge_list(text: str, index_base: int):
     tabs, line feeds and carriage returns, two ids on each non-blank line,
     and every id in range once shifted by ``index_base``.  The line loop
     reads such a text the same way, so the result is the line parser's
-    graph and report.  It raises nothing: a text it declines, and every
-    text when the compiled library cannot be built or loaded, goes to the
-    line parser, which reports what is wrong with it.
+    graph and report.  It raises only MemoryError, from the CSR builder: a
+    text it declines, and every text when the compiled library cannot be
+    built or loaded, goes to the line parser, which reports what is wrong.
     """
     lib = kernels._kernel()
     if lib is None or not text.isascii():
@@ -194,7 +194,7 @@ def _parse_plain_edge_list(text: str, index_base: int):
     n = top + 1
     offsets, arcs = np.empty(n + 1, dtype=np.int64), np.empty(count, dtype=np.int32)
     counts = np.empty(2, dtype=np.int64)
-    m = lib.bcs_edge_csr(n, count // 2, ids, offsets, arcs, np.empty(n, dtype=np.int64), counts)
+    m = lib.bcs_edge_csr(n, count // 2, ids, offsets, arcs, counts)
     return Graph(n, m, offsets, arcs[: 2 * m].copy()), NormalizationReport(*counts.tolist())
 
 
@@ -329,13 +329,6 @@ def _checked_csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(g.offsets, dtype=np.int64), np.ascontiguousarray(g.neighbors, dtype=np.int32)
 
 
-def _bfs(g: Graph, start: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`kernels.bfs` over ``g`` from ``start``: its vertices in BFS
-    dequeue order and the bounds of each component among them."""
-    offsets, neighbors = _checked_csr(g)
-    return kernels.bfs(offsets, neighbors, start, g.adjacency_lists)
-
-
 def bfs_order(g: Graph, start: int = 0) -> VertexPermutation:
     """Rank vertices by BFS dequeue order from ``start``.
 
@@ -344,7 +337,7 @@ def bfs_order(g: Graph, start: int = 0) -> VertexPermutation:
     """
     if g.n and not 0 <= start < g.n:
         raise IndexError(f"start vertex {start} outside 0..{g.n - 1}")
-    order, _ = _bfs(g, start)
+    order, _ = kernels.bfs(*_checked_csr(g), start)
     inverse = order.astype(np.int64)
     forward = np.empty_like(inverse)
     forward[inverse] = np.arange(g.n)
@@ -377,7 +370,7 @@ def relabel(g: Graph, perm: VertexPermutation) -> Graph:
 
 def connected_components(g: Graph) -> np.ndarray:
     """Component label per vertex; labels contiguous from 0 in first-seen order."""
-    order, ends = _bfs(g, 0)
+    order, ends = kernels.bfs(*_checked_csr(g), 0)
     labels = np.empty(g.n, dtype=np.int64)
     labels[order] = np.repeat(np.arange(len(ends) - 1), np.diff(ends))
     return labels

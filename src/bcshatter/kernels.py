@@ -16,10 +16,8 @@ form.  Two run the one attribute-general Brandes algorithm, built on
 * ``side_sweep``, a whole side-vertex pass of
   ``reduction.remove_side_vertices``: the candidate test, then one run per
   candidate over the work graph, adding the amounts straight into the score
-  accumulator.  Its compiled form is two foreign calls,
-  ``bcs_side_candidates`` and ``bcs_side_sweep``; its Python form is
-  ``side_sweep_python``, whose test is ``expanded_clique`` and whose runs
-  are ``side_bfs``.
+  accumulator: ``bcs_side_sweep`` and ``side_sweep_python``, whose test is
+  ``expanded_clique`` and whose runs are ``side_bfs``.
 
 Two run a whole pass's loop over the work graph, adding its credits to the
 score accumulator in the Python form's order, integer products converted
@@ -28,8 +26,8 @@ exactly:
 * ``degree1``, the cascade of ``reduction.remove_degree1``:
   ``bcs_degree1`` and ``degree1_python``.
 * ``twin_sweep``, the grouping and credits of one identical-vertex sweep of
-  ``reduction.merge_identical``: ``bcs_twin_classes`` and then
-  ``bcs_twin_credits``, and ``twin_sweep_python``.
+  ``reduction.merge_identical``: ``bcs_twin_sweep`` and
+  ``twin_sweep_python``.
 
 Two are scans, which compute no score and return exactly what their
 Python forms return, in order:
@@ -62,14 +60,16 @@ and called from ``graph.py``, whose Python code is their reference:
 
 The first call that needs the library builds it with the local C compiler
 into a per-user cache named by the hash of the source and the compile
-command, and loads it with ctypes.  Like ``single_source``, its forward BFS
-records each vertex's predecessors, in per-vertex buckets sized by the
-vertex's occurrences in the rows, and its backward sweeps push a vertex's
-dependency along its bucket only.  The Python forms are the references the
-tests hold the compiled forms to, and run, silently, when the library cannot
-be built or loaded.  Each entry point checks its inputs, their dtypes
-included, before it picks a form, so both forms accept and refuse the same
-inputs.
+command, and loads it with ctypes.  Each entry point is one foreign call
+that passes only its inputs and results: the compiled code allocates its
+own scratch, and a failed allocation raises MemoryError.  Like
+``single_source``, its forward BFS records each vertex's predecessors, in
+per-vertex buckets sized by the vertex's occurrences in the rows, and its
+backward sweeps push a vertex's dependency along its bucket only.  The
+Python forms are the references the tests hold the compiled forms to, and
+run, silently, when the library cannot be built or loaded.  Each entry
+point checks its inputs, their dtypes included, before it picks a form, so
+both forms accept and refuse the same inputs.
 
 The compiled code evaluates the Python loop's floating-point expressions
 in the same order, with contraction into fused multiply-adds turned off, and
@@ -199,14 +199,14 @@ def brandes(adj: Adjacency, reach: list[int] | None = None, ident: list[int] | N
     bc = np.zeros(n)
     seconds = np.zeros(2)
     lib.bcs_brandes(n, offsets, targets, np.asarray(reach, dtype=np.float64), np.asarray(ident, dtype=np.float64),
-                    *_workspaces(n, targets), bc, seconds)
+                    bc, seconds)
     return bc.tolist(), float(seconds[0]), float(seconds[1])
 
 
 def side_sweep(w, max_degree: int, out: np.ndarray):
-    """One side-vertex pass over the work graph ``w``: ``bcs_side_candidates``
-    and then ``bcs_side_sweep`` on its arrays, or ``side_sweep_python`` on
-    its rows when the compiled library cannot be built or loaded.
+    """One side-vertex pass over the work graph ``w``: ``bcs_side_sweep`` on
+    its arrays, or ``side_sweep_python`` on its rows when the compiled
+    library cannot be built or loaded.
 
     The candidates are the vertices of degree 1 to ``max_degree``
     whose neighborhood, with every merged class unfolded, is a clique
@@ -223,22 +223,12 @@ def side_sweep(w, max_degree: int, out: np.ndarray):
     if lib is None:
         return side_sweep_python(w.rows(), w.member_lists(), w.reach.tolist(), w.ident.tolist(),
                                  w.internal_edgeless.tolist(), w.internal_clique.tolist(), max_degree, out)
-    clique = w.internal_clique.view(np.uint8)
-    unfolds, cliquish = w.internal_edgeless.view(np.uint8) | clique, (w.ident == 1).view(np.uint8) | clique
-    candidates = np.empty(n, dtype=np.int32)
+    removed, arcs = np.empty(n, dtype=np.int32), np.empty(1, dtype=np.int64)
     # no degree exceeds the arc count
-    count = lib.bcs_side_candidates(n, w.offsets, w.targets, unfolds, cliquish,
-                                    max(0, min(max_degree, len(w.targets))), *_empty(len(w.targets), np.int32),
-                                    candidates)
-    if not count:
-        return [], 0
-    removed = np.empty(count, dtype=np.int32)
-    counts = np.zeros(2, dtype=np.int64)
-    lib.bcs_side_sweep(n, w.offsets, w.targets, w.member_offsets, w.member_ids, w.reach.astype(np.float64),
-                       w.ident.astype(np.float64), candidates, count, out, *_workspaces(n, w.targets),
-                       *_empty(n, np.int64), removed, counts)
-    runs, arcs = counts.tolist()
-    return removed[:runs].tolist(), arcs
+    runs = lib.bcs_side_sweep(n, w.offsets, w.targets, w.member_offsets, w.member_ids, w.reach.astype(np.float64),
+                              w.ident.astype(np.float64), w.internal_edgeless, w.internal_clique,
+                              max(0, min(max_degree, len(w.targets))), out, removed, arcs)
+    return removed[:runs].tolist(), int(arcs[0])
 
 
 def export_rows(adj):
@@ -265,10 +255,9 @@ def block_walk(w):
     if lib is None:
         return block_walk_python(w.rows(), w.reach.tolist(), w.ident.tolist())
     flat = np.empty(2 * n, dtype=np.int32)
-    block_ends, below, comp_ends, totals = _empty(n + 1, np.int32, np.int64, np.int32, np.int64)
+    block_ends, below, comp_ends, totals = (np.empty(n + 1, dtype=t) for t in (np.int32, np.int64, np.int32, np.int64))
     counts = np.zeros(2, dtype=np.int64)
-    lib.bcs_blocks(n, w.offsets, w.targets, w.ident * w.reach, (w.ident != 1).view(np.uint8),
-                   *_empty(n, np.int32, np.int32, np.int64, np.int32, np.int64, np.int32, np.int32),
+    lib.bcs_blocks(n, w.offsets, w.targets, w.ident * w.reach, w.ident != 1,
                    flat, block_ends, below, comp_ends, totals, counts)
     blocks, comps = counts.tolist()
     return flat[: block_ends[blocks]], block_ends[: blocks + 1], below[:blocks], comp_ends[: comps + 1], totals[:comps]
@@ -276,9 +265,9 @@ def block_walk(w):
 
 def twin_sweep(w, closed: bool, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The classes one merge sweep folds, and their credits:
-    ``bcs_twin_classes`` and then ``bcs_twin_credits`` on the work graph
-    ``w``'s arrays, or ``twin_sweep_python`` on its rows when the compiled
-    library cannot be built or loaded.
+    ``bcs_twin_sweep`` on the work graph ``w``'s arrays, or
+    ``twin_sweep_python`` on its rows when the compiled library cannot be
+    built or loaded.
 
     Groups the vertices with a neighbor by their open or
     (``closed``) closed neighborhood and their reach; every group of two or
@@ -295,14 +284,9 @@ def twin_sweep(w, closed: bool, out: np.ndarray) -> tuple[np.ndarray, np.ndarray
         return (np.fromiter(chain.from_iterable(classes), dtype=np.int32),
                 np.cumsum([0, *map(len, classes)], dtype=np.int32))
     members, class_ends = np.empty(n, dtype=np.int32), np.empty(n + 1, dtype=np.int32)
-    count = lib.bcs_twin_classes(n, w.offsets, w.targets, w.reach, int(closed), *_empty(n + 1, np.int64),
-                                 *_empty(len(w.targets) + n, np.int32), *_empty(n, np.int32, np.int32, np.int32),
-                                 members, class_ends)
-    members, class_ends = members[: class_ends[count]], class_ends[: count + 1]
-    if count:
-        lib.bcs_twin_credits(w.offsets, w.targets, w.member_offsets, w.member_ids, w.reach, w.ident,
-                             int(closed), members, class_ends, count, out)
-    return members, class_ends
+    count = lib.bcs_twin_sweep(n, w.offsets, w.targets, w.member_offsets, w.member_ids, w.reach, w.ident,
+                               int(closed), out, members, class_ends)
+    return members[: class_ends[count]], class_ends[: count + 1]
 
 
 def degree1(w, out: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -320,46 +304,30 @@ def degree1(w, out: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     n = _check_work_graph(w, out)
     lib = _kernel()
     if lib is None:
-        gone, reach, retired = degree1_python(w.rows(), w.member_lists(), w.reach.tolist(), w.ident.tolist(),
-                                              w.internal_edgeless.tolist(), out)
+        gone, reach, retired = degree1_python(w.offsets.tolist(), w.targets.tolist(), w.member_lists(),
+                                              w.reach.tolist(), w.ident.tolist(), w.internal_edgeless.tolist(), out)
         return np.array(gone, dtype=np.int32), np.array(reach, dtype=np.int64), retired
     reach, gone, retired = w.reach.copy(), np.empty(n, dtype=np.int32), np.empty(1, dtype=np.int64)
     count = lib.bcs_degree1(n, w.offsets, w.targets, w.member_offsets, w.member_ids, w.ident,
-                            w.internal_edgeless.view(np.uint8), reach, out, np.empty(n, dtype=np.int32),
-                            *_empty(n + 1, np.int64), *_empty(n, np.int64, np.uint8),
-                            np.empty(2 * n, dtype=np.int32), gone, retired)
+                            w.internal_edgeless, reach, out, gone, retired)
     return gone[:count], reach, int(retired[0])
 
 
-def bfs(offsets: np.ndarray, targets: np.ndarray, start: int, rows):
-    """The one BFS: ``bcs_bfs``, or :func:`bfs_python` on ``rows()`` when
-    the compiled library cannot be built or loaded.  ``(offsets, targets)``
-    is a checked CSR, whose rows ``rows()`` gives as lists.  Returns
-    ``(order, ends)``: component c is ``order[ends[c]:ends[c + 1]]`` (int32,
-    bounds int64), in dequeue order from ``start``, then from each vertex no
-    earlier BFS reached, lowest id first."""
+def bfs(offsets: np.ndarray, targets: np.ndarray, start: int):
+    """The one BFS over the checked CSR ``(offsets, targets)``: ``bcs_bfs``,
+    or :func:`bfs_python` when the compiled library cannot be built or
+    loaded.  Returns ``(order, ends)``: component c is
+    ``order[ends[c]:ends[c + 1]]`` (int32, bounds int64), in dequeue order
+    from ``start``, then from each vertex no earlier BFS reached, lowest id
+    first."""
     lib = _kernel()
     if lib is None:
-        comps = bfs_python(rows(), start)
+        comps = bfs_python(offsets.tolist(), targets.tolist(), start)
         return np.fromiter(chain.from_iterable(comps), dtype=np.int32), np.cumsum([0, *map(len, comps)])
     n = len(offsets) - 1
     order, ends = np.empty(n, dtype=np.int32), np.empty(n + 1, dtype=np.int64)
-    count = lib.bcs_bfs(n, offsets, targets, start, np.empty(n, dtype=np.uint8), order, ends)
+    count = lib.bcs_bfs(n, offsets, targets, start, order, ends)
     return order[: ends[count]], ends[: count + 1]
-
-
-def _workspaces(n: int, targets: np.ndarray):
-    """The seven workspaces both compiled entry points index, in their
-    argument order, all set by the kernel: dist and order (int32, n each),
-    sigma and delta (float64, n each), the predecessor buckets' slots (int32,
-    one per arc), their starts (int64, n + 1) and fill marks (int64, n)."""
-    return (*_empty(n, np.int32, np.int32, np.float64, np.float64), np.empty(len(targets), dtype=np.int32),
-            np.empty(n + 1, dtype=np.int64), np.empty(n, dtype=np.int64))
-
-
-def _empty(size: int, *dtypes) -> list[np.ndarray]:
-    """Uninitialized arrays of ``size`` elements, one per dtype."""
-    return [np.empty(size, dtype=dtype) for dtype in dtypes]
 
 
 def _check_ids(ids: np.ndarray, low: int, bound: int, what: str) -> None:
@@ -481,42 +449,39 @@ def _compile(source: bytes, command: list[str], out) -> None:
     subprocess.run([*command, "-x", "c", "-", "-o", str(out)], input=source, capture_output=True, check=True)
 
 
+def _allocated(result: int, func, args) -> int:
+    """The ``errcheck`` of each entry point that allocates: -1 is a failed allocation."""
+    if result == -1:
+        raise MemoryError(f"{func.__name__} could not allocate its scratch memory")
+    return result
+
+
 def _bind(path: Path):
     lib = ctypes.CDLL(str(path))
     int32s = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
     doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     int64s = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    flags = np.ctypeslib.ndpointer(np.bool_, flags="C_CONTIGUOUS")  # read as uint8_t, 0 or 1
     size = ctypes.c_int64
-    workspaces = [int32s, int32s, doubles, doubles, int32s, int64s, int64s]  # as _workspaces returns them
-    lib.bcs_brandes.argtypes = [size, int64s, int32s, doubles, doubles, *workspaces, doubles, doubles]
-    lib.bcs_brandes.restype = None
-    flags = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
     csr = [size, int64s, int32s]  # n, offsets, targets: a work graph's or a Graph's
-    lib.bcs_side_sweep.argtypes = [*csr, int64s, int64s, doubles, doubles, int32s, size, doubles, *workspaces,
-                                   int64s, int32s, int64s]
-    lib.bcs_side_sweep.restype = None
-    lib.bcs_blocks.argtypes = [*csr, int64s, flags, int32s, int32s, int64s, int32s, int64s, int32s, int32s, int32s,
-                               int32s, int64s, int32s, int64s, int64s]
-    lib.bcs_blocks.restype = None
-    lib.bcs_side_candidates.argtypes = [*csr, flags, flags, size, int32s, int32s]
-    lib.bcs_side_candidates.restype = size
-    lib.bcs_twin_classes.argtypes = [*csr, int64s, size, int64s, int32s, int32s, int32s, int32s, int32s, int32s]
-    lib.bcs_twin_classes.restype = size
-    lib.bcs_twin_credits.argtypes = [int64s, int32s, int64s, int64s, int64s, int64s, size, int32s, int32s, size,
-                                     doubles]
-    lib.bcs_twin_credits.restype = None
-    lib.bcs_degree1.argtypes = [*csr, int64s, int64s, int64s, flags, int64s, doubles, int32s, int64s, int64s,
-                                flags, int32s, int32s, int64s]
-    lib.bcs_degree1.restype = size
+    members = [int64s, int64s]  # member_offsets, members: a work graph's
+    allocating = {  # the argtypes of each entry point that allocates its scratch
+        "bcs_brandes": [*csr, doubles, doubles, doubles, doubles],
+        "bcs_side_sweep": [*csr, *members, doubles, doubles, flags, flags, size, doubles, int32s, int64s],
+        "bcs_blocks": [*csr, int64s, flags, int32s, int32s, int64s, int32s, int64s, int64s],
+        "bcs_twin_sweep": [*csr, *members, int64s, int64s, size, doubles, int32s, int32s],
+        "bcs_degree1": [*csr, *members, int64s, flags, int64s, doubles, int32s, int64s],
+        "bcs_bfs": [*csr, size, int32s, int64s],
+        "bcs_edge_csr": [size, size, int32s, int64s, int32s, int64s],
+    }
+    for name, argtypes in allocating.items():
+        function = getattr(lib, name)
+        function.argtypes, function.restype, function.errcheck = argtypes, size, _allocated
     text = ctypes.c_char_p
     lib.bcs_parse_count.argtypes = [text, size]
     lib.bcs_parse_count.restype = size
     lib.bcs_parse_ids.argtypes = [text, size, size, size, int32s]
     lib.bcs_parse_ids.restype = size
-    lib.bcs_edge_csr.argtypes = [size, size, int32s, int64s, int32s, int64s, int64s]
-    lib.bcs_edge_csr.restype = size
-    lib.bcs_bfs.argtypes = [*csr, size, flags, int32s, int64s]
-    lib.bcs_bfs.restype = size
     lib.bcs_relabel.argtypes = [*csr, int64s, int64s, int64s, int32s]
     lib.bcs_relabel.restype = None
     return lib
@@ -618,8 +583,8 @@ def side_sweep_python(adj, members, reach, ident, internal_edgeless, internal_cl
                       out: np.ndarray):
     """The side pass as one :func:`expanded_clique` test per vertex of
     degree 1 to ``max_degree`` and then one :func:`side_bfs` run per
-    candidate (the reference for ``bcs_side_candidates`` and
-    ``bcs_side_sweep``); see :func:`side_sweep` for the result.  ``adj``
+    candidate (the reference for ``bcs_side_sweep``); see :func:`side_sweep`
+    for the result.  ``adj``
     and ``members`` are lists as ``WorkGraph.rows`` and
     ``WorkGraph.member_lists`` give them, the rest lists of the work
     graph's attributes.
@@ -748,10 +713,10 @@ def expanded_clique(adj, ident, internal_edgeless, internal_clique, v: int) -> b
 def twin_sweep_python(adj, members, reach, ident, closed: bool, out: np.ndarray) -> list[list[int]]:
     """The twin classes as a dict keyed by the sorted neighborhood and the
     reach, and then their credits class by class (the reference for
-    ``bcs_twin_classes`` and ``bcs_twin_credits``); see :func:`twin_sweep`.
-    ``adj`` and ``members`` are lists as ``WorkGraph.rows`` and
-    ``WorkGraph.member_lists`` give them, ``reach`` and ``ident`` lists of
-    the attributes.  Returns the classes, in order of lowest member.
+    ``bcs_twin_sweep``); see :func:`twin_sweep`.  ``adj`` and ``members``
+    are lists as ``WorkGraph.rows`` and ``WorkGraph.member_lists`` give
+    them, ``reach`` and ``ident`` lists of the attributes.  Returns the
+    classes, in order of lowest member.
 
     The classes are disjoint, and a class whose member neighbors a vertex
     neighbors it with all of its members.  So the credits of every class
@@ -790,11 +755,11 @@ def twin_sweep_python(adj, members, reach, ident, closed: bool, out: np.ndarray)
     return classes
 
 
-def degree1_python(adj, members, reach, ident, edgeless, out: np.ndarray):
+def degree1_python(offsets, targets, members, reach, ident, edgeless, out: np.ndarray):
     """The degree-1 cascade over lists (the reference for ``bcs_degree1``);
-    see :func:`degree1` for the result.  ``adj`` and ``members`` are lists
-    as ``WorkGraph.rows`` and ``WorkGraph.member_lists`` give them, the rest
-    lists of the attributes.
+    see :func:`degree1` for the result.  ``offsets`` and ``targets`` are the
+    work graph's CSR as lists, ``members`` lists as
+    ``WorkGraph.member_lists`` gives them, the rest lists of the attributes.
 
     Folding a leaf u into its neighbor v credits u's members with the pair
     dependencies gated behind u and v's original with the pairs gated behind
@@ -802,12 +767,12 @@ def degree1_python(adj, members, reach, ident, edgeless, out: np.ndarray):
     component at pass start: a fold never leaves its component and conserves
     the component's mass, so each component folds against its own total.
     """
-    alive = [True] * len(adj)
-    degree = list(map(len, adj))
+    alive = [True] * len(reach)
+    degree = [end - start for start, end in zip(offsets, offsets[1:])]
     reach = list(reach)
     gone = []
     retired = 0
-    for comp in map(sorted, bfs_python(adj, 0)):
+    for comp in map(sorted, bfs_python(offsets, targets, 0)):
         total = sum(ident[v] * reach[v] for v in comp)
         queue = deque(v for v in comp if degree[v] <= 1)
         while queue:
@@ -822,7 +787,7 @@ def degree1_python(adj, members, reach, ident, edgeless, out: np.ndarray):
                 continue
             if degree[u] != 1:
                 continue
-            v = next(x for x in adj[u] if alive[x])
+            v = next(x for x in targets[offsets[u] : offsets[u + 1]] if alive[x])
             # A class bundle hanging off a merged neighbor is not a true leaf in
             # the unmerged graph; leave those for the side pass or the kernel.
             if ident[v] != 1 or ident[u] != 1 and not edgeless[u]:
@@ -843,19 +808,21 @@ def degree1_python(adj, members, reach, ident, edgeless, out: np.ndarray):
     return gone, reach, retired
 
 
-def bfs_python(rows, start: int) -> list[list[int]]:
-    """The components of ``rows``, each in BFS dequeue order: from
-    ``start``, then from each vertex no earlier BFS reached, lowest id first
-    (the reference for ``bcs_bfs``)."""
-    seen = bytearray(len(rows))
+def bfs_python(offsets: list[int], targets: list[int], start: int) -> list[list[int]]:
+    """The components of the CSR ``(offsets, targets)``, given as lists, each
+    in BFS dequeue order: from ``start``, then from each vertex no earlier
+    BFS reached, lowest id first (the reference for ``bcs_bfs``).  A row is
+    sliced out of ``targets`` when its vertex is dequeued."""
+    n = len(offsets) - 1
+    seen = bytearray(n)
     comps = []
-    for root in chain((start,), range(len(rows))) if rows else ():
+    for root in chain((start,), range(n)) if n else ():
         if seen[root]:
             continue
         seen[root] = 1
         comp = [root]
         for v in comp:  # the list is the queue; it grows while it is read
-            for x in rows[v]:
+            for x in targets[offsets[v] : offsets[v + 1]]:
                 if not seen[x]:
                     seen[x] = 1
                     comp.append(x)

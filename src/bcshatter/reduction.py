@@ -234,7 +234,7 @@ class WorkGraph:
         would page in sort code that nothing else on a solve without merges
         runs, about 0.13 MB resident."""
         kernels._check_work_graph(self)
-        flat, ends = kernels.bfs(self.offsets, self.targets, 0, self.rows)
+        flat, ends = kernels.bfs(self.offsets, self.targets, 0)
         flat, ends = flat.tolist(), ends.tolist()
         return [sorted(flat[a:b]) for a, b in zip(ends, ends[1:])]
 

@@ -366,6 +366,10 @@ def _oracle_union(case: int) -> Graph:
     return Graph.from_edges(n, sorted((min(e), max(e)) for e in edges))
 
 
+def _bfs_python(g: Graph, start: int) -> list[list[int]]:
+    return kernels.bfs_python(g.offsets.tolist(), g.neighbors.tolist(), start)
+
+
 @pytest.mark.usefixtures("graph_form")
 class TestBfsForms:
     @pytest.mark.parametrize("case", range(30))
@@ -373,10 +377,10 @@ class TestBfsForms:
         g = _oracle_union(case)
         for start in range(g.n):
             perm = bfs_order(g, start)
-            assert perm.inverse.tolist() == [v for comp in kernels.bfs_python(g.adjacency_lists(), start) for v in comp]
+            assert perm.inverse.tolist() == [v for comp in _bfs_python(g, start) for v in comp]
             perm.validate()
         labels = [0] * g.n
-        for label, comp in enumerate(kernels.bfs_python(g.adjacency_lists(), 0)):
+        for label, comp in enumerate(_bfs_python(g, 0)):
             for v in comp:
                 labels[v] = label
         assert connected_components(g).tolist() == labels
@@ -389,7 +393,7 @@ class TestBfsForms:
     ])
     def test_edge_cases(self, n, edges, start, inverse):
         g = Graph.from_edges(n, edges)
-        assert [v for comp in kernels.bfs_python(g.adjacency_lists(), start) for v in comp] == inverse
+        assert [v for comp in _bfs_python(g, start) for v in comp] == inverse
         perm = bfs_order(g, start)
         assert perm.inverse.tolist() == inverse and perm.inverse.dtype == perm.forward.dtype == np.int64
         perm.validate()

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import ctypes
+import os
 import random
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 import types
 import warnings
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +22,7 @@ from hypothesis import strategies as st
 
 import bcshatter
 from bcshatter import engine, kernels
-from bcshatter.graph import Graph, connected_components
+from bcshatter.graph import Graph, connected_components, parse_edge_list
 from bcshatter.kernels import (
     NonFiniteScoresError,
     bc_ident,
@@ -320,11 +324,16 @@ class TestBuild:
 
     def test_bind_matches_the_source(self, monkeypatch):
         # every exported bcs_* function of the source gets argtypes of its
-        # arity and its restype, and _bind names no other function
+        # arity and its restype, and _bind names no other function; the one
+        # malloc is take()'s, and every exported function that takes scratch
+        # returns int64_t and is bound with the errcheck that turns its -1
+        # into MemoryError, and no other function is bound with it
         source = resources.files("bcshatter").joinpath("_brandes.c").read_text()
-        exported = {name: (ret, len(params.split(",")))
-                    for ret, name, params in re.findall(r"^(void|int64_t) (bcs_\w+)\(([^)]*)\)", source, re.M)}
-        assert len(exported) == 12
+        functions = re.findall(r"^(void|int64_t) (bcs_\w+)\(([^)]*)\)\n\{\n(.*?)^\}$", source, re.M | re.S)
+        exported = {name: (ret, len(params.split(","))) for ret, name, params, _ in functions}
+        allocating = {name for _, name, _, body in functions if "take(&" in body}
+        assert len(exported) == 10 and len(allocating) == 7
+        assert source.count("malloc(") == 1 and "void *array = malloc(" in source
         bound: dict[str, types.SimpleNamespace] = {}
 
         class Library:  # stands in for the loaded library, recording what _bind sets
@@ -340,6 +349,8 @@ class TestBuild:
         for name, (ret, arity) in exported.items():
             assert len(getattr(bound[name], "argtypes", ())) == arity, name
             assert getattr(bound[name], "restype", "unset") is (None if ret == "void" else ctypes.c_int64), name
+            assert (getattr(bound[name], "errcheck", None) is kernels._allocated) == (name in allocating), name
+        assert all(exported[name][0] == "int64_t" for name in allocating)
 
     @staticmethod
     def _assert_silent_and_exact(capfd):
@@ -363,6 +374,159 @@ class TestBuild:
         assert changes == len(removed)
         assert out.tobytes() == ref_out.tobytes()
         assert capfd.readouterr() == ("", "")
+
+
+def _child_env() -> dict[str, str]:
+    """The environment of a child process: this one's with ``src`` on the
+    path, and without LD_PRELOAD, as ASan aborts where malloc fails."""
+    env = {key: value for key, value in os.environ.items() if key != "LD_PRELOAD"}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(bcshatter.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    return env
+
+
+def _vm(field: str) -> int:
+    """The bytes of a Vm* field of /proc/self/status."""
+    status = Path("/proc/self/status").read_text()
+    return 1024 * int(re.search(rf"^{field}:\s+(\d+) kB", status, re.M).group(1))
+
+
+# In a child, the library from the user's cache; with its address space then
+# capped so that the Python-side arrays of one twin sweep over an edgeless
+# graph of 2M vertices and two twins fit (16 MB of results, or np.diff's
+# 16 MB) and its 48 MB of scratch do not, the sweep raises MemoryError from
+# the compiled code and adds no credit, and once the cap is lifted the same
+# call adds them.
+_CAPPED_TWIN_SWEEP = """
+import re, resource
+from pathlib import Path
+import numpy as np
+from bcshatter import kernels
+from bcshatter.graph import Graph
+from bcshatter.reduction import WorkGraph
+
+assert kernels._kernel() is not None
+n = 2_000_000
+w = WorkGraph.from_graph(Graph.from_edges(n, [(0, 2), (1, 2)]))  # 0 and 1 are twins
+w.reach[:] = 2  # so each adds an interior credit
+out = np.zeros(n)
+kernels.twin_sweep(WorkGraph.from_graph(Graph.from_edges(3, [(0, 2), (1, 2)])), False, np.zeros(3))
+size = 1024 * int(re.search(r"^VmSize:\\s+(\\d+) kB", Path("/proc/self/status").read_text(), re.M).group(1))
+soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+resource.setrlimit(resource.RLIMIT_AS, (size + 36 * 2**20, hard))
+try:
+    kernels.twin_sweep(w, False, out)
+except MemoryError as exc:
+    print("MemoryError:", exc)
+print("written:", np.count_nonzero(out))
+resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+kernels.twin_sweep(w, False, out)
+print("written after:", np.count_nonzero(out))
+"""
+
+# In a child, a build whose k-th malloc of each call returns NULL, bound in
+# place of the library: for k = 0, 1, ... each entry point that takes
+# scratch raises MemoryError and leaves its score accumulator and the work
+# graph as they were, until k passes its last allocation and the call
+# returns.  Prints each entry point and how many allocations it made.
+_FAILING_ENTRY_POINTS = """
+import ctypes, sys
+import numpy as np
+from bcshatter import kernels
+from bcshatter.graph import Graph, parse_edge_list
+from bcshatter.reduction import WorkGraph
+
+kernels._compiled = lib = kernels._bind(sys.argv[1])
+lib.fail_allocation.argtypes = [ctypes.c_int64]
+calls = {
+    "bcs_brandes": lambda w, out: kernels.brandes(w.rows(), w.reach.tolist()),
+    "bcs_side_sweep": lambda w, out: kernels.side_sweep(w, 4, out),
+    "bcs_blocks": lambda w, out: kernels.block_walk(w),
+    "bcs_twin_sweep": lambda w, out: kernels.twin_sweep(w, True, out),
+    "bcs_degree1": lambda w, out: kernels.degree1(w, out),
+    "bcs_bfs": lambda w, out: w.components(),
+    "bcs_edge_csr": lambda w, out: parse_edge_list("0 1\\n1 2\\n"),
+}
+for name, call in calls.items():
+    for k in range(100):
+        # a triangle with a pendant vertex, every vertex of reach 2: each
+        # entry point that adds credits would add some
+        w = WorkGraph.from_graph(Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]))
+        w.reach[:] = 2
+        arrays, out = {field: getattr(w, field).copy() for field in kernels._WORK_DTYPES}, np.zeros(4)
+        lib.fail_allocation(k)
+        try:
+            call(w, out)
+        except MemoryError as exc:
+            kept = all(np.array_equal(a, getattr(w, field)) for field, a in arrays.items())
+            assert name in str(exc) and not out.any() and kept, (name, k)
+            continue
+        print(name, k)
+        break
+"""
+
+
+class TestScratch:
+    """Each compiled entry point allocates its own scratch and frees it;
+    when it cannot allocate, it raises MemoryError having written
+    nothing."""
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads /proc/self/status")
+    @pytest.mark.skipif(shutil.which(kernels.COMPILER) is None, reason="no C compiler named cc")
+    def test_failed_allocation_raises_memory_error(self):
+        child = subprocess.run([sys.executable, "-c", _CAPPED_TWIN_SWEEP], env=_child_env(), capture_output=True,
+                               text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.splitlines() == [
+            "MemoryError: bcs_twin_sweep could not allocate its scratch memory", "written: 0", "written after: 3"]
+
+    @pytest.mark.skipif(shutil.which(kernels.COMPILER) is None, reason="no C compiler named cc")
+    def test_every_entry_point_that_allocates_checks(self, tmp_path):
+        source = resources.files("bcshatter").joinpath("_brandes.c").read_bytes()
+        anchor = b"#include <time.h>\n"
+        assert anchor in source
+        failing = tmp_path / "failing.so"
+        failure = b"""
+static int64_t allocations, failing = -1;
+void fail_allocation(int64_t k) { allocations = 0; failing = k; }
+#define malloc(size) (allocations++ == failing ? NULL : malloc(size))
+"""
+        kernels._compile(source.replace(anchor, anchor + failure), [kernels.COMPILER, *kernels.CFLAGS], failing)
+        child = subprocess.run([sys.executable, "-c", _FAILING_ENTRY_POINTS, str(failing)], env=_child_env(),
+                               capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        # the side sweep takes its traversal arrays after the candidate
+        # test, and the degree-1 cascade runs bcs_bfs, which takes its own
+        assert child.stdout.splitlines() == ["bcs_brandes 7", "bcs_side_sweep 10", "bcs_blocks 7", "bcs_twin_sweep 5",
+                                             "bcs_degree1 6", "bcs_bfs 1", "bcs_edge_csr 1"]
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads /proc/self/status")
+    @pytest.mark.skipif("asan" in os.environ.get("LD_PRELOAD", ""), reason="ASan's quarantine keeps freed memory")
+    @pytest.mark.parametrize("entry", ["brandes", "side_sweep", "block_walk", "twin_sweep", "degree1", "bfs",
+                                       "edge_csr"])
+    def test_scratch_is_freed(self, compiled_kernel, monkeypatch, entry):
+        # after three calls, by which glibc has settled where blocks of these
+        # sizes go, 50 calls whose scratch writes at least 16 MB of pages in
+        # all: kept, it would raise the resident set by as much
+        monkeypatch.setattr(kernels, "_compiled", compiled_kernel)
+        k = 6667
+        triangles = [(3 * i + a, 3 * i + b) for i in range(k) for a, b in ((0, 1), (0, 2), (1, 2))]
+        w, out = WorkGraph.from_graph(Graph.from_edges(3 * k, triangles)), np.zeros(3 * k)
+        rows, offsets, targets = [[] for _ in range(20_000)], np.zeros(400_001, dtype=np.int64), np.empty(0, np.int32)
+        call = {
+            "brandes": lambda: kernels.brandes(rows),
+            "side_sweep": lambda: kernels.side_sweep(w, 4, out),
+            "block_walk": lambda: kernels.block_walk(w),
+            "twin_sweep": lambda: kernels.twin_sweep(w, True, out),
+            "degree1": lambda: kernels.degree1(w, out),
+            "bfs": lambda: kernels.bfs(offsets, targets, 0),
+            "edge_csr": lambda: parse_edge_list("0 99999\n"),
+        }[entry]
+        for _ in range(3):
+            call()
+        before = _vm("VmRSS")
+        for _ in range(50):
+            call()
+        assert _vm("VmRSS") - before < 4 * 2**20
 
 
 class TestSideBfs:

@@ -321,6 +321,10 @@ class TestDegree1Cascade:
         assert out[1] == float((r - 1) * (r + 1)) and out[0] == float(r * r + 2 * r - 1)
 
 
+def _bfs_python(w: WorkGraph, start: int) -> list[list[int]]:
+    return kernels.bfs_python(w.offsets.tolist(), w.targets.tolist(), start)
+
+
 class TestComponents:
     def test_forms_agree(self, compiled_library, monkeypatch):
         sizes = []
@@ -339,7 +343,7 @@ class TestComponents:
         w.remove_edges(np.array([2]), np.array([1]))
         w.delete(4)
         assert w.components() == [[0, 1], [2, 3], [4]]
-        flat, ends = kernels.bfs(w.offsets, w.targets, 0, w.rows)
+        flat, ends = kernels.bfs(w.offsets, w.targets, 0)
         assert flat.tolist() == [0, 1, 2, 3, 4] and ends.tolist() == [0, 2, 4, 5]
 
     @pytest.mark.parametrize("n, edges, deleted, comps", [  # comps in the ids left after the deletions
@@ -352,7 +356,7 @@ class TestComponents:
         w = WorkGraph.from_graph(Graph.from_edges(n, edges))
         w.delete(deleted)
         assert w.components() == comps
-        assert [sorted(comp) for comp in kernels.bfs_python(w.rows(), 0)] == comps
+        assert [sorted(comp) for comp in _bfs_python(w, 0)] == comps
 
     def test_bfs_from_a_start_in_a_later_component(self, scan_form):
         # the edge 2-3 removed, 0 deleted and every id above it one lower:
@@ -360,9 +364,9 @@ class TestComponents:
         w = WorkGraph.from_graph(Graph.from_edges(6, [(0, 1), (1, 5), (2, 3), (3, 4), (4, 5)]))
         w.remove_edges(np.array([2]), np.array([3]))
         w.delete(0)
-        order, ends = kernels.bfs(w.offsets, w.targets, 3, w.rows)
+        order, ends = kernels.bfs(w.offsets, w.targets, 3)
         assert order.tolist() == [3, 2, 4, 0, 1] and ends.tolist() == [0, 4, 5]
-        assert kernels.bfs_python(w.rows(), 3) == [[3, 2, 4, 0], [1]]
+        assert _bfs_python(w, 3) == [[3, 2, 4, 0], [1]]
 
 
 def _path_work_graph():
