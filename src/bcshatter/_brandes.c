@@ -1,7 +1,7 @@
 /* The compiled forms of bcshatter's hot loops, ten entry points:
  *
- * - bcs_brandes, all sources over one component's CSR: the compiled form of
- *   ``kernels.brandes_python``;
+ * - bcs_brandes, all sources over one component's CSR, 64 to a traversal:
+ *   the compiled form of ``kernels.brandes_python``;
  * - bcs_side_sweep, the side pass's candidate test and one compensation run
  *   per candidate over the work graph: the compiled form of
  *   ``kernels.side_sweep_python``;
@@ -42,15 +42,21 @@
  * every edit, so the scans and loops read every arc of every row, in the
  * order of the lists ``WorkGraph.rows`` gives the Python forms.
  *
- * Every floating-point expression is the one ``kernels.single_source`` and
- * ``kernels.side_bfs`` evaluate, in the same order, and every attribute
- * factor is applied even when it is 1.  Like ``single_source``, the forward
- * BFS records the predecessors of each vertex (Brandes, J. Math. Sociol.
- * 25(2), 2001): each v with sigma[w] += sigma[v] goes into w's bucket, and
- * the backward sweep pushes w's dependency along that bucket only.  A
- * vertex receives its terms from its successors in reverse BFS order, as
- * from the Python predecessor lists, so the scores match the Python loop's
- * for any rows, symmetric or not, repeated entries included.
+ * bcs_brandes runs up to 64 sources in one traversal, in a canonical order
+ * defined per source (see there), so no score depends on which sources
+ * share a traversal.  ``kernels.brandes_python`` takes one source at a time
+ * in that order, so the two agree bit for bit for any rows, symmetric or
+ * not, repeated entries included.  Every floating-point expression is the
+ * Python form's, evaluated in the same order, and every attribute factor is
+ * applied even when it is 1.
+ *
+ * bcs_side_sweep runs one FIFO BFS per candidate, forward(), that records
+ * each vertex's predecessors in a bucket (Brandes, J. Math. Sociol. 25(2),
+ * 2001), and a backward sweep that pushes each dependency along its bucket
+ * only, in reverse BFS order, as ``kernels.single_source`` does with its
+ * predecessor lists.  forward(), empty_buckets and single_source serve the
+ * side sweep only, until it runs on bcs_brandes's traversal (ROADMAP item
+ * 4).
  *
  * Build: cc -O2 -shared -fPIC -ffp-contract=off.  Contracting a * b + c into
  * a fused multiply-add would round differently from Python.
@@ -100,11 +106,11 @@ static int64_t release(struct scratch *s)
     return -1;
 }
 
-/* Lays out the predecessor buckets and leaves them empty.  Bucket w is
- * preds[starts[w] .. starts[w + 1]), one slot per occurrence of w in
- * targets: a run records v in it once per occurrence of w in v's row at
- * most, so whatever the rows, no write leaves the bucket.  fill[w] is one
- * past the last predecessor recorded in it. */
+/* Lays out the side sweep's predecessor buckets and leaves them empty.
+ * Bucket w is preds[starts[w] .. starts[w + 1]), one slot per occurrence of
+ * w in targets: a run records v in it once per occurrence of w in v's row
+ * at most, so whatever the rows, no write leaves the bucket.  fill[w] is
+ * one past the last predecessor recorded in it. */
 static void empty_buckets(int64_t n, const int64_t *offsets, const int32_t *targets,
                           int64_t *starts, int64_t *fill)
 {
@@ -118,21 +124,17 @@ static void empty_buckets(int64_t n, const int64_t *offsets, const int32_t *targ
     }
 }
 
-/* The forward BFS from s, shared by both entry points: fills order, dist,
- * sigma and delta for every vertex s reaches, records each vertex's
- * predecessors in its bucket, and returns how many vertices s reaches
- * (order[0] is s); it never discovers an ABSENT vertex.  Inlined into
- * each caller, so the all-sources loop compiles as it would without the
- * side sweep.  The backward sweeps stay two loops: what a swept vertex does
- * with its dependency differs (one score addition against amounts spread
- * over its members plus the mass and arc counts), and a shared loop would
- * have to branch or call back per vertex inside the all-sources kernel.
- * Each reads a swept vertex's bucket and empties it again. */
-static inline __attribute__((always_inline)) int64_t
-forward(int32_t s, const int64_t *offsets, const int32_t *targets,
-        const double *reach, const double *ident,
-        int32_t *dist, int32_t *order, double *sigma, double *delta,
-        int32_t *preds, int64_t *fill)
+/* The forward BFS from s of one side-sweep run: fills order, dist, sigma
+ * and delta for every vertex s reaches, records each vertex's predecessors
+ * in its bucket, and returns how many vertices s reaches (order[0] is s); it
+ * never discovers an ABSENT vertex.  The FIFO order and the buckets serve
+ * bcs_side_sweep only, and go when the side sweep runs on bcs_brandes's
+ * traversal (ROADMAP item 4).  The sweep reads a swept vertex's bucket and
+ * empties it again. */
+static int64_t forward(int32_t s, const int64_t *offsets, const int32_t *targets,
+                       const double *reach, const double *ident,
+                       int32_t *dist, int32_t *order, double *sigma, double *delta,
+                       int32_t *preds, int64_t *fill)
 {
     int64_t end = 1;
     order[0] = s;
@@ -159,48 +161,6 @@ forward(int32_t s, const int64_t *offsets, const int32_t *targets,
         }
     }
     return end;
-}
-
-/* n vertices; the neighbors of v are targets[offsets[v] .. offsets[v + 1]),
- * every one in [0, n); the rows need not be symmetric and may repeat an
- * entry.  Adds each vertex's score to bc, and the seconds of the forward
- * BFS, predecessor recording included, and of the backward sweep to
- * seconds[0] and seconds[1].  Returns 0. */
-int64_t bcs_brandes(int64_t n, const int64_t *offsets, const int32_t *targets,
-                    const double *reach, const double *ident, double *bc, double *seconds)
-{
-    struct scratch s = {0};
-    double *sigma = take(&s, n, 8), *delta = take(&s, n, 8);
-    int64_t *starts = take(&s, n + 1, 8), *fill = take(&s, n, 8);
-    int32_t *dist = take(&s, n, 4), *order = take(&s, n, 4), *preds = take(&s, offsets[n], 4);
-    if (s.failed)
-        return release(&s);
-    empty_buckets(n, offsets, targets, starts, fill);
-    for (int64_t v = 0; v < n; v++)
-        dist[v] = UNSEEN;
-    for (int32_t s = 0; s < n; s++) {
-        double start = now();
-        int64_t end = forward(s, offsets, targets, reach, ident, dist, order, sigma, delta, preds, fill);
-        double mid = now();
-        double mult = reach[s] * ident[s];
-        for (int64_t idx = end - 1; idx > 0; idx--) { /* order[0] is s */
-            int32_t w = order[idx];
-            double dw = delta[w];
-            double coef = ident[w] * (1.0 + dw) / sigma[w];
-            for (int64_t k = starts[w]; k < fill[w]; k++) {
-                int32_t v = preds[k];
-                delta[v] += sigma[v] * coef;
-            }
-            fill[w] = starts[w];
-            bc[w] += mult * dw;
-            dist[w] = UNSEEN;
-        }
-        dist[s] = UNSEEN; /* a source has no predecessor: its bucket stayed empty */
-        seconds[0] += mid - start;
-        seconds[1] += now() - mid;
-    }
-    release(&s);
-    return 0;
 }
 
 static int ascending(const void *a, const void *b)
@@ -238,6 +198,167 @@ static int contains(const int32_t *ids, int64_t len, int32_t x)
             hi = mid;
     }
     return lo < len && ids[lo] == x;
+}
+
+/* Lanes of one bcs_brandes traversal at most, one bit each of a uint64_t
+ * mask, and the bytes its arrays of one slot per vertex and lane may take:
+ * sigma and delta (8 bytes each), and the level lists' ids and masks (4 and
+ * 8), 28 bytes a slot. */
+#define LANES 64
+#define LANE_BYTES ((int64_t)64 << 20)
+#define SLOT_BYTES 28
+
+/* Puts the count ids of a new level in increasing order: by a scan of their
+ * marks next[] over the span of their ids when that span is short beside
+ * count, else by sort_ids. */
+static void sort_level(int32_t *ids, int64_t count, const uint64_t *next)
+{
+    int32_t lo = ids[0], hi = ids[0];
+    for (int64_t i = 1; i < count; i++) {
+        lo = ids[i] < lo ? ids[i] : lo;
+        hi = ids[i] > hi ? ids[i] : hi;
+    }
+    if (count <= 16 || hi - lo >= 8 * count) {
+        sort_ids(ids, count);
+        return;
+    }
+    for (int32_t w = lo, k = 0; w <= hi; w++)
+        if (next[w])
+            ids[k++] = w;
+}
+
+/* n vertices; the neighbors of v are targets[offsets[v] .. offsets[v + 1]),
+ * every one in [0, n); the rows need not be symmetric and may repeat an
+ * entry.  Adds each vertex's score to bc, and the seconds of the forward
+ * traversals and of the backward sweeps, with the score additions, to
+ * seconds[0] and seconds[1].  Returns 0.
+ *
+ * The sources run in batches of up to LANES consecutive ids, one lane each,
+ * and each batch runs one level-synchronous traversal (Then et al., "The
+ * More the Merrier", PVLDB 8(4), 2014; in the multi-source Brandes of
+ * Sariyuce et al., JPDC 76, 2015).  seen[v] has the bit of every lane that
+ * has reached v; level k is the entries ids[ends[k] .. ends[k + 1]), each
+ * with the mask of the lanes that reach that vertex at distance k, and
+ * sigma and delta keep one slot per vertex and lane.  Each (vertex, lane)
+ * lies in one level at most, so the level lists fit n * lanes entries
+ * whatever the depth, and a batch touches only what its lanes reach.
+ *
+ * The canonical order, per source and so whatever lanes share a traversal:
+ * a level is taken in increasing id; sigma[w] sums sigma[v] * ident[v]
+ * (sigma[v] for the source) over the previous level's v in increasing id,
+ * along v's row in row order; delta[v] starts at reach[v] - 1 and adds
+ * sigma[v] * coef[w] along v's own row in row order for each w one level
+ * deeper, coef[w] = ident[w] * (1 + delta[w]) / sigma[w], once per
+ * occurrence of w; bc[w] adds reach[s] * ident[s] * delta[w] in increasing
+ * s.  coef[w] takes sigma[w]'s slot: once it is known, no pull reads that
+ * sigma again. */
+int64_t bcs_brandes(int64_t n, const int64_t *offsets, const int32_t *targets,
+                    const double *reach, const double *ident, double *bc, double *seconds)
+{
+    int64_t lanes = n < LANES ? n : LANES;
+    if (lanes * n > LANE_BYTES / SLOT_BYTES)
+        lanes = LANE_BYTES / SLOT_BYTES / n > 1 ? LANE_BYTES / SLOT_BYTES / n : 1;
+    struct scratch s = {0};
+    double *sigma = take(&s, n * lanes, 8), *delta = take(&s, n * lanes, 8);
+    int32_t *ids = take(&s, n * lanes, 4);
+    uint64_t *masks = take(&s, n * lanes, 8), *seen = take(&s, n, 8), *next = take(&s, n, 8);
+    int64_t *ends = take(&s, n + 2, 8); /* n levels at most, then an empty one */
+    if (s.failed)
+        return release(&s);
+    for (int64_t c = 0; c < n * lanes; c++)
+        sigma[c] = 0.0;
+    for (int64_t v = 0; v < n; v++)
+        seen[v] = next[v] = 0;
+    for (int64_t first = 0; first < n; first += lanes) {
+        double start = now();
+        int64_t fill = 0, depth = 0;
+        ends[0] = 0;
+        for (int64_t lane = 0; lane < lanes && first + lane < n; lane++, fill++) {
+            ids[fill] = (int32_t)(first + lane);
+            masks[fill] = seen[first + lane] = (uint64_t)1 << lane;
+            sigma[(first + lane) * lanes + lane] = 1.0;
+        }
+        ends[1] = fill;
+        for (; ends[depth] < ends[depth + 1]; depth++) {
+            for (int64_t e = ends[depth]; e < ends[depth + 1]; e++) {
+                int32_t v = ids[e];
+                uint64_t mask = masks[e];
+                const double *sv = sigma + v * lanes;
+                double fan = depth ? ident[v] : 1.0; /* a source forwards its sigma without the ident fan-out */
+                for (int64_t a = offsets[v]; a < offsets[v + 1]; a++) {
+                    int32_t w = targets[a];
+                    uint64_t fresh = mask & ~seen[w];
+                    if (!fresh)
+                        continue;
+                    if (!next[w])
+                        ids[fill++] = w;
+                    next[w] |= fresh;
+                    double *sw = sigma + w * lanes;
+                    for (; fresh; fresh &= fresh - 1) {
+                        int lane = __builtin_ctzll(fresh);
+                        sw[lane] += sv[lane] * fan;
+                    }
+                }
+            }
+            int64_t lo = ends[depth + 1];
+            if (fill > lo)
+                sort_level(ids + lo, fill - lo, next);
+            for (int64_t e = lo; e < fill; e++) {
+                masks[e] = next[ids[e]];
+                seen[ids[e]] |= masks[e];
+                next[ids[e]] = 0;
+            }
+            ends[depth + 2] = fill;
+        }
+        double mid = now();
+        /* deepest level first; next[w] has the lanes that reach w one level
+         * deeper than the level being swept */
+        for (int64_t k = depth - 1; k >= 1; k--) {
+            for (int64_t e = ends[k]; e < ends[k + 1]; e++) {
+                int32_t v = ids[e];
+                uint64_t mask = masks[e];
+                double *sv = sigma + v * lanes, *dv = delta + v * lanes;
+                for (uint64_t bits = mask; bits; bits &= bits - 1)
+                    dv[__builtin_ctzll(bits)] = reach[v] - 1.0;
+                for (int64_t a = offsets[v]; a < offsets[v + 1]; a++) {
+                    int32_t w = targets[a];
+                    const double *coef = sigma + w * lanes;
+                    for (uint64_t bits = mask & next[w]; bits; bits &= bits - 1) {
+                        int lane = __builtin_ctzll(bits);
+                        dv[lane] += sv[lane] * coef[lane];
+                    }
+                }
+                for (uint64_t bits = mask; bits; bits &= bits - 1) {
+                    int lane = __builtin_ctzll(bits);
+                    sv[lane] = ident[v] * (1.0 + dv[lane]) / sv[lane];
+                }
+            }
+            for (int64_t e = ends[k + 1]; e < ends[k + 2]; e++)
+                next[ids[e]] = 0;
+            for (int64_t e = ends[k]; e < ends[k + 1]; e++)
+                next[ids[e]] = masks[e];
+        }
+        for (int64_t e = ends[1]; e < ends[2]; e++)
+            next[ids[e]] = 0;
+        /* each reached vertex once, its lanes in increasing source order;
+         * sigma and seen go back to rest */
+        for (int64_t e = 0; e < fill; e++) {
+            int32_t w = ids[e];
+            double *sw = sigma + w * lanes, *dw = delta + w * lanes;
+            for (uint64_t bits = seen[w]; bits; bits &= bits - 1) {
+                int lane = __builtin_ctzll(bits);
+                int64_t src = first + lane;
+                if (w != src)
+                    bc[w] += reach[src] * ident[src] * dw[lane];
+                sw[lane] = 0.0;
+            }
+            seen[w] = 0;
+        }
+        seconds[0] += mid - start;
+        seconds[1] += now() - mid;
+    }
+    release(&s);
+    return 0;
 }
 
 /* One side-vertex pass.  The work graph at pass start has n vertices with

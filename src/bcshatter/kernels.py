@@ -8,16 +8,21 @@ can overflow 64-bit integers on dense graphs while the dependency ratios
 stay well conditioned.
 
 Six entry points each pair compiled code in ``_brandes.c`` with a Python
-form.  Two run the one attribute-general Brandes algorithm, built on
-``single_source``, the one Python forward BFS and backward sweep:
+form.  Two run the attribute-general Brandes algorithm:
 
-* ``brandes``, all sources over one component: ``bcs_brandes`` and
-  ``brandes_python``.
+* ``brandes``, all sources over one component: ``bcs_brandes``, which runs
+  up to 64 sources in one traversal, and ``brandes_python``, which takes
+  one source at a time.  Both follow one canonical order, defined per
+  source (see ``brandes_python``), so they agree bit for bit.
 * ``side_sweep``, a whole side-vertex pass of
   ``reduction.remove_side_vertices``: the candidate test, then one run per
   candidate over the work graph, adding the amounts straight into the score
   accumulator: ``bcs_side_sweep`` and ``side_sweep_python``, whose test is
-  ``expanded_clique`` and whose runs are ``side_bfs``.
+  ``expanded_clique`` and whose runs are ``side_bfs``.  Each run is a FIFO
+  BFS that records every vertex's predecessors and pushes dependencies
+  back along them, ``single_source`` in Python and ``forward()`` with its
+  ``empty_buckets`` in C; those serve the side sweep only, until it runs on
+  the kernel's traversal too (ROADMAP item 4).
 
 Two run a whole pass's loop over the work graph, adding its credits to the
 score accumulator in the Python form's order, integer products converted
@@ -62,14 +67,15 @@ The first call that needs the library builds it with the local C compiler
 into a per-user cache named by the hash of the source and the compile
 command, and loads it with ctypes.  Each entry point is one foreign call
 that passes only its inputs and results: the compiled code allocates its
-own scratch, and a failed allocation raises MemoryError.  Like
-``single_source``, its forward BFS records each vertex's predecessors, in
-per-vertex buckets sized by the vertex's occurrences in the rows, and its
-backward sweeps push a vertex's dependency along its bucket only.  The
-Python forms are the references the tests hold the compiled forms to, and
-run, silently, when the library cannot be built or loaded.  Each entry
-point checks its inputs, their dtypes included, before it picks a form, so
-both forms accept and refuse the same inputs.
+own scratch, and a failed allocation raises MemoryError.  ``bcs_brandes``
+runs the sources in batches of up to 64 consecutive ids, one bit of each
+vertex's lane mask per source, with sigma and delta kept per vertex and
+lane and the BFS levels in one flat list; it runs fewer lanes only where
+those arrays would pass 64 MB, which changes no score.  The Python forms
+are the references the tests hold the compiled forms to, and run,
+silently, when the library cannot be built or loaded.  Each entry point
+checks its inputs, their dtypes included, before it picks a form, so both
+forms accept and refuse the same inputs.
 
 The compiled code evaluates the Python loop's floating-point expressions
 in the same order, with contraction into fused multiply-adds turned off, and
@@ -90,8 +96,9 @@ Attribute semantics on a reduced component:
 
 ``brandes`` returns ``(scores, phase1_seconds, phase2_seconds)`` where
 scores[v] is the per-copy contribution for v (shared by all merged copies).
-Phase 1 is the forward BFS, recording the predecessors included, and phase 2
-the backward sweep.
+Phase 1 is the forward traversals and phase 2 the backward sweeps with the
+score additions, timed per traversal: a batch of sources compiled, one
+source in Python.
 """
 
 from __future__ import annotations
@@ -175,12 +182,13 @@ def bc_reach_ident(adj: Adjacency, reach: list[int], ident: list[int]):
 def brandes(adj: Adjacency, reach: list[int] | None = None, ident: list[int] | None = None):
     """Attribute-general Brandes; missing attributes are all 1.
 
-    Every neighbor id must lie in ``range(len(adj))``.  The rows need not be
-    symmetric and may repeat an id: both forms take v as a predecessor of w
-    once per occurrence of w in v's row, as ``single_source`` does, and give
-    the same scores.
-    Runs the compiled kernel, or ``brandes_python`` when it cannot be built
-    or loaded.
+    Every neighbor id must lie in ``range(len(adj))``, and every attribute
+    must be a whole number >= 1: NaN, infinite and fractional ones raise
+    ValueError before either form runs.  The rows need not be symmetric and
+    may repeat an id: in both forms v adds to sigma[w], and pulls from w,
+    once per occurrence of w in v's row, and the scores are the same.  Runs
+    the compiled kernel, or ``brandes_python`` when it cannot be built or
+    loaded.
     """
     n = len(adj)
     reach = [1] * n if reach is None else reach
@@ -488,21 +496,54 @@ def _bind(path: Path):
 
 
 def brandes_python(adj: Adjacency, reach: list[int], ident: list[int]):
-    """Brandes' algorithm as one ``single_source`` run per source (the
-    reference).  Phase 1 is the forward BFS, phase 2 the backward sweep plus
-    the score accumulation."""
+    """Brandes' algorithm one source at a time, level by level, in the
+    canonical order (the reference for ``bcs_brandes``).
+
+    Each level is taken in increasing vertex id.  sigma[w] sums
+    sigma[v] * ident[v] (sigma[v] for the source) over the previous level's
+    v in increasing id, along v's row in row order.  delta[v] starts at
+    reach[v] - 1 and adds sigma[v] * coef[w] along v's own row in row order
+    for each w one level deeper, with coef[w] = ident[w] * (1 + delta[w]) /
+    sigma[w]; a repeated id counts once per occurrence.  bc[w] adds
+    reach[s] * ident[s] * delta[w] in increasing s.  Phase 1 is the forward
+    levels, phase 2 the backward sweep plus the score accumulation."""
     n = len(adj)
     bc = [0.0] * n
-    state = source_state(n)
+    dist, sigma, coef = [-1] * n, [0.0] * n, [0.0] * n
     t1 = 0.0
     t2 = 0.0
     for s in range(n):
         tick = perf_counter()
-        deps, mid = single_source(adj, s, reach, ident, state)
-        t1 += mid - tick
+        dist[s] = 0
+        sigma[s] = 1.0
+        levels = [[s]]
+        while levels[-1]:
+            depth, found = len(levels), []
+            for v in levels[-1]:
+                sv = sigma[v] * ident[v] if v != s else sigma[v]
+                for w in adj[v]:
+                    if dist[w] < 0:
+                        dist[w] = depth
+                        found.append(w)
+                    if dist[w] == depth:
+                        sigma[w] += sv
+            found.sort()
+            levels.append(found)
+        mid = perf_counter()
         mult_s = reach[s] * ident[s]
-        for w, dw in deps:
-            bc[w] += mult_s * dw
+        for level in reversed(levels[1:]):
+            for v in level:
+                dv = reach[v] - 1.0
+                below = dist[v] + 1
+                for w in adj[v]:
+                    if dist[w] == below:
+                        dv += sigma[v] * coef[w]
+                coef[v] = ident[v] * (1.0 + dv) / sigma[v]
+                bc[v] += mult_s * dv  # one addition per source, so in increasing s
+        for w in chain.from_iterable(levels):
+            dist[w] = -1
+            sigma[w] = 0.0
+        t1 += mid - tick
         t2 += perf_counter() - mid
     return bc, t1, t2
 
@@ -514,7 +555,10 @@ def source_state(n: int):
 
 
 def single_source(adj, s: int, reach, ident, state):
-    """Forward BFS from s, then the backward dependency sweep.
+    """Forward BFS from s, then the backward dependency sweep: the run of
+    ``side_bfs``, as ``forward()`` is of ``bcs_side_sweep``.  A FIFO BFS that
+    records each vertex's predecessors and pushes dependencies back along
+    them; the kernel's reference is ``brandes_python``.
 
     ``adj`` may be any indexable of neighbor iterables.  ``state`` comes
     from ``source_state`` and is left at rest again, and only the vertices s
@@ -845,6 +889,8 @@ def betweenness(g: Graph, *, unordered: bool = False):
 
 
 def _check_positive(values, name: str) -> None:
+    """Refuse an attribute that is not a whole number >= 1: NaN compares
+    false with everything, and infinity leaves a NaN remainder."""
     for i, value in enumerate(values):
-        if value < 1:
-            raise ValueError(f"{name}[{i}] = {value}; attribute counts must be >= 1")
+        if not (value >= 1 and value % 1 == 0):
+            raise ValueError(f"{name}[{i}] = {value}; attribute counts must be integers >= 1")

@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 import types
 import warnings
 from importlib import resources
@@ -35,7 +36,7 @@ from bcshatter.kernels import (
     side_bfs,
     source_state,
 )
-from bcshatter.oracle import GraphSpec, generate, pair_distance_total
+from bcshatter.oracle import FAMILIES, GraphSpec, bc_brute, generate, pair_distance_total
 from bcshatter.reduction import DEFAULT_MAX_SIDE_DEGREE, WorkGraph, remove_side_vertices
 
 from conftest import (
@@ -120,6 +121,20 @@ class TestReach:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             bc_reach([[1], [0]], [1, 0])
+
+    @pytest.mark.usefixtures("kernel_path")
+    @pytest.mark.parametrize("name", ["reach", "ident"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 1.5, 0.5, -2])
+    def test_rejects_attributes_that_are_not_counts(self, name, value):
+        # NaN compares false with 1, so a test of value < 1 alone lets it
+        # through, and 1.5 is no count: each is refused before either form runs
+        with pytest.raises(ValueError, match=rf"{name}\[0\]"):
+            brandes([[1], [0, 2], [1]], **{name: [value, 1, 1]})
+
+    @pytest.mark.usefixtures("kernel_path")
+    def test_accepts_integral_floats(self):
+        adj = [[1], [0, 2], [1]]
+        assert brandes(adj, [2.0, 1.0, 3.0], [1.0, 2.0, 1.0])[0] == brandes(adj, [2, 1, 3], [1, 2, 1])[0]
 
     def test_rejects_length_mismatch(self):
         # the compiled kernel would read past the end of a short array
@@ -218,8 +233,8 @@ _SHAPES = {
     # hundreds of BFS levels with few vertices each
     "cycle-1000": lambda: cycle_graph(1000),
     "grid-30x30": lambda: _grid_graph(30, 30),
-    # runs in which every neighbor of a vertex is its predecessor, so its
-    # predecessor bucket fills up to the next bucket's start
+    # levels in which every neighbor of a vertex lies one level nearer the
+    # source, so its sigma sums its whole row and each neighbor pulls from it
     "bipartite-6x9": lambda: complete_bipartite_graph(6, 9),
     "star-30": lambda: star_graph(30),
     # the longest rows, all read each run
@@ -283,9 +298,75 @@ class TestNumpyMatchesLoop:
         ids=["asymmetric", "repeated", "random-6", "random-12", "random-30", "random-80"],
     )
     def test_any_rows_in_range(self, rows):
-        # v is w's predecessor once per occurrence of w in v's row, in both
-        # forms, whatever the other rows hold
+        # v adds to sigma[w] and pulls from w once per occurrence of w in v's
+        # row, in both forms, whatever the other rows hold
         _assert_matches_reference(rows, len(rows))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_path_counts_past_exact_integers(self, seed):
+        # idents near 10^6 push sigma past 2^53, where the order of its
+        # additions changes how it rounds: each level is summed in id order
+        rng = random.Random(seed)
+        adj = _sparse_graph(150, 450, 0, seed).adjacency_lists()
+        ident = [rng.choice([1, 999_983]) for _ in adj]
+        assert brandes(adj, ident=ident)[0] == brandes_python(adj, [1] * 150, ident)[0]
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129])
+    def test_lane_boundaries(self, n):
+        # up to 64 sources share a traversal: these sizes end on a batch one
+        # short of full, a full one, or one of a single source
+        _assert_matches_reference(_sparse_graph(n, 2 * n, 0, n).adjacency_lists(), n)
+
+
+def _union(parts):
+    """The rows, reach and ident of the disjoint union of ``parts``, each
+    (rows, reach, ident), its ids shifted past the parts before it."""
+    rows, reach, ident = [], [], []
+    for part_rows, part_reach, part_ident in parts:
+        rows += [[len(reach) + x for x in row] for row in part_rows]
+        reach += part_reach
+        ident += part_ident
+    return rows, reach, ident
+
+
+@pytest.mark.usefixtures("kernel_path")
+class TestBatchIndependence:
+    """The canonical order is per source, so no score depends on which
+    sources share a traversal."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_components_alone_equal_their_slice_of_the_union(self, seed):
+        # components of 1 to 90 vertices in random order, 220 vertices in
+        # all: the batches of 64 sources straddle several components and the
+        # isolated vertices between them
+        rng = random.Random(seed)
+        sizes = [1, 1, 1, 2, 3, 5, 8, 13, 21, 30, 45, 90]
+        rng.shuffle(sizes)
+        parts = []
+        for size in sizes:
+            rows = _sparse_graph(size, 2 * size, 0, rng.randrange(10**6)).adjacency_lists()
+            # idents near 10^6 make sigma round, so the order of its sums shows
+            reach = [rng.choice([1, 2, 5, 40]) for _ in rows]
+            parts.append((rows, reach, [rng.choice([1, 3, 999_983]) for _ in rows]))
+        scores, _, _ = brandes(*_union(parts))
+        start = 0
+        for part in parts:
+            alone, _, _ = brandes(*part)
+            assert scores[start : start + len(alone)] == alone
+            start += len(alone)
+        assert start == len(scores) == 220
+
+
+class TestCanonicalReference:
+    """``brandes_python``, the reference both forms are held to, against the
+    brute-force oracle; it needs no library."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_brute_force(self, family):
+        for seed in range(3):
+            g = generate(GraphSpec(family, 40, seed=seed))
+            scores, _, _ = brandes_python(g.adjacency_lists(), [1] * g.n, [1] * g.n)
+            assert np.allclose(scores, bc_brute(g), rtol=1e-12, atol=1e-9)
 
 
 class TestBuild:
@@ -498,6 +579,19 @@ void fail_allocation(int64_t k) { allocations = 0; failing = k; }
         # test, and the degree-1 cascade runs bcs_bfs, which takes its own
         assert child.stdout.splitlines() == ["bcs_brandes 7", "bcs_side_sweep 10", "bcs_blocks 7", "bcs_twin_sweep 5",
                                              "bcs_degree1 6", "bcs_bfs 1", "bcs_edge_csr 1"]
+
+    def test_many_small_components_cost_what_they_reach(self, compiled_kernel, monkeypatch):
+        # 30,000 triangles, 90,000 vertices: the 64 MB cap leaves 26 lanes,
+        # so about 3,500 batches, each of which reaches a few dozen
+        # vertices; a batch that set all its n x lanes slots back to rest
+        # would take minutes
+        monkeypatch.setattr(kernels, "_compiled", compiled_kernel)
+        k = 30_000
+        rows = [[3 * (v // 3) + (v + i) % 3 for i in (1, 2)] for v in range(3 * k)]
+        start = time.perf_counter()
+        scores, _, _ = kernels.brandes(rows, [1, 2, 3] * k)
+        assert time.perf_counter() - start < 2.0
+        assert scores == kernels.brandes(rows[:3], [1, 2, 3])[0] * k
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads /proc/self/status")
     @pytest.mark.skipif("asan" in os.environ.get("LD_PRELOAD", ""), reason="ASan's quarantine keeps freed memory")
