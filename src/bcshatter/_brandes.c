@@ -1,4 +1,4 @@
-/* The compiled forms of bcshatter's hot loops, ten entry points:
+/* The compiled forms of bcshatter's hot loops, twelve entry points:
  *
  * - bcs_brandes, all sources over one component's CSR, 64 to a traversal:
  *   the compiled form of ``kernels.brandes_python``;
@@ -15,6 +15,12 @@
  *   and ``graph.connected_components``, and over the work graph for
  *   ``WorkGraph.components`` and bcs_degree1: the compiled form of
  *   ``kernels.bfs_python``;
+ * - bcs_compact, the one rebuild of the work graph's rows that ends every
+ *   edit, for ``WorkGraph.compact``: the compiled form of
+ *   ``kernels.rebuild_python``;
+ * - bcs_shatter, the articulation pass's arc step, which rewrites the arcs
+ *   into copied tops and lists the arcs that move to the copies: the
+ *   compiled form of ``kernels.shatter_arcs_python``;
  * - bcs_parse_count, bcs_parse_ids and then bcs_edge_csr, the two passes
  *   over a plain edge list's bytes and the CSR builder, all called by
  *   ``graph._parse_plain_edge_list`` only: together the compiled form of
@@ -28,7 +34,9 @@
  * bcs_twin_sweep add a pass's credits to the scores: each credit is an
  * integer product below 2^53, computed in int64 and converted to double
  * exactly, and the one division is of two such doubles, so each rounds as
- * the Python loop's int arithmetic and true division do.  The graph-layer
+ * the Python loop's int arithmetic and true division do.  bcs_compact and
+ * bcs_shatter are the edits: they compute no score, and leave the arrays
+ * their numpy forms leave, element for element.  The graph-layer
  * functions read a ``Graph``'s CSR, whose rows are symmetric, ascending and
  * free of self-loops, and build such CSRs.
  *
@@ -38,9 +46,9 @@
  * anything, and ``kernels`` raises MemoryError.
  *
  * The work graph is read in place: its rows are one plain CSR (offsets,
- * targets), every target a vertex, as ``WorkGraph.compact`` leaves it after
- * every edit, so the scans and loops read every arc of every row, in the
- * order of the lists ``WorkGraph.rows`` gives the Python forms.
+ * targets), every target a vertex, as bcs_compact leaves it after every
+ * edit, so the scans and loops read every arc of every row, in the order of
+ * the lists ``WorkGraph.rows`` gives the Python forms.
  *
  * bcs_brandes runs up to 64 sources in one traversal, in a canonical order
  * defined per source (see there), so no score depends on which sources
@@ -813,6 +821,100 @@ int64_t bcs_degree1(int64_t n, const int64_t *offsets, const int32_t *targets,
                 queue[tail++] = v;
         }
     }
+    release(&s);
+    return count;
+}
+
+/* The one rebuild of the work graph's CSR, the compiled form of
+ * ``kernels.rebuild_python``: drops the vertices keep_vertices clears, with
+ * their rows and the arcs into them, and the arcs keep_arcs clears (a NULL
+ * mask keeps them all).  The kept vertices are renumbered in increasing
+ * order by a map, and each kept row keeps its kept arcs in order.  Without
+ * keep_vertices nothing is renumbered and no target is read as an index, so
+ * targets may name ids n and above (the copies the articulation pass has
+ * yet to append) and keep them; with it, every target lies in [0, n).
+ * new_offsets needs a slot per kept vertex and one more, new_targets one
+ * per kept arc.  Returns how many arcs are kept. */
+int64_t bcs_compact(int64_t n, const int64_t *offsets, const int32_t *targets,
+                    const uint8_t *keep_vertices, const uint8_t *keep_arcs,
+                    int64_t *new_offsets, int32_t *new_targets)
+{
+    struct scratch s = {0};
+    int32_t *renumber = keep_vertices ? take(&s, n, 4) : NULL;
+    if (s.failed)
+        return release(&s);
+    int32_t kept = 0;
+    for (int64_t v = 0; renumber && v < n; v++)
+        renumber[v] = keep_vertices[v] ? kept++ : -1;
+    int64_t out = 0, row = 0;
+    new_offsets[0] = 0;
+    for (int64_t v = 0; v < n; v++) {
+        if (renumber && renumber[v] < 0)
+            continue;
+        for (int64_t a = offsets[v]; a < offsets[v + 1]; a++) {
+            int32_t t = renumber ? renumber[targets[a]] : targets[a];
+            if (t >= 0 && (!keep_arcs || keep_arcs[a]))
+                new_targets[out++] = t;
+        }
+        new_offsets[++row] = out;
+    }
+    release(&s);
+    return out;
+}
+
+/* The articulation pass's arc step, the compiled form of
+ * ``kernels.shatter_arcs_python``.  Block k of a block walk is
+ * flat[block_ends[k] .. block_ends[k + 1]), its top last, and each vertex
+ * lies in at most one block as other than its top: its home.  Each block
+ * copied[] marks gets a copy of its top, the copies taking ids n, n + 1, ...
+ * in block order.  An arc from a vertex to the top of its home block, where
+ * that block is copied, is rewritten in place to the copy; an arc from the
+ * top of a copied block to one of its other vertices moves to the copy's
+ * row.
+ *
+ * Two passes over the arcs.  The first counts each copy's moved arcs into
+ * counts (a slot per copy); the second lists their targets in moved, copy
+ * after copy and each copy's in arc order, clears their slots of keep and
+ * sets the rest, and rewrites.  Returns how many arcs move. */
+int64_t bcs_shatter(int64_t n, const int64_t *offsets, int32_t *targets,
+                    const int32_t *flat, const int32_t *block_ends, int64_t nblocks, const uint8_t *copied,
+                    uint8_t *keep, int64_t *counts, int32_t *moved)
+{
+    struct scratch s = {0};
+    /* the copy of each vertex's home block's top, or -1, and that top */
+    int32_t *home_copy = take(&s, n, 4), *home_top = take(&s, n, 4);
+    int64_t *fill = take(&s, nblocks + 1, 8);
+    if (s.failed)
+        return release(&s);
+    for (int64_t v = 0; v < n; v++)
+        home_copy[v] = -1;
+    int64_t copies = 0;
+    for (int64_t k = 0; k < nblocks; k++) {
+        int32_t copy = copied[k] ? (int32_t)(n + copies++) : -1;
+        for (int64_t i = block_ends[k]; i + 1 < block_ends[k + 1]; i++) {
+            home_copy[flat[i]] = copy;
+            home_top[flat[i]] = flat[block_ends[k + 1] - 1];
+        }
+    }
+    for (int64_t c = 0; c < copies; c++)
+        counts[c] = 0;
+    for (int32_t v = 0; v < n; v++)
+        for (int64_t a = offsets[v]; a < offsets[v + 1]; a++)
+            if (home_copy[targets[a]] >= 0 && home_top[targets[a]] == v)
+                counts[home_copy[targets[a]] - n]++;
+    fill[0] = 0;
+    for (int64_t c = 0; c < copies; c++)
+        fill[c + 1] = fill[c] + counts[c];
+    for (int32_t v = 0; v < n; v++)
+        for (int64_t a = offsets[v]; a < offsets[v + 1]; a++) {
+            int32_t t = targets[a];
+            keep[a] = !(home_copy[t] >= 0 && home_top[t] == v);
+            if (!keep[a])
+                moved[fill[home_copy[t] - n]++] = t;
+            if (home_copy[v] >= 0 && home_top[v] == t)
+                targets[a] = home_copy[v];
+        }
+    int64_t count = fill[copies];
     release(&s);
     return count;
 }

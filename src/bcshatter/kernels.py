@@ -7,7 +7,7 @@ output option).  Shortest-path counts sigma are kept in float64 because they
 can overflow 64-bit integers on dense graphs while the dependency ratios
 stay well conditioned.
 
-Six entry points each pair compiled code in ``_brandes.c`` with a Python
+Eight entry points each pair compiled code in ``_brandes.c`` with a Python
 form.  Two run the attribute-general Brandes algorithm:
 
 * ``brandes``, all sources over one component: ``bcs_brandes``, which runs
@@ -45,11 +45,25 @@ Python forms return, in order:
   ``WorkGraph.components``: ``bcs_bfs`` and ``bfs_python``.  It also starts
   the degree-1 cascade in both forms.
 
-The compiled forms of all but ``brandes`` read the work graph's own arrays
-in place: every edit leaves its rows a plain CSR, so they read every arc.
-The Python forms read the same arcs in the same order as lists,
-``WorkGraph.rows``.  Only the kernel's input is a CSR made from lists,
-``export_rows``.
+Two are the edits that copy every arc, whose Python forms are numpy:
+
+* ``rebuild``, the one rebuild that ends every edit of the work graph,
+  ``WorkGraph.compact``'s rows: ``bcs_compact``, a renumber map and then
+  each kept row's kept arcs in order, and ``rebuild_python``, masks and
+  running counts over the arcs.
+* ``shatter_arcs``, the arc step of ``reduction.shatter_articulation``:
+  ``bcs_shatter``, two passes over the arcs that count and then list the
+  arcs moving to each copy and rewrite the arcs into copied tops, and
+  ``shatter_arcs_python``, per-arc masks and a stable sort.
+
+Their results are equal element for element, and each output array has
+exactly the size of what it holds.
+
+The compiled forms of all but ``brandes`` read the work graph's own
+arrays in place: every edit leaves its rows a plain CSR, so they read every
+arc.  The Python forms of the scans and loops read the same arcs in the
+same order as lists, ``WorkGraph.rows``.  Only the kernel's input is a CSR
+made from lists, ``export_rows``.
 
 ``_check_csr`` is the one CSR check, for a ``Graph`` and for the work
 graph's rows and members.
@@ -67,7 +81,10 @@ The first call that needs the library builds it with the local C compiler
 into a per-user cache named by the hash of the source and the compile
 command, and loads it with ctypes.  Each entry point is one foreign call
 that passes only its inputs and results: the compiled code allocates its
-own scratch, and a failed allocation raises MemoryError.  ``bcs_brandes``
+own scratch, and a failed allocation raises MemoryError.  Where an
+output's size is known only once the compiled code has run, as for the
+arcs ``bcs_compact`` keeps when it drops vertices, it gets the size of its
+bound and is shrunk in place afterwards.  ``bcs_brandes``
 runs the sources in batches of up to 64 consecutive ids, one bit of each
 vertex's lane mask per source, with sigma and delta kept per vertex and
 lane and the BFS levels in one flat list; it runs fewer lanes only where
@@ -109,7 +126,7 @@ import tempfile
 from collections import deque
 from importlib import resources
 from itertools import chain, repeat
-from operator import is_not
+from operator import index, is_not
 from pathlib import Path
 from time import perf_counter
 from typing import TYPE_CHECKING
@@ -235,7 +252,7 @@ def side_sweep(w, max_degree: int, out: np.ndarray):
     # no degree exceeds the arc count
     runs = lib.bcs_side_sweep(n, w.offsets, w.targets, w.member_offsets, w.member_ids, w.reach.astype(np.float64),
                               w.ident.astype(np.float64), w.internal_edgeless, w.internal_clique,
-                              max(0, min(max_degree, len(w.targets))), out, removed, arcs)
+                              max(0, min(index(max_degree), len(w.targets))), out, removed, arcs)
     return removed[:runs].tolist(), int(arcs[0])
 
 
@@ -338,6 +355,79 @@ def bfs(offsets: np.ndarray, targets: np.ndarray, start: int):
     return order[: ends[count]], ends[: count + 1]
 
 
+def rebuild(offsets: np.ndarray, targets: np.ndarray, keep_vertices: np.ndarray | None,
+            keep_arcs: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The one rebuild of the work graph's CSR ``(offsets, targets)``, for
+    ``WorkGraph.compact``: ``bcs_compact``, or :func:`rebuild_python` when
+    the compiled library cannot be built or loaded.
+
+    Drops the vertices ``keep_vertices`` clears, with their rows and the
+    arcs into them, and the arcs ``keep_arcs`` clears (bool masks; None
+    keeps them all), and renumbers the kept vertices in increasing order;
+    each kept row keeps its kept arcs in order.  Without ``keep_vertices``
+    no id is renumbered, so the targets may name any id from 0 on, such as
+    the copies ``reduction.shatter_articulation`` has yet to append, and
+    keep it; with it, every target must name a vertex.  Returns the new
+    ``(offsets, targets)``, int64 and int32, each of exact size.
+    """
+    masks = [(name, a, np.bool_) for name, a in (("keep_vertices", keep_vertices), ("keep_arcs", keep_arcs))
+             if a is not None]
+    _check_arrays(("offsets", offsets, np.int64), ("targets", targets, np.int32), *masks)
+    n = len(offsets) - 1
+    if (keep_vertices is not None and len(keep_vertices) != n
+            or keep_arcs is not None and len(keep_arcs) != len(targets)):
+        raise ValueError("keep_vertices needs an entry per vertex and keep_arcs one per arc")
+    # ids are read as indices only where vertices are renumbered
+    _check_csr(offsets, targets, n, 0, n if keep_vertices is not None else 2**31, "neighbor")
+    lib = _kernel()
+    if lib is None:
+        return rebuild_python(offsets, targets, keep_vertices, keep_arcs)
+    kept = n if keep_vertices is None else int(np.count_nonzero(keep_vertices))
+    # a rebuild that renumbers nothing keeps exactly the arcs keep_arcs keeps;
+    # one that drops vertices finds its arcs in the call, and the array
+    # shrinks to them in place (no view of it exists)
+    bound = len(targets) if keep_vertices is not None or keep_arcs is None else int(np.count_nonzero(keep_arcs))
+    new_offsets, new_targets = np.empty(kept + 1, dtype=np.int64), np.empty(bound, dtype=np.int32)
+    new_targets.resize(lib.bcs_compact(n, offsets, targets, keep_vertices, keep_arcs, new_offsets, new_targets),
+                       refcheck=False)
+    return new_offsets, new_targets
+
+
+def shatter_arcs(w, flat: np.ndarray, block_ends: np.ndarray, copied: np.ndarray):
+    """The arc step of ``reduction.shatter_articulation`` over the work graph
+    ``w``: ``bcs_shatter`` on its arrays, or :func:`shatter_arcs_python` when
+    the compiled library cannot be built or loaded.
+
+    Block k is ``flat[block_ends[k]:block_ends[k + 1]]``, its top last, as
+    :func:`block_walk` returns it; the block holding a vertex as other than
+    its top is its home.  Each block ``copied`` marks gets a copy of its top,
+    the copies taking ids ``w.n``, ``w.n + 1``, ... in block order.  Rewrites
+    ``w.targets`` in place: every arc from a vertex to the top of its home
+    block, where that block is copied, names the copy instead.  Returns
+    ``(keep, counts, moved)``: ``keep`` (bool, one per arc) clears every arc
+    from the top of a copied block to the block's other vertices, which
+    moves to the copy's row; ``counts[c]`` (int64) is how many move to copy
+    c, and ``moved`` (int32) their targets, copy after copy, each copy's in
+    arc order.
+    """
+    n = _check_work_graph(w)
+    _check_arrays(("flat", flat, np.int32), ("block_ends", block_ends, np.int32), ("copied", copied, np.bool_))
+    nblocks = len(block_ends) - 1
+    if len(copied) != nblocks:
+        raise ValueError(f"copied needs an entry per block, {nblocks}")
+    _check_csr(block_ends, flat, nblocks, 0, n, "block")
+    if np.diff(block_ends).min(initial=1) < 1:
+        raise ValueError("every block must hold its top")
+    lib = _kernel()
+    if lib is None:
+        return shatter_arcs_python(w.offsets, w.targets, flat, block_ends, copied)
+    keep, counts = np.empty(len(w.targets), dtype=bool), np.empty(np.count_nonzero(copied), dtype=np.int64)
+    moved = np.empty(len(w.targets), dtype=np.int32)
+    arcs = lib.bcs_shatter(n, w.offsets, w.targets, flat, block_ends, nblocks, copied, keep, counts, moved)
+    moved.resize(arcs, refcheck=False)  # in place: no view of it exists
+    return keep, counts, moved
+
+
 def _check_ids(ids: np.ndarray, low: int, bound: int, what: str) -> None:
     """Refuse ids outside [low, bound) before they reach the compiled code."""
     if ids.size and not low <= ids.min() <= ids.max() < bound:
@@ -356,6 +446,14 @@ def _check_csr(offsets: np.ndarray, ids: np.ndarray, rows: int, low: int, bound:
     _check_ids(ids, low, bound, what)
 
 
+def _check_arrays(*arrays) -> None:
+    """Refuse every ``(name, array, dtype)`` whose array is not a contiguous
+    1-D array of that dtype, as the compiled code reads it."""
+    for name, a, dtype in arrays:
+        if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.ndim == 1 and a.flags.c_contiguous):
+            raise ValueError(f"{name} must be a contiguous 1-D {np.dtype(dtype)} array")
+
+
 # The dtype of each array of a work graph, as the compiled code reads it.
 _WORK_DTYPES = {name: np.dtype(t) for name, t in (
     ("offsets", np.int64), ("targets", np.int32), ("reach", np.int64), ("ident", np.int64),
@@ -371,9 +469,7 @@ def _check_work_graph(w, out: np.ndarray | None = None) -> int:
     not float64 and members that are not a CSR or have no slot in it,
     before they reach either form."""
     arrays = [(name, getattr(w, name), dtype) for name, dtype in _WORK_DTYPES.items()]
-    for name, a, dtype in arrays if out is None else [*arrays, ("out", out, np.dtype(np.float64))]:
-        if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.ndim == 1 and a.flags.c_contiguous):
-            raise ValueError(f"{name} must be a contiguous 1-D {dtype} array")
+    _check_arrays(*arrays if out is None else [*arrays, ("out", out, np.float64)])
     n = len(w.reach)
     if {len(a) for a in (w.ident, w.internal_edgeless, w.internal_clique)} != {n}:
         raise ValueError(f"the work graph's arrays must cover its {n} vertices")
@@ -464,6 +560,16 @@ def _allocated(result: int, func, args) -> int:
     return result
 
 
+def _or_null(pointer):
+    """The ndpointer type ``pointer``, also taking None for a NULL pointer."""
+    class OrNull(pointer):
+        @classmethod
+        def from_param(cls, obj):
+            return None if obj is None else pointer.from_param(obj)
+
+    return OrNull
+
+
 def _bind(path: Path):
     lib = ctypes.CDLL(str(path))
     int32s = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
@@ -480,6 +586,8 @@ def _bind(path: Path):
         "bcs_twin_sweep": [*csr, *members, int64s, int64s, size, doubles, int32s, int32s],
         "bcs_degree1": [*csr, *members, int64s, flags, int64s, doubles, int32s, int64s],
         "bcs_bfs": [*csr, size, int32s, int64s],
+        "bcs_compact": [*csr, _or_null(flags), _or_null(flags), int64s, int32s],
+        "bcs_shatter": [*csr, int32s, int32s, size, flags, flags, int64s, int32s],
         "bcs_edge_csr": [size, size, int32s, int64s, int32s, int64s],
     }
     for name, argtypes in allocating.items():
@@ -872,6 +980,51 @@ def bfs_python(offsets: list[int], targets: list[int], start: int) -> list[list[
                     comp.append(x)
         comps.append(comp)
     return comps
+
+
+def rebuild_python(offsets, targets, keep_vertices, keep_arcs):
+    """:func:`rebuild` in numpy (the reference for ``bcs_compact``): the
+    kept arcs are a mask over the arcs, the new offsets the running count of
+    kept arcs at each kept row's start, and the new ids a running count of
+    kept vertices."""
+    if keep_vertices is not None:
+        kept = keep_vertices[targets]
+        kept &= np.repeat(keep_vertices, np.diff(offsets))
+        keep_arcs = kept if keep_arcs is None else kept & keep_arcs
+    elif keep_arcs is None:
+        return offsets.copy(), targets.copy()
+    # the arcs kept before each arc; int32 while that cannot wrap
+    running = np.zeros(len(targets) + 1, dtype=np.int32 if len(targets) < 2**31 else np.int64)
+    np.cumsum(keep_arcs, dtype=running.dtype, out=running[1:])
+    offsets, targets = running[offsets], targets[keep_arcs]
+    del running
+    if keep_vertices is not None:
+        offsets = offsets[np.append(keep_vertices, True)]
+        targets = (np.cumsum(keep_vertices, dtype=np.int32) - 1)[targets]  # the new ids
+    return offsets.astype(np.int64), targets
+
+
+def shatter_arcs_python(offsets, targets, flat, block_ends, copied):
+    """:func:`shatter_arcs` in numpy (the reference for ``bcs_shatter``),
+    on the work graph's ``offsets`` and ``targets``: a mask per arc for each
+    test, and a stable sort of the moved arcs by their copy."""
+    n, nblocks = len(offsets) - 1, len(block_ends) - 1
+    # index nblocks is "no block": the home of a vertex that is only ever a top
+    copied = np.append(copied, False)
+    top = np.append(flat[block_ends[1:] - 1], -2)
+    copy = np.zeros(nblocks + 1, dtype=np.int32)
+    copy[copied] = np.arange(n, n + np.count_nonzero(copied), dtype=np.int32)
+    home = np.full(n, nblocks, dtype=np.int32)
+    home[np.delete(flat, block_ends[1:] - 1)] = np.repeat(np.arange(nblocks, dtype=np.int32), np.diff(block_ends) - 1)
+    sources = np.repeat(np.arange(n, dtype=np.int32), np.diff(offsets))
+    into = copied[home[sources]] & (top[home[sources]] == targets)
+    moved = np.flatnonzero(copied[home[targets]] & (top[home[targets]] == sources))
+    owner = copy[home[targets[moved]]]
+    row_targets = targets[moved][np.argsort(owner, kind="stable")]
+    targets[into] = copy[home[sources[into]]]
+    keep = np.ones(len(targets), dtype=bool)
+    keep[moved] = False
+    return keep, np.bincount(owner - n, minlength=np.count_nonzero(copied)), row_targets
 
 
 def betweenness(g: Graph, *, unordered: bool = False):

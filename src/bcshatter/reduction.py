@@ -22,7 +22,9 @@ cascade of ``d`` (``kernels.degree1``), the block walk of ``b`` and ``a``
 (``kernels.twin_sweep``).  The passes then edit the arrays in batches, each
 edit ending in one rebuild, :meth:`WorkGraph.compact`, that leaves a plain
 CSR: no pass walks the arcs in Python, and no scan meets a removed vertex
-or arc.
+or arc.  The two edits that copy every arc run through ``kernels`` too:
+the rebuild's rows (``kernels.rebuild``) and the arc rewrite of ``a``
+(``kernels.shatter_arcs``).
 
 Every pass writes its score corrections eagerly into a per-original-vertex
 accumulator, so reassembly after the kernels is just adding each surviving
@@ -53,6 +55,7 @@ meet at it stay one block, which ``a`` shatters as a whole.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -173,10 +176,6 @@ class WorkGraph:
         """The number of edges."""
         return len(self.targets) // 2
 
-    def _sources(self) -> np.ndarray:
-        """The row each arc lies in."""
-        return np.repeat(np.arange(self.n, dtype=np.int32), np.diff(self.offsets))
-
     def _slots(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The arc indices of the rows of ``vertices``, row after row, and
         for each the position in ``vertices`` of its row."""
@@ -243,26 +242,16 @@ class WorkGraph:
         their arcs and the arcs into them, and the arcs ``keep_arcs`` clears
         (bool masks; None keeps them all).  The survivors are renumbered in
         increasing order and every row keeps its arcs in their order, so
-        each scan visits them in the order it did before the edit."""
-        targets = self.targets
+        each scan visits them in the order it did before the edit.  The rows
+        are one call of :func:`kernels.rebuild`, compiled where the library
+        loads; the vertex arrays and members follow in numpy."""
+        self.offsets, self.targets = kernels.rebuild(self.offsets, self.targets, keep_vertices, keep_arcs)
         if keep_vertices is not None:
-            kept = keep_vertices[targets]
-            kept &= np.repeat(keep_vertices, np.diff(self.offsets))
-            keep_arcs = kept if keep_arcs is None else kept & keep_arcs
-        # the arcs kept before each arc; int32 while that cannot wrap
-        running = np.zeros(len(targets) + 1, dtype=np.int32 if len(targets) < 2**31 else np.int64)
-        np.cumsum(keep_arcs, dtype=running.dtype, out=running[1:])
-        offsets, targets = running[self.offsets], targets[keep_arcs]
-        del running
-        if keep_vertices is not None:
-            offsets = offsets[np.append(keep_vertices, True)]
-            targets = (np.cumsum(keep_vertices, dtype=np.int32) - 1)[targets]  # the new ids
             counts = np.diff(self.member_offsets)
             self.member_ids = self.member_ids[np.repeat(keep_vertices, counts)]
             self.member_offsets = np.concatenate([[0], np.cumsum(counts[keep_vertices])])
             for name in ("reach", "ident", "internal_edgeless", "internal_clique"):
                 setattr(self, name, getattr(self, name)[keep_vertices])
-        self.offsets, self.targets = offsets.astype(np.int64), targets
 
 
 def remove_degree1(w: WorkGraph, out: np.ndarray) -> int:
@@ -327,36 +316,24 @@ def shatter_articulation(w: WorkGraph) -> int:
     its home.  An edge between x and the top of x's home block lies in that
     block, so the arc from x is rewritten in place to the block's copy, and
     the arc from the top moves to the copy's row: it is dropped from the
-    top's row, and the copies' rows are appended after the rebuild.
+    top's row, and the copies' rows are appended after the rebuild.  The
+    rewrite and the listing of the moved arcs are one call of
+    :func:`kernels.shatter_arcs`, compiled where the library loads, and the
+    drop is :meth:`WorkGraph.compact`.
     """
     flat, ends, below, comp_ends, totals = kernels.block_walk(w)
-    nblocks = len(ends) - 1
-    # index nblocks is "no block": the home of a root
-    copied = np.append(np.ones(nblocks, dtype=bool), False)
-    copied[comp_ends[1:] - 1] = False  # each component's last block, or "no block"
+    # index nblocks is "no block", the last block of a component without any
+    copied = np.append(np.ones(len(ends) - 1, dtype=bool), False)
+    copied[comp_ends[1:] - 1] = False  # each component's last block
+    copied = copied[:-1]
     blocks = np.flatnonzero(copied)
     if not blocks.size:
         return 0
-    n = w.n
-    top = np.append(flat[ends[1:] - 1], -2)
-    copy = np.zeros(nblocks + 1, dtype=np.int32)
-    copy[blocks] = np.arange(n, n + len(blocks), dtype=np.int32)
-    home = np.full(n, nblocks, dtype=np.int32)
-    home[np.delete(flat, ends[1:] - 1)] = np.repeat(np.arange(nblocks, dtype=np.int32), np.diff(ends) - 1)
-    sources, targets = w._sources(), w.targets
-    into = copied[home[sources]] & (top[home[sources]] == targets)
-    moved = np.flatnonzero(copied[home[targets]] & (top[home[targets]] == sources))
-    owner = copy[home[targets[moved]]]
-    row_targets = targets[moved][np.argsort(owner, kind="stable")]
-    targets[into] = copy[home[sources[into]]]
-    del sources, into  # the per-arc temporaries go before the rebuild
-    keep = np.ones(len(targets), dtype=bool)
-    keep[moved] = False
+    keep, counts, moved = kernels.shatter_arcs(w, flat, ends, copied)
     w.compact(None, keep)
-    below, tops, totals = below[blocks], top[blocks], np.repeat(totals, np.diff(comp_ends))[blocks]
+    below, tops, totals = below[blocks], flat[ends[blocks + 1] - 1], np.repeat(totals, np.diff(comp_ends))[blocks]
     np.add.at(w.reach, tops, below)
-    w.append(totals - below, w.member_ids[w.member_offsets[tops]], np.bincount(owner - n, minlength=len(blocks)),
-             row_targets)
+    w.append(totals - below, w.member_ids[w.member_offsets[tops]], counts, moved)
     return len(blocks)
 
 
@@ -440,8 +417,11 @@ def preprocess(g: Graph, combination: Combination | str, max_side_degree: int = 
     One iteration runs the enabled passes in the combination's letter order;
     iterations repeat while any pass reports a change (each pass can make the
     graph amenable to another).  Returns (work graph, partial score vector,
-    pass statistics).  A side-degree cap below 1 is refused before any work.
+    pass statistics).  A side-degree cap that is not an integer
+    (``operator.index``) or is below 1 is refused before any work, whatever
+    the combination.
     """
+    max_side_degree = operator.index(max_side_degree)
     if max_side_degree < 1:
         raise ValueError("max_side_degree must be >= 1")
     combo = Combination.parse(combination) if isinstance(combination, str) else combination

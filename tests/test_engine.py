@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bcshatter import kernels
 from bcshatter.engine import NonFiniteScoresError, compute_scores
 from bcshatter.graph import Graph
 from bcshatter.kernels import betweenness
@@ -125,6 +126,25 @@ def test_larger_max_side_degree_still_exact():
     for cap in (1, 2, 6, 17):
         got = compute_scores(g, "odbas", max_side_degree=cap).scores
         assert np.allclose(got, expected, atol=1e-9)
+
+
+@pytest.mark.parametrize("cap", [2.5, 3.0, "3", None])
+def test_side_degree_cap_that_is_not_an_integer_is_refused_on_both_forms(monkeypatch, cap):
+    # a float cap would reach the compiled side sweep's int64 parameter, which
+    # ctypes refuses, while the Python sweep compares degrees with it; so
+    # preprocess refuses it first, whatever the combination
+    g = generate(GraphSpec("planted-side", 30, 0.2, 5))
+    errors = set()
+    for lib in (kernels._kernel(), None):
+        monkeypatch.setattr(kernels, "_compiled", lib)
+        for combo in ("", "o", "od", "s", "odbasi"):
+            with pytest.raises(TypeError) as refused:
+                compute_scores(g, combo, max_side_degree=cap)
+            errors.add(str(refused.value))
+        # an integer of another type is an integer
+        assert compute_scores(g, "odbasi", max_side_degree=np.int64(3)).scores.tobytes() == compute_scores(
+            g, "odbasi", max_side_degree=3).scores.tobytes()
+    assert len(errors) == 1, errors
 
 
 @pytest.mark.parametrize("combo", ["o", "odbasi"])

@@ -413,7 +413,7 @@ class TestBuild:
         functions = re.findall(r"^(void|int64_t) (bcs_\w+)\(([^)]*)\)\n\{\n(.*?)^\}$", source, re.M | re.S)
         exported = {name: (ret, len(params.split(","))) for ret, name, params, _ in functions}
         allocating = {name for _, name, _, body in functions if "take(&" in body}
-        assert len(exported) == 10 and len(allocating) == 7
+        assert len(exported) == 12 and len(allocating) == 9
         assert source.count("malloc(") == 1 and "void *array = malloc(" in source
         bound: dict[str, types.SimpleNamespace] = {}
 
@@ -525,8 +525,13 @@ calls = {
     "bcs_twin_sweep": lambda w, out: kernels.twin_sweep(w, True, out),
     "bcs_degree1": lambda w, out: kernels.degree1(w, out),
     "bcs_bfs": lambda w, out: w.components(),
+    "bcs_compact": lambda w, out: w.delete([3]),
+    "bcs_shatter": lambda w, out: kernels.shatter_arcs(w, flat, block_ends, np.array([True, False])),
     "bcs_edge_csr": lambda w, out: parse_edge_list("0 1\\n1 2\\n"),
 }
+# the blocks of that graph, taken before any allocation is made to fail:
+# the pendant edge, whose top gets a copy, and the triangle
+flat, block_ends, *_ = kernels.block_walk(WorkGraph.from_graph(Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])))
 for name, call in calls.items():
     for k in range(100):
         # a triangle with a pendant vertex, every vertex of reach 2: each
@@ -578,7 +583,8 @@ void fail_allocation(int64_t k) { allocations = 0; failing = k; }
         # the side sweep takes its traversal arrays after the candidate
         # test, and the degree-1 cascade runs bcs_bfs, which takes its own
         assert child.stdout.splitlines() == ["bcs_brandes 7", "bcs_side_sweep 10", "bcs_blocks 7", "bcs_twin_sweep 5",
-                                             "bcs_degree1 6", "bcs_bfs 1", "bcs_edge_csr 1"]
+                                             "bcs_degree1 6", "bcs_bfs 1", "bcs_compact 1", "bcs_shatter 3",
+                                             "bcs_edge_csr 1"]
 
     def test_many_small_components_cost_what_they_reach(self, compiled_kernel, monkeypatch):
         # 30,000 triangles, 90,000 vertices: the 64 MB cap leaves 26 lanes,
@@ -596,7 +602,7 @@ void fail_allocation(int64_t k) { allocations = 0; failing = k; }
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads /proc/self/status")
     @pytest.mark.skipif("asan" in os.environ.get("LD_PRELOAD", ""), reason="ASan's quarantine keeps freed memory")
     @pytest.mark.parametrize("entry", ["brandes", "side_sweep", "block_walk", "twin_sweep", "degree1", "bfs",
-                                       "edge_csr"])
+                                       "rebuild", "shatter_arcs", "edge_csr"])
     def test_scratch_is_freed(self, compiled_kernel, monkeypatch, entry):
         # after three calls, by which glibc has settled where blocks of these
         # sizes go, 50 calls whose scratch writes at least 16 MB of pages in
@@ -606,6 +612,8 @@ void fail_allocation(int64_t k) { allocations = 0; failing = k; }
         triangles = [(3 * i + a, 3 * i + b) for i in range(k) for a, b in ((0, 1), (0, 2), (1, 2))]
         w, out = WorkGraph.from_graph(Graph.from_edges(3 * k, triangles)), np.zeros(3 * k)
         rows, offsets, targets = [[] for _ in range(20_000)], np.zeros(400_001, dtype=np.int64), np.empty(0, np.int32)
+        keep, lone = np.ones(400_000, dtype=bool), WorkGraph.from_graph(Graph.from_edges(400_000, []))
+        no_blocks = np.empty(0, dtype=np.int32), np.zeros(1, dtype=np.int32), np.empty(0, dtype=bool)
         call = {
             "brandes": lambda: kernels.brandes(rows),
             "side_sweep": lambda: kernels.side_sweep(w, 4, out),
@@ -613,6 +621,8 @@ void fail_allocation(int64_t k) { allocations = 0; failing = k; }
             "twin_sweep": lambda: kernels.twin_sweep(w, True, out),
             "degree1": lambda: kernels.degree1(w, out),
             "bfs": lambda: kernels.bfs(offsets, targets, 0),
+            "rebuild": lambda: kernels.rebuild(offsets, targets, keep, None),
+            "shatter_arcs": lambda: kernels.shatter_arcs(lone, *no_blocks),
             "edge_csr": lambda: parse_edge_list("0 99999\n"),
         }[entry]
         for _ in range(3):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import itertools
 import random
@@ -343,13 +344,59 @@ class TestBridgesKeepBlocks:
         assert removed and merged and retopped
 
 
+def _forms() -> list:
+    """The forms of the edits to run: the compiled library where it loads,
+    then the Python reference (``kernels._compiled`` set to None).  Taken
+    once per test, before a form is set."""
+    lib = kernels._kernel()
+    return [None] if lib is None else [lib, None]
+
+
+def _assert_same_work_graphs(a: WorkGraph, b: WorkGraph) -> None:
+    """Every array of the two work graphs is equal, dtype and size included."""
+    for name in WorkGraph.__slots__:
+        x, y = getattr(a, name), getattr(b, name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and x.shape == y.shape and (x == y).all(), name
+        else:
+            assert x == y, name
+
+
+def _kept_rows(offsets, targets, keep_vertices, keep_arcs) -> list[list[int]]:
+    """The rows a rebuild leaves, from lists: each kept row's kept arcs to
+    kept vertices, renumbered; without ``keep_vertices`` no id is read."""
+    offsets, targets = offsets.tolist(), targets.tolist()
+    n = len(offsets) - 1
+    new = None if keep_vertices is None else {v: i for i, v in enumerate(np.flatnonzero(keep_vertices).tolist())}
+    return [[t if new is None else new[t] for a, t in enumerate(targets[offsets[v] : offsets[v + 1]], offsets[v])
+             if (keep_arcs is None or keep_arcs[a]) and (new is None or t in new)]
+            for v in range(n) if new is None or v in new]
+
+
+def _rebuilt_rows(offsets, targets) -> list[list[int]]:
+    ends = offsets.tolist()
+    assert offsets.dtype == np.int64 and targets.dtype == np.int32 and ends[-1] == len(targets)
+    flat = targets.tolist()
+    return [flat[a:b] for a, b in zip(ends, ends[1:])]
+
+
+def _copied_blocks(ends: np.ndarray, comp_ends: np.ndarray) -> np.ndarray:
+    """The blocks ``shatter_articulation`` copies: all but each component's last."""
+    copied = np.append(np.ones(len(ends) - 1, dtype=bool), False)
+    copied[comp_ends[1:] - 1] = False
+    return copied[:-1]
+
+
 class TestCompact:
-    def test_matches_the_kept_subgraph(self):
+    def test_matches_the_kept_subgraph(self, monkeypatch):
         """``compact`` drops what its masks clear and renumbers the rest in
         order: its rows are those of ``WorkGraph.from_graph`` of the kept
         subgraph, each keeping its surviving arcs in their old order, and
-        each kept vertex carries its attributes and members over."""
+        each kept vertex carries its attributes and members over.  The
+        compiled rebuild and its numpy reference run on every case and
+        leave equal arrays."""
         rng = random.Random(23)
+        forms = _forms()
         seen = {"vertex mask": 0, "arc mask": 0, "both": 0, "row out of order": 0, "merged members": 0}
         for case in range(150):
             family = FAMILIES[case % len(FAMILIES)]
@@ -369,8 +416,15 @@ class TestCompact:
             keep_vertices = [masks == "arcs" or rng.random() < 0.8 for _ in range(n)]
             removed = set() if masks == "vertices" else set(rng.sample(edges, len(edges) // 5))
             keep_arcs = [(min(v, x), max(v, x)) not in removed for v in range(n) for x in rows[v]]
-            w.compact(None if masks == "arcs" else np.array(keep_vertices, dtype=bool),
-                      None if masks == "vertices" else np.array(keep_arcs, dtype=bool))
+            rebuilt = []
+            for lib in forms:
+                monkeypatch.setattr(kernels, "_compiled", lib)
+                rebuilt.append(copy.deepcopy(w))
+                rebuilt[-1].compact(None if masks == "arcs" else np.array(keep_vertices, dtype=bool),
+                                    None if masks == "vertices" else np.array(keep_arcs, dtype=bool))
+            w = rebuilt[0]
+            for other in rebuilt[1:]:
+                _assert_same_work_graphs(w, other)
 
             kept = [v for v in range(n) if keep_vertices[v]]
             new = {v: i for i, v in enumerate(kept)}
@@ -390,7 +444,103 @@ class TestCompact:
             seen["merged members"] += any(len(m) > 1 for m in members)
         assert all(count > 10 for count in seen.values()), seen
 
+    @pytest.mark.parametrize("case", ["copies not yet appended", "every vertex dropped", "rows emptied", "no arcs",
+                                      "no vertices"])
+    def test_edge_cases(self, monkeypatch, case):
+        """The rebuild on both forms, against the rows a loop over lists
+        keeps.  The arcs-only rebuild of the articulation pass meets targets
+        that name its copies, ids n and above, before they are appended: it
+        keeps them as they are and reads no map with them."""
+        rng = random.Random(case)
+        g = generate(GraphSpec("clique-chain", 40, 0.0, 5))
+        w = WorkGraph.from_graph(g)
+        keep_vertices = keep_arcs = None
+        if case == "copies not yet appended":
+            flat, ends, _, comp_ends, _ = kernels.block_walk(w)
+            keep_arcs, counts, _ = kernels.shatter_arcs(w, flat, ends, _copied_blocks(ends, comp_ends))
+            assert w.targets.max() >= w.n and counts.sum() == np.count_nonzero(~keep_arcs) > 0
+        elif case == "every vertex dropped":
+            keep_vertices = np.zeros(w.n, dtype=bool)
+            keep_arcs = np.array([rng.random() < 0.5 for _ in range(len(w.targets))])
+        elif case == "rows emptied":
+            emptied = rng.sample(range(w.n), w.n // 3)
+            keep_arcs = np.ones(len(w.targets), dtype=bool)
+            for v in emptied:
+                keep_arcs[w.offsets[v] : w.offsets[v + 1]] = False
+            keep_vertices = np.array([rng.random() < 0.8 for _ in range(w.n)])
+        else:
+            w = WorkGraph.from_graph(Graph.from_edges(7 if case == "no arcs" else 0, []))
+            keep_vertices = np.array([v % 2 == 0 for v in range(w.n)], dtype=bool)
+        expected = _kept_rows(w.offsets, w.targets, keep_vertices, keep_arcs)
+        for lib in _forms():
+            monkeypatch.setattr(kernels, "_compiled", lib)
+            rebuilt = kernels.rebuild(w.offsets, w.targets, keep_vertices, keep_arcs)
+            assert _rebuilt_rows(*rebuilt) == expected, lib
+            assert rebuilt[1].flags.owndata and rebuilt[1].base is None  # exact size, no view of a larger array
+        if case == "every vertex dropped":
+            w.compact(keep_vertices, keep_arcs)
+            assert w.n == w.m == 0 and w.member_offsets.tolist() == [0] and not len(w.member_ids)
+            kernels._check_work_graph(w, np.zeros(g.n))
 
+    @pytest.mark.parametrize("field", ["targets", "keep_vertices", "keep_arcs", "offsets"])
+    def test_refusals(self, monkeypatch, field):
+        """Both forms refuse the same inputs before either runs: a target
+        naming no vertex where vertices are renumbered, masks of another
+        length or dtype, offsets that are not a CSR."""
+        w = WorkGraph.from_graph(path_graph(4))
+        offsets, targets = w.offsets.copy(), w.targets.copy()
+        keep_vertices, keep_arcs = np.ones(4, dtype=bool), None
+        if field == "targets":
+            targets[0] = 4
+        elif field == "keep_vertices":
+            keep_vertices = np.ones(4, dtype=np.uint8)
+        elif field == "keep_arcs":
+            keep_arcs = np.ones(len(targets) - 1, dtype=bool)
+        else:
+            offsets[2] = 0
+        for lib in _forms():
+            monkeypatch.setattr(kernels, "_compiled", lib)
+            with pytest.raises(ValueError):
+                kernels.rebuild(offsets, targets, keep_vertices, keep_arcs)
+
+
+class TestShatterArcs:
+    def test_forms_agree(self, monkeypatch):
+        """The compiled arc step of the articulation pass against its numpy
+        reference, over the six generator families, some after ``i`` or
+        ``a``, with the pass's own copied blocks or random ones: the
+        rewritten targets, the kept arcs and each copy's row, compared
+        with ==."""
+        rng = random.Random(41)
+        forms = _forms()
+        moved = rewritten = 0
+        for case in range(180):
+            family = FAMILIES[case % len(FAMILIES)]
+            g = generate(GraphSpec(family, rng.randint(8, 80), 0.0, rng.randrange(10**6)))
+            w = WorkGraph.from_graph(g)
+            for letter in rng.sample("ia", rng.randint(0, 2)):
+                run_pass(w, letter, np.zeros(g.n))
+            flat, ends, _, comp_ends, _ = kernels.block_walk(w)
+            copied = _copied_blocks(ends, comp_ends)
+            if case % 3 == 0:
+                copied = np.array([rng.random() < 0.5 for _ in copied], dtype=bool)
+            results = []
+            for lib in forms:
+                monkeypatch.setattr(kernels, "_compiled", lib)
+                shattered = copy.deepcopy(w)
+                keep, counts, rows = kernels.shatter_arcs(shattered, flat, ends, copied)
+                assert keep.dtype == bool and counts.dtype == np.int64 and rows.dtype == np.int32
+                assert len(counts) == np.count_nonzero(copied) and counts.sum() == len(rows)
+                assert rows.flags.owndata and rows.base is None
+                copy_rows = np.split(rows, np.cumsum(counts)[:-1]) if len(counts) else []
+                results.append((shattered.targets.tolist(), keep.tolist(), [r.tolist() for r in copy_rows]))
+            assert all(r == results[0] for r in results), (family, case)
+            targets, keep, copy_rows = results[0]
+            # a rewritten arc names a copy, and a moved one the vertex it named
+            assert max(targets, default=0) < w.n + len(copy_rows) and all(t < w.n for r in copy_rows for t in r)
+            moved += keep.count(False)
+            rewritten += sum(t >= w.n for t in targets)
+        assert moved > 500 and rewritten > 500
 class TestLetterOrderFuzz:
     def test_letter_orders_match_brute(self, monkeypatch):
         """Seeded, time-boxed fuzz over every order of every non-empty subset
