@@ -15,12 +15,12 @@
  *   and ``graph.connected_components``, and over the work graph for
  *   ``WorkGraph.components`` and bcs_degree1: the compiled form of
  *   ``kernels.bfs_python``;
- * - bcs_compact, the one rebuild of the work graph's rows that ends every
- *   edit, for ``WorkGraph.compact``: the compiled form of
+ * - bcs_compact, the rebuild of the work graph's rows that drops vertices
+ *   or arcs, for ``WorkGraph.compact``: the compiled form of
  *   ``kernels.rebuild_python``;
- * - bcs_shatter, the articulation pass's arc step, which rewrites the arcs
- *   into copied tops and lists the arcs that move to the copies: the
- *   compiled form of ``kernels.shatter_arcs_python``;
+ * - bcs_shatter, the articulation pass's shattered rows, with the arcs into
+ *   copied tops rewritten and the arcs that move to the copies in the
+ *   copies' rows: the compiled form of ``kernels.shatter_arcs_python``;
  * - bcs_parse_count, bcs_parse_ids and then bcs_edge_csr, the two passes
  *   over a plain edge list's bytes and the CSR builder, all called by
  *   ``graph._parse_plain_edge_list`` only: together the compiled form of
@@ -35,8 +35,8 @@
  * integer product below 2^53, computed in int64 and converted to double
  * exactly, and the one division is of two such doubles, so each rounds as
  * the Python loop's int arithmetic and true division do.  bcs_compact and
- * bcs_shatter are the edits: they compute no score, and leave the arrays
- * their numpy forms leave, element for element.  The graph-layer
+ * bcs_shatter are the edits: they compute no score, and write the arrays
+ * their numpy forms return, element for element.  The graph-layer
  * functions read a ``Graph``'s CSR, whose rows are symmetric, ascending and
  * free of self-loops, and build such CSRs.
  *
@@ -46,8 +46,8 @@
  * anything, and ``kernels`` raises MemoryError.
  *
  * The work graph is read in place: its rows are one plain CSR (offsets,
- * targets), every target a vertex, as bcs_compact leaves it after every
- * edit, so the scans and loops read every arc of every row, in the order of
+ * targets), every target a vertex, as bcs_compact and bcs_shatter write
+ * them, so the scans and loops read every arc of every row, in the order of
  * the lists ``WorkGraph.rows`` gives the Python forms.
  *
  * bcs_brandes runs up to 64 sources in one traversal, in a canonical order
@@ -61,10 +61,10 @@
  * bcs_side_sweep runs one FIFO BFS per candidate, forward(), that records
  * each vertex's predecessors in a bucket (Brandes, J. Math. Sociol. 25(2),
  * 2001), and a backward sweep that pushes each dependency along its bucket
- * only, in reverse BFS order, as ``kernels.single_source`` does with its
- * predecessor lists.  forward(), empty_buckets and single_source serve the
- * side sweep only, until it runs on bcs_brandes's traversal (ROADMAP item
- * 4).
+ * only, in reverse BFS order, as ``kernels.side_bfs`` does with its
+ * predecessor lists.  The side runs keep this traversal of their own: on
+ * bcs_brandes's traversal, one lane or a batch of them, they measured
+ * slower (ROADMAP item 4, dropped).
  *
  * Build: cc -O2 -shared -fPIC -ffp-contract=off.  Contracting a * b + c into
  * a fused multiply-add would round differently from Python.
@@ -135,10 +135,8 @@ static void empty_buckets(int64_t n, const int64_t *offsets, const int32_t *targ
 /* The forward BFS from s of one side-sweep run: fills order, dist, sigma
  * and delta for every vertex s reaches, records each vertex's predecessors
  * in its bucket, and returns how many vertices s reaches (order[0] is s); it
- * never discovers an ABSENT vertex.  The FIFO order and the buckets serve
- * bcs_side_sweep only, and go when the side sweep runs on bcs_brandes's
- * traversal (ROADMAP item 4).  The sweep reads a swept vertex's bucket and
- * empties it again. */
+ * never discovers an ABSENT vertex.  The sweep reads a swept vertex's
+ * bucket and empties it again. */
 static int64_t forward(int32_t s, const int64_t *offsets, const int32_t *targets,
                        const double *reach, const double *ident,
                        int32_t *dist, int32_t *order, double *sigma, double *delta,
@@ -825,16 +823,14 @@ int64_t bcs_degree1(int64_t n, const int64_t *offsets, const int32_t *targets,
     return count;
 }
 
-/* The one rebuild of the work graph's CSR, the compiled form of
- * ``kernels.rebuild_python``: drops the vertices keep_vertices clears, with
- * their rows and the arcs into them, and the arcs keep_arcs clears (a NULL
- * mask keeps them all).  The kept vertices are renumbered in increasing
- * order by a map, and each kept row keeps its kept arcs in order.  Without
- * keep_vertices nothing is renumbered and no target is read as an index, so
- * targets may name ids n and above (the copies the articulation pass has
- * yet to append) and keep them; with it, every target lies in [0, n).
- * new_offsets needs a slot per kept vertex and one more, new_targets one
- * per kept arc.  Returns how many arcs are kept. */
+/* The rebuild of the work graph's CSR that drops vertices or arcs, the
+ * compiled form of ``kernels.rebuild_python``: drops the vertices
+ * keep_vertices clears, with their rows and the arcs into them, and the arcs
+ * keep_arcs clears (a NULL mask keeps them all).  Every target lies in
+ * [0, n).  The kept vertices are renumbered in increasing order by a map,
+ * and each kept row keeps its kept arcs in order.  new_offsets needs a slot
+ * per kept vertex and one more, new_targets one per kept arc.  Returns how
+ * many arcs are kept. */
 int64_t bcs_compact(int64_t n, const int64_t *offsets, const int32_t *targets,
                     const uint8_t *keep_vertices, const uint8_t *keep_arcs,
                     int64_t *new_offsets, int32_t *new_targets)
@@ -862,61 +858,63 @@ int64_t bcs_compact(int64_t n, const int64_t *offsets, const int32_t *targets,
     return out;
 }
 
-/* The articulation pass's arc step, the compiled form of
+/* The articulation pass's shattered rows, the compiled form of
  * ``kernels.shatter_arcs_python``.  Block k of a block walk is
  * flat[block_ends[k] .. block_ends[k + 1]), its top last, and each vertex
  * lies in at most one block as other than its top: its home.  Each block
- * copied[] marks gets a copy of its top, the copies taking ids n, n + 1, ...
- * in block order.  An arc from a vertex to the top of its home block, where
- * that block is copied, is rewritten in place to the copy; an arc from the
- * top of a copied block to one of its other vertices moves to the copy's
- * row.
+ * copied[] marks, copies of them in all, gets a copy of its top, the copies
+ * taking ids n, n + 1, ... in block order.  An arc from a vertex to the top
+ * of its home block, where that block is copied, names the copy instead; an
+ * arc from the top of a copied block to one of its other vertices moves to
+ * the copy's row.  No arc does both: two blocks share at most one vertex.
  *
- * Two passes over the arcs.  The first counts each copy's moved arcs into
- * counts (a slot per copy); the second lists their targets in moved, copy
- * after copy and each copy's in arc order, clears their slots of keep and
- * sets the rest, and rewrites.  Returns how many arcs move. */
-int64_t bcs_shatter(int64_t n, const int64_t *offsets, int32_t *targets,
+ * Writes the shattered rows, n + copies of them, as a new CSR (new_offsets,
+ * new_targets) with offsets[n] arcs: each old row in order with its arcs
+ * rewritten and its moved arcs left out, then each copy's row with its
+ * moved arcs in arc order.  Two passes over the arcs: the first counts
+ * each new row's arcs, the second writes them.  Returns 0. */
+int64_t bcs_shatter(int64_t n, const int64_t *offsets, const int32_t *targets,
                     const int32_t *flat, const int32_t *block_ends, int64_t nblocks, const uint8_t *copied,
-                    uint8_t *keep, int64_t *counts, int32_t *moved)
+                    int64_t copies, int64_t *new_offsets, int32_t *new_targets)
 {
     struct scratch s = {0};
     /* the copy of each vertex's home block's top, or -1, and that top */
     int32_t *home_copy = take(&s, n, 4), *home_top = take(&s, n, 4);
-    int64_t *fill = take(&s, nblocks + 1, 8);
+    int64_t *fill = take(&s, copies, 8); /* where each copy's next moved arc goes */
     if (s.failed)
         return release(&s);
     for (int64_t v = 0; v < n; v++)
         home_copy[v] = -1;
-    int64_t copies = 0;
-    for (int64_t k = 0; k < nblocks; k++) {
-        int32_t copy = copied[k] ? (int32_t)(n + copies++) : -1;
+    for (int64_t k = 0, c = n; k < nblocks; k++) {
+        int32_t copy = copied[k] ? (int32_t)c++ : -1;
         for (int64_t i = block_ends[k]; i + 1 < block_ends[k + 1]; i++) {
             home_copy[flat[i]] = copy;
             home_top[flat[i]] = flat[block_ends[k + 1] - 1];
         }
     }
-    for (int64_t c = 0; c < copies; c++)
-        counts[c] = 0;
-    for (int32_t v = 0; v < n; v++)
-        for (int64_t a = offsets[v]; a < offsets[v + 1]; a++)
-            if (home_copy[targets[a]] >= 0 && home_top[targets[a]] == v)
-                counts[home_copy[targets[a]] - n]++;
-    fill[0] = 0;
-    for (int64_t c = 0; c < copies; c++)
-        fill[c + 1] = fill[c] + counts[c];
+    for (int64_t r = 0; r <= n + copies; r++)
+        new_offsets[r] = 0;
+    /* each arc's new row: its copy's when it moves, else its source's */
     for (int32_t v = 0; v < n; v++)
         for (int64_t a = offsets[v]; a < offsets[v + 1]; a++) {
             int32_t t = targets[a];
-            keep[a] = !(home_copy[t] >= 0 && home_top[t] == v);
-            if (!keep[a])
-                moved[fill[home_copy[t] - n]++] = t;
-            if (home_copy[v] >= 0 && home_top[v] == t)
-                targets[a] = home_copy[v];
+            new_offsets[(home_copy[t] >= 0 && home_top[t] == v ? home_copy[t] : v) + 1]++;
         }
-    int64_t count = fill[copies];
+    for (int64_t r = 0; r < n + copies; r++)
+        new_offsets[r + 1] += new_offsets[r];
+    for (int64_t c = 0; c < copies; c++)
+        fill[c] = new_offsets[n + c];
+    int64_t out = 0;
+    for (int32_t v = 0; v < n; v++)
+        for (int64_t a = offsets[v]; a < offsets[v + 1]; a++) {
+            int32_t t = targets[a];
+            if (home_copy[t] >= 0 && home_top[t] == v)
+                new_targets[fill[home_copy[t] - n]++] = t;
+            else
+                new_targets[out++] = home_copy[v] >= 0 && home_top[v] == t ? home_copy[v] : t;
+        }
     release(&s);
-    return count;
+    return 0;
 }
 
 static inline int is_digit(uint8_t c)

@@ -20,9 +20,10 @@ form.  Two run the attribute-general Brandes algorithm:
   accumulator: ``bcs_side_sweep`` and ``side_sweep_python``, whose test is
   ``expanded_clique`` and whose runs are ``side_bfs``.  Each run is a FIFO
   BFS that records every vertex's predecessors and pushes dependencies
-  back along them, ``single_source`` in Python and ``forward()`` with its
-  ``empty_buckets`` in C; those serve the side sweep only, until it runs on
-  the kernel's traversal too (ROADMAP item 4).
+  back along them, ``side_bfs`` in Python and ``forward()`` with its
+  ``empty_buckets`` in C.  The side runs keep this traversal of their own:
+  on the kernel's traversal, one lane or 64 at a time, they measured
+  slower (ROADMAP item 4, dropped).
 
 Two run a whole pass's loop over the work graph, adding its credits to the
 score accumulator in the Python form's order, integer products converted
@@ -47,14 +48,15 @@ Python forms return, in order:
 
 Two are the edits that copy every arc, whose Python forms are numpy:
 
-* ``rebuild``, the one rebuild that ends every edit of the work graph,
-  ``WorkGraph.compact``'s rows: ``bcs_compact``, a renumber map and then
-  each kept row's kept arcs in order, and ``rebuild_python``, masks and
-  running counts over the arcs.
-* ``shatter_arcs``, the arc step of ``reduction.shatter_articulation``:
-  ``bcs_shatter``, two passes over the arcs that count and then list the
-  arcs moving to each copy and rewrite the arcs into copied tops, and
-  ``shatter_arcs_python``, per-arc masks and a stable sort.
+* ``rebuild``, the rows of ``WorkGraph.compact``, the rebuild that drops
+  vertices or edges: ``bcs_compact``, a renumber map and then each kept
+  row's kept arcs in order, and ``rebuild_python``, masks and running
+  counts over the arcs.
+* ``shatter_arcs``, the shattered rows of
+  ``reduction.shatter_articulation``: ``bcs_shatter``, two passes over the
+  arcs that count and then write each new row, the copies' rows after the
+  old ones, and ``shatter_arcs_python``, per-arc masks and a stable sort
+  of the arcs by new row.
 
 Their results are equal element for element, and each output array has
 exactly the size of what it holds.
@@ -339,17 +341,23 @@ def degree1(w, out: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
 
 
 def bfs(offsets: np.ndarray, targets: np.ndarray, start: int):
-    """The one BFS over the checked CSR ``(offsets, targets)``: ``bcs_bfs``,
-    or :func:`bfs_python` when the compiled library cannot be built or
-    loaded.  Returns ``(order, ends)``: component c is
-    ``order[ends[c]:ends[c + 1]]`` (int32, bounds int64), in dequeue order
-    from ``start``, then from each vertex no earlier BFS reached, lowest id
-    first."""
+    """The one BFS over the CSR ``(offsets, targets)``: ``bcs_bfs``, or
+    :func:`bfs_python` when the compiled library cannot be built or loaded.
+    Returns ``(order, ends)``: component c is ``order[ends[c]:ends[c + 1]]``
+    (int32, bounds int64), in dequeue order from ``start``, then from each
+    vertex no earlier BFS reached, lowest id first.  Refuses arrays that are
+    not a CSR of int64 offsets and int32 targets over its vertices, and a
+    ``start`` that names no vertex of a graph that has one, with
+    ValueError."""
+    _check_arrays(("offsets", offsets, np.int64), ("targets", targets, np.int32))
+    n, start = len(offsets) - 1, index(start)
+    _check_csr(offsets, targets, n, 0, n, "neighbor")
+    if n and not 0 <= start < n:
+        raise ValueError(f"the start vertex {start} is not one of the {n} vertices")
     lib = _kernel()
     if lib is None:
         comps = bfs_python(offsets.tolist(), targets.tolist(), start)
         return np.fromiter(chain.from_iterable(comps), dtype=np.int32), np.cumsum([0, *map(len, comps)])
-    n = len(offsets) - 1
     order, ends = np.empty(n, dtype=np.int32), np.empty(n + 1, dtype=np.int64)
     count = lib.bcs_bfs(n, offsets, targets, start, order, ends)
     return order[: ends[count]], ends[: count + 1]
@@ -357,18 +365,17 @@ def bfs(offsets: np.ndarray, targets: np.ndarray, start: int):
 
 def rebuild(offsets: np.ndarray, targets: np.ndarray, keep_vertices: np.ndarray | None,
             keep_arcs: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """The one rebuild of the work graph's CSR ``(offsets, targets)``, for
-    ``WorkGraph.compact``: ``bcs_compact``, or :func:`rebuild_python` when
-    the compiled library cannot be built or loaded.
+    """The rebuild of the work graph's CSR ``(offsets, targets)`` that drops
+    vertices or arcs, for ``WorkGraph.compact``: ``bcs_compact``, or
+    :func:`rebuild_python` when the compiled library cannot be built or
+    loaded.
 
     Drops the vertices ``keep_vertices`` clears, with their rows and the
     arcs into them, and the arcs ``keep_arcs`` clears (bool masks; None
     keeps them all), and renumbers the kept vertices in increasing order;
-    each kept row keeps its kept arcs in order.  Without ``keep_vertices``
-    no id is renumbered, so the targets may name any id from 0 on, such as
-    the copies ``reduction.shatter_articulation`` has yet to append, and
-    keep it; with it, every target must name a vertex.  Returns the new
-    ``(offsets, targets)``, int64 and int32, each of exact size.
+    each kept row keeps its kept arcs in order.  Every target must name one
+    of the vertices.  Returns the new ``(offsets, targets)``, int64 and
+    int32, each of exact size.
     """
     masks = [(name, a, np.bool_) for name, a in (("keep_vertices", keep_vertices), ("keep_arcs", keep_arcs))
              if a is not None]
@@ -377,8 +384,7 @@ def rebuild(offsets: np.ndarray, targets: np.ndarray, keep_vertices: np.ndarray 
     if (keep_vertices is not None and len(keep_vertices) != n
             or keep_arcs is not None and len(keep_arcs) != len(targets)):
         raise ValueError("keep_vertices needs an entry per vertex and keep_arcs one per arc")
-    # ids are read as indices only where vertices are renumbered
-    _check_csr(offsets, targets, n, 0, n if keep_vertices is not None else 2**31, "neighbor")
+    _check_csr(offsets, targets, n, 0, n, "neighbor")
     lib = _kernel()
     if lib is None:
         return rebuild_python(offsets, targets, keep_vertices, keep_arcs)
@@ -394,21 +400,22 @@ def rebuild(offsets: np.ndarray, targets: np.ndarray, keep_vertices: np.ndarray 
 
 
 def shatter_arcs(w, flat: np.ndarray, block_ends: np.ndarray, copied: np.ndarray):
-    """The arc step of ``reduction.shatter_articulation`` over the work graph
-    ``w``: ``bcs_shatter`` on its arrays, or :func:`shatter_arcs_python` when
-    the compiled library cannot be built or loaded.
+    """The shattered rows of ``reduction.shatter_articulation`` over the work
+    graph ``w``: ``bcs_shatter`` on its arrays, or
+    :func:`shatter_arcs_python` when the compiled library cannot be built
+    or loaded.
 
     Block k is ``flat[block_ends[k]:block_ends[k + 1]]``, its top last, as
     :func:`block_walk` returns it; the block holding a vertex as other than
     its top is its home.  Each block ``copied`` marks gets a copy of its top,
-    the copies taking ids ``w.n``, ``w.n + 1``, ... in block order.  Rewrites
-    ``w.targets`` in place: every arc from a vertex to the top of its home
-    block, where that block is copied, names the copy instead.  Returns
-    ``(keep, counts, moved)``: ``keep`` (bool, one per arc) clears every arc
-    from the top of a copied block to the block's other vertices, which
-    moves to the copy's row; ``counts[c]`` (int64) is how many move to copy
-    c, and ``moved`` (int32) their targets, copy after copy, each copy's in
-    arc order.
+    the copies taking ids ``w.n``, ``w.n + 1``, ... in block order.  An arc
+    from a vertex to the top of its home block, where that block is copied,
+    names the copy instead; an arc from the top of a copied block to one of
+    the block's other vertices moves to the copy's row.  Returns the
+    shattered rows as a new ``(offsets, targets)``, int64 and int32, with a
+    row per vertex and copy and exactly ``len(w.targets)`` arcs: each old
+    row in order, rewritten, without its moved arcs, then each copy's row,
+    its moved arcs in arc order.  ``w`` is left as it was.
     """
     n = _check_work_graph(w)
     _check_arrays(("flat", flat, np.int32), ("block_ends", block_ends, np.int32), ("copied", copied, np.bool_))
@@ -421,11 +428,10 @@ def shatter_arcs(w, flat: np.ndarray, block_ends: np.ndarray, copied: np.ndarray
     lib = _kernel()
     if lib is None:
         return shatter_arcs_python(w.offsets, w.targets, flat, block_ends, copied)
-    keep, counts = np.empty(len(w.targets), dtype=bool), np.empty(np.count_nonzero(copied), dtype=np.int64)
-    moved = np.empty(len(w.targets), dtype=np.int32)
-    arcs = lib.bcs_shatter(n, w.offsets, w.targets, flat, block_ends, nblocks, copied, keep, counts, moved)
-    moved.resize(arcs, refcheck=False)  # in place: no view of it exists
-    return keep, counts, moved
+    copies = int(np.count_nonzero(copied))
+    offsets, targets = np.empty(n + copies + 1, dtype=np.int64), np.empty(len(w.targets), dtype=np.int32)
+    lib.bcs_shatter(n, w.offsets, w.targets, flat, block_ends, nblocks, copied, copies, offsets, targets)
+    return offsets, targets
 
 
 def _check_ids(ids: np.ndarray, low: int, bound: int, what: str) -> None:
@@ -440,7 +446,7 @@ def _check_csr(offsets: np.ndarray, ids: np.ndarray, rows: int, low: int, bound:
     before the compiled code indexes with both."""
     # np.diff, not an int64 comparison: that ufunc loop would add about 0.4 MB
     # resident to a solve that runs no other
-    if (offsets.shape != (rows + 1,) or offsets[0] != 0 or offsets[-1] != len(ids)
+    if (rows < 0 or offsets.shape != (rows + 1,) or offsets[0] != 0 or offsets[-1] != len(ids)
             or np.diff(offsets).min(initial=0) < 0):
         raise ValueError(f"the {what} offsets must run from 0 to {len(ids)} over {rows} rows without falling")
     _check_ids(ids, low, bound, what)
@@ -587,7 +593,7 @@ def _bind(path: Path):
         "bcs_degree1": [*csr, *members, int64s, flags, int64s, doubles, int32s, int64s],
         "bcs_bfs": [*csr, size, int32s, int64s],
         "bcs_compact": [*csr, _or_null(flags), _or_null(flags), int64s, int32s],
-        "bcs_shatter": [*csr, int32s, int32s, size, flags, flags, int64s, int32s],
+        "bcs_shatter": [*csr, int32s, int32s, size, flags, size, int64s, int32s],
         "bcs_edge_csr": [size, size, int32s, int64s, int32s, int64s],
     }
     for name, argtypes in allocating.items():
@@ -657,33 +663,39 @@ def brandes_python(adj: Adjacency, reach: list[int], ident: list[int]):
 
 
 def source_state(n: int):
-    """Per-vertex state for ``single_source`` over vertex ids below n, at
-    rest: (dist, sigma, delta, preds)."""
+    """Per-vertex state for ``side_bfs`` over vertex ids below n, at rest:
+    (dist, sigma, delta, preds)."""
     return [-1] * n, [0.0] * n, [0.0] * n, [[] for _ in range(n)]
 
 
-def single_source(adj, s: int, reach, ident, state):
-    """Forward BFS from s, then the backward dependency sweep: the run of
-    ``side_bfs``, as ``forward()`` is of ``bcs_side_sweep``.  A FIFO BFS that
-    records each vertex's predecessors and pushes dependencies back along
-    them; the kernel's reference is ``brandes_python``.
+def side_bfs(adj, source: int, reach, ident, state) -> list[tuple[int, float]]:
+    """Dependency BFS from a simplicial vertex about to be removed: one run
+    of ``side_sweep_python``, as ``forward()`` and its backward sweep are
+    of ``bcs_side_sweep``.  A FIFO BFS from ``source`` that records each
+    vertex's predecessors, then a sweep in reverse BFS order that pushes
+    each dependency back along them; the kernel's reference is
+    ``brandes_python``.
 
     ``adj`` may be any indexable of neighbor iterables.  ``state`` comes
-    from ``source_state`` and is left at rest again, and only the vertices s
-    reaches are touched, so a call costs its component however large the
-    state is.  Returns ``(deps, mid)``:
-    (vertex, dependency on s) for every vertex s reaches except s itself, in
-    reverse BFS order, and the ``perf_counter`` time at which the forward
-    BFS ended.
+    from ``source_state`` and is left at rest again, and only the vertices
+    the source reaches are touched, so a call costs its component however
+    large the state is.  Returns a (vertex, amount) pair for every vertex
+    the source reaches but itself, in reverse BFS order.  The amounts fold
+    in both orphaned directions at once: ``m * delta[w]`` restores the
+    dependencies of the sources the side vertex represents, and
+    ``m * (delta[w] - (reach[w] - 1))`` the pair dependencies whose
+    *target* it represents, with m = reach[s] * ident[s].  The caller still
+    owes the removed vertex itself its endpoint credit
+    ``(reach[s] - 1) * (component mass outside s's class)``.
     """
     dist, sigma, delta, preds = state
-    order = [s]  # BFS queue; read backwards it is the sweep's stack
-    dist[s] = 0
-    sigma[s] = 1.0
-    delta[s] = reach[s] - 1.0
+    order = [source]  # BFS queue; read backwards it is the sweep's stack
+    dist[source] = 0
+    sigma[source] = 1.0
+    delta[source] = reach[source] - 1.0
     for v in order:
         dv1 = dist[v] + 1
-        sv = sigma[v] * ident[v] if v != s else sigma[v]
+        sv = sigma[v] * ident[v] if v != source else sigma[v]
         for w in adj[v]:
             dw = dist[w]
             if dw < 0:
@@ -693,8 +705,8 @@ def single_source(adj, s: int, reach, ident, state):
             if dw == dv1:
                 sigma[w] += sv
                 preds[w].append(v)
-    mid = perf_counter()
-    deps = []
+    m = reach[source] * ident[source]
+    amounts = []
     for idx in range(len(order) - 1, 0, -1):  # order[0] is the source
         w = order[idx]
         dw = delta[w]
@@ -702,33 +714,16 @@ def single_source(adj, s: int, reach, ident, state):
         pw = preds[w]
         for v in pw:
             delta[v] += sigma[v] * coef
-        deps.append((w, dw))
+        amounts.append((w, m * dw + m * (dw - (reach[w] - 1.0))))
         # w's dependency is final and no later step reads w's state
         dist[w] = -1
         sigma[w] = 0.0
         delta[w] = 0.0
         pw.clear()
-    dist[s] = -1
-    sigma[s] = 0.0
-    delta[s] = 0.0
-    return deps, mid
-
-
-def side_bfs(adj, source: int, reach, ident, state) -> list[tuple[int, float]]:
-    """Dependency BFS from a simplicial vertex about to be removed.
-
-    One ``single_source`` run from ``source`` over ``state`` (see there for
-    ``adj`` and ``state``); this only turns its dependencies into amounts.
-    The returned (vertex, amount) pairs fold in both orphaned directions at
-    once: ``m * delta[w]`` restores the dependencies of the sources the side
-    vertex represents, and ``m * (delta[w] - (reach[w] - 1))`` the pair
-    dependencies whose *target* it represents, with m = reach[s] * ident[s].
-    The caller still owes the removed vertex itself its endpoint credit
-    ``(reach[s] - 1) * (component mass outside s's class)``.
-    """
-    deps, _ = single_source(adj, source, reach, ident, state)
-    m = reach[source] * ident[source]
-    return [(w, m * dw + m * (dw - (reach[w] - 1.0))) for w, dw in deps]
+    dist[source] = -1
+    sigma[source] = 0.0
+    delta[source] = 0.0
+    return amounts
 
 
 def side_sweep_python(adj, members, reach, ident, internal_edgeless, internal_clique, max_degree: int,
@@ -1007,24 +1002,23 @@ def rebuild_python(offsets, targets, keep_vertices, keep_arcs):
 def shatter_arcs_python(offsets, targets, flat, block_ends, copied):
     """:func:`shatter_arcs` in numpy (the reference for ``bcs_shatter``),
     on the work graph's ``offsets`` and ``targets``: a mask per arc for each
-    test, and a stable sort of the moved arcs by their copy."""
-    n, nblocks = len(offsets) - 1, len(block_ends) - 1
+    test, each arc's new row (its copy's for a moved arc, else its source's),
+    and a stable sort of the arcs by new row."""
+    n, nblocks, copies = len(offsets) - 1, len(block_ends) - 1, int(np.count_nonzero(copied))
     # index nblocks is "no block": the home of a vertex that is only ever a top
     copied = np.append(copied, False)
     top = np.append(flat[block_ends[1:] - 1], -2)
     copy = np.zeros(nblocks + 1, dtype=np.int32)
-    copy[copied] = np.arange(n, n + np.count_nonzero(copied), dtype=np.int32)
+    copy[copied] = np.arange(n, n + copies, dtype=np.int32)
     home = np.full(n, nblocks, dtype=np.int32)
     home[np.delete(flat, block_ends[1:] - 1)] = np.repeat(np.arange(nblocks, dtype=np.int32), np.diff(block_ends) - 1)
     sources = np.repeat(np.arange(n, dtype=np.int32), np.diff(offsets))
     into = copied[home[sources]] & (top[home[sources]] == targets)
-    moved = np.flatnonzero(copied[home[targets]] & (top[home[targets]] == sources))
-    owner = copy[home[targets[moved]]]
-    row_targets = targets[moved][np.argsort(owner, kind="stable")]
-    targets[into] = copy[home[sources[into]]]
-    keep = np.ones(len(targets), dtype=bool)
-    keep[moved] = False
-    return keep, np.bincount(owner - n, minlength=np.count_nonzero(copied)), row_targets
+    moved = copied[home[targets]] & (top[home[targets]] == sources)
+    rows = np.where(moved, copy[home[targets]], sources)
+    new_offsets = np.zeros(n + copies + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n + copies), out=new_offsets[1:])
+    return new_offsets, np.where(into, copy[home[sources]], targets)[np.argsort(rows, kind="stable")]
 
 
 def betweenness(g: Graph, *, unordered: bool = False):

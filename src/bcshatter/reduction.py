@@ -20,11 +20,11 @@ cascade of ``d`` (``kernels.degree1``), the block walk of ``b`` and ``a``
 (``kernels.block_walk``), the side candidates (inside
 ``kernels.side_sweep``) and the classes and credits of each ``i`` sweep
 (``kernels.twin_sweep``).  The passes then edit the arrays in batches, each
-edit ending in one rebuild, :meth:`WorkGraph.compact`, that leaves a plain
-CSR: no pass walks the arcs in Python, and no scan meets a removed vertex
-or arc.  The two edits that copy every arc run through ``kernels`` too:
-the rebuild's rows (``kernels.rebuild``) and the arc rewrite of ``a``
-(``kernels.shatter_arcs``).
+edit writing its rows once as a new plain CSR: no pass walks the arcs in
+Python, and no scan meets a removed vertex or arc.  Both edits that copy
+every arc run through ``kernels`` too: the rebuild that drops vertices or
+edges, :meth:`WorkGraph.compact` (``kernels.rebuild``), and the shattered
+rows of ``a`` (``kernels.shatter_arcs``).
 
 Every pass writes its score corrections eagerly into a per-original-vertex
 accumulator, so reassembly after the kernels is just adding each surviving
@@ -142,12 +142,13 @@ class WorkGraph:
 
     The rows are one plain CSR, as ``Graph`` holds them: v's arcs are
     ``targets[offsets[v]:offsets[v + 1]]`` (int64 offsets, int32 targets),
-    every target one of the ``n`` vertices.  Every edit, :meth:`delete`,
-    :meth:`remove_edges` and the copies of ``a``, ends in one
-    :meth:`compact`, so no vertex or arc is ever dead.  ``reach`` and
-    ``ident`` are int64, the class flags bool.  The original vertices v
-    carries are ``member_ids[member_offsets[v]:member_offsets[v + 1]]``; the
-    first is the one v started as, or was copied from.
+    every target one of the ``n`` vertices.  :meth:`delete` and
+    :meth:`remove_edges` end in one :meth:`compact`, and ``a`` sets the
+    rows :func:`kernels.shatter_arcs` writes, so no vertex or arc is ever
+    dead.  ``reach`` and ``ident`` are int64, the class flags bool.  The
+    original vertices v carries are
+    ``member_ids[member_offsets[v]:member_offsets[v + 1]]``; the first is
+    the one v started as, or was copied from.
     """
 
     # internal_edgeless and internal_clique: are the copies of a merged class
@@ -194,14 +195,13 @@ class WorkGraph:
         flat, ends = self.member_ids.tolist(), self.member_offsets.tolist()
         return [flat[a:b] for a, b in zip(ends, ends[1:])]
 
-    def append(self, reach, first, counts, targets) -> None:
-        """Add vertices of unit ident, each carrying one original vertex
-        (``first``), with ``counts[k]`` arcs to ``targets``, row after row.
-        The arcs back to them must be in place already."""
+    def append(self, reach, first) -> None:
+        """Add vertices of unit ident and empty rows, each carrying one
+        original vertex (``first``)."""
         k = len(reach)
-        tails = {"offsets": self.offsets[-1] + np.cumsum(counts), "targets": targets, "reach": reach, "ident": 1,
-                 "internal_edgeless": True, "internal_clique": True,
-                 "member_offsets": self.member_offsets[-1] + np.arange(1, k + 1), "member_ids": first}
+        tails = {"offsets": self.offsets[-1], "reach": reach, "ident": 1, "internal_edgeless": True,
+                 "internal_clique": True, "member_offsets": self.member_offsets[-1] + np.arange(1, k + 1),
+                 "member_ids": first}
         for name, tail in tails.items():
             head = getattr(self, name)
             tail = np.full(k, tail, dtype=head.dtype) if np.isscalar(tail) else np.asarray(tail, dtype=head.dtype)
@@ -314,12 +314,10 @@ def shatter_articulation(w: WorkGraph) -> int:
 
     Every vertex but a component's root is a non-top vertex of one block,
     its home.  An edge between x and the top of x's home block lies in that
-    block, so the arc from x is rewritten in place to the block's copy, and
-    the arc from the top moves to the copy's row: it is dropped from the
-    top's row, and the copies' rows are appended after the rebuild.  The
-    rewrite and the listing of the moved arcs are one call of
-    :func:`kernels.shatter_arcs`, compiled where the library loads, and the
-    drop is :meth:`WorkGraph.compact`.
+    block, so the arc from x names the block's copy instead, and the arc
+    from the top moves to the copy's row.  The shattered rows, the copies'
+    after the old ones, are one new CSR from one call of
+    :func:`kernels.shatter_arcs`, compiled where the library loads.
     """
     flat, ends, below, comp_ends, totals = kernels.block_walk(w)
     # index nblocks is "no block", the last block of a component without any
@@ -329,11 +327,11 @@ def shatter_articulation(w: WorkGraph) -> int:
     blocks = np.flatnonzero(copied)
     if not blocks.size:
         return 0
-    keep, counts, moved = kernels.shatter_arcs(w, flat, ends, copied)
-    w.compact(None, keep)
+    offsets, targets = kernels.shatter_arcs(w, flat, ends, copied)
     below, tops, totals = below[blocks], flat[ends[blocks + 1] - 1], np.repeat(totals, np.diff(comp_ends))[blocks]
     np.add.at(w.reach, tops, below)
-    w.append(totals - below, w.member_ids[w.member_offsets[tops]], counts, moved)
+    w.append(totals - below, w.member_ids[w.member_offsets[tops]])
+    w.offsets, w.targets = offsets, targets
     return len(blocks)
 
 

@@ -444,22 +444,15 @@ class TestCompact:
             seen["merged members"] += any(len(m) > 1 for m in members)
         assert all(count > 10 for count in seen.values()), seen
 
-    @pytest.mark.parametrize("case", ["copies not yet appended", "every vertex dropped", "rows emptied", "no arcs",
-                                      "no vertices"])
+    @pytest.mark.parametrize("case", ["every vertex dropped", "rows emptied", "no arcs", "no vertices"])
     def test_edge_cases(self, monkeypatch, case):
         """The rebuild on both forms, against the rows a loop over lists
-        keeps.  The arcs-only rebuild of the articulation pass meets targets
-        that name its copies, ids n and above, before they are appended: it
-        keeps them as they are and reads no map with them."""
+        keeps."""
         rng = random.Random(case)
         g = generate(GraphSpec("clique-chain", 40, 0.0, 5))
         w = WorkGraph.from_graph(g)
         keep_vertices = keep_arcs = None
-        if case == "copies not yet appended":
-            flat, ends, _, comp_ends, _ = kernels.block_walk(w)
-            keep_arcs, counts, _ = kernels.shatter_arcs(w, flat, ends, _copied_blocks(ends, comp_ends))
-            assert w.targets.max() >= w.n and counts.sum() == np.count_nonzero(~keep_arcs) > 0
-        elif case == "every vertex dropped":
+        if case == "every vertex dropped":
             keep_vertices = np.zeros(w.n, dtype=bool)
             keep_arcs = np.array([rng.random() < 0.5 for _ in range(len(w.targets))])
         elif case == "rows emptied":
@@ -482,16 +475,19 @@ class TestCompact:
             assert w.n == w.m == 0 and w.member_offsets.tolist() == [0] and not len(w.member_ids)
             kernels._check_work_graph(w, np.zeros(g.n))
 
-    @pytest.mark.parametrize("field", ["targets", "keep_vertices", "keep_arcs", "offsets"])
+    @pytest.mark.parametrize("field", ["targets", "targets without a vertex mask", "keep_vertices", "keep_arcs",
+                                       "offsets"])
     def test_refusals(self, monkeypatch, field):
         """Both forms refuse the same inputs before either runs: a target
-        naming no vertex where vertices are renumbered, masks of another
+        naming no vertex, with or without a vertex mask, masks of another
         length or dtype, offsets that are not a CSR."""
         w = WorkGraph.from_graph(path_graph(4))
         offsets, targets = w.offsets.copy(), w.targets.copy()
         keep_vertices, keep_arcs = np.ones(4, dtype=bool), None
-        if field == "targets":
+        if field.startswith("targets"):
             targets[0] = 4
+            if field != "targets":
+                keep_vertices, keep_arcs = None, np.ones(len(targets), dtype=bool)
         elif field == "keep_vertices":
             keep_vertices = np.ones(4, dtype=np.uint8)
         elif field == "keep_arcs":
@@ -504,13 +500,30 @@ class TestCompact:
                 kernels.rebuild(offsets, targets, keep_vertices, keep_arcs)
 
 
+def _shattered_rows(rows: list[list[int]], flat: np.ndarray, ends: np.ndarray, copied: np.ndarray):
+    """The rows the articulation pass leaves, from lists: each old row with
+    its arcs into the top of its vertex's copied home block renamed to the
+    copy and its arcs from a copied top into the block dropped, then each
+    copy's row, the dropped arcs in arc order."""
+    n, flat, ends = len(rows), flat.tolist(), ends.tolist()
+    blocks = [flat[a:b] for a, b in zip(ends, ends[1:])]
+    copy_of = dict(zip(np.flatnonzero(copied).tolist(), range(n, n + int(np.count_nonzero(copied)))))
+    home = {v: k for k, block in enumerate(blocks) for v in block[:-1]}
+    home_copy = {v: copy_of[k] for v, k in home.items() if k in copy_of}  # the copy of v's home block's top
+    top = {v: blocks[k][-1] for v, k in home.items()}
+    old = [[home_copy[v] if v in home_copy and t == top[v] else t for t in row
+            if not (t in home_copy and top[t] == v)] for v, row in enumerate(rows)]
+    return old + [[t for v, row in enumerate(rows) for t in row if home_copy.get(t) == c and top[t] == v]
+                  for c in range(n, n + len(copy_of))]
+
+
 class TestShatterArcs:
     def test_forms_agree(self, monkeypatch):
         """The compiled arc step of the articulation pass against its numpy
         reference, over the six generator families, some after ``i`` or
         ``a``, with the pass's own copied blocks or random ones: the
-        rewritten targets, the kept arcs and each copy's row, compared
-        with ==."""
+        returned CSR, compared with ==, and the rows of a list model.
+        Neither form changes an array of ``w``."""
         rng = random.Random(41)
         forms = _forms()
         moved = rewritten = 0
@@ -524,23 +537,64 @@ class TestShatterArcs:
             copied = _copied_blocks(ends, comp_ends)
             if case % 3 == 0:
                 copied = np.array([rng.random() < 0.5 for _ in copied], dtype=bool)
-            results = []
+            before, results = copy.deepcopy(w), []
             for lib in forms:
                 monkeypatch.setattr(kernels, "_compiled", lib)
-                shattered = copy.deepcopy(w)
-                keep, counts, rows = kernels.shatter_arcs(shattered, flat, ends, copied)
-                assert keep.dtype == bool and counts.dtype == np.int64 and rows.dtype == np.int32
-                assert len(counts) == np.count_nonzero(copied) and counts.sum() == len(rows)
-                assert rows.flags.owndata and rows.base is None
-                copy_rows = np.split(rows, np.cumsum(counts)[:-1]) if len(counts) else []
-                results.append((shattered.targets.tolist(), keep.tolist(), [r.tolist() for r in copy_rows]))
-            assert all(r == results[0] for r in results), (family, case)
-            targets, keep, copy_rows = results[0]
-            # a rewritten arc names a copy, and a moved one the vertex it named
-            assert max(targets, default=0) < w.n + len(copy_rows) and all(t < w.n for r in copy_rows for t in r)
-            moved += keep.count(False)
-            rewritten += sum(t >= w.n for t in targets)
+                offsets, targets = kernels.shatter_arcs(w, flat, ends, copied)
+                _assert_same_work_graphs(w, before)
+                assert offsets.shape == (w.n + np.count_nonzero(copied) + 1,) and targets.shape == w.targets.shape
+                assert targets.flags.owndata and targets.base is None
+                results.append((offsets, targets))
+            assert all((o == results[0][0]).all() and (t == results[0][1]).all() for o, t in results), (family, case)
+            shattered = _rebuilt_rows(*results[0])
+            assert shattered == _shattered_rows(w.rows(), flat, ends, copied), (family, case)
+            rewritten += sum(t >= w.n for row in shattered[: w.n] for t in row)
+            moved += sum(map(len, shattered[w.n :]))
         assert moved > 500 and rewritten > 500
+
+    def test_pass_matches_a_list_model(self, monkeypatch):
+        """``shatter_articulation`` on both forms, over the six generator
+        families, some after ``i``: the rows of the list model, the copies'
+        reach and first member, each top's reach grown by the mass below
+        each block it tops, and no other array changed."""
+        rng = random.Random(43)
+        copies = 0
+        for case in range(120):
+            family = FAMILIES[case % len(FAMILIES)]
+            g = generate(GraphSpec(family, rng.randint(8, 80), 0.0, rng.randrange(10**6)))
+            w = WorkGraph.from_graph(g)
+            if case % 2:
+                run_pass(w, "i", np.zeros(g.n))
+            flat, ends, below, comp_ends, totals = kernels.block_walk(w)
+            copied = _copied_blocks(ends, comp_ends)
+            blocks = np.flatnonzero(copied).tolist()
+            comp_of = np.repeat(np.arange(len(totals)), np.diff(comp_ends)).tolist()
+            tops = [int(flat[ends[k + 1] - 1]) for k in blocks]
+            reach = w.reach.tolist()
+            for k, t in zip(blocks, tops):
+                reach[t] += int(below[k])
+            reach += [int(totals[comp_of[k]] - below[k]) for k in blocks]
+            members = w.member_lists()
+            rows = _shattered_rows(w.rows(), flat, ends, copied)
+            members += [members[t][:1] for t in tops]
+            ident = w.ident.tolist() + [1] * len(blocks)
+            flags = [a.tolist() + [True] * len(blocks) for a in (w.internal_edgeless, w.internal_clique)]
+            results = []
+            for lib in _forms():
+                monkeypatch.setattr(kernels, "_compiled", lib)
+                shattered = copy.deepcopy(w)
+                assert shatter_articulation(shattered) == len(blocks)
+                assert shattered.rows() == rows, (family, case)
+                assert shattered.reach.tolist() == reach and shattered.ident.tolist() == ident
+                assert shattered.member_lists() == members
+                assert [shattered.internal_edgeless.tolist(), shattered.internal_clique.tolist()] == flags
+                kernels._check_work_graph(shattered, np.zeros(g.n))
+                _assert_work_graph(shattered)
+                results.append(shattered)
+            for other in results[1:]:
+                _assert_same_work_graphs(results[0], other)
+            copies += len(blocks)
+        assert copies > 300
 class TestLetterOrderFuzz:
     def test_letter_orders_match_brute(self, monkeypatch):
         """Seeded, time-boxed fuzz over every order of every non-empty subset

@@ -60,7 +60,7 @@ def _work_graphs(seed: int, count: int):
                 w.internal_edgeless[v] = w.internal_clique[v] = False
         w.delete(rng.sample(range(w.n), w.n // 10))
         for _ in range(rng.randint(0, 2)):
-            w.append([rng.randint(1, 3)], [0], [0], [])
+            w.append([rng.randint(1, 3)], [0])
         w.delete(rng.sample(range(w.n), w.n // 20))
         yield case, family, w, g
 
@@ -367,6 +367,22 @@ class TestComponents:
         order, ends = kernels.bfs(w.offsets, w.targets, 3)
         assert order.tolist() == [3, 2, 4, 0, 1] and ends.tolist() == [0, 4, 5]
         assert _bfs_python(w, 3) == [[3, 2, 4, 0], [1]]
+
+    @pytest.mark.parametrize("case", ["start -1", "start n", "int32 offsets", "no offsets"])
+    def test_bfs_refusals(self, scan_form, case):
+        # the edge 0-1 and the lone vertex 2; a start of -1 made the compiled
+        # form write before its scratch, and a start of n returned [0, 1, 2]
+        offsets, targets, start = np.array([0, 1, 2, 2], dtype=np.int64), np.array([1, 0], dtype=np.int32), 0
+        if case == "start -1":
+            start = -1
+        elif case == "start n":
+            start = 3
+        elif case == "int32 offsets":
+            offsets = offsets.astype(np.int32)
+        else:
+            offsets = np.empty(0, dtype=np.int64)
+        with pytest.raises(ValueError):
+            kernels.bfs(offsets, targets, start)
 
 
 def _path_work_graph():
