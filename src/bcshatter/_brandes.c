@@ -586,18 +586,49 @@ static int key_order(int32_t a, int32_t b, const int64_t *key_offsets, const int
     return 0;
 }
 
+/* Bottom-up merge sort of ids[0 .. len) by key_order, taking the left run's
+ * element on ties, so equal keys keep their order; buf holds len ids.  The
+ * sorted ids end in ids. */
+static void sort_keys(int32_t *ids, int32_t *buf, int64_t len, const int64_t *key_offsets,
+                      const int32_t *keys, const int64_t *reach)
+{
+    int32_t *from = ids, *to = buf;
+    for (int64_t width = 1; width < len; width *= 2) {
+        for (int64_t lo = 0; lo < len; lo += 2 * width) {
+            int64_t mid = lo + width < len ? lo + width : len;
+            int64_t hi = lo + 2 * width < len ? lo + 2 * width : len;
+            int64_t i = lo, j = mid, k = lo;
+            while (i < mid && j < hi)
+                to[k++] = key_order(from[j], from[i], key_offsets, keys, reach) < 0 ? from[j++] : from[i++];
+            while (i < mid)
+                to[k++] = from[i++];
+            while (j < hi)
+                to[k++] = from[j++];
+        }
+        int32_t *swap = from;
+        from = to;
+        to = swap;
+    }
+    for (int64_t i = 0; from != ids && i < len; i++)
+        ids[i] = from[i];
+}
+
 /* One merge sweep, the compiled form of ``kernels.twin_sweep_python``: the
  * twin classes, then their credits.
  *
  * Every vertex with an arc gets the key (its row sorted, with v itself
  * inserted when closed and not among them already; its reach), written to
- * keys[key_offsets[v] .. key_offsets[v + 1]).  A stable merge sort of those
- * vertices by key, with order and spare as its buffers, puts equal keys
- * next to each other with their ids ascending; keys are compared in full,
- * so no two different keys ever group.  lead marks the lowest member of
- * each class of two or more.  The classes go out in order of lowest
- * member, members ascending: class k is classes[class_ends[k] ..
- * class_ends[k + 1]), with n slots in classes and n + 1 in class_ends.
+ * keys[key_offsets[v] .. key_offsets[v + 1]).  Equal keys share their first
+ * id, so a stable counting sort by first id, from order into spare, puts
+ * every class inside one bucket, with the bucket ends in lead (n + 1
+ * slots).  A stable merge sort of each bucket of two or more by key, with
+ * order as its buffer, then puts equal keys next to each other with their
+ * ids ascending; keys are compared in full, so no two different keys ever
+ * group.  The end of each run of equal keys goes to order, at the run's
+ * start, and lead then marks the lowest member of each class of two or
+ * more.  The classes go out in order of lowest member, members ascending:
+ * class k is classes[class_ends[k] .. class_ends[k + 1]), with n slots in
+ * classes and n + 1 in class_ends.
  *
  * With r a class's reach and t the sum of its idents, each vertex v of a
  * class of reach above 1 adds (t - ident[v]) * r * (r - 1) to each of its
@@ -614,7 +645,7 @@ int64_t bcs_twin_sweep(int64_t n, const int64_t *offsets, const int32_t *targets
     struct scratch s = {0};
     int64_t *key_offsets = take(&s, n + 1, 8);
     int32_t *keys = take(&s, offsets[n] + n, 4), *order = take(&s, n, 4);
-    int32_t *spare = take(&s, n, 4), *lead = take(&s, n, 4);
+    int32_t *spare = take(&s, n, 4), *lead = take(&s, n + 1, 4);
     if (s.failed)
         return release(&s);
     int64_t fill = 0, count = 0;
@@ -636,42 +667,38 @@ int64_t bcs_twin_sweep(int64_t n, const int64_t *offsets, const int32_t *targets
         order[count++] = v;
     }
     key_offsets[n] = fill;
-    /* bottom-up merge sort of order[0 .. count), taking the left run's
-     * element on ties, so equal keys keep their ascending ids */
-    for (int64_t width = 1; width < count; width *= 2) {
-        for (int64_t lo = 0; lo < count; lo += 2 * width) {
-            int64_t mid = lo + width < count ? lo + width : count;
-            int64_t hi = lo + 2 * width < count ? lo + 2 * width : count;
-            int64_t i = lo, j = mid, k = lo;
-            while (i < mid && j < hi)
-                spare[k++] = key_order(order[j], order[i], key_offsets, keys, reach) < 0 ? order[j++] : order[i++];
-            while (i < mid)
-                spare[k++] = order[i++];
-            while (j < hi)
-                spare[k++] = order[j++];
+    /* buckets by first id: lead[f] ends up at the end of bucket f */
+    for (int64_t f = 0; f <= n; f++)
+        lead[f] = 0;
+    for (int64_t i = 0; i < count; i++)
+        lead[keys[key_offsets[order[i]]] + 1]++;
+    for (int64_t f = 0; f < n; f++)
+        lead[f + 1] += lead[f];
+    for (int64_t i = 0; i < count; i++)
+        spare[lead[keys[key_offsets[order[i]]]]++] = order[i];
+    /* runs of equal keys in each bucket; order[i] is the end of the run
+     * starting at i */
+    for (int64_t lo = 0, hi; lo < count; lo = hi) {
+        hi = lead[keys[key_offsets[spare[lo]]]];
+        sort_keys(spare + lo, order + lo, hi - lo, key_offsets, keys, reach);
+        for (int64_t i = lo, j; i < hi; i = j) {
+            for (j = i + 1; j < hi && key_order(spare[i], spare[j], key_offsets, keys, reach) == 0; j++)
+                ;
+            order[i] = (int32_t)j;
         }
-        int32_t *swap = order;
-        order = spare;
-        spare = swap;
     }
-    /* runs of equal keys; spare[i] is the end of the run starting at i */
     for (int64_t v = 0; v < n; v++)
         lead[v] = -1;
-    for (int64_t i = 0, j; i < count; i = j) {
-        for (j = i + 1; j < count && key_order(order[i], order[j], key_offsets, keys, reach) == 0; j++)
-            ;
-        if (j - i >= 2) {
-            lead[order[i]] = (int32_t)i;
-            spare[i] = (int32_t)j;
-        }
-    }
+    for (int64_t i = 0; i < count; i = order[i])
+        if (order[i] - i >= 2)
+            lead[spare[i]] = (int32_t)i;
     int64_t ncls = 0, placed = 0;
     class_ends[0] = 0;
     for (int64_t v = 0; v < n; v++) {
         if (lead[v] < 0)
             continue;
-        for (int32_t i = lead[v]; i < spare[lead[v]]; i++)
-            classes[placed++] = order[i];
+        for (int32_t i = lead[v]; i < order[lead[v]]; i++)
+            classes[placed++] = spare[i];
         class_ends[++ncls] = (int32_t)placed;
     }
     release(&s); /* the credits read only the classes */

@@ -83,18 +83,21 @@ The first call that needs the library builds it with the local C compiler
 into a per-user cache named by the hash of the source and the compile
 command, and loads it with ctypes.  Each entry point is one foreign call
 that passes only its inputs and results: the compiled code allocates its
-own scratch, and a failed allocation raises MemoryError.  Where an
-output's size is known only once the compiled code has run, as for the
+own scratch, and a failed allocation raises MemoryError.  An array goes
+over as the address of its data, through one small argument type per dtype
+(``_array``) that refuses what is not a C-contiguous array of that dtype;
+numpy's ``ctypeslib.ndpointer`` took about twice as long per array.  Where
+an output's size is known only once the compiled code has run, as for the
 arcs ``bcs_compact`` keeps when it drops vertices, it gets the size of its
-bound and is shrunk in place afterwards.  ``bcs_brandes``
-runs the sources in batches of up to 64 consecutive ids, one bit of each
-vertex's lane mask per source, with sigma and delta kept per vertex and
-lane and the BFS levels in one flat list; it runs fewer lanes only where
-those arrays would pass 64 MB, which changes no score.  The Python forms
-are the references the tests hold the compiled forms to, and run,
-silently, when the library cannot be built or loaded.  Each entry point
-checks its inputs, their dtypes included, before it picks a form, so both
-forms accept and refuse the same inputs.
+bound and is shrunk in place afterwards.  ``bcs_brandes`` runs the sources
+in batches of up to 64 consecutive ids, one bit of each vertex's lane mask
+per source, with sigma and delta kept per vertex and lane and the BFS
+levels in one flat list; it runs fewer lanes only where those arrays would
+pass 64 MB, which changes no score.  The Python forms are the references
+the tests hold the compiled forms to, and run, silently, when the library
+cannot be built or loaded.  Each entry point checks its inputs, their
+dtypes included, before it picks a form, so both forms accept and refuse
+the same inputs.
 
 The compiled code evaluates the Python loop's floating-point expressions
 in the same order, with contraction into fused multiply-adds turned off, and
@@ -242,20 +245,23 @@ def side_sweep(w, max_degree: int, out: np.ndarray):
     :func:`side_bfs` and the endpoint credit to ``out`` (float64, one slot
     per original vertex), and treats the candidate as deleted from then on;
     nothing else changes.  Returns ``(removed, arcs)``: the removed
-    candidates in order, and the arcs their runs scanned, counted as for
-    ``side_bfs`` calls (the source's degree plus the degrees it reached).
+    candidates in order, an int32 array on both forms (the Python form's
+    list is converted here), and the arcs their runs scanned, counted as
+    for ``side_bfs`` calls (the source's degree plus the degrees it
+    reached).
     """
     n = _check_work_graph(w, out)
     lib = _kernel()
     if lib is None:
-        return side_sweep_python(w.rows(), w.member_lists(), w.reach.tolist(), w.ident.tolist(),
-                                 w.internal_edgeless.tolist(), w.internal_clique.tolist(), max_degree, out)
+        removed, arcs = side_sweep_python(w.rows(), w.member_lists(), w.reach.tolist(), w.ident.tolist(),
+                                          w.internal_edgeless.tolist(), w.internal_clique.tolist(), max_degree, out)
+        return np.array(removed, dtype=np.int32), arcs
     removed, arcs = np.empty(n, dtype=np.int32), np.empty(1, dtype=np.int64)
     # no degree exceeds the arc count
     runs = lib.bcs_side_sweep(n, w.offsets, w.targets, w.member_offsets, w.member_ids, w.reach.astype(np.float64),
                               w.ident.astype(np.float64), w.internal_edgeless, w.internal_clique,
                               max(0, min(index(max_degree), len(w.targets))), out, removed, arcs)
-    return removed[:runs].tolist(), int(arcs[0])
+    return removed[:runs], int(arcs[0])
 
 
 def export_rows(adj):
@@ -566,8 +572,32 @@ def _allocated(result: int, func, args) -> int:
     return result
 
 
+def _array(dtype):
+    """The argument type of a pointer to the data of a C-contiguous numpy
+    array of ``dtype``.  Its ``from_param`` refuses, with TypeError, what
+    ``np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")`` refuses: an
+    object that is not an ndarray, an array of another dtype and one that is
+    not C-contiguous; ctypes raises that as ``ctypes.ArgumentError`` before
+    the call.  It passes the array's data address, ``obj.ctypes.data``:
+    about half the time of ``ndpointer``'s conversion, and no import of
+    ``numpy.ctypeslib``.  Reading the address off ``__array_interface__``
+    instead was slower and raised the peak resident set of a run of
+    ``social-mix`` solves by about 1 MB."""
+    dtype = np.dtype(dtype)
+
+    class Array(ctypes.c_void_p):
+        @classmethod
+        def from_param(cls, obj):
+            if not (isinstance(obj, np.ndarray) and obj.dtype == dtype and obj.flags.c_contiguous):
+                raise TypeError(f"a C-contiguous {dtype} array is needed")
+            return cls(obj.ctypes.data)
+
+    return Array
+
+
 def _or_null(pointer):
-    """The ndpointer type ``pointer``, also taking None for a NULL pointer."""
+    """The :func:`_array` argument type ``pointer``, also taking None, which
+    goes over as a NULL pointer."""
     class OrNull(pointer):
         @classmethod
         def from_param(cls, obj):
@@ -577,11 +607,15 @@ def _or_null(pointer):
 
 
 def _bind(path: Path):
+    """Load the library at ``path`` and give each entry point its argument
+    types, its result type and, where it allocates, the errcheck
+    ``_allocated``.  Every array argument is an ``_array`` of its dtype, so
+    ctypes refuses a list, an array of another dtype, a strided view and
+    None with ``ctypes.ArgumentError`` before the C function runs; only
+    ``bcs_compact``'s two masks, ``_or_null``, also take None."""
     lib = ctypes.CDLL(str(path))
-    int32s = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
-    doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    int64s = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-    flags = np.ctypeslib.ndpointer(np.bool_, flags="C_CONTIGUOUS")  # read as uint8_t, 0 or 1
+    int32s, doubles, int64s = _array(np.int32), _array(np.float64), _array(np.int64)
+    flags = _array(np.bool_)  # read as uint8_t, 0 or 1
     size = ctypes.c_int64
     csr = [size, int64s, int32s]  # n, offsets, targets: a work graph's or a Graph's
     members = [int64s, int64s]  # member_offsets, members: a work graph's

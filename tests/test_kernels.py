@@ -457,6 +457,92 @@ class TestBuild:
         assert capfd.readouterr() == ("", "")
 
 
+# An array of another dtype for each dtype _bind passes, of the same item
+# size where one exists, so that only the dtype tells them apart.
+_OTHER_DTYPE = {np.int64: np.float64, np.int32: np.float32, np.float64: np.int64, np.bool_: np.uint8}
+
+
+def _side_sweep_args() -> list:
+    """Valid arguments of ``bcs_side_sweep``, which takes an array of every
+    dtype that ``_bind`` passes: the path 0-1-2 of reach 2, whose two ends
+    a call that runs removes, crediting ``out``."""
+    w = WorkGraph.from_graph(path_graph(3))
+    return [3, w.offsets, w.targets, w.member_offsets, w.member_ids, np.full(3, 2.0), np.ones(3),
+            w.internal_edgeless, w.internal_clique, 4, np.zeros(3), np.full(3, -1, dtype=np.int32),
+            np.zeros(1, dtype=np.int64)]
+
+
+def _misfits(good: np.ndarray) -> dict:
+    """What an array argument must refuse in place of ``good``.  The strided
+    view holds two items at least: numpy counts one item as contiguous."""
+    return {"list": good.tolist(), "another dtype": good.astype(_OTHER_DTYPE[good.dtype.type]),
+            "strided view": np.repeat(good, 2 if len(good) > 1 else 4)[::2], "None": None}
+
+
+class TestArgumentTypes:
+    """Every array argument of a bound entry point takes a C-contiguous
+    numpy array of its dtype and nothing else: ctypes raises ArgumentError
+    before the C function runs.  Only ``bcs_compact``'s two masks also take
+    None."""
+
+    def test_the_valid_call_runs(self, compiled_kernel):
+        args = _side_sweep_args()
+        assert {a.dtype.type for a in args if isinstance(a, np.ndarray)} == set(_OTHER_DTYPE)
+        assert compiled_kernel.bcs_side_sweep(*args) == 2
+        assert args[10].all() and args[11][:2].tolist() == [0, 2] and args[12][0] > 0
+
+    @pytest.mark.parametrize("misfit", ["list", "another dtype", "strided view", "None"])
+    @pytest.mark.parametrize("position", [1, 2, 3, 4, 5, 6, 7, 8, 10, 11, 12])  # every array
+    def test_refusals(self, compiled_kernel, position, misfit):
+        args = _side_sweep_args()
+        out, removed, arcs = args[10:]
+        args[position] = _misfits(args[position])[misfit]
+        with pytest.raises(ctypes.ArgumentError):
+            compiled_kernel.bcs_side_sweep(*args)
+        assert not out.any() and (removed == -1).all() and arcs[0] == 0
+
+    @pytest.mark.parametrize("misfit", ["list", "another dtype", "strided view", None])
+    def test_masks_of_the_rebuild_also_take_none(self, compiled_kernel, misfit):
+        g = path_graph(4)
+        new_offsets, new_targets = np.full(5, -1, dtype=np.int64), np.full(6, -1, dtype=np.int32)
+        args = [4, g.offsets, g.neighbors, None, None, new_offsets, new_targets]
+        if misfit is None:  # NULL masks keep every vertex and arc
+            assert compiled_kernel.bcs_compact(*args) == 6
+            assert new_offsets.tolist() == g.offsets.tolist() and new_targets.tolist() == g.neighbors.tolist()
+            return
+        for position in (3, 4):
+            bad = list(args)
+            bad[position] = _misfits(np.ones(4 if position == 3 else 6, dtype=bool))[misfit]
+            with pytest.raises(ctypes.ArgumentError):
+                compiled_kernel.bcs_compact(*bad)
+        assert (new_offsets == -1).all() and (new_targets == -1).all()
+
+    @pytest.mark.parametrize("dtype", list(_OTHER_DTYPE))
+    def test_refuses_what_ndpointer_refuses(self, dtype):
+        # the argument type against numpy's own, on arrays of every layout
+        from numpy.ctypeslib import ndpointer
+
+        reference, ours = ndpointer(dtype, flags="C_CONTIGUOUS"), kernels._array(dtype)
+        base = np.arange(12).astype(dtype)
+        read_only = base.copy()
+        read_only.flags.writeable = False
+        candidates = [base, base[::2], base[2:], base[:0], base.reshape(3, 4), base.reshape(3, 4).T,
+                      np.asfortranarray(base.reshape(3, 4)), read_only, base.astype(base.dtype.newbyteorder()),
+                      base.view(type("Sub", (np.ndarray,), {})), np.float64(1.0), 3, None, base.tolist(),
+                      *(base.astype(other) for other in (*_OTHER_DTYPE, np.uint8, np.int16) if other is not dtype)]
+        for obj in candidates:
+            try:
+                expected = reference.from_param(obj).data
+            except TypeError:
+                expected = None
+            try:
+                got = ours.from_param(obj).value
+            except TypeError:
+                got = None
+            assert got == expected, (dtype, obj)
+        assert kernels._or_null(ours).from_param(None) is None
+
+
 def _child_env() -> dict[str, str]:
     """The environment of a child process: this one's with ``src`` on the
     path, and without LD_PRELOAD, as ASan aborts where malloc fails."""

@@ -1,6 +1,8 @@
 """Modules the solve path must never import: each one adds resident memory
 that a run's peak RSS counts (``numpy.ma`` about 1 MB, which ``np.unique``
-pulls in; ``hashlib`` about 3.6 MB, because it maps OpenSSL)."""
+pulls in; ``hashlib`` about 3.6 MB, because it maps OpenSSL), or import
+time (``numpy.ctypeslib``, about 0.5 ms, which ``np.ctypeslib.ndpointer``
+loads and the foreign calls do not need)."""
 
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from bcshatter import kernels
 g, _ = bcshatter.parse_graph("0 1\\n1 2\\n2 3\\n3 4\\n4 0\\n0 5\\n0 6\\n1 6\\n")
 bcshatter.compute_scores(g, "odbasi")
 assert kernels._compiled is not kernels._UNTRIED, "the solve never reached the kernel"
-print(" ".join(name for name in ("numpy.ma", "hashlib") if name in sys.modules))
+print(" ".join(name for name in ("numpy.ma", "hashlib", "numpy.ctypeslib") if name in sys.modules))
 """
 
 

@@ -876,7 +876,6 @@ def _side_candidates(w: WorkGraph, cap: int) -> list[int]:
     return [v for v, nbrs in enumerate(adj) if nbrs and len(nbrs) <= cap and kernels.expanded_clique(adj, *flags, v)]
 
 
-@pytest.mark.usefixtures("compiled_library")
 class TestSideSweep:
     """The compiled sweep against ``kernels.side_sweep_python``, its
     reference.  The compiled runs visit vertices and add to the scores in
@@ -926,12 +925,13 @@ class TestSideSweep:
             for lib in (compiled_library, None):
                 monkeypatch.setattr(kernels, "_compiled", lib)
                 got = out.copy()
-                swept = kernels.side_sweep(w, cap, got)
-                results.append((swept, got.tobytes()))
+                swept, scanned = kernels.side_sweep(w, cap, got)
+                assert swept.dtype == np.int32, (family, case, lib)
+                results.append((swept.tolist(), scanned, got.tobytes()))
                 assert _side_inputs(w) == inputs, (family, case, lib)
             assert results[0] == results[1], (family, case)
-            removed += len(results[0][0][0])
-            arcs += results[0][0][1]
+            removed += len(results[0][0])
+            arcs += results[0][1]
         assert removed > 300 and arcs > removed
 
     def test_pass_events_match_python_loop(self, monkeypatch):
@@ -947,8 +947,10 @@ class TestSideSweep:
         compiled = [compute_scores(g, combo, max_side_degree=cap, order_seed=seed) for g, combo, cap, seed in cases]
 
         def python_sweep(w, max_degree, out):
-            return kernels.side_sweep_python(w.rows(), w.member_lists(), w.reach.tolist(), w.ident.tolist(),
-                                             w.internal_edgeless.tolist(), w.internal_clique.tolist(), max_degree, out)
+            removed, arcs = kernels.side_sweep_python(w.rows(), w.member_lists(), w.reach.tolist(), w.ident.tolist(),
+                                                      w.internal_edgeless.tolist(), w.internal_clique.tolist(),
+                                                      max_degree, out)
+            return np.array(removed, dtype=np.int32), arcs
 
         monkeypatch.setattr(kernels, "side_sweep", python_sweep)
         for (g, combo, cap, seed), got in zip(cases, compiled):

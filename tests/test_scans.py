@@ -60,7 +60,7 @@ def _work_graphs(seed: int, count: int):
                 w.internal_edgeless[v] = w.internal_clique[v] = False
         w.delete(rng.sample(range(w.n), w.n // 10))
         for _ in range(rng.randint(0, 2)):
-            w.append([rng.randint(1, 3)], [0])
+            w.append((np.append(w.offsets, w.offsets[-1]), w.targets), [rng.randint(1, 3)], [0])
         w.delete(rng.sample(range(w.n), w.n // 20))
         yield case, family, w, g
 
@@ -105,10 +105,12 @@ def _book(pages: int) -> Graph:
 
 def _side_pass(w: WorkGraph, cap: int, slots: int):
     """``kernels.side_sweep`` over w with cap, into fresh scores over
-    ``slots`` originals: the removed candidates, the arcs and the scores."""
+    ``slots`` originals: the removed candidates as a list, the arcs and the
+    scores."""
     out = np.zeros(slots)
     removed, arcs = kernels.side_sweep(w, cap, out)
-    return removed, arcs, out.tobytes()
+    assert removed.dtype == np.int32
+    return removed.tolist(), arcs, out.tobytes()
 
 
 class TestSideCandidates:
@@ -210,6 +212,146 @@ class TestTwinClasses:
         w = WorkGraph.from_graph(complete_graph(6))
         assert _twin_classes(w, True) == [list(range(6))]
         assert _twin_classes(w, False) == []
+
+
+def _twin_keys(w: WorkGraph, closed: bool) -> dict[tuple, list[int]]:
+    """Each vertex with an arc under its twin key, the sorted open or closed
+    neighborhood and then the reach, as a dict of keys to vertices."""
+    keys: dict[tuple, list[int]] = {}
+    for v, row in enumerate(w.rows()):
+        if row:
+            keys.setdefault((*sorted({*row, v} if closed else row), int(w.reach[v])), []).append(v)
+    return keys
+
+
+def _bucket_sizes(keys: dict[tuple, list[int]]) -> dict[int, list[int]]:
+    """For each first id of a key, how many vertices hold each key starting
+    with it: the buckets the compiled grouping sorts one by one."""
+    buckets: dict[int, list[int]] = {}
+    for key, verts in keys.items():
+        buckets.setdefault(key[0], []).append(len(verts))
+    return buckets
+
+
+def _shared_first_id() -> WorkGraph:
+    """A hub, 0, on 80 leaves, each also on a subset of the tails 81-86, of
+    reach 1 or 2: every leaf's key starts with 0, and keys of one length
+    differ in the middle, share their last id, differ only in reach, or
+    are prefixes of each other."""
+    rng = random.Random(71)
+    tails = list(range(81, 87))
+    shapes = [(), (81,), (81, 82), (81, 86), (82, 86), (81, 82, 86), (81, 83, 86)]
+    edges = []
+    for leaf in range(1, 81):
+        subset = rng.choice(shapes) if leaf % 4 else sorted(rng.sample(tails, rng.randint(0, 6)))
+        edges += [(0, leaf), *((leaf, t) for t in subset)]
+    w = WorkGraph.from_graph(Graph.from_edges(87, edges))
+    w.reach[:] = [1 + (v % 3 == 0) for v in range(w.n)]
+    return w
+
+
+def _hub_below_all() -> WorkGraph:
+    """Planted twins with a hub, 0, joined to every other vertex: the
+    hub is every other vertex's smallest neighbor, so all keys but the
+    hub's open one fall in one bucket."""
+    g = generate(GraphSpec("planted-identical", 120, 0.0, 5))
+    w = WorkGraph.from_graph(Graph.from_edges(g.n + 1, [*((0, v + 1) for v in range(g.n)),
+                                                        *((u + 1, v + 1) for u, v in g.edges())]))
+    w.reach[:] = [1 + (v % 5 == 0) for v in range(w.n)]
+    return w
+
+
+def _own_id_first() -> WorkGraph:
+    """Cliques of 2 to 6 vertices on consecutive ids, the highest vertex of
+    each joined to the next clique's highest: in the closed sweep each
+    clique's lowest vertex is its own key's first id, which it shares with
+    its clique mates but the highest, whose key is one id longer and in the
+    same bucket."""
+    rng = random.Random(73)
+    edges, low, prev = [], 0, None
+    while low < 150:
+        size = rng.randint(2, 6)
+        edges += [(u, v) for u in range(low, low + size) for v in range(u + 1, low + size)]
+        if prev is not None:
+            edges.append((prev, low + size - 1))
+        prev, low = low + size - 1, low + size
+    w = WorkGraph.from_graph(Graph.from_edges(low, edges))
+    w.reach[:] = [1 + (v % 7 == 3) for v in range(w.n)]
+    return w
+
+
+def _preferential_core() -> WorkGraph:
+    """Preferential attachment, two edges per new vertex, with every fifth
+    new vertex a twin of the one before it: the early hubs are the smallest
+    neighbor of many vertices, so the buckets run from one vertex to many."""
+    rng = random.Random(79)
+    edges, ends = [(0, 1), (0, 2), (1, 2)], [0, 1, 1, 2, 0, 2]
+    picks: set[int] = set()
+    for v in range(3, 400):
+        if v % 5:
+            picks = set()
+            while len(picks) < 2:
+                picks.add(rng.choice(ends))
+        for u in picks:
+            edges.append((u, v))
+            ends += [u, v]
+    w = WorkGraph.from_graph(Graph.from_edges(400, edges))
+    w.reach[:] = [1 + (v % 11 == 0) for v in range(w.n)]
+    return w
+
+
+_BUCKET_GRAPHS = {
+    "shared first id": _shared_first_id,
+    "hub below all": _hub_below_all,
+    "own id first": _own_id_first,
+    "preferential core": _preferential_core,
+}
+
+
+class TestTwinBuckets:
+    """The compiled grouping buckets the keyed vertices by their key's first
+    id, then sorts each bucket by the full key: graphs whose keys crowd
+    into few buckets, or spread unevenly over many, against a dict keyed by
+    the full key."""
+
+    @pytest.mark.parametrize("graph", list(_BUCKET_GRAPHS))
+    def test_classes_match_a_dict_model(self, scan_form, graph):
+        w = _BUCKET_GRAPHS[graph]()
+        for closed in (False, True):
+            keys = _twin_keys(w, closed)
+            assert _twin_classes(w, closed) == [verts for verts in keys.values() if len(verts) >= 2], closed
+
+    @pytest.mark.parametrize("graph", list(_BUCKET_GRAPHS))
+    def test_forms_agree(self, compiled_library, monkeypatch, graph):
+        w = _BUCKET_GRAPHS[graph]()
+        _merge_some(w, 7)
+        start = _start_scores(w, 7)
+        for closed in (False, True):
+            _both_forms(monkeypatch, compiled_library, lambda: _twin_pass(w, closed, start))
+
+    def test_the_graphs_make_the_buckets_they_name(self):
+        # buckets of many keys whose members differ after the first id
+        keys = _twin_keys(_shared_first_id(), False)
+        hub = [key for key in keys if key[0] == 0]
+        assert len(hub) >= 8 and sum(len(keys[key]) >= 2 for key in hub) >= 4
+        assert any(a[:-1] == b[:-1] and a != b for a in hub for b in hub)  # reach alone
+        assert any(len(a) == len(b) and a[-2] == b[-2] and a != b for a in hub for b in hub)  # last id shared
+        assert any(len(a) < len(b) and a[:-1] == b[: len(a) - 1] for a in hub for b in hub)  # a prefix
+        # one bucket of every vertex but the hub, open, and of all, closed
+        w = _hub_below_all()
+        for closed, size in ((False, w.n - 1), (True, w.n)):
+            buckets = _bucket_sizes(_twin_keys(w, closed))
+            assert sum(buckets[0]) == size and len(buckets[0]) > 10
+        # closed: a class whose lowest member is its key's first id, in a
+        # bucket with another key
+        keys = _twin_keys(_own_id_first(), True)
+        buckets = _bucket_sizes(keys)
+        own = [key[0] for key, verts in keys.items() if key[0] in verts and len(verts) >= 2]
+        assert sum(len(buckets[first]) >= 2 for first in own) >= 10
+        # uneven: single-vertex buckets beside buckets of dozens
+        for closed in (False, True):
+            sizes = sorted(sum(counts) for counts in _bucket_sizes(_twin_keys(_preferential_core(), closed)).values())
+            assert sizes[0] == 1 and sizes[-1] >= 30 and len(sizes) >= 50, closed
 
 
 def _start_scores(w: WorkGraph, seed: int) -> np.ndarray:
