@@ -1,4 +1,4 @@
-/* The compiled forms of bcshatter's hot loops, twelve entry points:
+/* The compiled forms of bcshatter's hot loops, eleven entry points:
  *
  * - bcs_brandes, all sources over one component's CSR, 64 to a traversal:
  *   the compiled form of ``kernels.brandes_python``;
@@ -21,8 +21,8 @@
  * - bcs_shatter, the articulation pass's shattered rows, with the arcs into
  *   copied tops rewritten and the arcs that move to the copies in the
  *   copies' rows: the compiled form of ``kernels.shatter_arcs_python``;
- * - bcs_parse_count, bcs_parse_ids and then bcs_edge_csr, the two passes
- *   over a plain edge list's bytes and the CSR builder, all called by
+ * - bcs_parse and then bcs_edge_csr, the one pass over a plain edge list's
+ *   bytes and the CSR builder, both called by
  *   ``graph._parse_plain_edge_list`` only: together the compiled form of
  *   ``graph.parse_edge_list``'s line loop, on the texts they take;
  * - bcs_relabel, the renamed CSR of ``graph.relabel``: the compiled form of
@@ -949,56 +949,47 @@ static inline int is_digit(uint8_t c)
     return c >= '0' && c <= '9';
 }
 
-/* The first pass of the plain edge-list parse.  text[0 .. len) is plain
- * when it holds only ASCII digits, spaces, tabs, line feeds and carriage
- * returns, and 0 or 2 ids (runs of digits) on each line; either break ends
- * a line, as for str.splitlines.  Returns the number of ids of a plain
- * text, or -1 for any other. */
-int64_t bcs_parse_count(const uint8_t *text, int64_t len)
+/* The plain edge-list parse, in one pass.  text[0 .. len) is plain when it
+ * holds only ASCII digits, spaces, tabs, line feeds and carriage returns, 0
+ * or 2 ids (runs of digits) on each line, either break ending a line as for
+ * str.splitlines, and ids in [base, base + ceiling).  Writes each id less
+ * base to ids, which needs (len + 1) / 2 slots, and the largest to top[0];
+ * returns the number of ids of a plain text, or -1 for any other.  ceiling
+ * is at most 2^31, so a digit run of any length is read without overflow
+ * and every id written fits int32. */
+int64_t bcs_parse(const uint8_t *text, int64_t len, int64_t base, int64_t ceiling, int32_t *ids, int64_t *top)
 {
-    int64_t ids = 0, on_line = 0;
-    for (int64_t i = 0; i < len; i++) {
+    int64_t count = 0, line_start = 0, largest = -1;
+    for (int64_t i = 0; i < len;) {
         uint8_t c = text[i];
         if (is_digit(c)) {
-            if (i == 0 || !is_digit(text[i - 1]))
-                if (++on_line > 2)
-                    return -1;
-        } else if (c == '\n' || c == '\r') {
-            if (on_line == 1)
+            if (count - line_start == 2)
                 return -1;
-            ids += on_line;
-            on_line = 0;
+            int64_t id = 0;
+            for (; i < len && is_digit(text[i]); i++)
+                if (id <= ceiling + base) /* past it, the id is refused whatever digits follow */
+                    id = id * 10 + (text[i] - '0');
+            id -= base;
+            if (id < 0 || id >= ceiling)
+                return -1;
+            ids[count++] = (int32_t)id;
+            if (id > largest)
+                largest = id;
+            continue;
+        }
+        if (c == '\n' || c == '\r') {
+            if (count - line_start == 1)
+                return -1;
+            line_start = count;
         } else if (c != ' ' && c != '\t') {
             return -1;
         }
+        i++;
     }
-    return on_line == 1 ? -1 : ids + on_line;
-}
-
-/* The second pass, over a text bcs_parse_count found plain: writes each id
- * less base to ids, in text order.  Returns the largest, or -1 when one is
- * below 0 or not below ceiling; ceiling is at most 2^31, so a digit run of
- * any length is read without overflow and every id written fits int32. */
-int64_t bcs_parse_ids(const uint8_t *text, int64_t len, int64_t base, int64_t ceiling, int32_t *ids)
-{
-    int64_t count = 0, top = -1;
-    for (int64_t i = 0; i < len;) {
-        if (!is_digit(text[i])) {
-            i++;
-            continue;
-        }
-        int64_t id = 0;
-        for (; i < len && is_digit(text[i]); i++)
-            if (id <= ceiling + base) /* past it, the id is refused whatever digits follow */
-                id = id * 10 + (text[i] - '0');
-        id -= base;
-        if (id < 0 || id >= ceiling)
-            return -1;
-        ids[count++] = (int32_t)id;
-        if (id > top)
-            top = id;
-    }
-    return top;
+    if (count - line_start == 1)
+        return -1;
+    top[0] = largest;
+    return count;
 }
 
 /* The simple graph on n vertices whose edges are the npairs pairs

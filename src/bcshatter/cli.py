@@ -92,7 +92,10 @@ def _write_rows(out: str, rows) -> None:
 
 
 def _load_graph(path: str, fmt: str, base: int):
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:  # a ValueError, which would read as a usage error
+        raise GraphInputError(f"{path} is not text: {exc}") from None
     return parse_graph(text, fmt, index_base=base)
 
 

@@ -175,23 +175,23 @@ def _parse_plain_edge_list(text: str, index_base: int):
     tabs, line feeds and carriage returns, two ids on each non-blank line,
     and every id in range once shifted by ``index_base``.  The line loop
     reads such a text the same way, so the result is the line parser's
-    graph and report.  It raises only MemoryError, from the CSR builder: a
-    text it declines, and every text when the compiled library cannot be
-    built or loaded, goes to the line parser, which reports what is wrong.
+    graph and report.  It raises only MemoryError, from the ids buffer or
+    the CSR builder: a text it declines, and every text when the compiled
+    library cannot be built or loaded, goes to the line parser, which
+    reports what is wrong.
     """
     lib = kernels._kernel()
     if lib is None or not text.isascii():
         return None
     buf = text.encode("ascii")
-    count = lib.bcs_parse_count(buf, len(buf))
+    # (len + 1) // 2 slots, the most ids a text can hold: each but the last
+    # takes a digit and the byte after it
+    ids, top = np.empty((len(buf) + 1) // 2, dtype=np.int32), np.empty(1, dtype=np.int64)
+    # the compiled reader keeps ids within int32 only under a ceiling of at most _WIDTH
+    count = lib.bcs_parse(buf, len(buf), index_base, min(MAX_VERTICES, _WIDTH), ids, top)
     if count <= 0:
         return None
-    ids = np.empty(count, dtype=np.int32)
-    # the compiled reader keeps ids within int32 only under a ceiling of at most _WIDTH
-    top = lib.bcs_parse_ids(buf, len(buf), index_base, min(MAX_VERTICES, _WIDTH), ids)
-    if top < 0:
-        return None
-    n = top + 1
+    n = int(top[0]) + 1
     offsets, arcs = np.empty(n + 1, dtype=np.int64), np.empty(count, dtype=np.int32)
     counts = np.empty(2, dtype=np.int64)
     m = lib.bcs_edge_csr(n, count // 2, ids, offsets, arcs, counts)
@@ -319,14 +319,20 @@ class VertexPermutation:
         assert np.array_equal(self.forward[self.inverse], np.arange(n))
 
 
-def _checked_csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """``g``'s offsets (int64) and neighbors (int32), refused unless they
-    pass :func:`kernels._check_csr`: the compiled code indexes with both."""
+def _on_csr(g: Graph, call, *args):
+    """``call(offsets, neighbors, *args)`` on ``g``'s offsets (int64) and
+    neighbors (int32), as the compiled code reads them.  ``call`` checks the
+    CSR; what it refuses with ValueError, offsets that do not cover the
+    ``g.n`` vertices and neighbors that the conversion changes are refused
+    with GraphInputError."""
+    offsets = np.ascontiguousarray(g.offsets, dtype=np.int64)
+    neighbors = np.ascontiguousarray(g.neighbors, dtype=np.int32)
     try:
-        kernels._check_csr(g.offsets, g.neighbors, g.n, 0, g.n, "neighbor")
+        if offsets.shape != (g.n + 1,) or not (neighbors is g.neighbors or np.array_equal(neighbors, g.neighbors)):
+            raise ValueError(f"{g.n + 1} offsets and int32 neighbors are needed")
+        return call(offsets, neighbors, *args)
     except ValueError as exc:
         raise GraphInputError(f"the graph's arrays are not a CSR over its {g.n} vertices") from exc
-    return np.ascontiguousarray(g.offsets, dtype=np.int64), np.ascontiguousarray(g.neighbors, dtype=np.int32)
 
 
 def bfs_order(g: Graph, start: int = 0) -> VertexPermutation:
@@ -337,7 +343,7 @@ def bfs_order(g: Graph, start: int = 0) -> VertexPermutation:
     """
     if g.n and not 0 <= start < g.n:
         raise IndexError(f"start vertex {start} outside 0..{g.n - 1}")
-    order, _ = kernels.bfs(*_checked_csr(g), start)
+    order, _ = _on_csr(g, kernels.bfs, start)  # kernels.bfs checks the CSR
     inverse = order.astype(np.int64)
     forward = np.empty_like(inverse)
     forward[inverse] = np.arange(g.n)
@@ -356,7 +362,8 @@ def relabel(g: Graph, perm: VertexPermutation) -> Graph:
     if g.n and not (fwd.dtype.kind in "iu" and inv.dtype.kind in "iu" and 0 <= inv.min() <= inv.max() < g.n
                     and np.array_equal(fwd[inv], np.arange(g.n))):
         raise GraphInputError("forward and inverse are not inverse permutations of the vertices")
-    offsets, neighbors = _checked_csr(g)
+    # bcs_relabel checks nothing, so the CSR is checked here
+    offsets, neighbors = _on_csr(g, lambda *csr: kernels._check_csr(*csr, g.n, 0, g.n, "neighbor") or csr)
     fwd, inv = np.ascontiguousarray(fwd, dtype=np.int64), np.ascontiguousarray(inv, dtype=np.int64)
     lib = kernels._kernel()
     if lib is None:
@@ -370,7 +377,7 @@ def relabel(g: Graph, perm: VertexPermutation) -> Graph:
 
 def connected_components(g: Graph) -> np.ndarray:
     """Component label per vertex; labels contiguous from 0 in first-seen order."""
-    order, ends = kernels.bfs(*_checked_csr(g), 0)
+    order, ends = _on_csr(g, kernels.bfs, 0)
     labels = np.empty(g.n, dtype=np.int64)
     labels[order] = np.repeat(np.arange(len(ends) - 1), np.diff(ends))
     return labels

@@ -73,8 +73,8 @@ graph's rows and members.
 The library also holds the graph layer's other compiled steps, bound here
 and called from ``graph.py``, whose Python code is their reference:
 
-* ``bcs_parse_count``, ``bcs_parse_ids`` and ``bcs_edge_csr``, the two
-  passes over a plain edge list's bytes and the CSR builder, called by
+* ``bcs_parse`` and ``bcs_edge_csr``, the one pass over a plain edge
+  list's bytes and the CSR builder, called by
   ``graph._parse_plain_edge_list``; the line loop of
   ``graph.parse_edge_list`` is the reference.
 * ``bcs_relabel``, ``graph.relabel``: its numpy form.
@@ -633,11 +633,8 @@ def _bind(path: Path):
     for name, argtypes in allocating.items():
         function = getattr(lib, name)
         function.argtypes, function.restype, function.errcheck = argtypes, size, _allocated
-    text = ctypes.c_char_p
-    lib.bcs_parse_count.argtypes = [text, size]
-    lib.bcs_parse_count.restype = size
-    lib.bcs_parse_ids.argtypes = [text, size, size, size, int32s]
-    lib.bcs_parse_ids.restype = size
+    lib.bcs_parse.argtypes = [ctypes.c_char_p, size, size, size, int32s, int64s]
+    lib.bcs_parse.restype = size
     lib.bcs_relabel.argtypes = [*csr, int64s, int64s, int64s, int32s]
     lib.bcs_relabel.restype = None
     return lib

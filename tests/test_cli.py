@@ -63,6 +63,10 @@ class TestCompute:
         bad = tmp_path / "bad.txt"
         bad.write_text("0 1 2 3\n")
         assert main(["compute", str(bad)]) == EXIT_IO
+        undecodable = tmp_path / "undecodable.txt"
+        undecodable.write_bytes(b"0 1\n\xff 2\n")
+        assert main(["compute", str(undecodable)]) == EXIT_IO
+        assert main(["verify", "--graph", str(undecodable), "--combos", "o"]) == EXIT_IO
 
     def test_id_beyond_int32_is_io_error(self, tmp_path):
         big = tmp_path / "big.txt"
@@ -169,12 +173,15 @@ class TestBench:
 
     def test_missing_file_reported_but_run_continues(self, tmp_path, p4_file, capsys):
         out = tmp_path / "bench.csv"
-        code = main(
-            ["bench", str(p4_file), str(tmp_path / "nope.txt"), "--combos", "o", "--reps", "1", "--out", str(out)]
-        )
+        undecodable = tmp_path / "undecodable.txt"
+        undecodable.write_bytes(b"0 1\n\xff 2\n")
+        code = main(["bench", str(p4_file), str(tmp_path / "nope.txt"), str(undecodable), "--combos", "o",
+                     "--reps", "1", "--out", str(out)])
         assert code == EXIT_IO
         assert out.exists()
-        assert "skipping" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "skipping" in err and f"skipping {undecodable}" in err
+        assert {r[0] for r in _read_csv(out)[1:]} == {p4_file.name}
 
     def test_natural_baseline(self, tmp_path, p4_file):
         out = tmp_path / "bench.csv"

@@ -138,6 +138,22 @@ def _random_text(rng: random.Random) -> str:
     return "".join(lines)
 
 
+def _long_plain_text(rng: random.Random) -> str:
+    """A plain text of 20,000 edges: ids of 1 to 6 digits from 1 up, so
+    that both bases take them, some padded with zeros to 6 digits, spaces
+    and tabs around and between them, the three line ends, and no end after
+    the last line."""
+    def token() -> str:
+        v = rng.randint(1, 999_999)
+        return f"{v:06d}" if rng.random() < 0.1 else str(v)
+
+    def blanks(least: int) -> str:
+        return "".join(rng.choice(" \t") for _ in range(rng.randint(least, 3)))
+
+    lines = [blanks(0) + token() + blanks(1) + token() + blanks(0) for _ in range(20_000)]
+    return "".join(line + rng.choice(["\n", "\r\n", "\r"]) for line in lines[:-1]) + lines[-1]
+
+
 @pytest.mark.usefixtures("compiled_library")
 class TestArrayPath:
     """The compiled path gives the line parser's graph and report, or declines."""
@@ -145,12 +161,14 @@ class TestArrayPath:
     @pytest.mark.parametrize("index_base", [0, 1])
     def test_matches_line_parser_or_declines(self, index_base):
         rng = random.Random(2024 + index_base)
+        long_text = _long_plain_text(random.Random(31))
         fixed = ["", "\n", "0\n1\n", "0 1 2\n", "0 1 2 3\n", "0 1\r2 3", "0 1\x0b2 3\n", "0 1 # c\n", "\u0661 2\n",
-                 "007 08\n", "1 1\n1 2\n2 1\n", "0 1\n\n\n1 2 \n"]
+                 "007 08\n", "1 1\n1 2\n2 1\n", "0 1\n\n\n1 2 \n", long_text]
         taken = 0
         for text in fixed + [_random_text(rng) for _ in range(400)]:
             got = graph._parse_plain_edge_list(text, index_base)
             if got is None:
+                assert text is not long_text  # plain at both bases
                 continue
             taken += 1
             expected = _line_parser(text, index_base)
@@ -189,7 +207,8 @@ class TestArrayPath:
         "text, index_base",
         [("0 1\n2\n", 0), ("0 1 2\n", 0), ("0 1\n# c\n", 0), ("-1 2\n", 0), ("+1 2\n", 0), ("0\x0c1\n", 0),
          ("\u0661 2\n", 0), ("\n \n", 0), ("0 99999999999999999999\n", 0), ("1 2\n0 1\n", 1), ("0 3", 1),
-         (" \t \r\n  \n\t", 0), ("0 1\n" + "1" * 40 + " 2\n", 0), ("0 18446744073709551617\n", 0)],
+         (" \t \r\n  \n\t", 0), ("0 1\n" + "1" * 40 + " 2\n", 0), ("0 18446744073709551617\n", 0),
+         ("0 1\n2", 0)],
     )
     def test_other_text_is_declined(self, text, index_base):
         assert graph._parse_plain_edge_list(text, index_base) is None
@@ -405,6 +424,21 @@ class TestBfsForms:
                Graph(3, 1, np.array([1, 1, 2, 2]), np.array([1, 0], dtype=np.int32))]
         for g in bad:
             for call in (bfs_order, connected_components, lambda g: relabel(g, _permutation(range(3)))):
+                with pytest.raises(GraphInputError):
+                    call(g)
+
+    def test_converts_other_dtypes_and_refuses_what_the_conversion_changes(self):
+        ok = Graph(3, 1, np.array([0, 1, 2, 2], dtype=np.int32), np.array([1, 0], dtype=np.int64))
+        # offsets of another count than n + 1, and neighbors that int32 wraps or truncates into range
+        bad = [Graph(3, 1, np.array([0, 1, 2]), np.array([1, 0], dtype=np.int32)),
+               Graph(3, 1, np.array([0, 1, 2, 2, 2]), np.array([1, 0], dtype=np.int32)),
+               Graph(3, 1, np.array([0, 1, 2, 2]), np.array([2**32 + 1, 0], dtype=np.int64)),
+               Graph(3, 1, np.array([0, 1, 2, 2]), np.array([1.5, 0.0]))]
+        calls = (lambda g: bfs_order(g).inverse.tolist(), lambda g: connected_components(g).tolist(),
+                 lambda g: relabel(g, _permutation(range(3))))
+        for call in calls:
+            assert call(ok) == call(Graph.from_edges(3, [(0, 1)]))
+            for g in bad:
                 with pytest.raises(GraphInputError):
                     call(g)
 

@@ -413,7 +413,7 @@ class TestBuild:
         functions = re.findall(r"^(void|int64_t) (bcs_\w+)\(([^)]*)\)\n\{\n(.*?)^\}$", source, re.M | re.S)
         exported = {name: (ret, len(params.split(","))) for ret, name, params, _ in functions}
         allocating = {name for _, name, _, body in functions if "take(&" in body}
-        assert len(exported) == 12 and len(allocating) == 9
+        assert len(exported) == 11 and len(allocating) == 9
         assert source.count("malloc(") == 1 and "void *array = malloc(" in source
         bound: dict[str, types.SimpleNamespace] = {}
 
