@@ -21,12 +21,12 @@
  * - bcs_shatter, the articulation pass's shattered rows, with the arcs into
  *   copied tops rewritten and the arcs that move to the copies in the
  *   copies' rows: the compiled form of ``kernels.shatter_arcs_python``;
- * - bcs_parse and then bcs_edge_csr, the one pass over a plain edge list's
- *   bytes and the CSR builder, both called by
- *   ``graph._parse_plain_edge_list`` only: together the compiled form of
- *   ``graph.parse_edge_list``'s line loop, on the texts they take;
- * - bcs_relabel, the renamed CSR of ``graph.relabel``: the compiled form of
- *   its numpy form.
+ * - bcs_parse, the one pass over a plain edge list's bytes, called by
+ *   ``graph._parse_plain_edge_list`` only: the compiled form of the line loop
+ *   of ``graph.parse_edge_list``, on the texts it takes;
+ * - bcs_edge_csr, the builder of every ``Graph``, and bcs_relabel, the
+ *   renamed CSR of ``graph.relabel``, written transposed: the compiled forms
+ *   of ``graph._edge_csr``'s and ``graph.relabel``'s numpy forms.
  *
  * bcs_blocks and bcs_bfs are scans, as are the candidate test of
  * bcs_side_sweep and the grouping of bcs_twin_sweep: they compute no score,
@@ -36,9 +36,9 @@
  * exactly, and the one division is of two such doubles, so each rounds as
  * the Python loop's int arithmetic and true division do.  bcs_compact and
  * bcs_shatter are the edits: they compute no score, and write the arrays
- * their numpy forms return, element for element.  The graph-layer
- * functions read a ``Graph``'s CSR, whose rows are symmetric, ascending and
- * free of self-loops, and build such CSRs.
+ * their numpy forms return, element for element.  bcs_edge_csr builds a
+ * ``Graph``'s CSR, symmetric, ascending and free of self-loops; bcs_relabel
+ * stays in bounds on any CSR ``kernels._check_csr`` accepts.
  *
  * An entry point takes only its inputs and the results its caller reads:
  * take() sizes its scratch from its arguments, and release() frees it on
@@ -824,8 +824,7 @@ int64_t bcs_degree1(int64_t n, const int64_t *offsets, const int32_t *targets,
                 gone[count++] = u;
                 continue;
             }
-            if (degree[u] != 1)
-                continue;
+            /* queued at degree 1 or 0, and degrees only fall: u has one live neighbor */
             int64_t a = offsets[u];
             while (!alive[targets[a]])
                 a++;
@@ -994,13 +993,13 @@ int64_t bcs_parse(const uint8_t *text, int64_t len, int64_t base, int64_t ceilin
 
 /* The simple graph on n vertices whose edges are the npairs pairs
  * (ids[2k], ids[2k + 1]), every id in [0, n), as a ``Graph``'s CSR: the
- * compiled form of ``graph.normalize_edges`` and then
- * ``Graph.from_edges``.  Each pair but a self-loop goes into both its
- * vertices' rows, each row ascending, and repeats, of either orientation,
- * are dropped.  offsets (n + 1 slots) receives the rows' bounds and
- * arcs (2 * npairs slots) the rows, packed at its front, and ids is
- * overwritten.  Writes the numbers of self-loops and of repeated pairs to
- * counts[0] and counts[1] and returns the number of edges. */
+ * compiled form of ``graph._edge_csr``'s numpy form.  Each pair but a
+ * self-loop goes into both its vertices' rows, each row ascending, and
+ * repeats, of either orientation, are dropped.  offsets (n + 1 slots)
+ * receives the rows' bounds and arcs (2 * npairs slots) the rows, packed at
+ * its front, and ids is overwritten.  Writes the numbers of self-loops and
+ * of repeated pairs to counts[0] and counts[1] and returns the number of
+ * edges. */
 int64_t bcs_edge_csr(int64_t n, int64_t npairs, int32_t *ids, int64_t *offsets, int32_t *arcs, int64_t *counts)
 {
     struct scratch s = {0};
@@ -1057,20 +1056,21 @@ int64_t bcs_edge_csr(int64_t n, int64_t npairs, int32_t *ids, int64_t *offsets, 
 }
 
 /* The CSR (offsets, neighbors) on n vertices with every vertex v renamed
- * forward[v], inverse the inverse permutation: new row i is old row
- * inverse[i] renamed, then sorted.  new_offsets needs n + 1 slots and
- * new_neighbors offsets[n]. */
+ * forward[v], inverse the inverse permutation, written transposed: new row
+ * forward[w] receives each new id t whose old row inverse[t] holds w, filled
+ * from its end in decreasing t, so it comes out ascending with no
+ * comparison; symmetric rows come out as the old rows renamed and sorted.
+ * new_offsets needs n + 1 slots and new_neighbors offsets[n]. */
 void bcs_relabel(int64_t n, const int64_t *offsets, const int32_t *neighbors, const int64_t *forward,
                  const int64_t *inverse, int64_t *new_offsets, int32_t *new_neighbors)
 {
-    int64_t out = 0;
-    new_offsets[0] = 0;
-    for (int64_t i = 0; i < n; i++) {
-        int64_t v = inverse[i];
-        int64_t start = out;
-        for (int64_t a = offsets[v]; a < offsets[v + 1]; a++)
-            new_neighbors[out++] = (int32_t)forward[neighbors[a]];
-        sort_ids(new_neighbors + start, out - start);
-        new_offsets[i + 1] = out;
-    }
+    for (int64_t i = 0; i <= n; i++)
+        new_offsets[i] = 0;
+    for (int64_t a = 0; a < offsets[n]; a++)
+        new_offsets[forward[neighbors[a]]]++;
+    for (int64_t i = 0; i < n; i++) /* each row's end */
+        new_offsets[i + 1] += new_offsets[i];
+    for (int64_t t = n - 1; t >= 0; t--)
+        for (int64_t a = offsets[inverse[t]]; a < offsets[inverse[t] + 1]; a++)
+            new_neighbors[--new_offsets[forward[neighbors[a]]]] = (int32_t)t;
 }

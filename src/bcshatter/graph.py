@@ -1,21 +1,20 @@
 """Immutable CSR graph, input parsing, BFS relabeling, and connectivity.
 
-Graphs are undirected and simple: parsing always drops self-loops, collapses
-duplicate/parallel edges, and symmetrizes the adjacency, because downstream
+Graphs are undirected and simple: the one builder, :func:`_edge_csr`, drops
+self-loops, collapses duplicate/parallel edges, and symmetrizes the
+adjacency for every parser and :meth:`Graph.from_edges`, because downstream
 reduction passes assume a loop-free simple graph.  Vertex ids are dense
 ``0..n-1`` 32-bit integers; scores elsewhere are float64.
 
-The graph stays in arrays from parse to relabel, and one BFS gives both the
-BFS ordering and the component labels: :func:`kernels.bfs`, the BFS the
-work graph's components use too, after :func:`kernels._check_csr`, the CSR
-check the work graph's arrays pass too.  Three steps run compiled, in
+A ``Graph`` is read through :func:`_on_csr`, whose conversion and CSR check
+the BFS, :func:`relabel` and ``WorkGraph.from_graph`` share.  One BFS gives
+both the BFS ordering and the component labels: :func:`kernels.bfs`, which
+the work graph's components use too.  Four steps run compiled, in
 ``_brandes.c`` through :mod:`bcshatter.kernels`, with a Python form each
 that is their reference and runs when the library cannot be built or
 loaded: the parse of a plain edge list (the line loop of
-:func:`parse_edge_list`), the BFS (:func:`kernels.bfs_python`) and
-:func:`relabel` (its numpy form).  The Python forms build every ``Graph``
-with one CSR builder, fed every arc in both directions as one packed int64
-key.
+:func:`parse_edge_list`), the builder, the BFS (:func:`kernels.bfs_python`)
+and :func:`relabel` (numpy forms).
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ class GraphFormatError(GraphInputError):
 
 # Largest vertex id the int32 neighbor arrays can hold.
 MAX_VERTEX_ID = np.iinfo(np.int32).max
-# Ids are below 2^31, so an edge packs into one int64 key lo * _WIDTH + hi.
+# Ids are below 2^31, so an arc packs into one int64 key src * _WIDTH + dst.
 _WIDTH = MAX_VERTEX_ID + 1
 # Edge-list parsing sets n = max id + 1, so one stray id would size every
 # per-vertex array by it; ids at or past this ceiling are refused instead.
@@ -124,47 +123,40 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
-        """Build from a sequence or array of (u, v) pairs; assumes ids in range.
+        """The simple graph on ``n`` vertices whose edges are the (u, v)
+        pairs of ``edges``, a sequence or array: self-loops and repeats, of
+        either orientation, are dropped, as the parsers drop them.  Refuses
+        ids that are not integers in ``range(n)`` with :class:`GraphRangeError`."""
+        pairs = np.asarray(edges).reshape(-1, 2)  # ids past int64 make an object array
+        if pairs.size and not (pairs.dtype.kind in "iu" and 0 <= pairs.min() <= pairs.max() < n):
+            raise GraphRangeError(f"vertex ids must be integers in range({n})")
+        return _edge_csr(n, pairs.astype(np.int32).ravel())[0]
 
-        Self-loops and duplicates must already be removed; use
-        :func:`normalize_edges` for raw input.
-        """
-        u, v = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
-        return _csr(n, np.concatenate([u * _WIDTH + v, v * _WIDTH + u]))
 
-
-def _csr(n: int, keys: np.ndarray) -> Graph:
-    """The graph whose arcs are the packed keys ``src * _WIDTH + dst``, every
-    edge given in both directions.  Sorting the keys sorts the arcs by
-    ``(src, dst)``; ``keys`` is sorted in place and reused."""
+def _edge_csr(n: int, ids: np.ndarray) -> tuple[Graph, NormalizationReport]:
+    """The simple graph on ``n`` vertices with the edges ``(ids[2k],
+    ids[2k + 1])``, ids in ``range(n)``, and the self-loops and repeats of
+    either orientation it dropped: ``bcs_edge_csr``, which overwrites ``ids``
+    (int32), or, when the compiled library cannot be built or loaded, its
+    numpy form, one stable sort of both directions of every pair as keys."""
+    npairs = len(ids) // 2
+    lib = kernels._kernel()
+    if lib is not None:
+        offsets, arcs = np.empty(n + 1, dtype=np.int64), np.empty(2 * npairs, dtype=np.int32)
+        counts = np.empty(2, dtype=np.int64)
+        m = lib.bcs_edge_csr(n, npairs, ids, offsets, arcs, counts)
+        return Graph(n, m, offsets, arcs[: 2 * m].copy()), NormalizationReport(*counts.tolist())
+    # flatnonzero of differences, not boolean masks or np.unique, whose loops
+    # and imports would add resident memory nothing else on the solve path does
+    pairs = ids.astype(np.int64).reshape(-1, 2)
+    u, v = pairs[np.flatnonzero(pairs[:, 0] - pairs[:, 1])].T
+    keys = np.concatenate([u * _WIDTH + v, v * _WIDTH + u])
     keys.sort(kind="stable")
+    keys = keys[np.flatnonzero(np.diff(keys, prepend=-1))]  # keys are >= 0, so the first stays
     offsets = np.searchsorted(keys, np.arange(n + 1) * _WIDTH)
     keys %= _WIDTH  # dst; unlike &, % runs a ufunc loop the solve has paged in already
-    return Graph(n, len(keys) // 2, offsets, keys.astype(np.int32))
-
-
-def normalize_edges(raw: list[tuple[int, int]], *, listed_twice: bool = False):
-    """Dedupe and drop self-loops from raw directed entries.
-
-    Returns ``(edges, report)`` where edges is an int64 array of the unique
-    (u, v) rows with u < v, sorted.  ``listed_twice`` adjusts the duplicate
-    count for formats that list each edge in both directions (METIS).
-    """
-    # Every step here is chosen for the resident memory it does not add:
-    # np.unique imports numpy.ma and the default np.sort loads the SIMD
-    # sorts, while the stable sort is loaded for the CSR builder anyway;
-    # picking rows by flatnonzero of differences skips the int64 comparison
-    # and boolean-mask loops, 0.2-0.5 MB, that nothing else on the solve
-    # path runs.
-    pairs = np.asarray(raw, dtype=np.int64).reshape(-1, 2)
-    u, v = pairs[np.flatnonzero(pairs[:, 0] - pairs[:, 1])].T
-    keys = np.minimum(u, v) * _WIDTH + np.maximum(u, v)
-    keys.sort(kind="stable")
-    # keys are >= 0, so prepending -1 keeps the first one
-    lo, hi = np.divmod(keys[np.flatnonzero(np.diff(keys, prepend=-1))], _WIDTH)
-    expected = 2 if listed_twice else 1
-    dups = max(0, len(keys) - expected * len(lo))
-    return np.stack([lo, hi], axis=1), NormalizationReport(len(pairs) - len(keys), dups)
+    m = len(keys) // 2
+    return Graph(n, m, offsets, keys.astype(np.int32)), NormalizationReport(npairs - len(u), len(u) - m)
 
 
 def _parse_plain_edge_list(text: str, index_base: int):
@@ -176,7 +168,7 @@ def _parse_plain_edge_list(text: str, index_base: int):
     and every id in range once shifted by ``index_base``.  The line loop
     reads such a text the same way, so the result is the line parser's
     graph and report.  It raises only MemoryError, from the ids buffer or
-    the CSR builder: a text it declines, and every text when the compiled
+    the builder: a text it declines, and every text when the compiled
     library cannot be built or loaded, goes to the line parser, which
     reports what is wrong.
     """
@@ -189,13 +181,7 @@ def _parse_plain_edge_list(text: str, index_base: int):
     ids, top = np.empty((len(buf) + 1) // 2, dtype=np.int32), np.empty(1, dtype=np.int64)
     # the compiled reader keeps ids within int32 only under a ceiling of at most _WIDTH
     count = lib.bcs_parse(buf, len(buf), index_base, min(MAX_VERTICES, _WIDTH), ids, top)
-    if count <= 0:
-        return None
-    n = int(top[0]) + 1
-    offsets, arcs = np.empty(n + 1, dtype=np.int64), np.empty(count, dtype=np.int32)
-    counts = np.empty(2, dtype=np.int64)
-    m = lib.bcs_edge_csr(n, count // 2, ids, offsets, arcs, counts)
-    return Graph(n, m, offsets, arcs[: 2 * m].copy()), NormalizationReport(*counts.tolist())
+    return None if count <= 0 else _edge_csr(int(top[0]) + 1, ids[:count])
 
 
 def parse_edge_list(text: str, *, index_base: int = 0) -> tuple[Graph, NormalizationReport]:
@@ -211,8 +197,7 @@ def parse_edge_list(text: str, *, index_base: int = 0) -> tuple[Graph, Normaliza
     parsed = _parse_plain_edge_list(text, index_base)
     if parsed is not None:
         return parsed
-    raw: list[tuple[int, int]] = []
-    max_id = -1
+    ids: list[int] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -232,10 +217,8 @@ def parse_edge_list(text: str, *, index_base: int = 0) -> tuple[Graph, Normaliza
             raise GraphRangeError(
                 f"line {lineno}: vertex id above {MAX_VERTICES - 1 + index_base}, the vertex-count ceiling"
             )
-        raw.append((u, v))
-        max_id = max(max_id, u, v)
-    edges, report = normalize_edges(raw)
-    return Graph.from_edges(max_id + 1, edges), report
+        ids += u, v
+    return _edge_csr(max(ids, default=-1) + 1, np.array(ids, dtype=np.int32))
 
 
 def parse_metis(text: str) -> tuple[Graph, NormalizationReport]:
@@ -265,7 +248,7 @@ def parse_metis(text: str) -> tuple[Graph, NormalizationReport]:
     if weighted:
         raise GraphFormatError("weighted METIS formats are not supported")
 
-    raw: list[tuple[int, int]] = []
+    ids: list[int] = []
     vertex = 0
     for lineno in range(body_start, len(lines)):
         stripped = lines[lineno].strip()
@@ -282,14 +265,15 @@ def parse_metis(text: str) -> tuple[Graph, NormalizationReport]:
                 raise GraphParseError(f"line {lineno + 1}: non-integer neighbor {tok!r}") from None
             if not 1 <= w <= n:
                 raise GraphRangeError(f"line {lineno + 1}: neighbor {w} outside 1..{n}")
-            raw.append((vertex, w - 1))
+            ids += vertex, w - 1
         vertex += 1
     if vertex < n:
         raise GraphFormatError(f"declared n={n} but found only {vertex} vertex lines")
-    if len(raw) != 2 * m:
-        raise GraphFormatError(f"header declares m={m} edges but body lists {len(raw)} entries (expected {2 * m})")
-    edges, report = normalize_edges(raw, listed_twice=True)
-    return Graph.from_edges(n, edges), report
+    if len(ids) != 4 * m:
+        raise GraphFormatError(f"header declares m={m} edges but body lists {len(ids) // 2} entries (expected {2 * m})")
+    g, report = _edge_csr(n, np.array(ids, dtype=np.int32))
+    # each edge is listed from both its ends, so only listings past the two are repeats
+    return g, NormalizationReport(report.self_loops, max(0, report.duplicate_edges - g.m))
 
 
 def parse_graph(text: str, fmt: str = "edge-list", *, index_base: int = 0):
@@ -335,6 +319,11 @@ def _on_csr(g: Graph, call, *args):
         raise GraphInputError(f"the graph's arrays are not a CSR over its {g.n} vertices") from exc
 
 
+def _checked_csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """``g``'s arrays as :func:`_on_csr` gives them, checked as the BFS checks them."""
+    return _on_csr(g, lambda *csr: kernels._check_csr(*csr, g.n, 0, g.n, "neighbor") or csr)
+
+
 def bfs_order(g: Graph, start: int = 0) -> VertexPermutation:
     """Rank vertices by BFS dequeue order from ``start``.
 
@@ -353,8 +342,9 @@ def bfs_order(g: Graph, start: int = 0) -> VertexPermutation:
 def relabel(g: Graph, perm: VertexPermutation) -> Graph:
     """Isomorphic copy of ``g`` with vertex v renamed to ``perm.forward[v]``:
     ``bcs_relabel``, or a numpy form when the compiled library cannot be
-    built or loaded.  Refuses a ``perm`` whose ``forward`` and ``inverse``
-    are not inverse permutations of ``range(g.n)``."""
+    built or loaded, both writing the rows transposed, so each comes out
+    sorted.  Refuses a ``perm`` whose ``forward`` and ``inverse`` are not
+    inverse permutations of ``range(g.n)``."""
     fwd, inv = np.asarray(perm.forward), np.asarray(perm.inverse)
     if fwd.shape != (g.n,) or inv.shape != (g.n,):
         raise GraphInputError(f"permutation over {fwd.shape[0]} vertices, graph has {g.n}")
@@ -362,14 +352,16 @@ def relabel(g: Graph, perm: VertexPermutation) -> Graph:
     if g.n and not (fwd.dtype.kind in "iu" and inv.dtype.kind in "iu" and 0 <= inv.min() <= inv.max() < g.n
                     and np.array_equal(fwd[inv], np.arange(g.n))):
         raise GraphInputError("forward and inverse are not inverse permutations of the vertices")
-    # bcs_relabel checks nothing, so the CSR is checked here
-    offsets, neighbors = _on_csr(g, lambda *csr: kernels._check_csr(*csr, g.n, 0, g.n, "neighbor") or csr)
+    offsets, neighbors = _checked_csr(g)  # bcs_relabel checks nothing
     fwd, inv = np.ascontiguousarray(fwd, dtype=np.int64), np.ascontiguousarray(inv, dtype=np.int64)
     lib = kernels._kernel()
     if lib is None:
-        keys = np.repeat(fwd * _WIDTH, np.diff(offsets))
-        keys += fwd[neighbors]
-        return _csr(g.n, keys)
+        keys = fwd[neighbors] * _WIDTH  # each arc v -> w as fwd[w] -> fwd[v]
+        keys += np.repeat(fwd, np.diff(offsets))
+        keys.sort(kind="stable")
+        new_offsets = np.searchsorted(keys, np.arange(g.n + 1) * _WIDTH)
+        keys %= _WIDTH
+        return Graph(g.n, g.m, new_offsets, keys.astype(np.int32))
     new_offsets, new_neighbors = np.empty(g.n + 1, dtype=np.int64), np.empty(len(neighbors), dtype=np.int32)
     lib.bcs_relabel(g.n, offsets, neighbors, fwd, inv, new_offsets, new_neighbors)
     return Graph(g.n, g.m, new_offsets, new_neighbors)

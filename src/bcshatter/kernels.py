@@ -73,11 +73,12 @@ graph's rows and members.
 The library also holds the graph layer's other compiled steps, bound here
 and called from ``graph.py``, whose Python code is their reference:
 
-* ``bcs_parse`` and ``bcs_edge_csr``, the one pass over a plain edge
-  list's bytes and the CSR builder, called by
+* ``bcs_parse``, the one pass over a plain edge list's bytes, called by
   ``graph._parse_plain_edge_list``; the line loop of
   ``graph.parse_edge_list`` is the reference.
-* ``bcs_relabel``, ``graph.relabel``: its numpy form.
+* ``bcs_edge_csr``, the builder of every ``Graph``, ``graph._edge_csr``,
+  and ``bcs_relabel``, ``graph.relabel``, written transposed: their numpy
+  forms.
 
 The first call that needs the library builds it with the local C compiler
 into a per-user cache named by the hash of the source and the compile
@@ -963,8 +964,7 @@ def degree1_python(offsets, targets, members, reach, ident, edgeless, out: np.nd
                 alive[u] = False
                 gone.append(u)
                 continue
-            if degree[u] != 1:
-                continue
+            # queued at degree 1 or 0, and degrees only fall: u has one live neighbor
             v = next(x for x in targets[offsets[u] : offsets[u + 1]] if alive[x])
             # A class bundle hanging off a merged neighbor is not a true leaf in
             # the unmerged graph; leave those for the side pass or the kernel.

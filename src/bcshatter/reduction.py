@@ -62,7 +62,7 @@ from time import perf_counter
 import numpy as np
 
 from . import kernels
-from .graph import Graph
+from .graph import Graph, _checked_csr
 
 TECHNIQUE_LETTERS = "odbasi"
 
@@ -159,8 +159,9 @@ class WorkGraph:
 
     @classmethod
     def from_graph(cls, g: Graph) -> "WorkGraph":
+        """``g`` with unit attributes, refused as ``graph.relabel`` refuses it."""
         w = cls()
-        w.offsets, w.targets = g.offsets.copy(), g.neighbors.copy()
+        w.offsets, w.targets = (a.copy() for a in _checked_csr(g))
         w.reach, w.ident = np.ones(g.n, dtype=np.int64), np.ones(g.n, dtype=np.int64)
         w.internal_edgeless, w.internal_clique = np.ones(g.n, dtype=bool), np.ones(g.n, dtype=bool)
         w.member_offsets, w.member_ids = np.arange(g.n + 1, dtype=np.int64), np.arange(g.n, dtype=np.int64)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bcshatter import kernels
 from bcshatter.engine import NonFiniteScoresError, compute_scores
-from bcshatter.graph import Graph
+from bcshatter.graph import Graph, GraphInputError
 from bcshatter.kernels import betweenness
 from bcshatter.oracle import GraphSpec, bc_brute, generate
 from bcshatter.reduction import STANDARD_COMBINATIONS
@@ -144,6 +144,23 @@ def test_side_degree_cap_that_is_not_an_integer_is_refused_on_both_forms(monkeyp
         # an integer of another type is an integer
         assert compute_scores(g, "odbasi", max_side_degree=np.int64(3)).scores.tobytes() == compute_scores(
             g, "odbasi", max_side_degree=3).scores.tobytes()
+    assert len(errors) == 1, errors
+
+
+def test_every_combination_reads_a_graph_alike(monkeypatch):
+    # int32 offsets are converted, and a neighbor naming no vertex is refused,
+    # with or without the ordering that reads the graph first
+    path = Graph(4, 3, np.array([0, 1, 3, 5, 6], dtype=np.int32), np.array([1, 0, 2, 1, 3, 2], dtype=np.int32))
+    bad = Graph(3, 1, np.array([0, 1, 2, 2]), np.array([1, 3], dtype=np.int32))
+    expected = bc_brute(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]))
+    errors = set()
+    for lib in (kernels._kernel(), None):
+        monkeypatch.setattr(kernels, "_compiled", lib)
+        for combo in ("", "d", "od", "odbasi"):
+            assert np.allclose(compute_scores(path, combo).scores, expected, atol=1e-12), combo
+            with pytest.raises(GraphInputError) as refused:
+                compute_scores(bad, combo)
+            errors.add(str(refused.value))
     assert len(errors) == 1, errors
 
 

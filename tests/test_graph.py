@@ -1,4 +1,5 @@
-"""Parsing, normalization, relabeling, and connectivity."""
+"""Parsing, the edge-pair builder and its normalization, relabeling, and
+connectivity."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcshatter import graph, kernels
+from bcshatter import cli, graph, kernels
 from bcshatter.graph import (
     Graph,
     GraphFormatError,
@@ -19,14 +20,14 @@ from bcshatter.graph import (
     VertexPermutation,
     bfs_order,
     connected_components,
-    normalize_edges,
     parse_edge_list,
     parse_graph,
     parse_metis,
     relabel,
     to_edge_list,
 )
-from bcshatter.oracle import FAMILIES, GraphSpec, generate
+from bcshatter.engine import compute_scores
+from bcshatter.oracle import FAMILIES, GraphSpec, bc_brute, generate
 
 from conftest import random_graph
 
@@ -222,8 +223,9 @@ def _normalize_by_set(raw, listed_twice):
     return sorted(unique), loops, dups
 
 
-def _raw_entries(seed: int) -> list[tuple[int, int]]:
-    """Edges with self-loops and repeats in both orientations, shuffled."""
+def _raw_entries(seed: int) -> tuple[int, list[tuple[int, int]]]:
+    """A vertex count and edges on it with self-loops and repeats in both
+    orientations, shuffled."""
     rng = random.Random(seed)
     n = rng.randint(1, 12)
     raw = []
@@ -233,31 +235,143 @@ def _raw_entries(seed: int) -> list[tuple[int, int]]:
         if rng.random() < 0.5:
             raw.append((v, u))
     rng.shuffle(raw)
-    return raw
+    return n, raw
+
+
+def _build(n: int, pairs) -> tuple[Graph, graph.NormalizationReport]:
+    """The builder's graph and report on ``pairs``."""
+    return graph._edge_csr(n, np.array(pairs, dtype=np.int32).reshape(-1))
+
+
+def _metis_text(n: int, raw) -> str:
+    """A METIS text listing each (u, v) of ``raw`` on u's line."""
+    rows = [[] for _ in range(n)]
+    for u, v in raw:
+        rows[u].append(str(v + 1))
+    return "".join(line + "\n" for line in [f"{n} {len(raw) // 2}", *map(" ".join, rows)])
+
+
+def _forms():
+    """The builder's forms here: the compiled library, when it loads, and
+    the numpy form (None)."""
+    lib = kernels._kernel()
+    return [None] if lib is None else [lib, None]
 
 
 class TestNormalizeEdges:
+    """The builder drops self-loops and repeats of either orientation, as the
+    tuple definition counts them, on both its forms; ``parse_metis``, whose
+    body lists each edge from both ends, counts a repeat only past the
+    second listing."""
+
     @pytest.mark.parametrize("listed_twice", [False, True])
     @pytest.mark.parametrize("seed", range(40))
-    def test_matches_set_counting(self, seed, listed_twice):
-        raw = _raw_entries(seed)
-        edges, report = normalize_edges(raw, listed_twice=listed_twice)
+    def test_matches_set_counting(self, seed, listed_twice, monkeypatch):
+        n, raw = _raw_entries(seed)
+        if listed_twice:
+            raw += [(0, 0)] * (len(raw) % 2)  # a METIS body lists 2m entries
         unique, loops, dups = _normalize_by_set(raw, listed_twice)
-        assert [tuple(e) for e in edges.tolist()] == unique
-        assert (report.self_loops, report.duplicate_edges) == (loops, dups)
+        for lib in _forms():
+            monkeypatch.setattr(kernels, "_compiled", lib)
+            g, report = parse_metis(_metis_text(n, raw)) if listed_twice else _build(n, raw)
+            assert g.n == n and g.edges() == unique
+            assert (report.self_loops, report.duplicate_edges) == (loops, dups)
+            g.validate()
 
     @pytest.mark.parametrize("listed_twice", [False, True])
-    def test_empty(self, listed_twice):
-        edges, report = normalize_edges([], listed_twice=listed_twice)
-        assert edges.shape == (0, 2)
-        assert (report.self_loops, report.duplicate_edges) == (0, 0)
-        assert Graph.from_edges(3, edges) == Graph.from_edges(3, [])
+    def test_empty(self, listed_twice, monkeypatch):
+        for lib in _forms():
+            monkeypatch.setattr(kernels, "_compiled", lib)
+            g, report = parse_metis("3 0\n\n\n\n") if listed_twice else _build(3, [])
+            assert (report.self_loops, report.duplicate_edges) == (0, 0)
+            assert g == Graph.from_edges(3, []) and g.offsets.tolist() == [0, 0, 0, 0]
 
-    def test_largest_ids_do_not_overflow(self):
-        top = 2**31 - 1
-        edges, report = normalize_edges([(top, top - 1), (top - 1, top), (0, top), (top, top)])
-        assert edges.tolist() == [[0, top], [top - 1, top]]
-        assert (report.self_loops, report.duplicate_edges) == (1, 1)
+    def test_largest_ids_do_not_overflow(self, monkeypatch):
+        # ids past int32 are refused before either form runs, never wrapped into range
+        for pairs in ([(2**31 - 1, 0)], [(2**32 + 1, 0)], [(0, 1 - 2**32)]):
+            with pytest.raises(GraphRangeError):
+                Graph.from_edges(3, pairs)
+        top = (1 << 16) - 1
+        for lib in _forms():
+            monkeypatch.setattr(kernels, "_compiled", lib)
+            g, report = _build(top + 1, [(top, top - 1), (top - 1, top), (0, top), (top, top)])
+            assert g.edges() == [(0, top), (top - 1, top)]
+            assert (report.self_loops, report.duplicate_edges) == (1, 1)
+
+
+def _same_build(lib, n: int, pairs) -> Graph:
+    """The builder on ``pairs`` compiled and in numpy, asserted equal."""
+    got = []
+    with pytest.MonkeyPatch.context() as mp:
+        for form in (lib, None):
+            mp.setattr(kernels, "_compiled", form)
+            got.append(_build(n, pairs))
+    (ours, report), (numpy_form, numpy_report) = got
+    assert report == numpy_report and (ours.n, ours.m) == (numpy_form.n, numpy_form.m)
+    for a, b in ((ours.offsets, numpy_form.offsets), (ours.neighbors, numpy_form.neighbors)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    return ours
+
+
+class TestBuilderForms:
+    """``bcs_edge_csr`` and the builder's numpy form give equal arrays and
+    counts."""
+
+    @pytest.mark.parametrize("index_base", [0, 1])
+    def test_array_path_texts(self, compiled_library, index_base):
+        rng = random.Random(2024 + index_base)
+        texts = ["0 1\r2 3", "007 08\n", "1 1\n1 2\n2 1\n", "0 1\n\n\n1 2 \n", _long_plain_text(random.Random(31))]
+        taken = 0
+        for text in texts + [_random_text(rng) for _ in range(400)]:
+            parsed = graph._parse_plain_edge_list(text, index_base)
+            if parsed is None:
+                continue
+            ids = [int(x) - index_base for x in text.split()]
+            assert _same_build(compiled_library, parsed[0].n, list(zip(ids[::2], ids[1::2]))) == parsed[0]
+            taken += 1
+        assert taken > 100
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_normalization_cases(self, compiled_library, seed):
+        _same_build(compiled_library, *_raw_entries(seed))
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_pairs(self, compiled_library, seed):
+        # loops, repeats in both orientations, an isolated top id, and no pairs
+        rng = random.Random(seed)
+        n = rng.randint(1, 40)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.choice([0, 1, 5, 60]))]
+        pairs += [(v, u) for u, v in rng.sample(pairs, len(pairs) // 3)] + pairs[: len(pairs) // 4]
+        rng.shuffle(pairs)
+        g = _same_build(compiled_library, n + 1, pairs)
+        assert g.neighbors_of(n).size == 0
+        g.validate()
+
+
+class TestFromEdges:
+    # a 4-cycle with one edge given again reversed, and a pendant vertex with a self-loop
+    PAIRS = [(0, 1), (1, 2), (2, 3), (3, 0), (1, 0), (3, 4), (4, 4)]
+
+    @pytest.mark.usefixtures("graph_form")
+    def test_drops_loops_and_repeats_as_the_parsers_do(self):
+        g = Graph.from_edges(5, self.PAIRS)
+        parsed, report = parse_graph("".join(f"{u} {v}\n" for u, v in self.PAIRS))
+        assert g == parsed and g.m == 5 and (report.self_loops, report.duplicate_edges) == (1, 1)
+        g.validate()
+
+    def test_scores_are_the_simple_graphs(self):
+        g = Graph.from_edges(5, self.PAIRS)
+        expected = bc_brute(g)
+        assert expected.tolist() == [2.0, 1.0, 2.0, 7.0, 0.0]
+        for combo in ("o", "odbasi"):
+            assert np.allclose(compute_scores(g, combo).scores, expected)
+
+    @pytest.mark.usefixtures("graph_form")
+    @pytest.mark.parametrize("pairs", [[(0, 5)], [(0, -1)], [(3, 0)], [(0, 1), (1, 2), (2, 3)], [(0, 2**64)],
+                                       [(0, 1.5)], np.array([[0, 2**63]], dtype=np.uint64)])
+    def test_refuses_ids_outside_the_vertices(self, pairs):
+        with pytest.raises(GraphRangeError):
+            Graph.from_edges(3, pairs)
 
 
 class TestParseMetis:
@@ -290,6 +404,24 @@ class TestParseMetis:
     def test_bad_header_fields_rejected(self, text):
         with pytest.raises(GraphFormatError):
             parse_metis(text)
+
+    @pytest.mark.usefixtures("graph_form")
+    def test_comment_line_inside_the_body_is_skipped(self):
+        g, _ = parse_metis("3 2\n2\n% vertex 2 next\n1 3\n2")
+        assert g == parse_metis("3 2\n2\n1 3\n2")[0]
+
+    @pytest.mark.usefixtures("graph_form")
+    @pytest.mark.parametrize(
+        "text, error",
+        [("3 2\n2\n1 3\n2\n1\n", GraphFormatError), ("3 2\n2\n1 x\n2", GraphParseError),
+         ("3\n2\n1 3\n2", GraphFormatError), ("3 2 0 1\n2\n1 3\n2", GraphFormatError)],
+    )
+    def test_refusals(self, text, error, tmp_path):
+        with pytest.raises(error):
+            parse_metis(text)
+        path = tmp_path / "bad.graph"
+        path.write_text(text)
+        assert cli.main(["compute", str(path), "--format", "metis"]) == cli.EXIT_IO
 
     def test_isolated_vertices_representable(self):
         g, _ = parse_metis("3 0\n\n\n\n")
@@ -491,6 +623,20 @@ class TestRelabel:
         for ours, numpy_form in ((got[0].offsets, got[1].offsets), (got[0].neighbors, got[1].neighbors)):
             assert ours.dtype == numpy_form.dtype and np.array_equal(ours, numpy_form)
 
+    def test_forms_agree_on_an_asymmetric_csr(self, compiled_library, monkeypatch):
+        # rows 0: [2, 2, 1], 1: [], 2: [0], 3: [3, 1]: a repeat, a loop, arcs one way only
+        g = Graph(4, 3, np.array([0, 3, 3, 4, 6]), np.array([2, 2, 1, 0, 3, 1], dtype=np.int32))
+        forward = [2, 0, 3, 1]
+        transposed = [[] for _ in range(4)]
+        for v in range(4):
+            for w in g.neighbors_of(v).tolist():
+                transposed[forward[w]].append(forward[v])
+        for lib in (compiled_library, None):
+            monkeypatch.setattr(kernels, "_compiled", lib)
+            h = relabel(g, _permutation(forward))
+            assert h.offsets.dtype == np.int64 and h.neighbors.dtype == np.int32
+            assert [h.neighbors_of(v).tolist() for v in range(4)] == list(map(sorted, transposed))
+
     @pytest.mark.usefixtures("graph_form")
     @pytest.mark.parametrize(
         "forward, inverse",
@@ -529,6 +675,14 @@ class TestConnectedComponents:
     def test_several_components_labelled_in_first_seen_order(self):
         g = Graph.from_edges(7, [(0, 5), (1, 6), (2, 3), (4, 6)])
         assert connected_components(g).tolist() == [0, 1, 2, 2, 1, 0, 1]
+
+
+@pytest.mark.usefixtures("graph_form")
+def test_unknown_format_and_base_are_refused():
+    with pytest.raises(GraphInputError):
+        parse_graph("0 1\n", "adjacency")
+    with pytest.raises(GraphInputError):
+        parse_edge_list("2 3\n", index_base=2)
 
 
 def test_graph_invariants_hold_after_parse():

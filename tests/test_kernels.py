@@ -621,7 +621,9 @@ flat, block_ends, *_ = kernels.block_walk(WorkGraph.from_graph(Graph.from_edges(
 for name, call in calls.items():
     for k in range(100):
         # a triangle with a pendant vertex, every vertex of reach 2: each
-        # entry point that adds credits would add some
+        # entry point that adds credits would add some; building it calls
+        # bcs_edge_csr, so no allocation fails before the call
+        lib.fail_allocation(-1)
         w = WorkGraph.from_graph(Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]))
         w.reach[:] = 2
         arrays, out = {field: getattr(w, field).copy() for field in kernels._WORK_DTYPES}, np.zeros(4)

@@ -500,6 +500,14 @@ class TestCompact:
                 kernels.rebuild(offsets, targets, keep_vertices, keep_arcs)
 
 
+@pytest.mark.parametrize("letter", ["x", "o", "", "db"])
+def test_run_pass_refuses_an_unknown_letter(letter):
+    w, out = _work(path_graph(3))
+    with pytest.raises(ValueError, match="unknown reduction pass"):
+        run_pass(w, letter, out)
+    assert out.tolist() == [0.0, 0.0, 0.0] and w.n == 3
+
+
 def _shattered_rows(rows: list[list[int]], flat: np.ndarray, ends: np.ndarray, copied: np.ndarray):
     """The rows the articulation pass leaves, from lists: each old row with
     its arcs into the top of its vertex's copied home block renamed to the
@@ -595,6 +603,22 @@ class TestShatterArcs:
                 _assert_same_work_graphs(results[0], other)
             copies += len(blocks)
         assert copies > 300
+
+    @pytest.mark.parametrize("case", ["copied of another length", "an empty block"])
+    def test_refusals(self, monkeypatch, case):
+        """Both forms refuse a ``copied`` without one entry per block, and a
+        block that holds no top, before either runs."""
+        w = WorkGraph.from_graph(Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]))
+        flat, ends, *_ = kernels.block_walk(w)
+        if case == "an empty block":
+            ends = np.concatenate([ends[:1], ends])  # block 0 ends where it starts
+        copied = np.zeros(len(ends) - (case == "an empty block"), dtype=bool)
+        for lib in _forms():
+            monkeypatch.setattr(kernels, "_compiled", lib)
+            with pytest.raises(ValueError, match="copied needs" if case.startswith("copied") else "hold its top"):
+                kernels.shatter_arcs(w, flat, ends, copied)
+
+
 class TestLetterOrderFuzz:
     def test_letter_orders_match_brute(self, monkeypatch):
         """Seeded, time-boxed fuzz over every order of every non-empty subset

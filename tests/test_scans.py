@@ -579,6 +579,16 @@ class TestRefusals:
             _ENTRY_POINTS[entry](w, out)
         assert out.tolist() == [0.0, 0.0, 0.0]
 
+    @pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+    @pytest.mark.parametrize("field", ["ident", "internal_edgeless", "internal_clique"])
+    def test_arrays_that_do_not_cover_the_vertices(self, scan_form, entry, field):
+        w = _path_work_graph()
+        setattr(w, field, getattr(w, field)[:2].copy())
+        out = np.zeros(3)
+        with pytest.raises(ValueError, match="cover its 3 vertices"):
+            _ENTRY_POINTS[entry](w, out)
+        assert out.tolist() == [0.0, 0.0, 0.0]
+
     @pytest.mark.parametrize("entry", ["side_sweep", "twin_sweep", "degree1"])
     def test_accumulator_of_another_dtype(self, scan_form, entry):
         w = _path_work_graph()
