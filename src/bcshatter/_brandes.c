@@ -64,7 +64,7 @@
  * only, in reverse BFS order, as ``kernels.side_bfs`` does with its
  * predecessor lists.  The side runs keep this traversal of their own: on
  * bcs_brandes's traversal, one lane or a batch of them, they measured
- * slower (ROADMAP item 4, dropped).
+ * slower (ROADMAP item 3, reopened after items 1-2).
  *
  * Build: cc -O2 -shared -fPIC -ffp-contract=off.  Contracting a * b + c into
  * a fused multiply-add would round differently from Python.
@@ -138,7 +138,7 @@ static void empty_buckets(int64_t n, const int64_t *offsets, const int32_t *targ
  * never discovers an ABSENT vertex.  The sweep reads a swept vertex's
  * bucket and empties it again. */
 static int64_t forward(int32_t s, const int64_t *offsets, const int32_t *targets,
-                       const double *reach, const double *ident,
+                       const int64_t *reach, const int64_t *ident,
                        int32_t *dist, int32_t *order, double *sigma, double *delta,
                        int32_t *preds, int64_t *fill)
 {
@@ -146,18 +146,18 @@ static int64_t forward(int32_t s, const int64_t *offsets, const int32_t *targets
     order[0] = s;
     dist[s] = 0;
     sigma[s] = 1.0;
-    delta[s] = reach[s] - 1.0;
+    delta[s] = (double)reach[s] - 1.0;
     for (int64_t head = 0; head < end; head++) {
         int32_t v = order[head];
         int32_t dv1 = dist[v] + 1;
         /* a source forwards its sigma without the ident fan-out */
-        double sv = v != s ? sigma[v] * ident[v] : sigma[v];
+        double sv = v != s ? sigma[v] * (double)ident[v] : sigma[v];
         for (int64_t a = offsets[v]; a < offsets[v + 1]; a++) {
             int32_t w = targets[a];
             if (dist[w] == UNSEEN) {
                 dist[w] = dv1;
                 sigma[w] = 0.0;
-                delta[w] = reach[w] - 1.0;
+                delta[w] = (double)reach[w] - 1.0;
                 order[end++] = w;
             }
             if (dist[w] == dv1) {
@@ -368,8 +368,10 @@ int64_t bcs_brandes(int64_t n, const int64_t *offsets, const int32_t *targets,
 }
 
 /* One side-vertex pass.  The work graph at pass start has n vertices with
- * its rows (offsets, targets) and the original vertices each id carries as
- * a second CSR (member_offsets, members).
+ * its rows (offsets, targets), the original vertices each id carries as a
+ * second CSR (member_offsets, members) and its own int64 reach and ident,
+ * each converted to double where a double expression reads it: exact below
+ * 2^53, as the Python form's int-to-float conversions are.
  *
  * The candidates, the compiled form of the candidate test of
  * ``kernels.side_sweep_python``, are in increasing id order every v of
@@ -396,7 +398,7 @@ int64_t bcs_brandes(int64_t n, const int64_t *offsets, const int32_t *targets,
  * many it removed. */
 int64_t bcs_side_sweep(int64_t n, const int64_t *offsets, const int32_t *targets,
                        const int64_t *member_offsets, const int64_t *members,
-                       const double *reach, const double *ident,
+                       const int64_t *reach, const int64_t *ident,
                        const uint8_t *edgeless, const uint8_t *clique, int64_t max_degree,
                        double *out, int32_t *removed, int64_t *arcs)
 {
@@ -419,7 +421,7 @@ int64_t bcs_side_sweep(int64_t n, const int64_t *offsets, const int32_t *targets
             int64_t shared = 0;
             for (int64_t b = offsets[v]; b < offsets[v + 1]; b++)
                 shared += contains(sorted + offsets[x], offsets[x + 1] - offsets[x], targets[b]);
-            simplicial = (ident[x] == 1.0 || clique[x]) && shared == d - 1;
+            simplicial = (ident[x] == 1 || clique[x]) && shared == d - 1;
         }
         if (simplicial)
             candidates[ncand++] = v;
@@ -441,27 +443,27 @@ int64_t bcs_side_sweep(int64_t n, const int64_t *offsets, const int32_t *targets
         if (degree[s] == 0)
             continue; /* earlier removals in this sweep emptied its neighborhood */
         int64_t end = forward(s, offsets, targets, reach, ident, dist, order, sigma, delta, preds, fill);
-        double m = reach[s] * ident[s];
+        double m = (double)reach[s] * (double)ident[s];
         int64_t mass = 0;
         for (int64_t idx = end - 1; idx > 0; idx--) { /* order[0] is s */
             int32_t w = order[idx];
             double dw = delta[w];
-            double coef = ident[w] * (1.0 + dw) / sigma[w];
+            double coef = (double)ident[w] * (1.0 + dw) / sigma[w];
             for (int64_t k = starts[w]; k < fill[w]; k++) {
                 int32_t v = preds[k];
                 delta[v] += sigma[v] * coef;
             }
             fill[w] = starts[w];
-            double amount = m * dw + m * (dw - (reach[w] - 1.0));
+            double amount = m * dw + m * (dw - ((double)reach[w] - 1.0));
             if (amount != 0.0)
                 for (int64_t k = member_offsets[w]; k < member_offsets[w + 1]; k++)
                     out[members[k]] += amount;
-            mass += (int64_t)ident[w] * (int64_t)reach[w];
+            mass += ident[w] * reach[w];
             scanned += degree[w];
             dist[w] = UNSEEN;
         }
-        if (reach[s] > 1.0) {
-            double credit = (double)(((int64_t)reach[s] - 1) * mass);
+        if (reach[s] > 1) {
+            double credit = (double)((reach[s] - 1) * mass);
             for (int64_t k = member_offsets[s]; k < member_offsets[s + 1]; k++)
                 out[members[k]] += credit;
         }
@@ -481,9 +483,9 @@ int64_t bcs_side_sweep(int64_t n, const int64_t *offsets, const int32_t *targets
 /* Blocks and cut-side masses of every component, the compiled form of
  * ``kernels._block_dfs``: the same iterative Hopcroft-Tarjan walk (CACM
  * 16(6), 1973), rooted at each component's lowest id in increasing id
- * order, reading each row in CSR order.  mass[v] is
- * ident[v] * reach[v]; merged[v] is set for a merged class, which never
- * tops a block.
+ * order, reading each row in CSR order.  reach and ident are the work
+ * graph's own arrays; v's mass is ident[v] * reach[v], and a merged class
+ * (ident[v] != 1) never tops a block.
  *
  * Block k is flat[block_ends[k] .. block_ends[k + 1]), its top last, with
  * below[k] the mass below its top; component c holds blocks comp_ends[c] ..
@@ -493,7 +495,7 @@ int64_t bcs_side_sweep(int64_t n, const int64_t *offsets, const int32_t *targets
  * Writes the numbers of blocks and of components to counts[0] and
  * counts[1], and returns 0. */
 int64_t bcs_blocks(int64_t n, const int64_t *offsets, const int32_t *targets,
-                   const int64_t *mass, const uint8_t *merged,
+                   const int64_t *reach, const int64_t *ident,
                    int32_t *flat, int32_t *block_ends, int64_t *below,
                    int32_t *comp_ends, int64_t *totals, int64_t *counts)
 {
@@ -512,7 +514,7 @@ int64_t bcs_blocks(int64_t n, const int64_t *offsets, const int32_t *targets,
             continue;
         int32_t counter = 1, depth = 0, top = 0; /* top: vstack's size */
         disc[root] = low[root] = 0;
-        sub[root] = mass[root];
+        sub[root] = ident[root] * reach[root];
         path[0] = root;
         next[0] = offsets[root];
         while (depth >= 0) {
@@ -528,7 +530,7 @@ int64_t bcs_blocks(int64_t n, const int64_t *offsets, const int32_t *targets,
                     at[depth] = top;
                     vstack[top++] = u;
                     disc[u] = low[u] = counter++;
-                    sub[u] = mass[u];
+                    sub[u] = ident[u] * reach[u];
                     descended = 1;
                     break;
                 }
@@ -545,7 +547,7 @@ int64_t bcs_blocks(int64_t n, const int64_t *offsets, const int32_t *targets,
             sub[pv] += sub[v];
             if (low[v] < low[pv])
                 low[pv] = low[v];
-            if (low[v] >= disc[pv] && !merged[pv]) {
+            if (low[v] >= disc[pv] && ident[pv] == 1) {
                 for (int32_t k = at[depth + 1]; k < top; k++)
                     flat[fill++] = vstack[k];
                 flat[fill++] = pv;
@@ -558,7 +560,7 @@ int64_t bcs_blocks(int64_t n, const int64_t *offsets, const int32_t *targets,
             for (int32_t k = 0; k < top; k++)
                 flat[fill++] = vstack[k];
             flat[fill++] = root;
-            below[nblocks] = sub[root] - mass[root];
+            below[nblocks] = sub[root] - ident[root] * reach[root];
             block_ends[++nblocks] = fill;
         }
         totals[ncomps] = sub[root];
@@ -774,13 +776,14 @@ int64_t bcs_bfs(int64_t n, const int64_t *offsets, const int32_t *targets, int64
  * attributes and edgeless[v] set when v's copies are pairwise non-adjacent.
  * Per component, in order of lowest vertex, a FIFO queue starts with
  * its vertices of degree 0 or 1, ascending, and the cascade runs: a
- * lone vertex retires; a leaf u whose one neighbor v is unmerged, and that
- * is unmerged or an edgeless class itself, folds into v, crediting u's
- * members with (reach[u] - 1) * rest when that is not 0 and v's first
- * member with mass[u] * (rest - 1), where mass is ident * reach and rest
- * the component's mass at pass start less mass[u]; v gains mass[u] in
- * reach and is queued again when its degree falls to 1 or 0.  out[]
- * receives the Python loop's additions in its order.
+ * lone vertex, or one whose row names no live neighbor, retires; a leaf u
+ * whose one neighbor v is unmerged, and that is unmerged or an edgeless
+ * class itself, folds into v, crediting u's members with (reach[u] - 1) *
+ * rest when that is not 0 and v's first member with mass[u] * (rest - 1),
+ * where mass is ident * reach and rest the component's mass at pass start
+ * less mass[u]; v gains mass[u] in reach and is queued again when its
+ * degree falls to 1 or 0.  out[] receives the Python loop's additions in
+ * its order.
  *
  * The components are bcs_bfs's from vertex 0, each sorted.  The queue has
  * 2n slots: a component queues each of its vertices at most once as a
@@ -818,16 +821,17 @@ int64_t bcs_degree1(int64_t n, const int64_t *offsets, const int32_t *targets,
             int32_t u = queue[head++];
             if (!alive[u])
                 continue;
-            if (degree[u] == 0) { /* lone vertex: every pair involving its mass is settled */
+            /* queued at degree 1 or 0, and degrees only fall: at most one
+             * live neighbor, which a row that is not symmetric may lack */
+            int64_t a = offsets[u], end = degree[u] ? offsets[u + 1] : a;
+            while (a < end && !alive[targets[a]])
+                a++;
+            if (a == end) { /* lone vertex: every pair involving its mass is settled */
                 retired[0] += ident[u] * reach[u];
                 alive[u] = 0;
                 gone[count++] = u;
                 continue;
             }
-            /* queued at degree 1 or 0, and degrees only fall: u has one live neighbor */
-            int64_t a = offsets[u];
-            while (!alive[targets[a]])
-                a++;
             int32_t v = targets[a];
             if (ident[v] != 1 || (ident[u] != 1 && !edgeless[u]))
                 continue;

@@ -1,15 +1,18 @@
-"""End-to-end score computation: ordering, reduction, kernels, reassembly."""
+"""End-to-end score computation: ordering, reduction, kernels, reassembly.  The
+kernels read one layout of the reduced work graph: each component a range of
+ids, the components in first-id order, each in increasing id."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 from time import perf_counter
 
 import numpy as np
 
 from . import kernels
-from .graph import Graph, bfs_order, relabel
+from .graph import Graph, _relabel_csr, bfs_order, relabel
 from .kernels import NonFiniteScoresError  # what compute_scores raises, importable from here
 from .reduction import DEFAULT_MAX_SIDE_DEGREE, Combination, PassStats, finalize, preprocess
 
@@ -57,40 +60,35 @@ def compute_scores(
     w, partial, stats = preprocess(working, combo, max_side_degree=max_side_degree)
     preprocess_seconds = perf_counter() - t0
 
-    phase1 = 0.0
-    phase2 = 0.0
-    kernel_acc: dict[int, float] = {}
     comps = w.components()
-    rows, reach, ident = w.rows(), w.reach.tolist(), w.ident.tolist()
-    component_edges = []
-    for comp in comps:
-        edge_count = sum(len(rows[v]) for v in comp) // 2
-        component_edges.append(edge_count)
-        if len(comp) < 2:
+    bounds = [0, *accumulate(map(len, comps))]  # component c is new ids bounds[c] to bounds[c + 1] - 1
+    order = np.fromiter(chain.from_iterable(comps), dtype=np.int64, count=w.n)  # new id k is order[k]
+    forward = np.empty_like(order)
+    forward[order] = np.arange(w.n)
+    offsets, targets = _relabel_csr(w.offsets, w.targets, forward, order)
+    first = np.repeat(bounds[:-1], np.diff(bounds))  # each new id's component's first id
+    ends, local = offsets.tolist(), (targets - first[targets]).tolist()
+    reach, ident = w.reach[order].tolist(), w.ident[order].tolist()
+    totals, phase1, phase2 = np.zeros(w.n), 0.0, 0.0
+    for lo, hi in zip(bounds, bounds[1:]):
+        if hi - lo < 2:
             continue
-        index = {v: i for i, v in enumerate(comp)}
-        adj_local = [sorted(index[x] for x in rows[v]) for v in comp]
-        reach_local = [reach[v] for v in comp]
-        ident_local = [ident[v] for v in comp]
-        use_reach = any(r != 1 for r in reach_local)
-        use_ident = any(i != 1 for i in ident_local)
+        adj_local = [local[ends[v] : ends[v + 1]] for v in range(lo, hi)]
+        use_reach, use_ident = any(r != 1 for r in reach[lo:hi]), any(i != 1 for i in ident[lo:hi])
         if use_reach and use_ident:
-            scores, a, b = kernels.bc_reach_ident(adj_local, reach_local, ident_local)
+            scores, a, b = kernels.bc_reach_ident(adj_local, reach[lo:hi], ident[lo:hi])
         elif use_reach:
-            scores, a, b = kernels.bc_reach(adj_local, reach_local)
+            scores, a, b = kernels.bc_reach(adj_local, reach[lo:hi])
         elif use_ident:
-            scores, a, b = kernels.bc_ident(adj_local, ident_local)
+            scores, a, b = kernels.bc_ident(adj_local, ident[lo:hi])
         else:
             scores, a, b = kernels.bc_plain(adj_local)
-        phase1 += a
-        phase2 += b
-        for i, v in enumerate(comp):
-            if scores[i]:
-                kernel_acc[v] = scores[i]
-    component_edges.sort(reverse=True)  # largest first, whatever ids the copies got
-    stats.component_edges = component_edges
+        phase1, phase2 = phase1 + a, phase2 + b
+        totals[lo:hi] = scores
+    # each component's edge count, largest first, whatever ids the copies got
+    stats.component_edges = sorted(((ends[hi] - ends[lo]) // 2 for lo, hi in zip(bounds, bounds[1:])), reverse=True)
 
-    final = finalize(w, partial, kernel_acc)
+    final = finalize(w, partial, order, totals)
     kernels.check_finite(final)
     if perm is not None:
         final = final[perm.forward]
@@ -107,6 +105,6 @@ def compute_scores(
         remaining_vertices=w.n,
         remaining_edges=w.m,
         component_count=len(comps),
-        component_edges=component_edges,
+        component_edges=stats.component_edges,
         stats=stats,
     )

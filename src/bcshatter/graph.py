@@ -352,19 +352,23 @@ def relabel(g: Graph, perm: VertexPermutation) -> Graph:
     if g.n and not (fwd.dtype.kind in "iu" and inv.dtype.kind in "iu" and 0 <= inv.min() <= inv.max() < g.n
                     and np.array_equal(fwd[inv], np.arange(g.n))):
         raise GraphInputError("forward and inverse are not inverse permutations of the vertices")
-    offsets, neighbors = _checked_csr(g)  # bcs_relabel checks nothing
     fwd, inv = np.ascontiguousarray(fwd, dtype=np.int64), np.ascontiguousarray(inv, dtype=np.int64)
+    return Graph(g.n, g.m, *_relabel_csr(*_checked_csr(g), fwd, inv))  # bcs_relabel checks nothing
+
+
+def _relabel_csr(offsets: np.ndarray, neighbors: np.ndarray, fwd: np.ndarray, inv: np.ndarray):
+    """:func:`relabel`'s array core, which checks nothing: the CSR renamed by ``fwd`` (``inv``, its inverse)."""
     lib = kernels._kernel()
     if lib is None:
         keys = fwd[neighbors] * _WIDTH  # each arc v -> w as fwd[w] -> fwd[v]
         keys += np.repeat(fwd, np.diff(offsets))
         keys.sort(kind="stable")
-        new_offsets = np.searchsorted(keys, np.arange(g.n + 1) * _WIDTH)
+        new_offsets = np.searchsorted(keys, np.arange(len(fwd) + 1) * _WIDTH)
         keys %= _WIDTH
-        return Graph(g.n, g.m, new_offsets, keys.astype(np.int32))
-    new_offsets, new_neighbors = np.empty(g.n + 1, dtype=np.int64), np.empty(len(neighbors), dtype=np.int32)
-    lib.bcs_relabel(g.n, offsets, neighbors, fwd, inv, new_offsets, new_neighbors)
-    return Graph(g.n, g.m, new_offsets, new_neighbors)
+        return new_offsets, keys.astype(np.int32)
+    new_offsets, new_neighbors = np.empty(len(fwd) + 1, dtype=np.int64), np.empty(len(neighbors), dtype=np.int32)
+    lib.bcs_relabel(len(fwd), offsets, neighbors, fwd, inv, new_offsets, new_neighbors)
+    return new_offsets, new_neighbors
 
 
 def connected_components(g: Graph) -> np.ndarray:

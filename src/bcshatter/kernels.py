@@ -23,7 +23,7 @@ form.  Two run the attribute-general Brandes algorithm:
   back along them, ``side_bfs`` in Python and ``forward()`` with its
   ``empty_buckets`` in C.  The side runs keep this traversal of their own:
   on the kernel's traversal, one lane or 64 at a time, they measured
-  slower (ROADMAP item 4, dropped).
+  slower (ROADMAP item 3, reopened after items 1-2).
 
 Two run a whole pass's loop over the work graph, adding its credits to the
 score accumulator in the Python form's order, integer products converted
@@ -65,7 +65,9 @@ The compiled forms of all but ``brandes`` read the work graph's own
 arrays in place: every edit leaves its rows a plain CSR, so they read every
 arc.  The Python forms of the scans and loops read the same arcs in the
 same order as lists, ``WorkGraph.rows``.  Only the kernel's input is a CSR
-made from lists, ``export_rows``.
+made from lists, ``export_rows``: the engine lays the reduced work graph out
+once, each component a range of ids, and hands the four wrappers that
+perfbench's trace hooks each component's rows as lists sliced from it.
 
 ``_check_csr`` is the one CSR check, for a ``Graph`` and for the work
 graph's rows and members.
@@ -259,9 +261,9 @@ def side_sweep(w, max_degree: int, out: np.ndarray):
         return np.array(removed, dtype=np.int32), arcs
     removed, arcs = np.empty(n, dtype=np.int32), np.empty(1, dtype=np.int64)
     # no degree exceeds the arc count
-    runs = lib.bcs_side_sweep(n, w.offsets, w.targets, w.member_offsets, w.member_ids, w.reach.astype(np.float64),
-                              w.ident.astype(np.float64), w.internal_edgeless, w.internal_clique,
-                              max(0, min(index(max_degree), len(w.targets))), out, removed, arcs)
+    runs = lib.bcs_side_sweep(n, w.offsets, w.targets, w.member_offsets, w.member_ids, w.reach, w.ident,
+                              w.internal_edgeless, w.internal_clique, max(0, min(index(max_degree), len(w.targets))),
+                              out, removed, arcs)
     return removed[:runs], int(arcs[0])
 
 
@@ -291,8 +293,7 @@ def block_walk(w):
     flat = np.empty(2 * n, dtype=np.int32)
     block_ends, below, comp_ends, totals = (np.empty(n + 1, dtype=t) for t in (np.int32, np.int64, np.int32, np.int64))
     counts = np.zeros(2, dtype=np.int64)
-    lib.bcs_blocks(n, w.offsets, w.targets, w.ident * w.reach, w.ident != 1,
-                   flat, block_ends, below, comp_ends, totals, counts)
+    lib.bcs_blocks(n, w.offsets, w.targets, w.reach, w.ident, flat, block_ends, below, comp_ends, totals, counts)
     blocks, comps = counts.tolist()
     return flat[: block_ends[blocks]], block_ends[: blocks + 1], below[:blocks], comp_ends[: comps + 1], totals[:comps]
 
@@ -622,8 +623,8 @@ def _bind(path: Path):
     members = [int64s, int64s]  # member_offsets, members: a work graph's
     allocating = {  # the argtypes of each entry point that allocates its scratch
         "bcs_brandes": [*csr, doubles, doubles, doubles, doubles],
-        "bcs_side_sweep": [*csr, *members, doubles, doubles, flags, flags, size, doubles, int32s, int64s],
-        "bcs_blocks": [*csr, int64s, flags, int32s, int32s, int64s, int32s, int64s, int64s],
+        "bcs_side_sweep": [*csr, *members, int64s, int64s, flags, flags, size, doubles, int32s, int64s],
+        "bcs_blocks": [*csr, int64s, int64s, int32s, int32s, int64s, int32s, int64s, int64s],
         "bcs_twin_sweep": [*csr, *members, int64s, int64s, size, doubles, int32s, int32s],
         "bcs_degree1": [*csr, *members, int64s, flags, int64s, doubles, int32s, int64s],
         "bcs_bfs": [*csr, size, int32s, int64s],
@@ -958,14 +959,16 @@ def degree1_python(offsets, targets, members, reach, ident, edgeless, out: np.nd
             u = queue.popleft()
             if not alive[u]:
                 continue
-            if degree[u] == 0:
+            # queued at degree 1 or 0, and degrees only fall: at most one live
+            # neighbor, which a row that is not symmetric may lack
+            row = targets[offsets[u] : offsets[u + 1]] if degree[u] else []
+            v = next((x for x in row if alive[x]), None)
+            if v is None:
                 # Lone vertex: every pair involving its mass is already settled.
                 retired += ident[u] * reach[u]
                 alive[u] = False
                 gone.append(u)
                 continue
-            # queued at degree 1 or 0, and degrees only fall: u has one live neighbor
-            v = next(x for x in targets[offsets[u] : offsets[u + 1]] if alive[x])
             # A class bundle hanging off a merged neighbor is not a true leaf in
             # the unmerged graph; leave those for the side pass or the kernel.
             if ident[v] != 1 or ident[u] != 1 and not edgeless[u]:

@@ -456,14 +456,14 @@ def preprocess(g: Graph, combination: Combination | str, max_side_degree: int = 
     return w, out, stats
 
 
-def finalize(w: WorkGraph, partial: np.ndarray, kernel_scores: dict[int, float]) -> np.ndarray:
+def finalize(w: WorkGraph, partial: np.ndarray, order: np.ndarray, totals: np.ndarray) -> np.ndarray:
     """Reassemble final scores: every original vertex collects its partial
-    corrections plus the kernel totals of all surviving vertices that carry
-    it (copies and merged members alike share one accumulator slot)."""
+    corrections, then each nonzero kernel total ``totals[k]`` of the work
+    vertex ``order[k]`` that carries it (copies and merges alike), by k."""
     final = np.array(partial, dtype=np.float64, copy=True)
     member_offsets, members = w.member_offsets.tolist(), w.member_ids.tolist()
-    for v, amount in kernel_scores.items():
-        if amount:
-            for m in members[member_offsets[v] : member_offsets[v + 1]]:
-                final[m] += amount
+    added = np.flatnonzero(totals)
+    for v, amount in zip(order[added].tolist(), totals[added].tolist()):
+        for m in members[member_offsets[v] : member_offsets[v + 1]]:
+            final[m] += amount
     return final

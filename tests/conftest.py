@@ -78,6 +78,22 @@ def component_mass_sums(w) -> list[int]:
     return [sum(mass[v] for v in comp) for comp in w.components()]
 
 
+def sorted_components(rows: list[list[int]]) -> list[list[int]]:
+    """The components of the rows ``rows``, by a search of the tests' own:
+    in first-id order, each in increasing id."""
+    seen, comps = [False] * len(rows), []
+    for first in range(len(rows)):
+        if not seen[first]:
+            seen[first], comp = True, [first]
+            for v in comp:
+                for x in rows[v]:
+                    if not seen[x]:
+                        seen[x] = True
+                        comp.append(x)
+            comps.append(sorted(comp))
+    return comps
+
+
 def per_component(walk) -> list[tuple[list[list[int]], list[int], int]]:
     """A block walk (``kernels.block_walk``) as lists, one (blocks, below,
     total) triple per component."""

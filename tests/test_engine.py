@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,12 +11,14 @@ from hypothesis import strategies as st
 
 from bcshatter import kernels
 from bcshatter.engine import NonFiniteScoresError, compute_scores
-from bcshatter.graph import Graph, GraphInputError
+from bcshatter.graph import Graph, GraphInputError, bfs_order, relabel
 from bcshatter.kernels import betweenness
 from bcshatter.oracle import GraphSpec, bc_brute, generate
-from bcshatter.reduction import STANDARD_COMBINATIONS
+from bcshatter.reduction import STANDARD_COMBINATIONS, Combination, preprocess
 
-from conftest import layered_graph, random_graph
+from conftest import layered_graph, random_graph, sorted_components
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 @given(st.integers(2, 16), st.integers(0, 10_000))
@@ -118,6 +122,80 @@ def test_component_edges_largest_first():
     g = generate(GraphSpec("bridged-blobs", 60, 0, 2))
     edges = compute_scores(g, "odba").component_edges
     assert len(edges) > 1 and edges == sorted(edges, reverse=True)
+
+
+def _blocks_on_vertex_0(sizes) -> Graph:
+    """K_{2,k} for each k in ``sizes``, each with vertex 0 among its k: ``a``
+    gives each block a copy of 0, whose kernel total is not a whole number,
+    as 0 lies on one of the k shortest paths between the block's other two."""
+    edges, n = [], 1
+    for k in sizes:
+        edges += [(u, 0) for u in (n, n + 1)] + [(u, x) for u in (n, n + 1) for x in range(n + 2, n + k + 1)]
+        n += k + 1
+    return Graph.from_edges(n, edges)
+
+
+def test_kernel_totals_are_added_in_component_then_id_order(monkeypatch):
+    # four copies of 0 get totals with fractions 2/3, 2/5, 2/6 and 2/7, and
+    # float addition is not associative: the order of the additions shows in
+    # 0's last bits
+    g = _blocks_on_vertex_0((3, 5, 6, 7))
+    for lib in (kernels._kernel(), None):
+        monkeypatch.setattr(kernels, "_compiled", lib)
+        w, partial, _ = preprocess(g, Combination.parse("a"))
+        rows, members = w.rows(), w.member_lists()
+        additions = []  # (work vertex, kernel total), in (component first id, id) order
+        for comp in sorted_components(rows):
+            if len(comp) > 1:
+                index = {v: i for i, v in enumerate(comp)}
+                scores, _, _ = kernels.brandes([sorted(index[x] for x in rows[v]) for v in comp],
+                                               w.reach[comp].tolist(), w.ident[comp].tolist())
+                additions += [(v, amount) for v, amount in zip(comp, scores) if amount]
+
+        def reassembled(additions) -> bytes:
+            final = partial.copy()
+            for v, amount in additions:
+                for m in members[v]:
+                    final[m] += amount
+            return final.tobytes()
+
+        assert sum(0 in members[v] for v, _ in additions) == 4
+        assert compute_scores(g, "a").scores.tobytes() == reassembled(additions) != reassembled(additions[::-1])
+
+
+def test_compiled_kernel_hooks_count_every_component(monkeypatch):
+    # a traced compiled solve records one kernels.variant_* call per
+    # component of two or more vertices, under the variant its attributes
+    # select, with arcs k * (its row lengths summed): counted here from the
+    # work graph preprocess leaves, by a search of this test's own
+    lib = kernels._kernel()
+    if lib is None:
+        pytest.skip("the compiled library could not be built or loaded here")
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from spans import Tracer, layer_totals
+
+    specs = [("planted-side", 120, 1), ("planted-identical", 120, 1), ("bridged-blobs", 80, 3)]
+    graphs, expected = [generate(GraphSpec(family, size, 0.0, seed)) for family, size, seed in specs], {}
+    for g in graphs:
+        w, _, _ = preprocess(relabel(g, bfs_order(g, 0)), Combination.parse("odbasi"))
+        rows = w.rows()
+        for comp in (comp for comp in sorted_components(rows) if len(comp) > 1):
+            variant = "_".join(name for name, a in (("reach", w.reach), ("ident", w.ident)) if (a[comp] != 1).any())
+            for key, value in (("calls", 1), ("arcs", len(comp) * sum(len(rows[v]) for v in comp))):
+                key = f"kernels.variant_{variant or 'plain'}.{key}"
+                expected[key] = expected.get(key, 0) + value
+    assert len(expected) == 8  # all four variants run
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        for g in graphs:
+            compute_scores(g, "odbasi")
+    finally:
+        tracer.restore()
+    assert kernels._compiled is lib and tracer.absent == [] and tracer.uncounted == set()
+    _, counts = layer_totals(tracer.take())
+    assert {key: value for key, value in counts.items() if key.startswith("kernels.variant_")} == expected
 
 
 def test_larger_max_side_degree_still_exact():

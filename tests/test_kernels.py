@@ -467,7 +467,7 @@ def _side_sweep_args() -> list:
     dtype that ``_bind`` passes: the path 0-1-2 of reach 2, whose two ends
     a call that runs removes, crediting ``out``."""
     w = WorkGraph.from_graph(path_graph(3))
-    return [3, w.offsets, w.targets, w.member_offsets, w.member_ids, np.full(3, 2.0), np.ones(3),
+    return [3, w.offsets, w.targets, w.member_offsets, w.member_ids, np.full(3, 2, dtype=np.int64), w.ident,
             w.internal_edgeless, w.internal_clique, 4, np.zeros(3), np.full(3, -1, dtype=np.int32),
             np.zeros(1, dtype=np.int64)]
 

@@ -1175,8 +1175,8 @@ class TestFinalize:
     def test_without_reductions_is_kernel_distribution(self):
         g = cycle_graph(5)
         w, partial, _ = preprocess(g, Combination.parse("o"))
-        kernel_acc = {v: float(v) for v in range(5)}
-        final = finalize(w, partial, kernel_acc)
+        # totals[k] belongs to order[k]
+        final = finalize(w, partial, np.array([4, 0, 3, 1, 2]), np.array([4.0, 0.0, 3.0, 1.0, 2.0]))
         assert final.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
 
     def test_toy_graph_full_pipeline(self, toy_social_graph):

@@ -462,6 +462,17 @@ class TestDegree1Cascade:
         assert gone.tolist() == [1, 2, 0] and retired == 2 * r + 1
         assert out[1] == float((r - 1) * (r + 1)) and out[0] == float(r * r + 2 * r - 1)
 
+    def test_a_leaf_whose_row_names_no_live_neighbor(self, scan_form):
+        # rows that are not symmetric: 1's row names 0, whose row is empty.
+        # 0 retires first; 1, queued at degree 1, then finds no live
+        # neighbor in its row, stops at the row's end and retires too
+        w = WorkGraph.from_graph(Graph.from_edges(2, []))
+        w.offsets, w.targets = np.array([0, 0, 1], dtype=np.int64), np.array([0], dtype=np.int32)
+        out = np.zeros(2)
+        gone, reach, retired = kernels.degree1(w, out)
+        assert gone.tolist() == [0, 1] and reach.tolist() == [1, 1] and retired == 2
+        assert out.tolist() == [0.0, 0.0]
+
 
 def _bfs_python(w: WorkGraph, start: int) -> list[list[int]]:
     return kernels.bfs_python(w.offsets.tolist(), w.targets.tolist(), start)
