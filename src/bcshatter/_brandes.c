@@ -1,7 +1,8 @@
 /* The compiled forms of bcshatter's hot loops, eleven entry points:
  *
- * - bcs_brandes, all sources over one component's CSR, 64 to a traversal:
- *   the compiled form of ``kernels.brandes_python``;
+ * - bcs_brandes, all sources of every component of the engine's layout in
+ *   one call, each component's 64 to a traversal: the compiled form of
+ *   ``kernels.brandes_python``;
  * - bcs_side_sweep, the side pass's candidate test and one compensation run
  *   per candidate over the work graph: the compiled form of
  *   ``kernels.side_sweep_python``;
@@ -50,11 +51,15 @@
  * them, so the scans and loops read every arc of every row, in the order of
  * the lists ``WorkGraph.rows`` gives the Python forms.
  *
- * bcs_brandes runs up to 64 sources in one traversal, in a canonical order
- * defined per source (see there), so no score depends on which sources
- * share a traversal.  ``kernels.brandes_python`` takes one source at a time
- * in that order, so the two agree bit for bit for any rows, symmetric or
- * not, repeated entries included.  Every floating-point expression is the
+ * bcs_brandes runs up to 64 sources of one component in one traversal, in
+ * a canonical order defined per source (see there), so no score depends on
+ * which sources share a traversal or on which components share a call.  A
+ * vertex's per-lane slots are indexed from its component's first id, so the
+ * scratch spans the largest component, and ``kernels.brandes`` refuses an
+ * arc that leaves its component before the call.
+ * ``kernels.brandes_python`` takes one source at a time in that order, so
+ * the two agree bit for bit for any rows, symmetric or not, repeated
+ * entries included.  Every floating-point expression is the
  * Python form's, evaluated in the same order, and every attribute factor is
  * applied even when it is 1.
  *
@@ -214,6 +219,17 @@ static int contains(const int32_t *ids, int64_t len, int32_t x)
 #define LANE_BYTES ((int64_t)64 << 20)
 #define SLOT_BYTES 28
 
+/* The lanes of the traversals over a component of size vertices: one per
+ * source up to LANES, fewer only where size * lanes slots would pass
+ * LANE_BYTES, one at least. */
+static int64_t lanes_for(int64_t size)
+{
+    int64_t lanes = size < LANES ? size : LANES;
+    if (lanes * size > LANE_BYTES / SLOT_BYTES)
+        lanes = LANE_BYTES / SLOT_BYTES / size > 1 ? LANE_BYTES / SLOT_BYTES / size : 1;
+    return lanes;
+}
+
 /* Puts the count ids of a new level in increasing order: by a scan of their
  * marks next[] over the span of their ids when that span is short beside
  * count, else by sort_ids. */
@@ -233,21 +249,28 @@ static void sort_level(int32_t *ids, int64_t count, const uint64_t *next)
             ids[k++] = w;
 }
 
-/* n vertices; the neighbors of v are targets[offsets[v] .. offsets[v + 1]),
- * every one in [0, n); the rows need not be symmetric and may repeat an
- * entry.  Adds each vertex's score to bc, and the seconds of the forward
- * traversals and of the backward sweeps, with the score additions, to
- * seconds[0] and seconds[1].  Returns 0.
+/* bounds[ncomp] vertices laid out as ncomp components: component c is the
+ * ids bounds[c] .. bounds[c + 1] - 1, and bounds[0] is 0.  The neighbors of
+ * v are targets[offsets[v] .. offsets[v + 1]), every one in v's component;
+ * the rows need not be symmetric and may repeat an entry.  Adds each
+ * vertex's score to bc, and the seconds of the forward traversals and of
+ * the backward sweeps, with the score additions, to seconds[0] and
+ * seconds[1].  Returns 0.
  *
- * The sources run in batches of up to LANES consecutive ids, one lane each,
- * and each batch runs one level-synchronous traversal (Then et al., "The
- * More the Merrier", PVLDB 8(4), 2014; in the multi-source Brandes of
- * Sariyuce et al., JPDC 76, 2015).  seen[v] has the bit of every lane that
- * has reached v; level k is the entries ids[ends[k] .. ends[k + 1]), each
- * with the mask of the lanes that reach that vertex at distance k, and
- * sigma and delta keep one slot per vertex and lane.  Each (vertex, lane)
- * lies in one level at most, so the level lists fit n * lanes entries
- * whatever the depth, and a batch touches only what its lanes reach.
+ * Each component of two or more vertices runs on its own, its sources in
+ * batches of up to lanes_for(its size) consecutive ids, one lane each, and
+ * each batch runs one level-synchronous traversal (Then et al., "The More
+ * the Merrier", PVLDB 8(4), 2014; in the multi-source Brandes of Sariyuce
+ * et al., JPDC 76, 2015).  A traversal reads the component's ids from its
+ * first id, base: every per-vertex slot below is indexed by v - base, so
+ * the scratch spans the largest component, not the whole layout, and an arc
+ * out of the component would index outside it (``kernels.brandes`` refuses
+ * such an arc).  seen[v] has the bit of every lane that has reached v; level k is
+ * the entries ids[ends[k] .. ends[k + 1]), each with the mask of the lanes
+ * that reach that vertex at distance k, and sigma and delta keep one slot
+ * per vertex and lane.  Each (vertex, lane) lies in one level at most, so
+ * the level lists fit size * lanes entries whatever the depth, and a batch
+ * touches only what its lanes reach.
  *
  * The canonical order, per source and so whatever lanes share a traversal:
  * a level is taken in increasing id; sigma[w] sums sigma[v] * ident[v]
@@ -258,110 +281,123 @@ static void sort_level(int32_t *ids, int64_t count, const uint64_t *next)
  * occurrence of w; bc[w] adds reach[s] * ident[s] * delta[w] in increasing
  * s.  coef[w] takes sigma[w]'s slot: once it is known, no pull reads that
  * sigma again. */
-int64_t bcs_brandes(int64_t n, const int64_t *offsets, const int32_t *targets,
-                    const double *reach, const double *ident, double *bc, double *seconds)
+int64_t bcs_brandes(const int64_t *offsets, const int32_t *targets, const double *reach, const double *ident,
+                    int64_t ncomp, const int64_t *bounds, double *bc, double *seconds)
 {
-    int64_t lanes = n < LANES ? n : LANES;
-    if (lanes * n > LANE_BYTES / SLOT_BYTES)
-        lanes = LANE_BYTES / SLOT_BYTES / n > 1 ? LANE_BYTES / SLOT_BYTES / n : 1;
+    int64_t largest = 0, slots = 0; /* the largest component, and the most slots of one */
+    for (int64_t c = 0; c < ncomp; c++) {
+        int64_t size = bounds[c + 1] - bounds[c];
+        largest = size > largest ? size : largest;
+        slots = size * lanes_for(size) > slots ? size * lanes_for(size) : slots;
+    }
     struct scratch s = {0};
-    double *sigma = take(&s, n * lanes, 8), *delta = take(&s, n * lanes, 8);
-    int32_t *ids = take(&s, n * lanes, 4);
-    uint64_t *masks = take(&s, n * lanes, 8), *seen = take(&s, n, 8), *next = take(&s, n, 8);
-    int64_t *ends = take(&s, n + 2, 8); /* n levels at most, then an empty one */
+    double *sigma = take(&s, slots, 8), *delta = take(&s, slots, 8);
+    int32_t *ids = take(&s, slots, 4);
+    uint64_t *masks = take(&s, slots, 8), *seen = take(&s, largest, 8), *next = take(&s, largest, 8);
+    int64_t *ends = take(&s, largest + 2, 8); /* a level per vertex at most, then an empty one */
     if (s.failed)
         return release(&s);
-    for (int64_t c = 0; c < n * lanes; c++)
+    for (int64_t c = 0; c < slots; c++)
         sigma[c] = 0.0;
-    for (int64_t v = 0; v < n; v++)
+    for (int64_t v = 0; v < largest; v++)
         seen[v] = next[v] = 0;
-    for (int64_t first = 0; first < n; first += lanes) {
-        double start = now();
-        int64_t fill = 0, depth = 0;
-        ends[0] = 0;
-        for (int64_t lane = 0; lane < lanes && first + lane < n; lane++, fill++) {
-            ids[fill] = (int32_t)(first + lane);
-            masks[fill] = seen[first + lane] = (uint64_t)1 << lane;
-            sigma[(first + lane) * lanes + lane] = 1.0;
-        }
-        ends[1] = fill;
-        for (; ends[depth] < ends[depth + 1]; depth++) {
-            for (int64_t e = ends[depth]; e < ends[depth + 1]; e++) {
-                int32_t v = ids[e];
-                uint64_t mask = masks[e];
-                const double *sv = sigma + v * lanes;
-                double fan = depth ? ident[v] : 1.0; /* a source forwards its sigma without the ident fan-out */
-                for (int64_t a = offsets[v]; a < offsets[v + 1]; a++) {
-                    int32_t w = targets[a];
-                    uint64_t fresh = mask & ~seen[w];
-                    if (!fresh)
-                        continue;
-                    if (!next[w])
-                        ids[fill++] = w;
-                    next[w] |= fresh;
-                    double *sw = sigma + w * lanes;
-                    for (; fresh; fresh &= fresh - 1) {
-                        int lane = __builtin_ctzll(fresh);
-                        sw[lane] += sv[lane] * fan;
+    for (int64_t c = 0; c < ncomp; c++) {
+        int64_t base = bounds[c], size = bounds[c + 1] - base, lanes = lanes_for(size);
+        if (size < 2)
+            continue;
+        /* the component's rows, attributes and scores from its first id */
+        const int64_t *row = offsets + base;
+        const double *r = reach + base, *id = ident + base;
+        double *out = bc + base;
+        int32_t shift = (int32_t)base;
+        for (int64_t first = 0; first < size; first += lanes) {
+            double start = now();
+            int64_t fill = 0, depth = 0;
+            ends[0] = 0;
+            for (int64_t lane = 0; lane < lanes && first + lane < size; lane++, fill++) {
+                ids[fill] = (int32_t)(first + lane);
+                masks[fill] = seen[first + lane] = (uint64_t)1 << lane;
+                sigma[(first + lane) * lanes + lane] = 1.0;
+            }
+            ends[1] = fill;
+            for (; ends[depth] < ends[depth + 1]; depth++) {
+                for (int64_t e = ends[depth]; e < ends[depth + 1]; e++) {
+                    int32_t v = ids[e];
+                    uint64_t mask = masks[e];
+                    const double *sv = sigma + v * lanes;
+                    double fan = depth ? id[v] : 1.0; /* a source forwards its sigma without the ident fan-out */
+                    for (int64_t a = row[v]; a < row[v + 1]; a++) {
+                        int32_t w = targets[a] - shift;
+                        uint64_t fresh = mask & ~seen[w];
+                        if (!fresh)
+                            continue;
+                        if (!next[w])
+                            ids[fill++] = w;
+                        next[w] |= fresh;
+                        double *sw = sigma + w * lanes;
+                        for (; fresh; fresh &= fresh - 1) {
+                            int lane = __builtin_ctzll(fresh);
+                            sw[lane] += sv[lane] * fan;
+                        }
                     }
                 }
+                int64_t lo = ends[depth + 1];
+                if (fill > lo)
+                    sort_level(ids + lo, fill - lo, next);
+                for (int64_t e = lo; e < fill; e++) {
+                    masks[e] = next[ids[e]];
+                    seen[ids[e]] |= masks[e];
+                    next[ids[e]] = 0;
+                }
+                ends[depth + 2] = fill;
             }
-            int64_t lo = ends[depth + 1];
-            if (fill > lo)
-                sort_level(ids + lo, fill - lo, next);
-            for (int64_t e = lo; e < fill; e++) {
-                masks[e] = next[ids[e]];
-                seen[ids[e]] |= masks[e];
-                next[ids[e]] = 0;
-            }
-            ends[depth + 2] = fill;
-        }
-        double mid = now();
-        /* deepest level first; next[w] has the lanes that reach w one level
-         * deeper than the level being swept */
-        for (int64_t k = depth - 1; k >= 1; k--) {
-            for (int64_t e = ends[k]; e < ends[k + 1]; e++) {
-                int32_t v = ids[e];
-                uint64_t mask = masks[e];
-                double *sv = sigma + v * lanes, *dv = delta + v * lanes;
-                for (uint64_t bits = mask; bits; bits &= bits - 1)
-                    dv[__builtin_ctzll(bits)] = reach[v] - 1.0;
-                for (int64_t a = offsets[v]; a < offsets[v + 1]; a++) {
-                    int32_t w = targets[a];
-                    const double *coef = sigma + w * lanes;
-                    for (uint64_t bits = mask & next[w]; bits; bits &= bits - 1) {
+            double mid = now();
+            /* deepest level first; next[w] has the lanes that reach w one
+             * level deeper than the level being swept */
+            for (int64_t k = depth - 1; k >= 1; k--) {
+                for (int64_t e = ends[k]; e < ends[k + 1]; e++) {
+                    int32_t v = ids[e];
+                    uint64_t mask = masks[e];
+                    double *sv = sigma + v * lanes, *dv = delta + v * lanes;
+                    for (uint64_t bits = mask; bits; bits &= bits - 1)
+                        dv[__builtin_ctzll(bits)] = r[v] - 1.0;
+                    for (int64_t a = row[v]; a < row[v + 1]; a++) {
+                        int32_t w = targets[a] - shift;
+                        const double *coef = sigma + w * lanes;
+                        for (uint64_t bits = mask & next[w]; bits; bits &= bits - 1) {
+                            int lane = __builtin_ctzll(bits);
+                            dv[lane] += sv[lane] * coef[lane];
+                        }
+                    }
+                    for (uint64_t bits = mask; bits; bits &= bits - 1) {
                         int lane = __builtin_ctzll(bits);
-                        dv[lane] += sv[lane] * coef[lane];
+                        sv[lane] = id[v] * (1.0 + dv[lane]) / sv[lane];
                     }
                 }
-                for (uint64_t bits = mask; bits; bits &= bits - 1) {
-                    int lane = __builtin_ctzll(bits);
-                    sv[lane] = ident[v] * (1.0 + dv[lane]) / sv[lane];
-                }
+                for (int64_t e = ends[k + 1]; e < ends[k + 2]; e++)
+                    next[ids[e]] = 0;
+                for (int64_t e = ends[k]; e < ends[k + 1]; e++)
+                    next[ids[e]] = masks[e];
             }
-            for (int64_t e = ends[k + 1]; e < ends[k + 2]; e++)
+            for (int64_t e = ends[1]; e < ends[2]; e++)
                 next[ids[e]] = 0;
-            for (int64_t e = ends[k]; e < ends[k + 1]; e++)
-                next[ids[e]] = masks[e];
-        }
-        for (int64_t e = ends[1]; e < ends[2]; e++)
-            next[ids[e]] = 0;
-        /* each reached vertex once, its lanes in increasing source order;
-         * sigma and seen go back to rest */
-        for (int64_t e = 0; e < fill; e++) {
-            int32_t w = ids[e];
-            double *sw = sigma + w * lanes, *dw = delta + w * lanes;
-            for (uint64_t bits = seen[w]; bits; bits &= bits - 1) {
-                int lane = __builtin_ctzll(bits);
-                int64_t src = first + lane;
-                if (w != src)
-                    bc[w] += reach[src] * ident[src] * dw[lane];
-                sw[lane] = 0.0;
+            /* each reached vertex once, its lanes in increasing source
+             * order; sigma and seen go back to rest */
+            for (int64_t e = 0; e < fill; e++) {
+                int32_t w = ids[e];
+                double *sw = sigma + w * lanes, *dw = delta + w * lanes;
+                for (uint64_t bits = seen[w]; bits; bits &= bits - 1) {
+                    int lane = __builtin_ctzll(bits);
+                    int64_t src = first + lane;
+                    if (w != src)
+                        out[w] += r[src] * id[src] * dw[lane];
+                    sw[lane] = 0.0;
+                }
+                seen[w] = 0;
             }
-            seen[w] = 0;
+            seconds[0] += mid - start;
+            seconds[1] += now() - mid;
         }
-        seconds[0] += mid - start;
-        seconds[1] += now() - mid;
     }
     release(&s);
     return 0;

@@ -61,32 +61,15 @@ def compute_scores(
     preprocess_seconds = perf_counter() - t0
 
     comps = w.components()
-    bounds = [0, *accumulate(map(len, comps))]  # component c is new ids bounds[c] to bounds[c + 1] - 1
+    bounds = np.fromiter(accumulate(map(len, comps), initial=0), dtype=np.int64, count=len(comps) + 1)
     order = np.fromiter(chain.from_iterable(comps), dtype=np.int64, count=w.n)  # new id k is order[k]
     forward = np.empty_like(order)
     forward[order] = np.arange(w.n)
+    # component c is new ids bounds[c] to bounds[c + 1] - 1, each row ascending
     offsets, targets = _relabel_csr(w.offsets, w.targets, forward, order)
-    first = np.repeat(bounds[:-1], np.diff(bounds))  # each new id's component's first id
-    ends, local = offsets.tolist(), (targets - first[targets]).tolist()
-    reach, ident = w.reach[order].tolist(), w.ident[order].tolist()
-    totals, phase1, phase2 = np.zeros(w.n), 0.0, 0.0
-    for lo, hi in zip(bounds, bounds[1:]):
-        if hi - lo < 2:
-            continue
-        adj_local = [local[ends[v] : ends[v + 1]] for v in range(lo, hi)]
-        use_reach, use_ident = any(r != 1 for r in reach[lo:hi]), any(i != 1 for i in ident[lo:hi])
-        if use_reach and use_ident:
-            scores, a, b = kernels.bc_reach_ident(adj_local, reach[lo:hi], ident[lo:hi])
-        elif use_reach:
-            scores, a, b = kernels.bc_reach(adj_local, reach[lo:hi])
-        elif use_ident:
-            scores, a, b = kernels.bc_ident(adj_local, ident[lo:hi])
-        else:
-            scores, a, b = kernels.bc_plain(adj_local)
-        phase1, phase2 = phase1 + a, phase2 + b
-        totals[lo:hi] = scores
+    totals, phase1, phase2 = kernels.brandes(offsets, targets, w.reach[order], w.ident[order], bounds)
     # each component's edge count, largest first, whatever ids the copies got
-    stats.component_edges = sorted(((ends[hi] - ends[lo]) // 2 for lo, hi in zip(bounds, bounds[1:])), reverse=True)
+    stats.component_edges = sorted((np.diff(offsets[bounds]) // 2).tolist(), reverse=True)
 
     final = finalize(w, partial, order, totals)
     kernels.check_finite(final)

@@ -10,10 +10,11 @@ stay well conditioned.
 Eight entry points each pair compiled code in ``_brandes.c`` with a Python
 form.  Two run the attribute-general Brandes algorithm:
 
-* ``brandes``, all sources over one component: ``bcs_brandes``, which runs
-  up to 64 sources in one traversal, and ``brandes_python``, which takes
-  one source at a time.  Both follow one canonical order, defined per
-  source (see ``brandes_python``), so they agree bit for bit.
+* ``brandes``, all sources of every component of a layout in one call:
+  ``bcs_brandes``, which runs up to 64 sources of one component in one
+  traversal, and ``brandes_python``, which takes one source at a time.
+  Both follow one canonical order, defined per source (see
+  ``brandes_python``), so they agree bit for bit.
 * ``side_sweep``, a whole side-vertex pass of
   ``reduction.remove_side_vertices``: the candidate test, then one run per
   candidate over the work graph, adding the amounts straight into the score
@@ -64,10 +65,11 @@ exactly the size of what it holds.
 The compiled forms of all but ``brandes`` read the work graph's own
 arrays in place: every edit leaves its rows a plain CSR, so they read every
 arc.  The Python forms of the scans and loops read the same arcs in the
-same order as lists, ``WorkGraph.rows``.  Only the kernel's input is a CSR
-made from lists, ``export_rows``: the engine lays the reduced work graph out
-once, each component a range of ids, and hands the four wrappers that
-perfbench's trace hooks each component's rows as lists sliced from it.
+same order as lists, ``WorkGraph.rows``.  ``brandes`` reads the layout the
+engine makes of the reduced work graph, once per solve: its CSR renumbered
+so that each component is a range of ids, the components' bounds, and its
+attributes in that order.  It makes no list, and its Python form makes its
+own from the arrays.
 
 ``_check_csr`` is the one CSR check, for a ``Graph`` and for the work
 graph's rows and members.
@@ -92,13 +94,14 @@ over as the address of its data, through one small argument type per dtype
 numpy's ``ctypeslib.ndpointer`` took about twice as long per array.  Where
 an output's size is known only once the compiled code has run, as for the
 arcs ``bcs_compact`` keeps when it drops vertices, it gets the size of its
-bound and is shrunk in place afterwards.  ``bcs_brandes`` runs the sources
-in batches of up to 64 consecutive ids, one bit of each vertex's lane mask
-per source, with sigma and delta kept per vertex and lane and the BFS
-levels in one flat list; it runs fewer lanes only where those arrays would
-pass 64 MB, which changes no score.  The Python forms are the references
-the tests hold the compiled forms to, and run, silently, when the library
-cannot be built or loaded.  Each entry point checks its inputs, their
+bound and is shrunk in place afterwards.  ``bcs_brandes`` runs each
+component's sources in batches of up to 64 consecutive ids, one bit of each
+vertex's lane mask per source, with sigma and delta kept per vertex and
+lane, indexed from the component's first id, and the BFS levels in one flat
+list; its scratch spans the largest component, and it runs fewer lanes
+only where those arrays would pass 64 MB, which changes no score.  The
+Python forms are the references the tests hold the compiled forms to, and
+run, silently, when the library cannot be built or loaded.  Each entry point checks its inputs, their
 dtypes included, before it picks a form, so both forms accept and refuse
 the same inputs.
 
@@ -106,21 +109,23 @@ The compiled code evaluates the Python loop's floating-point expressions
 in the same order, with contraction into fused multiply-adds turned off, and
 both multiply by every attribute: with all attributes equal to 1 every
 attribute factor is an exact multiplication by 1, which the degeneration
-tests assert bit-for-bit on both.  ``bc_plain``, ``bc_reach``, ``bc_ident``
-and ``bc_reach_ident`` name the attribute combinations the engine dispatches
-on.
+tests assert bit-for-bit on both, so one call serves every component,
+whatever attributes it has.
 
 Attribute semantics on a reduced component:
 
 * ``reach[v]``  - number of original vertices represented by v (v itself
-  plus the mass folded behind it by shattering/compression).
+  plus the mass folded behind it by shattering/compression): delta starts
+  at reach[v] - 1, the targets hidden behind v, and every source counts
+  for reach[s] original sources.
 * ``ident[v]``  - number of mutually interchangeable original vertices
   merged into v.  On shortest paths every merged copy acts as a parallel
   route, hence the sigma multiplier; as a source or endpoint it multiplies
-  whole dependency trees.
+  whole dependency trees.  Paths between members of one class are not
+  counted here; the merge pass settles those.
 
-``brandes`` returns ``(scores, phase1_seconds, phase2_seconds)`` where
-scores[v] is the per-copy contribution for v (shared by all merged copies).
+``brandes`` returns ``(totals, phase1_seconds, phase2_seconds)`` where
+totals[v] is the per-copy contribution for v (shared by all merged copies).
 Phase 1 is the forward traversals and phase 2 the backward sweeps with the
 score additions, timed per traversal: a batch of sources compiled, one
 source in Python.
@@ -133,8 +138,8 @@ import os
 import tempfile
 from collections import deque
 from importlib import resources
-from itertools import chain, repeat
-from operator import index, is_not
+from itertools import chain
+from operator import index
 from pathlib import Path
 from time import perf_counter
 from typing import TYPE_CHECKING
@@ -143,9 +148,6 @@ import numpy as np
 
 if TYPE_CHECKING:  # graph.py calls the library through this module
     from .graph import Graph
-
-Adjacency = list[list[int]]
-
 
 class NonFiniteScoresError(ArithmeticError):
     """Some score came out NaN or infinite.  Shortest-path counts are
@@ -166,74 +168,52 @@ def check_finite(scores: np.ndarray) -> None:
         )
 
 
-def bc_plain(adj: Adjacency):
-    """Brandes' algorithm. Handles disconnected inputs per source."""
-    return brandes(adj)
+def brandes(offsets: np.ndarray, targets: np.ndarray, reach, ident, bounds: np.ndarray):
+    """Attribute-general Brandes over every component of a layout, in one
+    call: ``bcs_brandes``, or ``brandes_python`` when the compiled library
+    cannot be built or loaded.
 
-
-def bc_reach(adj: Adjacency, reach: list[int]):
-    """Brandes with reach attributes.
-
-    delta starts at reach[v] - 1 (the targets hidden behind v) and every
-    source counts for reach[s] original sources.  With reach = 1 everywhere
-    this is exactly ``bc_plain``.
+    ``(offsets, targets)`` is a CSR (int64, int32) whose component c is
+    the ids ``bounds[c]`` to ``bounds[c + 1] - 1`` (int64, from 0 to n
+    without falling), and every arc stays inside its source's component;
+    ``reach`` and ``ident`` hold a whole number >= 1 per vertex.  The rows
+    need not be symmetric and may repeat an id: in both forms v adds to
+    sigma[w], and pulls from w, once per occurrence of w in v's row, and
+    the scores are the same.  Arrays of another dtype or layout, bounds
+    that do not start at 0, end at n or rise, an arc that leaves its
+    component (it would index outside the compiled form's slots) and an
+    attribute that is NaN, infinite, fractional or below 1 raise ValueError
+    before either form runs.  Returns ``(totals, phase1_seconds,
+    phase2_seconds)``, totals float64 over the ids.
     """
-    return brandes(adj, reach=reach)
-
-
-def bc_ident(adj: Adjacency, ident: list[int]):
-    """Brandes with ident attributes (merged interchangeable vertices).
-
-    An edge into a non-source v fans out over ident[v] parallel copies, so
-    sigma forwards sigma[v] * ident[v]; back propagation scales the same way
-    and each source stands for ident[s] identical shortest-path trees.
-    Paths between members of one class are NOT counted here; the merge pass
-    settles those separately.
-    """
-    return brandes(adj, ident=ident)
-
-
-def bc_reach_ident(adj: Adjacency, reach: list[int], ident: list[int]):
-    """Brandes with both attributes.
-
-    Per merged copy: delta starts at reach[v] - 1, sigma and back propagation
-    carry the ident fan-out, and a source stands for reach[s] * ident[s]
-    original sources.  Coincides with ``bc_reach`` when ident = 1 and with
-    ``bc_ident`` when reach = 1, bit for bit.
-    """
-    return brandes(adj, reach=reach, ident=ident)
-
-
-def brandes(adj: Adjacency, reach: list[int] | None = None, ident: list[int] | None = None):
-    """Attribute-general Brandes; missing attributes are all 1.
-
-    Every neighbor id must lie in ``range(len(adj))``, and every attribute
-    must be a whole number >= 1: NaN, infinite and fractional ones raise
-    ValueError before either form runs.  The rows need not be symmetric and
-    may repeat an id: in both forms v adds to sigma[w], and pulls from w,
-    once per occurrence of w in v's row, and the scores are the same.  Runs
-    the compiled kernel, or ``brandes_python`` when it cannot be built or
-    loaded.
-    """
-    n = len(adj)
-    reach = [1] * n if reach is None else reach
-    ident = [1] * n if ident is None else ident
-    if len(reach) != n or len(ident) != n:
-        raise ValueError(f"reach and ident need {n} entries, one per vertex")
-    _check_positive(reach, "reach")
-    _check_positive(ident, "ident")
-    if not all(map(is_not, adj, repeat(None))):
-        raise ValueError("rows must not be None")  # the Python form cannot iterate one
-    offsets, targets = export_rows(adj)
-    _check_ids(targets, 0, n, "neighbor")
+    _check_arrays(("offsets", offsets, np.int64), ("targets", targets, np.int32), ("bounds", bounds, np.int64))
+    n = len(offsets) - 1
+    _check_csr(offsets, targets, n, 0, n, "neighbor")
+    if bounds.size == 0 or bounds[0] != 0 or bounds[-1] != n or np.diff(bounds).min(initial=0) < 0:
+        raise ValueError(f"the component bounds must run from 0 to {n} without falling")
+    comp = np.repeat(np.arange(len(bounds) - 1, dtype=np.int32), np.diff(bounds))
+    if (comp[targets] != np.repeat(comp, np.diff(offsets))).any():
+        raise ValueError("every arc must stay inside its source's component")
+    reach, ident = _check_counts(reach, n, "reach"), _check_counts(ident, n, "ident")
     lib = _kernel()
     if lib is None:
-        return brandes_python(adj, reach, ident)
-    bc = np.zeros(n)
-    seconds = np.zeros(2)
-    lib.bcs_brandes(n, offsets, targets, np.asarray(reach, dtype=np.float64), np.asarray(ident, dtype=np.float64),
-                    bc, seconds)
-    return bc.tolist(), float(seconds[0]), float(seconds[1])
+        return brandes_python(offsets, targets, reach, ident, bounds)
+    bc, seconds = np.zeros(n), np.zeros(2)
+    lib.bcs_brandes(offsets, targets, reach, ident, len(bounds) - 1, bounds, bc, seconds)
+    return bc, float(seconds[0]), float(seconds[1])
+
+
+def _check_counts(values, n: int, name: str) -> np.ndarray:
+    """``values`` as a float64 array, refusing with ValueError one that is
+    not n long or holds a value that is not a whole number >= 1: NaN
+    compares false with everything, and infinity is not finite."""
+    counts = np.asarray(values, dtype=np.float64)
+    if counts.shape != (n,):
+        raise ValueError(f"{name} needs {n} entries, one per vertex")
+    bad = np.flatnonzero(~((counts >= 1) & (np.floor(counts) == counts) & np.isfinite(counts)))
+    if bad.size:
+        raise ValueError(f"{name}[{bad[0]}] = {counts[bad[0]]}; attribute counts must be integers >= 1")
+    return counts
 
 
 def side_sweep(w, max_degree: int, out: np.ndarray):
@@ -265,14 +245,6 @@ def side_sweep(w, max_degree: int, out: np.ndarray):
                               w.internal_edgeless, w.internal_clique, max(0, min(index(max_degree), len(w.targets))),
                               out, removed, arcs)
     return removed[:runs], int(arcs[0])
-
-
-def export_rows(adj):
-    """The rows of ``adj`` (lists) as one CSR, the kernel's input: offsets
-    (int64) and neighbor ids (int32)."""
-    offsets = np.zeros(len(adj) + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, adj), dtype=np.int64, count=len(adj)), out=offsets[1:])
-    return offsets, np.fromiter(chain.from_iterable(adj), dtype=np.int32, count=int(offsets[-1]))
 
 
 def block_walk(w):
@@ -622,7 +594,7 @@ def _bind(path: Path):
     csr = [size, int64s, int32s]  # n, offsets, targets: a work graph's or a Graph's
     members = [int64s, int64s]  # member_offsets, members: a work graph's
     allocating = {  # the argtypes of each entry point that allocates its scratch
-        "bcs_brandes": [*csr, doubles, doubles, doubles, doubles],
+        "bcs_brandes": [int64s, int32s, doubles, doubles, size, int64s, doubles, doubles],
         "bcs_side_sweep": [*csr, *members, int64s, int64s, flags, flags, size, doubles, int32s, int64s],
         "bcs_blocks": [*csr, int64s, int64s, int32s, int32s, int64s, int32s, int64s, int64s],
         "bcs_twin_sweep": [*csr, *members, int64s, int64s, size, doubles, int32s, int32s],
@@ -642,9 +614,12 @@ def _bind(path: Path):
     return lib
 
 
-def brandes_python(adj: Adjacency, reach: list[int], ident: list[int]):
+def brandes_python(offsets: np.ndarray, targets: np.ndarray, reach: np.ndarray, ident: np.ndarray,
+                   bounds: np.ndarray):
     """Brandes' algorithm one source at a time, level by level, in the
-    canonical order (the reference for ``bcs_brandes``).
+    canonical order (the reference for ``bcs_brandes``), over the arrays
+    :func:`brandes` takes: the sources of each component of two or more
+    vertices, in increasing id.  Returns what :func:`brandes` returns.
 
     Each level is taken in increasing vertex id.  sigma[w] sums
     sigma[v] * ident[v] (sigma[v] for the source) over the previous level's
@@ -654,12 +629,15 @@ def brandes_python(adj: Adjacency, reach: list[int], ident: list[int]):
     sigma[w]; a repeated id counts once per occurrence.  bc[w] adds
     reach[s] * ident[s] * delta[w] in increasing s.  Phase 1 is the forward
     levels, phase 2 the backward sweep plus the score accumulation."""
-    n = len(adj)
+    n, ends, flat = len(offsets) - 1, offsets.tolist(), targets.tolist()
+    adj = [flat[ends[v] : ends[v + 1]] for v in range(n)]
+    reach, ident, bounds = reach.tolist(), ident.tolist(), bounds.tolist()
     bc = [0.0] * n
     dist, sigma, coef = [-1] * n, [0.0] * n, [0.0] * n
     t1 = 0.0
     t2 = 0.0
-    for s in range(n):
+    sources = chain.from_iterable(range(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi - lo > 1)
+    for s in sources:
         tick = perf_counter()
         dist[s] = 0
         sigma[s] = 1.0
@@ -692,7 +670,7 @@ def brandes_python(adj: Adjacency, reach: list[int], ident: list[int]):
             sigma[w] = 0.0
         t1 += mid - tick
         t2 += perf_counter() - mid
-    return bc, t1, t2
+    return np.array(bc), t1, t2
 
 
 def source_state(n: int):
@@ -1061,17 +1039,11 @@ def betweenness(g: Graph, *, unordered: bool = False):
     Ordered-pair convention by default; ``unordered=True`` halves the scores.
     Raises :class:`NonFiniteScoresError` when any score is NaN or infinite.
     """
-    scores, _, _ = bc_plain(g.adjacency_lists())
-    result = np.asarray(scores, dtype=np.float64)
+    from .graph import _on_csr  # graph.py imports this module
+
+    ones = np.ones(g.n)
+    result, _, _ = _on_csr(g, brandes, ones, ones, np.array([0, g.n], dtype=np.int64))
     check_finite(result)
     if unordered:
         result *= 0.5
     return result
-
-
-def _check_positive(values, name: str) -> None:
-    """Refuse an attribute that is not a whole number >= 1: NaN compares
-    false with everything, and infinity leaves a NaN remainder."""
-    for i, value in enumerate(values):
-        if not (value >= 1 and value % 1 == 0):
-            raise ValueError(f"{name}[{i}] = {value}; attribute counts must be integers >= 1")

@@ -72,6 +72,18 @@ def complete_bipartite_graph(a: int, b: int) -> Graph:
     return Graph.from_edges(a + b, [(u, v) for u in range(a) for v in range(a, a + b)])
 
 
+def kernel_args(rows: list[list[int]], reach=None, ident=None, bounds=None) -> tuple:
+    """The arguments of ``kernels.brandes`` for the rows ``rows`` (lists of
+    ids): their CSR (int64 offsets, int32 targets), ``reach`` and ``ident``
+    as float64 arrays (all 1 where None) and the component bounds (int64;
+    one range over every row where None)."""
+    n = len(rows)
+    offsets = np.cumsum([0, *map(len, rows)], dtype=np.int64)
+    targets = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int32, count=int(offsets[-1]))
+    reach, ident = (np.ones(n) if a is None else np.asarray(a, dtype=np.float64) for a in (reach, ident))
+    return offsets, targets, reach, ident, np.array([0, n] if bounds is None else bounds, dtype=np.int64)
+
+
 def component_mass_sums(w) -> list[int]:
     """The mass of each component of a work graph, in first-id order."""
     mass = (w.ident * w.reach).tolist()

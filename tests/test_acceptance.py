@@ -17,11 +17,11 @@ import pytest
 from bcshatter.bench import BenchRecord, performance_profile
 from bcshatter.engine import compute_scores
 from bcshatter.graph import Graph, bfs_order, connected_components, parse_metis, relabel
-from bcshatter.kernels import bc_ident, bc_plain, bc_reach, bc_reach_ident, betweenness
+from bcshatter.kernels import betweenness, brandes
 from bcshatter.oracle import GraphSpec, bc_brute, bc_tree, generate, pair_distance_total
 from bcshatter.reduction import STANDARD_COMBINATIONS, WorkGraph, run_pass
 
-from conftest import component_mass_sums, connected_edge_sets, random_graph
+from conftest import component_mass_sums, connected_edge_sets, kernel_args, random_graph
 
 
 def _all_combo_scores(g):
@@ -196,10 +196,10 @@ def test_criterion_6_degeneration_contracts():
         g = random_graph(n, rng.choice((0.2, 0.4, 0.6)), seed=i)
         adj = g.adjacency_lists()
         ones = [1] * n
-        plain = bc_plain(adj)[0]
-        assert bc_reach(adj, ones)[0] == plain
-        assert bc_ident(adj, ones)[0] == plain
-        assert bc_reach_ident(adj, ones, ones)[0] == plain
+        plain = betweenness(g).tobytes()
+        assert brandes(*kernel_args(adj, reach=ones))[0].tobytes() == plain
+        assert brandes(*kernel_args(adj, ident=ones))[0].tobytes() == plain
+        assert brandes(*kernel_args(adj, ones, ones))[0].tobytes() == plain
     print("criterion 6: PASS (50 graphs, reach/ident/both degenerate bit-identically)")
 
 

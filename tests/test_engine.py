@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from pathlib import Path
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -16,10 +16,7 @@ from bcshatter.kernels import betweenness
 from bcshatter.oracle import GraphSpec, bc_brute, generate
 from bcshatter.reduction import STANDARD_COMBINATIONS, Combination, preprocess
 
-from conftest import layered_graph, random_graph, sorted_components
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
+from conftest import kernel_args, layered_graph, random_graph, sorted_components
 
 @given(st.integers(2, 16), st.integers(0, 10_000))
 @settings(max_examples=60, deadline=None)
@@ -148,9 +145,9 @@ def test_kernel_totals_are_added_in_component_then_id_order(monkeypatch):
         for comp in sorted_components(rows):
             if len(comp) > 1:
                 index = {v: i for i, v in enumerate(comp)}
-                scores, _, _ = kernels.brandes([sorted(index[x] for x in rows[v]) for v in comp],
-                                               w.reach[comp].tolist(), w.ident[comp].tolist())
-                additions += [(v, amount) for v, amount in zip(comp, scores) if amount]
+                scores, _, _ = kernels.brandes(*kernel_args([sorted(index[x] for x in rows[v]) for v in comp],
+                                                            w.reach[comp], w.ident[comp]))
+                additions += [(v, amount) for v, amount in zip(comp, scores.tolist()) if amount]
 
         def reassembled(additions) -> bytes:
             final = partial.copy()
@@ -163,39 +160,33 @@ def test_kernel_totals_are_added_in_component_then_id_order(monkeypatch):
         assert compute_scores(g, "a").scores.tobytes() == reassembled(additions) != reassembled(additions[::-1])
 
 
-def test_compiled_kernel_hooks_count_every_component(monkeypatch):
-    # a traced compiled solve records one kernels.variant_* call per
-    # component of two or more vertices, under the variant its attributes
-    # select, with arcs k * (its row lengths summed): counted here from the
-    # work graph preprocess leaves, by a search of this test's own
-    lib = kernels._kernel()
-    if lib is None:
-        pytest.skip("the compiled library could not be built or loaded here")
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    from spans import Tracer, layer_totals
-
+def test_each_solve_makes_one_kernel_call(monkeypatch):
+    # one kernels.brandes call per compute_scores, on both forms, over the
+    # layout of the work graph preprocess leaves: its bounds are the
+    # components' and its arcs, k * (row lengths summed) per component of k
+    # vertices, are counted here by a search of this test's own
     specs = [("planted-side", 120, 1), ("planted-identical", 120, 1), ("bridged-blobs", 80, 3)]
-    graphs, expected = [generate(GraphSpec(family, size, 0.0, seed)) for family, size, seed in specs], {}
+    graphs = [generate(GraphSpec(family, size, 0.0, seed)) for family, size, seed in specs]
+    expected = []
     for g in graphs:
         w, _, _ = preprocess(relabel(g, bfs_order(g, 0)), Combination.parse("odbasi"))
-        rows = w.rows()
-        for comp in (comp for comp in sorted_components(rows) if len(comp) > 1):
-            variant = "_".join(name for name, a in (("reach", w.reach), ("ident", w.ident)) if (a[comp] != 1).any())
-            for key, value in (("calls", 1), ("arcs", len(comp) * sum(len(rows[v]) for v in comp))):
-                key = f"kernels.variant_{variant or 'plain'}.{key}"
-                expected[key] = expected.get(key, 0) + value
-    assert len(expected) == 8  # all four variants run
+        rows, comps = w.rows(), sorted_components(w.rows())
+        expected.append((list(accumulate(map(len, comps), initial=0)),
+                         sum(len(comp) * sum(len(rows[v]) for v in comp) for comp in comps)))
+    assert max(len(bounds) for bounds, _ in expected) > 3  # one call over several components
+    brandes = kernels.brandes
+    for lib in (kernels._kernel(), None):
+        monkeypatch.setattr(kernels, "_compiled", lib)
+        for g, (bounds, arcs) in zip(graphs, expected):
+            calls = []
 
-    tracer = Tracer()
-    tracer.install()
-    try:
-        for g in graphs:
+            def recorded(offsets, targets, reach, ident, bounds):
+                calls.append((bounds.tolist(), int(np.diff(bounds) @ np.diff(offsets[bounds]))))
+                return brandes(offsets, targets, reach, ident, bounds)
+
+            monkeypatch.setattr(kernels, "brandes", recorded)
             compute_scores(g, "odbasi")
-    finally:
-        tracer.restore()
-    assert kernels._compiled is lib and tracer.absent == [] and tracer.uncounted == set()
-    _, counts = layer_totals(tracer.take())
-    assert {key: value for key, value in counts.items() if key.startswith("kernels.variant_")} == expected
+            assert calls == [(bounds, arcs)]
 
 
 def test_larger_max_side_degree_still_exact():

@@ -26,10 +26,6 @@ from bcshatter import engine, kernels
 from bcshatter.graph import Graph, connected_components, parse_edge_list
 from bcshatter.kernels import (
     NonFiniteScoresError,
-    bc_ident,
-    bc_plain,
-    bc_reach,
-    bc_reach_ident,
     betweenness,
     brandes,
     brandes_python,
@@ -43,6 +39,7 @@ from conftest import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
+    kernel_args,
     layered_graph,
     path_graph,
     random_graph,
@@ -99,28 +96,32 @@ class TestPlain:
         assert bcshatter.NonFiniteScoresError is engine.NonFiniteScoresError is NonFiniteScoresError
 
 
+def _totals(rows, reach=None, ident=None, bounds=None) -> np.ndarray:
+    """``brandes``'s totals for the rows ``rows`` (see ``kernel_args``)."""
+    return brandes(*kernel_args(rows, reach, ident, bounds))[0]
+
+
 class TestReach:
     def test_single_edge_component(self):
         # a 2-vertex piece where vertex 1 stands for one extra target
-        scores, _, _ = bc_reach([[1], [0]], [1, 2])
-        assert scores == [0.0, 1.0]
+        assert _totals([[1], [0]], reach=[1, 2]).tolist() == [0.0, 1.0]
 
     def test_split_path_reassembles(self):
         # path 0-1-2 cut at 1: in each half, vertex 1 also carries the other half
-        left, _, _ = bc_reach([[1], [0]], [1, 2])
-        right, _, _ = bc_reach([[1], [0]], [2, 1])
+        left = _totals([[1], [0]], reach=[1, 2]).tolist()
+        right = _totals([[1], [0]], reach=[2, 1]).tolist()
         total = [left[0], left[1] + right[0], right[1]]
         assert total == [0.0, 2.0, 0.0]
 
     @pytest.mark.usefixtures("kernel_path")
     def test_unit_reach_is_bitwise_plain(self):
         for seed in range(5):
-            adj = random_graph(10, 0.4, seed).adjacency_lists()
-            assert bc_reach(adj, [1] * 10)[0] == bc_plain(adj)[0]
+            g = random_graph(10, 0.4, seed)
+            assert _totals(g.adjacency_lists(), reach=[1] * 10).tobytes() == betweenness(g).tobytes()
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            bc_reach([[1], [0]], [1, 0])
+            _totals([[1], [0]], reach=[1, 0])
 
     @pytest.mark.usefixtures("kernel_path")
     @pytest.mark.parametrize("name", ["reach", "ident"])
@@ -129,38 +130,41 @@ class TestReach:
         # NaN compares false with 1, so a test of value < 1 alone lets it
         # through, and 1.5 is no count: each is refused before either form runs
         with pytest.raises(ValueError, match=rf"{name}\[0\]"):
-            brandes([[1], [0, 2], [1]], **{name: [value, 1, 1]})
+            _totals([[1], [0, 2], [1]], **{name: [value, 1, 1]})
 
     @pytest.mark.usefixtures("kernel_path")
     def test_accepts_integral_floats(self):
-        adj = [[1], [0, 2], [1]]
-        assert brandes(adj, [2.0, 1.0, 3.0], [1.0, 2.0, 1.0])[0] == brandes(adj, [2, 1, 3], [1, 2, 1])[0]
+        args = kernel_args([[1], [0, 2], [1]])
+        as_ints = brandes(*args[:2], np.array([2, 1, 3]), np.array([1, 2, 1]), args[4])[0]
+        assert _totals([[1], [0, 2], [1]], [2.0, 1.0, 3.0], [1.0, 2.0, 1.0]).tobytes() == as_ints.tobytes()
 
     def test_rejects_length_mismatch(self):
         # the compiled kernel would read past the end of a short array
         with pytest.raises(ValueError):
-            bc_reach([[1], [0, 2], [1]], [1, 1])
+            _totals([[1], [0, 2], [1]], reach=[1, 1])
 
     @pytest.mark.usefixtures("kernel_path")
     @pytest.mark.parametrize("neighbor", [-1, 3])
     def test_rejects_neighbor_out_of_range(self, neighbor):
         with pytest.raises(ValueError):
-            bc_plain([[1], [0, 2], [1, neighbor]])
+            _totals([[1], [0, 2], [1, neighbor]])
 
     @pytest.mark.usefixtures("kernel_path")
-    def test_rejects_none_row(self):
-        # the CSR export would read a None row as empty; the Python form
-        # cannot iterate it, so both refuse it alike
-        with pytest.raises(ValueError, match="None"):
-            brandes([[1], [0], None])
+    def test_rejects_none_in_place_of_an_array(self):
+        # the arrays' checks refuse None, so neither form is handed one
+        for position in range(5):
+            args = list(kernel_args([[1], [0]]))
+            args[position] = None
+            with pytest.raises(ValueError):
+                brandes(*args)
 
 
 class TestIdent:
     @pytest.mark.usefixtures("kernel_path")
     def test_unit_ident_is_bitwise_plain(self):
         for seed in range(5):
-            adj = random_graph(10, 0.4, seed).adjacency_lists()
-            assert bc_ident(adj, [1] * 10)[0] == bc_plain(adj)[0]
+            g = random_graph(10, 0.4, seed)
+            assert _totals(g.adjacency_lists(), ident=[1] * 10).tobytes() == betweenness(g).tobytes()
 
     def test_cycle4_merged_pair(self):
         # C4 with the antipodal pair {0,2} folded into one copy of weight 2:
@@ -168,15 +172,13 @@ class TestIdent:
         # the merged pair's own distance-2 paths are settled elsewhere.
         adj = [[1, 2], [0], [0]]  # 0' in the middle
         ident = [2, 1, 1]
-        scores, _, _ = bc_ident(adj, ident)
-        assert scores == [1.0, 0.0, 0.0]
+        assert _totals(adj, ident=ident).tolist() == [1.0, 0.0, 0.0]
 
     def test_merged_star_leaves(self):
         # star with all 3 leaves folded: kernel sees one edge; the center's
         # credit (3*2 ordered leaf pairs) comes from the class correction,
         # not the kernel.
-        scores, _, _ = bc_ident([[1], [0]], [1, 3])
-        assert scores == [0.0, 0.0]
+        assert _totals([[1], [0]], ident=[1, 3]).tolist() == [0.0, 0.0]
 
 
 class TestReachIdent:
@@ -185,19 +187,19 @@ class TestReachIdent:
         for seed in range(5):
             adj = random_graph(9, 0.45, seed).adjacency_lists()
             reach = [(seed + v) % 3 + 1 for v in range(9)]
-            assert bc_reach_ident(adj, reach, [1] * 9)[0] == bc_reach(adj, reach)[0]
+            assert _totals(adj, reach, [1] * 9).tobytes() == _totals(adj, reach=reach).tobytes()
 
     @pytest.mark.usefixtures("kernel_path")
     def test_degenerates_to_ident(self):
         for seed in range(5):
             adj = random_graph(9, 0.45, seed).adjacency_lists()
             ident = [(seed + v) % 2 + 1 for v in range(9)]
-            assert bc_reach_ident(adj, [1] * 9, ident)[0] == bc_ident(adj, ident)[0]
+            assert _totals(adj, [1] * 9, ident).tobytes() == _totals(adj, ident=ident).tobytes()
 
     @pytest.mark.usefixtures("kernel_path")
     def test_both_unit_is_bitwise_plain(self):
-        adj = random_graph(12, 0.3, seed=7).adjacency_lists()
-        assert bc_reach_ident(adj, [1] * 12, [1] * 12)[0] == bc_plain(adj)[0]
+        g = random_graph(12, 0.3, seed=7)
+        assert _totals(g.adjacency_lists(), [1] * 12, [1] * 12).tobytes() == betweenness(g).tobytes()
 
 
 def _sparse_graph(n: int, m: int, isolated: int, seed: int) -> Graph:
@@ -242,18 +244,38 @@ _SHAPES = {
 }
 
 
-def _assert_matches_reference(adj, seed: int) -> None:
-    """``brandes`` on the compiled kernel against ``brandes_python`` under
-    random reach and ident, reach alone, ident alone and neither."""
+def _assert_matches_reference(adj, seed: int, bounds=None) -> None:
+    """``brandes`` on the compiled kernel against ``brandes_python``, bit
+    for bit, under random reach and ident, reach alone, ident alone and
+    neither."""
     n = len(adj)
     rng = random.Random(seed)
     reach = [rng.randint(1, 5) for _ in range(n)]
     ident = [rng.randint(1, 3) for _ in range(n)]
     ones = [1] * n
     for r, i in ((reach, ident), (reach, ones), (ones, ident), (ones, ones)):
-        expected, _, _ = brandes_python(adj, r, i)
-        got, _, _ = brandes(adj, r, i)
-        assert got == expected
+        args = kernel_args(adj, r, i, bounds)
+        expected, _, _ = brandes_python(*args)
+        got, _, _ = brandes(*args)
+        assert got.tobytes() == expected.tobytes()
+
+
+# Component sizes around the lane count: a lone vertex, which no traversal
+# runs, a pair, a batch one short of full, a full one, and one that leaves a
+# batch of one or of a single source past two full ones.
+_LAYOUT_SIZES = (1, 2, 63, 64, 65, 129)
+
+
+def _layout(sizes, seed: int):
+    """The rows and bounds of a layout with a connected component of each
+    size in ``sizes``, in order: a path through each, with random chords."""
+    rows, bounds = [], [0]
+    for size in sizes:
+        g = _sparse_graph(size, 2 * size, 0, seed + size)
+        edges = {*g.edges(), *((v, v + 1) for v in range(size - 1))}
+        rows += [[bounds[-1] + x for x in row] for row in Graph.from_edges(size, sorted(edges)).adjacency_lists()]
+        bounds.append(bounds[-1] + size)
+    return rows, bounds
 
 
 @pytest.mark.usefixtures("compiled_kernel")
@@ -309,13 +331,20 @@ class TestNumpyMatchesLoop:
         rng = random.Random(seed)
         adj = _sparse_graph(150, 450, 0, seed).adjacency_lists()
         ident = [rng.choice([1, 999_983]) for _ in adj]
-        assert brandes(adj, ident=ident)[0] == brandes_python(adj, [1] * 150, ident)[0]
+        assert _totals(adj, ident=ident).tobytes() == brandes_python(*kernel_args(adj, [1] * 150, ident))[0].tobytes()
 
     @pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129])
     def test_lane_boundaries(self, n):
         # up to 64 sources share a traversal: these sizes end on a batch one
         # short of full, a full one, or one of a single source
         _assert_matches_reference(_sparse_graph(n, 2 * n, 0, n).adjacency_lists(), n)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_layout_of_components_around_the_lane_count(self, seed):
+        # one call over every component, each with its own batches and its
+        # slots from its first id
+        rows, bounds = _layout(_LAYOUT_SIZES, seed)
+        _assert_matches_reference(rows, seed, bounds)
 
 
 def _union(parts):
@@ -348,13 +377,82 @@ class TestBatchIndependence:
             # idents near 10^6 make sigma round, so the order of its sums shows
             reach = [rng.choice([1, 2, 5, 40]) for _ in rows]
             parts.append((rows, reach, [rng.choice([1, 3, 999_983]) for _ in rows]))
-        scores, _, _ = brandes(*_union(parts))
-        start = 0
-        for part in parts:
-            alone, _, _ = brandes(*part)
-            assert scores[start : start + len(alone)] == alone
-            start += len(alone)
-        assert start == len(scores) == 220
+        rows, reach, ident = _union(parts)
+        bounds = np.cumsum([0, *(len(part[0]) for part in parts)])
+        # one range over the union, whose batches straddle the parts, and
+        # the parts as the layout's components, each batched on its own
+        for scores in (_totals(rows, reach, ident), _totals(rows, reach, ident, bounds)):
+            start = 0
+            for part in parts:
+                alone = _totals(*part)
+                assert scores[start : start + len(alone)].tobytes() == alone.tobytes()
+                start += len(alone)
+            assert start == len(scores) == 220
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_call_equals_a_call_per_component(self, seed):
+        # the layout's totals are the totals of each component alone,
+        # concatenated, byte for byte, under all four attribute mixes
+        rows, bounds = _layout(_LAYOUT_SIZES, seed)
+        rng = random.Random(seed)
+        reach = [rng.choice([1, 2, 5, 40]) for _ in rows]
+        ident = [rng.choice([1, 3, 999_983]) for _ in rows]
+        ones = [1] * len(rows)
+        for r, i in ((reach, ident), (reach, ones), (ones, ident), (ones, ones)):
+            alone = [_totals([[x - lo for x in row] for row in rows[lo:hi]], r[lo:hi], i[lo:hi])
+                     for lo, hi in zip(bounds, bounds[1:])]
+            assert _totals(rows, r, i, bounds).tobytes() == np.concatenate(alone).tobytes()
+
+
+@pytest.mark.usefixtures("kernel_path")
+class TestLayoutRefusals:
+    """``brandes`` refuses, on both forms and before either runs, a layout
+    whose bounds do not run from 0 to n without falling and an arc that
+    leaves its source's component: the compiled form indexes each vertex's
+    slots from its component's first id, so such an arc would read and
+    write outside them."""
+
+    # two components of 2 and one of 3: 0-1, 2-3 and the path 4-5-6
+    ROWS = [[1], [0], [3], [2], [5], [4, 6], [5]]
+    BOUNDS = [0, 2, 4, 7]
+
+    @pytest.fixture
+    def no_form_runs(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a form ran on a layout it should refuse")
+
+        monkeypatch.setattr(kernels, "brandes_python", refuse)
+        if kernels._compiled is not None:
+            monkeypatch.setattr(kernels, "_compiled", types.SimpleNamespace(bcs_brandes=refuse))
+
+    @pytest.mark.usefixtures("no_form_runs")
+    @pytest.mark.parametrize("bounds", [[1, 2, 4, 7], [0, 2, 4, 6], [0, 2, 4, 8], [0, 4, 2, 7], [], [0, 7, 7, 6, 7]],
+                             ids=["late start", "short end", "long end", "falling", "empty", "falling at the end"])
+    def test_bounds_that_do_not_run_from_0_to_n(self, bounds):
+        with pytest.raises(ValueError, match="bounds"):
+            brandes(*kernel_args(self.ROWS, bounds=bounds))
+
+    @pytest.mark.usefixtures("no_form_runs")
+    @pytest.mark.parametrize("arc", [(0, 6), (6, 0), (3, 4), (4, 3)],
+                             ids=["far ahead", "far back", "next first id", "previous last id"])
+    def test_an_arc_that_leaves_its_component(self, arc):
+        rows = [list(row) for row in self.ROWS]
+        rows[arc[0]].append(arc[1])
+        with pytest.raises(ValueError, match="component"):
+            brandes(*kernel_args(rows, bounds=self.BOUNDS))
+
+    @pytest.mark.usefixtures("no_form_runs")
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 2.5, 0])
+    @pytest.mark.parametrize("name", ["reach", "ident"])
+    def test_attributes_that_are_not_counts(self, name, value):
+        counts = [1] * 7
+        counts[5] = value
+        with pytest.raises(ValueError, match=rf"{name}\[5\]"):
+            brandes(*kernel_args(self.ROWS, bounds=self.BOUNDS, **{name: counts}))
+
+    def test_the_layout_itself_runs(self):
+        totals, _, _ = brandes(*kernel_args(self.ROWS, bounds=self.BOUNDS))
+        assert totals.tolist() == [0.0, 0.0, 0.0, 0.0, 0.0, 2.0, 0.0]
 
 
 class TestCanonicalReference:
@@ -365,7 +463,7 @@ class TestCanonicalReference:
     def test_matches_brute_force(self, family):
         for seed in range(3):
             g = generate(GraphSpec(family, 40, seed=seed))
-            scores, _, _ = brandes_python(g.adjacency_lists(), [1] * g.n, [1] * g.n)
+            scores, _, _ = brandes_python(*kernel_args(g.adjacency_lists()))
             assert np.allclose(scores, bc_brute(g), rtol=1e-12, atol=1e-9)
 
 
@@ -446,8 +544,8 @@ class TestBuild:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             changes = remove_side_vertices(w, out)
-            got, _, _ = brandes(adj, reach, ident)
-        assert got == brandes_python(adj, reach, ident)[0]
+            got, _, _ = brandes(*kernel_args(adj, reach, ident))
+        assert got.tobytes() == brandes_python(*kernel_args(adj, reach, ident))[0].tobytes()
         assert changes > 0
         removed, _ = kernels.side_sweep_python(ref.rows(), ref.member_lists(), ref.reach.tolist(), ref.ident.tolist(),
                                                ref.internal_edgeless.tolist(), ref.internal_clique.tolist(),
@@ -605,7 +703,7 @@ from bcshatter.reduction import WorkGraph
 kernels._compiled = lib = kernels._bind(sys.argv[1])
 lib.fail_allocation.argtypes = [ctypes.c_int64]
 calls = {
-    "bcs_brandes": lambda w, out: kernels.brandes(w.rows(), w.reach.tolist()),
+    "bcs_brandes": lambda w, out: kernels.brandes(w.offsets, w.targets, w.reach, w.ident, np.array([0, 4])),
     "bcs_side_sweep": lambda w, out: kernels.side_sweep(w, 4, out),
     "bcs_blocks": lambda w, out: kernels.block_walk(w),
     "bcs_twin_sweep": lambda w, out: kernels.twin_sweep(w, True, out),
@@ -683,9 +781,11 @@ void fail_allocation(int64_t k) { allocations = 0; failing = k; }
         k = 30_000
         rows = [[3 * (v // 3) + (v + i) % 3 for i in (1, 2)] for v in range(3 * k)]
         start = time.perf_counter()
-        scores, _, _ = kernels.brandes(rows, [1, 2, 3] * k)
+        scores = _totals(rows, [1, 2, 3] * k)
         assert time.perf_counter() - start < 2.0
-        assert scores == kernels.brandes(rows[:3], [1, 2, 3])[0] * k
+        assert scores.tobytes() == np.tile(_totals(rows[:3], [1, 2, 3]), k).tobytes()
+        # as a layout of k components, each batched on its own
+        assert _totals(rows, [1, 2, 3] * k, bounds=range(0, 3 * k + 1, 3)).tobytes() == scores.tobytes()
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads /proc/self/status")
     @pytest.mark.skipif("asan" in os.environ.get("LD_PRELOAD", ""), reason="ASan's quarantine keeps freed memory")
@@ -699,11 +799,12 @@ void fail_allocation(int64_t k) { allocations = 0; failing = k; }
         k = 6667
         triangles = [(3 * i + a, 3 * i + b) for i in range(k) for a, b in ((0, 1), (0, 2), (1, 2))]
         w, out = WorkGraph.from_graph(Graph.from_edges(3 * k, triangles)), np.zeros(3 * k)
-        rows, offsets, targets = [[] for _ in range(20_000)], np.zeros(400_001, dtype=np.int64), np.empty(0, np.int32)
+        edgeless = kernel_args([[]] * 20_000)
+        offsets, targets = np.zeros(400_001, dtype=np.int64), np.empty(0, np.int32)
         keep, lone = np.ones(400_000, dtype=bool), WorkGraph.from_graph(Graph.from_edges(400_000, []))
         no_blocks = np.empty(0, dtype=np.int32), np.zeros(1, dtype=np.int32), np.empty(0, dtype=bool)
         call = {
-            "brandes": lambda: kernels.brandes(rows),
+            "brandes": lambda: kernels.brandes(*edgeless),
             "side_sweep": lambda: kernels.side_sweep(w, 4, out),
             "block_walk": lambda: kernels.block_walk(w),
             "twin_sweep": lambda: kernels.twin_sweep(w, True, out),

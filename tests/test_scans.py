@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 from bcshatter import kernels
+from bcshatter.engine import compute_scores
 from bcshatter.graph import Graph
 from bcshatter.oracle import FAMILIES, GraphSpec, generate
-from bcshatter.reduction import WorkGraph, preprocess, run_pass
+from bcshatter.reduction import WorkGraph, run_pass
 
 from conftest import complete_bipartite_graph, complete_graph, per_component, star_graph
 
@@ -618,9 +619,9 @@ class TestRefusals:
 
 
 def test_compiled_reduction_exports_nothing(compiled_library, monkeypatch):
-    # the scans and loops read the work graph's arrays in place: with the
-    # library loaded, no pass makes a CSR or rows out of lists, and no
-    # Python form runs
+    # the scans, the loops and the kernel read arrays in place: with the
+    # library loaded, no pass and no step of the kernel stage makes rows or
+    # members as lists, and no Python form runs
     parts = [generate(GraphSpec(family, 400, 0.0, seed)) for family in ("clique-chain", "bridged-blobs",
                                                                          "planted-side", "planted-identical")
              for seed in (1, 2)]
@@ -634,8 +635,9 @@ def test_compiled_reduction_exports_nothing(compiled_library, monkeypatch):
     def refuse(*args):
         raise AssertionError("a pass exported rows or ran a Python form")
 
-    for owner, name in ((kernels, "export_rows"), (WorkGraph, "rows"), (WorkGraph, "member_lists"),
-                        (kernels, "degree1_python"), (kernels, "twin_sweep_python")):
+    for owner, name in ((WorkGraph, "rows"), (WorkGraph, "member_lists"), (kernels, "degree1_python"),
+                        (kernels, "twin_sweep_python"), (kernels, "brandes_python")):
         monkeypatch.setattr(owner, name, refuse)
-    _, _, stats = preprocess(Graph.from_edges(n, edges), "odbasi")
-    assert {e.technique for e in stats.events if e.changes} == set("dbasi")
+    result = compute_scores(Graph.from_edges(n, edges), "odbasi")
+    assert {e.technique for e in result.stats.events if e.changes} == set("dbasi")
+    assert result.remaining_vertices > 0
