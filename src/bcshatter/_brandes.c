@@ -13,9 +13,9 @@
  * - bcs_blocks, the blocks and cut-side masses of every component of the
  *   work graph: the compiled form of ``kernels.block_walk_python``;
  * - bcs_bfs, the one BFS, over a ``Graph``'s CSR for ``graph.bfs_order``
- *   and ``graph.connected_components``, and over the work graph for
- *   ``WorkGraph.components`` and bcs_degree1: the compiled form of
- *   ``kernels.bfs_python``;
+ *   and ``graph.connected_components``, and over the work graph, each
+ *   component sorted, for ``WorkGraph.components`` and bcs_degree1: the
+ *   compiled form of ``kernels.bfs_python``;
  * - bcs_compact, the rebuild of the work graph's rows that drops vertices
  *   or arcs, for ``WorkGraph.compact``: the compiled form of
  *   ``kernels.rebuild_python``;
@@ -771,10 +771,11 @@ int64_t bcs_twin_sweep(int64_t n, const int64_t *offsets, const int32_t *targets
 
 /* The one BFS, the compiled form of ``kernels.bfs_python``: the vertices
  * of the CSR (offsets, targets) on n vertices in BFS dequeue order, from
- * start, then from each vertex no earlier BFS reached, lowest id first.
+ * start, then from each vertex no earlier BFS reached, lowest id first;
+ * with sorted set, each component's vertices are then put in increasing id.
  * Component c is order[ends[c] .. ends[c + 1]); order needs n slots and
  * ends n + 1.  Returns the number of components. */
-int64_t bcs_bfs(int64_t n, const int64_t *offsets, const int32_t *targets, int64_t start,
+int64_t bcs_bfs(int64_t n, const int64_t *offsets, const int32_t *targets, int64_t start, int64_t sorted,
                 int32_t *order, int64_t *ends)
 {
     struct scratch s = {0};
@@ -801,6 +802,8 @@ int64_t bcs_bfs(int64_t n, const int64_t *offsets, const int32_t *targets, int64
                 }
             }
         }
+        if (sorted)
+            sort_ids(order + ends[count], end - ends[count]);
         ends[++count] = end;
     }
     release(&s);
@@ -835,11 +838,9 @@ int64_t bcs_degree1(int64_t n, const int64_t *offsets, const int32_t *targets,
     int64_t *ends = take(&s, n + 1, 8), *degree = take(&s, n, 8);
     int32_t *flat = take(&s, n, 4), *queue = take(&s, 2 * n, 4);
     uint8_t *alive = take(&s, n, 1);
-    int64_t ncomps = s.failed ? -1 : bcs_bfs(n, offsets, targets, 0, flat, ends);
+    int64_t ncomps = s.failed ? -1 : bcs_bfs(n, offsets, targets, 0, 1, flat, ends);
     if (ncomps < 0)
         return release(&s);
-    for (int64_t c = 0; c < ncomps; c++)
-        sort_ids(flat + ends[c], ends[c + 1] - ends[c]);
     for (int64_t v = 0; v < n; v++) {
         degree[v] = offsets[v + 1] - offsets[v];
         alive[v] = 1;

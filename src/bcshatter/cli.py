@@ -56,7 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--unordered", action="store_true", help="halve scores to unordered-pair convention")
     p_compute.add_argument("--out", default="-", help="output CSV path ('-' for stdout)")
     p_compute.add_argument("--stats", default=None,
-                           help="also write pass statistics CSV here (one row per pass per iteration, with seconds)")
+                           help="also write pass statistics CSV here (one row per pass per iteration and per "
+                                "retirement step, with seconds)")
 
     p_verify = sub.add_parser("verify", help="check combinations against the brute-force oracle")
     src = p_verify.add_mutually_exclusive_group(required=True)

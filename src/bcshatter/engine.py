@@ -1,20 +1,20 @@
 """End-to-end score computation: ordering, reduction, kernels, reassembly.  The
-kernels read one layout of the reduced work graph: each component a range of
-ids, the components in first-id order, each in increasing id."""
+kernel stage is ``reduction.solve_pieces`` with no size bound, the routine
+the reduction loop retires small pieces with: one kernel call over a layout
+of the reduced work graph, each component a range of ids."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
 from time import perf_counter
 
 import numpy as np
 
 from . import kernels
-from .graph import Graph, _relabel_csr, bfs_order, relabel
+from .graph import Graph, bfs_order, relabel
 from .kernels import NonFiniteScoresError  # what compute_scores raises, importable from here
-from .reduction import DEFAULT_MAX_SIDE_DEGREE, Combination, PassStats, finalize, preprocess
+from .reduction import DEFAULT_MAX_SIDE_DEGREE, Combination, PassStats, finalize, preprocess, solve_pieces
 
 
 @dataclass
@@ -22,9 +22,12 @@ class ComputeResult:
     scores: np.ndarray
     combination: str
     preprocess_seconds: float
+    # the kernel stage's call; the retirement steps' calls count as preprocessing
     phase1_seconds: float
     phase2_seconds: float
     total_seconds: float
+    # what the kernels saw: every piece a kernel call ran on, retired by the
+    # reduction loop or left for the kernel stage
     remaining_vertices: int
     remaining_edges: int
     component_count: int
@@ -60,18 +63,11 @@ def compute_scores(
     w, partial, stats = preprocess(working, combo, max_side_degree=max_side_degree)
     preprocess_seconds = perf_counter() - t0
 
-    comps = w.components()
-    bounds = np.fromiter(accumulate(map(len, comps), initial=0), dtype=np.int64, count=len(comps) + 1)
-    order = np.fromiter(chain.from_iterable(comps), dtype=np.int64, count=w.n)  # new id k is order[k]
-    forward = np.empty_like(order)
-    forward[order] = np.arange(w.n)
-    # component c is new ids bounds[c] to bounds[c + 1] - 1, each row ascending
-    offsets, targets = _relabel_csr(w.offsets, w.targets, forward, order)
-    totals, phase1, phase2 = kernels.brandes(offsets, targets, w.reach[order], w.ident[order], bounds)
-    # each component's edge count, largest first, whatever ids the copies got
-    stats.component_edges = sorted((np.diff(offsets[bounds]) // 2).tolist(), reverse=True)
+    pieces, totals, edges, phase1, phase2 = solve_pieces(w)
+    # every piece a kernel call ran on, retired or final, largest first
+    stats.component_edges = sorted(stats.component_edges + edges.tolist(), reverse=True)
 
-    final = finalize(w, partial, order, totals)
+    final = finalize(pieces, partial, totals)
     kernels.check_finite(final)
     if perm is not None:
         final = final[perm.forward]
@@ -85,9 +81,9 @@ def compute_scores(
         phase1_seconds=phase1,
         phase2_seconds=phase2,
         total_seconds=total_seconds,
-        remaining_vertices=w.n,
-        remaining_edges=w.m,
-        component_count=len(comps),
+        remaining_vertices=pieces.n + sum(r.vertices for r in stats.retirements),
+        remaining_edges=sum(stats.component_edges),
+        component_count=len(stats.component_edges),
         component_edges=stats.component_edges,
         stats=stats,
     )

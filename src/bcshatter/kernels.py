@@ -43,9 +43,9 @@ Python forms return, in order:
   work graph, read by the bridge and articulation passes: ``bcs_blocks``
   and ``block_walk_python``, whose walks are ``_block_dfs``.
 * ``bfs``, the one BFS, over a ``Graph``'s CSR for ``graph.bfs_order`` and
-  ``graph.connected_components``, or over the work graph's for
-  ``WorkGraph.components``: ``bcs_bfs`` and ``bfs_python``.  It also starts
-  the degree-1 cascade in both forms.
+  ``graph.connected_components``, or over the work graph's, each
+  component sorted, for ``WorkGraph.components``: ``bcs_bfs`` and
+  ``bfs_python``.  It also starts the degree-1 cascade in both forms.
 
 Two are the edits that copy every arc, whose Python forms are numpy:
 
@@ -191,8 +191,11 @@ def brandes(offsets: np.ndarray, targets: np.ndarray, reach, ident, bounds: np.n
     _check_csr(offsets, targets, n, 0, n, "neighbor")
     if bounds.size == 0 or bounds[0] != 0 or bounds[-1] != n or np.diff(bounds).min(initial=0) < 0:
         raise ValueError(f"the component bounds must run from 0 to {n} without falling")
-    comp = np.repeat(np.arange(len(bounds) - 1, dtype=np.int32), np.diff(bounds))
-    if (comp[targets] != np.repeat(comp, np.diff(offsets))).any():
+    # component c's arcs are offsets[bounds[c]] to offsets[bounds[c + 1]] - 1:
+    # the least and greatest target of each that has any, without a per-arc array
+    starts, has = offsets[bounds[:-1]], np.diff(offsets[bounds]) > 0
+    if has.any() and ((np.minimum.reduceat(targets, starts[has]) < bounds[:-1][has]).any()
+                      or (np.maximum.reduceat(targets, starts[has]) >= bounds[1:][has]).any()):
         raise ValueError("every arc must stay inside its source's component")
     reach, ident = _check_counts(reach, n, "reach"), _check_counts(ident, n, "ident")
     lib = _kernel()
@@ -320,12 +323,13 @@ def degree1(w, out: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     return gone[:count], reach, int(retired[0])
 
 
-def bfs(offsets: np.ndarray, targets: np.ndarray, start: int):
+def bfs(offsets: np.ndarray, targets: np.ndarray, start: int, ascending: bool = False):
     """The one BFS over the CSR ``(offsets, targets)``: ``bcs_bfs``, or
     :func:`bfs_python` when the compiled library cannot be built or loaded.
     Returns ``(order, ends)``: component c is ``order[ends[c]:ends[c + 1]]``
-    (int32, bounds int64), in dequeue order from ``start``, then from each
-    vertex no earlier BFS reached, lowest id first.  Refuses arrays that are
+    (int32, bounds int64), from ``start``, then from each vertex no earlier
+    BFS reached, lowest id first; each in dequeue order or, given
+    ``ascending``, in increasing id.  Refuses arrays that are
     not a CSR of int64 offsets and int32 targets over its vertices, and a
     ``start`` that names no vertex of a graph that has one, with
     ValueError."""
@@ -336,10 +340,10 @@ def bfs(offsets: np.ndarray, targets: np.ndarray, start: int):
         raise ValueError(f"the start vertex {start} is not one of the {n} vertices")
     lib = _kernel()
     if lib is None:
-        comps = bfs_python(offsets.tolist(), targets.tolist(), start)
+        comps = bfs_python(offsets.tolist(), targets.tolist(), start, ascending)
         return np.fromiter(chain.from_iterable(comps), dtype=np.int32), np.cumsum([0, *map(len, comps)])
     order, ends = np.empty(n, dtype=np.int32), np.empty(n + 1, dtype=np.int64)
-    count = lib.bcs_bfs(n, offsets, targets, start, order, ends)
+    count = lib.bcs_bfs(n, offsets, targets, start, int(ascending), order, ends)
     return order[: ends[count]], ends[: count + 1]
 
 
@@ -599,7 +603,7 @@ def _bind(path: Path):
         "bcs_blocks": [*csr, int64s, int64s, int32s, int32s, int64s, int32s, int64s, int64s],
         "bcs_twin_sweep": [*csr, *members, int64s, int64s, size, doubles, int32s, int32s],
         "bcs_degree1": [*csr, *members, int64s, flags, int64s, doubles, int32s, int64s],
-        "bcs_bfs": [*csr, size, int32s, int64s],
+        "bcs_bfs": [*csr, size, size, int32s, int64s],
         "bcs_compact": [*csr, _or_null(flags), _or_null(flags), int64s, int32s],
         "bcs_shatter": [*csr, int32s, int32s, size, flags, size, int64s, int32s],
         "bcs_edge_csr": [size, size, int32s, int64s, int32s, int64s],
@@ -930,7 +934,7 @@ def degree1_python(offsets, targets, members, reach, ident, edgeless, out: np.nd
     reach = list(reach)
     gone = []
     retired = 0
-    for comp in map(sorted, bfs_python(offsets, targets, 0)):
+    for comp in bfs_python(offsets, targets, 0, True):
         total = sum(ident[v] * reach[v] for v in comp)
         queue = deque(v for v in comp if degree[v] <= 1)
         while queue:
@@ -967,11 +971,12 @@ def degree1_python(offsets, targets, members, reach, ident, edgeless, out: np.nd
     return gone, reach, retired
 
 
-def bfs_python(offsets: list[int], targets: list[int], start: int) -> list[list[int]]:
-    """The components of the CSR ``(offsets, targets)``, given as lists, each
-    in BFS dequeue order: from ``start``, then from each vertex no earlier
-    BFS reached, lowest id first (the reference for ``bcs_bfs``).  A row is
-    sliced out of ``targets`` when its vertex is dequeued."""
+def bfs_python(offsets: list[int], targets: list[int], start: int, ascending: bool = False) -> list[list[int]]:
+    """The components of the CSR ``(offsets, targets)``, given as lists:
+    from ``start``, then from each vertex no earlier BFS reached, lowest id
+    first, each in BFS dequeue order or, given ``ascending``, sorted (the
+    reference for ``bcs_bfs``).  A row is sliced out of ``targets`` when its
+    vertex is dequeued."""
     n = len(offsets) - 1
     seen = bytearray(n)
     comps = []
@@ -985,7 +990,7 @@ def bfs_python(offsets: list[int], targets: list[int], start: int) -> list[list[
                 if not seen[x]:
                     seen[x] = 1
                     comp.append(x)
-        comps.append(comp)
+        comps.append(sorted(comp) if ascending else comp)
     return comps
 
 

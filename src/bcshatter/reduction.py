@@ -30,14 +30,27 @@ Every pass writes its score corrections eagerly into a per-original-vertex
 accumulator, so reassembly after the kernels is just adding each surviving
 vertex's kernel total to all of its merged members.
 
+Finished pieces leave the work graph.  Once an iteration has run the
+combination's last split letter (``b`` or ``a``), and a split pass changed
+something in it, :func:`retire_pieces` takes every component of at most
+``PIECE_LIMIT`` vertices (64, the lanes of one ``bcs_brandes`` batch) out
+through one kernel call, adds the kernel totals to the accumulator and
+counts the pieces' mass as retired; the passes go on with what is left.
+The bound reads sizes only, never scores.  It is exact because a piece's
+remaining pair dependencies all lie inside it, with its reach and ident:
+retiring it is what ``odba`` does to every piece, and no later pass would
+read or credit anything outside it for them.  The engine's kernel stage is
+the same routine, :func:`solve_pieces`, with no bound.
+
 Bookkeeping invariants (asserted in tests):
 
 * ``reach[v] >= 1``, ``ident[v] >= 1`` for every vertex; a vertex stands
   for ``ident[v] * reach[v]`` original vertices ("mass").
 * After any sequence of a/b/d passes on a connected input, every component's
-  mass sums to n.  Side removals and isolated-vertex retirement move mass to
-  ``retired_mass`` instead, so remaining mass + retired mass == n until a split
-  (``b`` or ``a``) gives each side the mass of the whole.
+  mass sums to n.  Side removals, isolated-vertex retirement and retired
+  pieces move mass to ``retired_mass`` instead, so remaining mass + retired
+  mass == n until a split (``b`` or ``a``) gives each side the mass of the
+  whole.
 * Merging requires equal reach, and no pass reads the scores it adds to:
   every later addition reaches all members of a merged class alike.
 
@@ -62,7 +75,7 @@ from time import perf_counter
 import numpy as np
 
 from . import kernels
-from .graph import Graph, _checked_csr
+from .graph import Graph, _checked_csr, _relabel_csr
 
 TECHNIQUE_LETTERS = "odbasi"
 
@@ -71,6 +84,10 @@ STANDARD_COMBINATIONS = ("o", "od", "odb", "odba", "odbas", "odbai", "odbasi")
 
 # The side pass examines vertices of at most this degree unless told otherwise.
 DEFAULT_MAX_SIDE_DEGREE = 4
+
+# The lanes of one bcs_brandes batch: the retirement step takes every piece
+# of at most this many vertices, whose sources all share one traversal.
+PIECE_LIMIT = 64
 
 
 @dataclass(frozen=True)
@@ -114,11 +131,28 @@ class PassEvent:
 
 
 @dataclass
+class Retirement:
+    """One retirement step (:func:`retire_pieces`): the pieces and vertices
+    that left the work graph, and what it kept."""
+
+    iteration: int
+    pieces: int
+    vertices: int
+    live_vertices: int
+    live_edges: int
+    # wall time of the step, kernel call included, left out of comparisons
+    seconds: float = field(default=0.0, compare=False)
+
+
+@dataclass
 class PassStats:
-    """Per-pass change log plus the final component edge histogram (filled
-    in by :func:`engine.compute_scores`, which counts those edges anyway)."""
+    """Per-pass change log, the retirement steps, and the edge count of
+    every piece a kernel call ran on, retired or final: the retired pieces'
+    as they go, and all of them largest first once
+    :func:`engine.compute_scores` adds the last call's."""
 
     events: list[PassEvent] = field(default_factory=list)
+    retirements: list[Retirement] = field(default_factory=list)
     iterations: int = 0
     component_edges: list[int] = field(default_factory=list)
 
@@ -126,11 +160,20 @@ class PassStats:
         self.events.append(PassEvent(iteration, technique, changes, vertices, edges, seconds))
 
     def csv_rows(self) -> list[list[str]]:
+        """A header, one row per pass and iteration, each retirement's row
+        (``retire``, with the pieces it removed) after its iteration's last
+        split pass, and the ``final`` row."""
         rows = [["pass", "iteration", "removals", "remaining_vertices", "remaining_edges", "component_edges", "seconds"]]
-        for e in self.events:
+        retired = {r.iteration: r for r in self.retirements}
+        last_split = {e.iteration: k for k, e in enumerate(self.events) if e.technique in "ba"}
+        for k, e in enumerate(self.events):
             rows.append([e.technique, str(e.iteration), str(e.changes), str(e.live_vertices), str(e.live_edges), "",
                          f"{e.seconds:.6f}"])
-        total = sum(e.seconds for e in self.events)
+            if e.iteration in retired and last_split[e.iteration] == k:
+                r = retired[e.iteration]
+                rows.append(["retire", str(r.iteration), str(r.pieces), str(r.live_vertices), str(r.live_edges), "",
+                             f"{r.seconds:.6f}"])
+        total = sum(e.seconds for e in self.events) + sum(r.seconds for r in self.retirements)
         rows.append(["final", str(self.iterations), "", "", "", ";".join(str(x) for x in self.component_edges),
                      f"{total:.6f}"])
         return rows
@@ -230,15 +273,45 @@ class WorkGraph:
         self.retired_mass += int((self.ident[vertices] * self.reach[vertices]).sum())
         self.delete(vertices)
 
-    def components(self) -> list[list[int]]:
-        """Sorted vertex lists of the components, in first-id order:
-        :func:`kernels.bfs` from vertex 0.  Sorted as lists: a numpy sort
-        would page in sort code that nothing else on a solve without merges
-        runs, about 0.13 MB resident."""
+    def split_off(self, order: np.ndarray) -> "WorkGraph":
+        """Retire the vertices ``order`` (int64), whole components, and
+        return them as a work graph of their own whose vertex k is
+        ``order[k]``.  Its vertex arrays and members are gathered at
+        ``order``; its rows are the prefix of one renaming of every vertex,
+        the others after ``order``, by relabel's array core
+        (``graph._relabel_csr``), which writes each row ascending.  The work
+        graph drops its own vertex arrays before the rows are renamed, and
+        its old rows right after, so the renamed copy never sits beside both
+        sets of vertex arrays."""
+        k, n = len(order), self.n
+        p = WorkGraph()
+        p.retired_mass = 0
+        p._gather_vertices(self, order)
+        if not k:
+            p.offsets, p.targets = np.zeros(1, dtype=np.int64), self.targets[:0]
+            return p
+        self.retired_mass += int(np.dot(p.ident, p.reach))  # what retire() counts
+        keep = np.ones(n, dtype=bool)
+        keep[order] = False
+        rest = np.flatnonzero(keep)
+        self._gather_vertices(self, rest)
+        inverse = np.concatenate([order, rest]) if len(rest) else order
+        forward = np.empty_like(inverse)
+        forward[inverse] = np.arange(n)
+        offsets, targets = _relabel_csr(self.offsets, self.targets, forward, inverse)
+        p.offsets, p.targets = offsets[: k + 1], targets[: offsets[k]]
+        self.offsets, self.targets = kernels.rebuild(self.offsets, self.targets, keep, None)
+        return p
+
+    def components(self) -> tuple[np.ndarray, np.ndarray]:
+        """The components as ``(order, ends)``: component c is
+        ``order[ends[c]:ends[c + 1]]`` in increasing id (int32, ends int64),
+        the components in first-id order.  One :func:`kernels.bfs` from
+        vertex 0, which sorts each component itself: a numpy sort would page
+        in sort code that nothing else on a solve without merges runs, about
+        0.13 MB resident."""
         kernels._check_work_graph(self)
-        flat, ends = kernels.bfs(self.offsets, self.targets, 0)
-        flat, ends = flat.tolist(), ends.tolist()
-        return [sorted(flat[a:b]) for a, b in zip(ends, ends[1:])]
+        return kernels.bfs(self.offsets, self.targets, 0, ascending=True)
 
     def compact(self, keep_vertices: np.ndarray | None, keep_arcs: np.ndarray | None) -> None:
         """The one rebuild: drop the vertices ``keep_vertices`` clears, with
@@ -253,17 +326,27 @@ class WorkGraph:
         many slots it keeps."""
         self.offsets, self.targets = kernels.rebuild(self.offsets, self.targets, keep_vertices, keep_arcs)
         if keep_vertices is not None:
-            kept = np.flatnonzero(keep_vertices)
-            starts = self.member_offsets.take(kept)
-            counts = self.member_offsets.take(kept + 1) - starts
-            self.member_offsets = np.zeros(len(kept) + 1, dtype=np.int64)
-            np.cumsum(counts, out=self.member_offsets[1:])
-            # each kept member's old slot: its new slot plus its row's shift
-            slots = np.repeat(starts - self.member_offsets[:-1], counts)
-            slots += np.arange(len(slots))
-            self.member_ids = self.member_ids.take(slots)
-            for name in ("reach", "ident", "internal_edgeless", "internal_clique"):
-                setattr(self, name, getattr(self, name).take(kept))
+            self._gather_vertices(self, np.flatnonzero(keep_vertices))
+
+    def _gather_vertices(self, source: "WorkGraph", ids: np.ndarray) -> None:
+        """Take the vertex arrays and members of ``source`` (this work graph
+        or another) at ``ids``, in their order: each member row gathered
+        with ``take`` at its slots, found once."""
+        for name in ("reach", "ident", "internal_edgeless", "internal_clique"):
+            setattr(self, name, getattr(source, name).take(ids))
+        if (np.diff(source.member_offsets) == 1).all():  # one member a vertex, as until a merge
+            self.member_offsets, self.member_ids = np.arange(len(ids) + 1, dtype=np.int64), source.member_ids.take(ids)
+            return
+        starts = source.member_offsets.take(ids)
+        counts = source.member_offsets.take(ids + 1)
+        counts -= starts
+        offsets = np.zeros(len(ids) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        # each kept member's old slot: its new slot plus its row's shift
+        starts -= offsets[:-1]
+        slots = np.repeat(starts, counts)
+        slots += np.arange(len(slots))
+        self.member_offsets, self.member_ids = offsets, source.member_ids.take(slots)
 
 
 def remove_degree1(w: WorkGraph, out: np.ndarray) -> int:
@@ -426,10 +509,13 @@ def preprocess(g: Graph, combination: Combination | str, max_side_degree: int = 
 
     One iteration runs the enabled passes in the combination's letter order;
     iterations repeat while any pass reports a change (each pass can make the
-    graph amenable to another).  Returns (work graph, partial score vector,
-    pass statistics).  A side-degree cap that is not an integer
-    (``operator.index``) or is below 1 is refused before any work, whatever
-    the combination.
+    graph amenable to another).  Right after the combination's last split
+    letter (``b`` or ``a``), when a split pass changed something in the
+    iteration, :func:`retire_pieces` takes the pieces of at most
+    ``PIECE_LIMIT`` vertices out through the kernel.  Returns (work graph,
+    partial score vector, pass statistics).  A side-degree cap that is not
+    an integer (``operator.index``) or is below 1 is refused before any
+    work, whatever the combination.
     """
     max_side_degree = operator.index(max_side_degree)
     if max_side_degree < 1:
@@ -439,31 +525,80 @@ def preprocess(g: Graph, combination: Combination | str, max_side_degree: int = 
     out = np.zeros(g.n, dtype=np.float64)
     stats = PassStats()
     passes = combo.reduction_passes()
+    last_split = max(passes.rfind("b"), passes.rfind("a"))  # -1 without either
     iteration = 0
     if passes:
         while True:
             iteration += 1
-            any_change = False
-            for letter in passes:
+            any_change = split = False
+            for k, letter in enumerate(passes):
                 start = perf_counter()
                 changes = run_pass(w, letter, out, max_side_degree)
                 seconds = perf_counter() - start
                 stats.record(iteration, letter, changes, w.n, w.m, seconds)
                 any_change = any_change or changes > 0
+                split = split or (letter in "ba" and changes > 0)
+                if k == last_split and split:
+                    retire_pieces(w, out, stats, iteration)
             if not any_change:
                 break
     stats.iterations = iteration
     return w, out, stats
 
 
-def finalize(w: WorkGraph, partial: np.ndarray, order: np.ndarray, totals: np.ndarray) -> np.ndarray:
+def retire_pieces(w: WorkGraph, out: np.ndarray, stats: PassStats, iteration: int) -> None:
+    """The retirement step (see the module docstring for why it is exact):
+    every piece of at most ``PIECE_LIMIT`` vertices leaves the work graph
+    through one :func:`solve_pieces` call, and its kernel totals go to its
+    members in ``out``."""
+    start = perf_counter()
+    pieces, totals, edges, _, _ = solve_pieces(w, PIECE_LIMIT)
+    _credit(out, pieces, totals)
+    stats.component_edges += edges.tolist()
+    stats.retirements.append(Retirement(iteration, len(edges), pieces.n, w.n, w.m, perf_counter() - start))
+
+
+def solve_pieces(w: WorkGraph, limit: int | None = None):
+    """Take the components of ``w`` of at most ``limit`` vertices, all of
+    them when ``limit`` is None, out of ``w`` and run one
+    :func:`kernels.brandes` call over them: the kernel stage, and the
+    retirement step's.
+
+    The pieces come as :meth:`WorkGraph.components` lists them, in first-id
+    order and each in increasing id, and :meth:`WorkGraph.split_off` lays
+    them out so that each is a range of ids.  Returns ``(pieces, totals,
+    edges, phase1, phase2)``: the work graph of the pieces, the kernel
+    total of each of its vertices, each piece's edge count in order, and
+    the seconds of the kernel's two phases.
+    """
+    order, ends = w.components()
+    sizes = np.diff(ends)
+    if limit is not None:
+        small = sizes <= limit
+        order, sizes = order[np.repeat(small, sizes)], sizes[small]
+    bounds = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=bounds[1:])
+    del ends, sizes  # the BFS's n + 1 bounds, freed before the copies
+    order = order.astype(np.int64)
+    pieces = w.split_off(order)
+    totals, phase1, phase2 = kernels.brandes(pieces.offsets, pieces.targets, pieces.reach, pieces.ident, bounds)
+    return pieces, totals, np.diff(pieces.offsets[bounds]) // 2, phase1, phase2
+
+
+def finalize(w: WorkGraph, partial: np.ndarray, totals: np.ndarray) -> np.ndarray:
     """Reassemble final scores: every original vertex collects its partial
-    corrections, then each nonzero kernel total ``totals[k]`` of the work
-    vertex ``order[k]`` that carries it (copies and merges alike), by k."""
+    corrections, then each nonzero kernel total ``totals[v]`` of the work
+    vertex v that carries it (copies and merges alike), by v."""
     final = np.array(partial, dtype=np.float64, copy=True)
-    member_offsets, members = w.member_offsets.tolist(), w.member_ids.tolist()
-    added = np.flatnonzero(totals)
-    for v, amount in zip(order[added].tolist(), totals[added].tolist()):
-        for m in members[member_offsets[v] : member_offsets[v + 1]]:
-            final[m] += amount
+    _credit(final, w, totals)
     return final
+
+
+def _credit(out: np.ndarray, w: WorkGraph, totals: np.ndarray) -> None:
+    """Add each nonzero ``totals[v]`` to every original vertex the work
+    vertex v carries, in increasing v: one ``np.add.at``, which adds in
+    index order, so an original vertex that several copies carry takes
+    their totals in the order a loop over v would."""
+    amounts = np.repeat(totals, np.diff(w.member_offsets))
+    added = np.flatnonzero(amounts)
+    np.add.at(out, w.member_ids[added], amounts[added])

@@ -84,10 +84,17 @@ def kernel_args(rows: list[list[int]], reach=None, ident=None, bounds=None) -> t
     return offsets, targets, reach, ident, np.array([0, n] if bounds is None else bounds, dtype=np.int64)
 
 
+def component_lists(w) -> list[list[int]]:
+    """``w.components()`` as vertex lists: in first-id order, each in
+    increasing id."""
+    order, ends = (a.tolist() for a in w.components())
+    return [order[a:b] for a, b in zip(ends, ends[1:])]
+
+
 def component_mass_sums(w) -> list[int]:
     """The mass of each component of a work graph, in first-id order."""
     mass = (w.ident * w.reach).tolist()
-    return [sum(mass[v] for v in comp) for comp in w.components()]
+    return [sum(mass[v] for v in comp) for comp in component_lists(w)]
 
 
 def sorted_components(rows: list[list[int]]) -> list[list[int]]:

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from bcshatter import kernels
 from bcshatter.engine import NonFiniteScoresError, compute_scores
-from bcshatter.graph import Graph, GraphInputError, bfs_order, relabel
+from bcshatter.graph import Graph, GraphInputError
 from bcshatter.kernels import betweenness
 from bcshatter.oracle import GraphSpec, bc_brute, generate
-from bcshatter.reduction import STANDARD_COMBINATIONS, Combination, preprocess
+from bcshatter.reduction import PIECE_LIMIT, STANDARD_COMBINATIONS, WorkGraph, shatter_articulation
 
 from conftest import kernel_args, layered_graph, random_graph, sorted_components
 
@@ -135,11 +135,13 @@ def _blocks_on_vertex_0(sizes) -> Graph:
 def test_kernel_totals_are_added_in_component_then_id_order(monkeypatch):
     # four copies of 0 get totals with fractions 2/3, 2/5, 2/6 and 2/7, and
     # float addition is not associative: the order of the additions shows in
-    # 0's last bits
+    # 0's last bits.  The pieces are those the one "a" pass leaves, which the
+    # retirement step right after it takes.
     g = _blocks_on_vertex_0((3, 5, 6, 7))
     for lib in (kernels._kernel(), None):
         monkeypatch.setattr(kernels, "_compiled", lib)
-        w, partial, _ = preprocess(g, Combination.parse("a"))
+        w, partial = WorkGraph.from_graph(g), np.zeros(g.n)
+        shatter_articulation(w)
         rows, members = w.rows(), w.member_lists()
         additions = []  # (work vertex, kernel total), in (component first id, id) order
         for comp in sorted_components(rows):
@@ -160,33 +162,49 @@ def test_kernel_totals_are_added_in_component_then_id_order(monkeypatch):
         assert compute_scores(g, "a").scores.tobytes() == reassembled(additions) != reassembled(additions[::-1])
 
 
-def test_each_solve_makes_one_kernel_call(monkeypatch):
-    # one kernels.brandes call per compute_scores, on both forms, over the
-    # layout of the work graph preprocess leaves: its bounds are the
-    # components' and its arcs, k * (row lengths summed) per component of k
-    # vertices, are counted here by a search of this test's own
+def test_every_piece_goes_to_one_kernel_call(monkeypatch):
+    # on both forms, each kernels.brandes call runs over the pieces one
+    # WorkGraph.split_off takes out of the work graph: after a split pass,
+    # its components of at most PIECE_LIMIT vertices, and at the end all
+    # that is left.  The call's bounds are theirs and its arcs, k * (row
+    # lengths summed) per piece of k vertices, are counted here by a search
+    # of this test's own; a combination without b or a makes one call.
     specs = [("planted-side", 120, 1), ("planted-identical", 120, 1), ("bridged-blobs", 80, 3)]
     graphs = [generate(GraphSpec(family, size, 0.0, seed)) for family, size, seed in specs]
-    expected = []
-    for g in graphs:
-        w, _, _ = preprocess(relabel(g, bfs_order(g, 0)), Combination.parse("odbasi"))
-        rows, comps = w.rows(), sorted_components(w.rows())
-        expected.append((list(accumulate(map(len, comps), initial=0)),
-                         sum(len(comp) * sum(len(rows[v]) for v in comp) for comp in comps)))
-    assert max(len(bounds) for bounds, _ in expected) > 3  # one call over several components
-    brandes = kernels.brandes
+    brandes, split_off = kernels.brandes, WorkGraph.split_off
+    several = 0
     for lib in (kernels._kernel(), None):
         monkeypatch.setattr(kernels, "_compiled", lib)
-        for g, (bounds, arcs) in zip(graphs, expected):
-            calls = []
+        for g in graphs:
+            for combo in ("odbasi", "odsi"):
+                calls, taken = [], []
 
-            def recorded(offsets, targets, reach, ident, bounds):
-                calls.append((bounds.tolist(), int(np.diff(bounds) @ np.diff(offsets[bounds]))))
-                return brandes(offsets, targets, reach, ident, bounds)
+                def recorded(offsets, targets, reach, ident, bounds):
+                    calls.append((bounds.tolist(), int(np.diff(bounds) @ np.diff(offsets[bounds]))))
+                    return brandes(offsets, targets, reach, ident, bounds)
 
-            monkeypatch.setattr(kernels, "brandes", recorded)
-            compute_scores(g, "odbasi")
-            assert calls == [(bounds, arcs)]
+                def recorded_split(w, order):
+                    taken.append((order.tolist(), w.rows()))
+                    n = w.n
+                    pieces = split_off(w, order)
+                    assert w.n == n - len(order)  # taken once: gone from the work graph
+                    return pieces
+
+                monkeypatch.setattr(kernels, "brandes", recorded)
+                monkeypatch.setattr(WorkGraph, "split_off", recorded_split)
+                result = compute_scores(g, combo)
+                expected = []
+                for k, (order, rows) in enumerate(taken):
+                    comps = sorted_components(rows)
+                    pieces = comps if k == len(taken) - 1 else [c for c in comps if len(c) <= PIECE_LIMIT]
+                    assert order == [v for c in pieces for v in c]
+                    expected.append((list(accumulate(map(len, pieces), initial=0)),
+                                     sum(len(c) * sum(len(rows[v]) for v in c) for c in pieces)))
+                assert calls == expected and len(calls) == len(result.stats.retirements) + 1
+                assert sum(len(bounds) - 1 for bounds, _ in calls) == result.component_count
+                assert combo == "odbasi" or len(calls) == 1
+                several += len(calls) > 1
+    assert several  # the retirement steps made calls of their own
 
 
 def test_larger_max_side_degree_still_exact():

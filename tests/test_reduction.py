@@ -17,6 +17,7 @@ from bcshatter.engine import compute_scores
 from bcshatter.graph import Graph
 from bcshatter.oracle import FAMILIES, GraphSpec, bc_brute, generate
 from bcshatter.reduction import (
+    PIECE_LIMIT,
     Combination,
     WorkGraph,
     _merge_sweep,
@@ -33,6 +34,7 @@ from bcshatter.reduction import (
 from conftest import (
     complete_bipartite_graph,
     complete_graph,
+    component_lists,
     component_mass_sums,
     cycle_graph,
     path_graph,
@@ -83,7 +85,7 @@ class TestShatter:
         w, _ = _work(path_graph(3))
         created = shatter_articulation(w)
         assert created == 1
-        assert len(w.components()) == 2
+        assert len(component_lists(w)) == 2
         assert _reaches_of(w, 1) == [2, 2]
         assert component_mass_sums(w) == [3, 3]
 
@@ -255,7 +257,7 @@ class TestBlockMasses:
             created = shatter_articulation(w)
             assert created == w.n - n_before == len(blocks) - 1
             _assert_work_graph(w)
-            comps = w.components()
+            comps = component_lists(w)
             assert len(comps) == len(blocks)
             members = w.member_lists()
             for comp_after in comps:
@@ -283,7 +285,7 @@ class TestBlockMasses:
             w = WorkGraph.from_graph(Graph.from_edges(n, sorted((min(e), max(e)) for e in edges)))
             _random_attributes(rng, w)
             w.delete(dead)
-            comps = w.components()
+            comps = component_lists(w)
             # the survivors keep their order: a, b and n - 2 lose 1, 3 and 3 deleted ids below them
             assert [c[0] for c in comps] == [a - 1, b - 3, n - 5]
             walk = per_component(kernels.block_walk(w))
@@ -297,9 +299,9 @@ class TestBlockMasses:
             members = w.member_lists()
             mass_of_org = {members[v][0]: total for comp, total in zip(comps, component_mass_sums(w)) for v in comp}
             # the isolated vertex has no block and creates no component
-            assert shatter_articulation(w) == len(w.components()) - len(comps) > 0
+            assert shatter_articulation(w) == len(component_lists(w)) - len(comps) > 0
             members = w.member_lists()
-            for comp, total in zip(w.components(), component_mass_sums(w)):
+            for comp, total in zip(component_lists(w), component_mass_sums(w)):
                 assert {mass_of_org[members[v][0]] for v in comp} == {total}
 
 
@@ -1165,19 +1167,105 @@ class TestPreprocess:
         assert first.events == second.events
         assert all(e.seconds > 0.0 for e in first.events)
         assert all(dataclasses.replace(e, seconds=e.seconds + 1.0) == e for e in first.events)
+        assert first.retirements == second.retirements and first.retirements
+        assert all(dataclasses.replace(r, seconds=r.seconds + 1.0) == r for r in first.retirements)
         rows = first.csv_rows()
         assert rows[0][-1] == "seconds"
-        assert [float(r[-1]) for r in rows[1:-1]] == pytest.approx([e.seconds for e in first.events], abs=1e-6)
-        assert float(rows[-1][-1]) == pytest.approx(sum(e.seconds for e in first.events), abs=1e-5)
+        pass_rows = [r for r in rows[1:-1] if r[0] != "retire"]
+        assert [float(r[-1]) for r in pass_rows] == pytest.approx([e.seconds for e in first.events], abs=1e-6)
+        steps = first.events + first.retirements
+        assert float(rows[-1][-1]) == pytest.approx(sum(e.seconds for e in steps), abs=1e-5)
+
+
+class TestRetirement:
+    """The retirement step after each iteration's last split pass: every
+    piece of at most PIECE_LIMIT vertices goes through the kernel and leaves
+    the work graph, and the passes after the split run on what is left.
+    Each test runs on the compiled library and on the Python forms."""
+
+    FORMS = (kernels._kernel, lambda: None)
+
+    @pytest.mark.parametrize("combo", ["bsai", "asid", "oabsdi", "ba"])
+    def test_mid_loop_retirement_matches_brute(self, monkeypatch, combo):
+        # in each order d, s or i runs after a split, on the pieces left
+        graphs = [generate(GraphSpec(family, n, 0.0, seed=n)) for family in
+                  ("clique-chain", "bridged-blobs", "planted-identical") for n in (60, 200)]
+        retired = 0
+        for g, expected in zip(graphs, map(bc_brute, graphs)):
+            for form in self.FORMS:
+                monkeypatch.setattr(kernels, "_compiled", form())
+                result = compute_scores(g, combo)
+                assert np.allclose(result.scores, expected, rtol=1e-9, atol=1e-9), (g.n, combo)
+                retired += sum(r.vertices for r in result.stats.retirements)
+                assert result.remaining_vertices >= sum(r.vertices for r in result.stats.retirements)
+        assert retired > 0
+
+    def test_the_bound_is_sixty_four_vertices(self, monkeypatch):
+        # a 64-cycle and a 65-cycle joined by a bridge: "b" cuts it, the
+        # 64-vertex piece retires and the 65-vertex piece stays for the
+        # kernel stage
+        cycles = [(v, (v + 1) % 64) for v in range(64)] + [(64 + v, 64 + (v + 1) % 65) for v in range(65)]
+        g = Graph.from_edges(129, cycles + [(0, 64)])
+        assert PIECE_LIMIT == 64
+        for form in self.FORMS:
+            monkeypatch.setattr(kernels, "_compiled", form())
+            w, _, stats = preprocess(g, "b")
+            assert [(r.iteration, r.pieces, r.vertices) for r in stats.retirements] == [(1, 1, 64)]
+            assert (w.n, w.m) == (65, 65)
+            result = compute_scores(g, "b")
+            assert np.allclose(result.scores, bc_brute(g), rtol=1e-9, atol=1e-9)
+            assert (result.remaining_vertices, result.component_edges) == (129, [65, 64])
+
+    def test_runs_only_after_a_split_that_changed_something(self):
+        # a cycle has no bridge and no cut vertex: no step; a path with a
+        # triangle end splits under "b", and the step follows the last of
+        # "b" and "a" in the letter order, once per iteration that split
+        assert preprocess(cycle_graph(6), "odbasi")[2].retirements == []
+        g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 2)])
+        for combo in ("ba", "ab", "bsd", "ib"):
+            stats = preprocess(g, combo)[2]
+            rows = stats.csv_rows()
+            retire = [k for k, r in enumerate(rows) if r[0] == "retire"]
+            assert len(retire) == len(stats.retirements) == 1, combo
+            last_split = combo[max(combo.rfind("b"), combo.rfind("a"))]
+            assert rows[retire[0] - 1][:2] == [last_split, "1"], combo
+            assert rows[retire[0]][1:3] == ["1", str(stats.retirements[0].pieces)]
+            assert stats.retirements[0].vertices > 0
+
+    def test_retired_mass_counts_the_pieces(self):
+        # the step retires as retire() does: what leaves the work graph is
+        # counted in retired_mass
+        g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)])
+        w, _, stats = preprocess(g, "b")
+        assert stats.retirements[0].vertices == 6 and w.n == 0
+        assert w.retired_mass == 6 + 6  # each side takes the mass of the whole
 
 
 class TestFinalize:
     def test_without_reductions_is_kernel_distribution(self):
         g = cycle_graph(5)
         w, partial, _ = preprocess(g, Combination.parse("o"))
-        # totals[k] belongs to order[k]
-        final = finalize(w, partial, np.array([4, 0, 3, 1, 2]), np.array([4.0, 0.0, 3.0, 1.0, 2.0]))
-        assert final.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+        # totals[v] belongs to work vertex v
+        final = finalize(w, partial, np.array([4.0, 0.0, 3.0, 1.0, 2.0]))
+        assert final.tolist() == [4.0, 0.0, 3.0, 1.0, 2.0]
+
+    def test_additions_come_in_increasing_vertex_order(self):
+        # after "a" vertex 0 is carried by itself and three copies, and after
+        # "i" merged classes carry several vertices: each member takes its
+        # vertices' totals one at a time, in increasing vertex, as a loop would
+        rng = np.random.default_rng(3)
+        for g, combo in ((Graph.from_edges(9, [(0, v) for v in range(1, 9)] + [(1, 2), (3, 4), (5, 6), (7, 8)]), "a"),
+                         (generate(GraphSpec("planted-identical", 40, 0.0, seed=2)), "i")):
+            w, partial = _work(g)
+            assert run_pass(w, combo, partial) > 0
+            totals = rng.random(w.n) / 3.0
+            totals[::4] = 0.0
+            looped = partial.copy()
+            for v, members in enumerate(w.member_lists()):
+                for m in members:
+                    if totals[v]:
+                        looped[m] += totals[v]
+            assert finalize(w, partial, totals).tobytes() == looped.tobytes()
 
     def test_toy_graph_full_pipeline(self, toy_social_graph):
         expected = bc_brute(toy_social_graph)

@@ -20,7 +20,7 @@ from bcshatter.graph import Graph
 from bcshatter.oracle import FAMILIES, GraphSpec, generate
 from bcshatter.reduction import WorkGraph, run_pass
 
-from conftest import complete_bipartite_graph, complete_graph, per_component, star_graph
+from conftest import complete_bipartite_graph, complete_graph, component_lists, per_component, star_graph
 
 
 @pytest.fixture(params=["compiled", "python"])
@@ -71,7 +71,7 @@ class TestBlockWalk:
         seen = {"merged": 0, "removed arc": 0, "deleted": 0, "isolated": 0, "copy": 0, "merged root block": 0}
         for case, family, w, g in _work_graphs(41, 180):
             walk = _both_forms(monkeypatch, compiled_library, lambda: per_component(kernels.block_walk(w)))
-            assert len(walk) == len(w.components()), (family, case)
+            assert len(walk) == len(component_lists(w)), (family, case)
             seen["merged"] += any(i > 1 for i in w.ident)
             seen["removed arc"] += w.m < g.m
             seen["deleted"] += w.n < g.n
@@ -483,7 +483,7 @@ class TestComponents:
     def test_forms_agree(self, compiled_library, monkeypatch):
         sizes = []
         for case, family, w, _ in _work_graphs(59, 180):
-            comps = _both_forms(monkeypatch, compiled_library, w.components)
+            comps = _both_forms(monkeypatch, compiled_library, lambda: component_lists(w))
             assert sorted(v for comp in comps for v in comp) == list(range(w.n)), (family, case)
             assert all(comp == sorted(comp) for comp in comps)
             assert [comp[0] for comp in comps] == sorted(comp[0] for comp in comps)
@@ -496,7 +496,7 @@ class TestComponents:
         w = WorkGraph.from_graph(Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4)]))
         w.remove_edges(np.array([2]), np.array([1]))
         w.delete(4)
-        assert w.components() == [[0, 1], [2, 3], [4]]
+        assert component_lists(w) == [[0, 1], [2, 3], [4]]
         flat, ends = kernels.bfs(w.offsets, w.targets, 0)
         assert flat.tolist() == [0, 1, 2, 3, 4] and ends.tolist() == [0, 2, 4, 5]
 
@@ -509,7 +509,7 @@ class TestComponents:
     def test_edge_cases(self, scan_form, n, edges, deleted, comps):
         w = WorkGraph.from_graph(Graph.from_edges(n, edges))
         w.delete(deleted)
-        assert w.components() == comps
+        assert component_lists(w) == comps
         assert [sorted(comp) for comp in _bfs_python(w, 0)] == comps
 
     def test_bfs_from_a_start_in_a_later_component(self, scan_form):

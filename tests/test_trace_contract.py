@@ -18,10 +18,14 @@ SPEC = GraphSpec("planted-side", 300, 0.0, seed=5)
 
 
 def _every_pass_graph() -> Graph:
-    """SPEC's graph beside a small bridged-blobs graph and a bowtie, so that
-    every pass letter changes something under ``odbasi``."""
+    """SPEC's graph beside a small bridged-blobs graph, a bowtie and a
+    planted-identical graph, so that every pass letter changes something
+    under ``odbasi``.  The blobs and the bowtie's halves retire after the
+    first ``a``, before ``i`` sees them; the planted twins sit in a piece of
+    more than 64 vertices, which stays."""
     parts = [generate(SPEC), generate(GraphSpec("bridged-blobs", 60, 0.0, seed=1))]
     parts.append(Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)]))
+    parts.append(generate(GraphSpec("planted-identical", 100, 0.0, seed=1)))
     edges, n = [], 0
     for part in parts:
         edges += [(u + n, v + n) for u, v in part.edges()]
