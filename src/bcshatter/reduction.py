@@ -334,9 +334,6 @@ class WorkGraph:
         with ``take`` at its slots, found once."""
         for name in ("reach", "ident", "internal_edgeless", "internal_clique"):
             setattr(self, name, getattr(source, name).take(ids))
-        if (np.diff(source.member_offsets) == 1).all():  # one member a vertex, as until a merge
-            self.member_offsets, self.member_ids = np.arange(len(ids) + 1, dtype=np.int64), source.member_ids.take(ids)
-            return
         starts = source.member_offsets.take(ids)
         counts = source.member_offsets.take(ids + 1)
         counts -= starts

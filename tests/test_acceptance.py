@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bcshatter import reduction
 from bcshatter.bench import BenchRecord, performance_profile
 from bcshatter.engine import compute_scores
 from bcshatter.graph import Graph, bfs_order, connected_components, parse_metis, relabel
@@ -112,15 +113,22 @@ def _find_add32():
 
 
 @pytest.mark.skipif(_find_add32() is None, reason="add32.graph not present (download the DIMACS graph to data/)")
-def test_criterion_4_add32_reproduction():
-    """add32 fully shatters under odbas, stays exact, and beats ordering-only."""
+def test_criterion_4_add32_reproduction(monkeypatch):
+    """add32 fully shatters under odbas, stays exact, and beats ordering-only.
+
+    The passes alone dissolve every edge: with no piece small enough to
+    retire mid-loop, odbas leaves 0 edges.  The default run, which retires
+    pieces, gives the same exact scores."""
     g, _ = parse_metis(_find_add32().read_text())
     assert (g.n, g.m) == (4960, 9462)
     expected = betweenness(g)
+    with monkeypatch.context() as m:
+        m.setattr(reduction, "PIECE_LIMIT", 0)
+        passes_only = compute_scores(g, "odbas")
+    assert not any(r.pieces for r in passes_only.stats.retirements)
+    assert passes_only.remaining_edges == 0
+    assert np.allclose(passes_only.scores, expected, rtol=1e-6, atol=1e-9)
     result = compute_scores(g, "odbas")
-    # nothing is left for the kernel stage: every piece the passes did not
-    # dissolve retired mid-loop, and the kernel counts count those
-    assert result.component_count == sum(r.pieces for r in result.stats.retirements)
     assert np.allclose(result.scores, expected, rtol=1e-6, atol=1e-9)
     baseline = compute_scores(g, "o")
     best = min(compute_scores(g, combo).total_seconds for combo in ("odbas", "odbasi"))
